@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-save bench-compare bench-e2e bench-e2e-compare bench-e2e-save bench-service bench-service-compare bench-service-save profile profile-e2e examples figures golden-save chaos serve clean
+.PHONY: install test bench profile examples figures golden-save chaos serve clean
 
 install:
 	pip install -e '.[test]'
@@ -12,49 +12,16 @@ install:
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q
 
+# Microbenchmarks and figure benches (pytest-benchmark).  They track
+# inner-loop costs; performance claims are measured with
+# `python3 bench/run.py` (see bench/README.md).
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Save the kernel microbench medians as the perf baseline
-# (BENCH_kernel.json), and compare a fresh run against it -- fails on
-# a >25% regression in any bench.
-bench-save:
-	$(PYTHON) benchmarks/bench_baseline.py save
-
-bench-compare:
-	$(PYTHON) benchmarks/bench_baseline.py compare
-
-# End-to-end wall-time benches: one fixed sweep point per experiment
-# through the production run_point/run_decay path (BENCH_e2e.json).
-# `bench-e2e` compares against the saved medians; `bench-e2e-save`
-# re-records them (prior numbers are kept in the file's history).
-bench-e2e: bench-e2e-compare
-
-bench-e2e-compare:
-	$(PYTHON) benchmarks/bench_e2e.py compare
-
-bench-e2e-save:
-	$(PYTHON) benchmarks/bench_e2e.py save
-
-# Trust-service load benches: resident-session scale, ingest
-# throughput/latency, and HTTP round trips (BENCH_service.json).
-bench-service: bench-service-compare
-
-bench-service-compare:
-	$(PYTHON) benchmarks/bench_service.py compare
-
-bench-service-save:
-	$(PYTHON) benchmarks/bench_service.py save
 
 # cProfile one representative Experiment 2 sweep point and print the
 # top-20 cumulative functions -- the next hot spot, one command away.
 profile:
 	PYTHONPATH=src $(PYTHON) benchmarks/profile_hotspots.py
-
-# cProfile every BENCH_e2e.json sweep point (top-25 cumulative each),
-# stamped with the queue and decision backends in effect.
-profile-e2e:
-	$(PYTHON) benchmarks/bench_e2e.py profile
 
 # Run every example script in sequence.
 examples:

@@ -11,7 +11,7 @@ visible before it silently stretches every experiment.
 import numpy as np
 
 from repro.core.binary import CtiVoter
-from repro.core.clustering import cluster_reports
+from repro.core.clustering import cluster_reports_flat
 from repro.core.trust import TrustParameters, TrustTable
 from repro.network.geometry import Point, Region
 from repro.network.topology import grid_deployment, uniform_random_deployment
@@ -30,6 +30,13 @@ def _report_window(n):
         + [Point(70.0 - 0.09 * i, 60.0 + 0.11 * i) for i in range(per_blob)]
         + [Point(7.0 * i % 97.0, 13.0 * i % 89.0) for i in range(scatter)]
     )
+
+
+def _cluster(reports):
+    """The kernel's clustering call over a window of ``Point`` claims."""
+    xs = [p.x for p in reports]
+    ys = [p.y for p in reports]
+    return lambda: cluster_reports_flat(xs, ys, r_error=5.0)
 
 
 def test_kernel_event_throughput(benchmark):
@@ -119,32 +126,19 @@ def test_clustering_throughput(benchmark):
         + [Point(7.0 * i % 97.0, 13.0 * i % 89.0) for i in range(10)]
     )
 
-    def run_clustering():
-        return cluster_reports(reports, r_error=5.0)
-
-    clusters = benchmark(run_clustering)
+    clusters = benchmark(_cluster(reports))
     assert len(clusters) >= 2
 
 
 def test_clustering_throughput_n50(benchmark):
     """The clustering heuristic over a 50-report window."""
-    reports = _report_window(50)
-
-    def run_clustering():
-        return cluster_reports(reports, r_error=5.0)
-
-    clusters = benchmark(run_clustering)
+    clusters = benchmark(_cluster(_report_window(50)))
     assert len(clusters) >= 2
 
 
 def test_clustering_throughput_n200(benchmark):
     """The clustering heuristic at event-region scale (200 reports)."""
-    reports = _report_window(200)
-
-    def run_clustering():
-        return cluster_reports(reports, r_error=5.0)
-
-    clusters = benchmark(run_clustering)
+    clusters = benchmark(_cluster(_report_window(200)))
     assert len(clusters) >= 2
 
 
@@ -349,91 +343,49 @@ def test_broadcast_throughput(benchmark):
     assert sent >= 100 * 99
 
 
-def _chain_10k(backend):
-    """Schedule-and-fire cost for 10k chained events on one backend."""
-    sim = Simulator(seed=0, queue=backend)
-    remaining = [10_000]
+def test_kernel_periodic_timers(benchmark):
+    """64 interleaved periodic timers x ~160 firings each."""
 
-    def tick():
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            sim.after(0.001, tick)
+    def run_timers():
+        sim = Simulator(seed=0)
+        fired = [0]
 
-    sim.after(0.001, tick)
-    sim.run()
-    return sim.events_fired
+        def tick():
+            fired[0] += 1
 
+        for i in range(64):
+            sim.every(0.01 + 0.0001 * i, tick, count=160)
+        sim.run()
+        return fired[0]
 
-def test_kernel_chain_calendar(benchmark):
-    """The 10k event chain pinned to the calendar-queue backend."""
-    fired = benchmark(_chain_10k, "calendar")
-    assert fired == 10_000
-
-
-def test_kernel_chain_heap(benchmark):
-    """The 10k event chain pinned to the heap oracle, for the ratio."""
-    fired = benchmark(_chain_10k, "heap")
-    assert fired == 10_000
-
-
-def _periodic_timers(backend):
-    """64 interleaved periodic timers x ~160 firings each.
-
-    The calendar backend re-arms a periodic timer in place (the fused
-    ``rearm`` path recycles the arena slot); the heap pays a fresh
-    push per firing.  This bench tracks that gap.
-    """
-    sim = Simulator(seed=0, queue=backend)
-    fired = [0]
-
-    def tick():
-        fired[0] += 1
-
-    for i in range(64):
-        sim.every(0.01 + 0.0001 * i, tick, count=160)
-    sim.run()
-    return fired[0]
-
-
-def test_kernel_periodic_calendar(benchmark):
-    fired = benchmark(_periodic_timers, "calendar")
+    fired = benchmark(run_timers)
     assert fired == 64 * 160
 
 
-def test_kernel_periodic_heap(benchmark):
-    fired = benchmark(_periodic_timers, "heap")
-    assert fired == 64 * 160
-
-
-def _cancel_heavy(backend):
+def test_kernel_cancel_heavy(benchmark):
     """Schedule 20k events, cancel half before they fire.
 
     Mirrors collection-window churn: a decision cancels the window's
-    pending timeout.  The calendar backend must both skip tombstones
-    during bucket scans and reclaim slots through the purge path.
+    pending timeout, and the queue skips the tombstones lazily.
     """
-    sim = Simulator(seed=0, queue=backend)
-    fired = [0]
 
-    def tick():
-        fired[0] += 1
+    def run_cancels():
+        sim = Simulator(seed=0)
+        fired = [0]
 
-    handles = [
-        sim.after(0.001 * (i % 997) + 0.0005, tick) for i in range(20_000)
-    ]
-    for handle in handles[::2]:
-        handle.cancel()
-    sim.run()
-    return fired[0]
+        def tick():
+            fired[0] += 1
 
+        handles = [
+            sim.after(0.001 * (i % 997) + 0.0005, tick)
+            for i in range(20_000)
+        ]
+        for handle in handles[::2]:
+            handle.cancel()
+        sim.run()
+        return fired[0]
 
-def test_kernel_cancel_heavy_calendar(benchmark):
-    fired = benchmark(_cancel_heavy, "calendar")
-    assert fired == 10_000
-
-
-def test_kernel_cancel_heavy_heap(benchmark):
-    fired = benchmark(_cancel_heavy, "heap")
+    fired = benchmark(run_cancels)
     assert fired == 10_000
 
 
@@ -482,46 +434,33 @@ def _steady_window(deployment, n, sites, sensing_radius=20.0):
 
 
 def _decision_setup(n):
-    """One steady-state n-report CH window, both decision backends.
+    """One steady-state n-report CH window, ingested ahead of time.
 
-    Returns both backends (independent but identically-parameterised
-    voters) with ingest prebuilt on each side -- the object path's
-    ``LocationReport`` list, and the array path's pre-filled
-    :class:`ReportBuffer` plus ``(time, node_id)``-sorted row index --
-    so the timed functions measure the decision pipeline alone, the
-    way production runs it (ingest happens at message arrival, decide
-    at circle close).
+    Returns the kernel with a pre-filled :class:`ReportBuffer` and the
+    ``(time, node_id)``-sorted row index, so the timed function measures
+    the decision pipeline alone, the way production runs it (ingest
+    happens at message arrival, decide at circle close).
     """
     from repro.core.decision_kernel import DecisionKernel, ReportBuffer
-    from repro.core.location import LocationDecisionEngine, LocationReport
 
     n_nodes, side, sites = _WINDOW_LAYOUTS[n]
     deployment = grid_deployment(n_nodes, Region.square(side))
     reporters = _steady_window(deployment, n, sites)
 
-    def make_voter():
-        return CtiVoter(TrustTable(
-            TrustParameters(lam=0.25, fault_rate=0.1),
-            node_ids=range(n_nodes),
-        ))
+    def make_kernel():
+        return DecisionKernel(
+            deployment=deployment, sensing_radius=20.0, r_error=5.0,
+            voter=CtiVoter(TrustTable(
+                TrustParameters(lam=0.25, fault_rate=0.1),
+                node_ids=range(n_nodes),
+            )),
+        )
 
-    engine = LocationDecisionEngine(
-        deployment=deployment, sensing_radius=20.0, r_error=5.0,
-        voter=make_voter(),
-    )
-    kernel = DecisionKernel(
-        deployment=deployment, sensing_radius=20.0, r_error=5.0,
-        voter=make_voter(),
-    )
-    reports = [
-        LocationReport(node_id=node_id, location=claim, time=0.001 * i)
-        for i, (node_id, claim) in enumerate(reporters)
-    ]
     buf = ReportBuffer()
     rows = np.asarray(
         [
-            buf.append(r.node_id, r.location.x, r.location.y, r.time)
-            for r in reports
+            buf.append(node_id, claim.x, claim.y, 0.001 * i)
+            for i, (node_id, claim) in enumerate(reporters)
         ],
         dtype=np.intp,
     )
@@ -529,38 +468,25 @@ def _decision_setup(n):
     # Steady state sanity: every blob's vote must be unanimous, else
     # repeated windows drift trust state and the numbers stop meaning
     # "decision pipeline cost".
-    for decision in engine.decide(reports):
+    for decision in make_kernel().decide_rows(buf, sorted_rows):
         assert decision.occurred and not decision.dissenters
-    engine.voter = make_voter()
-    return engine, kernel, reports, buf, sorted_rows
+    return make_kernel(), buf, sorted_rows
 
 
-def _make_window_benches(n):
-    def bench_object(benchmark):
-        engine, _kernel, reports, _buf, _rows = _decision_setup(n)
-        decisions = benchmark(engine.decide, reports)
-        assert decisions
-
-    def bench_array(benchmark):
-        _engine, kernel, _reports, buf, rows = _decision_setup(n)
+def _make_window_bench(n):
+    def bench(benchmark):
+        kernel, buf, rows = _decision_setup(n)
         decisions = benchmark(kernel.decide_rows, buf, rows)
         assert decisions
 
-    return bench_object, bench_array
+    return bench
 
 
-# n=8 sits below the old _NUMPY_MIN_REPORTS=18 crossover, where the
-# object path still clusters Point objects pairwise; n=30 just above
-# it, n=120 at event-region scale.
-test_decision_window_object_n8, test_decision_window_array_n8 = (
-    _make_window_benches(8)
-)
-test_decision_window_object_n30, test_decision_window_array_n30 = (
-    _make_window_benches(30)
-)
-test_decision_window_object_n120, test_decision_window_array_n120 = (
-    _make_window_benches(120)
-)
+# n=8 and n=30 are typical experiment windows; n=120 is event-region
+# scale.
+test_decision_window_n8 = _make_window_bench(8)
+test_decision_window_n30 = _make_window_bench(30)
+test_decision_window_n120 = _make_window_bench(120)
 
 
 def test_topology_small_n_scan(benchmark):

@@ -14,9 +14,9 @@ Two collection modes mirror the paper's two models:
   neighbors for every randomized event").
 * ``location`` -- reports are routed through the concurrent-event
   circle tracker (§3.3) and each closed circle group is clustered and
-  voted by the location engine (§3.2).
+  voted by the decision kernel (§3.2).
 
-The decision pipeline itself -- trust table, voter, engines, diagnosis
+The decision pipeline itself -- trust table, voter, kernel, diagnosis
 -- lives in an embedded :class:`~repro.service.session.TrustSession`:
 the CH is one client of the service engine, owning only what is
 DES-specific (timers, the circle tracker, spans/trace/metrics
@@ -32,7 +32,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.binary import CtiVoter
 from repro.core.concurrent import CircleTracker
-from repro.core.location import LocationReport
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, displace_xy
 from repro.network.messages import (
@@ -182,9 +181,6 @@ class ClusterHead(NetworkNode):
         # sampled once per decision when attached.
         self.probe = None
         self._tracker: Optional[CircleTracker] = None
-        self._engine = self.session.engine
-        self._kernel = self.session.kernel
-        self._report_buffer = self.session.report_buffer
         self._binary_window: List[EventReportMessage] = []
         self._binary_window_open = False
 
@@ -206,30 +202,18 @@ class ClusterHead(NetworkNode):
             # silent.
             self.trust.spans = spans
         if self.config.mode == "location":
-            # The session built the engine (always: it is the
-            # object-path oracle and the public decision API) and, under
-            # the array backend, the buffer + kernel.  The tracker is
+            # The session built the buffer and kernel.  The tracker is
             # DES-only -- its circles ride simulator timers -- so it
             # stays here.
             if spans.enabled:
-                self._engine.spans = spans
-            if self._kernel is not None:
-                if spans.enabled:
-                    self._kernel.spans = spans
-                self._tracker = CircleTracker(
-                    sim,
-                    r_error=self.config.r_error,
-                    t_out=self.config.t_out,
-                    buffer=self._report_buffer,
-                    on_group_rows=self._decide_group_rows,
-                )
-            else:
-                self._tracker = CircleTracker(
-                    sim,
-                    r_error=self.config.r_error,
-                    t_out=self.config.t_out,
-                    on_group=self._decide_group,
-                )
+                self.session.kernel.spans = spans
+            self._tracker = CircleTracker(
+                sim,
+                r_error=self.config.r_error,
+                t_out=self.config.t_out,
+                buffer=self.session.report_buffer,
+                on_group_rows=self._decide_group,
+            )
 
     @property
     def members(self) -> Tuple[int, ...]:
@@ -309,21 +293,12 @@ class ClusterHead(NetworkNode):
             )
             return
         assert self._tracker is not None  # set in attach()
-        if self._kernel is not None:
-            # Array backend: resolve the offset to plain floats and
-            # append one buffer row -- no LocationReport object.
-            offset = message.offset
-            x, y = displace_xy(
-                node_position.x, node_position.y, offset.r, offset.theta
-            )
-            self._tracker.on_report_row(message.sender, x, y)
-            return
-        location = message.resolve_location(node_position)
-        self._tracker.on_report(
-            LocationReport(
-                node_id=message.sender, location=location, time=self.sim.now
-            )
+        # Resolve the offset to plain floats and append one buffer row.
+        offset = message.offset
+        x, y = displace_xy(
+            node_position.x, node_position.y, offset.r, offset.theta
         )
+        self._tracker.on_report_row(message.sender, x, y)
 
     # ------------------------------------------------------------------
     # Decisions
@@ -353,21 +328,8 @@ class ClusterHead(NetworkNode):
         )
         self._record_decision(vote.occurred, None, reporters, non_reporters)
 
-    def _decide_group(self, reports: List[LocationReport]) -> None:
-        if not self.alive:
-            return  # see _decide_binary: crashed CHs decide nothing
-        decisions = self.session.decide_reports(reports, now=self.sim.now)
-        for decision in decisions:
-            self._record_decision(
-                decision.occurred,
-                decision.location,
-                decision.supporters,
-                decision.dissenters,
-                span_id=decision.span_id,
-            )
-
-    def _decide_group_rows(self, rows) -> None:
-        """Row-mode :meth:`_decide_group`: closed window as buffer rows."""
+    def _decide_group(self, rows) -> None:
+        """Decide one closed circle group, given as report-buffer rows."""
         if not self.alive:
             return  # see _decide_binary: crashed CHs decide nothing
         decisions = self.session.decide_rows(rows, now=self.sim.now)
@@ -491,12 +453,6 @@ class ClusterHead(NetworkNode):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _excluded_set(self) -> Tuple[int, ...]:
-        return self.session.excluded_nodes()
-
-    def _excluded(self, node_id: int) -> bool:
-        return self.session.is_excluded(node_id)
-
     def flush(self) -> None:
         """Close any open collection windows immediately (end of run)."""
         if self._tracker is not None:

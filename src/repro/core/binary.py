@@ -108,10 +108,9 @@ class CtiVoter:
             written.  Shadow cluster heads use their own cloned tables,
             but read-only votes are also useful for what-if analysis.
 
-        Both the object decision engine and the array decision kernel
-        feed sorted tuples of plain Python ints here, so the trust
-        table's partition memo (keyed on the raw tuples) hits
-        identically regardless of backend.
+        The decision kernel feeds sorted tuples of plain Python ints
+        here, so the trust table's partition memo (keyed on the raw
+        tuples) hits on repeated partitions.
 
         Raises
         ------

@@ -21,53 +21,25 @@ own (small) clusters and are naturally out-voted -- "this design
 successfully throws out event reports from nodes that make a
 localization error of more than r_error" (§3.2).
 
-Two implementations coexist:
-
-* the **reference** scalar path (:func:`cluster_reports_reference`),
-  the original per-``Point`` loops -- retained both as the oracle for
-  the randomized equivalence suite and as the faster choice below the
-  numpy crossover;
-* the **flat-array fast path** (:func:`cluster_reports_xy`), which
-  works on ``(xs, ys)`` float arrays directly, precomputes the full
-  pairwise distance matrix once, and reuses it across farthest-pair
-  selection, coverage seeding, and the first assignment round (the
-  initial centres *are* report rows, so their distance columns already
-  exist in the matrix).
-
-Both produce bit-identical output: every distance is evaluated as
-``sqrt(dx*dx + dy*dy)`` (each step correctly rounded, scalar and
-vectorised alike -- see :meth:`repro.network.geometry.Point.distance_to`),
-``np.argmin`` breaks ties at the lowest index exactly like the scalar
-scan, and centres of gravity are accumulated in ascending report order
-in both paths.  :func:`cluster_reports` dispatches on window size for
-``Point``-sequence callers (converting small windows to arrays costs
-more than it saves); :func:`cluster_reports_xy` is crossover-free and
-serves the struct-of-arrays decision kernel
-(:mod:`repro.core.decision_kernel`), whose windows are already arrays.
+One implementation runs, :func:`cluster_reports_flat`, over the
+window's coordinates as parallel float lists.  Every distance is the
+correctly-rounded ``sqrt(dx*dx + dy*dy)`` (see
+:meth:`repro.network.geometry.Point.distance_to`), nearest-centre ties
+go to the lowest centre index, and centres of gravity are accumulated
+left to right in ascending report order.  The original per-``Point``
+implementation is the oracle of the randomized equivalence suites
+(``tests/oracles/clustering.py``); the output matches it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-from repro.network.geometry import (
-    Point,
-    centroid,
-    farthest_pair,
-    weighted_centroid,
-)
+from repro.network.geometry import Point
 
 _MAX_ROUNDS = 100
-
-#: Report-count crossover between the scalar reference path and the
-#: numpy flat-array path.  Below this, numpy's per-call overhead
-#: (array creation, ufunc dispatch) outweighs the vectorisation win;
-#: measured on this container the paths break even at ~18 reports.
-_NUMPY_MIN_REPORTS = 18
 
 
 @dataclass(frozen=True)
@@ -75,7 +47,7 @@ class ReportCluster:
     """One event cluster: member report indices and the centre of gravity.
 
     ``indices`` refer to positions in the report sequence passed to
-    :func:`cluster_reports`, so callers can map members back to the
+    :func:`cluster_reports_flat`, so callers can map members back to the
     original reports (and thus reporting nodes).
     """
 
@@ -86,16 +58,17 @@ class ReportCluster:
         return len(self.indices)
 
 
-def cluster_reports(
-    locations: Sequence[Point], r_error: float
+def cluster_reports_flat(
+    xs: List[float], ys: List[float], r_error: float
 ) -> List[ReportCluster]:
     """Group report locations into event clusters of radius ``r_error``.
 
     Parameters
     ----------
-    locations:
-        Absolute event locations implied by the reports (the CH resolves
-        each node's ``(r, theta)`` offset before calling this).
+    xs / ys:
+        Absolute event locations implied by the reports, as parallel
+        lists of Python floats (the CH resolves each node's ``(r,
+        theta)`` offset before calling this).
     r_error:
         The application's localisation error bound.
 
@@ -107,255 +80,11 @@ def cluster_reports(
     """
     if r_error <= 0:
         raise ValueError(f"r_error must be positive, got {r_error}")
-    n = len(locations)
-    if n == 0:
-        return []
-    if n == 1:
-        return [ReportCluster(indices=(0,), center=locations[0])]
-    if n < _NUMPY_MIN_REPORTS:
-        return _cluster_reports_scalar(locations, r_error)
-    return _cluster_reports_arrays(locations, r_error)
-
-
-def cluster_reports_xy(
-    xs: np.ndarray, ys: np.ndarray, r_error: float
-) -> List[ReportCluster]:
-    """Array-native clustering entry: coordinates as flat float arrays.
-
-    Identical output to :func:`cluster_reports` over the corresponding
-    ``Point`` sequence, but crossover-free: the caller already holds
-    ``(xs, ys)`` float64 arrays (the decision kernel's window rows), so
-    there is no conversion cost to amortise and the flat-array pipeline
-    wins at every window size.  The upper-triangle index pair for the
-    farthest-pair scan is memoised per window size, so small windows pay
-    no repeated ``np.triu_indices`` setup.
-    """
-    if r_error <= 0:
-        raise ValueError(f"r_error must be positive, got {r_error}")
-    n = len(xs)
-    if n == 0:
-        return []
-    if n == 1:
-        return [
-            ReportCluster(
-                indices=(0,), center=Point(float(xs[0]), float(ys[0]))
-            )
-        ]
-    if n < _FLAT_MIN_NUMPY:
-        # .tolist() yields plain Python floats -- np.float64 elements
-        # leaking into Point would change reprs (and thus fingerprints).
-        return _cluster_reports_flat(xs.tolist(), ys.tolist(), r_error)
-    return _cluster_reports_xy(xs, ys, r_error)
-
-
-def cluster_reports_flat(
-    xs: List[float], ys: List[float], r_error: float
-) -> List[ReportCluster]:
-    """Clustering entry over plain float lists (no numpy, no ``Point``).
-
-    The decision kernel's small-window scalar route already holds the
-    window as Python float lists; this entry skips even the array
-    wrapping.  Output is bit-identical to :func:`cluster_reports` /
-    :func:`cluster_reports_xy` over the same coordinates.
-    """
-    if r_error <= 0:
-        raise ValueError(f"r_error must be positive, got {r_error}")
     n = len(xs)
     if n == 0:
         return []
     if n == 1:
         return [ReportCluster(indices=(0,), center=Point(xs[0], ys[0]))]
-    return _cluster_reports_flat(xs, ys, r_error)
-
-
-def cluster_reports_reference(
-    locations: Sequence[Point], r_error: float
-) -> List[ReportCluster]:
-    """The retained pure-scalar implementation (equivalence oracle).
-
-    Identical behaviour to :func:`cluster_reports`; never takes the
-    numpy path regardless of window size.
-    """
-    if r_error <= 0:
-        raise ValueError(f"r_error must be positive, got {r_error}")
-    n = len(locations)
-    if n == 0:
-        return []
-    if n == 1:
-        return [ReportCluster(indices=(0,), center=locations[0])]
-    return _cluster_reports_scalar(locations, r_error)
-
-
-# ----------------------------------------------------------------------
-# Scalar reference path
-# ----------------------------------------------------------------------
-def _cluster_reports_scalar(
-    locations: Sequence[Point], r_error: float
-) -> List[ReportCluster]:
-    i, j = farthest_pair(locations)
-    if locations[i].distance_to(locations[j]) <= r_error:
-        # The window's diameter is within r_error: the rounds provably
-        # converge to a single all-member cluster (both seed centroids
-        # lie inside the window's hull, so step 5 merges them at once),
-        # and its centre of gravity is the same left-to-right centroid
-        # _build_clusters would produce.  This is the no-fault common
-        # case -- skip the seeding and assignment rounds entirely.
-        return [
-            ReportCluster(
-                indices=tuple(range(len(locations))),
-                center=centroid(locations),
-            )
-        ]
-    centers = _seed_centers(locations, r_error, i, j)
-    # Each round ends with an assignment against its final centres, and
-    # the next round would open by recomputing that very assignment
-    # (same centres, same points) -- carry it forward instead.
-    assignment: List[int] = []
-    current = _assign(locations, centers)
-    for _ in range(_MAX_ROUNDS):
-        centers = _recenter(locations, current, len(centers))
-        centers, current = _merge_close_centers(
-            locations, centers, r_error
-        )
-        if current == assignment:
-            break
-        assignment = current
-
-    return _build_clusters(locations, assignment)
-
-
-def _seed_centers(
-    locations: Sequence[Point], r_error: float, i: int, j: int
-) -> List[Point]:
-    """Steps 2-3: the farthest pair ``(i, j)`` seeds, then coverage seeds."""
-    centers = [locations[i], locations[j]]
-    for k, loc in enumerate(locations):
-        if k in (i, j):
-            continue
-        if all(loc.distance_to(c) > r_error for c in centers):
-            centers.append(loc)
-    return centers
-
-
-def _assign(locations: Sequence[Point], centers: Sequence[Point]) -> List[int]:
-    """Step 4: nearest-centre assignment (ties to the lower centre index)."""
-    assignment = []
-    for loc in locations:
-        best_idx = 0
-        best_d = loc.distance_to(centers[0])
-        for idx in range(1, len(centers)):
-            d = loc.distance_to(centers[idx])
-            if d < best_d:
-                best_d = d
-                best_idx = idx
-        assignment.append(best_idx)
-    return assignment
-
-
-def _recenter(
-    locations: Sequence[Point], assignment: Sequence[int], k: int
-) -> List[Point]:
-    """Update each cluster's centre of gravity; empty clusters vanish.
-
-    Returns the new centre list; assignment indices are remapped by the
-    caller via :func:`_merge_close_centers`'s reassignment round, so here
-    empty clusters simply keep their old slot out of the output and the
-    subsequent assign round renumbers implicitly.
-    """
-    members: List[List[Point]] = [[] for _ in range(k)]
-    for loc, cluster_idx in zip(locations, assignment):
-        members[cluster_idx].append(loc)
-    return [centroid(group) for group in members if group]
-
-
-def _merge_close_centers(
-    locations: Sequence[Point],
-    centers: List[Point],
-    r_error: float,
-) -> Tuple[List[Point], List[int]]:
-    """Step 5: merge centres within ``r_error`` at their weighted average.
-
-    An assignment round is run against the incoming centres first so the
-    member counts used as merge weights are aligned with the (possibly
-    just recentred) centre list.  When no merge fires, the closing
-    assignment would rerun against the same centres -- reuse the
-    opening one instead.
-    """
-    assignment = _assign(locations, centers)
-    counts = [0] * len(centers)
-    for cluster_idx in assignment:
-        counts[cluster_idx] += 1
-
-    any_merge = False
-    merged = True
-    while merged and len(centers) > 1:
-        merged = False
-        for a in range(len(centers)):
-            for b in range(a + 1, len(centers)):
-                if centers[a].distance_to(centers[b]) <= r_error:
-                    weight_a = max(counts[a], 1)
-                    weight_b = max(counts[b], 1)
-                    new_center = weighted_centroid(
-                        [centers[a], centers[b]], [weight_a, weight_b]
-                    )
-                    centers = [
-                        c for idx, c in enumerate(centers) if idx not in (a, b)
-                    ] + [new_center]
-                    counts = [
-                        n for idx, n in enumerate(counts) if idx not in (a, b)
-                    ] + [weight_a + weight_b]
-                    merged = True
-                    any_merge = True
-                    break
-            if merged:
-                break
-
-    if any_merge:
-        assignment = _assign(locations, centers)
-    return centers, assignment
-
-
-def _build_clusters(
-    locations: Sequence[Point], assignment: Sequence[int]
-) -> List[ReportCluster]:
-    groups: dict[int, List[int]] = {}
-    for report_idx, cluster_idx in enumerate(assignment):
-        groups.setdefault(cluster_idx, []).append(report_idx)
-    clusters = []
-    for indices in groups.values():
-        pts = [locations[i] for i in indices]
-        clusters.append(
-            ReportCluster(indices=tuple(indices), center=centroid(pts))
-        )
-    clusters.sort(key=lambda c: (-len(c.indices), c.indices[0]))
-    return clusters
-
-
-# ----------------------------------------------------------------------
-# Flat scalar fast path (small windows)
-# ----------------------------------------------------------------------
-#: Window size below which the flat float-list path beats numpy.
-#: Sub-microsecond Python float arithmetic wins against per-ufunc
-#: dispatch overhead (~1-2us each) until the O(n^2) distance work
-#: dominates; measured on this container the paths cross near 12-16
-#: reports (coherent blobs cross later than uniform scatter, and
-#: post-gate windows are blob-shaped, so the threshold leans high).
-_FLAT_MIN_NUMPY = 16
-
-
-def _cluster_reports_flat(
-    xs: List[float], ys: List[float], r_error: float
-) -> List[ReportCluster]:
-    """Scalar clustering over parallel float lists (``n >= 2``).
-
-    Operation-for-operation the reference path
-    (:func:`_cluster_reports_scalar`) with every ``Point`` attribute
-    access replaced by a list subscript: same farthest-pair scan with
-    strict ``>``, same seeding order, same nearest-centre tie-break,
-    same left-to-right centroid accumulation -- so the output bits
-    match both the reference and the numpy path.
-    """
-    n = len(xs)
     sqrt = math.sqrt
     # Bounding-box pre-check: rounding is monotone, so every pairwise
     # distance is <= the bbox diagonal even in floating point, and a
@@ -383,7 +112,12 @@ def _cluster_reports_flat(
                     bi, bj = i, j
         single = best_d <= r_error
     if single:
-        # Single-cluster early exit (see the scalar reference).
+        # The window's diameter is within r_error: the rounds provably
+        # converge to a single all-member cluster (both seed centroids
+        # lie inside the window's hull, so step 5 merges them at once),
+        # and its centre of gravity is the same left-to-right centroid
+        # _build_clusters would produce.  This is the no-fault common
+        # case -- skip the seeding and assignment rounds entirely.
         sx = 0.0
         sy = 0.0
         for k in range(n):
@@ -413,25 +147,28 @@ def _cluster_reports_flat(
             cxl.append(xk)
             cyl.append(yk)
 
+    # Each round ends with an assignment against its final centres, and
+    # the next round would open by recomputing that very assignment
+    # (same centres, same points) -- carry it forward instead.
     assignment: List[int] = []
-    current = _assign_flat(xs, ys, cxl, cyl)
+    current = _assign(xs, ys, cxl, cyl)
     for _ in range(_MAX_ROUNDS):
-        cxl, cyl = _recenter_flat(xs, ys, current, len(cxl))
-        cxl, cyl, current = _merge_close_flat(xs, ys, cxl, cyl, r_error)
+        cxl, cyl = _recenter(xs, ys, current, len(cxl))
+        cxl, cyl, current = _merge_close_centers(xs, ys, cxl, cyl, r_error)
         if current == assignment:
             break
         assignment = current
 
-    return _build_clusters_arrays(xs, ys, assignment)
+    return _build_clusters(xs, ys, assignment)
 
 
-def _assign_flat(
+def _assign(
     xs: List[float],
     ys: List[float],
     cxl: List[float],
     cyl: List[float],
 ) -> List[int]:
-    """Step 4 on float lists; ties keep the lower centre index."""
+    """Step 4: nearest-centre assignment (ties to the lower centre index)."""
     assignment = []
     append = assignment.append
     sqrt = math.sqrt
@@ -454,13 +191,16 @@ def _assign_flat(
     return assignment
 
 
-def _recenter_flat(
+def _recenter(
     xs: List[float],
     ys: List[float],
     assignment: List[int],
     k: int,
 ) -> Tuple[List[float], List[float]]:
-    """Centres of gravity, sequential left-to-right accumulation."""
+    """Update each cluster's centre of gravity; empty clusters vanish.
+
+    Sums accumulate left to right in ascending report order.
+    """
     sx = [0.0] * k
     sy = [0.0] * k
     counts = [0] * k
@@ -473,16 +213,22 @@ def _recenter_flat(
     return cxl, cyl
 
 
-def _merge_close_flat(
+def _merge_close_centers(
     xs: List[float],
     ys: List[float],
     cxl: List[float],
     cyl: List[float],
     r_error: float,
 ) -> Tuple[List[float], List[float], List[int]]:
-    """Step 5 on float lists (the merge loop of ``_merge_close_arrays``
-    with the assignment rounds scalar as well)."""
-    assignment = _assign_flat(xs, ys, cxl, cyl)
+    """Step 5: merge centres within ``r_error`` at their weighted average.
+
+    An assignment round is run against the incoming centres first so the
+    member counts used as merge weights are aligned with the (possibly
+    just recentred) centre list.  When no merge fires, the closing
+    assignment would rerun against the same centres -- reuse the
+    opening one instead.
+    """
+    assignment = _assign(xs, ys, cxl, cyl)
     counts = [0] * len(cxl)
     for cluster_idx in assignment:
         counts[cluster_idx] += 1
@@ -517,262 +263,18 @@ def _merge_close_flat(
                 break
 
     if any_merge:
-        assignment = _assign_flat(xs, ys, cxl, cyl)
+        assignment = _assign(xs, ys, cxl, cyl)
     return cxl, cyl, assignment
 
 
-# ----------------------------------------------------------------------
-# Flat-array fast path
-# ----------------------------------------------------------------------
-#: Memoised pairwise-distance workspace keyed on window size -- the
-#: decision kernel clusters thousands of small same-sized windows per
-#: sweep point, and with preallocated ``(n, n)`` scratch buffers every
-#: ufunc in the pipeline writes through ``out=`` instead of allocating.
-#: The same two buffers back the farthest-pair matrix and (as ``(n,
-#: k)`` views) every assignment round.  Bounded like the other pure
-#: caches in this repo.
-_WS_MEMO: dict = {}
-_WS_MEMO_MAX = 512
-
-
-def _pair_workspace(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    ws = _WS_MEMO.get(n)
-    if ws is None:
-        if len(_WS_MEMO) >= _WS_MEMO_MAX:
-            _WS_MEMO.clear()
-        ws = (
-            np.empty((n, n), dtype=np.float64),
-            np.empty((n, n), dtype=np.float64),
-        )
-        _WS_MEMO[n] = ws
-    return ws
-
-
-def _cluster_reports_arrays(
-    locations: Sequence[Point], r_error: float
-) -> List[ReportCluster]:
-    """Numpy path for ``Point`` sequences: convert once, then cluster."""
-    xs = np.array([p.x for p in locations], dtype=np.float64)
-    ys = np.array([p.y for p in locations], dtype=np.float64)
-    return _cluster_reports_xy(xs, ys, r_error)
-
-
-def _cluster_reports_xy(
-    xs: np.ndarray, ys: np.ndarray, r_error: float
-) -> List[ReportCluster]:
-    """Numpy implementation over flat ``(xs, ys)`` arrays (``n >= 2``).
-
-    Bit-identical to the scalar path: distances are the same
-    correctly-rounded ``sqrt(dx*dx + dy*dy)`` expression evaluated
-    elementwise, argmin/argmax tie-break at the lowest index exactly
-    like the scalar scans, and centroids are accumulated sequentially
-    in ascending report order.
-    """
-    n = len(xs)
-    xs_list = xs.tolist()
-    ys_list = ys.tolist()
-
-    # Step 1: the full pairwise distance matrix, computed once in the
-    # memoised per-size workspace (no allocations) and reused for
-    # farthest-pair selection, coverage seeding, and the first
-    # assignment round.
-    work_a, work_b = _pair_workspace(n)
-    np.subtract(xs[:, None], xs[None, :], out=work_a)
-    np.subtract(ys[:, None], ys[None, :], out=work_b)
-    np.multiply(work_a, work_a, out=work_a)
-    np.multiply(work_b, work_b, out=work_b)
-    np.add(work_a, work_b, out=work_a)
-    dmat = np.sqrt(work_a, out=work_a)
-
-    # The farthest pair is the first row-major maximum of the full
-    # matrix -- the same (i, j) the scalar double loop keeps with its
-    # strict ``>``: for any i < j the flat position i*n + j precedes
-    # its mirror j*n + i, so the first occurrence of the maximum is
-    # always the lexicographically-first upper-triangle pair.  (The
-    # all-coincident window lands on the zero diagonal, which the
-    # single-cluster exit below absorbs exactly like the scalar path.)
-    m = int(np.argmax(dmat))
-    i, j = divmod(m, n)
-    if float(dmat[i, j]) <= r_error:
-        # Single-cluster early exit, mirroring the scalar path: the
-        # centre is accumulated left-to-right exactly as
-        # _build_clusters_arrays would.
-        sx = 0.0
-        sy = 0.0
-        for k in range(n):
-            sx += xs_list[k]
-            sy += ys_list[k]
-        return [
-            ReportCluster(
-                indices=tuple(range(n)),
-                center=Point(sx / float(n), sy / float(n)),
-            )
-        ]
-
-    center_idx = _seed_center_indices(dmat, n, r_error, i, j)
-    cx, cy = xs[center_idx], ys[center_idx]
-    # Carry each round's closing assignment into the next round (see
-    # the scalar path).  The initial centres are report rows, so their
-    # distance columns already sit in ``dmat`` -- the opening
-    # assignment is a gather, not a recompute (same bits: dmat[a, c]
-    # was produced by the very expression _assign_arrays evaluates).
-    assignment: List[int] = []
-    current = np.argmin(dmat[:, center_idx], axis=1).tolist()
-    for _ in range(_MAX_ROUNDS):
-        cx, cy = _recenter_arrays(xs_list, ys_list, current, len(cx))
-        cx, cy, current = _merge_close_arrays(
-            xs, ys, cx, cy, r_error
-        )
-        if current == assignment:
-            break
-        assignment = current
-
-    return _build_clusters_arrays(xs_list, ys_list, assignment)
-
-
-def _seed_center_indices(
-    dmat: np.ndarray,
-    n: int,
-    r_error: float,
-    i: int,
-    j: int,
-) -> List[int]:
-    """Steps 2-3 on the precomputed distance matrix.
-
-    Greedy coverage seeding tracks a ``covered`` mask: a report is
-    covered once any existing centre lies within ``r_error``, which is
-    exactly the negation of the scalar path's ``all(distance >
-    r_error)`` test, applied in the same index order.
-    """
-    center_idx = [i, j]
-    covered = (dmat[i] <= r_error) | (dmat[j] <= r_error)
-    for k in range(n):
-        if k == i or k == j:
-            continue
-        if not covered[k]:
-            center_idx.append(k)
-            covered |= dmat[k] <= r_error
-    return center_idx
-
-
-def _assign_arrays(
-    xs: np.ndarray, ys: np.ndarray, cx: np.ndarray, cy: np.ndarray
-) -> List[int]:
-    """Step 4 vectorised; ``np.argmin`` keeps the lowest tied index.
-
-    Runs in ``(n, k)`` views of the same pairwise workspace the
-    farthest-pair matrix used (``k <= n`` always: centres start as
-    report rows and only merge).  The matrix is never read after the
-    opening assignment, so clobbering it here is safe.
-    """
-    k = len(cx)
-    work_a, work_b = _pair_workspace(len(xs))
-    da = work_a[:, :k]
-    db = work_b[:, :k]
-    np.subtract(xs[:, None], cx[None, :], out=da)
-    np.subtract(ys[:, None], cy[None, :], out=db)
-    np.multiply(da, da, out=da)
-    np.multiply(db, db, out=db)
-    np.add(da, db, out=da)
-    d = np.sqrt(da, out=da)
-    return np.argmin(d, axis=1).tolist()
-
-
-def _recenter_arrays(
-    xs_list: List[float],
-    ys_list: List[float],
-    assignment: List[int],
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Centres of gravity with the scalar path's sequential summation.
-
-    ``np.sum`` uses pairwise summation, which rounds differently from
-    the reference's left-to-right ``sum``; accumulating in plain Python
-    floats in ascending report order keeps the bits identical.
-    """
-    sx = [0.0] * k
-    sy = [0.0] * k
-    counts = [0] * k
-    for idx, cluster_idx in enumerate(assignment):
-        sx[cluster_idx] += xs_list[idx]
-        sy[cluster_idx] += ys_list[idx]
-        counts[cluster_idx] += 1
-    new_cx = [sx[a] / float(counts[a]) for a in range(k) if counts[a]]
-    new_cy = [sy[a] / float(counts[a]) for a in range(k) if counts[a]]
-    return (
-        np.array(new_cx, dtype=np.float64),
-        np.array(new_cy, dtype=np.float64),
-    )
-
-
-def _merge_close_arrays(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    cx: np.ndarray,
-    cy: np.ndarray,
-    r_error: float,
-) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-    """Step 5 with vectorised assignment rounds and a scalar merge loop.
-
-    The merge loop itself runs on plain float lists: centre counts are
-    small after seeding, and the scalar expressions mirror the
-    reference's ``distance_to`` / ``weighted_centroid`` arithmetic
-    operation-for-operation.
-    """
-    assignment = _assign_arrays(xs, ys, cx, cy)
-    counts = [0] * len(cx)
-    for cluster_idx in assignment:
-        counts[cluster_idx] += 1
-
-    cxl = cx.tolist()
-    cyl = cy.tolist()
-    any_merge = False
-    merged = True
-    while merged and len(cxl) > 1:
-        merged = False
-        for a in range(len(cxl)):
-            for b in range(a + 1, len(cxl)):
-                ddx = cxl[a] - cxl[b]
-                ddy = cyl[a] - cyl[b]
-                if math.sqrt(ddx * ddx + ddy * ddy) <= r_error:
-                    weight_a = max(counts[a], 1)
-                    weight_b = max(counts[b], 1)
-                    total = float(weight_a + weight_b)
-                    new_x = (cxl[a] * weight_a + cxl[b] * weight_b) / total
-                    new_y = (cyl[a] * weight_a + cyl[b] * weight_b) / total
-                    cxl = [
-                        c for idx, c in enumerate(cxl) if idx not in (a, b)
-                    ] + [new_x]
-                    cyl = [
-                        c for idx, c in enumerate(cyl) if idx not in (a, b)
-                    ] + [new_y]
-                    counts = [
-                        n for idx, n in enumerate(counts) if idx not in (a, b)
-                    ] + [weight_a + weight_b]
-                    merged = True
-                    any_merge = True
-                    break
-            if merged:
-                break
-
-    cx = np.array(cxl, dtype=np.float64)
-    cy = np.array(cyl, dtype=np.float64)
-    if any_merge:
-        # Without a merge the closing assignment equals the opening one
-        # (identical centres); skip the recompute.
-        assignment = _assign_arrays(xs, ys, cx, cy)
-    return cx, cy, assignment
-
-
-def _build_clusters_arrays(
-    xs_list: List[float],
-    ys_list: List[float],
+def _build_clusters(
+    xs: List[float],
+    ys: List[float],
     assignment: List[int],
 ) -> List[ReportCluster]:
     # Group by centre index with a dense list (centre indices are small
-    # ints).  Iteration order differs from the old first-appearance
-    # dict, but the closing sort key (-size, first member) is unique
-    # per cluster, so the sorted output is identical.
+    # ints).  The closing sort key (-size, first member) is unique per
+    # cluster, so the output order does not depend on centre numbering.
     groups: List[List[int]] = [[] for _ in range(max(assignment) + 1)]
     for report_idx, cluster_idx in enumerate(assignment):
         groups[cluster_idx].append(report_idx)
@@ -783,8 +285,8 @@ def _build_clusters_arrays(
         sx = 0.0
         sy = 0.0
         for i in indices:
-            sx += xs_list[i]
-            sy += ys_list[i]
+            sx += xs[i]
+            sy += ys[i]
         size = float(len(indices))
         clusters.append(
             ReportCluster(

@@ -15,9 +15,10 @@ overlaps.  The cache is invalidated whenever the deployment mutates
 :meth:`Deployment.move`), so faulty-node isolation and mobility stay
 correct; code that mutates ``positions`` directly must call
 :meth:`Deployment.invalidate_index`.  Every query is bit-identical to
-the scalar ``distance_to`` scan -- the same correctly-rounded
+a scalar ``distance_to`` scan over ``positions`` (the oracle in
+``tests/oracles/topology.py``) -- the same correctly-rounded
 ``sqrt(dx*dx + dy*dy)`` expression decides membership, and tie order in
-:meth:`Deployment.nearest` is ``(distance, id)`` in both paths.
+:meth:`Deployment.nearest` is ``(distance, id)`` in both.
 """
 
 from __future__ import annotations
@@ -64,11 +65,12 @@ class _SpatialGrid:
         if cell <= 0:
             raise ValueError(f"cell size must be positive, got {cell}")
         self.cell = cell
-        # Memoised per-cell-range candidate rows for the array disk
-        # query: the decision kernel issues one neighbour query per
-        # cluster vote, and cluster centres revisit the same handful of
-        # cell ranges, so the bucket gather + concatenate + sort is paid
-        # once per range instead of once per query.  The snapshot is
+        # Memoised per-cell-range candidate rows for the disk query
+        # behind event_neighbors_list: the decision kernel issues one
+        # neighbour query per cluster vote, and cluster centres revisit
+        # the same handful of cell ranges, so the bucket gather +
+        # concatenate + sort is paid once per range instead of once per
+        # query.  The snapshot is
         # immutable, so entries never go stale; the dict dies with the
         # grid on deployment mutation.
         self._range_rows: Dict[
@@ -216,7 +218,7 @@ class Deployment:
     )
     #: Lazily built ``(ids, xs, ys)`` flat-array snapshot (ids sorted
     #: ascending, coordinates aligned) backing the small-n vectorised
-    #: scans and the decision kernel's implausibility mask.  Invalidated
+    #: scans and the decision kernel's implausibility gate.  Invalidated
     #: together with ``_grid`` on every mutation.
     _coords: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
@@ -358,61 +360,19 @@ class Deployment:
             )
         return self._event_neighbors_indexed(event_location, sensing_radius)
 
-    def _event_neighbors_scalar(
-        self, event_location: Point, sensing_radius: float
-    ) -> List[int]:
-        """Retained reference scan (the per-``Point`` original).
-
-        Kept verbatim as the bit-identity oracle for both the indexed
-        and the small-n vectorised paths.
-        """
-        return sorted(
-            node_id
-            for node_id, pos in self.positions.items()
-            if pos.distance_to(event_location) <= sensing_radius
-        )
-
     def _event_neighbors_small(
         self, event_location: Point, sensing_radius: float
     ) -> List[int]:
         """Vectorised small-n scan over the cached coords snapshot.
 
-        Bit-identical to :meth:`_event_neighbors_scalar`: the mask is
-        the same ``sqrt(dx*dx + dy*dy) <= r`` expression per element,
-        and the id array is pre-sorted so the masked result needs no
-        sort.
+        The mask is the same ``sqrt(dx*dx + dy*dy) <= r`` expression per
+        element as the scalar scan, and the id array is pre-sorted so
+        the masked result needs no sort.
         """
         ids, xs, ys = self.coords_arrays()
         dx = xs - event_location.x
         dy = ys - event_location.y
         return ids[np.sqrt(dx * dx + dy * dy) <= sensing_radius].tolist()
-
-    def event_neighbors_array(
-        self, x: float, y: float, sensing_radius: float
-    ) -> np.ndarray:
-        """:meth:`event_neighbors` returning a sorted int64 array.
-
-        The decision kernel's supporter/dissenter split works on id
-        arrays; this avoids the list materialisation and re-conversion
-        the list API would force.  Same membership and order as
-        :meth:`event_neighbors`.
-        """
-        if sensing_radius < 0:
-            raise ValueError("sensing_radius must be non-negative")
-        if len(self.positions) < _INDEX_MIN_NODES:
-            ids, xs, ys = self.coords_arrays()
-            dx = xs - x
-            dy = ys - y
-            return ids[np.sqrt(dx * dx + dy * dy) <= sensing_radius]
-        grid = self._index(
-            sensing_radius if sensing_radius > 0 else self._fallback_cell()
-        )
-        ids, xs, ys = grid.disk_rows_sorted(x, y, sensing_radius)
-        if not ids.size:
-            return np.empty(0, dtype=np.int64)
-        dx = xs - x
-        dy = ys - y
-        return ids[np.sqrt(dx * dx + dy * dy) <= sensing_radius]
 
     def event_neighbors_list(
         self, x: float, y: float, sensing_radius: float
@@ -425,7 +385,7 @@ class Deployment:
         ``math.sqrt`` over ``tolist()`` rows beats the array mask's
         ufunc dispatch plus the ``tolist`` round-trip the caller would
         pay anyway.  Same expression, membership, and ascending order
-        as :meth:`event_neighbors_array`.
+        as :meth:`event_neighbors`.
         """
         if sensing_radius < 0:
             raise ValueError("sensing_radius must be non-negative")
@@ -494,18 +454,9 @@ class Deployment:
             return self._nearest_small(location, k)
         return self._nearest_indexed(location, k)
 
-    def _nearest_scalar(self, location: Point, k: int) -> List[int]:
-        """Retained reference ranking (the per-``Point`` original)."""
-        ranked = sorted(
-            self.positions.items(),
-            key=lambda item: (item[1].distance_to(location), item[0]),
-        )
-        return [node_id for node_id, _pos in ranked[:k]]
-
     def _nearest_small(self, location: Point, k: int) -> List[int]:
         """Vectorised small-n ranking over the cached coords snapshot.
 
-        Same ``(distance, id)`` order as :meth:`_nearest_scalar` --
         ``np.lexsort`` sorts by its last key first, so ``(ids, d)``
         ranks by distance with id breaking ties.
         """

@@ -32,8 +32,8 @@ class TrustProbe:
     ----------
     table:
         Any object with the trust-table query API (``tis()``; optionally
-        ``code_table_size()``).  Both :class:`~repro.core.trust.TrustTable`
-        and the dict reference oracle qualify.
+        ``code_table_size()``), such as
+        :class:`~repro.core.trust.TrustTable`.
     registry:
         Optional metrics registry; each sample updates the
         ``trust.code_table_size`` gauge and the ``probe.samples``

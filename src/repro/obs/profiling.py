@@ -3,35 +3,29 @@
 Set ``TIBFIT_PROFILE=1`` and every :func:`repro.experiments.runner.run_sweep`
 task is wrapped in a wall-clock timer plus a **phase breakdown** --
 how much of the task sat inside the DES loop, the trust engine's vote
-path, the report-clustering heuristic, and the CH decision pipeline
-(either backend).  The breakdown feeds a
-:class:`SweepProfile`, which aggregates per-point wall time, worker
-utilisation and a slowest-point report, and can serialise itself as a
-sweep-level manifest next to the per-run artifacts.
+path, the report-clustering heuristic, and the CH decision kernel.  The
+breakdown feeds a :class:`SweepProfile`, which aggregates per-point
+wall time, worker utilisation and a slowest-point report, and can
+serialise itself as a sweep-level manifest next to the per-run
+artifacts.
 
 Zero overhead when off
 ----------------------
 Phase timing works by *rebinding* the hot callables
-(``Simulator.run``, ``TrustTable.cti_vote``, the clustering entry
-points -- both the ``Point``-list ``cluster_reports`` and the array
-kernel's ``cluster_reports_xy`` -- and the window decision entry
-points ``DecisionKernel.decide_rows`` / ``LocationDecisionEngine.decide``,
-so the ``decision`` phase covers whichever ``TIBFIT_DECISION`` backend
-a run selects) to timing wrappers when
-:func:`install_phase_timers` runs, and
-restoring the originals on :func:`uninstall_phase_timers`.  Nothing is
-touched when profiling is off, so the unprofiled hot paths carry no
-residue -- not even a flag check.  The wrappers only time; they forward
-arguments and results untouched, which is why a profiled sweep is
-bit-identical to an unprofiled one (asserted by
-``tests/experiments/test_runner.py``).
+(``Simulator.run``, ``TrustTable.cti_vote``,
+``cluster_reports_flat`` and ``DecisionKernel.decide_rows``) to timing
+wrappers when :func:`install_phase_timers` runs, and restoring the
+originals on :func:`uninstall_phase_timers`.  Nothing is touched when
+profiling is off, so the unprofiled hot paths carry no residue -- not
+even a flag check.  The wrappers only time; they forward arguments and
+results untouched, which is why a profiled sweep is bit-identical to an
+unprofiled one (asserted by ``tests/experiments/test_runner.py``).
 
 ``trust``, ``clustering`` and ``decision`` time is spent *inside* DES
-callbacks, so those phases are subsets of ``des`` (and ``trust`` /
-``clustering`` are in turn mostly subsets of ``decision``, which wraps
-the whole window pipeline); the remainder (radio, sensing, scoring,
-Python overhead) is reported as the gap between task wall time and the
-named phases.
+callbacks, so those phases are subsets of ``des`` (and ``clustering``
+is in turn a subset of ``decision``, which wraps the whole window
+pipeline); the remainder (radio, sensing, scoring, Python overhead) is
+reported as the gap between task wall time and the named phases.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "PROFILE_ENV",
@@ -58,7 +52,7 @@ _PHASES = ("des", "trust", "clustering", "decision")
 
 _phase_totals: Dict[str, float] = {name: 0.0 for name in _PHASES}
 _installed = False
-_originals: Dict[str, object] = {}
+_originals: List[Tuple[object, str, object]] = []
 
 
 def profiling_requested(environ=None) -> bool:
@@ -100,59 +94,36 @@ def _timed(phase: str, fn):
     return wrapper
 
 
-def install_phase_timers() -> None:
-    """Rebind the phase hot points to timing wrappers (idempotent).
+def _targets():
+    """``(owner, attribute, phase)`` for every rebound hot point.
 
-    ``cluster_reports`` is imported *by value* into
-    ``repro.core.location`` (and ``cluster_reports_xy``, the array
-    kernel's entry point, into ``repro.core.decision_kernel``), so both
-    the defining module and each call site are rebound; anything else
-    holding a stale reference simply goes untimed rather than breaking.
+    ``cluster_reports_flat`` is imported *by value* into
+    ``repro.core.decision_kernel``, so both the defining module and that
+    call site are rebound; anything else holding a stale reference
+    simply goes untimed rather than breaking.
     """
-    global _installed
-    if _installed:
-        return
-    from repro.core import clustering as _clustering
-    from repro.core import decision_kernel as _kernel
-    from repro.core import location as _location
-    from repro.core.decision_kernel import DecisionKernel
-    from repro.core.location import LocationDecisionEngine
+    from repro.core import clustering, decision_kernel
     from repro.core.trust import TrustTable
     from repro.simkernel.simulator import Simulator
 
-    _originals["sim_run"] = Simulator.run
-    _originals["cti_vote"] = TrustTable.cti_vote
-    _originals["cluster_reports"] = _clustering.cluster_reports
-    _originals["location_cluster_reports"] = _location.cluster_reports
-    _originals["cluster_reports_xy"] = _clustering.cluster_reports_xy
-    _originals["kernel_cluster_reports_xy"] = _kernel.cluster_reports_xy
-    _originals["kernel_decide_rows"] = DecisionKernel.decide_rows
-    _originals["engine_decide"] = LocationDecisionEngine.decide
+    return (
+        (Simulator, "run", "des"),
+        (TrustTable, "cti_vote", "trust"),
+        (clustering, "cluster_reports_flat", "clustering"),
+        (decision_kernel, "cluster_reports_flat", "clustering"),
+        (decision_kernel.DecisionKernel, "decide_rows", "decision"),
+    )
 
-    Simulator.run = _timed("des", Simulator.run)  # type: ignore[assignment]
-    TrustTable.cti_vote = _timed(  # type: ignore[assignment]
-        "trust", TrustTable.cti_vote
-    )
-    timed_clustering = _timed("clustering", _clustering.cluster_reports)
-    _clustering.cluster_reports = timed_clustering
-    _location.cluster_reports = timed_clustering
-    timed_clustering_xy = _timed(
-        "clustering", _clustering.cluster_reports_xy
-    )
-    _clustering.cluster_reports_xy = timed_clustering_xy
-    _kernel.cluster_reports_xy = timed_clustering_xy
-    # Both window-pipeline entry points share one phase so "decision"
-    # reads the same no matter which TIBFIT_DECISION backend runs.  The
-    # array kernel's small-window route bypasses cluster_reports_xy
-    # entirely (flat scalar clustering), so without this rebind the
-    # array backend would profile as near-zero clustering and nothing
-    # else -- the gap this phase closes.
-    DecisionKernel.decide_rows = _timed(  # type: ignore[assignment]
-        "decision", DecisionKernel.decide_rows
-    )
-    LocationDecisionEngine.decide = _timed(  # type: ignore[assignment]
-        "decision", LocationDecisionEngine.decide
-    )
+
+def install_phase_timers() -> None:
+    """Rebind the phase hot points to timing wrappers (idempotent)."""
+    global _installed
+    if _installed:
+        return
+    for owner, attr, phase in _targets():
+        original = getattr(owner, attr)
+        _originals.append((owner, attr, original))
+        setattr(owner, attr, _timed(phase, original))
     _installed = True
 
 
@@ -161,28 +132,9 @@ def uninstall_phase_timers() -> None:
     global _installed
     if not _installed:
         return
-    from repro.core import clustering as _clustering
-    from repro.core import decision_kernel as _kernel
-    from repro.core import location as _location
-    from repro.core.decision_kernel import DecisionKernel
-    from repro.core.location import LocationDecisionEngine
-    from repro.core.trust import TrustTable
-    from repro.simkernel.simulator import Simulator
-
-    Simulator.run = _originals.pop("sim_run")  # type: ignore[assignment]
-    TrustTable.cti_vote = _originals.pop(  # type: ignore[assignment]
-        "cti_vote"
-    )
-    _clustering.cluster_reports = _originals.pop("cluster_reports")
-    _location.cluster_reports = _originals.pop("location_cluster_reports")
-    _clustering.cluster_reports_xy = _originals.pop("cluster_reports_xy")
-    _kernel.cluster_reports_xy = _originals.pop("kernel_cluster_reports_xy")
-    DecisionKernel.decide_rows = _originals.pop(  # type: ignore[assignment]
-        "kernel_decide_rows"
-    )
-    LocationDecisionEngine.decide = _originals.pop(  # type: ignore[assignment]
-        "engine_decide"
-    )
+    while _originals:
+        owner, attr, original = _originals.pop()
+        setattr(owner, attr, original)
     _installed = False
 
 

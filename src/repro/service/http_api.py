@@ -65,7 +65,6 @@ class ServiceConfig:
     trust: TrustParameters = field(default_factory=TrustParameters)
     use_trust: bool = True
     diagnosis_threshold: Optional[float] = None
-    decision_backend: Optional[str] = None
     max_sessions: int = 100_000
 
 
@@ -92,7 +91,6 @@ def default_session_factory(
         trust=config.trust,
         use_trust=config.use_trust,
         diagnosis_threshold=config.diagnosis_threshold,
-        decision_backend=config.decision_backend,
     )
 
     def build(key: str) -> TrustSession:
@@ -107,6 +105,16 @@ class _ApiError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+def _parse(kind: Callable[[object], object], value: object, what: str):
+    """``kind(value)``, or a 400 naming ``what`` when it does not parse."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _ApiError(
+            400, f"{what} must be a number, got {value!r}"
+        ) from None
 
 
 class TrustServiceHandler(BaseHTTPRequestHandler):
@@ -131,11 +139,22 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so nothing after it on this
+            # connection can be framed: answer, then hang up.
+            self.close_connection = True
+            raise _ApiError(400, f"invalid Content-Length: {raw_length!r}")
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -216,11 +235,13 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
                         raise _ApiError(
                             400, 'each report needs at least a "node" field'
                         )
+                    x = report.get("x")
+                    y = report.get("y")
                     ok = session.ingest(
-                        int(report["node"]),
-                        x=report.get("x"),
-                        y=report.get("y"),
-                        time=float(report.get("time", 0.0)),
+                        _parse(int, report["node"], "node"),
+                        x=None if x is None else _parse(float, x, "x"),
+                        y=None if y is None else _parse(float, y, "y"),
+                        time=_parse(float, report.get("time", 0.0), "time"),
                     )
                     accepted += ok
                     dropped += not ok
@@ -232,16 +253,19 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
             return
         if (method, action) == ("POST", "close"):
             doc = self._read_json()
-            now = float(doc.get("time", 0.0))
+            now = _parse(float, doc.get("time", 0.0), "time")
             with self.manager.locked(key) as session:
                 records = session.close_window(now=now)
                 decisions = [_decision_to_dict(record) for record in records]
             self._send_json(200, {"decisions": decisions})
             return
         if (method, action) == ("GET", "ti"):
+            node = (
+                _parse(int, query["node"][0], "node")
+                if "node" in query else None
+            )
             with self.manager.locked(key, create=False) as session:
-                if "node" in query:
-                    node = int(query["node"][0])
+                if node is not None:
                     try:
                         ti = session.query_ti(node)
                     except KeyError:
@@ -257,7 +281,10 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
             self._send_json(200, {"diagnosed": diagnosed})
             return
         if (method, action) == ("GET", "decisions"):
-            since = int(query["since"][0]) if "since" in query else 0
+            since = (
+                _parse(int, query["since"][0], "since")
+                if "since" in query else 0
+            )
             with self.manager.locked(key, create=False) as session:
                 decisions = [
                     d

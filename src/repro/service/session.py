@@ -3,7 +3,7 @@
 :class:`TrustSession` owns everything the paper's cluster head needs to
 turn report streams into verdicts -- the :class:`~repro.core.trust.
 TrustTable`, the CTI (or majority-baseline) voter, the location
-decision engine / struct-of-arrays kernel, and the TI-threshold
+decision kernel with its report buffer, and the TI-threshold
 :class:`~repro.core.diagnosis.FaultDiagnoser` -- but none of what the
 DES wraps around it: no simulator, no radio channel, no clock.  Callers
 supply timestamps.
@@ -19,7 +19,7 @@ Two kinds of client drive the same object:
   ``import_state`` round-trip a session through JSON mid-stream.
 * **The DES path** -- :class:`~repro.clusterctl.head.ClusterHead`
   embeds a session and calls the finer-grained ops (``decide_binary``,
-  ``decide_rows``, ``decide_reports``, ``record``, ``sweep``) so it can
+  ``decide_rows``, ``record``, ``sweep``) so it can
   interleave its span/trace/announce bookkeeping between them.  Both
   paths execute the identical decision code, which is what lets the
   differential replay suite pin service behaviour against the golden
@@ -40,17 +40,9 @@ import numpy as np
 
 from repro.core.baseline import MajorityVoter
 from repro.core.binary import BinaryVoteResult, CtiVoter
-from repro.core.decision_kernel import (
-    DecisionKernel,
-    ReportBuffer,
-    resolve_decision_backend,
-)
+from repro.core.decision_kernel import DecisionKernel, ReportBuffer
 from repro.core.diagnosis import DiagnosisEntry, FaultDiagnoser
-from repro.core.location import (
-    LocatedDecision,
-    LocationDecisionEngine,
-    LocationReport,
-)
+from repro.core.location import LocatedDecision
 from repro.core.trust import TrustParameters, TrustTable
 from repro.network.geometry import Point
 from repro.network.topology import Deployment
@@ -99,9 +91,6 @@ class SessionConfig:
         diagnosis.
     tie_breaks_to_occurred:
         Verdict on exact CTI / head-count ties.
-    decision_backend:
-        ``"array"`` / ``"object"`` override for location windows;
-        ``None`` follows the ``TIBFIT_DECISION`` environment default.
     owner_id:
         The node id of the session's owner (the CH is itself a sensor,
         §2) -- excluded from the binary non-reporter partition.  ``None``
@@ -118,7 +107,6 @@ class SessionConfig:
     use_trust: bool = True
     diagnosis_threshold: Optional[float] = None
     tie_breaks_to_occurred: bool = False
-    decision_backend: Optional[str] = None
     owner_id: Optional[int] = None
     journal: bool = False
 
@@ -183,37 +171,24 @@ class TrustSession:
         )
         self.decisions: List[DecisionRecord] = []
 
-        # Location pipeline: the object engine is always built (it is
-        # the bit-identity oracle and the public decision API); the
-        # array kernel only under the array backend, resolved once at
-        # construction -- same rule as the cluster head.
-        self.backend: Optional[str] = None
-        self.engine: Optional[LocationDecisionEngine] = None
+        # Location pipeline: reports live as rows of one buffer, and
+        # the kernel decides closed windows over them.
         self.kernel: Optional[DecisionKernel] = None
         self.report_buffer: Optional[ReportBuffer] = None
         if config.mode == "location":
-            self.backend = resolve_decision_backend(config.decision_backend)
-            self.engine = LocationDecisionEngine(
+            self.report_buffer = ReportBuffer()
+            self.kernel = DecisionKernel(
                 deployment=deployment,
                 sensing_radius=config.sensing_radius,
                 r_error=config.r_error,
                 voter=self.voter,
             )
-            if self.backend == "array":
-                self.report_buffer = ReportBuffer()
-                self.kernel = DecisionKernel(
-                    deployment=deployment,
-                    sensing_radius=config.sensing_radius,
-                    r_error=config.r_error,
-                    voter=self.voter,
-                )
 
         self._journal: Optional[List[Dict[str, object]]] = (
             [] if config.journal else None
         )
         # Open-window accumulation for the ingest/close service path.
         self._pending_rows: List[int] = []
-        self._pending_reports: List[LocationReport] = []
         self._pending_senders: List[int] = []
         self.windows_closed = 0
 
@@ -270,42 +245,27 @@ class TrustSession:
         """Decide one closed window given as report-buffer row indices."""
         assert self.kernel is not None and self.report_buffer is not None
         if self._journal is not None:
-            buf = self.report_buffer
-            idx = np.asarray(rows, dtype=np.intp)
             self._journal.append({
                 "mode": "location",
                 "time": now,
-                "rows": [
-                    [
-                        int(buf.ids[r]),
-                        float(buf.xs[r]),
-                        float(buf.ys[r]),
-                        float(buf.times[r]),
-                    ]
-                    for r in idx
-                ],
+                "rows": self._rows_doc(rows),
             })
         return self.kernel.decide_rows(
             self.report_buffer, rows, excluded_nodes=self.excluded_nodes()
         )
 
-    def decide_reports(
-        self, reports: List[LocationReport], now: float = 0.0
-    ) -> List[LocatedDecision]:
-        """Object-path :meth:`decide_rows`: a closed window of reports."""
-        assert self.engine is not None
-        if self._journal is not None:
-            self._journal.append({
-                "mode": "location",
-                "time": now,
-                "rows": [
-                    [r.node_id, r.location.x, r.location.y, r.time]
-                    for r in reports
-                ],
-            })
-        return self.engine.decide(
-            reports, excluded_nodes=self.excluded_nodes()
-        )
+    def _rows_doc(self, rows: Iterable[int]) -> List[List[object]]:
+        """Buffer rows as JSON-ready ``[node, x, y, time]`` lists."""
+        buf = self.report_buffer
+        return [
+            [
+                int(buf.ids[r]),
+                float(buf.xs[r]),
+                float(buf.ys[r]),
+                float(buf.times[r]),
+            ]
+            for r in rows
+        ]
 
     def record(
         self,
@@ -362,28 +322,17 @@ class TrustSession:
             return True
         if x is None or y is None:
             return False
-        if self.report_buffer is not None:
-            row = self.report_buffer.append(
-                node_id, float(x), float(y), float(time)
-            )
-            self._pending_rows.append(row)
-        else:
-            self._pending_reports.append(
-                LocationReport(
-                    node_id=node_id,
-                    location=Point(float(x), float(y)),
-                    time=float(time),
-                )
-            )
+        row = self.report_buffer.append(
+            node_id, float(x), float(y), float(time)
+        )
+        self._pending_rows.append(row)
         return True
 
     def pending_reports(self) -> int:
         """Reports accumulated in the open window so far."""
         if self.config.mode == "binary":
             return len(self._pending_senders)
-        if self.report_buffer is not None:
-            return len(self._pending_rows)
-        return len(self._pending_reports)
+        return len(self._pending_rows)
 
     def close_window(self, now: float = 0.0) -> List[DecisionRecord]:
         """Close the open window: decide, update trust, sweep diagnosis.
@@ -423,25 +372,17 @@ class TrustSession:
     def _close_location_window(
         self, now: float
     ) -> Optional[List[LocatedDecision]]:
-        if self.report_buffer is not None:
-            if not self._pending_rows:
-                return None
-            buf = self.report_buffer
-            pending = np.asarray(self._pending_rows, dtype=np.intp)
-            self._pending_rows = []
-            # Same delivery order as the DES circle tracker: stable
-            # lexsort by arrival time with node id as the tie-breaker.
-            order = np.lexsort((buf.ids[pending], buf.times[pending]))
-            decisions = self.decide_rows(pending[order], now=now)
-            buf.reset()
-            return decisions
-        if not self._pending_reports:
+        if not self._pending_rows:
             return None
-        reports = sorted(
-            self._pending_reports, key=lambda r: (r.time, r.node_id)
-        )
-        self._pending_reports = []
-        return self.decide_reports(reports, now=now)
+        buf = self.report_buffer
+        pending = np.asarray(self._pending_rows, dtype=np.intp)
+        self._pending_rows = []
+        # Same delivery order as the DES circle tracker: stable lexsort
+        # by arrival time with node id as the tie-breaker.
+        order = np.lexsort((buf.ids[pending], buf.times[pending]))
+        decisions = self.decide_rows(pending[order], now=now)
+        buf.reset()
+        return decisions
 
     def query_ti(self, node_id: int) -> float:
         """Current trust index of one node."""
@@ -498,30 +439,15 @@ class TrustSession:
             self.record(vote.occurred, None, reporters, non_reporters, now=now)
             self.sweep(now)
         else:
-            rows = record["rows"]  # type: ignore[assignment]
-            if self.report_buffer is not None:
-                assert not self._pending_rows, (
-                    "replay_window requires an empty open window"
-                )
-                buf = self.report_buffer
-                for node_id, x, y, time in rows:  # type: ignore[misc]
-                    buf.append(int(node_id), float(x), float(y), float(time))
-                indices = np.arange(len(buf), dtype=np.intp)
-                decisions = self.decide_rows(indices, now=now)
-                buf.reset()
-            else:
-                assert not self._pending_reports, (
-                    "replay_window requires an empty open window"
-                )
-                reports = [
-                    LocationReport(
-                        node_id=int(node_id),
-                        location=Point(float(x), float(y)),
-                        time=float(time),
-                    )
-                    for node_id, x, y, time in rows  # type: ignore[misc]
-                ]
-                decisions = self.decide_reports(reports, now=now)
+            assert not self._pending_rows, (
+                "replay_window requires an empty open window"
+            )
+            buf = self.report_buffer
+            for node_id, x, y, time in record["rows"]:  # type: ignore[union-attr]
+                buf.append(int(node_id), float(x), float(y), float(time))
+            indices = np.arange(len(buf), dtype=np.intp)
+            decisions = self.decide_rows(indices, now=now)
+            buf.reset()
             for decision in decisions:
                 self.record(
                     decision.occurred,
@@ -548,22 +474,8 @@ class TrustSession:
         pending: List[object]
         if self.config.mode == "binary":
             pending = list(self._pending_senders)
-        elif self.report_buffer is not None:
-            buf = self.report_buffer
-            pending = [
-                [
-                    int(buf.ids[r]),
-                    float(buf.xs[r]),
-                    float(buf.ys[r]),
-                    float(buf.times[r]),
-                ]
-                for r in self._pending_rows
-            ]
         else:
-            pending = [
-                [r.node_id, r.location.x, r.location.y, r.time]
-                for r in self._pending_reports
-            ]
+            pending = self._rows_doc(self._pending_rows)
         return {
             "schema": 1,
             "mode": self.config.mode,
@@ -619,7 +531,6 @@ class TrustSession:
         ]
         self._pending_senders = []
         self._pending_rows = []
-        self._pending_reports = []
         if self.report_buffer is not None:
             self.report_buffer.reset()
         for item in state["pending"]:  # type: ignore[union-attr]
@@ -627,19 +538,10 @@ class TrustSession:
                 self._pending_senders.append(int(item))  # type: ignore[arg-type]
             else:
                 node_id, x, y, time = item  # type: ignore[misc]
-                if self.report_buffer is not None:
-                    row = self.report_buffer.append(
-                        int(node_id), float(x), float(y), float(time)
-                    )
-                    self._pending_rows.append(row)
-                else:
-                    self._pending_reports.append(
-                        LocationReport(
-                            node_id=int(node_id),
-                            location=Point(float(x), float(y)),
-                            time=float(time),
-                        )
-                    )
+                row = self.report_buffer.append(
+                    int(node_id), float(x), float(y), float(time)
+                )
+                self._pending_rows.append(row)
 
     def __repr__(self) -> str:
         return (

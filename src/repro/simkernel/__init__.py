@@ -5,13 +5,9 @@ evaluation.  It provides:
 
 * :class:`~repro.simkernel.simulator.Simulator` -- the event loop, clock,
   and scheduling primitives (``at``, ``after``, periodic timers).
-* :class:`~repro.simkernel.events.EventQueue` -- a stable priority queue
-  keyed on (time, priority, sequence) so that same-time events fire in a
-  deterministic, insertion-ordered way.
-* :class:`~repro.simkernel.calqueue.CalendarQueue` -- the default fast
-  scheduler backend (bucketed calendar queue over a recycled event
-  arena), popping in the identical total order; select with
-  ``Simulator(queue=...)`` or ``$TIBFIT_QUEUE`` (``heap`` | ``calendar``).
+* :class:`~repro.simkernel.events.EventQueue` -- a stable ``heapq``
+  priority queue keyed on (time, priority, sequence) so that same-time
+  events fire in a deterministic, insertion-ordered way.
 * :class:`~repro.simkernel.rng.RandomStreams` -- named, independently
   seeded random streams so that, e.g., event placement and channel loss
   draw from decoupled sequences and experiments stay reproducible when
@@ -24,13 +20,6 @@ protocol logic is easiest to verify when every interleaving is reproducible
 from a seed.
 """
 
-from repro.simkernel.calqueue import (
-    QUEUE_BACKENDS,
-    QUEUE_ENV,
-    ArenaEvent,
-    CalendarQueue,
-    resolve_queue_backend,
-)
 from repro.simkernel.errors import (
     SimulationError,
     SchedulingError,
@@ -42,12 +31,7 @@ from repro.simkernel.simulator import Simulator, Timer
 from repro.simkernel.trace import TraceLog, TraceRecord, noop_trace
 
 __all__ = [
-    "ArenaEvent",
-    "CalendarQueue",
     "EventQueue",
-    "QUEUE_BACKENDS",
-    "QUEUE_ENV",
-    "resolve_queue_backend",
     "RandomStreams",
     "ScheduledEvent",
     "SchedulingError",

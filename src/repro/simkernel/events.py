@@ -157,9 +157,7 @@ class EventQueue:
         """Positional scheduling core shared with the simulator.
 
         Same semantics as :meth:`push` without keyword re-marshalling;
-        ``kwargs`` must already be ``None`` when empty.  Both scheduler
-        backends expose this entry point (see
-        :class:`repro.simkernel.calqueue.CalendarQueue`).
+        ``kwargs`` must already be ``None`` when empty.
         """
         if not callable(callback):
             raise SchedulingError(f"callback must be callable, got {callback!r}")

@@ -1,7 +1,8 @@
-"""Randomized equivalence: flat-array clustering vs. the scalar reference.
+"""Randomized equivalence: flat clustering vs. the Point-scalar reference.
 
-The fast path (`_cluster_reports_arrays`) must be *bit-identical* to the
-retained reference implementation -- same member indices, same cluster
+:func:`~repro.core.clustering.cluster_reports_flat` must be
+*bit-identical* to the reference implementation
+(``tests/oracles/clustering.py``) -- same member indices, same cluster
 ordering, and exactly equal (``==``) centre coordinates -- across random
 windows, tie constructions (coincident points, points exactly at the
 ``r_error`` boundary), and the degenerate empty / single-report inputs.
@@ -10,13 +11,10 @@ windows, tie constructions (coincident points, points exactly at the
 import numpy as np
 import pytest
 
-from repro.core.clustering import (
-    _NUMPY_MIN_REPORTS,
-    _cluster_reports_arrays,
-    cluster_reports,
-    cluster_reports_reference,
-)
 from repro.network.geometry import Point
+
+from tests.core.test_clustering import cluster_points
+from tests.oracles.clustering import cluster_reports_reference
 
 
 def assert_identical(fast, ref):
@@ -47,26 +45,26 @@ def random_window(rng, n, r_error):
 
 class TestDegenerateInputs:
     def test_empty(self):
-        assert cluster_reports([], 5.0) == []
+        assert cluster_points([], 5.0) == []
         assert cluster_reports_reference([], 5.0) == []
 
     def test_single_report(self):
         p = [Point(3.0, 4.0)]
         assert_identical(
-            cluster_reports(p, 5.0), cluster_reports_reference(p, 5.0)
+            cluster_points(p, 5.0), cluster_reports_reference(p, 5.0)
         )
 
     def test_two_coincident_reports(self):
         pts = [Point(7.0, 7.0), Point(7.0, 7.0)]
         assert_identical(
-            _cluster_reports_arrays(pts, 5.0),
+            cluster_points(pts, 5.0),
             cluster_reports_reference(pts, 5.0),
         )
 
     def test_all_coincident(self):
         pts = [Point(1.0, 2.0)] * 40
         assert_identical(
-            _cluster_reports_arrays(pts, 5.0),
+            cluster_points(pts, 5.0),
             cluster_reports_reference(pts, 5.0),
         )
 
@@ -77,7 +75,7 @@ class TestBoundaryTies:
         both paths, exercising the `<=` boundary in seeding/merging."""
         pts = [Point(0.0, 0.0), Point(3.0, 4.0), Point(6.0, 8.0)]
         assert_identical(
-            _cluster_reports_arrays(pts, 5.0),
+            cluster_points(pts, 5.0),
             cluster_reports_reference(pts, 5.0),
         )
 
@@ -85,7 +83,7 @@ class TestBoundaryTies:
         """A report exactly midway between two seeds must land in the
         same cluster under both paths (lowest-index tie-break)."""
         pts = [Point(0.0, 0.0), Point(20.0, 0.0), Point(10.0, 0.0)]
-        fast = _cluster_reports_arrays(pts, 3.0)
+        fast = cluster_points(pts, 3.0)
         ref = cluster_reports_reference(pts, 3.0)
         assert_identical(fast, ref)
 
@@ -99,7 +97,7 @@ class TestBoundaryTies:
             Point(10.0, 10.0),
         ] * 3
         assert_identical(
-            _cluster_reports_arrays(pts, 2.0),
+            cluster_points(pts, 2.0),
             cluster_reports_reference(pts, 2.0),
         )
 
@@ -113,24 +111,21 @@ class TestRandomizedEquivalence:
             r_error = float(rng.uniform(0.5, 20.0))
             pts = random_window(rng, n, r_error)
             assert_identical(
-                _cluster_reports_arrays(pts, r_error),
+                cluster_points(pts, r_error),
                 cluster_reports_reference(pts, r_error),
             )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_dispatch_matches_reference_both_sides_of_crossover(self, seed):
+        """Sizes straddle the 16- and 18-report crossovers where numpy
+        copies of the heuristic used to take over; the one routine must
+        match the reference on both sides."""
         rng = np.random.default_rng(2000 + seed)
-        for n in (
-            2,
-            _NUMPY_MIN_REPORTS - 1,
-            _NUMPY_MIN_REPORTS,
-            _NUMPY_MIN_REPORTS + 1,
-            60,
-        ):
+        for n in (2, 15, 16, 17, 18, 19, 60):
             r_error = float(rng.uniform(1.0, 10.0))
             pts = random_window(rng, n, r_error)
             assert_identical(
-                cluster_reports(pts, r_error),
+                cluster_points(pts, r_error),
                 cluster_reports_reference(pts, r_error),
             )
 
@@ -144,6 +139,6 @@ class TestRandomizedEquivalence:
         ]
         pts = [base[int(i)] for i in rng.integers(0, 6, 80)]
         assert_identical(
-            _cluster_reports_arrays(pts, 4.0),
+            cluster_points(pts, 4.0),
             cluster_reports_reference(pts, 4.0),
         )

@@ -1,12 +1,13 @@
-"""Differential tests: array decision kernel vs the object-path oracle.
+"""Differential tests: the decision kernel vs the object-path oracle.
 
-The struct-of-arrays :class:`~repro.core.decision_kernel.DecisionKernel`
-must be *bit-identical* to the retained
-:class:`~repro.core.location.LocationDecisionEngine` -- same decisions,
-same supporter/dissenter tuples, same trust-update call sequence in the
-same order, same final trust state.  These tests drive both pipelines
-over the same randomized windows (duplicates, excluded nodes,
-implausible claims, unknown senders) and compare everything.
+:class:`~repro.core.decision_kernel.DecisionKernel` must be
+*bit-identical* to the oracle
+:class:`~tests.oracles.location.LocationDecisionEngine` -- same
+decisions, same supporter/dissenter tuples, same trust-update call
+sequence in the same order, same final trust state.  These tests drive
+both pipelines over the same randomized windows (duplicates, excluded
+nodes, implausible claims, unknown senders; up to about 70 rows) and
+compare everything.
 """
 
 import random
@@ -16,17 +17,12 @@ import pytest
 
 from repro.core.baseline import MajorityVoter
 from repro.core.binary import CtiVoter
-from repro.core.decision_kernel import (
-    DECISION_BACKENDS,
-    DECISION_ENV,
-    DecisionKernel,
-    ReportBuffer,
-    resolve_decision_backend,
-)
-from repro.core.location import LocationDecisionEngine, LocationReport
+from repro.core.decision_kernel import DecisionKernel, ReportBuffer
 from repro.core.trust import TrustParameters, TrustTable
 from repro.network.geometry import Point, Region
 from repro.network.topology import Deployment
+
+from tests.oracles.location import LocationDecisionEngine, LocationReport
 
 
 class RecordingTrustTable(TrustTable):
@@ -325,30 +321,6 @@ class TestReportBuffer:
     def test_rejects_non_positive_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
             ReportBuffer(capacity=0)
-
-
-class TestBackendResolution:
-    def test_default_is_array(self, monkeypatch):
-        monkeypatch.delenv(DECISION_ENV, raising=False)
-        assert resolve_decision_backend() == "array"
-
-    def test_env_selects_backend(self, monkeypatch):
-        for backend in DECISION_BACKENDS:
-            monkeypatch.setenv(DECISION_ENV, backend)
-            assert resolve_decision_backend() == backend
-
-    def test_bad_env_value_names_variable(self, monkeypatch):
-        monkeypatch.setenv(DECISION_ENV, "simd")
-        with pytest.raises(ValueError, match=DECISION_ENV):
-            resolve_decision_backend()
-
-    def test_explicit_arg_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(DECISION_ENV, "array")
-        assert resolve_decision_backend("object") == "object"
-
-    def test_bad_explicit_arg(self):
-        with pytest.raises(ValueError, match="decision backend"):
-            resolve_decision_backend("simd")
 
 
 class TestKernelValidation:

@@ -1,13 +1,21 @@
-"""Unit tests for the location-determination decision engine (§3.2)."""
+"""Unit tests for the location-determination decision pipeline (§3.2).
+
+Windows are fed to :class:`~repro.core.decision_kernel.DecisionKernel`
+the way the circle tracker delivers them: one buffer row per report in
+arrival order, handed over sorted by ``(time, node_id)``.
+"""
 
 import pytest
 
 from repro.core.baseline import MajorityVoter
 from repro.core.binary import CtiVoter
-from repro.core.location import LocationDecisionEngine, LocationReport
+from repro.core.decision_kernel import DecisionKernel
 from repro.core.trust import TrustParameters, TrustTable
 from repro.network.geometry import Point, Region
 from repro.network.topology import Deployment
+
+from tests.core.test_decision_kernel import kernel_decide
+from tests.oracles.location import LocationReport
 
 
 def make_engine(positions, voter=None, r_s=20.0, r_error=5.0):
@@ -21,7 +29,7 @@ def make_engine(positions, voter=None, r_s=20.0, r_error=5.0):
         )
         voter = CtiVoter(table)
     return (
-        LocationDecisionEngine(
+        DecisionKernel(
             deployment=deployment,
             sensing_radius=r_s,
             r_error=r_error,
@@ -47,7 +55,7 @@ class TestDecisions:
             LocationReport(node_id=i, location=Point(50.0, 50.0))
             for i in CROWD
         ]
-        decisions = engine.decide(reports)
+        decisions = kernel_decide(engine, reports)
         assert len(decisions) == 1
         assert decisions[0].occurred
         assert decisions[0].location.distance_to(Point(50.0, 50.0)) < 0.01
@@ -55,13 +63,13 @@ class TestDecisions:
 
     def test_no_reports_yield_no_decisions(self):
         engine, _ = make_engine(CROWD)
-        assert engine.decide([]) == []
+        assert kernel_decide(engine, []) == []
 
     def test_lone_false_report_is_outvoted(self):
         """A single liar's cluster loses to the silent trusted majority."""
         engine, _ = make_engine(CROWD)
         reports = [LocationReport(node_id=0, location=Point(50.0, 50.0))]
-        decisions = engine.decide(reports)
+        decisions = kernel_decide(engine, reports)
         assert len(decisions) == 1
         assert not decisions[0].occurred
         assert decisions[0].supporters == (0,)
@@ -77,7 +85,7 @@ class TestDecisions:
             LocationReport(node_id=2, location=Point(49.4, 50.2)),
             LocationReport(node_id=3, location=Point(70.0, 70.0)),  # liar
         ]
-        decisions = engine.decide(reports)
+        decisions = kernel_decide(engine, reports)
         occurred = [d for d in decisions if d.occurred]
         assert len(occurred) == 1
         assert occurred[0].location.distance_to(Point(50.0, 50.0)) < 2.0
@@ -90,16 +98,16 @@ class TestDecisions:
             LocationReport(node_id=0, location=Point(50.0, 50.0), time=1.0),
             LocationReport(node_id=0, location=Point(80.0, 80.0), time=2.0),
         ]
-        decisions = engine.decide(reports)
+        decisions = kernel_decide(engine, reports)
         all_supporters = [d.supporters for d in decisions]
         assert ((0,) in all_supporters)
         # The node's second (conflicting) report is ignored entirely.
         assert len([d for d in decisions if 0 in d.supporters]) == 1
 
     def test_out_of_order_duplicate_reports_keep_earliest(self):
-        """_dedupe only sorts when the input is actually unsorted (the
-        circle tracker pre-sorts); hand it a shuffled window with
-        duplicates and earliest-wins must still hold."""
+        """Reports arriving out of time order, with duplicates: the
+        window is decided in (time, node_id) order, so earliest-wins
+        must still hold."""
         engine, _ = make_engine(CROWD)
         reports = [
             # Later duplicate listed first; also out of time order
@@ -109,7 +117,7 @@ class TestDecisions:
             LocationReport(node_id=0, location=Point(50.0, 50.0), time=1.0),
             LocationReport(node_id=1, location=Point(80.0, 80.0), time=2.5),
         ]
-        decisions = engine.decide(reports)
+        decisions = kernel_decide(engine, reports)
         winning = [d for d in decisions if d.occurred or d.supporters]
         # Both nodes' earliest (coincident) claims form one cluster at
         # (50, 50); the later conflicting claims never enter play.
@@ -130,7 +138,7 @@ class TestDecisions:
             LocationReport(node_id=i, location=Point(50.0, 50.0))
             for i in CROWD
         ]
-        decisions = engine.decide(reports, excluded_nodes=[0, 1])
+        decisions = kernel_decide(engine, reports, excluded=[0, 1])
         assert decisions[0].supporters == (2, 3, 4)
         assert 0 not in decisions[0].dissenters
 
@@ -142,7 +150,7 @@ class TestDecisions:
         reports = [
             LocationReport(node_id=0, location=Point(95.0, 95.0)),
         ]
-        decisions = engine.decide(reports)
+        decisions = kernel_decide(engine, reports)
         assert decisions == []  # nothing left to cluster
         assert voter.trust.ti(0) < 1.0
 
@@ -157,7 +165,7 @@ class TestDecisions:
         reports = [
             LocationReport(node_id=3, location=Point(76.0, 55.0)),
         ]
-        decisions = engine.decide(reports)
+        decisions = kernel_decide(engine, reports)
         assert len(decisions) == 1
         assert not decisions[0].occurred
         assert decisions[0].vote is None
@@ -169,7 +177,7 @@ class TestDecisions:
             LocationReport(node_id=i, location=Point(51.0, 50.0))
             for i in CROWD
         ]
-        d = engine.decide(reports)[0]
+        d = kernel_decide(engine, reports)[0]
         assert d.localisation_error(Point(50.0, 50.0)) == pytest.approx(1.0)
 
 
@@ -177,7 +185,7 @@ class TestTrustIntegration:
     def test_losing_reporters_are_penalized(self):
         engine, voter = make_engine(CROWD)
         reports = [LocationReport(node_id=0, location=Point(50.0, 50.0))]
-        engine.decide(reports)
+        kernel_decide(engine, reports)
         assert voter.trust.ti(0) < 1.0
         assert voter.trust.ti(1) == 1.0
 
@@ -193,7 +201,7 @@ class TestTrustIntegration:
             LocationReport(node_id=0, location=Point(50.0, 50.0)),
             LocationReport(node_id=1, location=Point(50.3, 49.8)),
         ]
-        decisions = engine.decide(reports)
+        decisions = kernel_decide(engine, reports)
         assert decisions[0].occurred  # 2 trusted beat 3 distrusted
 
     def test_majority_voter_backend(self):
@@ -202,7 +210,7 @@ class TestTrustIntegration:
             LocationReport(node_id=i, location=Point(50.0, 50.0))
             for i in (0, 1, 2)
         ]
-        decisions = engine.decide(reports)
+        decisions = kernel_decide(engine, reports)
         assert decisions[0].occurred  # 3 vs 2 headcount
 
 
@@ -211,9 +219,9 @@ class TestValidation:
         deployment = Deployment(region=Region.square(10.0))
         voter = MajorityVoter()
         with pytest.raises(ValueError):
-            LocationDecisionEngine(deployment, 0.0, 5.0, voter)
+            DecisionKernel(deployment, 0.0, 5.0, voter)
         with pytest.raises(ValueError):
-            LocationDecisionEngine(deployment, 20.0, -1.0, voter)
+            DecisionKernel(deployment, 20.0, -1.0, voter)
 
     def test_min_cluster_fraction_filters_tiny_clusters(self):
         engine, _ = make_engine(CROWD)
@@ -224,5 +232,5 @@ class TestValidation:
             LocationReport(node_id=2, location=Point(50.1, 49.9)),
             LocationReport(node_id=3, location=Point(90.0, 90.0)),
         ]
-        decisions = engine.decide(reports)
+        decisions = kernel_decide(engine, reports)
         assert len(decisions) == 1  # the singleton cluster was suppressed

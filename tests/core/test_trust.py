@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from repro.core.trust import TrustEntry, TrustParameters, TrustTable
+from repro.core.trust import TrustParameters, TrustTable
+
+from tests.oracles.trust import TrustEntry
 
 
 class TestTrustParameters:

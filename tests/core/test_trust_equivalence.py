@@ -1,7 +1,8 @@
 """Randomized equivalence: flat-array trust engine vs. the dict oracle.
 
 The interned-code engine (`TrustTable`) must be *bit-identical* to the
-retained dict-of-entries reference (`TrustTableReference`) -- exactly
+dict-of-entries reference (`TrustTableReference`, kept in
+``tests/oracles/trust.py``) -- exactly
 equal (``==``, never ``approx``) `ti`, `cti`, `tis`, `below_threshold`,
 `export_state`, and vote CTIs -- across random update interleavings,
 the `_V_EPSILON` reward snap, auto-registration on update (but never on
@@ -15,12 +16,9 @@ import random
 import pytest
 
 from repro.core.binary import CtiVoter
-from repro.core.trust import (
-    TrustParameters,
-    TrustTable,
-    TrustTableReference,
-    _V_EPSILON,
-)
+from repro.core.trust import TrustParameters, TrustTable, _V_EPSILON
+
+from tests.oracles.trust import TrustTableReference
 
 PARAMS = TrustParameters(lam=0.25, fault_rate=0.1)
 

@@ -9,9 +9,9 @@ The load-bearing guarantees:
   and each diagnosed node's threshold-crossing time in the TI series
   equals its diagnosis time;
 * span collection (``spans=True``) is equally read-only: the
-  ``run_fingerprint`` of a span-collecting run equals the plain run's
-  under both scheduler backends and both decision backends, and the
-  exported span artifacts reconstruct every verdict's causal chain.
+  ``run_fingerprint`` of a span-collecting run equals the plain run's,
+  and the exported span artifacts reconstruct every verdict's causal
+  chain.
 """
 
 import json
@@ -19,11 +19,9 @@ import json
 import pytest
 
 from repro.chaos.invariants import run_fingerprint
-from repro.core.decision_kernel import DECISION_ENV
 from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
 from repro.obs.export import read_jsonl, validate_artifacts
 from repro.obs.provenance import ProvenanceIndex
-from repro.simkernel.calqueue import QUEUE_ENV
 
 DIAGNOSIS_THRESHOLD = 0.5
 
@@ -186,16 +184,9 @@ def make_location_run(spans, seed=77, observe=False):
 
 
 class TestSpanBitIdentity:
-    """Acceptance: spans-enabled runs are bit-identical to plain runs
-    under both scheduler backends AND both decision backends."""
+    """Acceptance: spans-enabled runs are bit-identical to plain runs."""
 
-    @pytest.mark.parametrize("queue_backend", ["heap", "calendar"])
-    @pytest.mark.parametrize("decision_backend", ["array", "object"])
-    def test_location_fingerprint_unchanged(
-        self, monkeypatch, queue_backend, decision_backend
-    ):
-        monkeypatch.setenv(QUEUE_ENV, queue_backend)
-        monkeypatch.setenv(DECISION_ENV, decision_backend)
+    def test_location_fingerprint_unchanged(self):
         plain = make_location_run(spans=False)
         plain.run(8)
         spanned = make_location_run(spans=True)

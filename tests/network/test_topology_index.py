@@ -2,7 +2,8 @@
 
 `Deployment.event_neighbors` / `within` / `nearest` dispatch to a
 grid-bucket index above the node-count crossover.  The indexed paths
-must return results *identical* to the retained scalar reference for
+must return results *identical* to the scalar reference scans
+(``tests/oracles/topology.py``) for
 arbitrary deployments and query radii -- including nodes exactly on the
 radius boundary, coincident nodes, and empty deployments -- and the
 cached arrays must be invalidated by every mutation (`add`, `remove`,
@@ -19,6 +20,8 @@ from repro.network.topology import (
     grid_deployment,
     uniform_random_deployment,
 )
+
+from tests.oracles.topology import event_neighbors_reference, nearest_reference
 
 
 @pytest.fixture
@@ -40,12 +43,10 @@ class TestIndexedQueryEquivalence:
                 float(rng.uniform(-20.0, 120.0)),
             )
             radius = float(rng.uniform(0.0, 45.0))
-            assert d._event_neighbors_indexed(
-                loc, radius
-            ) == d._event_neighbors_scalar(loc, radius)
-            assert d.event_neighbors(loc, radius) == d._event_neighbors_scalar(
-                loc, radius
-            )
+            expected = event_neighbors_reference(d, loc, radius)
+            assert d._event_neighbors_indexed(loc, radius) == expected
+            assert d.event_neighbors(loc, radius) == expected
+            assert d.event_neighbors_list(loc.x, loc.y, radius) == expected
             assert d.within(loc, radius) == d.event_neighbors(loc, radius)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -60,8 +61,8 @@ class TestIndexedQueryEquivalence:
                 float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 100.0))
             )
             k = int(rng.integers(1, n + 3))
-            assert d._nearest_indexed(loc, k) == d._nearest_scalar(loc, k)
-            assert d.nearest(loc, k) == d._nearest_scalar(loc, k)
+            assert d._nearest_indexed(loc, k) == nearest_reference(d, loc, k)
+            assert d.nearest(loc, k) == nearest_reference(d, loc, k)
 
     def test_node_exactly_on_radius_boundary(self, region):
         """A node exactly `radius` away (3-4-5 triangle) is included by
@@ -70,7 +71,7 @@ class TestIndexedQueryEquivalence:
         d = grid_deployment(100, region)
         anchor = d.position_of(0)
         query = Point(anchor.x + 3.0, anchor.y + 4.0)
-        scalar = d._event_neighbors_scalar(query, 5.0)
+        scalar = event_neighbors_reference(d, query, 5.0)
         assert 0 in scalar
         assert d._event_neighbors_indexed(query, 5.0) == scalar
 
@@ -93,7 +94,7 @@ class TestIndexedQueryEquivalence:
         loc = Point(50.0, 50.0)
         assert d._event_neighbors_indexed(
             loc, 500.0
-        ) == d._event_neighbors_scalar(loc, 500.0)
+        ) == event_neighbors_reference(d, loc, 500.0)
         assert len(d.event_neighbors(loc, 500.0)) == 100
 
     def test_query_radius_differs_from_cell_size(self, region):
@@ -105,7 +106,7 @@ class TestIndexedQueryEquivalence:
             loc = Point(33.0, 61.0)
             assert d._event_neighbors_indexed(
                 loc, radius
-            ) == d._event_neighbors_scalar(loc, radius)
+            ) == event_neighbors_reference(d, loc, radius)
 
 
 class TestInvalidation:
@@ -168,7 +169,7 @@ class TestInvalidation:
         ):
             d = uniform_random_deployment(n, region, rng)
             loc = Point(50.0, 50.0)
-            assert d.event_neighbors(loc, 25.0) == d._event_neighbors_scalar(
-                loc, 25.0
-            )
-            assert d.nearest(loc, 5) == d._nearest_scalar(loc, 5)
+            expected = event_neighbors_reference(d, loc, 25.0)
+            assert d.event_neighbors(loc, 25.0) == expected
+            assert d.event_neighbors_list(loc.x, loc.y, 25.0) == expected
+            assert d.nearest(loc, 5) == nearest_reference(d, loc, 5)

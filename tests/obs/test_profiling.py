@@ -43,26 +43,26 @@ class TestPhaseTimers:
             uninstall_phase_timers()
 
     def test_uninstall_restores_originals(self):
-        from repro.core import clustering, location
+        from repro.core import clustering, decision_kernel
         from repro.core.trust import TrustTable
         from repro.simkernel.simulator import Simulator
 
-        before = (
-            Simulator.run,
-            TrustTable.cti_vote,
-            clustering.cluster_reports,
-            location.cluster_reports,
-        )
+        def hot_points():
+            return (
+                Simulator.run,
+                TrustTable.cti_vote,
+                clustering.cluster_reports_flat,
+                decision_kernel.cluster_reports_flat,
+                decision_kernel.DecisionKernel.decide_rows,
+            )
+
+        before = hot_points()
         install_phase_timers()
-        assert Simulator.run is not before[0]
-        uninstall_phase_timers()
-        after = (
-            Simulator.run,
-            TrustTable.cti_vote,
-            clustering.cluster_reports,
-            location.cluster_reports,
+        assert all(
+            now is not then for now, then in zip(hot_points(), before)
         )
-        assert before == after
+        uninstall_phase_timers()
+        assert hot_points() == before
 
     def test_install_is_idempotent(self):
         from repro.simkernel.simulator import Simulator
@@ -88,19 +88,11 @@ class TestPhaseTimers:
         finally:
             uninstall_phase_timers()
 
-    @pytest.mark.parametrize("backend", ["array", "object"])
-    def test_decision_phase_covers_both_backends(self, monkeypatch, backend):
-        """The decision phase is non-trivial whichever backend runs.
-
-        The array kernel's small windows bypass ``cluster_reports_xy``
-        (flat scalar clustering), so the ``decision`` rebind on
-        ``DecisionKernel.decide_rows`` / ``LocationDecisionEngine.decide``
-        is what keeps the array backend from profiling as all-``des``.
-        """
-        from repro.core.decision_kernel import DECISION_ENV
+    def test_decision_phase_covers_the_kernel(self):
+        """A location run profiles non-trivial decision and clustering
+        time, nested inside the DES loop."""
         from repro.experiments.harness import SimulationRun
 
-        monkeypatch.setenv(DECISION_ENV, backend)
         install_phase_timers()
         try:
             reset_phases()
@@ -120,8 +112,10 @@ class TestPhaseTimers:
         assert run.ch.decisions, "run produced no decisions to time"
         assert snap["des"] > 0.0
         assert snap["decision"] > 0.0
-        # The window pipeline runs inside DES callbacks.
-        assert snap["decision"] <= snap["des"]
+        assert snap["clustering"] > 0.0
+        # The window pipeline runs inside DES callbacks, and clustering
+        # inside the window pipeline.
+        assert snap["clustering"] <= snap["decision"] <= snap["des"]
 
 
 class TestSweepProfile:

@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering import cluster_reports
 from repro.network.geometry import Point
+
+from tests.core.test_clustering import cluster_points
 
 coords = st.floats(min_value=0.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
@@ -16,7 +17,7 @@ r_errors = st.floats(min_value=0.5, max_value=20.0, allow_nan=False)
 @given(locations=point_lists, r_error=r_errors)
 @settings(max_examples=80)
 def test_partition_covers_every_report_exactly_once(locations, r_error):
-    clusters = cluster_reports(locations, r_error)
+    clusters = cluster_points(locations, r_error)
     assigned = sorted(i for c in clusters for i in c.indices)
     assert assigned == list(range(len(locations)))
 
@@ -24,7 +25,7 @@ def test_partition_covers_every_report_exactly_once(locations, r_error):
 @given(locations=point_lists, r_error=r_errors)
 @settings(max_examples=80)
 def test_centers_lie_within_report_bounding_box(locations, r_error):
-    clusters = cluster_reports(locations, r_error)
+    clusters = cluster_points(locations, r_error)
     xs = [p.x for p in locations]
     ys = [p.y for p in locations]
     for cluster in clusters:
@@ -35,7 +36,7 @@ def test_centers_lie_within_report_bounding_box(locations, r_error):
 @given(locations=point_lists, r_error=r_errors)
 @settings(max_examples=80)
 def test_center_is_members_centroid(locations, r_error):
-    clusters = cluster_reports(locations, r_error)
+    clusters = cluster_points(locations, r_error)
     for cluster in clusters:
         member_points = [locations[i] for i in cluster.indices]
         cx = sum(p.x for p in member_points) / len(member_points)
@@ -47,7 +48,7 @@ def test_center_is_members_centroid(locations, r_error):
 @given(locations=point_lists, r_error=r_errors)
 @settings(max_examples=80)
 def test_clusters_sorted_by_descending_size(locations, r_error):
-    clusters = cluster_reports(locations, r_error)
+    clusters = cluster_points(locations, r_error)
     sizes = [len(c) for c in clusters]
     assert sizes == sorted(sizes, reverse=True)
 
@@ -65,7 +66,7 @@ def test_tight_blob_is_never_split(center, r_error, jitters):
         Point(center.x + dx * scale, center.y + dy * scale)
         for dx, dy in jitters
     ]
-    clusters = cluster_reports(blob, r_error)
+    clusters = cluster_points(blob, r_error)
     assert len(clusters) == 1
 
 
@@ -75,13 +76,13 @@ def test_two_distant_blobs_are_never_merged(r_error, gap_factor):
     gap = r_error * gap_factor
     blob_a = [Point(0.0, 0.0), Point(r_error / 10.0, 0.0)]
     blob_b = [Point(gap, 0.0), Point(gap + r_error / 10.0, 0.0)]
-    clusters = cluster_reports(blob_a + blob_b, r_error)
+    clusters = cluster_points(blob_a + blob_b, r_error)
     assert len(clusters) == 2
 
 
 @given(locations=point_lists, r_error=r_errors)
 @settings(max_examples=40)
 def test_clustering_is_deterministic(locations, r_error):
-    a = cluster_reports(locations, r_error)
-    b = cluster_reports(locations, r_error)
+    a = cluster_points(locations, r_error)
+    b = cluster_points(locations, r_error)
     assert [c.indices for c in a] == [c.indices for c in b]

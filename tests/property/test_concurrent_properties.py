@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.concurrent import CircleTracker
-from repro.core.location import LocationReport
-from repro.network.geometry import Point
+from repro.core.decision_kernel import ReportBuffer
 from repro.simkernel.simulator import Simulator
 
 coords = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -16,18 +15,27 @@ report_specs = st.lists(
 
 
 def drive_tracker(specs, r_error=5.0, t_out=1.0):
-    """Feed timed reports through a tracker; return closed groups."""
+    """Feed timed reports through a tracker; return closed groups.
+
+    Each group is a list of ``(node_id, arrival_time)`` pairs in the
+    order the tracker delivered its rows.
+    """
     sim = Simulator(seed=0)
     groups = []
+    buffer = ReportBuffer(capacity=2)
+
+    def on_group_rows(rows):
+        # Read at delivery: the buffer resets once every circle closed.
+        groups.append(list(zip(
+            buffer.ids[rows].tolist(), buffer.times[rows].tolist()
+        )))
+
     tracker = CircleTracker(
-        sim, r_error=r_error, t_out=t_out, on_group=groups.append
+        sim, r_error=r_error, t_out=t_out, buffer=buffer,
+        on_group_rows=on_group_rows,
     )
     for node_id, (x, y, t) in enumerate(specs):
-        sim.at(
-            t,
-            tracker.on_report,
-            LocationReport(node_id=node_id, location=Point(x, y), time=t),
-        )
+        sim.at(t, tracker.on_report_row, node_id, x, y)
     sim.run()
     tracker.flush()
     return groups
@@ -37,7 +45,7 @@ def drive_tracker(specs, r_error=5.0, t_out=1.0):
 @settings(max_examples=60, deadline=None)
 def test_every_report_lands_in_exactly_one_group(specs):
     groups = drive_tracker(specs)
-    seen = sorted(r.node_id for group in groups for r in group)
+    seen = sorted(node for group in groups for node, _t in group)
     assert seen == list(range(len(specs)))
 
 
@@ -46,8 +54,8 @@ def test_every_report_lands_in_exactly_one_group(specs):
 def test_groups_are_nonempty_and_time_sorted(specs):
     for group in drive_tracker(specs):
         assert group
-        times = [r.time for r in group]
-        assert times == sorted(times)
+        # Handed-over rows are in (time, node_id) lexsort order.
+        assert group == sorted(group, key=lambda r: (r[1], r[0]))
 
 
 @given(specs=report_specs,
@@ -76,6 +84,6 @@ def test_far_simultaneous_reports_stay_apart(gap):
 def test_tracker_is_deterministic(specs):
     a = drive_tracker(specs)
     b = drive_tracker(specs)
-    assert [[r.node_id for r in g] for g in a] == [
-        [r.node_id for r in g] for g in b
+    assert [[node for node, _t in g] for g in a] == [
+        [node for node, _t in g] for g in b
     ]

@@ -1,10 +1,10 @@
-"""Hypothesis op-stream differential: array kernel vs object oracle.
+"""Hypothesis op-stream differential: decision kernel vs object oracle.
 
 Random report streams -- duplicates, unknown senders, excluded nodes,
 implausible claims, degenerate all-coincident clusters, ties in both
-time and node id -- are replayed through the object-path
-:class:`~repro.core.location.LocationDecisionEngine` and the
-struct-of-arrays :class:`~repro.core.decision_kernel.DecisionKernel`,
+time and node id -- are replayed through the object-path oracle
+:class:`~tests.oracles.location.LocationDecisionEngine` and the
+:class:`~repro.core.decision_kernel.DecisionKernel`,
 asserting bit-identical decisions, trust-update call sequences, and
 final trust state.
 """
@@ -12,7 +12,6 @@ final trust state.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.location import LocationReport
 from repro.network.geometry import Point
 
 from tests.core.test_decision_kernel import (
@@ -21,6 +20,7 @@ from tests.core.test_decision_kernel import (
     make_deployment,
     make_pair,
 )
+from tests.oracles.location import LocationReport
 
 _coords = st.floats(
     min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False

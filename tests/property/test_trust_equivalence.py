@@ -1,6 +1,6 @@
 """Hypothesis equivalence: random op interleavings vs. the dict oracle.
 
-Drives the flat-array `TrustTable` and the retained `TrustTableReference`
+Drives the flat-array `TrustTable` and the oracle `TrustTableReference`
 through identical random interleavings of penalize / reward / batch
 updates / set_v / forget / votes / import_state / clone and asserts
 every observable -- `ti`, `cti`, `tis`, `below_threshold`,
@@ -11,7 +11,9 @@ Hypothesis shrinks any divergence to a minimal op sequence.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.trust import TrustParameters, TrustTable, TrustTableReference
+from repro.core.trust import TrustParameters, TrustTable
+
+from tests.oracles.trust import TrustTableReference
 
 NODE_IDS = st.integers(min_value=0, max_value=15)
 

@@ -1,8 +1,10 @@
 """Smoke tests for the HTTP/JSON front end (in-process server)."""
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -161,6 +163,50 @@ class TestErrors:
             base, "PUT", "/v1/sessions/t/state", {"schema": 99}
         )
         assert status == 400
+        assert call(base, "GET", "/healthz")[0] == 200
+
+    @pytest.mark.parametrize("method, path, body, length", [
+        ("POST", "/v1/sessions/t/reports",
+         {"reports": [{"node": "seven", "x": 1.0, "y": 1.0}]}, None),
+        ("POST", "/v1/sessions/t/reports",
+         {"reports": [{"node": None, "x": 1.0, "y": 1.0}]}, None),
+        ("POST", "/v1/sessions/t/reports",
+         {"reports": [{"node": 0, "x": "far", "y": 1.0}]}, None),
+        ("POST", "/v1/sessions/t/reports",
+         {"reports": [{"node": 0, "x": 1.0, "y": 1.0, "time": "soon"}]},
+         None),
+        ("POST", "/v1/sessions/t/close", {"time": [1.0]}, None),
+        ("GET", "/v1/sessions/t/ti?node=seven", None, None),
+        ("GET", "/v1/sessions/t/decisions?since=last", None, None),
+        ("POST", "/v1/sessions/t/close", {"time": 1.0}, "ten"),
+        ("POST", "/v1/sessions/t/close", {"time": 1.0}, "-1"),
+    ], ids=[
+        "node", "null-node", "x", "report-time", "close-time", "query-node",
+        "query-since", "content-length", "negative-content-length",
+    ])
+    def test_malformed_numbers_are_400(self, server, method, path, body,
+                                       length):
+        base, _ = server
+        ingest(base, "t", [(0, 15.0, 15.0)])  # the session exists
+        data = b"" if body is None else json.dumps(body).encode("utf-8")
+        url = urllib.parse.urlsplit(base)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=3)
+        try:
+            conn.putrequest(method, path)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader(
+                "Content-Length", str(len(data)) if length is None else length
+            )
+            conn.endheaders(data)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+            if length is not None:
+                # An unframeable body ends the connection, and says so.
+                assert response.getheader("Connection") == "close"
+        finally:
+            conn.close()
+        assert call(base, "GET", "/healthz")[0] == 200
 
     def test_unknown_route_is_404(self, server):
         base, _ = server

@@ -128,26 +128,6 @@ class TestLocationSession:
         ]
         assert one.tis() == dup.tis()
 
-    def test_backends_agree(self):
-        results = {}
-        for backend in ("object", "array"):
-            session = make_session(
-                mode="location", decision_backend=backend
-            )
-            for node, t in ((0, 0.1), (1, 0.2), (4, 0.3)):
-                session.ingest(node, x=12.0, y=12.0, time=t)
-            session.ingest(8, x=28.0, y=28.0, time=0.4)
-            session.close_window(now=1.0)
-            results[backend] = (
-                [
-                    (r.time, r.occurred, r.location, r.supporters,
-                     r.dissenters)
-                    for r in session.decisions
-                ],
-                session.tis(),
-            )
-        assert results["object"] == results["array"]
-
 
 class TestStateRoundTrip:
     def test_json_round_trip_preserves_behaviour(self):

@@ -6,8 +6,7 @@ those records through :meth:`~repro.service.session.TrustSession.
 replay_window` on a *bare* session -- no simulator, no radio, no clock
 -- must land in the identical final state: same TIs, same verdict
 timeline, same diagnosed set.  That is the proof the cluster head and
-the service expose one decision engine, and it must hold across both
-``TIBFIT_QUEUE`` and both ``TIBFIT_DECISION`` backends.
+the service expose one decision engine.
 
 Decision *ids* are compared only within the replay (dense from 1): the
 DES draws from the process-shared allocator, the bare session from its
@@ -19,13 +18,8 @@ import json
 import pytest
 
 from repro.chaos.invariants import run_fingerprint
-from repro.core.decision_kernel import DECISION_ENV
 from repro.experiments.harness import SimulationRun
 from repro.service.session import SessionConfig, TrustSession
-from repro.simkernel.calqueue import QUEUE_ENV
-
-QUEUES = ["heap", "calendar"]
-DECISIONS = ["object", "array"]
 
 
 def des_run(mode, journal, **overrides):
@@ -45,7 +39,7 @@ def des_run(mode, journal, **overrides):
     return SimulationRun(**kwargs)
 
 
-def session_for(run, decision_backend=None):
+def session_for(run):
     """A bare session configured identically to ``run``'s cluster head."""
     config = run.ch.config
     return TrustSession(
@@ -58,7 +52,6 @@ def session_for(run, decision_backend=None):
             use_trust=config.use_trust,
             diagnosis_threshold=config.diagnosis_threshold,
             tie_breaks_to_occurred=config.tie_breaks_to_occurred,
-            decision_backend=decision_backend,
             owner_id=run.ch.node_id,
         ),
         members=run.ch.members,
@@ -72,23 +65,17 @@ def strip_ids(decisions):
     ]
 
 
-def replay(run, decision_backend=None):
+def replay(run):
     """JSON round-trip the journal, then replay it on a bare session."""
     records = json.loads(json.dumps(run.session_journal()))
-    session = session_for(run, decision_backend=decision_backend)
+    session = session_for(run)
     for record in records:
         session.replay_window(record)
     return session
 
 
 class TestDifferentialReplay:
-    @pytest.mark.parametrize("queue", QUEUES)
-    @pytest.mark.parametrize("decision", DECISIONS)
-    def test_location_replay_matches_live_run(
-        self, monkeypatch, queue, decision
-    ):
-        monkeypatch.setenv(QUEUE_ENV, queue)
-        monkeypatch.setenv(DECISION_ENV, decision)
+    def test_location_replay_matches_live_run(self):
         run = des_run("location", journal=True).run(8)
         session = replay(run)
 
@@ -100,28 +87,13 @@ class TestDifferentialReplay:
             range(1, len(session.decisions) + 1)
         )
 
-    @pytest.mark.parametrize("queue", QUEUES)
-    def test_binary_replay_matches_live_run(self, monkeypatch, queue):
-        monkeypatch.setenv(QUEUE_ENV, queue)
+    def test_binary_replay_matches_live_run(self):
         run = des_run("binary", journal=True).run(12)
         session = replay(run)
 
         assert session.tis() == run.trust_snapshot()
         assert strip_ids(session.decisions) == strip_ids(run.all_decisions())
         assert session.diagnosed() == run.ch.diagnoser.diagnosed
-
-    def test_cross_backend_replay(self, monkeypatch):
-        """An array-recorded journal replays identically on the oracle."""
-        monkeypatch.setenv(DECISION_ENV, "array")
-        run = des_run("location", journal=True).run(8)
-        array_session = replay(run, decision_backend="array")
-        object_session = replay(run, decision_backend="object")
-
-        assert object_session.tis() == array_session.tis()
-        assert strip_ids(object_session.decisions) == strip_ids(
-            array_session.decisions
-        )
-        assert object_session.diagnosed() == array_session.diagnosed()
 
 
 class TestJournalIsFreeOfSideEffects:
