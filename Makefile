@@ -25,14 +25,14 @@ profile:
 
 # Run every example script in sequence.
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/perimeter_watch.py
-	$(PYTHON) examples/seismic_decay.py
-	$(PYTHON) examples/ch_failover.py
-	$(PYTHON) examples/rotating_clusters.py
-	$(PYTHON) examples/multihop_watch.py
-	$(PYTHON) examples/target_tracking.py
-	$(PYTHON) examples/chaos_campaign.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/perimeter_watch.py
+	PYTHONPATH=src $(PYTHON) examples/seismic_decay.py
+	PYTHONPATH=src $(PYTHON) examples/ch_failover.py
+	PYTHONPATH=src $(PYTHON) examples/rotating_clusters.py
+	PYTHONPATH=src $(PYTHON) examples/multihop_watch.py
+	PYTHONPATH=src $(PYTHON) examples/target_tracking.py
+	PYTHONPATH=src $(PYTHON) examples/chaos_campaign.py
 
 # Regenerate the golden-run regression fixtures (tests/golden/*.json).
 # Only after an INTENTIONAL behaviour change; review and commit the diff.
@@ -49,10 +49,10 @@ chaos:
 
 # Regenerate every figure's data series via the CLI (fast settings).
 figures:
-	$(PYTHON) -m repro fig 10
-	$(PYTHON) -m repro fig 11
-	$(PYTHON) -m repro fig 2 --trials 1
-	$(PYTHON) -m repro fig 3 --trials 1
+	PYTHONPATH=src $(PYTHON) -m repro fig 10
+	PYTHONPATH=src $(PYTHON) -m repro fig 11
+	PYTHONPATH=src $(PYTHON) -m repro fig 2 --trials 1
+	PYTHONPATH=src $(PYTHON) -m repro fig 3 --trials 1
 
 clean:
 	rm -rf .pytest_cache .hypothesis build dist *.egg-info

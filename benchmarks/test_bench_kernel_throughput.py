@@ -18,7 +18,6 @@ from repro.network.topology import grid_deployment, uniform_random_deployment
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.spans import NULL_SPANS
 from repro.simkernel.simulator import Simulator
-from repro.simkernel.trace import TraceLog, noop_trace
 
 
 def _report_window(n):
@@ -142,33 +141,12 @@ def test_clustering_throughput_n200(benchmark):
     assert len(clusters) >= 2
 
 
-def test_disabled_trace_emit_overhead(benchmark):
-    """50k emits against the no-op trace: must stay one attribute check.
-
-    This guards the sweep fast path -- every radio/CH emit site fires
-    through here thousands of times per simulation, so the disabled
-    path regressing from "check a flag, return" to anything that
-    allocates or hashes would stretch every sweep.
-    """
-    log = noop_trace()
-
-    def run_emits():
-        emit = log.emit
-        for i in range(50_000):
-            emit(0.0, "radio.drop", reason="loss", destination=i)
-        return len(log)
-
-    buffered = benchmark(run_emits)
-    assert buffered == 0
-    assert log._prefix_counts == {}  # nothing accumulated anywhere
-
-
 def test_disabled_metrics_emit_overhead(benchmark):
     """50k guarded metric emits against the disabled registry.
 
     The emit-site convention is ``if m.enabled: m.counter(...).inc()``;
     when disabled that is one attribute read per site, mirroring the
-    no-op trace contract.
+    disabled span collector.
     """
     m = NULL_REGISTRY
 
@@ -188,7 +166,7 @@ def test_disabled_metrics_emit_overhead(benchmark):
 def test_disabled_span_emit_overhead(benchmark):
     """50k guarded span emits against the disabled collector.
 
-    Span sites follow the same convention as metrics and trace --
+    Span sites follow the same convention as metrics --
     ``if s.enabled: s.point(...)`` -- so a disabled run pays one
     attribute read per site.  The radio and CH paths each cross a span
     site per message, so this path regressing to an allocation or a
@@ -208,29 +186,6 @@ def test_disabled_span_emit_overhead(benchmark):
     assert emitted == 0
     assert s.emitted == 0
     assert len(s) == 0
-
-
-def test_trace_count_indexed(benchmark):
-    """100k count() queries over a log with a wide category vocabulary.
-
-    count() is a single dict lookup via the prefix-count index; this
-    bench pins the O(1) behaviour (it used to scan every distinct
-    category per query).
-    """
-    log = TraceLog()
-    for i in range(5000):
-        log.emit(float(i), f"radio.drop.reason{i % 50}")
-        log.emit(float(i), f"ch.decision.kind{i % 30}")
-
-    def run_counts():
-        total = 0
-        for _ in range(50_000):
-            total += log.count("radio")
-            total += log.count("ch.decision")
-        return total
-
-    total = benchmark(run_counts)
-    assert total == 50_000 * 10_000
 
 
 def test_event_neighbors_n100(benchmark):

@@ -35,6 +35,7 @@ from repro.sensors.sensing import SensingConfig, SensingModel
 from repro.sensors.specs import CorrectSpec, FaultSpec, make_correct_behavior, make_faulty_behavior
 from repro.experiments.metrics import score_run
 from repro.experiments.reporting import render_table
+from repro.obs.spans import SpanCollector
 from repro.simkernel.simulator import Simulator
 
 N_NODES = 49
@@ -48,7 +49,8 @@ BLACKHOLE = 8            # a relay one hop from the sink's corner
 
 
 def main() -> None:
-    sim = Simulator(seed=SEED)
+    spans = SpanCollector()
+    sim = Simulator(seed=SEED, spans=spans)
     channel = RadioChannel(
         sim,
         ChannelConfig(
@@ -160,11 +162,11 @@ def main() -> None:
     )
     detected = sum(o.detected for o in outcomes)
     hops = [
-        r.fields["hops"]
-        for r in sim.trace.records("relay.delivered")
-        if r.fields["hops"] > 0
+        span.args["hops"]
+        for span in spans.spans("relay.delivered")
+        if span.args["hops"] > 0
     ]
-    blackholed = sim.trace.count("relay.byzantine-drop")
+    blackholed = len(spans.spans("relay.byzantine-drop"))
     gave_up = sum(r.dropped_after_retries for r in relays.values())
 
     print(f"Multi-hop TIBFIT: {N_NODES} sensors, radio range "

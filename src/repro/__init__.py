@@ -8,7 +8,7 @@ deterministic discrete-event simulation substrate.
 Package map
 -----------
 ``repro.simkernel``
-    Discrete-event kernel: simulator, event queue, RNG streams, tracing.
+    Discrete-event kernel: simulator, event queue, RNG streams.
 ``repro.network``
     Geometry, deployments, typed messages, the lossy radio channel, and
     the multi-hop reliable dissemination extension.

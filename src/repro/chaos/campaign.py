@@ -114,7 +114,6 @@ def build_campaign_run(
         round_interval=config.round_interval,
         diagnosis_threshold=config.diagnosis_threshold,
         seed=config.base_seed + seed,
-        tracing=False,
         chaos_plan=plan,
     )
 

@@ -8,8 +8,9 @@ invariants that should hold in *every* run, chaos-injected or not:
 * **Code-table consistency** -- the flat-array engine's interned code
   tables agree with the per-node view, and ``below_threshold`` returns
   exactly the strict-``<`` scan of the node TIs.
-* **Clock monotonicity** -- trace timestamps never decrease and never
-  exceed the simulator clock (the DES contract).
+* **Clock monotonicity** -- span timestamps never decrease and never
+  exceed the simulator clock (the DES contract).  Checked on runs that
+  collect spans; a run without them has no event log to check.
 * **Decision-timeline sanity** -- CH decisions are recorded in
   non-decreasing time order within the run's horizon.
 * **Diagnosis soundness** -- no node is isolated while its TI is at or
@@ -130,24 +131,21 @@ class InvariantChecker:
         return out
 
     def check_clock(self, sim) -> List[Violation]:
-        """Trace timestamps are non-decreasing and bounded by ``now``."""
+        """Span timestamps are non-decreasing and bounded by ``now``."""
         out: List[Violation] = []
-        trace = sim.trace
-        if not trace.enabled:
-            return out
         last = 0.0
-        for record in trace:
-            if record.time < last:
+        for span in sim.spans:
+            if span.time < last:
                 out.append(Violation(
                     "clock-monotonic",
-                    f"trace record {record.category!r} at t={record.time} "
-                    f"after a record at t={last}",
+                    f"span {span.category!r} at t={span.time} "
+                    f"after a span at t={last}",
                 ))
-            last = max(last, record.time)
+            last = max(last, span.time)
         if last > sim.now:
             out.append(Violation(
                 "clock-monotonic",
-                f"trace reaches t={last} beyond the clock ({sim.now})",
+                f"spans reach t={last} beyond the clock ({sim.now})",
             ))
         return out
 

@@ -19,7 +19,7 @@ with a random component is actually active.  Consequently:
 * the **empty plan is bit-identical to no plan at all** -- the
   interceptor is consulted but never draws nor perturbs;
 * a nonzero ``(plan, seed)`` pair replays to identical decisions, TIs
-  and trace, serially or under any ``TIBFIT_WORKERS`` count.
+  and spans, serially or under any ``TIBFIT_WORKERS`` count.
 
 The plan is applied through two mechanisms (§ the chaos design in
 ``docs/chaos.md``): a transmit interceptor installed via
@@ -522,7 +522,9 @@ class ChaosController:
     def _kill_node(self, node_id: int) -> None:
         node = self._resolve(node_id)
         node.kill()
-        self._sim.trace.emit(self._sim.now, "chaos.crash", node=node_id)
+        spans = self._sim.spans
+        if spans.enabled:
+            spans.point("chaos.crash", parent=spans.current, node=node_id)
         metrics = self._sim.metrics
         if metrics.enabled:
             metrics.counter("chaos.crash").inc()
@@ -530,7 +532,9 @@ class ChaosController:
     def _revive_node(self, node_id: int) -> None:
         node = self._resolve(node_id)
         node.revive()
-        self._sim.trace.emit(self._sim.now, "chaos.recover", node=node_id)
+        spans = self._sim.spans
+        if spans.enabled:
+            spans.point("chaos.recover", parent=spans.current, node=node_id)
         metrics = self._sim.metrics
         if metrics.enabled:
             metrics.counter("chaos.recover").inc()

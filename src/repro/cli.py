@@ -7,7 +7,7 @@ Subcommands::
     tibfit-repro run [...]          one ad-hoc simulation, metrics printed
     tibfit-repro trace [...]        instrumented run: TI evolution,
                                     decision timeline, JSONL artifacts
-                                    (--spans adds causal span capture)
+                                    with the causal span log
     tibfit-repro explain DIR [...]  render one decision's full causal
                                     chain from an exported run directory
     tibfit-repro analyze baseline   eqs. 1-3 success-probability curve
@@ -87,10 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "first when the network is larger)")
     p_trace.add_argument("--width", type=int, default=60,
                          help="sparkline width in characters")
-    p_trace.add_argument("--spans", action="store_true",
-                         help="collect causal spans; with --out, also "
-                              "write spans.jsonl / provenance.jsonl / "
-                              "spans_chrome.json")
 
     p_explain = sub.add_parser(
         "explain",
@@ -98,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument(
         "run_dir", type=str,
-        help="artifact directory written by 'trace --spans --out'")
+        help="artifact directory written by 'trace --out'")
     p_explain.add_argument(
         "--decision", type=int, default=None,
         help="decision id to explain (default: list all decisions)")
@@ -409,7 +405,7 @@ def _render_registry(snapshot: List[Dict[str, object]]) -> str:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    run = _build_adhoc_run(args, observe=True, spans=args.spans)
+    run = _build_adhoc_run(args, observe=True, spans=True)
     run.run(args.events)
     metrics = run.metrics()
     probe = run.probe
@@ -473,12 +469,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print("\nmetrics registry:")
     print(_render_registry(run.registry.snapshot()))
 
-    if args.spans:
-        print(
-            f"\nspans: {run.spans.emitted} emitted, "
-            f"{run.spans.evicted} evicted "
-            f"(explain with: tibfit-repro explain OUT --decision ID)"
-        )
+    print(
+        f"\nspans: {run.spans.emitted} emitted, "
+        f"{run.spans.evicted} evicted "
+        f"(explain with: tibfit-repro explain OUT --decision ID)"
+    )
 
     if args.out is not None:
         paths = run.export_artifacts(args.out)
@@ -621,7 +616,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if not spans_path.exists():
         print(
             f"no spans.jsonl in {args.run_dir} -- export one with "
-            "'tibfit-repro trace --spans --out DIR'",
+            "'tibfit-repro trace --out DIR'",
             file=sys.stderr,
         )
         return 2

@@ -241,12 +241,14 @@ class BaseStation(NetworkNode):
         self.registry_for(cluster_id).penalize(
             self._host_of_ch.get(ch_id, ch_id)
         )
-        self.sim.trace.emit(
-            self.sim.now,
-            "bs.depose",
-            cluster=cluster_id,
-            ch=ch_id,
-            decision_id=decision_id,
-        )
+        spans = self.sim.spans
+        if spans.enabled:
+            spans.point(
+                "bs.depose",
+                parent=spans.current,
+                cluster=cluster_id,
+                ch=ch_id,
+                decision_id=decision_id,
+            )
         if self._on_reelection is not None:
             self._on_reelection(cluster_id, ch_id)

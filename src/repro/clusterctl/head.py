@@ -19,8 +19,8 @@ Two collection modes mirror the paper's two models:
 The decision pipeline itself -- trust table, voter, kernel, diagnosis
 -- lives in an embedded :class:`~repro.service.session.TrustSession`:
 the CH is one client of the service engine, owning only what is
-DES-specific (timers, the circle tracker, spans/trace/metrics
-emission, and verdict announcements).  ``self.trust``, ``self.voter``,
+DES-specific (timers, the circle tracker, span/metrics emission,
+and verdict announcements).  ``self.trust``, ``self.voter``,
 ``self.diagnoser`` and ``self.decisions`` alias the session's objects,
 so existing consumers see the exact structures they always did.
 """
@@ -278,19 +278,26 @@ class ClusterHead(NetworkNode):
     def _on_location_report(self, message: EventReportMessage) -> None:
         if message.offset is None:
             # A location-mode CH cannot place a binary report; drop it
-            # (and trace, because it usually indicates a faulty sender).
-            self.sim.trace.emit(
-                self.sim.now,
-                "ch.report.unplaceable",
-                sender=message.sender,
-            )
+            # (and record a span, because it usually indicates a faulty
+            # sender).
+            spans = self.sim.spans
+            if spans.enabled:
+                spans.point(
+                    "ch.report.unplaceable",
+                    parent=spans.current,
+                    sender=message.sender,
+                )
             return
         try:
             node_position = self.deployment.position_of(message.sender)
         except KeyError:
-            self.sim.trace.emit(
-                self.sim.now, "ch.report.unknown-node", sender=message.sender
-            )
+            spans = self.sim.spans
+            if spans.enabled:
+                spans.point(
+                    "ch.report.unknown-node",
+                    parent=spans.current,
+                    sender=message.sender,
+                )
             return
         assert self._tracker is not None  # set in attach()
         # Resolve the offset to plain floats and append one buffer row.
@@ -353,14 +360,6 @@ class ClusterHead(NetworkNode):
         record = self.session.record(
             occurred, location, supporters, dissenters, now=self.sim.now
         )
-        self.sim.trace.emit(
-            self.sim.now,
-            "ch.decision",
-            decision_id=record.decision_id,
-            occurred=occurred,
-            supporters=len(supporters),
-            dissenters=len(dissenters),
-        )
         spans = self.sim.spans
         decision_ctx = 0
         if spans.enabled:
@@ -383,12 +382,6 @@ class ClusterHead(NetworkNode):
                 "ch.decision.occurred" if occurred else "ch.decision.rejected"
             ).inc()
         for entry in self.session.sweep(self.sim.now):
-            self.sim.trace.emit(
-                self.sim.now,
-                "ch.diagnosis",
-                node=entry.node_id,
-                ti=entry.ti_at_diagnosis,
-            )
             if spans.enabled:
                 spans.point(
                     "ch.diagnosis",

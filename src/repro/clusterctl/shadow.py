@@ -170,13 +170,15 @@ class ShadowClusterHead(NetworkNode):
             suspected_ch=self.watched_ch_id,
         )
         self.disagreements.append(dissent)
-        self.sim.trace.emit(
-            self.sim.now,
-            "sch.disagree",
-            sch=self.node_id,
-            ch=self.watched_ch_id,
-            decision_id=announcement.decision_id,
-        )
+        spans = self.sim.spans
+        if spans.enabled:
+            spans.point(
+                "sch.disagree",
+                parent=spans.current,
+                sch=self.node_id,
+                ch=self.watched_ch_id,
+                decision_id=announcement.decision_id,
+            )
         if self.base_station_id is not None:
             self.send(self.base_station_id, dissent)
 

@@ -51,7 +51,6 @@ from repro.sensors.specs import (
     make_faulty_behavior,
 )
 from repro.simkernel.simulator import Simulator
-from repro.simkernel.trace import noop_trace
 from repro.experiments.metrics import RunMetrics, score_run
 
 
@@ -144,7 +143,6 @@ class RotatingClusterSimulation:
         transfer_trust: bool = True,
         corrupt_elected_faulty: bool = False,
         seed: int = 0,
-        tracing: bool = True,
     ) -> None:
         if events_per_leadership <= 0:
             raise ValueError("events_per_leadership must be positive")
@@ -173,9 +171,7 @@ class RotatingClusterSimulation:
         self.corrupt_elected_faulty = corrupt_elected_faulty
         self.seed = seed
 
-        self.sim = Simulator(
-            seed=seed, trace=None if tracing else noop_trace()
-        )
+        self.sim = Simulator(seed=seed)
         self.channel = RadioChannel(
             self.sim, ChannelConfig(loss_probability=channel_loss)
         )

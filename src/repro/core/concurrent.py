@@ -180,7 +180,7 @@ class CircleTracker:
     # Internals
     # ------------------------------------------------------------------
     def _register_circle(self, circle: EventCircle) -> None:
-        """Circle bookkeeping: dict, flat lists, timer, trace."""
+        """Circle bookkeeping: dict, flat lists, timer, span."""
         self._circles[circle.circle_id] = circle
         self._open_ids.append(circle.circle_id)
         self._open_x.append(circle.center.x)
@@ -203,13 +203,6 @@ class CircleTracker:
             self._on_expiry,
             circle.circle_id,
             label=f"circle-{circle.circle_id}-timeout",
-        )
-        self._sim.trace.emit(
-            self._sim.now,
-            "concurrent.open",
-            circle=circle.circle_id,
-            x=circle.center.x,
-            y=circle.center.y,
         )
 
     def _on_expiry(self, circle_id: int) -> None:
@@ -264,12 +257,6 @@ class CircleTracker:
             del self._circles[circle.circle_id]
         self._rebuild_open()
         self.groups_closed += 1
-        self._sim.trace.emit(
-            self._sim.now,
-            "concurrent.close",
-            circles=[c.circle_id for c in group],
-            reports=len(rows),
-        )
         buffer = self._buffer
         idx = np.asarray(rows, dtype=np.intp)
         order = np.lexsort((buffer.ids[idx], buffer.times[idx]))

@@ -31,7 +31,7 @@ bit-identical to it by construction, not by tolerance:
 * liar penalties apply in window order, cluster votes in cluster order,
   through the very same :class:`~repro.core.trust.TrustTable` calls;
 * supporter/dissenter tuples are plain Python ints (``.tolist()``), so
-  trace records, partition-memo keys, and replay fingerprints hash and
+  span records, partition-memo keys, and replay fingerprints hash and
   compare identically to the oracle's tuples.
 """
 

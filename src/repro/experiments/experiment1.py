@@ -53,7 +53,6 @@ def run_point(
         faulty_ids=faulty_ids,
         channel_loss=0.0,  # Experiment 1 isolates the voting model
         seed=seed,
-        tracing=False,
     )
     run.run(config.events_per_run)
     return run.metrics().accuracy

@@ -55,7 +55,6 @@ def run_point(
             config.concurrent_batch if config.concurrent_events else 1
         ),
         seed=seed,
-        tracing=False,
     )
     run.run(config.events_per_run)
     return run.metrics().accuracy

@@ -53,7 +53,6 @@ def run_decay(
         faulty_ids=order[:n_initial],
         channel_loss=config.channel_loss,
         seed=seed,
-        tracing=False,
     )
 
     per_step = round(config.n_nodes * config.step_percent / 100.0)

@@ -94,7 +94,6 @@ def run_point(
         channel_loss=0.0,
         transfer_trust=transfer_trust,
         seed=seed,
-        tracing=False,
     )
     sim.run(config.leadership_rounds)
     return sim.metrics().accuracy

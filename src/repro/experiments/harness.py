@@ -40,7 +40,6 @@ from repro.sensors.sensing import SensingConfig, SensingModel
 from repro.obs.export import (
     build_manifest,
     chrome_trace,
-    trace_records,
     write_json,
     write_jsonl,
 )
@@ -49,7 +48,6 @@ from repro.obs.probes import TrustProbe
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.obs.spans import NULL_SPANS, SpanCollector
 from repro.simkernel.simulator import Simulator
-from repro.simkernel.trace import noop_trace
 from repro.experiments.metrics import RunMetrics, score_run
 
 
@@ -107,9 +105,6 @@ class SimulationRun:
         batch members kept at least ``r_error`` apart).
     seed:
         Master seed; every stream derives from it.
-    tracing:
-        Disable to run with a no-op trace log; sweep runners do this so
-        the per-event emit call sites cost only an attribute check.
     spans:
         Enable causal span collection (:mod:`repro.obs.spans`): every
         sensed event, report, radio delivery/drop, collection window,
@@ -163,7 +158,6 @@ class SimulationRun:
         diagnosis_threshold: Optional[float] = None,
         concurrent_batch: int = 1,
         seed: int = 0,
-        tracing: bool = True,
         observe: bool = False,
         spans: bool = False,
         journal: bool = False,
@@ -201,7 +195,6 @@ class SimulationRun:
         self.diagnosis_threshold = diagnosis_threshold
         self.concurrent_batch = concurrent_batch
         self.seed = seed
-        self.tracing = tracing
         self.observe = observe
         self.journal = journal
         self.chaos_plan = chaos_plan
@@ -263,7 +256,6 @@ class SimulationRun:
         region = Region.square(self.field_side)
         self.sim = Simulator(
             seed=self.seed,
-            trace=None if self.tracing else noop_trace(),
             metrics=self.registry,
             spans=self.spans if self.spans.enabled else None,
         )
@@ -373,9 +365,11 @@ class SimulationRun:
     def _chaos_ch_crash(self, crash: ChCrash) -> None:
         assert self.ch is not None and self.sim is not None
         self.ch.kill()
-        self.sim.trace.emit(
-            self.sim.now, "chaos.ch-crash", ch=self.ch.node_id
-        )
+        spans = self.sim.spans
+        if spans.enabled:
+            spans.point(
+                "chaos.ch-crash", parent=spans.current, ch=self.ch.node_id
+            )
         if self.sim.metrics.enabled:
             self.sim.metrics.counter("chaos.ch-crash").inc()
         if crash.failover:
@@ -384,9 +378,11 @@ class SimulationRun:
     def _chaos_ch_recover(self, crash: ChCrash) -> None:
         assert self.ch is not None and self.sim is not None
         self.ch.revive()
-        self.sim.trace.emit(
-            self.sim.now, "chaos.ch-recover", ch=self.ch.node_id
-        )
+        spans = self.sim.spans
+        if spans.enabled:
+            spans.point(
+                "chaos.ch-recover", parent=spans.current, ch=self.ch.node_id
+            )
 
     def _promote_standby(self) -> None:
         assert self.ch is not None and self.sim is not None
@@ -413,12 +409,14 @@ class SimulationRun:
             self.probe.table = standby.trust
             self.probe.diagnoser = standby.diagnoser
             standby.probe = self.probe
-        self.sim.trace.emit(
-            self.sim.now,
-            "chaos.ch-failover",
-            old=retired.node_id,
-            new=standby_id,
-        )
+        spans = self.sim.spans
+        if spans.enabled:
+            spans.point(
+                "chaos.ch-failover",
+                parent=spans.current,
+                old=retired.node_id,
+                new=standby_id,
+            )
         if self.sim.metrics.enabled:
             self.sim.metrics.counter("chaos.ch-failover").inc()
 
@@ -633,9 +631,13 @@ class SimulationRun:
                 node.compromise(behavior)
                 self._ever_faulty.add(node_id)
                 assert self.sim is not None
-                self.sim.trace.emit(
-                    self.sim.now, "harness.compromise", node=node_id
-                )
+                spans = self.sim.spans
+                if spans.enabled:
+                    spans.point(
+                        "harness.compromise",
+                        parent=spans.current,
+                        node=node_id,
+                    )
 
     # ------------------------------------------------------------------
     # Scoring
@@ -745,10 +747,11 @@ class SimulationRun:
     def export_artifacts(self, out_dir) -> Dict[str, Path]:
         """Serialise the run's observability state to ``out_dir``.
 
-        Writes ``manifest.json``, ``metrics.jsonl``, ``trace.jsonl``
-        and ``ti_series.jsonl`` (see :mod:`repro.obs.export` for the
+        Writes ``manifest.json``, ``metrics.jsonl`` and
+        ``ti_series.jsonl`` (see :mod:`repro.obs.export` for the
         schemas); runs created with ``spans=True`` additionally write
-        ``spans.jsonl``, ``provenance.jsonl`` and ``spans_chrome.json``.
+        their event log, ``spans.jsonl``, with ``provenance.jsonl`` and
+        ``spans_chrome.json``.
         Only meaningful after :meth:`run`; requires the run to have
         been created with ``observe=True``.
         """
@@ -764,7 +767,6 @@ class SimulationRun:
             "events": len(self.events),
             "decisions": len(self.all_decisions()),
             "events_fired": self.sim.events_fired,
-            "trace_records": len(self.sim.trace),
             "probe_samples": self.probe.n_samples,
         }
         if self.spans.enabled:
@@ -781,9 +783,6 @@ class SimulationRun:
             "manifest": write_json(out / "manifest.json", manifest),
             "metrics": write_jsonl(
                 out / "metrics.jsonl", self.registry.snapshot()
-            ),
-            "trace": write_jsonl(
-                out / "trace.jsonl", trace_records(self.sim.trace)
             ),
             "ti_series": write_jsonl(
                 out / "ti_series.jsonl", self.probe.to_records()

@@ -188,7 +188,8 @@ class ReliableRelay(NetworkNode):
     ack_timeout:
         Retransmit when no ACK arrives within this window.
     max_retries:
-        Attempts per hop before the message is dropped (and traced).
+        Attempts per hop before the message is dropped (a
+        ``relay.gave-up`` span).
     deliver_local:
         Callback invoked with the payload when this relay is the
         destination (the sink's relay hands reports to the CH logic).
@@ -242,12 +243,14 @@ class ReliableRelay(NetworkNode):
             return message.relay_id
         nxt = self.routing.next_hop(self.node_id, message.destination)
         if nxt is None:
-            self.sim.trace.emit(
-                self.sim.now,
-                "relay.unroutable",
-                node=self.node_id,
-                destination=message.destination,
-            )
+            spans = self.sim.spans
+            if spans.enabled:
+                spans.point(
+                    "relay.unroutable",
+                    parent=spans.current,
+                    node=self.node_id,
+                    destination=message.destination,
+                )
             return None
         outgoing = RelayedMessage(
             sender=self.node_id,
@@ -272,13 +275,15 @@ class ReliableRelay(NetworkNode):
         if state["attempts"] > self.max_retries:
             del self._pending[relay_id]
             self.dropped_after_retries += 1
-            self.sim.trace.emit(
-                self.sim.now,
-                "relay.gave-up",
-                node=self.node_id,
-                relay_id=relay_id,
-                next_hop=state["next_hop"],
-            )
+            spans = self.sim.spans
+            if spans.enabled:
+                spans.point(
+                    "relay.gave-up",
+                    parent=spans.current,
+                    node=self.node_id,
+                    relay_id=relay_id,
+                    next_hop=state["next_hop"],
+                )
             return
         state["attempts"] += 1
         self.send(state["next_hop"], state["message"])
@@ -305,12 +310,14 @@ class ReliableRelay(NetworkNode):
             return
         self._seen_relay_ids.add(message.relay_id)
         if self.drop_everything:
-            self.sim.trace.emit(
-                self.sim.now,
-                "relay.byzantine-drop",
-                node=self.node_id,
-                relay_id=message.relay_id,
-            )
+            spans = self.sim.spans
+            if spans.enabled:
+                spans.point(
+                    "relay.byzantine-drop",
+                    parent=spans.current,
+                    node=self.node_id,
+                    relay_id=message.relay_id,
+                )
             return
         if message.destination == self.node_id:
             self._deliver(message)
@@ -320,12 +327,14 @@ class ReliableRelay(NetworkNode):
 
     def _deliver(self, message: RelayedMessage) -> None:
         self.delivered_local += 1
-        self.sim.trace.emit(
-            self.sim.now,
-            "relay.delivered",
-            node=self.node_id,
-            origin=message.origin,
-            hops=message.hop,
-        )
+        spans = self.sim.spans
+        if spans.enabled:
+            spans.point(
+                "relay.delivered",
+                parent=spans.current,
+                node=self.node_id,
+                origin=message.origin,
+                hops=message.hop,
+            )
         if self._deliver_local is not None and message.payload is not None:
             self._deliver_local(message.payload)

@@ -334,14 +334,6 @@ class RadioChannel:
                     message=type(message).__name__,
                     message_id=message.message_id,
                 )
-            self._sim.trace.emit(
-                self._sim.now,
-                "radio.drop",
-                sender=sender.node_id,
-                destination=destination,
-                reason=outcome.reason,
-                message=type(message).__name__,
-            )
         return outcome
 
     def unicast_batch(
@@ -414,31 +406,23 @@ class RadioChannel:
             ]
             n_ok = len(deliveries)
             n_dead = n - n_ok
-            trace = self._sim.trace
-            if n_dead == 0 or not (
-                trace.enabled or trace.count_when_disabled
-            ):
+            if n_ok:
+                self._rng.random(n_ok)
+                self._schedule_fused(config.propagation_delay, deliveries)
+            self.sent += n
+            self.delivered += n_ok
+            self.dropped += n_dead
+            metrics = self._sim.metrics
+            if metrics.enabled:
+                if self._counter_src is not metrics:
+                    self._rebind_counters(metrics)
+                self._c_sent.inc(n)
                 if n_ok:
-                    self._rng.random(n_ok)
-                    self._schedule_fused(
-                        config.propagation_delay, deliveries
-                    )
-                self.sent += n
-                self.delivered += n_ok
-                self.dropped += n_dead
-                metrics = self._sim.metrics
-                if metrics.enabled:
-                    if self._counter_src is not metrics:
-                        self._rebind_counters(metrics)
-                    self._c_sent.inc(n)
-                    if n_ok:
-                        self._c_delivered.inc(n_ok)
-                    if n_dead:
-                        self._c_dropped.inc(n_dead)
-                        self._drop_counter("dead-receiver").inc(n_dead)
-                return n_ok
-            # Tracing with dead receivers: the per-entry path emits one
-            # radio.drop record per dead receiver; keep that behaviour.
+                    self._c_delivered.inc(n_ok)
+                if n_dead:
+                    self._c_dropped.inc(n_dead)
+                    self._drop_counter("dead-receiver").inc(n_dead)
+            return n_ok
         entries = [
             (sender, node_id, message)
             for node_id, _node in pairs
@@ -681,12 +665,9 @@ class RadioChannel:
     ) -> Dict[str, int]:
         """Schedule a batch with at least one drop; returns the tally."""
         sim = self._sim
-        trace = sim.trace
-        trace_on = trace.enabled or trace.count_when_disabled
-        now = sim.now
         drop_tally: Dict[str, int] = {}
         fused: List[Tuple[NetworkNode, Message]] = []
-        for i, (sender, destination, message) in enumerate(entries):
+        for i, (_sender, _destination, message) in enumerate(entries):
             outcome = outcomes[i]
             if outcome.delivered:
                 verdict = verdicts.get(i)
@@ -703,15 +684,6 @@ class RadioChannel:
             else:
                 reason = outcome.reason
                 drop_tally[reason] = drop_tally.get(reason, 0) + 1
-                if trace_on:
-                    trace.emit(
-                        now,
-                        "radio.drop",
-                        sender=sender.node_id,
-                        destination=destination,
-                        reason=reason,
-                        message=type(message).__name__,
-                    )
         if fused:
             self._schedule_fused(delay, fused)
         return drop_tally
@@ -735,12 +707,8 @@ class RadioChannel:
         # event delivering in the same relative order is bit-identical
         # (liveness is still re-checked per message at delivery time,
         # because an earlier delivery in this very batch may kill a
-        # later receiver).
-        trace = self._sim.trace
-        if trace.enabled or trace.count_when_disabled:
-            for receiver, message in deliveries:
-                self._deliver(receiver, message)
-            return
+        # later receiver).  Span collection never reaches this path: it
+        # routes every transmission through unicast and _deliver.
         for receiver, message in deliveries:
             if not receiver.alive:
                 continue
@@ -769,8 +737,6 @@ class RadioChannel:
         return counter
 
     def _deliver(self, receiver: NetworkNode, message: Message) -> None:
-        trace = self._sim.trace
-        trace_on = trace.enabled or trace.count_when_disabled
         spans = self._spans
         if not receiver.alive:
             # Receiver died between transmit and delivery.
@@ -784,15 +750,6 @@ class RadioChannel:
                     message=type(message).__name__,
                     message_id=message.message_id,
                 )
-            if trace_on:
-                trace.emit(
-                    self._sim.now,
-                    "radio.drop",
-                    sender=message.sender,
-                    destination=receiver.node_id,
-                    reason="died-in-flight",
-                    message=type(message).__name__,
-                )
             return
         if spans.enabled:
             # spans.current holds the transmit span (restored from the
@@ -805,14 +762,6 @@ class RadioChannel:
                 destination=receiver.node_id,
                 message=type(message).__name__,
                 message_id=message.message_id,
-            )
-        if trace_on:
-            trace.emit(
-                self._sim.now,
-                "radio.deliver",
-                sender=message.sender,
-                destination=receiver.node_id,
-                message=type(message).__name__,
             )
         receiver.on_message(message)
         taps = self._taps

@@ -5,15 +5,16 @@ the speed the flat-array engines bought:
 
 ``repro.obs.registry``
     Named counters / gauges / histograms / timers with a zero-overhead
-    disabled path (:data:`NULL_REGISTRY`), mirroring ``noop_trace``.
+    disabled path (:data:`NULL_REGISTRY`), mirroring ``NULL_SPANS``.
 ``repro.obs.probes``
     :class:`TrustProbe` -- per-node TI time series sampled at decision
     boundaries, with threshold-crossing queries.
 ``repro.obs.export``
     JSONL artifact writers, per-run manifests, and schema validators.
 ``repro.obs.spans``
-    Causal point spans with parent links (:class:`SpanCollector`) and
-    the zero-overhead disabled collector (:data:`NULL_SPANS`).
+    Causal point spans with parent links (:class:`SpanCollector`) --
+    the run's one event log -- and the zero-overhead disabled
+    collector (:data:`NULL_SPANS`).
 ``repro.obs.provenance``
     :class:`ProvenanceIndex` -- walks span lineage to reconstruct the
     full evidence chain behind any CH verdict.
@@ -37,7 +38,6 @@ from repro.obs.export import (
     chrome_trace,
     read_jsonl,
     span_records,
-    trace_records,
     validate_artifacts,
     validate_manifest,
     validate_metrics_record,
@@ -87,7 +87,6 @@ __all__ = [
     "profiling_requested",
     "read_jsonl",
     "span_records",
-    "trace_records",
     "validate_artifacts",
     "validate_manifest",
     "validate_metrics_record",

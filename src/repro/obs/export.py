@@ -1,13 +1,13 @@
 """Structured export: JSONL artifacts, per-run manifests, schemas.
 
-An instrumented run writes four artifacts side by side::
+An instrumented run writes three artifacts side by side::
 
     manifest.json     what ran: config, seed, code version, timings
     metrics.jsonl     one registry instrument snapshot per line
-    trace.jsonl       one TraceRecord per line (buffered records)
     ti_series.jsonl   TI samples + diagnosis crossings (TrustProbe)
 
-and a span-enabled run (``SimulationRun(spans=True)``) adds three more::
+and a span-enabled run (``SimulationRun(spans=True)``) adds its event
+log and two views of it::
 
     spans.jsonl         one causal span per line (repro.obs.spans)
     provenance.jsonl    one decision evidence chain per line
@@ -38,7 +38,6 @@ __all__ = [
     "chrome_trace",
     "read_jsonl",
     "span_records",
-    "trace_records",
     "validate_artifacts",
     "validate_manifest",
     "validate_metrics_record",
@@ -83,7 +82,7 @@ def build_manifest(
     timings:
         Wall-clock phase durations in seconds (``build_s``, ``run_s``).
     counts:
-        Headline integer facts (events, decisions, trace records).
+        Headline integer facts (events, decisions, spans).
     """
     from repro import __version__
 
@@ -344,33 +343,6 @@ def chrome_trace(spans) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Trace records
-# ----------------------------------------------------------------------
-def trace_records(trace) -> Iterator[Dict[str, object]]:
-    """JSONL records for a :class:`~repro.simkernel.trace.TraceLog`.
-
-    Only the buffered (non-evicted) records serialise; per-prefix
-    counts survive eviction and are exported through the registry
-    instead.  Non-JSON field values fall back to ``repr``.
-    """
-    for record in trace:
-        yield {
-            "time": record.time,
-            "category": record.category,
-            "fields": {
-                key: _jsonable(value)
-                for key, value in record.fields.items()
-            },
-        }
-
-
-def _jsonable(value: object) -> object:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
-
-
-# ----------------------------------------------------------------------
 # File I/O
 # ----------------------------------------------------------------------
 def write_json(path, doc: Dict[str, object]) -> Path:
@@ -412,9 +384,9 @@ def read_jsonl(path) -> List[Dict[str, object]]:
 def validate_artifacts(directory) -> Dict[str, int]:
     """Validate a run's artifact directory; returns per-file line counts.
 
-    Requires ``manifest.json`` and ``metrics.jsonl``; validates
-    ``ti_series.jsonl`` and ``trace.jsonl`` when present.  Raises
-    :class:`SchemaError` on the first invalid document.
+    Requires ``manifest.json`` and ``metrics.jsonl``; validates the
+    TI series, span, journal and provenance files when present.
+    Raises :class:`SchemaError` on the first invalid document.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -437,16 +409,6 @@ def validate_artifacts(directory) -> Dict[str, int]:
         for record in ti_records:
             validate_ti_record(record)
         counts["ti_series.jsonl"] = len(ti_records)
-
-    trace_path = directory / "trace.jsonl"
-    if trace_path.exists():
-        trace = read_jsonl(trace_path)
-        for record in trace:
-            if not isinstance(record.get("category"), str):
-                raise SchemaError("trace record missing string 'category'")
-            if not isinstance(record.get("time"), (int, float)):
-                raise SchemaError("trace record missing numeric 'time'")
-        counts["trace.jsonl"] = len(trace)
 
     spans_path = directory / "spans.jsonl"
     if spans_path.exists():

@@ -1,7 +1,7 @@
 """Run-wide metrics registry: counters, gauges, histograms, timers.
 
 The registry is the numeric side of the observability layer (the
-:mod:`repro.simkernel.trace` log is the event side).  Hot points across
+:mod:`repro.obs.spans` log is the event side).  Hot points across
 the stack -- the radio channel, the CTI voter, the cluster head, the
 sweep runner -- hold a registry reference and record into *named
 instruments*:
@@ -16,9 +16,9 @@ instruments*:
 
 Zero-overhead disabled path
 ---------------------------
-Mirroring :func:`repro.simkernel.trace.noop_trace`, a disabled registry
-(:data:`NULL_REGISTRY`, the sweep-runner default) costs callers one
-attribute check: every emit site is written as::
+Like the disabled span collector (:data:`repro.obs.spans.NULL_SPANS`),
+a disabled registry (:data:`NULL_REGISTRY`, the sweep-runner default)
+costs callers one attribute check: every emit site is written as::
 
     m = sim.metrics
     if m.enabled:
@@ -351,5 +351,5 @@ class MetricsRegistry:
 
 
 #: The shared disabled registry handed to everything that does not
-#: opt into observability -- the metrics analogue of ``noop_trace()``.
+#: opt into observability -- the metrics analogue of ``NULL_SPANS``.
 NULL_REGISTRY = MetricsRegistry(enabled=False)

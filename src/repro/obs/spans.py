@@ -25,9 +25,8 @@ id.
 
 Zero-overhead disabled path
 ---------------------------
-Mirroring :func:`repro.simkernel.trace.noop_trace` and
-:data:`repro.obs.registry.NULL_REGISTRY`, every emit site is written
-as::
+Mirroring :data:`repro.obs.registry.NULL_REGISTRY`, every emit site
+is written as::
 
     spans = sim.spans
     if spans.enabled:
@@ -48,10 +47,9 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 
 __all__ = ["NULL_SPANS", "Span", "SpanCollector"]
 
-#: Default ring-buffer capacity.  Spans are ~an order of magnitude more
-#: numerous than trace records (every message contributes several), so
-#: the cap is higher than TraceLog's; :attr:`SpanCollector.evicted`
-#: reports overflow and the exporter surfaces it in the manifest.
+#: Default ring-buffer capacity (every message contributes several
+#: spans); :attr:`SpanCollector.evicted` reports overflow and the
+#: exporter surfaces it in the manifest.
 _MAX_SPANS = 200_000
 
 

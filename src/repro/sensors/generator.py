@@ -146,14 +146,16 @@ class EventGenerator:
         first = sim.now + interval if start is None else start
 
         def fire_round() -> None:
+            spans = sim.spans
             for event in self.next_batch(batch_size, time=sim.now):
-                sim.trace.emit(
-                    sim.now,
-                    "events.generated",
-                    event_id=event.event_id,
-                    x=event.location.x,
-                    y=event.location.y,
-                )
+                if spans.enabled:
+                    spans.point(
+                        "events.generated",
+                        parent=spans.current,
+                        event_id=event.event_id,
+                        x=event.location.x,
+                        y=event.location.y,
+                    )
                 on_event(event)
 
         sim.every(interval, fire_round, start=first, count=count,

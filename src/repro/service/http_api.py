@@ -117,6 +117,20 @@ def _parse(kind: Callable[[object], object], value: object, what: str):
         ) from None
 
 
+def _parse_report(report: object) -> Tuple[object, ...]:
+    """One JSON report as ``TrustSession.ingest`` arguments, or a 400."""
+    if not isinstance(report, dict) or "node" not in report:
+        raise _ApiError(400, 'each report needs at least a "node" field')
+    x = report.get("x")
+    y = report.get("y")
+    return (
+        _parse(int, report["node"], "node"),
+        None if x is None else _parse(float, x, "x"),
+        None if y is None else _parse(float, y, "y"),
+        _parse(float, report.get("time", 0.0), "time"),
+    )
+
+
 class TrustServiceHandler(BaseHTTPRequestHandler):
     """Request handler; the server instance carries the manager."""
 
@@ -228,21 +242,18 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
             reports = doc.get("reports")
             if not isinstance(reports, list):
                 raise _ApiError(400, 'body must carry a "reports" list')
+            parsed = [_parse_report(report) for report in reports]
             accepted = dropped = 0
             with self.manager.locked(key) as session:
-                for report in reports:
-                    if not isinstance(report, dict) or "node" not in report:
-                        raise _ApiError(
-                            400, 'each report needs at least a "node" field'
-                        )
-                    x = report.get("x")
-                    y = report.get("y")
-                    ok = session.ingest(
-                        _parse(int, report["node"], "node"),
-                        x=None if x is None else _parse(float, x, "x"),
-                        y=None if y is None else _parse(float, y, "y"),
-                        time=_parse(float, report.get("time", 0.0), "time"),
-                    )
+                # The batch is atomic: every report passes the session's
+                # rule before the first one is ingested.
+                try:
+                    for report in parsed:
+                        session.check_report(*report)
+                except ValueError as exc:
+                    raise _ApiError(400, f"bad report: {exc}") from None
+                for report in parsed:
+                    ok = session.ingest(*report)
                     accepted += ok
                     dropped += not ok
                 pending = session.pending_reports()
@@ -303,7 +314,9 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
             with self.manager.locked(key) as session:
                 try:
                     session.import_state(doc)
-                except (ValueError, KeyError, TypeError) as exc:
+                except (
+                    ValueError, KeyError, TypeError, OverflowError
+                ) as exc:
                     raise _ApiError(400, f"bad state document: {exc}")
             self._send_json(200, {"imported": key})
             return

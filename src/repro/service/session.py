@@ -20,7 +20,7 @@ Two kinds of client drive the same object:
 * **The DES path** -- :class:`~repro.clusterctl.head.ClusterHead`
   embeds a session and calls the finer-grained ops (``decide_binary``,
   ``decide_rows``, ``record``, ``sweep``) so it can
-  interleave its span/trace/announce bookkeeping between them.  Both
+  interleave its span/announce bookkeeping between them.  Both
   paths execute the identical decision code, which is what lets the
   differential replay suite pin service behaviour against the golden
   DES fixtures bit-for-bit.
@@ -33,6 +33,7 @@ process-global resets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -300,6 +301,32 @@ class TrustSession:
         """Restrict the cluster membership (multi-cluster deployments)."""
         self.members = tuple(sorted(members))
 
+    def check_report(
+        self,
+        node_id: int,
+        x: Optional[float] = None,
+        y: Optional[float] = None,
+        time: float = 0.0,
+    ) -> Tuple[int, Optional[float], Optional[float], float]:
+        """The session's input rule for one report.
+
+        Returns the report as ``(node_id, x, y, time)`` with ints and
+        floats; raises :class:`ValueError` when the node is not in the
+        deployment or ``time`` (or a given ``x`` / ``y``) is not a
+        finite number.  :meth:`ingest` applies it to every report, and
+        a batch front end can apply it to a whole batch first.
+        """
+        node_id = int(node_id)
+        if node_id not in self.deployment:
+            raise ValueError(f"node {node_id} is not in the deployment")
+        x = None if x is None else float(x)
+        y = None if y is None else float(y)
+        time = float(time)
+        for name, value in (("x", x), ("y", y), ("time", time)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        return node_id, x, y, time
+
     def ingest(
         self,
         node_id: int,
@@ -309,12 +336,13 @@ class TrustSession:
     ) -> bool:
         """Add one event report to the open collection window.
 
-        Returns False when the report is dropped: the sender is
-        currently diagnosed/excluded, or a location-mode report carries
-        no coordinates (the unplaceable-report rule the cluster head
-        applies on arrival).
+        Raises :class:`ValueError` for a report :meth:`check_report`
+        rejects.  Returns False when the report is dropped: the sender
+        is currently diagnosed/excluded, or a location-mode report
+        carries no coordinates (the unplaceable-report rule the cluster
+        head applies on arrival).
         """
-        node_id = int(node_id)
+        node_id, x, y, time = self.check_report(node_id, x, y, time)
         if self.is_excluded(node_id):
             return False
         if self.config.mode == "binary":
@@ -322,9 +350,7 @@ class TrustSession:
             return True
         if x is None or y is None:
             return False
-        row = self.report_buffer.append(
-            node_id, float(x), float(y), float(time)
-        )
+        row = self.report_buffer.append(node_id, x, y, time)
         self._pending_rows.append(row)
         return True
 
@@ -504,7 +530,10 @@ class TrustSession:
         The session must be freshly built with the same deployment and
         config as the exporter; importing replaces trust values, the
         diagnosed set, the id stream, the decision log, and the open
-        window.
+        window.  The whole document is parsed before anything is
+        assigned, so a rejected one (``ValueError``, ``KeyError``,
+        ``TypeError`` or ``OverflowError``) leaves the session as it
+        was.  Pending reports must pass :meth:`check_report`.
         """
         if state.get("schema") != 1:
             raise ValueError(
@@ -515,33 +544,54 @@ class TrustSession:
                 f"state mode {state.get('mode')!r} does not match session "
                 f"mode {self.config.mode!r}"
             )
-        self.members = tuple(int(m) for m in state["members"])  # type: ignore[union-attr]
-        self.trust.import_state(
-            {int(n): float(v) for n, v in state["trust"]}  # type: ignore[union-attr]
-        )
-        if self.diagnoser is not None:
-            self.diagnoser.restore(
-                int(n) for n in state["diagnosed"]  # type: ignore[union-attr]
+        members = tuple(int(m) for m in state["members"])  # type: ignore[union-attr]
+        trust = {int(n): float(v) for n, v in state["trust"]}  # type: ignore[union-attr]
+        for node_id, v in trust.items():
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(
+                    f"trust v of node {node_id} must be finite and "
+                    f"non-negative, got {v!r}"
+                )
+        diagnosed = [int(n) for n in state["diagnosed"]]  # type: ignore[union-attr]
+        next_decision_id = int(state["next_decision_id"])  # type: ignore[arg-type]
+        if next_decision_id < 0:
+            raise ValueError(
+                f"next_decision_id must be non-negative, got {next_decision_id}"
             )
-        self.ids.reset(int(state["next_decision_id"]))  # type: ignore[arg-type]
-        self.windows_closed = int(state["windows_closed"])  # type: ignore[arg-type]
-        self.decisions[:] = [
+        windows_closed = int(state["windows_closed"])  # type: ignore[arg-type]
+        decisions = [
             _decision_from_dict(d)
             for d in state["decisions"]  # type: ignore[union-attr]
         ]
+        binary = self.config.mode == "binary"
+        pending = []
+        for item in state["pending"]:  # type: ignore[union-attr]
+            if binary:
+                pending.append(self.check_report(item))  # type: ignore[arg-type]
+            else:
+                node_id, x, y, time = item  # type: ignore[misc]
+                pending.append(
+                    self.check_report(node_id, float(x), float(y), time)
+                )
+
+        self.members = members
+        self.trust.import_state(trust)
+        if self.diagnoser is not None:
+            self.diagnoser.restore(diagnosed)
+        self.ids.reset(next_decision_id)
+        self.windows_closed = windows_closed
+        self.decisions[:] = decisions
         self._pending_senders = []
         self._pending_rows = []
         if self.report_buffer is not None:
             self.report_buffer.reset()
-        for item in state["pending"]:  # type: ignore[union-attr]
-            if self.config.mode == "binary":
-                self._pending_senders.append(int(item))  # type: ignore[arg-type]
+        for node_id, x, y, time in pending:
+            if binary:
+                self._pending_senders.append(node_id)
             else:
-                node_id, x, y, time = item  # type: ignore[misc]
-                row = self.report_buffer.append(
-                    int(node_id), float(x), float(y), float(time)
+                self._pending_rows.append(
+                    self.report_buffer.append(node_id, x, y, time)
                 )
-                self._pending_rows.append(row)
 
     def __repr__(self) -> str:
         return (

@@ -12,8 +12,6 @@ evaluation.  It provides:
   seeded random streams so that, e.g., event placement and channel loss
   draw from decoupled sequences and experiments stay reproducible when
   one subsystem changes.
-* :class:`~repro.simkernel.trace.TraceLog` -- structured trace recording
-  for debugging and for assertions in integration tests.
 
 The kernel is intentionally synchronous and single-threaded: sensor-network
 protocol logic is easiest to verify when every interleaving is reproducible
@@ -28,7 +26,6 @@ from repro.simkernel.errors import (
 from repro.simkernel.events import EventQueue, ScheduledEvent
 from repro.simkernel.rng import RandomStreams
 from repro.simkernel.simulator import Simulator, Timer
-from repro.simkernel.trace import TraceLog, TraceRecord, noop_trace
 
 __all__ = [
     "EventQueue",
@@ -39,7 +36,4 @@ __all__ = [
     "SimulationFinished",
     "Simulator",
     "Timer",
-    "TraceLog",
-    "TraceRecord",
-    "noop_trace",
 ]

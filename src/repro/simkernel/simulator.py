@@ -1,8 +1,9 @@
 """The simulation event loop, clock, and timer facilities.
 
 :class:`Simulator` is deliberately minimal: a clock, an event queue, named
-random streams, and a trace log.  Protocol entities (nodes, cluster heads,
-channels) hold a reference to the simulator and schedule callbacks on it.
+random streams, and two observability hooks (a metrics registry and a
+span collector).  Protocol entities (nodes, cluster heads, channels) hold
+a reference to the simulator and schedule callbacks on it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from repro.obs.spans import NULL_SPANS
 from repro.simkernel.errors import SchedulingError, SimulationFinished
 from repro.simkernel.events import EventQueue, ScheduledEvent
 from repro.simkernel.rng import RandomStreams
-from repro.simkernel.trace import TraceLog
 
 
 class Simulator:
@@ -24,9 +24,6 @@ class Simulator:
     ----------
     seed:
         Master seed for all random streams (see :class:`RandomStreams`).
-    trace:
-        Optional pre-built trace log; a fresh enabled one is created by
-        default.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` shared by
         every entity holding this simulator (radio channel, cluster
@@ -35,8 +32,9 @@ class Simulator:
         instrumented per event -- ``events_fired`` / queue depth are
         sampled at run boundaries instead.
     spans:
-        Optional :class:`~repro.obs.spans.SpanCollector` for causal
-        provenance.  Defaults to the disabled ``NULL_SPANS``.  When
+        Optional :class:`~repro.obs.spans.SpanCollector`, the run's event
+        log and causal provenance.  Defaults to the disabled
+        ``NULL_SPANS``.  When
         enabled, the scheduling front-ends stamp the collector's
         causal-context token onto every scheduled event and the run
         loop restores it before the callback fires, so cross-queue
@@ -55,7 +53,6 @@ class Simulator:
     def __init__(
         self,
         seed: int = 0,
-        trace: Optional[TraceLog] = None,
         metrics: Optional[MetricsRegistry] = None,
         spans=None,
     ) -> None:
@@ -65,7 +62,6 @@ class Simulator:
             self.spans.attach_clock(lambda: self._now)
         self._queue = EventQueue()
         self.streams = RandomStreams(seed)
-        self.trace = trace if trace is not None else TraceLog()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._running = False
         self._stopped = False

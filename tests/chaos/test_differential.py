@@ -1,5 +1,5 @@
 """Differential contract: an empty-plan chaos run is bit-identical to a
-plain SimulationRun -- same decisions, trust, trace, RNG consumption --
+plain SimulationRun -- same decisions, trust, spans, RNG consumption --
 and CH failover keeps the run scoreable across the head swap."""
 
 from repro.chaos.invariants import InvariantChecker, run_fingerprint
@@ -23,13 +23,15 @@ def make_run(**overrides):
 
 class TestEmptyPlanDifferential:
     def test_bit_identical_to_plain_run(self):
-        plain = make_run().run(10)
-        chaos = make_run(chaos_plan=EMPTY_PLAN).run(10)
+        plain = make_run(spans=True).run(10)
+        chaos = make_run(chaos_plan=EMPTY_PLAN, spans=True).run(10)
 
         assert chaos.trust_snapshot() == plain.trust_snapshot()
         assert run_fingerprint(chaos) == run_fingerprint(plain)
         assert chaos.sim.events_fired == plain.sim.events_fired
-        assert len(chaos.sim.trace) == len(plain.sim.trace)
+        assert [(s.time, s.category) for s in chaos.spans] == [
+            (s.time, s.category) for s in plain.spans
+        ]
         assert (
             (chaos.channel.sent, chaos.channel.delivered,
              chaos.channel.dropped)
@@ -129,6 +131,30 @@ class TestChFailover:
         assert any(t < 55.0 for t in times)
         assert any(t >= 75.0 for t in times)
         assert not any(55.0 <= t < 75.0 for t in times)
+
+    def test_failover_emits_crash_and_failover_spans(self):
+        run = self.make_crash_run(spans=True).run(10)
+        head = SimulationRun.CH_ID_OFFSET
+        (crash,) = run.spans.spans("chaos.ch-crash")
+        (failover,) = run.spans.spans("chaos.ch-failover")
+        assert (crash.time, crash.args) == (55.0, {"ch": head})
+        assert (failover.time, failover.args) == (
+            55.0, {"old": head, "new": head + 1}
+        )
+
+    def test_recovery_emits_crash_and_recover_spans(self):
+        plan = FaultPlan(
+            ch_crashes=(ChCrash(start=55.0, end=75.0, failover=False),),
+        )
+        run = make_run(chaos_plan=plan, spans=True).run(10)
+        head = SimulationRun.CH_ID_OFFSET
+        assert [
+            (span.category, span.time, span.args)
+            for span in run.spans.spans("chaos")
+        ] == [
+            ("chaos.ch-crash", 55.0, {"ch": head}),
+            ("chaos.ch-recover", 75.0, {"ch": head}),
+        ]
 
     def test_observed_failover_rebinds_probe(self):
         run = self.make_crash_run(observe=True).run(10)

@@ -14,6 +14,7 @@ from repro.network.geometry import Point
 from repro.network.messages import Message
 from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, Intercept, RadioChannel
+from repro.obs.spans import SpanCollector
 from repro.simkernel.simulator import Simulator
 
 
@@ -30,8 +31,8 @@ class Ping(Message):
     pass
 
 
-def make_net(n=3, seed=1):
-    sim = Simulator(seed=seed)
+def make_net(n=3, seed=1, spans=None):
+    sim = Simulator(seed=seed, spans=spans)
     channel = RadioChannel(
         sim, ChannelConfig(loss_probability=0.0, propagation_delay=0.01)
     )
@@ -160,6 +161,19 @@ class TestChaosController:
         )
         assert nodes[1].alive
         assert len(nodes[1].received) == 1  # only the post-recovery send
+
+    def test_outage_lifecycle_emits_spans(self):
+        spans = SpanCollector()
+        sim, channel, _nodes = make_net(spans=spans)
+        plan = FaultPlan(outages=(NodeOutage(node_id=1, start=10.0, end=20.0),))
+        ChaosController(plan, sim, channel).install()
+        sim.run()
+        assert [
+            (span.category, span.time, span.args) for span in spans
+        ] == [
+            ("chaos.crash", 10.0, {"node": 1}),
+            ("chaos.recover", 20.0, {"node": 1}),
+        ]
 
     def test_empty_plan_installs_no_interceptor(self):
         sim, channel, _ = make_net()

@@ -37,6 +37,12 @@ class TestHealthyRuns:
         run = make_run(chaos_plan=plan).run(10)
         assert InvariantChecker().check_run(run) == []
 
+    def test_green_on_spanned_chaos_run(self):
+        plan = FaultPlan(outages=(NodeOutage(node_id=2, start=30.0),))
+        run = make_run(chaos_plan=plan, spans=True).run(10)
+        assert run.spans.spans("chaos.crash")
+        assert InvariantChecker().check_run(run) == []
+
     def test_assert_run_passes_silently(self):
         run = make_run().run(5)
         InvariantChecker().assert_run(run)
@@ -110,6 +116,23 @@ class TestInjectedBugs:
         violations = InvariantChecker().check_run(run)
         assert any(v.invariant == "diagnosis-soundness" for v in violations)
         assert entry is None or entry.ti_at_diagnosis < 0.3
+
+    def test_catches_span_stamped_before_its_predecessor(self):
+        run = make_run(spans=True).run(5)
+        run.spans.attach_clock(lambda: 1.0)  # behind the run's last span
+        run.spans.point("late")
+        violations = InvariantChecker().check_run(run)
+        assert [v.invariant for v in violations] == ["clock-monotonic"]
+        assert "'late' at t=1.0" in violations[0].detail
+
+    def test_catches_span_stamped_after_the_clock(self):
+        run = make_run(spans=True).run(5)
+        ahead = run.sim.now + 1.0
+        run.spans.attach_clock(lambda: ahead)
+        run.spans.point("early")
+        violations = InvariantChecker().check_run(run)
+        assert [v.invariant for v in violations] == ["clock-monotonic"]
+        assert f"t={ahead}" in violations[0].detail
 
     def test_catches_time_travelling_decision(self):
         run = make_run().run(5)

@@ -10,11 +10,12 @@ from repro.network.messages import (
     ScHDisagreement,
     TiTableTransfer,
 )
+from repro.obs.spans import SpanCollector
 from repro.simkernel.simulator import Simulator
 
 
-def make_bs(**kwargs):
-    sim = Simulator(seed=1)
+def make_bs(spans=None, **kwargs):
+    sim = Simulator(seed=1, spans=spans)
     bs = BaseStation(
         node_id=999,
         position=Point(-10.0, -10.0),
@@ -95,6 +96,16 @@ class TestArbitration:
         assert resolution.ch_was_wrong
         assert resolution.final_verdict is False
         assert reelections == [(4, 100)]
+
+    def test_deposition_emits_a_span(self):
+        spans = SpanCollector()
+        _sim, bs = make_bs(spans=spans)
+        bs.bind_ch(100, cluster_id=4)
+        bs.on_message(announce(decision_id=7))
+        bs.on_message(dissent(101, decision_id=7))
+        bs.on_message(dissent(102, decision_id=7))
+        (depose,) = spans.spans("bs.depose")
+        assert depose.args == {"cluster": 4, "ch": 100, "decision_id": 7}
 
     def test_deposed_ch_loses_trust(self):
         _sim, bs = make_bs()

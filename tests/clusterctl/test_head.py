@@ -13,6 +13,7 @@ from repro.network.messages import (
 from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, RadioChannel
 from repro.network.topology import Deployment
+from repro.obs.spans import SpanCollector
 from repro.simkernel.simulator import Simulator
 
 
@@ -25,8 +26,9 @@ class Listener(NetworkNode):
         self.received.append(message)
 
 
-def make_ch(mode="binary", n=4, use_trust=True, **config_kwargs):
-    sim = Simulator(seed=1)
+def make_ch(mode="binary", n=4, use_trust=True, spans=None,
+            **config_kwargs):
+    sim = Simulator(seed=1, spans=spans)
     channel = RadioChannel(
         sim, ChannelConfig(loss_probability=0.0, propagation_delay=0.001)
     )
@@ -145,15 +147,18 @@ class TestLocationPipeline:
         assert occurred[0].location.distance_to(event) < 0.5
 
     def test_binary_report_in_location_mode_is_dropped(self):
-        sim, _channel, ch, _l = make_ch(mode="location", n=4)
+        spans = SpanCollector()
+        sim, _channel, ch, _l = make_ch(mode="location", n=4, spans=spans)
         ch.on_message(binary_report(0))
         sim.run()
         ch.flush()
         assert ch.decisions == []
-        assert sim.trace.count("ch.report.unplaceable") == 1
+        dropped = spans.spans("ch.report.unplaceable")
+        assert [span.args for span in dropped] == [{"sender": 0}]
 
     def test_unknown_sender_ignored(self):
-        sim, _channel, ch, _l = make_ch(mode="location", n=4)
+        spans = SpanCollector()
+        sim, _channel, ch, _l = make_ch(mode="location", n=4, spans=spans)
         ch.on_message(
             EventReportMessage(
                 sender=77, offset=PolarOffset(r=1.0, theta=0.0)
@@ -162,7 +167,8 @@ class TestLocationPipeline:
         sim.run()
         ch.flush()
         assert ch.decisions == []
-        assert sim.trace.count("ch.report.unknown-node") == 1
+        unknown = spans.spans("ch.report.unknown-node")
+        assert [span.args for span in unknown] == [{"sender": 77}]
 
 
 class TestAnnouncements:

@@ -10,6 +10,7 @@ from repro.network.messages import EventReportMessage, ScHDisagreement
 from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, RadioChannel
 from repro.network.topology import Deployment
+from repro.obs.spans import SpanCollector
 from repro.simkernel.simulator import Simulator
 
 
@@ -22,9 +23,9 @@ class Collector(NetworkNode):
         self.received.append(message)
 
 
-def build(corrupt_sch=False):
+def build(corrupt_sch=False, spans=None):
     """A 4-node binary cluster with one CH, one SCH and a BS collector."""
-    sim = Simulator(seed=1)
+    sim = Simulator(seed=1, spans=spans)
     channel = RadioChannel(
         sim, ChannelConfig(loss_probability=0.0, propagation_delay=0.001)
     )
@@ -115,3 +116,13 @@ class TestDisagreement:
         send_reports(channel, ch, (0, 1, 2))
         sim.run()
         assert sch.disagreements[0].decision_id == ch.decisions[0].decision_id
+
+    def test_dissent_emits_a_span(self):
+        spans = SpanCollector()
+        sim, channel, ch, _sch, _bs = build(corrupt_sch=True, spans=spans)
+        send_reports(channel, ch, (0, 1, 2))
+        sim.run()
+        (disagree,) = spans.spans("sch.disagree")
+        assert disagree.args == {
+            "sch": 101, "ch": 100, "decision_id": ch.decisions[0].decision_id,
+        }

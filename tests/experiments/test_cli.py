@@ -147,6 +147,9 @@ class TestTrace:
         counts = validate_artifacts(out_dir)
         assert counts["metrics.jsonl"] > 0
         assert counts["ti_series.jsonl"] > 0
+        # Spans are always collected, so every bundle can be explained.
+        assert counts["spans.jsonl"] > 0
+        assert counts["provenance.jsonl"] > 0
 
     def test_max_nodes_limits_trajectories(self, capsys):
         code, out = run_cli(

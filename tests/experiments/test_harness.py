@@ -126,6 +126,16 @@ class TestCompromiseSchedule:
         assert run.nodes[0].is_faulty
         assert run.metrics().truly_faulty_nodes == (0, 1)
 
+    def test_compromise_emits_a_span_per_node(self):
+        run = small_binary_run(faulty_ids=(), spans=True)
+        run.schedule_compromise(5, [0, 1])
+        run.run(10)
+        compromised = run.spans.spans("harness.compromise")
+        round_time = 6 * run.round_interval  # round 5 fires at (5+1)*interval
+        assert [(span.time, span.args) for span in compromised] == [
+            (round_time, {"node": 0}), (round_time, {"node": 1}),
+        ]
+
     def test_compromise_only_applies_at_round(self):
         run = small_binary_run(faulty_ids=())
         run.schedule_compromise(100, [0])  # beyond the run

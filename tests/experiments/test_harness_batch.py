@@ -62,7 +62,6 @@ def observables(run):
         run.channel.sent,
         run.channel.delivered,
         run.channel.dropped,
-        len(run.sim.trace),
     )
 
 

@@ -70,9 +70,9 @@ class TestArtifacts:
     def test_directory_validates(self, observed):
         _, out = observed
         counts = validate_artifacts(out)
+        # observe=True alone exports no event log: spans are opt-in.
         assert set(counts) == {
             "manifest.json", "metrics.jsonl", "ti_series.jsonl",
-            "trace.jsonl",
         }
 
     def test_manifest_counts_match_artifacts(self, observed):
@@ -142,14 +142,6 @@ class TestArtifacts:
             run.sim.events_fired
         )
 
-    def test_trace_jsonl_holds_decision_events(self, observed):
-        run, out = observed
-        categories = {
-            r["category"] for r in read_jsonl(out / "trace.jsonl")
-        }
-        assert "ch.decision" in categories
-        assert "ch.diagnosis" in categories
-
 
 class TestExportGuards:
     def test_export_requires_observe(self, tmp_path):
@@ -218,6 +210,17 @@ class TestSpanArtifacts:
         assert counts["spans.jsonl"] > 0
         assert counts["provenance.jsonl"] > 0
         assert counts["spans_chrome.json"] > 0
+
+    def test_spans_jsonl_holds_decision_events(self, span_run):
+        run, out = span_run
+        records = read_jsonl(out / "spans.jsonl")
+        decisions = [r for r in records if r["category"] == "ch.decision"]
+        diagnoses = [r for r in records if r["category"] == "ch.diagnosis"]
+        assert len(decisions) == len(run.ch.decisions)
+        assert diagnoses, "run must diagnose at least one node"
+        assert {r["args"]["node"] for r in diagnoses} == set(
+            run.ch.diagnoser.diagnosed
+        )
 
     def test_manifest_counts_spans(self, span_run):
         run, out = span_run

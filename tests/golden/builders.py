@@ -136,7 +136,6 @@ def build_exp2_provenance() -> Dict[str, object]:
         channel_loss=config.channel_loss,
         diagnosis_threshold=0.3,
         seed=seed,
-        tracing=False,
         spans=True,
     )
     run.run(config.events_per_run)

@@ -12,6 +12,7 @@ from repro.network.multihop import (
 )
 from repro.network.radio import ChannelConfig, RadioChannel
 from repro.network.topology import Deployment
+from repro.obs.spans import SpanCollector
 from repro.simkernel.simulator import Simulator
 
 
@@ -26,7 +27,7 @@ def line_deployment(n, spacing=10.0):
 def build_chain(n=5, loss=0.0, radio_range=12.0, byzantine=(), seed=1,
                 max_retries=3):
     """A chain network where each node reaches only its neighbours."""
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, spans=SpanCollector())
     channel = RadioChannel(
         sim,
         ChannelConfig(
@@ -110,8 +111,8 @@ class TestReliableDelivery:
         sim, _channel, relays, _delivered = build_chain(n=4)
         relays[0].originate(EventReportMessage(sender=0), destination=3)
         sim.run()
-        record = sim.trace.last("relay.delivered")
-        assert record.fields["hops"] == 3
+        (record,) = sim.spans.spans("relay.delivered")
+        assert record.args == {"node": 3, "origin": 0, "hops": 3}
 
     def test_survives_heavy_link_loss(self):
         """30% per-transmission loss: retransmission still delivers."""
@@ -143,6 +144,8 @@ class TestReliableDelivery:
         sim.run()
         assert delivered == []
         assert relays[0].dropped_after_retries == 1
+        (gave_up,) = sim.spans.spans("relay.gave-up")
+        assert (gave_up.args["node"], gave_up.args["next_hop"]) == (0, 1)
 
     def test_byzantine_relay_blackholes_but_is_traced(self):
         sim, _channel, relays, delivered = build_chain(
@@ -151,13 +154,15 @@ class TestReliableDelivery:
         relays[0].originate(EventReportMessage(sender=0), destination=3)
         sim.run()
         assert delivered == []
-        assert sim.trace.count("relay.byzantine-drop") == 1
+        (drop,) = sim.spans.spans("relay.byzantine-drop")
+        assert drop.args["node"] == 1
 
     def test_unroutable_traced(self):
         sim, _channel, relays, _delivered = build_chain(n=2)
         relays[0].originate(EventReportMessage(sender=0), destination=77)
         sim.run()
-        assert sim.trace.count("relay.unroutable") == 1
+        (unroutable,) = sim.spans.spans("relay.unroutable")
+        assert unroutable.args == {"node": 0, "destination": 77}
 
     def test_validation(self):
         routing = RoutingTable(line_deployment(2), radio_range=12.0)

@@ -6,6 +6,7 @@ from repro.network.geometry import Point
 from repro.network.messages import EventReportMessage, Message
 from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, RadioChannel
+from repro.obs.spans import SpanCollector
 from repro.simkernel.simulator import Simulator
 
 
@@ -20,8 +21,9 @@ class Recorder(NetworkNode):
         self.received.append(message)
 
 
-def make_net(loss=0.0, delay=0.001, range_limit=None, seed=1, n=3):
-    sim = Simulator(seed=seed)
+def make_net(loss=0.0, delay=0.001, range_limit=None, seed=1, n=3,
+             spans=None):
+    sim = Simulator(seed=seed, spans=spans)
     channel = RadioChannel(
         sim,
         ChannelConfig(
@@ -70,12 +72,19 @@ class TestDelivery:
         assert outcome.reason == "dead-receiver"
 
     def test_receiver_dying_in_flight_drops_message(self):
-        sim, channel, nodes = make_net(delay=1.0)
+        spans = SpanCollector()
+        sim, channel, nodes = make_net(delay=1.0, spans=spans)
         channel.unicast(nodes[0], 1, EventReportMessage(sender=0))
         sim.at(0.5, nodes[1].kill)
         sim.run()
         assert nodes[1].received == []
-        assert sim.trace.count("radio.drop") == 1
+        (transmit,) = spans.spans("radio.transmit")
+        (drop,) = spans.spans("radio.drop")
+        assert spans.spans("radio.deliver") == []
+        assert drop.time == 1.0
+        assert drop.parent_id == transmit.span_id
+        assert drop.args["reason"] == "died-in-flight"
+        assert (drop.args["sender"], drop.args["destination"]) == (0, 1)
 
 
 class TestLoss:

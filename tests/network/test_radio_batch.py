@@ -2,11 +2,12 @@
 
 ``RadioChannel.unicast`` is the semantics; ``unicast_batch`` /
 ``broadcast`` must replay it bit-identically -- same outcomes, same
-delivered payload order, same trace records, same drop reasons, same
-RNG stream consumption, same interceptor consultation.  Every test here
-builds two identically seeded networks, drives one through the batch
-path and the other through a hand-rolled per-message loop, and compares
-everything observable.
+delivered payload order, same per-reason drop counters, same RNG stream
+consumption, same interceptor consultation.  Every test here builds two
+identically seeded networks, drives one through the batch path and the
+other through a hand-rolled per-message loop, and compares everything
+observable.  Span collection is left off: it routes every batch through
+the per-message loop, which would make the comparison vacuous.
 """
 
 import pytest
@@ -35,6 +36,10 @@ class Recorder(NetworkNode):
 
 def make_net(loss=0.0, delay=0.01, jitter=0.0, range_limit=None, seed=1,
              n=10, metrics=None):
+    # A live registry by default: its per-reason drop counters are how
+    # the differential tests compare drop reasons.
+    if metrics is None:
+        metrics = MetricsRegistry(enabled=True)
     sim = Simulator(seed=seed, metrics=metrics)
     channel = RadioChannel(
         sim,
@@ -69,13 +74,6 @@ def oracle_broadcast(channel, sender, message):
     return started
 
 
-def trace_tuples(sim):
-    return [
-        (r.time, r.category, tuple(sorted(r.fields.items())))
-        for r in sim.trace
-    ]
-
-
 def received_log(nodes):
     """Per-node sender sequences (message objects differ across nets)."""
     return {n.node_id: [m.sender for m in n.received] for n in nodes}
@@ -90,7 +88,7 @@ def assert_equivalent(batch, oracle):
     b_sim, b_chan, b_nodes = batch
     o_sim, o_chan, o_nodes = oracle
     assert received_log(b_nodes) == received_log(o_nodes)
-    assert trace_tuples(b_sim) == trace_tuples(o_sim)
+    assert b_sim.metrics.snapshot() == o_sim.metrics.snapshot()
     assert channel_state(b_chan) == channel_state(o_chan)
     for name in ("channel", "chaos"):
         assert (
@@ -284,13 +282,13 @@ class TestMidFlightDeath:
             sim.at(0.5, nodes[0].kill)
             sim.run()
         assert batch[2][0].received == []
-        assert batch[0].trace.count("radio.drop") == 7
         assert_equivalent(batch, oracle)
 
     def test_fused_delivery_rechecks_liveness_per_message(self):
         # The first delivery of the fused batch kills a later receiver:
-        # that receiver's copy must then be counted died-in-flight, just
-        # as consecutive per-message events would.
+        # that receiver's copy must then be dropped, just as consecutive
+        # per-message events would drop it (the per-message path records
+        # it as a died-in-flight radio.drop span; see test_radio.py).
         sim, channel, nodes = make_net(delay=0.5, seed=10, n=6)
         sender = Recorder(100, Point(0.0, 5.0))
         channel.register(sender)
@@ -302,10 +300,7 @@ class TestMidFlightDeath:
         channel.broadcast(sender, EventReportMessage(sender=100))
         sim.run()
         assert nodes[5].received == []
-        assert sim.trace.count("radio.drop") == 1
-        drop = sim.trace.last("radio.drop")
-        assert drop.fields["reason"] == "died-in-flight"
-        assert drop.fields["destination"] == 5
+        assert [len(node.received) for node in nodes[:5]] == [1] * 5
 
 
 class TestJitterFallback:

@@ -10,7 +10,6 @@ from repro.obs.export import (
     build_manifest,
     chrome_trace,
     read_jsonl,
-    trace_records,
     validate_artifacts,
     validate_manifest,
     validate_metrics_record,
@@ -21,7 +20,6 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.simkernel.trace import TraceLog
 
 
 class TestManifest:
@@ -115,24 +113,6 @@ class TestTiRecords:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError):
             validate_ti_record({"type": "snapshot", "time": 0.0})
-
-
-class TestTraceExport:
-    def test_trace_records_serialise_buffered_entries(self):
-        log = TraceLog()
-        log.emit(1.0, "radio.drop", reason="loss", message="EventReport")
-        records = list(trace_records(log))
-        assert records == [
-            {"time": 1.0, "category": "radio.drop",
-             "fields": {"reason": "loss", "message": "EventReport"}}
-        ]
-
-    def test_non_json_field_values_fall_back_to_repr(self):
-        log = TraceLog()
-        log.emit(0.0, "x", payload=object())
-        record = list(trace_records(log))[0]
-        assert isinstance(record["fields"]["payload"], str)
-        json.dumps(record)  # must be serialisable
 
 
 def _span(i, parent, category, time=0.0, **args):

@@ -106,6 +106,4 @@ class TestDisabledPath:
         assert touched == []
 
     def test_null_current_reads_zero_for_unconditional_stamps(self):
-        # The calendar queue stamps event.ctx = spans.current without a
-        # guard; the disabled collector must always read 0 there.
         assert NULL_SPANS.current == 0

@@ -44,7 +44,6 @@ def make_run(plan, seed):
         faulty_ids=(0,),
         diagnosis_threshold=0.3,
         seed=seed,
-        tracing=False,
         chaos_plan=plan,
     )
 

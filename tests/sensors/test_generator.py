@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.network.geometry import Point, Region
+from repro.obs.spans import SpanCollector
 from repro.sensors.generator import EventGenerator
 from repro.simkernel.simulator import Simulator
 
@@ -104,9 +105,16 @@ class TestDrive:
             gen.drive(sim, interval=1.0, count=1, on_event=print,
                       batch_size=0)
 
-    def test_drive_emits_trace_records(self, unit_region):
-        sim = Simulator(seed=1)
+    def test_drive_emits_generated_spans(self, unit_region):
+        spans = SpanCollector()
+        sim = Simulator(seed=1, spans=spans)
         gen = EventGenerator(unit_region, sim.streams.get("events"))
-        gen.drive(sim, interval=5.0, count=2, on_event=lambda e: None)
+        seen = []
+        gen.drive(sim, interval=5.0, count=2, on_event=seen.append)
         sim.run()
-        assert sim.trace.count("events.generated") == 2
+        generated = spans.spans("events.generated")
+        assert [span.time for span in generated] == [5.0, 10.0]
+        assert [span.args for span in generated] == [
+            {"event_id": e.event_id, "x": e.location.x, "y": e.location.y}
+            for e in seen
+        ]

@@ -44,6 +44,12 @@ def call(base, method, path, body=None):
         return exc.code, json.loads(exc.read())
 
 
+def state_text(base, key):
+    status, state = call(base, "GET", f"/v1/sessions/{key}/state")
+    assert status == 200
+    return json.dumps(state, sort_keys=True)
+
+
 def ingest(base, key, reports, time=0.5):
     body = {
         "reports": [
@@ -188,6 +194,7 @@ class TestErrors:
                                        length):
         base, _ = server
         ingest(base, "t", [(0, 15.0, 15.0)])  # the session exists
+        before = state_text(base, "t")
         data = b"" if body is None else json.dumps(body).encode("utf-8")
         url = urllib.parse.urlsplit(base)
         conn = http.client.HTTPConnection(url.hostname, url.port, timeout=3)
@@ -207,6 +214,54 @@ class TestErrors:
         finally:
             conn.close()
         assert call(base, "GET", "/healthz")[0] == 200
+        assert state_text(base, "t") == before
+
+    @pytest.mark.parametrize("bad", [
+        {"node": "zz", "x": 1.0, "y": 1.0},
+        {"x": 1.0, "y": 1.0},
+        {"node": 10**6, "x": 1.0, "y": 1.0},
+        {"node": -1, "x": 1.0, "y": 1.0},
+        {"node": 2, "x": float("nan"), "y": 1.0},
+        {"node": 2, "x": 1.0, "y": "nan"},
+        {"node": 2, "x": 1.0, "y": 1.0, "time": float("inf")},
+    ], ids=[
+        "node-text", "no-node", "node-outside", "node-negative", "x-nan",
+        "y-nan-text", "time-inf",
+    ])
+    def test_rejected_batch_ingests_nothing(self, server, bad):
+        base, _ = server
+        ingest(base, "t", [(0, 15.0, 15.0)])
+        before = state_text(base, "t")
+        body = {"reports": [
+            {"node": 1, "x": 15.0, "y": 15.0, "time": 0.5},
+            {"node": 2, "x": 15.0, "y": 15.0, "time": 0.5},
+            bad,
+        ]}
+        status, doc = call(base, "POST", "/v1/sessions/t/reports", body)
+        assert status == 400
+        assert "error" in doc
+        assert state_text(base, "t") == before
+
+    @pytest.mark.parametrize("field, value", [
+        ("trust", [[0, -1.0]]),
+        ("decisions", [{"decision_id": 1}]),
+        ("next_decision_id", -5),
+        ("next_decision_id", float("inf")),
+    ], ids=["trust", "decisions", "next_decision_id", "infinite-id"])
+    def test_rejected_state_leaves_session_unchanged(self, server, field,
+                                                     value):
+        base, _ = server
+        ingest(base, "t", [(n, 15.0, 15.0) for n in range(5)])
+        call(base, "POST", "/v1/sessions/t/close", {"time": 1.0})
+        ingest(base, "t", [(0, 15.0, 15.0)], time=1.5)
+        before = state_text(base, "t")
+        doc = json.loads(before)
+        doc["members"] = [0, 1]
+        doc[field] = value
+        status, reply = call(base, "PUT", "/v1/sessions/t/state", doc)
+        assert status == 400
+        assert "error" in reply
+        assert state_text(base, "t") == before
 
     def test_unknown_route_is_404(self, server):
         base, _ = server

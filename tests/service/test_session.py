@@ -1,6 +1,7 @@
 """Unit tests for the standalone trust session and its id allocator."""
 
 import json
+import math
 
 import pytest
 
@@ -129,6 +130,40 @@ class TestLocationSession:
         assert one.tis() == dup.tis()
 
 
+def state_text(session):
+    return json.dumps(session.export_state(), sort_keys=True)
+
+
+class TestInputRule:
+    @pytest.mark.parametrize("mode", ["binary", "location"])
+    @pytest.mark.parametrize("node", [10**6, -1, 9])
+    def test_node_outside_deployment_is_rejected(self, mode, node):
+        session = make_session(mode=mode)  # nodes 0..8
+        session.ingest(0, x=15.0, y=15.0, time=0.5)
+        before = state_text(session)
+        with pytest.raises(ValueError, match="not in the deployment"):
+            session.ingest(node, x=15.0, y=15.0, time=0.5)
+        assert state_text(session) == before
+        session.close_window(now=1.0)
+        assert node not in session.tis()
+
+    @pytest.mark.parametrize("mode", ["binary", "location"])
+    @pytest.mark.parametrize("field", ["x", "y", "time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, mode, field, value):
+        session = make_session(mode=mode)
+        report = {"x": 15.0, "y": 15.0, "time": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            session.ingest(0, **report)
+        assert session.pending_reports() == 0
+
+    def test_check_report_normalises_without_ingesting(self):
+        session = make_session()
+        assert session.check_report(3, 1, 2, 0) == (3, 1.0, 2.0, 0.0)
+        assert session.check_report(3) == (3, None, None, 0.0)
+        assert session.pending_reports() == 0
+
+
 class TestStateRoundTrip:
     def test_json_round_trip_preserves_behaviour(self):
         session = make_session(mode="binary", diagnosis_threshold=0.3)
@@ -154,6 +189,30 @@ class TestStateRoundTrip:
             s.close_window(now=10.0)
         assert clone.decisions == session.decisions
         assert clone.tis() == session.tis()
+
+    @pytest.mark.parametrize("field, value", [
+        ("trust", [[0, -1.0]]),
+        ("decisions", [{"decision_id": 1}]),
+        ("next_decision_id", -5),
+        ("next_decision_id", math.inf),
+        ("pending", [[0, 1.0, 1.0, 0.5], [10**6, 1.0, 1.0, 0.5]]),
+    ], ids=["trust", "decisions", "next_decision_id", "infinite-id",
+            "pending"])
+    def test_rejected_import_leaves_session_unchanged(self, field, value):
+        session = make_session(diagnosis_threshold=0.3)
+        for node in range(5):
+            session.ingest(node, x=15.0, y=15.0, time=0.5)
+        session.close_window(now=1.0)
+        session.ingest(0, x=15.0, y=15.0, time=1.5)
+        before = state_text(session)
+        doc = session.export_state()
+        doc["members"] = [0, 1]
+        doc[field] = value
+        with pytest.raises(
+            (ValueError, KeyError, TypeError, OverflowError)
+        ):
+            session.import_state(doc)
+        assert state_text(session) == before
 
     def test_import_rejects_wrong_mode(self):
         binary = make_session(mode="binary")
