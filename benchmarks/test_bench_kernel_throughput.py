@@ -78,7 +78,7 @@ def test_cti_vote_throughput(benchmark):
 
 
 def test_cti_vote_throughput_n1000(benchmark):
-    """1000 votes over a 1000-node table: scaling of the vote gather."""
+    """1000 votes over a 1000-node table: scaling with partition size."""
 
     def run_votes():
         table = TrustTable(
@@ -348,9 +348,8 @@ def test_kernel_cancel_heavy(benchmark):
 # sensing disk (r_s = 20) must contain exactly the nodes reporting that
 # blob, so votes are unanimous (zero dissenters) and trust state reaches
 # a fixed point after the first window.  Without that, repeated timed
-# windows keep penalising the same dissenters, the trust table's
-# interned code chains grow without bound, and the bench measures
-# code-table churn instead of the decision pipeline.
+# windows keep penalising the same dissenters, their trust decays round
+# after round, and the timed windows stop doing identical work.
 _WINDOW_LAYOUTS = {
     # n: (grid nodes, field side, sites)
     8: (64, 100.0, (Point(35.0, 40.0),)),

@@ -5,9 +5,9 @@ invariants that should hold in *every* run, chaos-injected or not:
 
 * **TI range** -- every trust index lies in ``[0, 1]`` and every fault
   accumulator ``v`` is non-negative (``TI = exp(-lam * v)``, §3).
-* **Code-table consistency** -- the flat-array engine's interned code
-  tables agree with the per-node view, and ``below_threshold`` returns
-  exactly the strict-``<`` scan of the node TIs.
+* **Code-table consistency** -- every stored TI equals
+  ``exp(-lam * v)`` of its node's accumulator, and ``below_threshold``
+  returns exactly the strict-``<`` scan of the node TIs.
 * **Clock monotonicity** -- span timestamps never decrease and never
   exceed the simulator clock (the DES contract).  Checked on runs that
   collect spans; a run without them has no event log to check.
@@ -92,29 +92,21 @@ class InvariantChecker:
                 out.append(Violation(
                     "ti-range", f"node {node_id} has TI {ti!r} outside [0, 1]"
                 ))
-        code_v = getattr(table, "_code_v", None)
-        code_ti = getattr(table, "_code_ti", None)
-        if code_v is not None and code_ti is not None:
-            for code, v in enumerate(code_v):
-                if v < 0.0:
-                    out.append(Violation(
-                        "ti-range",
-                        f"code {code} has accumulator v={v!r} < 0",
-                    ))
-            for code, ti in enumerate(code_ti):
-                if not 0.0 <= ti <= 1.0:
-                    out.append(Violation(
-                        "ti-range",
-                        f"code {code} has interned TI {ti!r} outside [0, 1]",
-                    ))
-            params = table.params
-            for code, (v, ti) in enumerate(zip(code_v, code_ti)):
-                if 0.0 <= ti <= 1.0 and ti != params.ti_of(v):
-                    out.append(Violation(
-                        "code-table",
-                        f"code {code}: interned TI {ti!r} != "
-                        f"exp(-lam*{v!r}) = {params.ti_of(v)!r}",
-                    ))
+        vs = table.export_state()
+        params = table.params
+        for node_id, v in vs.items():
+            if v < 0.0:
+                out.append(Violation(
+                    "ti-range",
+                    f"node {node_id} has accumulator v={v!r} < 0",
+                ))
+            ti = tis[node_id]
+            if 0.0 <= ti <= 1.0 and ti != params.ti_of(v):
+                out.append(Violation(
+                    "code-table",
+                    f"node {node_id}: stored TI {ti!r} != "
+                    f"exp(-lam*{v!r}) = {params.ti_of(v)!r}",
+                ))
         for threshold in dict.fromkeys(
             (*self.thresholds, *extra_thresholds)
         ):

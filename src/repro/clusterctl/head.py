@@ -198,8 +198,7 @@ class ClusterHead(NetworkNode):
             # Rebind the collector down the decision stack (instance
             # attributes overriding the NULL_SPANS class defaults).  A
             # promoted standby CH re-runs attach and rebinds the same
-            # way; cloned shadow tables keep the class default and stay
-            # silent.
+            # way.
             self.trust.spans = spans
         if self.config.mode == "location":
             # The session built the buffer and kernel.  The tracker is

@@ -10,7 +10,7 @@ data, the SCHs also send the result of their own computations to the
 base station."
 
 A :class:`ShadowClusterHead` wraps its own full :class:`ClusterHead`
-decision pipeline (with an independent trust table clone) fed from a
+decision pipeline (with its own independent trust table) fed from a
 radio tap on the CH, and compares its verdicts against the CH's
 broadcast announcements.  A mismatch produces a
 :class:`~repro.network.messages.ScHDisagreement` to the base station,

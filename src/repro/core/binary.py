@@ -72,10 +72,9 @@ class CtiVoter:
     """
 
     #: Span collector (rebound by ``ClusterHead.attach``).  The voter is
-    #: the single funnel for every CTI vote -- scalar, memoised, and
-    #: reference table paths all pass through :meth:`decide` -- so the
-    #: ``trust.vote`` span lives here; the table-level transition spans
-    #: stay silent during the vote (``TrustTable._in_vote``).
+    #: the single funnel for every CTI vote, so the ``trust.vote`` span
+    #: and its reward / penalize children live here;
+    #: ``TrustTable.cti_vote`` emits no spans of its own.
     spans = NULL_SPANS
 
     def __init__(
@@ -105,12 +104,8 @@ class CtiVoter:
             Event neighbours that stayed silent.
         apply_updates:
             When False the vote is advisory -- trust is read but not
-            written.  Shadow cluster heads use their own cloned tables,
-            but read-only votes are also useful for what-if analysis.
-
-        The decision kernel feeds sorted tuples of plain Python ints
-        here, so the trust table's partition memo (keyed on the raw
-        tuples) hits on repeated partitions.
+            written.  Shadow cluster heads keep their own tables, but
+            read-only votes are also useful for what-if analysis.
 
         Raises
         ------

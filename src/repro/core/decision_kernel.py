@@ -31,8 +31,8 @@ bit-identical to it by construction, not by tolerance:
 * liar penalties apply in window order, cluster votes in cluster order,
   through the very same :class:`~repro.core.trust.TrustTable` calls;
 * supporter/dissenter tuples are plain Python ints (``.tolist()``), so
-  span records, partition-memo keys, and replay fingerprints hash and
-  compare identically to the oracle's tuples.
+  trust-table keys, span records, and replay fingerprints hash,
+  serialise and compare identically to the oracle's tuples.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from repro.network.geometry import (
     Region,
     distance,
     midpoint,
-    weighted_centroid,
 )
 from repro.network.messages import (
     ChAdvertisement,
@@ -69,5 +68,4 @@ __all__ = [
     "midpoint",
     "shared_grid_deployment",
     "uniform_random_deployment",
-    "weighted_centroid",
 ]

@@ -164,38 +164,6 @@ def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
 
 
-def centroid(points: Sequence[Point]) -> Point:
-    """Unweighted centre of gravity of a non-empty point sequence."""
-    if not points:
-        raise ValueError("centroid of an empty point sequence is undefined")
-    sx = sum(p.x for p in points)
-    sy = sum(p.y for p in points)
-    n = float(len(points))
-    return Point(sx / n, sy / n)
-
-
-def weighted_centroid(
-    points: Sequence[Point], weights: Sequence[float]
-) -> Point:
-    """Weighted centre of gravity.
-
-    Used by the clustering heuristic's merge step (§3.2 step 5), where
-    overlapping cluster centres are replaced by their weighted average.
-    """
-    if not points:
-        raise ValueError("centroid of an empty point sequence is undefined")
-    if len(points) != len(weights):
-        raise ValueError(
-            f"{len(points)} points but {len(weights)} weights"
-        )
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    sx = sum(p.x * w for p, w in zip(points, weights))
-    sy = sum(p.y * w for p, w in zip(points, weights))
-    return Point(sx / total, sy / total)
-
-
 def coords(points: Sequence[Point]) -> Tuple[List[float], List[float]]:
     """Split a point sequence into parallel ``(xs, ys)`` coordinate lists.
 
@@ -204,19 +172,6 @@ def coords(points: Sequence[Point]) -> Tuple[List[float], List[float]]:
     boundary conversion.
     """
     return [p.x for p in points], [p.y for p in points]
-
-
-def farthest_pair(points: Sequence[Point]) -> Tuple[int, int]:
-    """Indices of the two mutually farthest points (ties: lowest indices)."""
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    best = (-1.0, 0, 1)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = points[i].distance_to(points[j])
-            if d > best[0]:
-                best = (d, i, j)
-    return best[1], best[2]
 
 
 def points_within(

@@ -1,7 +1,7 @@
 """Observability for the TIBFIT reproduction.
 
-``repro.obs`` makes runs and sweeps *inspectable* without giving back
-the speed the flat-array engines bought:
+``repro.obs`` makes runs and sweeps *inspectable*; each instrument is
+opt-in and costs about one attribute check while disabled:
 
 ``repro.obs.registry``
     Named counters / gauges / histograms / timers with a zero-overhead

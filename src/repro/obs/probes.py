@@ -7,11 +7,10 @@ that: it snapshots a trust table's TI map at decision boundaries and
 exposes the result as per-node trajectory arrays, JSONL records, and
 threshold-crossing queries.
 
-Sampling is **batch-API compatible**: the probe reads the flat-array
-table's derived TI state (:meth:`TrustTable.tis`), which never forces a
-buffered-counter flush, and it samples once per CH decision rather than
-once per trust update -- so an instrumented run observes the same table
-the uninstrumented run produces, bit for bit.
+Sampling is read-only: the probe copies the table's TI map
+(:meth:`TrustTable.tis`) once per CH decision rather than once per
+trust update, so an instrumented run observes the same table the
+uninstrumented run produces, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,13 +30,11 @@ class TrustProbe:
     Parameters
     ----------
     table:
-        Any object with the trust-table query API (``tis()``; optionally
-        ``code_table_size()``), such as
+        Any object with the trust-table query API (``tis()``), such as
         :class:`~repro.core.trust.TrustTable`.
     registry:
-        Optional metrics registry; each sample updates the
-        ``trust.code_table_size`` gauge and the ``probe.samples``
-        counter when enabled.
+        Optional metrics registry; each sample increments the
+        ``probe.samples`` counter when enabled.
     diagnoser:
         Optional :class:`~repro.core.diagnosis.FaultDiagnoser`; its log
         is folded into :meth:`to_records` as ``diagnosis`` entries.
@@ -65,9 +62,6 @@ class TrustProbe:
         registry = self.registry
         if registry.enabled:
             registry.counter("probe.samples").inc()
-            size = getattr(self.table, "code_table_size", None)
-            if size is not None:
-                registry.gauge("trust.code_table_size").set(size())
 
     # ------------------------------------------------------------------
     # Queries

@@ -8,7 +8,7 @@ instruments*:
 
 * :class:`Counter` -- monotonically increasing event tallies
   (``radio.sent``, ``ch.decision.occurred``).
-* :class:`Gauge` -- last-value measurements (``trust.code_table_size``).
+* :class:`Gauge` -- last-value measurements (``des.events_fired``).
 * :class:`Histogram` -- distributions with exact count/sum/min/max and
   quantiles over a bounded sample reservoir (``trust.vote.margin``).
 * :class:`Timer` -- a histogram of elapsed seconds with a context

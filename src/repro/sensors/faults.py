@@ -379,7 +379,13 @@ class CollusionCoordinator:
     def _mean_estimated_ti(self) -> float:
         if not self._members:
             return 1.0
-        return sum(e.ti for e in self._members.values()) / len(self._members)
+        # Left to right in enrolment order: the mean is compared exactly
+        # against lower_ti / upper_ti, and ``sum()`` of floats rounds
+        # differently from CPython 3.12 on.
+        total = 0.0
+        for estimator in self._members.values():
+            total += estimator.ti
+        return total / len(self._members)
 
     def _update_phase(self) -> None:
         mean_ti = self._mean_estimated_ti()

@@ -46,6 +46,7 @@ from repro.service.session import (
 )
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "ServiceConfig",
     "default_session_factory",
     "make_server",
@@ -97,6 +98,12 @@ def default_session_factory(
         return TrustSession(deployment, session_config)
 
     return build
+
+
+#: Largest request body the service reads, in bytes (16 MiB).  A longer
+#: declared ``Content-Length`` gets a 413 before any of the body is
+#: read; ``docs/service.md`` explains the size.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class _ApiError(Exception):
@@ -169,6 +176,14 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
             # connection can be framed: answer, then hang up.
             self.close_connection = True
             raise _ApiError(400, f"invalid Content-Length: {raw_length!r}")
+        if length > MAX_BODY_BYTES:
+            # Refused unread, so the stream cannot be framed either.
+            self.close_connection = True
+            raise _ApiError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         if length == 0:
             return {}
         raw = self.rfile.read(length)

@@ -65,8 +65,7 @@ class TestHealthyRuns:
 
     def test_violations_are_counted_into_metrics(self):
         run = make_run(observe=True).run(5)
-        codes = run.ch.trust._code_ti
-        codes[0] = 1.5  # corrupt one interned TI
+        run.ch.trust.entry(0).ti = 1.5  # corrupt one stored TI
         InvariantChecker().check_run(run)
         assert run.registry.counter("chaos.violation.ti-range").value >= 1
 
@@ -76,21 +75,21 @@ class TestInjectedBugs:
 
     def test_catches_out_of_range_interned_ti(self):
         run = make_run().run(5)
-        run.ch.trust._code_ti[0] = 1.5
+        run.ch.trust.entry(0).ti = 1.5
         violations = InvariantChecker().check_run(run)
         assert any(v.invariant == "ti-range" for v in violations)
 
     def test_catches_negative_fault_accumulator(self):
         run = make_run().run(5)
-        run.ch.trust._code_v[0] = -0.25
+        run.ch.trust.entry(0).v = -0.25
         violations = InvariantChecker().check_run(run)
         assert any(v.invariant == "ti-range" for v in violations)
 
     def test_catches_code_table_desync(self):
-        # An interned TI that is in range but disagrees with exp(-lam*v)
-        # -- exactly the drift a bad cache-update would cause.
+        # A stored TI that is in range but disagrees with exp(-lam*v)
+        # -- exactly the drift an update that skips the refresh causes.
         run = make_run().run(5)
-        run.ch.trust._code_ti[0] = 0.1234
+        run.ch.trust.entry(0).ti = 0.1234
         violations = InvariantChecker().check_run(run)
         assert any(v.invariant == "code-table" for v in violations)
 
@@ -143,7 +142,7 @@ class TestInjectedBugs:
 
     def test_error_carries_structured_violations(self):
         run = make_run().run(5)
-        run.ch.trust._code_ti[0] = 2.0
+        run.ch.trust.entry(0).ti = 2.0
         with pytest.raises(InvariantViolationError) as excinfo:
             InvariantChecker().assert_run(run)
         assert excinfo.value.violations

@@ -14,7 +14,12 @@ import pytest
 from repro.network.geometry import Point
 
 from tests.core.test_clustering import cluster_points
-from tests.oracles.clustering import cluster_reports_reference
+from tests.oracles.clustering import (
+    centroid,
+    cluster_reports_reference,
+    farthest_pair,
+    weighted_centroid,
+)
 
 
 def assert_identical(fast, ref):
@@ -41,6 +46,43 @@ def random_window(rng, n, r_error):
     if n >= 6:
         pts[5] = Point(pts[4].x + r_error, pts[4].y)
     return pts
+
+
+class TestOracleHelpers:
+    def test_centroid_mean_of_points(self):
+        c = centroid([Point(0, 0), Point(2, 0), Point(1, 3)])
+        assert c.x == pytest.approx(1.0)
+        assert c.y == pytest.approx(1.0)
+
+    def test_centroid_empty_rejected(self):
+        with pytest.raises(ValueError):
+            centroid([])
+
+    def test_centroid_sums_left_to_right(self):
+        # 1e16 + 1.0 + 1.0 rounds back to 1e16 at each step; a
+        # compensated sum would keep the 2.0.
+        pts = [Point(1e16, 0.0), Point(1.0, 0.0), Point(1.0, 0.0)]
+        assert centroid(pts).x == 1e16 / 3.0
+
+    def test_weighted_centroid_respects_weights(self):
+        c = weighted_centroid([Point(0, 0), Point(10, 0)], [3.0, 1.0])
+        assert c.x == pytest.approx(2.5)
+
+    def test_weighted_centroid_validates_lengths(self):
+        with pytest.raises(ValueError):
+            weighted_centroid([Point(0, 0)], [1.0, 2.0])
+
+    def test_weighted_centroid_rejects_zero_weight_sum(self):
+        with pytest.raises(ValueError):
+            weighted_centroid([Point(0, 0)], [0.0])
+
+    def test_farthest_pair(self):
+        pts = [Point(0, 0), Point(1, 1), Point(10, 0), Point(2, 2)]
+        assert farthest_pair(pts) == (0, 2)
+
+    def test_farthest_pair_needs_two_points(self):
+        with pytest.raises(ValueError):
+            farthest_pair([Point(0, 0)])
 
 
 class TestDegenerateInputs:

@@ -29,7 +29,8 @@ class RecordingTrustTable(TrustTable):
     """Trust table that logs every batch update with its exact args.
 
     Also asserts every id handed in is a plain Python int -- np.int64
-    leaking through would corrupt partition-memo keys and fingerprints.
+    leaking through would end up as trust-table keys, in span records
+    and in fingerprints.
     """
 
     def __init__(self, *args, **kwargs):

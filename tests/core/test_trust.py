@@ -131,16 +131,17 @@ class TestSerialisation:
         for node_id in range(10):
             assert fresh.ti(node_id) == pytest.approx(trust_table.ti(node_id))
 
-    def test_clone_is_independent(self, trust_table):
-        trust_table.penalize(0)
-        clone = trust_table.clone()
-        clone.penalize(0)
-        assert clone.ti(0) < trust_table.ti(0)
+    def test_set_v_exports_negative_zero_as_positive_zero(self, trust_table):
+        trust_table.set_v(0, -0.0)
+        v = trust_table.export_state()[0]
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
+        assert trust_table.ti(0) == 1.0
 
-    def test_clone_preserves_counters(self, trust_table):
-        trust_table.penalize(5)
-        clone = trust_table.clone()
-        assert clone.entry(5).faulty_reports == 1
+    def test_set_v_exports_a_plain_float(self, trust_table):
+        trust_table.set_v(0, 2)
+        v = trust_table.export_state()[0]
+        assert type(v) is float and v == 2.0
+        assert trust_table.ti(0) == trust_table.params.ti_of(2.0)
 
     def test_iteration_is_sorted(self, trust_table):
         assert list(trust_table) == list(range(10))

@@ -1,13 +1,13 @@
-"""Randomized equivalence: flat-array trust engine vs. the dict oracle.
+"""Randomized equivalence: the trust table vs. the derive-on-read oracle.
 
-The interned-code engine (`TrustTable`) must be *bit-identical* to the
-dict-of-entries reference (`TrustTableReference`, kept in
-``tests/oracles/trust.py``) -- exactly
+`TrustTable`, which stores each node's TI when it updates ``v``, must be
+*bit-identical* to the reference (`TrustTableReference`, kept in
+``tests/oracles/trust.py``), which derives every TI on read -- exactly
 equal (``==``, never ``approx``) `ti`, `cti`, `tis`, `below_threshold`,
 `export_state`, and vote CTIs -- across random update interleavings,
 the `_V_EPSILON` reward snap, auto-registration on update (but never on
-read), never-seen nodes contributing TI = 1.0 to a CTI, forget / clone /
-import_state, and the partition-memo invalidation paths.
+read), never-seen nodes contributing TI = 1.0 to a CTI, forget,
+import_state, and state hand-off.
 """
 
 import math
@@ -27,6 +27,13 @@ def make_pair(node_ids=(), params=PARAMS):
     return TrustTable(params, node_ids), TrustTableReference(params, node_ids)
 
 
+def hand_off(table):
+    """A fresh table of the same kind, loaded from ``table``'s state."""
+    successor = type(table)(table.params)
+    successor.import_state(table.export_state())
+    return successor
+
+
 def assert_identical(engine, oracle, probe_ids=()):
     """Every observable agrees bit-for-bit between the two tables."""
     assert len(engine) == len(oracle)
@@ -42,7 +49,6 @@ def assert_identical(engine, oracle, probe_ids=()):
         )
     members = sorted(oracle)
     assert engine.cti(members) == oracle.cti(members)
-    assert engine.total_ti() == oracle.total_ti()
 
 
 class TestScalarOperations:
@@ -112,7 +118,7 @@ class TestScalarOperations:
 
 class TestVoteEquivalence:
     def test_vote_bits_match_on_repeated_partitions(self):
-        """The memoised fast path returns oracle-exact CTIs every round."""
+        """Re-voting one partition returns oracle-exact CTIs every round."""
         engine, oracle = make_pair(range(20))
         fast = CtiVoter(engine)
         slow = CtiVoter(oracle)
@@ -129,8 +135,8 @@ class TestVoteEquivalence:
         engine, oracle = make_pair(range(4))
         fast = CtiVoter(engine)
         slow = CtiVoter(oracle)
-        # 100..102 are unknown: first vote takes the generic path and
-        # registers them; the repeat takes the fast path.
+        # 100..102 are unknown: the first vote counts them at TI = 1.0
+        # and its updates register them.
         for _ in range(3):
             a = fast.decide([0, 1, 100], [2, 3, 101, 102])
             b = slow.decide([0, 1, 100], [2, 3, 101, 102])
@@ -170,7 +176,7 @@ class TestVoteEquivalence:
 
 class TestStructuralOperations:
     def test_forget_then_revote_invalidates_memo(self):
-        """Forgetting a participant must drop the memoised partition."""
+        """A forgotten participant votes as a never-seen node again."""
         engine, oracle = make_pair(range(6))
         fast = CtiVoter(engine)
         slow = CtiVoter(oracle)
@@ -181,8 +187,8 @@ class TestStructuralOperations:
         engine.forget(4)
         oracle.forget(4)
         assert_identical(engine, oracle, probe_ids=[4])
-        # 4 is now never-seen again: TI 1.0 through the generic path,
-        # then re-registered by the update.
+        # 4 is now never-seen again: TI 1.0, then re-registered by the
+        # update.
         for _ in range(3):
             assert fast.decide([0, 1, 2], [3, 4, 5]) == slow.decide(
                 [0, 1, 2], [3, 4, 5]
@@ -194,23 +200,6 @@ class TestStructuralOperations:
         engine.forget(99)
         oracle.forget(99)
         assert_identical(engine, oracle)
-
-    def test_clone_is_deep_and_identical(self):
-        engine, oracle = make_pair(range(5))
-        for table in (engine, oracle):
-            table.penalize(0)
-            table.penalize(0)
-            table.reward(1)
-        e_clone = engine.clone()
-        o_clone = oracle.clone()
-        assert_identical(e_clone, o_clone)
-        assert e_clone.entry(0).faulty_reports == 2
-        # Divergence after cloning stays local to each copy.
-        e_clone.penalize(3)
-        o_clone.penalize(3)
-        assert_identical(engine, oracle)
-        assert_identical(e_clone, o_clone)
-        assert engine.ti(3) != e_clone.ti(3)
 
     def test_export_import_round_trip(self):
         engine, oracle = make_pair(range(4))
@@ -273,15 +262,17 @@ class TestRandomizedInterleavings:
                 r, nr = pool[:cut], pool[cut:]
                 assert fast.decide(r, nr) == slow.decide(r, nr)
             else:
-                engine, oracle = engine.clone(), oracle.clone()
+                # Hand both tables off through export / import, as the
+                # base station and shadow CHs move trust state.
+                engine, oracle = hand_off(engine), hand_off(oracle)
                 fast = CtiVoter(engine)
                 slow = CtiVoter(oracle)
         assert_identical(engine, oracle, probe_ids=ids)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_repeated_partition_hammering(self, seed):
-        """Fixed partitions re-voted many times (the memo's best case)
-        interleaved with scalar writes that change codes under it."""
+        """Fixed partitions re-voted many times, interleaved with scalar
+        writes between the votes."""
         rng = random.Random(1000 + seed)
         engine, oracle = make_pair(range(15))
         fast = CtiVoter(engine)
@@ -301,14 +292,16 @@ class TestRandomizedInterleavings:
 
 class TestInternalsStayCoherent:
     def test_interned_ti_matches_math_exp(self):
-        """Cached per-code TIs are exactly math.exp(-lam * v)."""
+        """Every stored TI is exactly math.exp(-lam * v) of its entry."""
         engine, _ = make_pair(range(5))
         for _ in range(30):
             engine.penalize(0)
             engine.reward(1)
-        for v, ti in zip(engine._code_v, engine._code_ti):
-            assert ti == math.exp(-PARAMS.lam * v)
-            assert ti == PARAMS.ti_of(v)
+        engine.set_v(2, 3.7)
+        for node_id in engine:
+            entry = engine.entry(node_id)
+            assert entry.ti == math.exp(-PARAMS.lam * entry.v)
+            assert entry.ti == PARAMS.ti_of(entry.v)
 
     def test_epsilon_constant_unchanged(self):
         assert _V_EPSILON == 1e-9

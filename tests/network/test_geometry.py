@@ -8,13 +8,10 @@ from repro.network.geometry import (
     Point,
     PolarOffset,
     Region,
-    centroid,
     coords,
     distance,
-    farthest_pair,
     midpoint,
     points_within,
-    weighted_centroid,
 )
 
 
@@ -103,39 +100,10 @@ class TestAggregates:
     def test_midpoint(self):
         assert midpoint(Point(0, 0), Point(2, 4)) == Point(1, 2)
 
-    def test_centroid_mean_of_points(self):
-        c = centroid([Point(0, 0), Point(2, 0), Point(1, 3)])
-        assert c.x == pytest.approx(1.0)
-        assert c.y == pytest.approx(1.0)
-
-    def test_centroid_empty_rejected(self):
-        with pytest.raises(ValueError):
-            centroid([])
-
-    def test_weighted_centroid_respects_weights(self):
-        c = weighted_centroid([Point(0, 0), Point(10, 0)], [3.0, 1.0])
-        assert c.x == pytest.approx(2.5)
-
-    def test_weighted_centroid_validates_lengths(self):
-        with pytest.raises(ValueError):
-            weighted_centroid([Point(0, 0)], [1.0, 2.0])
-
-    def test_weighted_centroid_rejects_zero_weight_sum(self):
-        with pytest.raises(ValueError):
-            weighted_centroid([Point(0, 0)], [0.0])
-
     def test_coords_splits_points(self):
         xs, ys = coords([Point(1.0, 2.0), Point(3.0, 4.0)])
         assert xs == [1.0, 3.0]
         assert ys == [2.0, 4.0]
-
-    def test_farthest_pair(self):
-        pts = [Point(0, 0), Point(1, 1), Point(10, 0), Point(2, 2)]
-        assert farthest_pair(pts) == (0, 2)
-
-    def test_farthest_pair_needs_two_points(self):
-        with pytest.raises(ValueError):
-            farthest_pair([Point(0, 0)])
 
     def test_points_within_inclusive(self):
         pts = [Point(0, 0), Point(3, 4), Point(6, 8)]

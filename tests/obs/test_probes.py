@@ -59,9 +59,6 @@ class TestSampling:
         table.penalize(0)
         probe.sample(1.0)
         assert registry.counter("probe.samples").value == 1
-        assert registry.gauge("trust.code_table_size").value == float(
-            table.code_table_size()
-        )
 
     def test_final_tis_empty_before_first_sample(self):
         probe = TrustProbe(make_table())

@@ -78,7 +78,9 @@ class TestPhaseTimers:
         from repro.core.trust import TrustParameters, TrustTable
 
         table = TrustTable(TrustParameters(), range(4))
-        expected = table.clone().cti_vote([0, 1], [2, 3])
+        expected = TrustTable(TrustParameters(), range(4)).cti_vote(
+            [0, 1], [2, 3]
+        )
         install_phase_timers()
         try:
             reset_phases()

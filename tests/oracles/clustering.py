@@ -11,12 +11,64 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.core.clustering import _MAX_ROUNDS, ReportCluster
-from repro.network.geometry import (
-    Point,
-    centroid,
-    farthest_pair,
-    weighted_centroid,
-)
+from repro.network.geometry import Point
+
+
+def centroid(points: Sequence[Point]) -> Point:
+    """Unweighted centre of gravity of a non-empty point sequence.
+
+    Sums left to right from 0.0, as the kernel does; ``sum()`` of floats
+    rounds differently from CPython 3.12 on.
+    """
+    if not points:
+        raise ValueError("centroid of an empty point sequence is undefined")
+    sx = 0.0
+    sy = 0.0
+    for p in points:
+        sx += p.x
+        sy += p.y
+    n = float(len(points))
+    return Point(sx / n, sy / n)
+
+
+def weighted_centroid(
+    points: Sequence[Point], weights: Sequence[float]
+) -> Point:
+    """Weighted centre of gravity, summed left to right like :func:`centroid`.
+
+    Used by the merge step (§3.2 step 5), where overlapping cluster
+    centres are replaced by their weighted average.
+    """
+    if not points:
+        raise ValueError("centroid of an empty point sequence is undefined")
+    if len(points) != len(weights):
+        raise ValueError(
+            f"{len(points)} points but {len(weights)} weights"
+        )
+    total = 0.0
+    for w in weights:
+        total += w
+    if total <= 0:
+        raise ValueError("weights must sum to a positive value")
+    sx = 0.0
+    sy = 0.0
+    for p, w in zip(points, weights):
+        sx += p.x * w
+        sy += p.y * w
+    return Point(sx / total, sy / total)
+
+
+def farthest_pair(points: Sequence[Point]) -> Tuple[int, int]:
+    """Indices of the two mutually farthest points (ties: lowest indices)."""
+    if len(points) < 2:
+        raise ValueError("need at least two points")
+    best = (-1.0, 0, 1)
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = points[i].distance_to(points[j])
+            if d > best[0]:
+                best = (d, i, j)
+    return best[1], best[2]
 
 
 def cluster_reports_reference(

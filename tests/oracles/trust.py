@@ -1,10 +1,13 @@
-"""The dict-of-entries trust table: the oracle for :class:`TrustTable`.
+"""The derive-on-read trust table: the oracle for :class:`TrustTable`.
 
 :class:`TrustTableReference` is the original implementation of the §3
 trust model, kept semantically frozen so the randomized equivalence
 suites (``tests/core/test_trust_equivalence.py``,
-``tests/property/test_trust_equivalence.py``) can prove the flat-array
-:class:`~repro.core.trust.TrustTable` bit-identical to it.
+``tests/property/test_trust_equivalence.py``) can prove
+:class:`~repro.core.trust.TrustTable` bit-identical to it.  It stores
+only ``v`` per node and derives each TI with ``params.ti_of(v)`` on
+read, where the table stores the TI it computed at update time; and it
+votes by looping the scalar ``reward`` / ``penalize`` calls.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.core.trust import _V_EPSILON, TrustParameters
-from repro.obs.spans import NULL_SPANS
 
 
 @dataclass
@@ -32,22 +34,15 @@ class TrustEntry:
             raise ValueError(f"v must be non-negative, got {self.v}")
 
 
-
 class TrustTableReference:
-    """Dict-of-entries trust table: the retained reference oracle.
+    """Dict-of-entries trust table with derived TIs: the reference oracle.
 
-    This is the original implementation, kept semantically frozen so the
-    randomized equivalence suites can prove the flat-array engine
-    bit-identical.  It also implements the batch / vote API (naively, by
-    looping the scalar operations exactly as the pre-flat-array
-    ``CtiVoter.decide`` did) so either table can back a voter.
+    It also implements the vote / batch API (naively, by looping the
+    scalar operations exactly as the original ``CtiVoter.decide`` did)
+    so either table can back a voter.
     """
 
     _V_EPSILON = _V_EPSILON
-
-    #: Same span hooks as :class:`TrustTable` (see there).
-    spans = NULL_SPANS
-    _in_vote = False
 
     def __init__(
         self,
@@ -87,29 +82,16 @@ class TrustTableReference:
         return self.params.ti_of(found.v)
 
     def cti(self, node_ids: Iterable[int]) -> float:
-        """Cumulative trust index of a group (§3.1)."""
-        return sum(self.ti(node_id) for node_id in node_ids)
-
-    def total_ti(self) -> float:
-        """Sum of every registered node's TI, in ascending id order."""
-        return sum(self.ti(node_id) for node_id in sorted(self._entries))
-
-    def cti_complement(self, node_ids: Iterable[int]) -> float:
-        """CTI of every registered node not in ``node_ids``."""
-        inside = sum(
-            self.ti(node_id)
-            for node_id in set(node_ids)
-            if node_id in self._entries
-        )
-        return self.total_ti() - inside
+        """Cumulative trust index of a group (§3.1), summed left to right
+        from 0.0 (``sum()`` of floats is compensated from CPython 3.12)."""
+        total = 0.0
+        for node_id in node_ids:
+            total += self.ti(node_id)
+        return total
 
     def tis(self) -> Dict[int, float]:
         """Snapshot mapping of node id to current TI."""
         return {node_id: self.ti(node_id) for node_id in self._entries}
-
-    def code_table_size(self) -> int:
-        """Distinct accumulator values currently held (API parity)."""
-        return len({entry.v for entry in self._entries.values()})
 
     def below_threshold(self, ti_threshold: float) -> Tuple[int, ...]:
         """Node ids whose TI has fallen strictly below ``ti_threshold``."""
@@ -148,22 +130,10 @@ class TrustTableReference:
         occurred = tie_breaks_to_occurred if tie else cti_r > cti_nr
         winners, losers = (r, nr) if occurred else (nr, r)
         if apply_updates:
-            if self.spans.enabled:
-                # Vote-level spans come from the CtiVoter; suppress the
-                # per-node transition spans for the duration.
-                self._in_vote = True
-                try:
-                    for node_id in winners:
-                        self.reward(node_id)
-                    for node_id in losers:
-                        self.penalize(node_id)
-                finally:
-                    self._in_vote = False
-            else:
-                for node_id in winners:
-                    self.reward(node_id)
-                for node_id in losers:
-                    self.penalize(node_id)
+            for node_id in winners:
+                self.reward(node_id)
+            for node_id in losers:
+                self.penalize(node_id)
         return occurred, r, nr, cti_r, cti_nr, tie, winners, losers
 
     # ------------------------------------------------------------------
@@ -174,16 +144,7 @@ class TrustTableReference:
         entry = self.entry(node_id)
         entry.v += self.params.penalty_step
         entry.faulty_reports += 1
-        ti = self.params.ti_of(entry.v)
-        spans = self.spans
-        if spans.enabled and not self._in_vote:
-            spans.point(
-                "trust.penalize",
-                parent=spans.current,
-                nodes=[node_id],
-                ti=[ti],
-            )
-        return ti
+        return self.params.ti_of(entry.v)
 
     def reward(self, node_id: int) -> float:
         """Credit one correct report: ``v = max(0, v - f_r)``.  Returns TI."""
@@ -191,60 +152,15 @@ class TrustTableReference:
         v = entry.v - self.params.reward_step
         entry.v = 0.0 if v < self._V_EPSILON else v
         entry.correct_reports += 1
-        ti = self.params.ti_of(entry.v)
-        spans = self.spans
-        if spans.enabled and not self._in_vote:
-            spans.point(
-                "trust.reward",
-                parent=spans.current,
-                nodes=[node_id],
-                ti=[ti],
-            )
-        return ti
+        return self.params.ti_of(entry.v)
 
     def penalize_many(self, node_ids: Iterable[int]) -> None:
         """Batch penalty: one :meth:`penalize` per node, TI discarded."""
-        spans = self.spans
-        if spans.enabled and not self._in_vote:
-            # One batched span mirroring TrustTable.penalize_many; the
-            # scalar calls' own spans are suppressed for the duration.
-            node_ids = list(node_ids)
-            self._in_vote = True
-            try:
-                for node_id in node_ids:
-                    self.penalize(node_id)
-            finally:
-                self._in_vote = False
-            if node_ids:
-                spans.point(
-                    "trust.penalize",
-                    parent=spans.current,
-                    nodes=list(node_ids),
-                    ti=[self.ti(n) for n in node_ids],
-                )
-            return
         for node_id in node_ids:
             self.penalize(node_id)
 
     def reward_many(self, node_ids: Iterable[int]) -> None:
         """Batch reward: one :meth:`reward` per node, TI discarded."""
-        spans = self.spans
-        if spans.enabled and not self._in_vote:
-            node_ids = list(node_ids)
-            self._in_vote = True
-            try:
-                for node_id in node_ids:
-                    self.reward(node_id)
-            finally:
-                self._in_vote = False
-            if node_ids:
-                spans.point(
-                    "trust.reward",
-                    parent=spans.current,
-                    nodes=list(node_ids),
-                    ti=[self.ti(n) for n in node_ids],
-                )
-            return
         for node_id in node_ids:
             self.reward(node_id)
 
@@ -269,17 +185,6 @@ class TrustTableReference:
         """Merge a transferred ``{node_id: v}`` snapshot into this table."""
         for node_id, v in state.items():
             self.set_v(node_id, v)
-
-    def clone(self) -> "TrustTableReference":
-        """Deep copy -- shadow cluster heads mirror the CH this way."""
-        copy = TrustTableReference(self.params)
-        for node_id, entry in self._entries.items():
-            copy._entries[node_id] = TrustEntry(
-                v=entry.v,
-                correct_reports=entry.correct_reports,
-                faulty_reports=entry.faulty_reports,
-            )
-        return copy
 
     def __repr__(self) -> str:
         return (

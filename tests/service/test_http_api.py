@@ -9,7 +9,7 @@ import urllib.request
 
 import pytest
 
-from repro.service.http_api import ServiceConfig, serve
+from repro.service.http_api import MAX_BODY_BYTES, ServiceConfig, serve
 
 
 @pytest.fixture()
@@ -215,6 +215,47 @@ class TestErrors:
             conn.close()
         assert call(base, "GET", "/healthz")[0] == 200
         assert state_text(base, "t") == before
+
+    @pytest.mark.parametrize("method, path", [
+        ("POST", "/v1/sessions/t/reports"),
+        ("PUT", "/v1/sessions/t/state"),
+    ], ids=["reports", "state"])
+    @pytest.mark.parametrize("length", [10**12, 2**63],
+                             ids=["1e12", "2**63"])
+    def test_oversized_body_is_413(self, server, method, path, length):
+        base, _ = server
+        ingest(base, "t", [(0, 15.0, 15.0)])
+        before = state_text(base, "t")
+        url = urllib.parse.urlsplit(base)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=3)
+        try:
+            conn.putrequest(method, path)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(length))
+            conn.endheaders()  # the declared body never follows
+            response = conn.getresponse()
+            assert response.status == 413
+            assert "limit" in json.loads(response.read())["error"]
+            assert response.getheader("Connection") == "close"
+        finally:
+            conn.close()
+        assert call(base, "GET", "/healthz")[0] == 200
+        assert state_text(base, "t") == before
+
+    def test_body_at_the_limit_is_read(self, server):
+        base, _ = server
+        body = json.dumps({"time": 1.0}).encode("utf-8")
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        url = urllib.parse.urlsplit(base)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.request("POST", "/v1/sessions/t/close", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"decisions": []}
+        finally:
+            conn.close()
 
     @pytest.mark.parametrize("bad", [
         {"node": "zz", "x": 1.0, "y": 1.0},

@@ -190,6 +190,20 @@ class TestStateRoundTrip:
         assert clone.decisions == session.decisions
         assert clone.tis() == session.tis()
 
+    def test_trust_values_export_as_plain_positive_floats(self):
+        session = make_session(mode="binary")
+        doc = session.export_state()
+        doc["trust"] = [[0, -0.0], [1, 2], [2, 1.5]]
+        session.import_state(json.loads(json.dumps(doc)))
+        trust = session.export_state()["trust"]
+        assert trust[:3] == [[0, 0.0], [1, 2.0], [2, 1.5]]
+        for _, v in trust:
+            assert type(v) is float
+            assert math.copysign(1.0, v) == 1.0
+        assert '"trust": [[0, 0.0], [1, 2.0], [2, 1.5], [3, 0.0]' in (
+            state_text(session)
+        )
+
     @pytest.mark.parametrize("field, value", [
         ("trust", [[0, -1.0]]),
         ("decisions", [{"decision_id": 1}]),
