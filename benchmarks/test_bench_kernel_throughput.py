@@ -444,11 +444,10 @@ test_decision_window_n120 = _make_window_bench(120)
 
 
 def test_topology_small_n_scan(benchmark):
-    """400 neighbour + nearest queries below the grid-index threshold.
+    """400 neighbour + nearest queries over a small 36-node deployment.
 
-    A 36-node deployment never builds the grid index, so these queries
-    run the vectorised small-n fallback over the cached coords arrays
-    (previously a per-node Python loop).
+    The disk queries build the grid lazily with the query radius as
+    its cell size; ``nearest`` sorts every node by ``(distance, id)``.
     """
     deployment = grid_deployment(36, Region.square(60.0))
     queries = [

@@ -189,7 +189,11 @@ def predicted_run_accuracy(
         n_neighbors, n_faulty, ner, faulty_miss_rate, params, rounds,
         **kwargs,
     )
-    return sum(s.p_success for s in history) / len(history)
+    # Left to right from 0.0: sum()'s float association changed in 3.12.
+    total = 0.0
+    for step in history:
+        total += step.p_success
+    return total / len(history)
 
 
 def predict_decay_tolerance(

@@ -20,17 +20,13 @@ strength monotonically decays with distance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.network.geometry import Point
 from repro.network.topology import Deployment
-
-#: Node x candidate pair-count above which affiliation switches from
-#: the scalar per-node minimum to one vectorised distance matrix.
-_VECTOR_MIN_PAIRS = 256
 
 
 @dataclass(frozen=True)
@@ -269,47 +265,32 @@ class LeachElection:
     ) -> None:
         """Assign every alive non-CH node to its strongest-signal CH.
 
-        Above a small work threshold the node-to-candidate distance
-        matrix is computed on flat coordinate arrays in one shot;
-        ``np.argmin``'s first-occurrence tie-break lands on the lowest
-        candidate index, and ``candidates`` is in ascending-id order
-        (it is filled while iterating ``alive``, which is sorted), so
-        the result matches :meth:`_strongest_signal`'s ``(distance,
-        id)`` minimum exactly -- distances themselves are the same
-        correctly-rounded ``sqrt(dx*dx + dy*dy)`` both ways.
-        """
-        non_ch = [n for n in alive if n not in membership]
-        if len(non_ch) * len(candidates) < _VECTOR_MIN_PAIRS:
-            for node_id in non_ch:
-                home = self._strongest_signal(node_id, candidates)
-                membership[home].append(node_id)
-            return
-        positions = self.deployment.positions
-        nx = np.array([positions[n].x for n in non_ch], dtype=np.float64)
-        ny = np.array([positions[n].y for n in non_ch], dtype=np.float64)
-        cx = np.array([positions[c].x for c in candidates], dtype=np.float64)
-        cy = np.array([positions[c].y for c in candidates], dtype=np.float64)
-        dx = nx[:, None] - cx[None, :]
-        dy = ny[:, None] - cy[None, :]
-        homes = np.argmin(np.sqrt(dx * dx + dy * dy), axis=1)
-        for node_id, home_idx in zip(non_ch, homes.tolist()):
-            membership[candidates[home_idx]].append(node_id)
-
-    def _strongest_signal(self, node_id: int, candidates: List[int]) -> int:
-        """Affiliation choice: strongest received advertisement.
-
         Free-space signal strength decays monotonically with distance,
-        so "strongest signal" reduces to "nearest candidate" (ties to
-        the lower id for determinism).
+        so "strongest signal" reduces to "nearest candidate".
+        ``candidates`` is in ascending-id order (it is filled while
+        iterating ``alive``, which is sorted), and only a strictly
+        nearer candidate displaces the current choice, so a tie goes to
+        the lower id.
         """
-        position = self.deployment.position_of(node_id)
-        return min(
-            candidates,
-            key=lambda ch: (
-                position.distance_to(self.deployment.position_of(ch)),
-                ch,
-            ),
-        )
+        positions = self.deployment.positions
+        sqrt = math.sqrt
+        heads = [(ch, positions[ch].x, positions[ch].y) for ch in candidates]
+        for node_id in alive:
+            if node_id in membership:
+                continue
+            p = positions[node_id]
+            x = p.x
+            y = p.y
+            home = -1
+            best = math.inf
+            for ch, cx, cy in heads:
+                dx = x - cx
+                dy = y - cy
+                d = sqrt(dx * dx + dy * dy)
+                if d < best:
+                    best = d
+                    home = ch
+            membership[home].append(node_id)
 
     def served_counts(self) -> Dict[int, int]:
         """How many rounds ago each node last served (diagnostic)."""

@@ -6,10 +6,9 @@
   form; no per-report objects exist on the hot path.
 * :class:`DecisionKernel` -- the window pipeline over those rows:
   dedupe (earliest report per node wins), the §2.1 implausibility gate
-  against the deployment's cached coords snapshot
-  (:meth:`~repro.network.topology.Deployment.coords_arrays`), §3.2
-  clustering through :func:`~repro.core.clustering.cluster_reports_flat`,
-  and one supporter/dissenter CTI vote per cluster over the event
+  against the deployment's ``positions``, §3.2 clustering through
+  :func:`~repro.core.clustering.cluster_reports_flat`, and one
+  supporter/dissenter CTI vote per cluster over the event
   neighbours from
   :meth:`~repro.network.topology.Deployment.event_neighbors_list`.
 
@@ -38,7 +37,7 @@ bit-identical to it by construction, not by tolerance:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -157,23 +156,10 @@ class DecisionKernel:
         self.min_cluster_fraction = min_cluster_fraction
         self._limit = sensing_radius + r_error
         self._has_trust = hasattr(voter, "trust")
-        # id -> (x, y) dict for the gate, rebuilt whenever the
-        # deployment's coords snapshot changes identity.
-        self._pos: dict = {}
-        self._pos_key: Optional[np.ndarray] = None
         # Warm the spatial index with r_s as the grid cell size: every
         # per-cluster event-neighbour query is a disk of exactly this
         # radius, so a query touches at most a 3x3 block of cells.
         deployment.ensure_index(sensing_radius)
-
-    def _positions(self) -> dict:
-        sid, sxs, sys_ = self.deployment.coords_arrays()
-        if sid is not self._pos_key:
-            self._pos = dict(
-                zip(sid.tolist(), zip(sxs.tolist(), sys_.tolist()))
-            )
-            self._pos_key = sid
-        return self._pos
 
     def decide_rows(
         self,
@@ -199,7 +185,7 @@ class DecisionKernel:
         xs = buffer.xs[rows].tolist()
         ys = buffer.ys[rows].tolist()
         excluded = set(excluded_nodes)
-        positions = self._positions()
+        positions = self.deployment.positions
         limit = self._limit
 
         # Seeding the seen-set with the exclusions folds the excluded
@@ -221,8 +207,8 @@ class DecisionKernel:
                 continue  # unknown sender: dropped, no penalty
             x = xs[idx]
             y = ys[idx]
-            dx = pos[0] - x
-            dy = pos[1] - y
+            dx = pos.x - x
+            dy = pos.y - y
             if math.sqrt(dx * dx + dy * dy) <= limit:
                 f_ids.append(node_id)
                 f_xs.append(x)
@@ -275,7 +261,7 @@ class DecisionKernel:
         supporters = tuple(sorted([ids[i] for i in cluster.indices]))
         supporter_set = set(supporters)
         center = cluster.center
-        # Ascending node ids, through the memoised cell-range rows.
+        # Ascending node ids.
         neighbors = self.deployment.event_neighbors_list(
             center.x, center.y, self.sensing_radius
         )

@@ -76,15 +76,20 @@ class RunMetrics:
 
     @property
     def mean_localisation_error(self) -> Optional[float]:
-        """Mean error over detected, located events (None if none)."""
-        errors = [
-            o.localisation_error
-            for o in self.outcomes
-            if o.detected and o.localisation_error is not None
-        ]
-        if not errors:
+        """Mean error over detected, located events (None if none).
+
+        Sums left to right from 0.0, not with ``sum()`` (whose float
+        association changed in CPython 3.12).
+        """
+        total = 0.0
+        count = 0
+        for o in self.outcomes:
+            if o.detected and o.localisation_error is not None:
+                total += o.localisation_error
+                count += 1
+        if not count:
             return None
-        return sum(errors) / len(errors)
+        return total / count
 
     @property
     def diagnosis_recall(self) -> float:

@@ -29,12 +29,22 @@ class Series:
     points: List[SweepPoint] = field(default_factory=list)
 
     def add(self, x: float, samples: Sequence[float]) -> None:
-        """Append a point from raw per-trial samples."""
+        """Append a point from raw per-trial samples.
+
+        Both sums run left to right from 0.0 -- not ``sum()``, whose
+        float association changed in CPython 3.12.
+        """
         if not samples:
             raise ValueError("samples must be non-empty")
         n = len(samples)
-        mean = sum(samples) / n
-        var = sum((s - mean) ** 2 for s in samples) / n
+        total = 0.0
+        for s in samples:
+            total += s
+        mean = total / n
+        squares = 0.0
+        for s in samples:
+            squares += (s - mean) ** 2
+        var = squares / n
         self.points.append(
             SweepPoint(x=x, mean=mean, std=math.sqrt(var), trials=n)
         )

@@ -14,13 +14,7 @@ sits on top of:
   class.
 """
 
-from repro.network.geometry import (
-    Point,
-    PolarOffset,
-    Region,
-    distance,
-    midpoint,
-)
+from repro.network.geometry import Point, PolarOffset, Region
 from repro.network.messages import (
     ChAdvertisement,
     ChDecisionAnnouncement,
@@ -63,9 +57,7 @@ __all__ = [
     "RoutingTable",
     "ScHDisagreement",
     "TiTableTransfer",
-    "distance",
     "grid_deployment",
-    "midpoint",
     "shared_grid_deployment",
     "uniform_random_deployment",
 ]

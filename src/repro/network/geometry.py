@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,12 @@ class Point:
         """Euclidean distance to ``other``.
 
         Computed as ``sqrt(dx*dx + dy*dy)`` rather than ``math.hypot``:
-        every step is a single correctly-rounded IEEE-754 operation, so
-        the vectorised fast paths (``numpy`` broadcasting the identical
-        expression) produce bit-identical distances and therefore
+        every step is a single correctly-rounded IEEE-754 operation, and
+        the loops that inline the expression on plain floats (the
+        spatial grid's disk filter, the decision kernel's gate, LEACH
+        affiliation) therefore produce bit-identical distances and
         identical comparison outcomes.  ``math.hypot``'s extra-precise
-        algorithm differs from ``np.hypot`` in the last ulp on ~0.6% of
-        inputs, which would make scalar/vector equivalence impossible.
+        algorithm differs from it in the last ulp on some inputs.
         Coordinates are bounded by the deployment region, so the
         overflow resistance ``hypot`` buys is never needed here.
         """
@@ -152,30 +152,3 @@ class Region:
         if side <= 0:
             raise ValueError(f"side must be positive, got {side}")
         return cls(0.0, 0.0, side, side)
-
-
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return a.distance_to(b)
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    """Unweighted midpoint of two points."""
-    return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-
-
-def coords(points: Sequence[Point]) -> Tuple[List[float], List[float]]:
-    """Split a point sequence into parallel ``(xs, ys)`` coordinate lists.
-
-    The flat-array fast paths (clustering, neighbour queries) operate on
-    coordinate arrays instead of :class:`Point` objects; this is the
-    boundary conversion.
-    """
-    return [p.x for p in points], [p.y for p in points]
-
-
-def points_within(
-    origin: Point, radius: float, candidates: Iterable[Point]
-) -> List[Point]:
-    """All candidate points within ``radius`` of ``origin`` (inclusive)."""
-    return [p for p in candidates if origin.distance_to(p) <= radius]

@@ -57,12 +57,6 @@ class EventReportMessage(Message):
     offset: Optional[PolarOffset] = None
     claimed: bool = True
 
-    def resolve_location(self, node_position: Point) -> Optional[Point]:
-        """Absolute event location implied by this report, if it has one."""
-        if self.offset is None:
-            return None
-        return node_position.displace(self.offset)
-
 
 @dataclass(frozen=True)
 class ChAdvertisement(Message):

@@ -6,8 +6,9 @@ naturally dropped less than 1% of the time" (§4.2) -- which is exactly
 why Experiment 2 sets the fault-rate constant ``f_r = 0.1`` differently
 from the NER.  :class:`RadioChannel` models that directly: each
 transmission is delivered after a propagation delay unless an independent
-Bernoulli trial drops it.  Range limits and per-link loss overrides are
-supported for topology-sensitive scenarios.
+Bernoulli trial drops it.  A range limit is supported for
+topology-sensitive scenarios; per-link faults (drops, delays,
+duplicates) go through a transmit interceptor.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class ChannelConfig:
         The ns-2 stand-in default is 0.008 (sub-1%, per §4.2).
     propagation_delay:
         Fixed time between transmit and deliver.
-    jitter:
-        Half-width of a uniform random perturbation added to the delay
-        (delivery order between different senders can then interleave, as
-        on a real channel).  Zero disables jitter.
     range_limit:
         Maximum sender-receiver distance; transmissions beyond it are
         silently lost.  ``None`` disables the limit (single-cluster
@@ -72,7 +69,6 @@ class ChannelConfig:
 
     loss_probability: float = 0.008
     propagation_delay: float = 0.01
-    jitter: float = 0.0
     range_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -82,18 +78,6 @@ class ChannelConfig:
             )
         if self.propagation_delay < 0:
             raise ValueError("propagation_delay must be non-negative")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        if self.jitter > self.propagation_delay:
-            # A jitter draw near -jitter would put the delivery at a
-            # negative offset -- scheduled before its own send -- which
-            # the old max(0) clamp silently folded onto the send instant,
-            # biasing the delay distribution instead of failing loudly.
-            raise ValueError(
-                f"jitter ({self.jitter}) must not exceed propagation_delay "
-                f"({self.propagation_delay}); a perturbed delivery could "
-                "otherwise precede its own transmission"
-            )
         if self.range_limit is not None and self.range_limit <= 0:
             raise ValueError("range_limit must be positive when set")
 
@@ -156,7 +140,6 @@ class RadioChannel:
         self._nodes: Dict[int, NetworkNode] = {}
         # Broadcast order memo: (node_id, node) in ascending id order.
         self._sorted_pairs: Optional[List[Tuple[int, NetworkNode]]] = None
-        self._link_loss: Dict[Tuple[int, int], float] = {}
         self._taps: Dict[int, list] = {}
         self._interceptor: Optional[Interceptor] = None
         self._rng = sim.streams.get("channel")
@@ -195,27 +178,6 @@ class RadioChannel:
     def known_ids(self) -> Tuple[int, ...]:
         """All registered node ids, sorted."""
         return tuple(sorted(self._nodes))
-
-    def set_link_loss(self, sender: int, receiver: int, p: float) -> None:
-        """Override loss probability for one directed link.
-
-        Used by fault-injection tests and by Experiment 2's faulty nodes,
-        which "drop packets 25% of the time" (Table 2) -- modelled as
-        elevated loss on their outgoing links.
-        """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"loss probability must be in [0, 1], got {p}")
-        self._link_loss[(sender, receiver)] = p
-
-    def set_sender_loss(self, sender: int, p: float) -> None:
-        """Override loss probability for every link leaving ``sender``."""
-        for receiver in self._nodes:
-            if receiver != sender:
-                self.set_link_loss(sender, receiver, p)
-
-    def clear_link_loss(self, sender: int, receiver: int) -> None:
-        """Remove a per-link override, reverting to the channel default."""
-        self._link_loss.pop((sender, receiver), None)
 
     # ------------------------------------------------------------------
     # Transmit interception (chaos fault injection)
@@ -272,7 +234,7 @@ class RadioChannel:
             outcome = _DEAD_RECEIVER
         elif not self._in_range(sender, receiver):
             outcome = _OUT_OF_RANGE
-        elif self._rng.random() < self._loss_for(sender.node_id, destination):
+        elif self._rng.random() < self.config.loss_probability:
             outcome = _DROPPED
         else:
             interceptor = self._interceptor
@@ -298,7 +260,7 @@ class RadioChannel:
         spans = self._spans
         if outcome.delivered:
             self.delivered += 1
-            delay = self._delay()
+            delay = self.config.propagation_delay
             label = _deliver_label(type(message))
             if spans.enabled:
                 # The delivery events scheduled below inherit the
@@ -385,10 +347,8 @@ class RadioChannel:
         if (
             self._interceptor is None
             and not self._spans.enabled
-            and config.jitter == 0
             and config.loss_probability == 0.0
             and config.range_limit is None
-            and not self._link_loss
             and len(pairs) > _VECTOR_MIN
         ):
             # Lossless wide-open shape: every live receiver gets the
@@ -442,23 +402,14 @@ class RadioChannel:
         """Batched transmit core: the vectorised twin of :meth:`unicast`.
 
         The per-message path IS the semantics; this method must replay
-        it exactly (see ``tests/network/test_radio_batch.py``).  The
-        vector path applies only when ``jitter == 0``: with jitter on,
-        the oracle interleaves a loss draw and a jitter draw per message
-        on the ``"channel"`` stream, an order a single vector draw
-        cannot reproduce, so jittered channels take the per-message
-        loop (which, being the oracle, is bit-identical by definition).
+        it exactly (see ``tests/network/test_radio_batch.py``).
 
         ``common_destination`` marks the every-entry-targets-one-node
         shape (:meth:`unicast_batch`): the receiver's registration and
         liveness are then checked once for the whole batch -- valid
         because no event can run between the entries of one batch.
         """
-        if (
-            self.config.jitter > 0
-            or len(entries) < _VECTOR_MIN
-            or self._spans.enabled
-        ):
+        if len(entries) < _VECTOR_MIN or self._spans.enabled:
             # Span collection routes every batch through the oracle
             # loop: each message then carries its own radio.transmit
             # span as the causal context of its own delivery event.
@@ -470,13 +421,11 @@ class RadioChannel:
         n = len(entries)
         self.sent += n
         nodes = self._nodes
-        link_loss = self._link_loss
-        default_loss = self.config.loss_probability
+        loss = self.config.loss_probability
         range_limit = self.config.range_limit
         outcomes: List[Optional[DeliveryOutcome]] = [None] * n
         receivers: List[Optional[NetworkNode]] = [None] * n
         pend_idx: List[int] = []
-        pend_loss: List[float] = []
 
         if common_destination is not None:
             shared = nodes.get(common_destination)
@@ -484,30 +433,20 @@ class RadioChannel:
                 outcomes = [_UNKNOWN_DESTINATION] * n
             elif not shared.alive:
                 outcomes = [_DEAD_RECEIVER] * n
-            elif range_limit is None and not link_loss:
-                # The sweep shape: one live CH, unlimited range, uniform
-                # loss -- every entry pends with the default probability.
+            elif range_limit is None:
+                # The sweep shape: one live CH, unlimited range -- every
+                # entry pends.
                 receivers = [shared] * n
                 pend_idx = list(range(n))
-                pend_loss = [default_loss] * n
             else:
-                for i, (sender, destination, message) in enumerate(entries):
-                    if range_limit is not None and not self._in_range(
-                        sender, shared
-                    ):
+                for i, (sender, _destination, _message) in enumerate(entries):
+                    if not self._in_range(sender, shared):
                         outcomes[i] = _OUT_OF_RANGE
                         continue
                     receivers[i] = shared
                     pend_idx.append(i)
-                    pend_loss.append(
-                        link_loss.get(
-                            (sender.node_id, destination), default_loss
-                        )
-                        if link_loss
-                        else default_loss
-                    )
         else:
-            for i, (sender, destination, message) in enumerate(entries):
+            for i, (sender, destination, _message) in enumerate(entries):
                 receiver = nodes.get(destination)
                 if receiver is None:
                     outcomes[i] = _UNKNOWN_DESTINATION
@@ -520,13 +459,6 @@ class RadioChannel:
                 else:
                     receivers[i] = receiver
                     pend_idx.append(i)
-                    pend_loss.append(
-                        link_loss.get(
-                            (sender.node_id, destination), default_loss
-                        )
-                        if link_loss
-                        else default_loss
-                    )
 
         # One vectorised draw consumes the "channel" stream exactly as
         # len(pend_idx) sequential scalar draws would (PCG64 guarantees
@@ -536,11 +468,7 @@ class RadioChannel:
         verdicts: Dict[int, Intercept] = {}
         n_ok = 0
         if pend_idx:
-            if (
-                self._interceptor is None
-                and default_loss == 0.0
-                and not link_loss
-            ):
+            if self._interceptor is None and loss == 0.0:
                 # Lossless, un-intercepted shape: the draw must still
                 # happen (stream identity -- the oracle consumes one
                 # "channel" draw per pending entry) but no draw in
@@ -559,8 +487,8 @@ class RadioChannel:
             draws = self._rng.random(len(pend_idx)).tolist()
             interceptor = self._interceptor
             now = self._sim.now
-            for k, i in enumerate(pend_idx):
-                if draws[k] < pend_loss[k]:
+            for draw, i in zip(draws, pend_idx):
+                if draw < loss:
                     outcomes[i] = _DROPPED
                     continue
                 if interceptor is not None:
@@ -770,11 +698,6 @@ class RadioChannel:
                 if tap.alive and tap.node_id != message.sender:
                     tap.on_message(message)
 
-    def _loss_for(self, sender: int, receiver: int) -> float:
-        return self._link_loss.get(
-            (sender, receiver), self.config.loss_probability
-        )
-
     def _in_range(self, sender: NetworkNode, receiver: NetworkNode) -> bool:
         if self.config.range_limit is None:
             return True
@@ -782,12 +705,6 @@ class RadioChannel:
             sender.position.distance_to(receiver.position)
             <= self.config.range_limit
         )
-
-    def _delay(self) -> float:
-        delay = self.config.propagation_delay
-        if self.config.jitter > 0:
-            delay += self._rng.uniform(-self.config.jitter, self.config.jitter)
-        return max(delay, 0.0)
 
     def __repr__(self) -> str:
         return (

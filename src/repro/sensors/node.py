@@ -160,15 +160,6 @@ class SensorNode(NetworkNode):
             elif node_id in non_reporters:
                 self.behavior.observe_outcome(rewarded=not message.occurred)
 
-    def _observe_decision(self, message: ChDecisionAnnouncement) -> None:
-        """Compatibility shim for tests; :meth:`on_message` inlines this."""
-        if not self.feedback_enabled:
-            return
-        if self.node_id in message.reporters:
-            self.behavior.observe_outcome(rewarded=message.occurred)
-        elif self.node_id in message.non_reporters:
-            self.behavior.observe_outcome(rewarded=not message.occurred)
-
     def _compose(
         self, claimed_location: Point, event_id: Optional[int]
     ) -> EventReportMessage:

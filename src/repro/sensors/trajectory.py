@@ -146,7 +146,9 @@ class TargetTracker:
         period window lies within ``r_error`` of the true position.
         """
         located = 0
-        errors: List[float] = []
+        # Summed left to right from 0.0, not with sum() (whose float
+        # association changed in CPython 3.12).
+        total_error = 0.0
         for event in self.emitted:
             best = None
             for d in decisions:
@@ -159,6 +161,5 @@ class TargetTracker:
                     best = err
             if best is not None:
                 located += 1
-                errors.append(best)
-        mean_error = sum(errors) / len(errors) if errors else None
-        return located, mean_error
+                total_error += best
+        return located, (total_error / located if located else None)

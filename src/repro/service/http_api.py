@@ -125,13 +125,17 @@ def _parse(kind: Callable[[object], object], value: object, what: str):
 
 
 def _parse_report(report: object) -> Tuple[object, ...]:
-    """One JSON report as ``TrustSession.ingest`` arguments, or a 400."""
+    """One JSON report as ``TrustSession.ingest`` arguments, or a 400.
+
+    The node id passes through as sent: the session's input rule
+    (``check_report``) decides whether it is an integer id.
+    """
     if not isinstance(report, dict) or "node" not in report:
         raise _ApiError(400, 'each report needs at least a "node" field')
     x = report.get("x")
     y = report.get("y")
     return (
-        _parse(int, report["node"], "node"),
+        report["node"],
         None if x is None else _parse(float, x, "x"),
         None if y is None else _parse(float, y, "y"),
         _parse(float, report.get("time", 0.0), "time"),
@@ -165,7 +169,10 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> Dict[str, object]:
+    def _read_body(self) -> bytes:
+        """The whole declared body, read even on routes that ignore it:
+        bytes left unread would be parsed as the connection's next
+        request."""
         raw_length = self.headers.get("Content-Length") or "0"
         try:
             length = int(raw_length)
@@ -184,12 +191,17 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit",
             )
-        if length == 0:
+        return self.rfile.read(length) if length else b""
+
+    def _read_json(self) -> Dict[str, object]:
+        if not self._body:
             return {}
-        raw = self.rfile.read(length)
         try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(self._body)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON, bytes that are not
+            # UTF-8, and integers over the int-string digit limit;
+            # RecursionError covers nesting deeper than the parser.
             raise _ApiError(400, f"invalid JSON body: {exc}") from exc
         if not isinstance(doc, dict):
             raise _ApiError(400, "request body must be a JSON object")
@@ -200,6 +212,7 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
         parts = [p for p in parsed.path.split("/") if p]
         query = parse_qs(parsed.query)
         try:
+            self._body = self._read_body()
             self._route(method, parts, query)
         except _ApiError as exc:
             self._send_json(exc.status, {"error": str(exc)})

@@ -34,6 +34,7 @@ process-global resets.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -301,6 +302,19 @@ class TrustSession:
         """Restrict the cluster membership (multi-cluster deployments)."""
         self.members = tuple(sorted(members))
 
+    def _node_id(self, value: object) -> int:
+        """``value`` as a deployed node id, else :class:`ValueError`.
+
+        Node ids must already be integers (``bool`` is not one): a
+        ``1.7`` or ``true`` is refused, not truncated to node 1.
+        """
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"node id must be an integer, got {value!r}")
+        node_id = int(value)
+        if node_id not in self.deployment:
+            raise ValueError(f"node {node_id} is not in the deployment")
+        return node_id
+
     def check_report(
         self,
         node_id: int,
@@ -311,14 +325,13 @@ class TrustSession:
         """The session's input rule for one report.
 
         Returns the report as ``(node_id, x, y, time)`` with ints and
-        floats; raises :class:`ValueError` when the node is not in the
-        deployment or ``time`` (or a given ``x`` / ``y``) is not a
-        finite number.  :meth:`ingest` applies it to every report, and
-        a batch front end can apply it to a whole batch first.
+        floats; raises :class:`ValueError` when the node id is not an
+        integer naming a deployed node, or ``time`` (or a given ``x`` /
+        ``y``) is not a finite number.  :meth:`ingest` applies it to
+        every report, and a batch front end can apply it to a whole
+        batch first.
         """
-        node_id = int(node_id)
-        if node_id not in self.deployment:
-            raise ValueError(f"node {node_id} is not in the deployment")
+        node_id = self._node_id(node_id)
         x = None if x is None else float(x)
         y = None if y is None else float(y)
         time = float(time)
@@ -533,7 +546,9 @@ class TrustSession:
         window.  The whole document is parsed before anything is
         assigned, so a rejected one (``ValueError``, ``KeyError``,
         ``TypeError`` or ``OverflowError``) leaves the session as it
-        was.  Pending reports must pass :meth:`check_report`.
+        was.  Pending reports must pass :meth:`check_report`, and every
+        node id in ``members``, ``trust`` and ``diagnosed`` must be an
+        integer naming a deployed node.
         """
         if state.get("schema") != 1:
             raise ValueError(
@@ -544,21 +559,25 @@ class TrustSession:
                 f"state mode {state.get('mode')!r} does not match session "
                 f"mode {self.config.mode!r}"
             )
-        members = tuple(int(m) for m in state["members"])  # type: ignore[union-attr]
-        trust = {int(n): float(v) for n, v in state["trust"]}  # type: ignore[union-attr]
+        members = tuple(self._node_id(m) for m in state["members"])  # type: ignore[union-attr]
+        trust = {self._node_id(n): float(v) for n, v in state["trust"]}  # type: ignore[union-attr]
         for node_id, v in trust.items():
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(
                     f"trust v of node {node_id} must be finite and "
                     f"non-negative, got {v!r}"
                 )
-        diagnosed = [int(n) for n in state["diagnosed"]]  # type: ignore[union-attr]
+        diagnosed = [self._node_id(n) for n in state["diagnosed"]]  # type: ignore[union-attr]
         next_decision_id = int(state["next_decision_id"])  # type: ignore[arg-type]
         if next_decision_id < 0:
             raise ValueError(
                 f"next_decision_id must be non-negative, got {next_decision_id}"
             )
         windows_closed = int(state["windows_closed"])  # type: ignore[arg-type]
+        if windows_closed < 0:
+            raise ValueError(
+                f"windows_closed must be non-negative, got {windows_closed}"
+            )
         decisions = [
             _decision_from_dict(d)
             for d in state["decisions"]  # type: ignore[union-attr]
@@ -619,15 +638,17 @@ def _decision_to_dict(record: DecisionRecord) -> Dict[str, object]:
 
 def _decision_from_dict(doc: Dict[str, object]) -> DecisionRecord:
     location = doc["location"]
+    if location is not None:
+        if not (isinstance(location, list) and len(location) == 2):
+            raise ValueError(
+                f"decision location must be null or [x, y], got {location!r}"
+            )
+        location = Point(float(location[0]), float(location[1]))
     return DecisionRecord(
         decision_id=int(doc["decision_id"]),  # type: ignore[arg-type]
         time=float(doc["time"]),  # type: ignore[arg-type]
         occurred=bool(doc["occurred"]),
-        location=(
-            None
-            if location is None
-            else Point(float(location[0]), float(location[1]))  # type: ignore[index]
-        ),
+        location=location,  # type: ignore[arg-type]
         supporters=tuple(int(n) for n in doc["supporters"]),  # type: ignore[union-attr]
         dissenters=tuple(int(n) for n in doc["dissenters"]),  # type: ignore[union-attr]
     )

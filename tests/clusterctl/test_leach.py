@@ -9,8 +9,8 @@ from repro.clusterctl.leach import (
     LeachElection,
     RoundResult,
 )
-from repro.network.geometry import Region
-from repro.network.topology import grid_deployment
+from repro.network.geometry import Point, Region
+from repro.network.topology import Deployment, grid_deployment
 
 
 def make_election(n=25, ti_lookup=None, seed=1, config=None, energy=None):
@@ -86,6 +86,33 @@ class TestElectionRounds:
                             deployment.position_of(other)
                         )
                         assert d_own <= d_other + 1e-9
+
+    @pytest.mark.parametrize("head_xs", [(10.0, 90.0), (90.0, 10.0)])
+    def test_equidistant_member_joins_lower_id(self, head_xs):
+        """Nodes 0 and 2 stand (scripted coin flips); node 1 sits
+        exactly halfway between them and must join node 0, whichever
+        side node 0 is on."""
+
+        class ScriptedCoins:
+            def __init__(self, draws):
+                self._draws = iter(draws)
+
+            def random(self):
+                return next(self._draws)
+
+        deployment = Deployment(region=Region.square(100.0))
+        deployment.add(0, Point(head_xs[0], 50.0))
+        deployment.add(1, Point(50.0, 50.0))
+        deployment.add(2, Point(head_xs[1], 50.0))
+        election = LeachElection(
+            deployment=deployment,
+            config=LeachConfig(ch_fraction=0.2, ti_threshold=0.8),
+            energy=EnergyModel(deployment.node_ids()),
+            rng=ScriptedCoins([0.0, 0.99, 0.0]),
+        )
+        result = election.run_round()
+        assert result.cluster_heads == (0, 2)
+        assert result.membership == {0: [1], 2: []}
 
     def test_recent_ch_sits_out_the_epoch(self):
         election = make_election()

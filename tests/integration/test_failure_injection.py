@@ -1,17 +1,12 @@
 """Failure-injection integration tests.
 
 These stress the stack in ways the headline experiments do not: dead
-data sinks, mid-run node deaths, extreme channel conditions, and
-jittered delivery order.
+data sinks, mid-run node deaths, and extreme channel conditions.
 """
 
 import pytest
 
 from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
-from repro.network.geometry import Point
-from repro.network.messages import EventReportMessage
-from repro.network.radio import ChannelConfig, RadioChannel
-from repro.simkernel.simulator import Simulator
 
 
 def small_run(**kwargs):
@@ -122,48 +117,6 @@ class TestExtremeChannel:
         run = small_run(channel_loss=0.2, fault_rate=0.25)
         run.run(20)
         assert run.metrics().accuracy >= 0.7
-
-    def test_jittered_delivery_order_is_deterministic(self):
-        """Jitter shuffles delivery order but the seed fixes it."""
-
-        def run_once():
-            sim = Simulator(seed=11)
-            channel = RadioChannel(
-                sim,
-                ChannelConfig(
-                    loss_probability=0.0,
-                    propagation_delay=0.01,
-                    jitter=0.005,
-                ),
-            )
-
-            from repro.network.node import NetworkNode
-
-            class Sink(NetworkNode):
-                def __init__(self):
-                    super().__init__(0, Point(0.0, 0.0))
-                    self.order = []
-
-                def on_message(self, message):
-                    self.order.append(message.sender)
-
-            sink = Sink()
-            channel.register(sink)
-            senders = []
-            for i in range(1, 6):
-                node = NetworkNode(i, Point(float(i), 0.0))
-                channel.register(node)
-                senders.append(node)
-            for node in senders:
-                channel.unicast(
-                    node, 0, EventReportMessage(sender=node.node_id)
-                )
-            sim.run()
-            return sink.order
-
-        first = run_once()
-        assert run_once() == first
-        assert sorted(first) == [1, 2, 3, 4, 5]
 
 
 class TestIsolationSideEffects:

@@ -4,15 +4,7 @@ import math
 
 import pytest
 
-from repro.network.geometry import (
-    Point,
-    PolarOffset,
-    Region,
-    coords,
-    distance,
-    midpoint,
-    points_within,
-)
+from repro.network.geometry import Point, PolarOffset, Region
 
 
 class TestPoint:
@@ -95,21 +87,3 @@ class TestRegion:
         with pytest.raises(ValueError):
             Region.square(0.0)
 
-
-class TestAggregates:
-    def test_midpoint(self):
-        assert midpoint(Point(0, 0), Point(2, 4)) == Point(1, 2)
-
-    def test_coords_splits_points(self):
-        xs, ys = coords([Point(1.0, 2.0), Point(3.0, 4.0)])
-        assert xs == [1.0, 3.0]
-        assert ys == [2.0, 4.0]
-
-    def test_points_within_inclusive(self):
-        pts = [Point(0, 0), Point(3, 4), Point(6, 8)]
-        inside = points_within(Point(0, 0), 5.0, pts)
-        assert inside == [Point(0, 0), Point(3, 4)]
-
-    def test_distance_helper_matches_method(self):
-        a, b = Point(1, 2), Point(4, 6)
-        assert distance(a, b) == a.distance_to(b)

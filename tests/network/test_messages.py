@@ -1,10 +1,7 @@
 """Unit tests for typed message payloads."""
 
-import math
-
 import pytest
 
-from repro.network.geometry import Point, PolarOffset
 from repro.network.messages import (
     ChAdvertisement,
     ChDecisionAnnouncement,
@@ -15,26 +12,6 @@ from repro.network.messages import (
 
 
 class TestEventReport:
-    def test_resolve_location_displaces_from_node(self):
-        report = EventReportMessage(
-            sender=1, offset=PolarOffset(r=5.0, theta=0.0)
-        )
-        loc = report.resolve_location(Point(10.0, 10.0))
-        assert loc.x == pytest.approx(15.0)
-        assert loc.y == pytest.approx(10.0)
-
-    def test_resolve_location_none_for_binary_report(self):
-        report = EventReportMessage(sender=1, offset=None)
-        assert report.resolve_location(Point(0.0, 0.0)) is None
-
-    def test_resolve_location_with_bearing(self):
-        report = EventReportMessage(
-            sender=1, offset=PolarOffset(r=2.0, theta=math.pi / 2)
-        )
-        loc = report.resolve_location(Point(0.0, 0.0))
-        assert loc.x == pytest.approx(0.0, abs=1e-12)
-        assert loc.y == pytest.approx(2.0)
-
     def test_reports_are_frozen(self):
         report = EventReportMessage(sender=1)
         with pytest.raises(Exception):

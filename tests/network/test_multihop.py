@@ -10,7 +10,7 @@ from repro.network.multihop import (
     ReliableRelay,
     RoutingTable,
 )
-from repro.network.radio import ChannelConfig, RadioChannel
+from repro.network.radio import ChannelConfig, Intercept, RadioChannel
 from repro.network.topology import Deployment
 from repro.obs.spans import SpanCollector
 from repro.simkernel.simulator import Simulator
@@ -139,7 +139,11 @@ class TestReliableDelivery:
 
     def test_gives_up_after_max_retries_when_link_dead(self):
         sim, channel, relays, delivered = build_chain(n=3, max_retries=2)
-        channel.set_link_loss(0, 1, 1.0)
+        channel.set_interceptor(
+            lambda sender, receiver, _now: (
+                Intercept(True) if (sender, receiver) == (0, 1) else None
+            )
+        )
         relays[0].originate(EventReportMessage(sender=0), destination=2)
         sim.run()
         assert delivered == []

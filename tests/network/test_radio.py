@@ -110,34 +110,9 @@ class TestLoss:
         sim.run()
         assert 1400 <= len(nodes[1].received) <= 1600  # ~1500
 
-    def test_per_link_override(self):
-        sim, channel, nodes = make_net(loss=0.0)
-        channel.set_link_loss(0, 1, 1.0)
-        channel.unicast(nodes[0], 1, EventReportMessage(sender=0))
-        channel.unicast(nodes[0], 2, EventReportMessage(sender=0))
-        sim.run()
-        assert nodes[1].received == []
-        assert len(nodes[2].received) == 1
-
-    def test_sender_loss_covers_all_links(self):
-        sim, channel, nodes = make_net(loss=0.0)
-        channel.set_sender_loss(0, 1.0)
-        channel.broadcast(nodes[0], EventReportMessage(sender=0))
-        sim.run()
-        assert nodes[1].received == [] and nodes[2].received == []
-
-    def test_clear_link_loss_restores_default(self):
-        sim, channel, nodes = make_net(loss=0.0)
-        channel.set_link_loss(0, 1, 1.0)
-        channel.clear_link_loss(0, 1)
-        channel.unicast(nodes[0], 1, EventReportMessage(sender=0))
-        sim.run()
-        assert len(nodes[1].received) == 1
-
     def test_invalid_loss_probability_rejected(self):
-        _sim, channel, _nodes = make_net()
-        with pytest.raises(ValueError):
-            channel.set_link_loss(0, 1, 1.5)
+        with pytest.raises(ValueError, match="loss_probability"):
+            ChannelConfig(loss_probability=1.5)
 
 
 class TestRange:

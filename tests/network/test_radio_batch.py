@@ -34,8 +34,8 @@ class Recorder(NetworkNode):
         self.received.append(message)
 
 
-def make_net(loss=0.0, delay=0.01, jitter=0.0, range_limit=None, seed=1,
-             n=10, metrics=None):
+def make_net(loss=0.0, delay=0.01, range_limit=None, seed=1, n=10,
+             metrics=None):
     # A live registry by default: its per-reason drop counters are how
     # the differential tests compare drop reasons.
     if metrics is None:
@@ -46,7 +46,6 @@ def make_net(loss=0.0, delay=0.01, jitter=0.0, range_limit=None, seed=1,
         ChannelConfig(
             loss_probability=loss,
             propagation_delay=delay,
-            jitter=jitter,
             range_limit=range_limit,
         ),
     )
@@ -110,26 +109,6 @@ class TestUniformBatchDifferential:
         b_out = batch[1].unicast_batch(sender_ids, 0, b_msgs)
         o_out = oracle_unicast_batch(oracle[1], sender_ids, 0, o_msgs)
         assert b_out == o_out
-        batch[0].run()
-        oracle[0].run()
-        assert_equivalent(batch, oracle)
-
-    def test_link_loss_overrides_match(self):
-        batch = make_net(loss=0.1, seed=5, n=10)
-        oracle = make_net(loss=0.1, seed=5, n=10)
-        for _, channel, _ in (batch, oracle):
-            channel.set_link_loss(3, 0, 1.0)
-            channel.set_link_loss(4, 0, 0.0)
-        sender_ids = list(range(1, 10))
-        b_out = batch[1].unicast_batch(
-            sender_ids, 0, [EventReportMessage(sender=i) for i in sender_ids]
-        )
-        o_out = oracle_unicast_batch(
-            oracle[1], sender_ids, 0,
-            [EventReportMessage(sender=i) for i in sender_ids],
-        )
-        assert b_out == o_out
-        assert not b_out[2].delivered and b_out[2].reason == "dropped"
         batch[0].run()
         oracle[0].run()
         assert_equivalent(batch, oracle)
@@ -301,32 +280,6 @@ class TestMidFlightDeath:
         sim.run()
         assert nodes[5].received == []
         assert [len(node.received) for node in nodes[:5]] == [1] * 5
-
-
-class TestJitterFallback:
-    def test_jittered_channel_still_matches_oracle(self):
-        batch = make_net(delay=1.0, jitter=0.5, loss=0.2, seed=17, n=10)
-        oracle = make_net(delay=1.0, jitter=0.5, loss=0.2, seed=17, n=10)
-        sender_ids = list(range(1, 10))
-        b_out = batch[1].unicast_batch(
-            sender_ids, 0, [EventReportMessage(sender=i) for i in sender_ids]
-        )
-        o_out = oracle_unicast_batch(
-            oracle[1], sender_ids, 0,
-            [EventReportMessage(sender=i) for i in sender_ids],
-        )
-        assert b_out == o_out
-        batch[0].run()
-        oracle[0].run()
-        assert_equivalent(batch, oracle)
-
-    def test_jittered_batch_schedules_per_message_events(self):
-        sim, channel, _nodes = make_net(delay=1.0, jitter=0.5, n=10)
-        sender_ids = list(range(1, 10))
-        channel.unicast_batch(
-            sender_ids, 0, [EventReportMessage(sender=i) for i in sender_ids]
-        )
-        assert sim.pending == 9  # no fusion on the jitter path
 
 
 class TestBatchShape:

@@ -1,13 +1,13 @@
 """Grid spatial index: equivalence with the scalar scans + invalidation.
 
-`Deployment.event_neighbors` / `within` / `nearest` dispatch to a
-grid-bucket index above the node-count crossover.  The indexed paths
-must return results *identical* to the scalar reference scans
-(``tests/oracles/topology.py``) for
-arbitrary deployments and query radii -- including nodes exactly on the
-radius boundary, coincident nodes, and empty deployments -- and the
-cached arrays must be invalidated by every mutation (`add`, `remove`,
-`move`, direct-`positions` writes followed by `invalidate_index`).
+`Deployment.event_neighbors` / `event_neighbors_list` filter the nodes
+of a grid-bucket index, and `nearest` ranks every node.  All three
+must return results *identical* to the reference scans
+(``tests/oracles/topology.py``) for arbitrary deployments and query
+radii -- including nodes exactly on the radius boundary, coincident
+nodes, and empty deployments -- and the cached grid must be dropped by
+every mutation (`add`, `remove`, `move`, direct-`positions` writes
+followed by `invalidate_index`).
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ import pytest
 
 from repro.network.geometry import Point, Region
 from repro.network.topology import (
-    _INDEX_MIN_NODES,
     Deployment,
     grid_deployment,
     uniform_random_deployment,
@@ -44,10 +43,8 @@ class TestIndexedQueryEquivalence:
             )
             radius = float(rng.uniform(0.0, 45.0))
             expected = event_neighbors_reference(d, loc, radius)
-            assert d._event_neighbors_indexed(loc, radius) == expected
             assert d.event_neighbors(loc, radius) == expected
             assert d.event_neighbors_list(loc.x, loc.y, radius) == expected
-            assert d.within(loc, radius) == d.event_neighbors(loc, radius)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nearest_identical_with_ties(self, region, seed):
@@ -61,41 +58,40 @@ class TestIndexedQueryEquivalence:
                 float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 100.0))
             )
             k = int(rng.integers(1, n + 3))
-            assert d._nearest_indexed(loc, k) == nearest_reference(d, loc, k)
             assert d.nearest(loc, k) == nearest_reference(d, loc, k)
 
     def test_node_exactly_on_radius_boundary(self, region):
         """A node exactly `radius` away (3-4-5 triangle) is included by
-        both paths -- the inclusive boundary must not flip under the
-        vectorised distance computation."""
+        both queries -- the inclusive boundary must not flip."""
         d = grid_deployment(100, region)
         anchor = d.position_of(0)
         query = Point(anchor.x + 3.0, anchor.y + 4.0)
         scalar = event_neighbors_reference(d, query, 5.0)
         assert 0 in scalar
-        assert d._event_neighbors_indexed(query, 5.0) == scalar
+        assert d.event_neighbors(query, 5.0) == scalar
+        assert d.event_neighbors_list(query.x, query.y, 5.0) == scalar
 
     def test_empty_deployment(self, region):
         d = Deployment(region=region)
         assert d.event_neighbors(Point(50.0, 50.0), 10.0) == []
-        assert d._event_neighbors_indexed(Point(50.0, 50.0), 10.0) == []
+        assert d.event_neighbors_list(50.0, 50.0, 10.0) == []
         assert d.nearest(Point(50.0, 50.0), k=3) == []
 
     def test_zero_radius_query(self, region):
         d = grid_deployment(100, region)
         target = d.position_of(42)
         assert d.event_neighbors(target, 0.0) == [42]
-        assert d._event_neighbors_indexed(target, 0.0) == [42]
+        assert d.event_neighbors_list(target.x, target.y, 0.0) == [42]
 
     def test_radius_larger_than_field(self, region):
-        """Disk covering every cell takes the full-scan branch and must
+        """Disk covering every cell takes the every-node branch and must
         still match."""
         d = grid_deployment(100, region)
         loc = Point(50.0, 50.0)
-        assert d._event_neighbors_indexed(
-            loc, 500.0
-        ) == event_neighbors_reference(d, loc, 500.0)
-        assert len(d.event_neighbors(loc, 500.0)) == 100
+        assert d.event_neighbors(loc, 500.0) == event_neighbors_reference(
+            d, loc, 500.0
+        )
+        assert len(d.event_neighbors_list(loc.x, loc.y, 500.0)) == 100
 
     def test_query_radius_differs_from_cell_size(self, region):
         """The index stays correct when queries use radii far from the
@@ -104,9 +100,9 @@ class TestIndexedQueryEquivalence:
         d.ensure_index(cell_size=20.0)
         for radius in (0.5, 3.0, 20.0, 77.0):
             loc = Point(33.0, 61.0)
-            assert d._event_neighbors_indexed(
-                loc, radius
-            ) == event_neighbors_reference(d, loc, radius)
+            expected = event_neighbors_reference(d, loc, radius)
+            assert d.event_neighbors(loc, radius) == expected
+            assert d.event_neighbors_list(loc.x, loc.y, radius) == expected
 
 
 class TestInvalidation:
@@ -159,14 +155,11 @@ class TestInvalidation:
             d.ensure_index(0.0)
 
     def test_scalar_crossover_consistency(self, region):
-        """Deployments straddling the crossover agree with the scalar
-        reference through the public dispatch."""
+        """Deployments on either side of 64 nodes, the size at which the
+        queries once switched implementation, agree with the scalar
+        reference."""
         rng = np.random.default_rng(7)
-        for n in (
-            _INDEX_MIN_NODES - 1,
-            _INDEX_MIN_NODES,
-            _INDEX_MIN_NODES + 1,
-        ):
+        for n in (63, 64, 65):
             d = uniform_random_deployment(n, region, rng)
             loc = Point(50.0, 50.0)
             expected = event_neighbors_reference(d, loc, 25.0)

@@ -1,9 +1,12 @@
-"""Per-``Point`` neighbourhood scans: the oracle for the spatial index.
+"""Per-``Point`` neighbourhood scans: the oracle for the spatial grid.
 
 The original dict scans over ``Deployment.positions``, kept semantically
-frozen so ``tests/network/test_topology_index.py`` can prove every
-indexed and vectorised :class:`~repro.network.topology.Deployment`
-query bit-identical to them.
+frozen so ``tests/network/test_topology_index.py`` can prove the grid
+disk query behind :meth:`~repro.network.topology.Deployment.event_neighbors`
+and :meth:`~repro.network.topology.Deployment.event_neighbors_list`,
+and the sort behind :meth:`~repro.network.topology.Deployment.nearest`,
+bit-identical to them: same membership under the inclusive
+``distance <= r`` boundary, ids ascending, ``(distance, id)`` ranking.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ class TestSensing:
         sim, node, sink = make_node()
         node.sense_event(event_at(50.0, 50.0))
         sim.run()
-        resolved = sink.received[0].resolve_location(node.position)
+        resolved = node.position.displace(sink.received[0].offset)
         assert resolved.distance_to(Point(50.0, 50.0)) < 10.0
 
     def test_dead_node_does_not_sense(self):

@@ -265,9 +265,13 @@ class TestErrors:
         {"node": 2, "x": float("nan"), "y": 1.0},
         {"node": 2, "x": 1.0, "y": "nan"},
         {"node": 2, "x": 1.0, "y": 1.0, "time": float("inf")},
+        {"node": 1.7, "x": 1.0, "y": 1.0},
+        {"node": True, "x": 1.0, "y": 1.0},
+        {"node": "3", "x": 1.0, "y": 1.0},
     ], ids=[
         "node-text", "no-node", "node-outside", "node-negative", "x-nan",
-        "y-nan-text", "time-inf",
+        "y-nan-text", "time-inf", "node-fraction", "node-bool",
+        "node-digit-text",
     ])
     def test_rejected_batch_ingests_nothing(self, server, bad):
         base, _ = server
@@ -288,7 +292,22 @@ class TestErrors:
         ("decisions", [{"decision_id": 1}]),
         ("next_decision_id", -5),
         ("next_decision_id", float("inf")),
-    ], ids=["trust", "decisions", "next_decision_id", "infinite-id"])
+        ("decisions", [{
+            "decision_id": 1, "time": 1.0, "occurred": True,
+            "location": [1], "supporters": [0], "dissenters": [],
+        }]),
+        ("members", [0, 10**6]),
+        ("trust", [[10**6, 0.0]]),
+        ("diagnosed", [10**6]),
+        ("windows_closed", -5),
+        ("members", [0, 1.7]),
+        ("diagnosed", [True]),
+    ], ids=[
+        "trust", "decisions", "next_decision_id", "infinite-id",
+        "short-location", "member-outside", "trust-node-outside",
+        "diagnosed-outside", "negative-windows", "member-fraction",
+        "diagnosed-bool",
+    ])
     def test_rejected_state_leaves_session_unchanged(self, server, field,
                                                      value):
         base, _ = server

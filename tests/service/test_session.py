@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.clusterctl.head import (
@@ -161,6 +162,15 @@ class TestInputRule:
         session = make_session()
         assert session.check_report(3, 1, 2, 0) == (3, 1.0, 2.0, 0.0)
         assert session.check_report(3) == (3, None, None, 0.0)
+        assert session.check_report(np.int64(3)) == (3, None, None, 0.0)
+        assert type(session.check_report(np.int64(3))[0]) is int
+        assert session.pending_reports() == 0
+
+    @pytest.mark.parametrize("node", [1.7, 1.0, True, "1", None])
+    def test_non_integer_node_ids_are_rejected(self, node):
+        session = make_session()
+        with pytest.raises(ValueError, match="must be an integer"):
+            session.check_report(node, 15.0, 15.0, 0.5)
         assert session.pending_reports() == 0
 
 
