@@ -16,8 +16,12 @@ accordingly.
 import numpy as np
 
 from repro.clusterctl.leach import LeachConfig
-from repro.clusterctl.simulation import RotatingClusterSimulation
-from repro.experiments.harness import CorrectSpec, FaultSpec
+from repro.experiments.harness import (
+    CorrectSpec,
+    FaultSpec,
+    Rotation,
+    SimulationRun,
+)
 from repro.experiments.reporting import render_table
 from benchmarks._shared import run_once
 
@@ -31,7 +35,7 @@ def run_variant(transfer_trust: bool):
     faulty = tuple(
         int(x) for x in rng.choice(N_NODES, size=FAULTY, replace=False)
     )
-    sim = RotatingClusterSimulation(
+    run = SimulationRun(
         n_nodes=N_NODES,
         field_side=100.0,
         sensing_radius=20.0,
@@ -39,14 +43,16 @@ def run_variant(transfer_trust: bool):
         correct_spec=CorrectSpec(sigma=1.6),
         fault_spec=FaultSpec(level=0, drop_rate=0.25, sigma=4.25),
         faulty_ids=faulty,
-        leach=LeachConfig(ch_fraction=0.05, ti_threshold=0.5),
-        events_per_leadership=8,
         channel_loss=0.0,
-        transfer_trust=transfer_trust,
+        quiet_windows=False,
         seed=SEED,
-    )
-    sim.run(8)
-    registry = sim.registry_snapshot()
+        rotation=Rotation(
+            leach=LeachConfig(ch_fraction=0.05, ti_threshold=0.5),
+            events_per_leadership=8,
+            transfer_trust=transfer_trust,
+        ),
+    ).run(8 * 8)
+    registry = run.trust_snapshot()
     honest = [ti for n, ti in registry.items() if n not in faulty]
     lying = [ti for n, ti in registry.items() if n in faulty]
     separation = (
@@ -55,10 +61,12 @@ def run_variant(transfer_trust: bool):
         else 0.0
     )
     return {
-        "accuracy": sim.metrics().accuracy,
+        "accuracy": run.metrics().accuracy,
         "trust_separation": separation,
-        "rotations": sim.rotations,
-        "distinct_leaders": len(sim.leadership_counts()),
+        "rotations": len(run.rounds),
+        "distinct_leaders": len(
+            {ch for record in run.rounds for ch in record.cluster_heads}
+        ),
     }
 
 

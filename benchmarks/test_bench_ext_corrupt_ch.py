@@ -10,8 +10,12 @@ at work: dissents, depositions, and registry penalties.
 import numpy as np
 
 from repro.clusterctl.leach import LeachConfig
-from repro.clusterctl.simulation import RotatingClusterSimulation
-from repro.experiments.harness import CorrectSpec, FaultSpec
+from repro.experiments.harness import (
+    CorrectSpec,
+    FaultSpec,
+    Rotation,
+    SimulationRun,
+)
 from repro.experiments.metrics import score_run
 from repro.experiments.reporting import render_table
 from benchmarks._shared import run_once
@@ -22,7 +26,7 @@ SEED = 11
 def run_corrupt():
     rng = np.random.default_rng(SEED + 7)
     faulty = tuple(int(x) for x in rng.choice(49, size=15, replace=False))
-    sim = RotatingClusterSimulation(
+    run = SimulationRun(
         n_nodes=49,
         field_side=70.0,
         sensing_radius=20.0,
@@ -30,30 +34,32 @@ def run_corrupt():
         correct_spec=CorrectSpec(sigma=1.6),
         fault_spec=FaultSpec(level=0, drop_rate=0.25, sigma=4.25),
         faulty_ids=faulty,
-        leach=LeachConfig(ch_fraction=0.08, ti_threshold=0.5),
-        events_per_leadership=6,
         channel_loss=0.0,
-        corrupt_elected_faulty=True,
+        quiet_windows=False,
         seed=SEED,
-    )
-    sim.run(6)
+        rotation=Rotation(
+            leach=LeachConfig(ch_fraction=0.08, ti_threshold=0.5),
+            events_per_leadership=6,
+            corrupt_elected_faulty=True,
+        ),
+    ).run(6 * 6)
 
     raw_outcomes, _ = score_run(
-        sim.events,
-        sorted(sim.decisions, key=lambda d: (d.time, d.decision_id)),
-        round_interval=sim.round_interval,
-        r_error=sim.r_error,
+        run.events,
+        run.all_decisions(),
+        round_interval=run.round_interval,
+        r_error=run.r_error,
     )
     raw_acc = sum(o.detected for o in raw_outcomes) / len(raw_outcomes)
-    corrected_acc = sim.metrics().accuracy
+    corrected_acc = run.metrics().accuracy
     corrupt_rounds = sum(
-        1 for record in sim.rounds if record.corrupt_heads
+        1 for record in run.rounds if record.corrupt_heads
     )
     return {
         "raw_accuracy": raw_acc,
         "corrected_accuracy": corrected_acc,
         "corrupt_leaderships": corrupt_rounds,
-        "depositions": len(sim.bs.resolutions),
+        "depositions": len(run.bs.resolutions),
     }
 
 

@@ -24,8 +24,12 @@ Run:
 import numpy as np
 
 from repro.clusterctl.leach import LeachConfig
-from repro.clusterctl.simulation import RotatingClusterSimulation
-from repro.experiments.harness import CorrectSpec, FaultSpec
+from repro.experiments.harness import (
+    CorrectSpec,
+    FaultSpec,
+    Rotation,
+    SimulationRun,
+)
 from repro.experiments.reporting import render_table
 
 N_NODES = 100
@@ -40,7 +44,11 @@ def main() -> None:
         int(x) for x in rng.choice(N_NODES, size=COMPROMISED, replace=False)
     )
 
-    sim = RotatingClusterSimulation(
+    rotation = Rotation(
+        leach=LeachConfig(ch_fraction=0.05, ti_threshold=0.5),
+        events_per_leadership=10,
+    )
+    run = SimulationRun(
         n_nodes=N_NODES,
         field_side=100.0,
         sensing_radius=20.0,
@@ -48,18 +56,18 @@ def main() -> None:
         correct_spec=CorrectSpec(sigma=1.6),
         fault_spec=FaultSpec(level=0, drop_rate=0.25, sigma=4.25),
         faulty_ids=captured,
-        leach=LeachConfig(ch_fraction=0.05, ti_threshold=0.5),
-        events_per_leadership=10,
+        quiet_windows=False,
         seed=SEED,
+        rotation=rotation,
     )
-    sim.run(ROTATIONS)
-    metrics = sim.metrics()
-    registry = sim.registry_snapshot()
+    run.run(ROTATIONS * rotation.events_per_leadership)
+    metrics = run.metrics()
+    registry = run.trust_snapshot()
 
     print(f"Rotating-cluster network: {N_NODES} nodes, "
           f"{COMPROMISED}% compromised, {ROTATIONS} leadership rounds\n")
 
-    leaders = sim.leadership_counts()
+    leaders = {ch for record in run.rounds for ch in record.cluster_heads}
     captured_set = set(captured)
     faulty_leaders = [n for n in leaders if n in captured_set]
     print(render_table(
@@ -67,7 +75,7 @@ def main() -> None:
         [
             ("events generated", str(metrics.events_total)),
             ("detection accuracy", f"{metrics.accuracy:.1%}"),
-            ("leadership rotations", str(sim.rotations)),
+            ("leadership rotations", str(len(run.rounds))),
             ("distinct leaders", str(len(leaders))),
             ("leaders that were compromised nodes",
              str(len(faulty_leaders))),
@@ -89,10 +97,10 @@ def main() -> None:
 
     barred = sorted(
         n for n in captured_set
-        if registry.get(n, 1.0) < sim.leach_config.ti_threshold
+        if registry.get(n, 1.0) < rotation.leach.ti_threshold
     )
     print(f"\nCompromised nodes now barred from CH candidacy "
-          f"(registry TI < {sim.leach_config.ti_threshold}): "
+          f"(registry TI < {rotation.leach.ti_threshold}): "
           f"{len(barred)}/{COMPROMISED}")
     print("Trust state follows nodes across leadership changes, so the "
           "network keeps its memory of who lies even as the data sink "

@@ -38,7 +38,12 @@ from repro.experiments.config import (
     Experiment2Config,
     Experiment3Config,
 )
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import (
+    CorrectSpec,
+    FaultSpec,
+    Rotation,
+    SimulationRun,
+)
 from repro.experiments.reporting import (
     Series,
     render_parameter_sheet,
@@ -667,7 +672,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_rotate(args: argparse.Namespace) -> int:
     from repro.clusterctl.leach import LeachConfig
-    from repro.clusterctl.simulation import RotatingClusterSimulation
 
     n_faulty = round(args.nodes * args.percent_faulty / 100.0)
     rng = np.random.default_rng(args.seed + 54321)
@@ -675,7 +679,7 @@ def _cmd_rotate(args: argparse.Namespace) -> int:
         int(x) for x in rng.choice(args.nodes, size=n_faulty, replace=False)
     )
     field_side = float(10.0 * np.sqrt(args.nodes))
-    sim = RotatingClusterSimulation(
+    run = SimulationRun(
         n_nodes=args.nodes,
         field_side=field_side,
         sensing_radius=20.0,
@@ -684,22 +688,26 @@ def _cmd_rotate(args: argparse.Namespace) -> int:
         fault_spec=FaultSpec(level=args.level, drop_rate=0.25, sigma=4.25),
         correct_spec=CorrectSpec(sigma=1.6),
         faulty_ids=faulty,
-        leach=LeachConfig(ch_fraction=0.05, ti_threshold=0.5),
-        events_per_leadership=args.events_per_round,
-        transfer_trust=not args.no_transfer,
+        quiet_windows=False,
         seed=args.seed,
+        rotation=Rotation(
+            leach=LeachConfig(ch_fraction=0.05, ti_threshold=0.5),
+            events_per_leadership=args.events_per_round,
+            transfer_trust=not args.no_transfer,
+        ),
     )
-    sim.run(args.rounds)
-    metrics = sim.metrics()
-    registry = sim.registry_snapshot()
+    run.run(args.rounds * args.events_per_round)
+    metrics = run.metrics()
+    registry = run.trust_snapshot()
     faulty_set = set(faulty)
     honest = [ti for n, ti in registry.items() if n not in faulty_set]
     lying = [ti for n, ti in registry.items() if n in faulty_set]
     rows = [
         ("system", "Baseline" if args.baseline else "TIBFIT"),
         ("trust hand-off", "off (amnesia)" if args.no_transfer else "on"),
-        ("leadership rounds", str(sim.rotations)),
-        ("distinct leaders", str(len(sim.leadership_counts()))),
+        ("leadership rounds", str(len(run.rounds))),
+        ("distinct leaders",
+         str(len({ch for r in run.rounds for ch in r.cluster_heads}))),
         ("events", str(metrics.events_total)),
         ("accuracy", f"{metrics.accuracy:.3f}"),
     ]

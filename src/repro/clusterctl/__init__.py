@@ -14,6 +14,9 @@ to mask a single faulty CH.
   CH's computation and escalating disagreements.
 * :mod:`repro.clusterctl.base_station` -- the TI registry of record, CH
   candidacy vetoes, and SCH-dispute resolution.
+
+:class:`repro.experiments.harness.SimulationRun` wires them into the
+rotating network when given a ``rotation`` policy.
 """
 
 from repro.clusterctl.base_station import BaseStation
@@ -25,14 +28,8 @@ from repro.clusterctl.leach import (
     RoundResult,
 )
 from repro.clusterctl.shadow import ShadowClusterHead
-from repro.clusterctl.simulation import (
-    LeadershipRound,
-    RotatingClusterSimulation,
-)
 
 __all__ = [
-    "LeadershipRound",
-    "RotatingClusterSimulation",
     "BaseStation",
     "ClusterHead",
     "ClusterHeadConfig",

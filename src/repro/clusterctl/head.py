@@ -28,7 +28,7 @@ so existing consumers see the exact structures they always did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.binary import CtiVoter
 from repro.core.concurrent import CircleTracker
@@ -219,14 +219,6 @@ class ClusterHead(NetworkNode):
         """Cluster membership, held by the embedded session."""
         return self.session.members
 
-    @members.setter
-    def members(self, members: Sequence[int]) -> None:
-        self.session.members = tuple(members)
-
-    def set_members(self, members: Sequence[int]) -> None:
-        """Restrict the cluster membership (multi-cluster deployments)."""
-        self.session.set_members(members)
-
     # ------------------------------------------------------------------
     # Inbound traffic
     # ------------------------------------------------------------------
@@ -394,36 +386,26 @@ class ClusterHead(NetworkNode):
             # After vote updates and the diagnosis sweep, so the sample
             # at a diagnosis time already shows the sub-threshold TI.
             self.probe.sample(self.sim.now)
-        if self.config.announce:
-            if spans.enabled:
-                saved = spans.current
-                # The announcement's radio.transmit spans parent under
-                # the decision they announce.
-                spans.current = decision_ctx
-                try:
-                    self.broadcast(
-                        ChDecisionAnnouncement(
-                            sender=self.node_id,
-                            decision_id=record.decision_id,
-                            occurred=occurred,
-                            location=location,
-                            reporters=supporters,
-                            non_reporters=dissenters,
-                        )
-                    )
-                finally:
-                    spans.current = saved
-                return
-            self.broadcast(
-                ChDecisionAnnouncement(
-                    sender=self.node_id,
-                    decision_id=record.decision_id,
-                    occurred=occurred,
-                    location=location,
-                    reporters=supporters,
-                    non_reporters=dissenters,
-                )
-            )
+        if not self.config.announce:
+            return
+        announcement = ChDecisionAnnouncement(
+            sender=self.node_id,
+            decision_id=record.decision_id,
+            occurred=occurred,
+            location=location,
+            reporters=supporters,
+            non_reporters=dissenters,
+        )
+        if spans.enabled:
+            # The announcement's radio.transmit spans parent under the
+            # decision they announce.
+            saved, spans.current = spans.current, decision_ctx
+            try:
+                self.broadcast(announcement)
+            finally:
+                spans.current = saved
+        else:
+            self.broadcast(announcement)
 
     # ------------------------------------------------------------------
     # Leadership hand-off

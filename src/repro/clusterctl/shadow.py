@@ -15,10 +15,14 @@ radio tap on the CH, and compares its verdicts against the CH's
 broadcast announcements.  A mismatch produces a
 :class:`~repro.network.messages.ScHDisagreement` to the base station,
 which resolves by simple 1-of-3 voting (CH + 2 SCHs).
+
+The mirror records no spans: its verdicts are private recomputations,
+not network decisions.  A dissent is recorded (``sch.disagree``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.clusterctl.head import ClusterHead, ClusterHeadConfig, DecisionRecord
@@ -31,6 +35,26 @@ from repro.network.messages import (
 )
 from repro.network.node import NetworkNode
 from repro.network.topology import Deployment
+from repro.obs.spans import NULL_SPANS
+
+
+class _Unspanned:
+    """The simulator as a shadow's mirror sees it: without spans.  The
+    clock and timers it uses per report are direct attributes."""
+
+    spans = NULL_SPANS
+
+    def __init__(self, sim) -> None:
+        self._sim = sim
+        self.at = sim.at
+        self.after = sim.after
+
+    @property
+    def now(self) -> float:
+        return self._sim.now
+
+    def __getattr__(self, name: str):
+        return getattr(self._sim, name)
 
 
 class ShadowClusterHead(NetworkNode):
@@ -72,22 +96,11 @@ class ShadowClusterHead(NetworkNode):
         # The mirror pipeline: a private ClusterHead that never announces
         # and never transmits -- §3.4's "all the functions as the CH
         # except transmitting".
-        mirror_config = ClusterHeadConfig(
-            mode=config.mode,
-            t_out=config.t_out,
-            sensing_radius=config.sensing_radius,
-            r_error=config.r_error,
-            trust=config.trust,
-            use_trust=config.use_trust,
-            diagnosis_threshold=config.diagnosis_threshold,
-            tie_breaks_to_occurred=config.tie_breaks_to_occurred,
-            announce=False,
-        )
         self._mirror = ClusterHead(
             node_id=node_id,
             position=position,
             deployment=deployment,
-            config=mirror_config,
+            config=replace(config, announce=False, journal=False),
             base_station_id=None,
         )
         self.disagreements: List[ScHDisagreement] = []
@@ -99,20 +112,20 @@ class ShadowClusterHead(NetworkNode):
     # ------------------------------------------------------------------
     def attach(self, sim, channel) -> None:  # noqa: D102 - see base class
         super().attach(sim, channel)
-        # The mirror shares our simulator but must not transmit; it gets
-        # the simulator reference directly and a null channel guard is
-        # unnecessary because announce=False and base_station_id=None
-        # mean it never sends.
-        self._mirror.attach(sim, channel)
-
-    def set_members(self, members) -> None:
-        """Keep the mirror's membership in sync with the real CH."""
-        self._mirror.set_members(members)
+        # The mirror shares our simulator's clock but not its spans, and
+        # must not transmit; a null channel guard is unnecessary because
+        # announce=False and base_station_id=None mean it never sends.
+        self._mirror.attach(_Unspanned(sim), channel)
 
     @property
     def decisions(self) -> List[DecisionRecord]:
         """The SCH's independently computed decisions."""
         return self._mirror.decisions
+
+    @property
+    def trust(self):
+        """The mirror's own trust table (seeded like the CH's)."""
+        return self._mirror.trust
 
     # ------------------------------------------------------------------
     # Inbound traffic (via the radio tap on the CH plus CH broadcasts)

@@ -38,8 +38,8 @@ from repro.experiments.runner import (
 
 # Note: the per-experiment sweep modules (experiment1..experiment4) are
 # imported directly -- e.g. ``from repro.experiments import experiment2``
-# -- to keep this package's import graph acyclic (experiment4 builds on
-# repro.clusterctl.simulation, which itself consumes the metrics layer).
+# -- not re-exported here.  All four build on SimulationRun, and
+# repro.clusterctl never imports this package, so the graph is acyclic.
 
 __all__ = [
     "EventOutcome",

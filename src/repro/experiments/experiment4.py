@@ -21,7 +21,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.clusterctl.leach import LeachConfig
-from repro.clusterctl.simulation import RotatingClusterSimulation
+from repro.experiments.harness import Rotation, SimulationRun
 from repro.experiments.reporting import Series
 from repro.experiments.runner import ProgressFn, SweepTask, run_sweep
 from repro.sensors.specs import CorrectSpec, FaultSpec
@@ -71,7 +71,7 @@ def run_point(
         int(x)
         for x in rng.choice(config.n_nodes, size=n_faulty, replace=False)
     )
-    sim = RotatingClusterSimulation(
+    run = SimulationRun(
         n_nodes=config.n_nodes,
         field_side=config.field_side,
         sensing_radius=config.sensing_radius,
@@ -86,17 +86,20 @@ def run_point(
             sigma=config.sigma_faulty,
         ),
         faulty_ids=faulty,
-        leach=LeachConfig(
-            ch_fraction=config.ch_fraction,
-            ti_threshold=config.ti_threshold,
-        ),
-        events_per_leadership=config.events_per_leadership,
         channel_loss=0.0,
-        transfer_trust=transfer_trust,
+        quiet_windows=False,
         seed=seed,
+        rotation=Rotation(
+            leach=LeachConfig(
+                ch_fraction=config.ch_fraction,
+                ti_threshold=config.ti_threshold,
+            ),
+            events_per_leadership=config.events_per_leadership,
+            transfer_trust=transfer_trust,
+        ),
     )
-    sim.run(config.leadership_rounds)
-    return sim.metrics().accuracy
+    run.run(config.leadership_rounds * config.events_per_leadership)
+    return run.metrics().accuracy
 
 
 def rotating_sweep(

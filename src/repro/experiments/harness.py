@@ -2,22 +2,32 @@
 
 :class:`SimulationRun` wires every substrate together the way §4
 describes the ns-2 setup: a deployment of sensing nodes with assigned
-behaviours, a lossy radio channel, one active cluster head running
-either the binary or the location pipeline, a ground-truth event
-generator firing rounds at a regular interval, and quiet windows in
-between in which faulty nodes may raise false alarms.  After the run it
-scores the CH's decision log against ground truth.
+behaviours, a lossy radio channel, cluster heads running either the
+binary or the location pipeline, a ground-truth event generator firing
+rounds at a regular interval, and quiet windows in between in which
+faulty nodes may raise false alarms.  After the run it scores the
+heads' decision logs against ground truth.
+
+Leadership is a policy: one fixed CH (Experiments 1-3), or the paper's
+rotating system model (§2, §3.4; Experiment 4).  With a
+:class:`Rotation`, each leadership holds a LEACH election gated on the
+base station's (BS) trust registry, every elected node leads its
+cluster with two shadow CHs watching it, and at the leadership's end
+each head ships its trust table to the BS for the next heads to read.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.chaos.plan import ChaosController, ChCrash, FaultPlan
+from repro.clusterctl.base_station import BaseStation
 from repro.clusterctl.head import ClusterHead, ClusterHeadConfig, DecisionRecord
+from repro.clusterctl.leach import EnergyModel, LeachConfig, LeachElection
+from repro.clusterctl.shadow import ShadowClusterHead
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, Region
 from repro.network.radio import ChannelConfig, RadioChannel
@@ -26,7 +36,7 @@ from repro.network.topology import (
     shared_grid_deployment,
     uniform_random_deployment,
 )
-from repro.sensors.faults import CollusionCoordinator, NodeBehavior
+from repro.sensors.faults import NodeBehavior
 from repro.sensors.generator import EventGenerator, GroundTruthEvent
 from repro.sensors.specs import (
     CollusionCellPool,
@@ -51,9 +61,18 @@ from repro.simkernel.simulator import Simulator
 from repro.experiments.metrics import RunMetrics, score_run
 
 
-# Re-exported for callers that configure runs through the harness; the
-# canonical definitions live with the sensors package.
-__all__ = ["CompromiseOrder", "CorrectSpec", "FaultSpec", "SimulationRun"]
+# CorrectSpec and FaultSpec are re-exported for callers that configure
+# runs through the harness; their canonical definitions live with the
+# sensors package.
+__all__ = ["CompromiseOrder", "CorrectSpec", "FaultSpec", "LeadershipRound",
+           "Rotation", "SimulationRun"]
+
+#: Shadow CHs watching each rotating head: §3.4's "two additional
+#: shadow cluster heads (SCH) to each cluster".
+N_SHADOWS = 2
+
+#: Registry TI below which a rotating run counts a node as diagnosed.
+REGISTRY_DIAGNOSIS_TI = 0.3
 
 
 @dataclass(frozen=True)
@@ -63,6 +82,81 @@ class CompromiseOrder:
     round_index: int
     node_ids: Tuple[int, ...]
     spec: FaultSpec
+
+
+@dataclass(frozen=True)
+class Rotation:
+    """The rotating-leadership policy of a :class:`SimulationRun`.
+
+    Attributes
+    ----------
+    leach:
+        Election parameters; ``ti_threshold`` doubles as the §2 veto.
+    events_per_leadership:
+        Event rounds served by one set of CHs before the next election.
+    transfer_trust:
+        False disables the §2 BS hand-off: each new CH starts from a
+        blank table (the "amnesia" ablation); the registry still records
+        outgoing tables.
+    corrupt_elected_faulty:
+        §3.4's failing data sink: a compromised node that wins an
+        election leads as a verdict-inverting CH, which its shadows and
+        the BS's 2-of-3 vote overrule.
+    """
+
+    leach: LeachConfig = LeachConfig(ch_fraction=0.05, ti_threshold=0.5)
+    events_per_leadership: int = 10
+    transfer_trust: bool = True
+    corrupt_elected_faulty: bool = False
+
+    def __post_init__(self) -> None:
+        if self.events_per_leadership <= 0:
+            raise ValueError("events_per_leadership must be positive")
+
+
+@dataclass(frozen=True)
+class LeadershipRound:
+    """Book-keeping for one leadership of a rotating run."""
+
+    round_number: int
+    cluster_heads: Tuple[int, ...]
+    membership: Dict[int, List[int]]
+    shadows: Dict[int, Tuple[int, ...]]
+    vetoed: Tuple[int, ...]
+    corrupt_heads: Tuple[int, ...]
+
+
+class HeadLog(NamedTuple):
+    """What scoring and replay keep of a CH: its logs, not the whole
+    head with its trust table, circle tracker and report buffer."""
+
+    decisions: List[DecisionRecord]
+    journal: List[Dict[str, object]]
+    diagnosed: Tuple[int, ...]
+
+
+class _CorruptClusterHead(ClusterHead):
+    """A compromised node serving as CH: §3.4's failing data sink.
+
+    It inverts its verdicts -- the worst arbitrary fault for a decision
+    maker, and the one the shadow CHs recompute and dissent from.
+    """
+
+    def _record_decision(
+        self, occurred, location, supporters, dissenters, span_id=0
+    ):
+        super()._record_decision(
+            not occurred, location, supporters, dissenters, span_id=span_id
+        )
+
+
+def _merged_decisions(heads: List[HeadLog]) -> List[DecisionRecord]:
+    """One head's log as is (no copy), or several merged in time order."""
+    if len(heads) == 1:
+        return heads[0].decisions
+    merged = [record for head in heads for record in head.decisions]
+    merged.sort(key=lambda record: (record.time, record.decision_id))
+    return merged
 
 
 class SimulationRun:
@@ -133,9 +227,20 @@ class SimulationRun:
         on the dedicated ``"chaos"`` stream, so a run with the *empty*
         plan is bit-identical to a run with no plan at all (asserted by
         ``tests/chaos/test_differential.py``).
+    rotation:
+        Optional :class:`Rotation`: LEACH-elected heads replace the fixed
+        CH.  ``run(n)`` still counts event rounds, and may be called
+        again to continue.  Scoring takes the BS's dispute resolutions
+        over the heads' verdicts; ``diagnosed_nodes`` is the BS registry
+        below TI 0.3.  Location mode only, without quiet windows,
+        ``observe`` or a ``chaos_plan``.
     """
 
+    #: Channel addresses.  Sensing node ``n`` hosts a rotating head at
+    #: ``CH_ID_OFFSET + n`` and a shadow CH at ``SHADOW_ID_OFFSET + n``.
     CH_ID_OFFSET = 10_000
+    SHADOW_ID_OFFSET = 20_000
+    BS_ID = 99_999
 
     def __init__(
         self,
@@ -162,9 +267,18 @@ class SimulationRun:
         spans: bool = False,
         journal: bool = False,
         chaos_plan: Optional[FaultPlan] = None,
+        rotation: Optional[Rotation] = None,
     ) -> None:
         if mode not in ("binary", "location"):
             raise ValueError(f"mode must be 'binary' or 'location', got {mode!r}")
+        if rotation is not None and (
+            mode == "binary" or quiet_windows or observe
+            or chaos_plan is not None
+        ):
+            raise ValueError(
+                "rotation runs location mode without quiet_windows, "
+                "observe or a chaos_plan"
+            )
         if deployment_kind not in ("grid", "random"):
             raise ValueError(
                 f"deployment_kind must be 'grid' or 'random', got {deployment_kind!r}"
@@ -198,8 +312,9 @@ class SimulationRun:
         self.observe = observe
         self.journal = journal
         self.chaos_plan = chaos_plan
+        self.rotation = rotation
         self.chaos: Optional[ChaosController] = None
-        self._retired_chs: List[ClusterHead] = []
+        self._retired: List[HeadLog] = []
         self.registry = (
             MetricsRegistry(enabled=True) if observe else NULL_REGISTRY
         )
@@ -208,7 +323,6 @@ class SimulationRun:
         self.timings: Dict[str, float] = {}
 
         self._compromises: List[CompromiseOrder] = []
-        self._round_index = 0
         self.events: List[GroundTruthEvent] = []
         self._built = False
 
@@ -217,10 +331,18 @@ class SimulationRun:
         self.channel: Optional[RadioChannel] = None
         self.deployment: Optional[Deployment] = None
         self.nodes: Dict[int, SensorNode] = {}
-        self.ch: Optional[ClusterHead] = None
+        self.ch: Optional[ClusterHead] = None  # the fixed head
         self.generator: Optional[EventGenerator] = None
         self._coordinator: Optional[CollusionCellPool] = None
         self._ever_faulty: set = set(self.initial_faulty)
+
+        # Rotation state; the leading heads are keyed by host node id.
+        self.bs: Optional[BaseStation] = None
+        self.election: Optional[LeachElection] = None
+        self.rounds: List[LeadershipRound] = []
+        self._heads: Dict[int, ClusterHead] = {}
+        self._shadows: List[ShadowClusterHead] = []
+        self._rounds_run = 0
 
     # ------------------------------------------------------------------
     # Pre-run configuration
@@ -247,7 +369,7 @@ class SimulationRun:
     # Build
     # ------------------------------------------------------------------
     def build(self) -> "SimulationRun":
-        """Assemble simulator, channel, deployment, behaviours, CH."""
+        """Assemble simulator, channel, deployment, behaviours, CH or BS."""
         if self._built:
             raise RuntimeError("build() may only be called once per run")
         self._built = True
@@ -276,45 +398,36 @@ class SimulationRun:
                 self.n_nodes, region, self.sim.streams.get("deployment")
             )
 
-        ch_id = self.CH_ID_OFFSET
-        self.ch = ClusterHead(
-            node_id=ch_id,
-            position=region.center,
-            deployment=self.deployment,
-            config=ClusterHeadConfig(
-                mode=self.mode,
-                t_out=self.t_out,
-                sensing_radius=self.sensing_radius,
-                r_error=self.r_error,
-                trust=self.trust_params,
-                use_trust=self.use_trust,
-                diagnosis_threshold=self.diagnosis_threshold,
-                journal=self.journal,
-            ),
+        self._ch_config = ClusterHeadConfig(
+            mode=self.mode,
+            t_out=self.t_out,
+            sensing_radius=self.sensing_radius,
+            r_error=self.r_error,
+            trust=self.trust_params,
+            use_trust=self.use_trust,
+            diagnosis_threshold=self.diagnosis_threshold,
+            journal=self.journal,
         )
-        self.channel.register(self.ch)
 
-        sensing_correct = SensingModel(
+        sensing = self._sensing = SensingModel(
             SensingConfig(
                 sensing_radius=self.sensing_radius,
                 location_sigma=self.correct_spec.sigma,
             )
         )
-        self._sensing_correct = sensing_correct
-
         faulty = set(self.initial_faulty)
         for node_id in self.deployment.node_ids():
             behavior = (
-                self._make_faulty_behavior(sensing_correct, node_id)
+                self._make_faulty_behavior(node_id)
                 if node_id in faulty
-                else self._make_correct_behavior(sensing_correct)
+                else make_correct_behavior(self.correct_spec, sensing)
             )
             node = SensorNode(
                 node_id=node_id,
                 position=self.deployment.position_of(node_id),
                 behavior=behavior,
-                sensing=sensing_correct,
-                ch_id=ch_id,
+                sensing=sensing,
+                ch_id=-1,  # set when a head is installed
                 rng=self.sim.streams.get(f"node-{node_id}"),
                 region=region,
             )
@@ -331,6 +444,26 @@ class SimulationRun:
                 2.0 * self.r_error if self.concurrent_batch > 1 else None
             ),
         )
+        if self.rotation is None:
+            self.ch = self._install_head(
+                self.CH_ID_OFFSET, region.center, self.deployment, {},
+                self.nodes,
+            )
+        else:
+            self.bs = BaseStation(
+                node_id=self.BS_ID,
+                position=Point(-10.0, -10.0),
+                trust_params=self.trust_params,
+                ch_ti_threshold=self.rotation.leach.ti_threshold,
+            )
+            self.channel.register(self.bs)
+            self.election = LeachElection(
+                deployment=self.deployment,
+                config=self.rotation.leach,
+                energy=EnergyModel(self.deployment.node_ids()),
+                rng=self.sim.streams.get("leach"),
+                ti_lookup=lambda n: self.bs.ti_of(0, n),
+            )
         if self.observe:
             self.probe = TrustProbe(
                 self.ch.trust, self.registry, diagnoser=self.ch.diagnoser
@@ -352,15 +485,35 @@ class SimulationRun:
         self.timings["build_s"] = perf_counter() - build_start
         return self
 
+    def _install_head(
+        self,
+        node_id: int,
+        position: Point,
+        deployment: Deployment,
+        trust: Dict[int, float],
+        members: Iterable[int],
+        head_class: type = ClusterHead,
+    ) -> ClusterHead:
+        """Build, register and seed a CH, and re-home its members to it:
+        the fixed head, a chaos standby and every elected head."""
+        ch = head_class(
+            node_id=node_id,
+            position=position,
+            deployment=deployment,
+            config=self._ch_config,
+            base_station_id=None if self.bs is None else self.bs.node_id,
+        )
+        self.channel.register(ch)
+        ch.trust.import_state(trust)
+        for member in members:
+            self.nodes[member].ch_id = node_id
+        return ch
+
     # ------------------------------------------------------------------
     # Chaos lifecycle (see repro.chaos.plan.ChaosController)
     # ------------------------------------------------------------------
     def _chaos_endpoint(self, node_id: int):
-        node = self.nodes.get(node_id)
-        if node is not None:
-            return node
-        assert self.channel is not None
-        return self.channel.node(node_id)
+        return self.nodes.get(node_id) or self.channel.node(node_id)
 
     def _chaos_ch_crash(self, crash: ChCrash) -> None:
         assert self.ch is not None and self.sim is not None
@@ -386,25 +539,16 @@ class SimulationRun:
 
     def _promote_standby(self) -> None:
         assert self.ch is not None and self.sim is not None
-        assert self.channel is not None and self.deployment is not None
+        assert self.deployment is not None
         retired = self.ch
-        self._retired_chs.append(retired)
-        standby_id = self.CH_ID_OFFSET + len(self._retired_chs)
-        standby = ClusterHead(
-            node_id=standby_id,
-            position=retired.position,
-            deployment=self.deployment,
-            config=retired.config,
-            base_station_id=retired.base_station_id,
-            cluster_id=retired.cluster_id,
-        )
+        self._retired.append(self._head_log(retired))
+        standby_id = self.CH_ID_OFFSET + len(self._retired)
         # §3.4: a shadow CH mirrors the active head's trust state, so
         # the promoted standby resumes from the TI table at crash time.
-        standby.trust.import_state(retired.trust.export_state())
-        self.channel.register(standby)
-        self.ch = standby
-        for node in self.nodes.values():
-            node.ch_id = standby_id
+        standby = self.ch = self._install_head(
+            standby_id, retired.position, self.deployment,
+            retired.trust.export_state(), self.nodes,
+        )
         if self.probe is not None:
             self.probe.table = standby.trust
             self.probe.diagnoser = standby.diagnoser
@@ -420,14 +564,8 @@ class SimulationRun:
         if self.sim.metrics.enabled:
             self.sim.metrics.counter("chaos.ch-failover").inc()
 
-    def _make_correct_behavior(self, sensing: SensingModel) -> NodeBehavior:
-        return make_correct_behavior(self.correct_spec, sensing)
-
     def _make_faulty_behavior(
-        self,
-        sensing: SensingModel,
-        node_id: int,
-        spec: Optional[FaultSpec] = None,
+        self, node_id: int, spec: Optional[FaultSpec] = None
     ) -> NodeBehavior:
         if spec is None:
             spec = self.fault_spec
@@ -438,12 +576,12 @@ class SimulationRun:
                 # assigned to cells round-robin as they are created.
                 assert self.sim is not None
                 self._coordinator = CollusionCellPool(
-                    spec, sensing, self.sim.streams.get("collusion")
+                    spec, self._sensing, self.sim.streams.get("collusion")
                 )
             coordinator = self._coordinator.assign()
         return make_faulty_behavior(
             spec,
-            sensing,
+            self._sensing,
             node_id,
             self.trust_params,
             correct_spec=self.correct_spec,
@@ -461,7 +599,19 @@ class SimulationRun:
         if n_rounds <= 0:
             raise ValueError(f"n_rounds must be positive, got {n_rounds}")
         run_start = perf_counter()
+        if self.rotation is not None:
+            self._run_leaderships(n_rounds)
+        else:
+            self._run_fixed(n_rounds)
+        if self.observe:
+            assert self.probe is not None
+            self.probe.sample(self.sim.now)  # end-of-run state
+            self.sim.record_kernel_metrics()
+        self.timings["run_s"] = perf_counter() - run_start
+        return self
 
+    def _run_fixed(self, n_rounds: int) -> None:
+        """Schedule every round (and quiet window) up front, then run."""
         for round_index in range(n_rounds):
             round_time = (round_index + 1) * self.round_interval
             self.sim.at(
@@ -481,15 +631,131 @@ class SimulationRun:
         assert self.ch is not None
         self.ch.flush()
         self.sim.run()
-        if self.observe:
-            assert self.probe is not None
-            self.probe.sample(self.sim.now)  # end-of-run state
-            self.sim.record_kernel_metrics()
-        self.timings["run_s"] = perf_counter() - run_start
-        return self
+
+    # ------------------------------------------------------------------
+    # Rotating leadership (see Rotation)
+    # ------------------------------------------------------------------
+    def _run_leaderships(self, n_rounds: int) -> None:
+        """Fire each round one interval after the last and run until
+        just before the next, electing and retiring heads as due."""
+        assert self.rotation is not None and self.sim is not None
+        sim = self.sim
+        interval = self.round_interval
+        per_leadership = self.rotation.events_per_leadership
+        for _ in range(n_rounds):
+            round_index = self._rounds_run
+            if round_index % per_leadership == 0:
+                self._start_leadership()
+            event_time = sim.now + interval
+            sim.at(
+                event_time,
+                self._fire_round,
+                round_index,
+                priority=-1,
+                label=f"round-{round_index}",
+            )
+            sim.run(until=event_time + interval - 0.001)
+            self._rounds_run = round_index + 1
+            if self._rounds_run % per_leadership == 0:
+                self._end_leadership()
+
+    def _start_leadership(self) -> None:
+        """Elect this leadership's heads; install each with its shadows."""
+        assert self.rotation is not None and self.election is not None
+        assert self.bs is not None and self.deployment is not None
+        rotation = self.rotation
+        result = self.election.run_round()
+        # §2: each new CH requests its members' registry state.
+        registry = (
+            self.bs.table_for_new_ch(0) if rotation.transfer_trust else {}
+        )
+        corrupt_heads = tuple(
+            host
+            for host in result.cluster_heads
+            if rotation.corrupt_elected_faulty and host in self._ever_faulty
+        )
+        shadows: Dict[int, Tuple[int, ...]] = {}
+        for host in result.cluster_heads:
+            members = result.membership[host]
+            member_set = set(members)
+            cluster = Deployment(region=self.deployment.region)
+            for member in members:
+                cluster.add(member, self.deployment.position_of(member))
+            trust = {n: v for n, v in registry.items() if n in member_set}
+            # The host's own sensor re-homes too; it stays silent while
+            # it leads (see _fire_round).
+            ch = self._install_head(
+                self.CH_ID_OFFSET + host,
+                self.deployment.position_of(host),
+                cluster,
+                trust,
+                (*members, host),
+                head_class=(
+                    _CorruptClusterHead if host in corrupt_heads
+                    else ClusterHead
+                ),
+            )
+            self.bs.bind_ch(ch.node_id, 0, host_node_id=host)
+            self._heads[host] = ch
+            shadows[host] = self._appoint_shadows(ch, members, trust)
+        membership = {ch: list(m) for ch, m in result.membership.items()}
+        self.rounds.append(LeadershipRound(
+            result.round_number, result.cluster_heads, membership, shadows,
+            result.vetoed, corrupt_heads,
+        ))
+
+    def _appoint_shadows(
+        self,
+        ch: ClusterHead,
+        members: List[int],
+        trust: Dict[int, float],
+    ) -> Tuple[int, ...]:
+        """The ``N_SHADOWS`` highest-registry-TI members shadow ``ch``.
+
+        Each mirror starts from the trust snapshot the head imported --
+        without that, an honest CH and its shadows would vote with
+        different weights and the shadows would dissent spuriously.
+        """
+        assert self.bs is not None and self.channel is not None
+        bs = self.bs
+        ranked = sorted(members, key=lambda n: (-bs.ti_of(0, n), n))
+        hosts = ranked[:N_SHADOWS]
+        for host in hosts:
+            sch = ShadowClusterHead(
+                node_id=self.SHADOW_ID_OFFSET + host,
+                position=self.deployment.position_of(host),
+                watched_ch_id=ch.node_id,
+                deployment=ch.deployment,
+                config=self._ch_config,
+                base_station_id=bs.node_id,
+            )
+            sch.trust.import_state(trust)
+            self.channel.register(sch)
+            self.channel.add_tap(ch.node_id, sch)
+            self._shadows.append(sch)
+        return tuple(self.SHADOW_ID_OFFSET + host for host in hosts)
+
+    def _end_leadership(self) -> None:
+        """Close the heads' windows, ship their tables (§2), retire them."""
+        assert self.sim is not None and self.channel is not None
+        assert self.election is not None
+        heads = self._heads
+        for ch in heads.values():
+            ch.flush()
+        self.sim.run()
+        for ch in heads.values():
+            self._retired.append(self._head_log(ch))
+            ch.end_leadership(round_number=self.election.round_number)
+            self.channel.unregister(ch.node_id)
+        self.sim.run()  # deliver the TI transfers
+        for sch in self._shadows:
+            sch.flush()
+            self.channel.remove_tap(sch.watched_ch_id, sch)
+            self.channel.unregister(sch.node_id)
+        heads.clear()
+        self._shadows.clear()
 
     def _fire_round(self, round_index: int) -> None:
-        self._round_index = round_index
         self._apply_compromises(round_index)
         assert self.generator is not None and self.sim is not None
         batch = self.generator.next_batch(
@@ -497,6 +763,8 @@ class SimulationRun:
         )
         self.events.extend(batch)
         nodes = self.nodes
+        # A rotating head's host senses through its CH role only.
+        leading = self._heads
         spans = self.sim.spans
         for event in batch:
             # Only event neighbours can report (compose_report's detects
@@ -507,90 +775,61 @@ class SimulationRun:
             # ascending, matching self.nodes insertion order, so report
             # order -- and hence channel-stream consumption -- is
             # unchanged.
-            neighbors = self.deployment.event_neighbors(
-                event.location, self.sensing_radius
-            )
+            pending = [
+                (node, message)
+                for node_id in self.deployment.event_neighbors(
+                    event.location, self.sensing_radius
+                )
+                if node_id not in leading
+                and (node := nodes.get(node_id)) is not None
+                and (message := node.compose_report(event)) is not None
+            ]
             if spans.enabled:
                 # Root of the causal chain: the ground-truth event.
-                # Each composed report gets a span and binds its
-                # message id, so the radio transmit parents there.
-                event_ctx = spans.point(
+                self._span_reports(pending, spans.point(
                     "event",
                     event_id=event.event_id,
                     x=event.location.x,
                     y=event.location.y,
-                )
-                spans.current = event_ctx
-                pending = []
-                for node_id in neighbors:
-                    node = nodes.get(node_id)
-                    if node is None:
-                        continue
-                    message = node.compose_report(event)
-                    if message is None:
-                        continue
-                    spans.bind(
-                        message.message_id,
-                        spans.point(
-                            "report",
-                            parent=event_ctx,
-                            node=node.node_id,
-                            message_id=message.message_id,
-                        ),
-                    )
-                    pending.append((node, message))
-                self._dispatch_reports(pending)
-                spans.current = 0
-                continue
-            self._dispatch_reports(
-                [
-                    (node, message)
-                    for node_id in neighbors
-                    if (node := nodes.get(node_id)) is not None
-                    and (message := node.compose_report(event)) is not None
-                ]
-            )
+                ))
+            self._dispatch_reports(pending)
+            spans.current = 0
 
     def _fire_quiet_window(self) -> None:
         # quiet_inert behaviours (e.g. correct nodes with a zero false
         # alarm rate) neither draw from their stream nor report, so
         # skipping the call wholesale is bit-identical to making it.
+        pending = [
+            (node, message)
+            for node in self.nodes.values()
+            if not node.behavior.quiet_inert
+            and (message := node.compose_false_alarm()) is not None
+        ]
         spans = self.sim.spans
-        if spans.enabled:
+        if spans.enabled and pending:
             # False alarms have no ground-truth event; they root under
             # a quiet-window marker so the explain chain names them.
-            quiet_ctx = 0
-            pending = []
-            for node in self.nodes.values():
-                if node.behavior.quiet_inert:
-                    continue
-                message = node.compose_false_alarm()
-                if message is None:
-                    continue
-                if not quiet_ctx:
-                    quiet_ctx = spans.point("event", event_id=-1, quiet=True)
-                    spans.current = quiet_ctx
-                spans.bind(
-                    message.message_id,
-                    spans.point(
-                        "report",
-                        parent=quiet_ctx,
-                        node=node.node_id,
-                        message_id=message.message_id,
-                    ),
-                )
-                pending.append((node, message))
-            self._dispatch_reports(pending)
-            spans.current = 0
-            return
-        self._dispatch_reports(
-            [
-                (node, message)
-                for node in self.nodes.values()
-                if not node.behavior.quiet_inert
-                and (message := node.compose_false_alarm()) is not None
-            ]
-        )
+            self._span_reports(
+                pending, spans.point("event", event_id=-1, quiet=True)
+            )
+        self._dispatch_reports(pending)
+        spans.current = 0
+
+    def _span_reports(self, pending, root: int) -> None:
+        """Span each composed report under ``root`` (composing emits no
+        spans) and bind its message id for the radio transmit."""
+        spans = self.sim.spans
+        spans.current = root
+        for node, message in pending:
+            spans.bind(
+                message.message_id,
+                spans.point(
+                    "report",
+                    parent=root,
+                    node=node.node_id,
+                    message_id=message.message_id,
+                ),
+            )
 
     def _dispatch_reports(self, pending) -> None:
         """Radio-transmit one round's composed reports as a single batch.
@@ -625,10 +864,9 @@ class SimulationRun:
                 node = self.nodes.get(node_id)
                 if node is None:
                     continue
-                behavior = self._make_faulty_behavior(
-                    self._sensing_correct, node_id, spec=order.spec
+                node.compromise(
+                    self._make_faulty_behavior(node_id, spec=order.spec)
                 )
-                node.compromise(behavior)
                 self._ever_faulty.add(node_id)
                 assert self.sim is not None
                 spans = self.sim.spans
@@ -642,45 +880,49 @@ class SimulationRun:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
+    def _head_log(self, ch: ClusterHead) -> HeadLog:
+        return HeadLog(
+            ch.decisions,
+            ch.session.journal_records() if self.journal else [],
+            ch.diagnoser.diagnosed if ch.diagnoser is not None else (),
+        )
+
+    def _head_logs(self) -> List[HeadLog]:
+        """Every head this run has had: the retired, then the leading."""
+        leading = [self.ch] if self.rotation is None else self._heads.values()
+        return self._retired + [self._head_log(ch) for ch in leading]
+
     def all_decisions(self) -> List[DecisionRecord]:
         """The decision timeline across every CH this run ever had.
 
-        Without CH failover this is exactly the active head's log (the
-        same list object -- no copy).  After a failover the retired
-        heads' logs are merged with the active one in time order.
+        With one head this is exactly its log (the same list object --
+        no copy); several heads' logs are merged in time order.  These
+        are the heads' own verdicts, before any BS correction.
         """
-        assert self.ch is not None
-        if not self._retired_chs:
-            return self.ch.decisions
-        merged: List[DecisionRecord] = []
-        for ch in (*self._retired_chs, self.ch):
-            merged.extend(ch.decisions)
-        merged.sort(key=lambda record: (record.time, record.decision_id))
-        return merged
+        return _merged_decisions(self._head_logs())
 
     def metrics(self) -> RunMetrics:
         """Score the completed run against ground truth."""
-        assert self.ch is not None
+        heads = self._head_logs()
+        decisions = _merged_decisions(heads)
         quiet_offset = (
             self.round_interval / 2.0 if self.quiet_windows else None
         )
-        decisions = self.all_decisions()
         outcomes, false_positives = score_run(
             self.events,
-            decisions,
+            decisions if self.bs is None else self._bs_corrected(decisions),
             round_interval=self.round_interval,
             r_error=self.r_error if self.mode == "location" else None,
             quiet_window_offset=quiet_offset,
         )
-        diagnosed: Tuple[int, ...] = ()
-        if self._retired_chs:
-            union: set = set()
-            for ch in (*self._retired_chs, self.ch):
-                if ch.diagnoser is not None:
-                    union.update(ch.diagnoser.diagnosed)
-            diagnosed = tuple(sorted(union))
-        elif self.ch.diagnoser is not None:
-            diagnosed = self.ch.diagnoser.diagnosed
+        if self.bs is not None:
+            diagnosed = self.bs.registry_for(0).below_threshold(
+                REGISTRY_DIAGNOSIS_TI
+            )
+        else:
+            diagnosed = tuple(
+                sorted({node for head in heads for node in head.diagnosed})
+            )
         n_quiet = len({e.time for e in self.events}) if self.quiet_windows else 0
         return RunMetrics(
             outcomes=outcomes,
@@ -691,8 +933,24 @@ class SimulationRun:
             truly_faulty_nodes=tuple(sorted(self._ever_faulty)),
         )
 
+    def _bs_corrected(
+        self, decisions: List[DecisionRecord]
+    ) -> List[DecisionRecord]:
+        """§3.4: where the BS overruled a head, its 2-of-3 vote (with the
+        dissenting shadows' location) is the network's answer."""
+        assert self.bs is not None
+        fixes = {r.decision_id: r for r in self.bs.resolutions}
+        return [
+            replace(d, occurred=fix.final_verdict,
+                    location=fix.final_location or d.location)
+            if (fix := fixes.get(d.decision_id)) is not None else d
+            for d in decisions
+        ]
+
     def trust_snapshot(self) -> Dict[int, float]:
-        """Current TI of every node as held by the CH."""
+        """Current TI of every node: the CH's table, or the BS registry."""
+        if self.bs is not None:
+            return self.bs.registry_for(0).tis()
         assert self.ch is not None
         return self.ch.trust.tis()
 
@@ -703,15 +961,18 @@ class SimulationRun:
         closed window in close order (see
         :meth:`repro.service.session.TrustSession.journal_records`);
         feeding them through ``TrustSession.replay_window`` on a fresh
-        session reproduces the run's trust state bit for bit.  After a
-        chaos CH failover the segments concatenate per head -- replay
-        must mirror the trust hand-off between segments itself.
+        session reproduces the run's trust state bit for bit.  With more
+        than one head (a chaos failover, or rotation) the segments
+        concatenate per head -- replay must mirror the trust hand-off
+        between segments itself.
         """
-        assert self.ch is not None
-        records: List[Dict[str, object]] = []
-        for ch in (*self._retired_chs, self.ch):
-            records.extend(ch.session.journal_records())
-        return records
+        if not self.journal:
+            raise RuntimeError(
+                "run was built without journal=True; nothing recorded"
+            )
+        return [
+            record for head in self._head_logs() for record in head.journal
+        ]
 
     # ------------------------------------------------------------------
     # Observability export

@@ -22,9 +22,9 @@ Routes (all request/response bodies are JSON)::
 
 Sessions are created lazily on first ingest (the manager's factory
 builds one from the service's default template), mirroring how a new
-cluster simply starts reporting.  ``tibfit-repro serve`` wires this up
-from the command line; the smoke tests drive :func:`make_server`
-in-process.
+cluster simply starts reporting; a rejected request creates none.
+``tibfit-repro serve`` wires this up from the command line; the smoke
+tests drive :func:`make_server` in-process.
 """
 
 from __future__ import annotations
@@ -294,7 +294,10 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
             doc = self._read_json()
             now = _parse(float, doc.get("time", 0.0), "time")
             with self.manager.locked(key) as session:
-                records = session.close_window(now=now)
+                try:
+                    records = session.close_window(now=now)
+                except ValueError as exc:
+                    raise _ApiError(400, f"bad close: {exc}") from None
                 decisions = [_decision_to_dict(record) for record in records]
             self._send_json(200, {"decisions": decisions})
             return

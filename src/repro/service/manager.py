@@ -6,7 +6,7 @@ tenant/cluster id string.  It provides the three things the HTTP layer
 (and any embedding server) needs:
 
 * **lazy creation** -- unknown keys are built by the injected factory
-  on first touch;
+  on first touch, and dropped if no request on them succeeds;
 * **bounded residency** -- a max-session cap with LRU eviction of idle
   sessions (an ``OrderedDict`` move-to-end on every touch *is* the LRU
   order, so eviction is O(1) and needs no clock);
@@ -31,14 +31,16 @@ __all__ = ["SessionManager", "SessionSlot"]
 
 
 class SessionSlot:
-    """One managed session plus its ingest lock."""
+    """One managed session, its ingest lock, and whether it was used:
+    a request on it succeeded, or ``get_or_create`` handed it out."""
 
-    __slots__ = ("key", "session", "lock")
+    __slots__ = ("key", "session", "lock", "used")
 
     def __init__(self, key: str, session: TrustSession) -> None:
         self.key = key
         self.session = session
         self.lock = threading.Lock()
+        self.used = False
 
 
 class SessionManager:
@@ -113,24 +115,42 @@ class SessionManager:
 
     def get_or_create(self, key: str) -> TrustSession:
         """The session for ``key``, building (and possibly evicting) one."""
-        return self._get_or_create_slot(key).session
+        slot = self._get_or_create_slot(key)
+        slot.used = True
+        return slot.session
 
     @contextmanager
     def locked(self, key: str, create: bool = True) -> Iterator[TrustSession]:
         """Context manager: the session for ``key`` under its own lock.
 
         With ``create=False`` raises :class:`KeyError` for non-resident
-        keys instead of building one.
+        keys instead of building one.  If the block raises on a session
+        no request has yet succeeded on, the session is dropped, so a
+        rejected first request leaves none behind.  A slot dropped or
+        evicted while this call waited for its lock is looked up afresh.
         """
-        if create:
-            slot = self._get_or_create_slot(key)
-        else:
-            found = self._get_slot(key)
-            if found is None:
+        while True:
+            slot = (
+                self._get_or_create_slot(key) if create
+                else self._get_slot(key)
+            )
+            if slot is None:
                 raise KeyError(key)
-            slot = found
-        with slot.lock:
-            yield slot.session
+            with slot.lock:
+                with self._lock:
+                    if self._slots.get(key) is not slot:
+                        continue
+                try:
+                    yield slot.session
+                except BaseException:
+                    if not slot.used:
+                        with self._lock:
+                            if self._slots.get(key) is slot:
+                                del self._slots[key]
+                                self.created -= 1
+                    raise
+                slot.used = True
+                return
 
     # ------------------------------------------------------------------
     # Eviction / removal

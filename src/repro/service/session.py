@@ -298,10 +298,6 @@ class TrustSession:
     # ------------------------------------------------------------------
     # Service API: ingest / close / query
     # ------------------------------------------------------------------
-    def set_members(self, members: Sequence[int]) -> None:
-        """Restrict the cluster membership (multi-cluster deployments)."""
-        self.members = tuple(sorted(members))
-
     def _node_id(self, value: object) -> int:
         """``value`` as a deployed node id, else :class:`ValueError`.
 
@@ -331,14 +327,12 @@ class TrustSession:
         every report, and a batch front end can apply it to a whole
         batch first.
         """
-        node_id = self._node_id(node_id)
-        x = None if x is None else float(x)
-        y = None if y is None else float(y)
-        time = float(time)
-        for name, value in (("x", x), ("y", y), ("time", time)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        return node_id, x, y, time
+        return (
+            self._node_id(node_id),
+            None if x is None else _finite("x", x),
+            None if y is None else _finite("y", y),
+            _finite("time", time),
+        )
 
     def ingest(
         self,
@@ -379,8 +373,10 @@ class TrustSession:
         Returns the decision records this close produced (one per
         report cluster in location mode, exactly one in binary mode).
         Closing an empty window is a no-op -- the paper's windows only
-        exist once a first report opens them.
+        exist once a first report opens them.  ``now`` must be finite,
+        as a report's time must (:class:`ValueError` otherwise).
         """
+        now = _finite("time", now)
         before = len(self.decisions)
         if self.config.mode == "binary":
             senders = self._pending_senders
@@ -636,6 +632,14 @@ def _decision_to_dict(record: DecisionRecord) -> Dict[str, object]:
     }
 
 
+def _finite(name: str, value: object) -> float:
+    """``float(value)``, or :class:`ValueError` unless it is finite."""
+    number = float(value)  # type: ignore[arg-type]
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
+
+
 def _decision_from_dict(doc: Dict[str, object]) -> DecisionRecord:
     location = doc["location"]
     if location is not None:
@@ -643,10 +647,10 @@ def _decision_from_dict(doc: Dict[str, object]) -> DecisionRecord:
             raise ValueError(
                 f"decision location must be null or [x, y], got {location!r}"
             )
-        location = Point(float(location[0]), float(location[1]))
+        location = Point(_finite("x", location[0]), _finite("y", location[1]))
     return DecisionRecord(
         decision_id=int(doc["decision_id"]),  # type: ignore[arg-type]
-        time=float(doc["time"]),  # type: ignore[arg-type]
+        time=_finite("decision time", doc["time"]),
         occurred=bool(doc["occurred"]),
         location=location,  # type: ignore[arg-type]
         supporters=tuple(int(n) for n in doc["supporters"]),  # type: ignore[union-attr]

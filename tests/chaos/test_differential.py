@@ -79,8 +79,8 @@ class TestChFailover:
 
     def test_failover_promotes_a_standby_head(self):
         run = self.make_crash_run().run(10)
-        assert len(run._retired_chs) == 1
-        retired = run._retired_chs[0]
+        assert len(run._retired) == 1
+        retired = run.channel.node(SimulationRun.CH_ID_OFFSET)
         assert not retired.alive
         assert run.ch.node_id == SimulationRun.CH_ID_OFFSET + 1
         assert run.ch.alive
@@ -89,7 +89,7 @@ class TestChFailover:
 
     def test_standby_inherits_trust_state(self):
         run = self.make_crash_run().run(10)
-        retired = run._retired_chs[0]
+        retired = run.channel.node(SimulationRun.CH_ID_OFFSET)
         # TIs at crash time carried over: the standby's table contains
         # every node and the faulty nodes' TIs kept decaying afterwards.
         assert set(run.ch.trust.tis()) == set(retired.trust.tis())
@@ -98,7 +98,7 @@ class TestChFailover:
 
     def test_decisions_span_both_heads(self):
         run = self.make_crash_run().run(10)
-        retired = run._retired_chs[0]
+        retired = run._retired[0]
         assert retired.decisions and run.ch.decisions
         merged = run.all_decisions()
         assert len(merged) == len(retired.decisions) + len(run.ch.decisions)
@@ -115,7 +115,7 @@ class TestChFailover:
 
     def test_crash_without_failover_goes_headless(self):
         run = self.make_crash_run(failover=False).run(10)
-        assert run._retired_chs == []
+        assert run._retired == []
         assert not run.ch.alive
         # Rounds after the crash produce no decisions.
         assert all(d.time < 55.0 for d in run.all_decisions())

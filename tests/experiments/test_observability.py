@@ -277,3 +277,53 @@ class TestSpanArtifacts:
 
         assert main(["explain", str(tmp_path)]) == 2
         assert "spans.jsonl" in capsys.readouterr().err
+
+
+class TestRotatingProvenance:
+    """Exp 4's rotating network on the shared span path: LEACH heads,
+    shadow CHs and BS hand-offs, each decision indexed exactly once."""
+
+    @staticmethod
+    def rotating(spans, **overrides):
+        from tests.golden.builders import reset_id_streams, rotating_run
+
+        reset_id_streams()
+        run = rotating_run(level=1, faulty_count=15, spans=spans, **overrides)
+        return run.run(24)
+
+    @pytest.fixture(scope="class")
+    def spanned(self):
+        return self.rotating(spans=True)
+
+    def test_spanned_rotating_run_matches_unspanned(self, spanned):
+        from tests.golden.builders import rotating_document
+
+        plain = self.rotating(spans=False)
+        assert spanned.spans.emitted > 0
+        assert rotating_document(spanned) == rotating_document(plain)
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_index_lists_exactly_the_heads_decisions(self, corrupt):
+        run = self.rotating(spans=True, corrupt_elected_faulty=corrupt)
+        prov = ProvenanceIndex(run.spans.to_records())
+        # The shadows' mirror verdicts are not network decisions.
+        assert prov.decision_ids() == sorted(
+            d.decision_id for d in run.all_decisions()
+        )
+        assert len(run.rounds) == 4
+
+    def test_explain_renders_a_rotating_decision(self, spanned, tmp_path,
+                                                 capsys):
+        from repro.cli import main
+        from repro.obs.export import write_jsonl
+
+        write_jsonl(tmp_path / "spans.jsonl", spanned.spans.to_records())
+        decision = spanned.all_decisions()[-1]
+        assert main(
+            ["explain", str(tmp_path), "--decision", str(decision.decision_id)]
+        ) == 0
+        rendered = capsys.readouterr().out
+        assert f"decision {decision.decision_id} @ t={decision.time:g}" in (
+            rendered
+        )
+        assert "evidence" in rendered

@@ -33,9 +33,15 @@ from repro.experiments.config import (
     Experiment2Config,
     Experiment3Config,
 )
+from repro.clusterctl.leach import LeachConfig
 from repro.experiments.experiment4 import Experiment4Config
 from repro.experiments import experiment4
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import (
+    CorrectSpec,
+    FaultSpec,
+    Rotation,
+    SimulationRun,
+)
 from repro.network import messages
 from repro.obs.provenance import ProvenanceIndex
 
@@ -43,6 +49,20 @@ from repro.obs.provenance import ProvenanceIndex
 def _normalise(doc: Dict[str, object]) -> Dict[str, object]:
     """JSON round-trip: tuples become lists, floats stay bit-exact."""
     return json.loads(json.dumps(doc))
+
+
+def reset_id_streams() -> None:
+    """Rewind the process-global message, decision and circle ids.
+
+    They land in span args and decision records; resetting them keeps a
+    fixture independent of what earlier tests in the same process made.
+    """
+    from repro.clusterctl.head import reset_decision_ids
+    from repro.core.concurrent import reset_circle_ids
+
+    messages.reset_message_ids()
+    reset_decision_ids()
+    reset_circle_ids()
 
 
 def build_experiment1() -> Dict[str, object]:
@@ -104,16 +124,7 @@ def build_exp2_provenance() -> Dict[str, object]:
     faulty_ids = rng.choice(
         config.n_nodes, size=config.n_faulty(point), replace=False
     )
-    # Message, decision, and collection-circle ids draw from
-    # process-global streams and land in span args; reset them so the
-    # fixture does not depend on what earlier tests in the same process
-    # created.
-    from repro.clusterctl.head import reset_decision_ids
-    from repro.core.concurrent import reset_circle_ids
-
-    messages.reset_message_ids()
-    reset_decision_ids()
-    reset_circle_ids()
+    reset_id_streams()
     run = SimulationRun(
         mode="location",
         n_nodes=config.n_nodes,
@@ -212,10 +223,153 @@ def build_experiment4() -> Dict[str, object]:
     })
 
 
+#: ``exp4_rotation``'s runs: name -> (``run()`` calls, overrides).  One
+#: lossy level-1 run driven by two ``run()`` calls, a level-2 amnesia
+#: run, corrupt elected heads the base station deposes, and the baseline.
+ROTATING_RUNS: Dict[str, tuple] = {
+    "lossy_level1": (
+        (12, 24), dict(level=1, faulty_count=15, channel_loss=0.008),
+    ),
+    "level2_amnesia": (
+        (24,), dict(level=2, faulty_count=18, transfer_trust=False),
+    ),
+    "corrupt_heads": (
+        (36,), dict(level=0, faulty_count=15, seed=11,
+                    corrupt_elected_faulty=True),
+    ),
+    "baseline": ((24,), dict(level=0, faulty_count=15, use_trust=False)),
+}
+
+
+def rotating_run(
+    level: int,
+    faulty_count: int,
+    seed: int = 31,
+    channel_loss: float = 0.0,
+    use_trust: bool = True,
+    transfer_trust: bool = True,
+    corrupt_elected_faulty: bool = False,
+    **overrides,
+) -> SimulationRun:
+    """A 49-node rotating network: 6-event leaderships, LEACH P = 0.08."""
+    rng = np.random.default_rng(seed + 7)
+    faulty = tuple(
+        int(x) for x in rng.choice(49, size=faulty_count, replace=False)
+    )
+    kwargs = dict(
+        n_nodes=49,
+        field_side=70.0,
+        sensing_radius=20.0,
+        r_error=5.0,
+        use_trust=use_trust,
+        correct_spec=CorrectSpec(sigma=1.6),
+        fault_spec=FaultSpec(level=level, drop_rate=0.25, sigma=4.25),
+        faulty_ids=faulty,
+        channel_loss=channel_loss,
+        quiet_windows=False,
+        seed=seed,
+        rotation=Rotation(
+            leach=LeachConfig(ch_fraction=0.08, ti_threshold=0.5),
+            events_per_leadership=6,
+            transfer_trust=transfer_trust,
+            corrupt_elected_faulty=corrupt_elected_faulty,
+        ),
+    )
+    kwargs.update(overrides)
+    return SimulationRun(**kwargs)
+
+
+def _xy(point) -> object:
+    return None if point is None else [point.x, point.y]
+
+
+def _registry_bits(run: SimulationRun) -> list:
+    registry = run.bs.registry_for(0)
+    return [
+        [node, v, registry.ti(node)]
+        for node, v in sorted(registry.export_state().items())
+    ]
+
+
+def rotating_document(run: SimulationRun) -> Dict[str, object]:
+    """Every rotating-run field a refactor must keep bit for bit."""
+    metrics = run.metrics()
+    return {
+        "accuracy": metrics.accuracy,
+        "metrics": {
+            "outcomes": [
+                [o.event_id, o.time, _xy(o.location), o.detected,
+                 o.localisation_error]
+                for o in metrics.outcomes
+            ],
+            "false_positive_decisions": metrics.false_positive_decisions,
+            "quiet_windows": metrics.quiet_windows,
+            "decisions_total": metrics.decisions_total,
+            "diagnosed_nodes": metrics.diagnosed_nodes,
+            "truly_faulty_nodes": metrics.truly_faulty_nodes,
+        },
+        "registry": _registry_bits(run),
+        "decisions": [
+            [d.decision_id, d.time, d.occurred, _xy(d.location),
+             d.supporters, d.dissenters]
+            for d in run.all_decisions()
+        ],
+        "leaderships": [
+            {
+                "round": record.round_number,
+                "heads": record.cluster_heads,
+                "membership": sorted(record.membership.items()),
+                "shadows": sorted(record.shadows.items()),
+                "vetoed": record.vetoed,
+                "corrupt_heads": record.corrupt_heads,
+            }
+            for record in run.rounds
+        ],
+        "resolutions": [
+            [r.decision_id, r.ch_id, r.final_verdict, _xy(r.final_location)]
+            for r in run.bs.resolutions
+        ],
+        "events": [
+            [e.event_id, e.time, _xy(e.location)] for e in run.events
+        ],
+    }
+
+
+def build_exp4_rotation() -> Dict[str, object]:
+    """The rotating network beyond one accuracy: four small runs.
+
+    Pins what ``exp4.json``'s single float cannot: LEACH heads and
+    membership, shadow appointments, base-station resolutions and
+    registry, the decision timeline and the event times.  The first run
+    is driven by two ``run()`` calls and also records its state between
+    them.
+    """
+    doc: Dict[str, object] = {}
+    for name, (calls, overrides) in ROTATING_RUNS.items():
+        reset_id_streams()
+        run = rotating_run(**overrides)
+        between = []
+        for n_rounds in calls:
+            run.run(n_rounds)
+            between.append({
+                "leaderships": len(run.rounds),
+                "decisions": len(run.all_decisions()),
+                "registry": _registry_bits(run),
+            })
+        doc[name] = {
+            "calls": calls,
+            "between_calls": between[:-1],
+            **rotating_document(run),
+        }
+    assert doc["corrupt_heads"]["resolutions"], "no corrupt head deposed"
+    return _normalise(doc)
+
+
 BUILDERS: Dict[str, Callable[[], Dict[str, object]]] = {
     "exp1": build_experiment1,
     "exp2": build_experiment2,
     "exp2_provenance": build_exp2_provenance,
     "exp3": build_experiment3,
     "exp4": build_experiment4,
+    "exp4_rotation": build_exp4_rotation,
 }

@@ -10,6 +10,7 @@ commit the reviewed diff.
 
 from __future__ import annotations
 
+import builtins
 import json
 from pathlib import Path
 
@@ -46,3 +47,27 @@ def test_fixture_floats_roundtrip():
     for name in BUILDERS:
         doc = _load(name)
         assert json.loads(json.dumps(doc)) == doc
+
+
+def test_golden_builders_make_no_float_sums(monkeypatch):
+    """No pinned number may rest on ``sum()`` over floats.
+
+    CPython 3.12 made ``sum()`` of floats compensated, so a float sum
+    on a pinned path would give different bits on different
+    interpreters.  Pinned float totals are left-to-right loops instead;
+    this guard fails on 3.11 as soon as one slips back in.
+    """
+    real_sum = builtins.sum
+    calls = []
+
+    def exact_sum(iterable, /, start=0):
+        items = list(iterable)
+        floats = [x for x in (start, *items) if isinstance(x, float)]
+        assert not floats, f"sum() over floats on a pinned path: {floats[:3]}"
+        calls.append(len(items))
+        return real_sum(items, start)
+
+    monkeypatch.setattr(builtins, "sum", exact_sum)
+    for name in sorted(BUILDERS):
+        BUILDERS[name]()
+    assert calls, "the guard saw no sum() call at all"

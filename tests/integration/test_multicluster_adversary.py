@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 
 from repro.clusterctl.leach import LeachConfig
-from repro.clusterctl.simulation import RotatingClusterSimulation
-from repro.experiments.harness import CorrectSpec, FaultSpec
+from repro.experiments.harness import (
+    CorrectSpec,
+    FaultSpec,
+    Rotation,
+    SimulationRun,
+)
 
 
-def build(level, faulty_count=15, seed=31, **kwargs):
+def build(level, faulty_count=15, seed=31, events_per_leadership=6,
+          corrupt_elected_faulty=False, **kwargs):
     rng = np.random.default_rng(seed + 7)
     faulty = tuple(
         int(x) for x in rng.choice(49, size=faulty_count, replace=False)
@@ -25,19 +30,28 @@ def build(level, faulty_count=15, seed=31, **kwargs):
         correct_spec=CorrectSpec(sigma=1.6),
         fault_spec=FaultSpec(level=level, drop_rate=0.25, sigma=4.25),
         faulty_ids=faulty,
-        leach=LeachConfig(ch_fraction=0.08, ti_threshold=0.5),
-        events_per_leadership=6,
         channel_loss=0.0,
+        quiet_windows=False,
         seed=seed,
+        rotation=Rotation(
+            leach=LeachConfig(ch_fraction=0.08, ti_threshold=0.5),
+            events_per_leadership=events_per_leadership,
+            corrupt_elected_faulty=corrupt_elected_faulty,
+        ),
     )
     defaults.update(kwargs)
-    return RotatingClusterSimulation(**defaults), faulty
+    return SimulationRun(**defaults), faulty
+
+
+def lead(run, leaderships):
+    """Run ``leaderships`` whole leaderships of event rounds."""
+    return run.run(leaderships * run.rotation.events_per_leadership)
 
 
 class TestSmartAdversariesUnderRotation:
     def test_level1_network_keeps_detecting(self):
         sim, _faulty = build(level=1)
-        sim.run(5)
+        lead(sim, 5)
         assert sim.metrics().accuracy >= 0.8
 
     def test_level2_cells_survive_rotation(self):
@@ -45,8 +59,8 @@ class TestSmartAdversariesUnderRotation:
         rotation does not reset the conspiracy -- and the registry still
         learns who the colluders are."""
         sim, faulty = build(level=2, faulty_count=18)
-        sim.run(6)
-        registry = sim.registry_snapshot()
+        lead(sim, 6)
+        registry = sim.trust_snapshot()
         lying = [registry.get(n, 1.0) for n in faulty]
         honest = [
             ti for n, ti in registry.items() if n not in set(faulty)
@@ -58,8 +72,8 @@ class TestSmartAdversariesUnderRotation:
         stops winning elections in later rounds."""
         sim, faulty = build(level=0, faulty_count=20, seed=37,
                             events_per_leadership=8)
-        sim.run(8)
-        registry = sim.registry_snapshot()
+        lead(sim, 8)
+        registry = sim.trust_snapshot()
         barred = {
             n for n in faulty if registry.get(n, 1.0) < 0.5
         }
@@ -74,7 +88,7 @@ class TestSmartAdversariesUnderRotation:
 
     def test_metrics_report_compromise_ground_truth(self):
         sim, faulty = build(level=1)
-        sim.run(3)
+        lead(sim, 3)
         assert sim.metrics().truly_faulty_nodes == tuple(sorted(faulty))
 
 
@@ -89,7 +103,7 @@ class TestCorruptClusterHeads:
             level=0, faulty_count=15, seed=seed,
             corrupt_elected_faulty=True,
         )
-        sim.run(6)
+        lead(sim, 6)
         return sim, faulty
 
     def test_exactly_the_watchable_corrupt_heads_are_deposed(self):
@@ -117,7 +131,7 @@ class TestCorruptClusterHeads:
             level=0, faulty_count=15, seed=11,
             corrupt_elected_faulty=False,
         )
-        sim.run(6)
+        lead(sim, 6)
         assert sim.bs.resolutions == []
 
     def test_bs_corrections_restore_system_accuracy(self):
@@ -129,7 +143,7 @@ class TestCorruptClusterHeads:
 
         raw_outcomes, _ = score_run(
             sim.events,
-            sorted(sim.decisions, key=lambda d: (d.time, d.decision_id)),
+            sim.all_decisions(),
             round_interval=sim.round_interval,
             r_error=sim.r_error,
         )
@@ -140,7 +154,7 @@ class TestCorruptClusterHeads:
 
     def test_deposed_hosts_lose_registry_trust(self):
         sim, _faulty = self.build_corrupt()
-        registry = sim.registry_snapshot()
+        registry = sim.trust_snapshot()
         for resolution in sim.bs.resolutions:
             host = sim.bs._host_of_ch[resolution.ch_id]
             assert registry.get(host, 1.0) < 1.0

@@ -182,13 +182,18 @@ class TestErrors:
          {"reports": [{"node": 0, "x": 1.0, "y": 1.0, "time": "soon"}]},
          None),
         ("POST", "/v1/sessions/t/close", {"time": [1.0]}, None),
+        ("POST", "/v1/sessions/t/close", {"time": "nan"}, None),
+        ("POST", "/v1/sessions/t/close", {"time": "-inf"}, None),
+        ("POST", "/v1/sessions/t/close", {"time": float("nan")}, None),
         ("GET", "/v1/sessions/t/ti?node=seven", None, None),
         ("GET", "/v1/sessions/t/decisions?since=last", None, None),
         ("POST", "/v1/sessions/t/close", {"time": 1.0}, "ten"),
         ("POST", "/v1/sessions/t/close", {"time": 1.0}, "-1"),
     ], ids=[
-        "node", "null-node", "x", "report-time", "close-time", "query-node",
-        "query-since", "content-length", "negative-content-length",
+        "node", "null-node", "x", "report-time", "close-time",
+        "close-time-nan-text", "close-time-inf-text", "close-time-nan",
+        "query-node", "query-since", "content-length",
+        "negative-content-length",
     ])
     def test_malformed_numbers_are_400(self, server, method, path, body,
                                        length):
@@ -302,11 +307,20 @@ class TestErrors:
         ("windows_closed", -5),
         ("members", [0, 1.7]),
         ("diagnosed", [True]),
+        ("decisions", [{
+            "decision_id": 1, "time": "nan", "occurred": True,
+            "location": None, "supporters": [0], "dissenters": [],
+        }]),
+        ("decisions", [{
+            "decision_id": 1, "time": 1.0, "occurred": True,
+            "location": [float("inf"), 1.0], "supporters": [0],
+            "dissenters": [],
+        }]),
     ], ids=[
         "trust", "decisions", "next_decision_id", "infinite-id",
         "short-location", "member-outside", "trust-node-outside",
         "diagnosed-outside", "negative-windows", "member-fraction",
-        "diagnosed-bool",
+        "diagnosed-bool", "decision-time-nan", "decision-x-inf",
     ])
     def test_rejected_state_leaves_session_unchanged(self, server, field,
                                                      value):
@@ -322,6 +336,20 @@ class TestErrors:
         assert status == 400
         assert "error" in reply
         assert state_text(base, "t") == before
+
+    @pytest.mark.parametrize("method, action, body", [
+        ("PUT", "state", {"bogus": 1}),
+        ("POST", "reports", {"reports": [{"node": 1.5, "x": 1.0, "y": 1.0}]}),
+        ("POST", "close", {"time": "nan"}),
+    ], ids=["state", "reports", "close"])
+    def test_rejected_request_creates_no_session(self, server, method,
+                                                 action, body):
+        base, manager = server
+        status, reply = call(base, method, f"/v1/sessions/new/{action}", body)
+        assert status == 400
+        assert "error" in reply
+        assert call(base, "GET", "/v1/sessions") == (200, {"sessions": []})
+        assert manager.stats()["created"] == 0
 
     def test_unknown_route_is_404(self, server):
         base, _ = server

@@ -9,7 +9,10 @@ the same keep-alive connection.  The service boundary must hold:
   handler fails the example with its traceback);
 * ``/healthz`` still answers 200 afterwards, so the request left the
   connection framed;
-* after a 4xx, the session's ``export_state()`` is byte-identical.
+* after a 4xx, the session's ``export_state()`` is byte-identical and
+  no session was created or dropped;
+* every resident session's state is standard JSON (no ``NaN`` or
+  ``Infinity``).
 
 The target session ``t`` starts every example from the same exported
 state: decided windows, moved trust values, and an open window.
@@ -96,6 +99,7 @@ def exchange(method, target, body):
     with manager.locked(KEY) as session:
         session.import_state(copy.deepcopy(BASELINE))
     before = _state_text(manager)
+    keys_before = set(manager.keys())
     raw = (
         f"{method} {target} HTTP/1.1\r\n"
         "Host: fuzz\r\n"
@@ -113,6 +117,9 @@ def exchange(method, target, body):
     if 400 <= status < 500:
         assert manager.get(KEY) is not None
         assert _state_text(manager) == before
+        assert set(manager.keys()) == keys_before
+    for key in manager.keys():
+        json.dumps(manager.get(key).export_state(), allow_nan=False)
     return status
 
 

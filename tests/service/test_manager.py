@@ -1,5 +1,6 @@
 """SessionManager: capacity cap, LRU eviction, and thread safety."""
 
+import sys
 import threading
 
 import pytest
@@ -100,6 +101,25 @@ class TestLocked:
             with manager.locked("missing", create=False):
                 pass
 
+    def test_failed_first_request_leaves_no_session(self):
+        manager = SessionManager(make_factory())
+        with pytest.raises(ValueError):
+            with manager.locked("t1") as session:
+                session.ingest(0)
+                raise ValueError("rejected")
+        assert manager.keys() == []
+        assert manager.stats()["created"] == 0
+
+    def test_failed_request_keeps_a_resident_session(self):
+        manager = SessionManager(make_factory())
+        with manager.locked("t1") as session:
+            session.ingest(0)
+        with pytest.raises(ValueError):
+            with manager.locked("t1"):
+                raise ValueError("rejected")
+        assert manager.get("t1") is session
+        assert session.pending_reports() == 1
+
 
 class TestConcurrency:
     def test_parallel_ingest_distinct_keys(self):
@@ -158,3 +178,49 @@ class TestConcurrency:
         session = manager.get("shared")
         assert session.windows_closed == 200
         assert len(session.decisions) == 200
+
+
+def test_failed_first_requests_race_without_losing_updates():
+    """All threads hit each new key at once, half of them failing.
+
+    A session a failed first request built is dropped; a request that
+    was waiting on it must look the key up afresh, not ingest into the
+    dropped session.  So every key ends resident with exactly its
+    successful ingests.
+    """
+    manager = SessionManager(make_factory())
+    n_threads, rounds = 8, 200
+    barrier = threading.Barrier(n_threads)
+    errors = []
+
+    def work(index):
+        try:
+            for round_ in range(rounds):
+                barrier.wait(timeout=10)
+                try:
+                    with manager.locked(f"r{round_}") as session:
+                        if (index + round_) % 2 == 0:
+                            raise ValueError("rejected")
+                        session.ingest(0)
+                except ValueError:
+                    pass
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(n_threads)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(manager) == rounds
+    for round_ in range(rounds):
+        assert manager.get(f"r{round_}").pending_reports() == n_threads // 2

@@ -18,8 +18,14 @@ import json
 import pytest
 
 from repro.chaos.invariants import run_fingerprint
+from repro.core.trust import TrustTable
 from repro.experiments.harness import SimulationRun
 from repro.service.session import SessionConfig, TrustSession
+from tests.golden.builders import (
+    reset_id_streams,
+    rotating_document,
+    rotating_run,
+)
 
 
 def des_run(mode, journal, **overrides):
@@ -39,11 +45,11 @@ def des_run(mode, journal, **overrides):
     return SimulationRun(**kwargs)
 
 
-def session_for(run):
-    """A bare session configured identically to ``run``'s cluster head."""
-    config = run.ch.config
+def session_for_head(ch):
+    """A bare session configured identically to cluster head ``ch``."""
+    config = ch.config
     return TrustSession(
-        run.deployment,
+        ch.deployment,
         SessionConfig(
             mode=config.mode,
             sensing_radius=config.sensing_radius,
@@ -52,10 +58,15 @@ def session_for(run):
             use_trust=config.use_trust,
             diagnosis_threshold=config.diagnosis_threshold,
             tie_breaks_to_occurred=config.tie_breaks_to_occurred,
-            owner_id=run.ch.node_id,
+            owner_id=ch.node_id,
         ),
-        members=run.ch.members,
+        members=ch.members,
     )
+
+
+def session_for(run):
+    """A bare session configured identically to ``run``'s cluster head."""
+    return session_for_head(run.ch)
 
 
 def strip_ids(decisions):
@@ -112,3 +123,70 @@ class TestJournalIsFreeOfSideEffects:
         assert records, "run decided nothing -- journal empty"
         for record in records:
             validate_session_journal_record(record)
+
+
+def bits(table):
+    """A trust table's ``(node, v)`` entries, floats as exact hex."""
+    return [(node, v.hex()) for node, v in table.export_state().items()]
+
+
+class TestRotatingReplay:
+    """Every LEACH head of an Exp 4 run, replayed on a bare session.
+
+    Each head's session is seeded as the head was -- from a registry
+    rebuilt by replay alone (or blank, without the hand-off) -- then
+    fed its journal.  Corrupt heads are out of scope: they invert
+    their verdicts after the session decides.
+    """
+
+    @pytest.mark.parametrize("transfer", [True, False])
+    def test_every_head_replays_from_the_replayed_registry(
+        self, transfer, monkeypatch
+    ):
+        heads = []
+        install = SimulationRun._install_head
+
+        def recording_install(run, *args, **kwargs):
+            heads.append(install(run, *args, **kwargs))
+            return heads[-1]
+
+        monkeypatch.setattr(SimulationRun, "_install_head", recording_install)
+        run = rotating_run(
+            level=1, faulty_count=15, transfer_trust=transfer, journal=True
+        ).run(36)
+        assert len(heads) == sum(len(r.cluster_heads) for r in run.rounds)
+        assert len(heads) >= 15
+
+        registry = TrustTable(run.trust_params)
+        for record in run.rounds:
+            leaders, heads = heads[:len(record.cluster_heads)], heads[
+                len(record.cluster_heads):
+            ]
+            replayed = []
+            for ch in leaders:
+                session = session_for_head(ch)
+                if transfer:
+                    members = set(ch.members)
+                    session.trust.import_state({
+                        node: v
+                        for node, v in registry.export_state().items()
+                        if node in members
+                    })
+                journal = json.loads(json.dumps(ch.session.journal_records()))
+                for window in journal:
+                    session.replay_window(window)
+                assert bits(session.trust) == bits(ch.trust)
+                assert strip_ids(session.decisions) == strip_ids(ch.decisions)
+                replayed.append(session)
+            # §2: each outgoing head ships its table to the BS.
+            for session in replayed:
+                registry.import_state(session.trust.export_state())
+        assert bits(registry) == bits(run.bs.registry_for(0))
+
+    def test_journaled_rotating_run_bit_identical_to_plain(self):
+        reset_id_streams()
+        plain = rotating_document(rotating_run(level=1, faulty_count=15).run(24))
+        reset_id_streams()
+        journaled = rotating_run(level=1, faulty_count=15, journal=True).run(24)
+        assert rotating_document(journaled) == plain
+        assert journaled.session_journal()
