@@ -334,10 +334,9 @@ class RadioChannel:
         """Transmit to every other live endpoint; returns deliveries started.
 
         Each receiver suffers an independent loss trial, matching a
-        contention-free broadcast over independent fading links.  Routed
-        through the same batched core as :meth:`unicast_batch`, so a
+        contention-free broadcast over independent fading links.  A
         CH decision announcement to N cluster members costs one fused
-        delivery event.
+        delivery event, on a lossy channel as on a lossless one.
         """
         pairs = self._sorted_pairs
         if pairs is None:
@@ -347,31 +346,41 @@ class RadioChannel:
         if (
             self._interceptor is None
             and not self._spans.enabled
-            and config.loss_probability == 0.0
             and config.range_limit is None
             and len(pairs) > _VECTOR_MIN
         ):
-            # Lossless wide-open shape: every live receiver gets the
-            # message, so skip the per-entry outcome bookkeeping.  The
-            # batched core would fuse the exact same survivor list into
-            # one delivery event, and the "channel" draw below keeps the
-            # stream position identical (one draw per live receiver,
-            # ascending id order, no draw for dead ones -- just like the
-            # oracle's per-message loop).
+            # Wide-open shape: the only outcomes are "ok", "dropped" and
+            # "dead-receiver", so the per-entry outcome bookkeeping of
+            # the batched core is skipped.  One "channel" draw per live
+            # receiver, in ascending id order and none for a dead one,
+            # keeps the stream exactly where the oracle's per-message
+            # loop leaves it; the losses are the draws below the loss
+            # probability, and the survivors ride one fused event.
             n = len(pairs) - 1 if sender_id in self._nodes else len(pairs)
             deliveries = [
                 (node, message)
                 for node_id, node in pairs
                 if node_id != sender_id and node.alive
             ]
-            n_ok = len(deliveries)
-            n_dead = n - n_ok
-            if n_ok:
-                self._rng.random(n_ok)
-                self._schedule_fused(config.propagation_delay, deliveries)
+            n_live = len(deliveries)
+            n_dead = n - n_live
+            n_lost = 0
+            if n_live:
+                draws = self._rng.random(n_live)
+                loss = config.loss_probability
+                # No draw in [0, 1) falls below a 0.0 threshold, so a
+                # lossless channel skips the comparison.
+                if loss != 0.0:
+                    lost = (draws < loss).nonzero()[0].tolist()
+                    n_lost = len(lost)
+                    for i in reversed(lost):
+                        del deliveries[i]
+                if deliveries:
+                    self._schedule_fused(config.propagation_delay, deliveries)
+            n_ok = n_live - n_lost
             self.sent += n
             self.delivered += n_ok
-            self.dropped += n_dead
+            self.dropped += n_dead + n_lost
             metrics = self._sim.metrics
             if metrics.enabled:
                 if self._counter_src is not metrics:
@@ -379,9 +388,12 @@ class RadioChannel:
                 self._c_sent.inc(n)
                 if n_ok:
                     self._c_delivered.inc(n_ok)
+                if n_dead or n_lost:
+                    self._c_dropped.inc(n_dead + n_lost)
                 if n_dead:
-                    self._c_dropped.inc(n_dead)
                     self._drop_counter("dead-receiver").inc(n_dead)
+                if n_lost:
+                    self._drop_counter("dropped").inc(n_lost)
             return n_ok
         entries = [
             (sender, node_id, message)

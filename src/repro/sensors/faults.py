@@ -80,6 +80,18 @@ class NodeBehavior:
     #: Conservative default: subclasses opt in.
     quiet_inert: bool = False
 
+    #: True iff the class overrides :meth:`observe_outcome`, i.e. a CH
+    #: verdict can change its state.  Derived per class, never set by
+    #: hand, so a receiver whose behaviour ignores verdicts skips the
+    #: participant lookup without missing an override.
+    observes_outcomes: bool = False
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.observes_outcomes = (
+            cls.observe_outcome is not NodeBehavior.observe_outcome
+        )
+
     @property
     def is_faulty(self) -> bool:
         """True for every category except correct nodes."""

@@ -150,9 +150,12 @@ class SensorNode(NetworkNode):
         # own role, so the node can replay it exactly: reporters are
         # rewarded iff the event was upheld, non-reporters iff it was
         # rejected.
-        if self.feedback_enabled and isinstance(
-            message, ChDecisionAnnouncement
-        ):
+        if not (self.feedback_enabled and self.behavior.observes_outcomes):
+            # Correct and level-0 nodes -- most receivers -- ignore
+            # verdicts.  The flag is read from the current behaviour, so
+            # a node compromised mid-run observes the next verdict.
+            return
+        if isinstance(message, ChDecisionAnnouncement):
             node_id = self.node_id
             reporters, non_reporters = message.participant_sets()
             if node_id in reporters:

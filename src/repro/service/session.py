@@ -542,9 +542,10 @@ class TrustSession:
         window.  The whole document is parsed before anything is
         assigned, so a rejected one (``ValueError``, ``KeyError``,
         ``TypeError`` or ``OverflowError``) leaves the session as it
-        was.  Pending reports must pass :meth:`check_report`, and every
+        was.  Pending reports must pass :meth:`check_report`, every
         node id in ``members``, ``trust`` and ``diagnosed`` must be an
-        integer naming a deployed node.
+        integer naming a deployed node, and the decision ids must be
+        strictly ascending and all below ``next_decision_id``.
         """
         if state.get("schema") != 1:
             raise ValueError(
@@ -578,6 +579,17 @@ class TrustSession:
             _decision_from_dict(d)
             for d in state["decisions"]  # type: ignore[union-attr]
         ]
+        # The log is in minting order: its ids, then the next id the
+        # stream will mint, strictly ascending (``since`` reads and
+        # later closes rely on it).
+        ids = [record.decision_id for record in decisions]
+        for earlier, later in zip(ids, ids[1:] + [next_decision_id]):
+            if earlier >= later:
+                raise ValueError(
+                    f"decision ids must be strictly ascending and below "
+                    f"next_decision_id {next_decision_id}, got {earlier} "
+                    f"before {later}"
+                )
         binary = self.config.mode == "binary"
         pending = []
         for item in state["pending"]:  # type: ignore[union-attr]

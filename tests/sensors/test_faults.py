@@ -22,6 +22,28 @@ NODE = Point(45.0, 45.0)
 PARAMS = TrustParameters(lam=0.25, fault_rate=0.1)
 
 
+class TestObservesOutcomes:
+    def test_flag_marks_the_behaviours_that_track_their_trust(self):
+        assert not CorrectBehavior.observes_outcomes
+        assert not Level0Behavior.observes_outcomes
+        assert Level1Behavior.observes_outcomes
+        assert Level2Behavior.observes_outcomes
+
+    def test_flag_is_derived_for_every_subclass(self):
+        class Watchful(CorrectBehavior):
+            def observe_outcome(self, rewarded):
+                pass
+
+        class Inherits(Watchful):
+            pass
+
+        class Plain(Level0Behavior):
+            pass
+
+        assert Watchful.observes_outcomes and Inherits.observes_outcomes
+        assert not Plain.observes_outcomes
+
+
 class TestTrustEstimator:
     def test_starts_at_full_trust(self):
         assert TrustEstimator(PARAMS).ti == 1.0

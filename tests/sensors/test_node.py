@@ -181,6 +181,26 @@ class TestFeedback:
 
 
 class TestCompromise:
+    def test_compromised_node_observes_the_next_verdict(self):
+        sim, node, sink = make_node()
+        sensing = SensingModel(SensingConfig(sensing_radius=20.0))
+        smart = Level1Behavior(
+            lying=Level0Behavior(sensing, drop_rate=1.0),
+            honest=CorrectBehavior(sensing),
+            estimator=TrustEstimator(TrustParameters(lam=0.25, fault_rate=0.1)),
+        )
+        # Node 0 stayed silent on an upheld event: a verdict that
+        # penalises it, ignored while it is correct.
+        verdict = dict(occurred=True, reporters=(5,), non_reporters=(0,))
+        sink.broadcast(ChDecisionAnnouncement(sender=100, decision_id=1,
+                                              **verdict))
+        sim.run()
+        node.compromise(smart)
+        sink.broadcast(ChDecisionAnnouncement(sender=100, decision_id=2,
+                                              **verdict))
+        sim.run()
+        assert smart.estimator.v_est == smart.estimator.params.penalty_step
+
     def test_compromise_swaps_behavior(self):
         sim, node, sink = make_node()
         assert not node.is_faulty

@@ -50,6 +50,14 @@ def state_text(base, key):
     return json.dumps(state, sort_keys=True)
 
 
+def decision_doc(decision_id):
+    """A well-formed decision record with the given id."""
+    return {
+        "decision_id": decision_id, "time": 1.0, "occurred": True,
+        "location": [15.0, 15.0], "supporters": [0], "dissenters": [],
+    }
+
+
 def ingest(base, key, reports, time=0.5):
     body = {
         "reports": [
@@ -316,11 +324,16 @@ class TestErrors:
             "location": [float("inf"), 1.0], "supporters": [0],
             "dissenters": [],
         }]),
+        # The exported next_decision_id is 2: ids 1, 0 are below it but
+        # out of order, and ids 1, 2 are in order but 2 is not below it.
+        ("decisions", [decision_doc(1), decision_doc(0)]),
+        ("decisions", [decision_doc(1), decision_doc(2)]),
     ], ids=[
         "trust", "decisions", "next_decision_id", "infinite-id",
         "short-location", "member-outside", "trust-node-outside",
         "diagnosed-outside", "negative-windows", "member-fraction",
         "diagnosed-bool", "decision-time-nan", "decision-x-inf",
+        "decision-ids-descending", "decision-id-not-below-next",
     ])
     def test_rejected_state_leaves_session_unchanged(self, server, field,
                                                      value):
@@ -330,6 +343,7 @@ class TestErrors:
         ingest(base, "t", [(0, 15.0, 15.0)], time=1.5)
         before = state_text(base, "t")
         doc = json.loads(before)
+        assert doc["next_decision_id"] == 2
         doc["members"] = [0, 1]
         doc[field] = value
         status, reply = call(base, "PUT", "/v1/sessions/t/state", doc)

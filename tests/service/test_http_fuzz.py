@@ -12,7 +12,8 @@ the same keep-alive connection.  The service boundary must hold:
 * after a 4xx, the session's ``export_state()`` is byte-identical and
   no session was created or dropped;
 * every resident session's state is standard JSON (no ``NaN`` or
-  ``Infinity``).
+  ``Infinity``), and its decision ids are strictly ascending and all
+  below its ``next_decision_id``.
 
 The target session ``t`` starts every example from the same exported
 state: decided windows, moved trust values, and an open window.
@@ -119,7 +120,13 @@ def exchange(method, target, body):
         assert _state_text(manager) == before
         assert set(manager.keys()) == keys_before
     for key in manager.keys():
-        json.dumps(manager.get(key).export_state(), allow_nan=False)
+        state = manager.get(key).export_state()
+        json.dumps(state, allow_nan=False)
+        ids = [decision["decision_id"] for decision in state["decisions"]]
+        assert all(a < b for a, b in zip(ids, ids[1:])), ids
+        assert all(i < state["next_decision_id"] for i in ids), (
+            ids, state["next_decision_id"],
+        )
     return status
 
 
