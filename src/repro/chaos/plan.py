@@ -32,6 +32,7 @@ instant's traffic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -48,13 +49,31 @@ LIFECYCLE_PRIORITY = -2
 _DELIVER_ONE = (0.0,)
 
 
-def _check_window(name: str, start: float, end: float) -> None:
+def _check_finite(name: str, value: float) -> None:
+    # Plan JSON is outside input and Python's json reads NaN and
+    # Infinity: a NaN fails every comparison, so its window would never
+    # apply, and an infinite time or delay schedules at t = inf.
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_start(name: str, start: float) -> None:
+    _check_finite(f"{name}.start", start)
     if start < 0:
         raise ValueError(f"{name}.start must be non-negative, got {start}")
+
+
+def _check_end(name: str, start: float, end: float) -> None:
+    _check_finite(f"{name}.end", end)
     if end <= start:
         raise ValueError(
             f"{name}.end must exceed start, got [{start}, {end})"
         )
+
+
+def _check_window(name: str, start: float, end: float) -> None:
+    _check_start(name, start)
+    _check_end(name, start, end)
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -99,8 +118,10 @@ class ChannelWindow:
         _check_window("ChannelWindow", self.start, self.end)
         _check_prob("loss_probability", self.loss_probability)
         _check_prob("duplicate_probability", self.duplicate_probability)
+        _check_finite("extra_delay", self.extra_delay)
         if self.extra_delay < 0:
             raise ValueError("extra_delay must be non-negative")
+        _check_finite("jitter", self.jitter)
         if self.jitter < 0:
             raise ValueError("jitter must be non-negative")
         if self.senders is not None:
@@ -125,10 +146,9 @@ class NodeOutage:
     end: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError("NodeOutage.start must be non-negative")
-        if self.end is not None and self.end <= self.start:
-            raise ValueError("NodeOutage.end must exceed start")
+        _check_start("NodeOutage", self.start)
+        if self.end is not None:
+            _check_end("NodeOutage", self.start, self.end)
 
 
 @dataclass(frozen=True)
@@ -147,10 +167,9 @@ class ChCrash:
     failover: bool = True
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError("ChCrash.start must be non-negative")
-        if self.end is not None and self.end <= self.start:
-            raise ValueError("ChCrash.end must exceed start")
+        _check_start("ChCrash", self.start)
+        if self.end is not None:
+            _check_end("ChCrash", self.start, self.end)
 
 
 @dataclass(frozen=True)

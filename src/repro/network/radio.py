@@ -189,7 +189,9 @@ class RadioChannel:
         the natural checks (registration, liveness, range, Bernoulli
         loss) and may drop, delay, or duplicate the delivery -- see
         :class:`Intercept`.  Only one interceptor may be installed at a
-        time; the uninstrumented hot path pays a single attribute check.
+        time.  While one is, every transmission is a :meth:`unicast`
+        with its own delivery event; the uninstrumented hot path pays a
+        single attribute check.
         """
         if interceptor is not None and self._interceptor is not None:
             raise ValueError("an interceptor is already installed")
@@ -307,11 +309,12 @@ class RadioChannel:
         """Transmit ``messages[i]`` from ``sender_ids[i]`` to ``destination``.
 
         Bit-identical to calling :meth:`unicast` once per message in
-        order -- same RNG stream consumption, same drop reasons, same
-        interceptor consultation -- but the Bernoulli loss trials are
-        drawn as one numpy vector and the surviving deliveries are
-        scheduled as a single fused kernel event, so an N-report round
-        costs one heap push instead of N.  Every sender must be a
+        order -- same outcomes, same RNG stream consumption, same
+        counters.  A batch to a registered, live destination over a
+        wide-open channel (see :meth:`_send_wide_open`) draws its loss
+        trials as one numpy vector and rides one fused delivery event,
+        so an N-report round costs one heap push instead of N; every
+        other batch is that per-message loop.  Every sender must be a
         registered endpoint (senders transmit from their registered
         position).
         """
@@ -322,322 +325,128 @@ class RadioChannel:
             )
         nodes = self._nodes
         try:
-            entries = [
-                (nodes[sender_id], destination, message)
-                for sender_id, message in zip(sender_ids, messages)
-            ]
+            senders = [nodes[sender_id] for sender_id in sender_ids]
         except KeyError as exc:
             raise ValueError(f"unknown sender id {exc.args[0]}") from None
-        return self._transmit_many(entries, common_destination=destination)
+        n = len(messages)
+        receiver = nodes.get(destination)
+        if receiver is None or not receiver.alive or not self._wide_open(n):
+            return [
+                self.unicast(sender, destination, message)
+                for sender, message in zip(senders, messages)
+            ]
+        outcomes = [_OK] * n
+        for i in self._send_wide_open(
+            n, [(receiver, message) for message in messages]
+        ):
+            outcomes[i] = _DROPPED
+        return outcomes
 
     def broadcast(self, sender: NetworkNode, message: Message) -> int:
-        """Transmit to every other live endpoint; returns deliveries started.
+        """Transmit to every other endpoint; returns deliveries started.
 
         Each receiver suffers an independent loss trial, matching a
-        contention-free broadcast over independent fading links.  A
-        CH decision announcement to N cluster members costs one fused
-        delivery event, on a lossy channel as on a lossless one.
+        contention-free broadcast over independent fading links.  On a
+        wide-open channel a CH decision announcement to N cluster
+        members costs one fused delivery event, on a lossy channel as
+        on a lossless one; otherwise it is one :meth:`unicast` per
+        receiver, in ascending id order.
         """
         pairs = self._sorted_pairs
         if pairs is None:
             pairs = self._sorted_pairs = sorted(self._nodes.items())
         sender_id = sender.node_id
-        config = self.config
-        if (
-            self._interceptor is None
-            and not self._spans.enabled
-            and config.range_limit is None
-            and len(pairs) > _VECTOR_MIN
-        ):
-            # Wide-open shape: the only outcomes are "ok", "dropped" and
-            # "dead-receiver", so the per-entry outcome bookkeeping of
-            # the batched core is skipped.  One "channel" draw per live
-            # receiver, in ascending id order and none for a dead one,
-            # keeps the stream exactly where the oracle's per-message
-            # loop leaves it; the losses are the draws below the loss
-            # probability, and the survivors ride one fused event.
-            n = len(pairs) - 1 if sender_id in self._nodes else len(pairs)
-            deliveries = [
-                (node, message)
-                for node_id, node in pairs
-                if node_id != sender_id and node.alive
-            ]
-            n_live = len(deliveries)
-            n_dead = n - n_live
-            n_lost = 0
-            if n_live:
-                draws = self._rng.random(n_live)
-                loss = config.loss_probability
-                # No draw in [0, 1) falls below a 0.0 threshold, so a
-                # lossless channel skips the comparison.
-                if loss != 0.0:
-                    lost = (draws < loss).nonzero()[0].tolist()
-                    n_lost = len(lost)
-                    for i in reversed(lost):
-                        del deliveries[i]
-                if deliveries:
-                    self._schedule_fused(config.propagation_delay, deliveries)
-            n_ok = n_live - n_lost
-            self.sent += n
-            self.delivered += n_ok
-            self.dropped += n_dead + n_lost
-            metrics = self._sim.metrics
-            if metrics.enabled:
-                if self._counter_src is not metrics:
-                    self._rebind_counters(metrics)
-                self._c_sent.inc(n)
-                if n_ok:
-                    self._c_delivered.inc(n_ok)
-                if n_dead or n_lost:
-                    self._c_dropped.inc(n_dead + n_lost)
-                if n_dead:
-                    self._drop_counter("dead-receiver").inc(n_dead)
-                if n_lost:
-                    self._drop_counter("dropped").inc(n_lost)
-            return n_ok
-        entries = [
-            (sender, node_id, message)
-            for node_id, _node in pairs
-            if node_id != sender_id
+        n = len(pairs) - 1 if sender_id in self._nodes else len(pairs)
+        if not self._wide_open(n):
+            started = 0
+            for node_id, _node in pairs:
+                if (
+                    node_id != sender_id
+                    and self.unicast(sender, node_id, message).delivered
+                ):
+                    started += 1
+            return started
+        # A dead receiver gets no draw; the other n - len(deliveries)
+        # transmissions settle as "dead-receiver" drops.
+        deliveries = [
+            (node, message)
+            for node_id, node in pairs
+            if node_id != sender_id and node.alive
         ]
-        outcomes = self._transmit_many(entries)
-        return sum(1 for outcome in outcomes if outcome.delivered)
+        self._send_wide_open(n, deliveries)
+        return len(deliveries)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _transmit_many(
-        self,
-        entries: List[Tuple[NetworkNode, int, Message]],
-        common_destination: Optional[int] = None,
-    ) -> List[DeliveryOutcome]:
-        """Batched transmit core: the vectorised twin of :meth:`unicast`.
+    def _wide_open(self, n: int) -> bool:
+        """True when ``n`` transmissions may share one batched send.
 
-        The per-message path IS the semantics; this method must replay
-        it exactly (see ``tests/network/test_radio_batch.py``).
-
-        ``common_destination`` marks the every-entry-targets-one-node
-        shape (:meth:`unicast_batch`): the receiver's registration and
-        liveness are then checked once for the whole batch -- valid
-        because no event can run between the entries of one batch.
+        Wide open means no interceptor, no span collection and no range
+        limit: every transmission to a live receiver then ends "ok" or
+        "dropped" on one Bernoulli draw, and nothing else.
         """
-        if len(entries) < _VECTOR_MIN or self._spans.enabled:
-            # Span collection routes every batch through the oracle
-            # loop: each message then carries its own radio.transmit
-            # span as the causal context of its own delivery event.
-            # Bit-identical by the batch-equivalence guarantee above.
-            return [
-                self.unicast(sender, destination, message)
-                for sender, destination, message in entries
-            ]
-        n = len(entries)
-        self.sent += n
-        nodes = self._nodes
-        loss = self.config.loss_probability
-        range_limit = self.config.range_limit
-        outcomes: List[Optional[DeliveryOutcome]] = [None] * n
-        receivers: List[Optional[NetworkNode]] = [None] * n
-        pend_idx: List[int] = []
-
-        if common_destination is not None:
-            shared = nodes.get(common_destination)
-            if shared is None:
-                outcomes = [_UNKNOWN_DESTINATION] * n
-            elif not shared.alive:
-                outcomes = [_DEAD_RECEIVER] * n
-            elif range_limit is None:
-                # The sweep shape: one live CH, unlimited range -- every
-                # entry pends.
-                receivers = [shared] * n
-                pend_idx = list(range(n))
-            else:
-                for i, (sender, _destination, _message) in enumerate(entries):
-                    if not self._in_range(sender, shared):
-                        outcomes[i] = _OUT_OF_RANGE
-                        continue
-                    receivers[i] = shared
-                    pend_idx.append(i)
-        else:
-            for i, (sender, destination, _message) in enumerate(entries):
-                receiver = nodes.get(destination)
-                if receiver is None:
-                    outcomes[i] = _UNKNOWN_DESTINATION
-                elif not receiver.alive:
-                    outcomes[i] = _DEAD_RECEIVER
-                elif range_limit is not None and not self._in_range(
-                    sender, receiver
-                ):
-                    outcomes[i] = _OUT_OF_RANGE
-                else:
-                    receivers[i] = receiver
-                    pend_idx.append(i)
-
-        # One vectorised draw consumes the "channel" stream exactly as
-        # len(pend_idx) sequential scalar draws would (PCG64 guarantees
-        # value- and state-identity), so the oracle's stream position is
-        # preserved.  Interceptors are then consulted in message order,
-        # preserving the "chaos" stream's order too.
-        verdicts: Dict[int, Intercept] = {}
-        n_ok = 0
-        if pend_idx:
-            if self._interceptor is None and loss == 0.0:
-                # Lossless, un-intercepted shape: the draw must still
-                # happen (stream identity -- the oracle consumes one
-                # "channel" draw per pending entry) but no draw in
-                # [0, 1) can fall below a 0.0 threshold, so every entry
-                # survives and the per-draw scan is skipped.
-                self._rng.random(len(pend_idx))
-                n_ok = len(pend_idx)
-                if n_ok == n:
-                    outcomes = [_OK] * n
-                else:
-                    for i in pend_idx:
-                        outcomes[i] = _OK
-                return self._finish_batch(
-                    n, n_ok, entries, outcomes, receivers, verdicts
-                )
-            draws = self._rng.random(len(pend_idx)).tolist()
-            interceptor = self._interceptor
-            now = self._sim.now
-            for draw, i in zip(draws, pend_idx):
-                if draw < loss:
-                    outcomes[i] = _DROPPED
-                    continue
-                if interceptor is not None:
-                    verdict = interceptor(
-                        entries[i][0].node_id, entries[i][1], now
-                    )
-                    if verdict is not None:
-                        if verdict.drop:
-                            outcomes[i] = _CHAOS
-                            continue
-                        verdicts[i] = verdict
-                outcomes[i] = _OK
-                n_ok += 1
-
-        return self._finish_batch(
-            n, n_ok, entries, outcomes, receivers, verdicts
+        return (
+            n >= _VECTOR_MIN
+            and self._interceptor is None
+            and not self._spans.enabled
+            and self.config.range_limit is None
         )
 
-    def _finish_batch(
-        self,
-        n: int,
-        n_ok: int,
-        entries: List[Tuple[NetworkNode, int, Message]],
-        outcomes: List[DeliveryOutcome],
-        receivers: List[Optional[NetworkNode]],
-        verdicts: Dict[int, Intercept],
-    ) -> List[DeliveryOutcome]:
-        """Schedule a resolved batch and settle the delivery counters."""
-        sim = self._sim
-        delay = self.config.propagation_delay
-        n_delivered = n_ok
-        drop_tally: Optional[Dict[str, int]] = None
-        if n_delivered == n:
-            # Everything survived: one fused event, no per-entry branch.
-            if not verdicts:
-                self._schedule_fused(
-                    delay,
-                    [
-                        (receivers[i], entries[i][2])
-                        for i in range(n)
-                    ],
-                )
-            else:
-                self._schedule_mixed(delay, entries, receivers, verdicts)
-        else:
-            drop_tally = self._schedule_with_drops(
-                delay, entries, outcomes, receivers, verdicts
-            )
+    def _send_wide_open(
+        self, n: int, deliveries: List[Tuple[NetworkNode, Message]]
+    ) -> List[int]:
+        """Send ``n`` transmissions on a wide-open channel.
 
-        n_dropped = n - n_delivered
-        self.delivered += n_delivered
-        self.dropped += n_dropped
-        metrics = sim.metrics
+        ``deliveries`` are the ones to live receivers, in send order;
+        the other ``n - len(deliveries)`` went to dead receivers.  One
+        ``"channel"`` draw per delivery, none for a dead receiver,
+        leaves the stream exactly where the per-message :meth:`unicast`
+        loop leaves it (PCG64 guarantees value- and state-identity
+        between one vector draw and the scalar draws).  The losses are
+        the draws below the loss probability; they are removed from
+        ``deliveries`` in place and their indices returned, and the
+        survivors ride one fused event.
+        """
+        n_live = len(deliveries)
+        n_dead = n - n_live
+        lost: List[int] = []
+        if n_live:
+            draws = self._rng.random(n_live)
+            loss = self.config.loss_probability
+            # No draw in [0, 1) falls below a 0.0 threshold, so a
+            # lossless channel skips the comparison.
+            if loss != 0.0:
+                lost = (draws < loss).nonzero()[0].tolist()
+                for i in reversed(lost):
+                    del deliveries[i]
+            delay = self.config.propagation_delay
+            if len(deliveries) == 1:
+                receiver, message = deliveries[0]
+                self._sim.after(delay, self._deliver, receiver, message,
+                                label=_deliver_label(type(message)))
+            elif deliveries:
+                self._sim.after(delay, self._deliver_fused, deliveries,
+                                label=_FUSED_LABEL)
+        n_lost = len(lost)
+        n_ok = n_live - n_lost
+        self.sent += n
+        self.delivered += n_ok
+        self.dropped += n_dead + n_lost
+        metrics = self._sim.metrics
         if metrics.enabled:
             if self._counter_src is not metrics:
                 self._rebind_counters(metrics)
             self._c_sent.inc(n)
-            if n_delivered:
-                self._c_delivered.inc(n_delivered)
-            if n_dropped:
-                self._c_dropped.inc(n_dropped)
-                assert drop_tally is not None
-                for reason, count in drop_tally.items():
-                    self._drop_counter(reason).inc(count)
-        return outcomes
-
-    def _schedule_mixed(
-        self,
-        delay: float,
-        entries: List[Tuple[NetworkNode, int, Message]],
-        receivers: List[Optional[NetworkNode]],
-        verdicts: Dict[int, Intercept],
-    ) -> None:
-        """Schedule an all-delivered batch containing intercept verdicts."""
-        sim = self._sim
-        fused: List[Tuple[NetworkNode, Message]] = []
-        for i, (_sender, _destination, message) in enumerate(entries):
-            verdict = verdicts.get(i)
-            if verdict is None:
-                fused.append((receivers[i], message))
-                continue
-            # Flush the fused buffer first so the intercepted copies
-            # keep their same-instant sequence ordering relative to the
-            # plain deliveries around them.
-            if fused:
-                self._schedule_fused(delay, fused)
-                fused = []
-            label = _deliver_label(type(message))
-            for extra in verdict.extra_delays:
-                sim.after(delay + extra, self._deliver, receivers[i],
-                          message, label=label)
-        if fused:
-            self._schedule_fused(delay, fused)
-
-    def _schedule_with_drops(
-        self,
-        delay: float,
-        entries: List[Tuple[NetworkNode, int, Message]],
-        outcomes: List[DeliveryOutcome],
-        receivers: List[Optional[NetworkNode]],
-        verdicts: Dict[int, Intercept],
-    ) -> Dict[str, int]:
-        """Schedule a batch with at least one drop; returns the tally."""
-        sim = self._sim
-        drop_tally: Dict[str, int] = {}
-        fused: List[Tuple[NetworkNode, Message]] = []
-        for i, (_sender, _destination, message) in enumerate(entries):
-            outcome = outcomes[i]
-            if outcome.delivered:
-                verdict = verdicts.get(i)
-                if verdict is None:
-                    fused.append((receivers[i], message))
-                else:
-                    if fused:
-                        self._schedule_fused(delay, fused)
-                        fused = []
-                    label = _deliver_label(type(message))
-                    for extra in verdict.extra_delays:
-                        sim.after(delay + extra, self._deliver,
-                                  receivers[i], message, label=label)
-            else:
-                reason = outcome.reason
-                drop_tally[reason] = drop_tally.get(reason, 0) + 1
-        if fused:
-            self._schedule_fused(delay, fused)
-        return drop_tally
-
-    def _schedule_fused(
-        self, delay: float, deliveries: List[Tuple[NetworkNode, Message]]
-    ) -> None:
-        if len(deliveries) == 1:
-            receiver, message = deliveries[0]
-            self._sim.after(delay, self._deliver, receiver, message,
-                            label=_deliver_label(type(message)))
-        else:
-            self._sim.after(delay, self._deliver_fused, deliveries,
-                            label=_FUSED_LABEL)
+            if n_ok:
+                self._c_delivered.inc(n_ok)
+            if n_dead or n_lost:
+                self._c_dropped.inc(n_dead + n_lost)
+            if n_dead:
+                self._drop_counter("dead-receiver").inc(n_dead)
+            if n_lost:
+                self._drop_counter("dropped").inc(n_lost)
+        return lost
 
     def _deliver_fused(
         self, deliveries: List[Tuple[NetworkNode, Message]]

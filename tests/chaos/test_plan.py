@@ -91,6 +91,26 @@ class TestSerialisation:
                 {"windows": [{"start": 0.0, "end": 1.0, "los": 0.5}]}
             )
 
+    @pytest.mark.parametrize("section, record", [
+        ("windows", '{"start": NaN, "end": 5.0}'),
+        ("windows", '{"start": 1.0, "end": NaN}'),
+        ("windows", '{"start": 1.0, "end": Infinity}'),
+        ("windows", '{"start": 1.0, "end": 5.0, "extra_delay": NaN}'),
+        ("windows", '{"start": 1.0, "end": 5.0, "extra_delay": Infinity}'),
+        ("windows", '{"start": 1.0, "end": 5.0, "jitter": NaN}'),
+        ("windows", '{"start": 1.0, "end": 5.0, "jitter": Infinity}'),
+        ("partitions", '{"start": NaN, "end": 5.0, "groups": [[0], [1]]}'),
+        ("partitions", '{"start": 1.0, "end": Infinity, "groups": [[0], [1]]}'),
+        ("outages", '{"node_id": 1, "start": NaN}'),
+        ("outages", '{"node_id": 1, "start": 1.0, "end": NaN}'),
+        ("outages", '{"node_id": 1, "start": 1.0, "end": Infinity}'),
+        ("ch_crashes", '{"start": NaN}'),
+        ("ch_crashes", '{"start": 1.0, "end": Infinity, "failover": false}'),
+    ])
+    def test_from_json_rejects_non_finite_times(self, section, record):
+        with pytest.raises(ValueError, match="must be finite"):
+            FaultPlan.from_json(f'{{"{section}": [{record}]}}')
+
     def test_empty_plan_detection(self):
         assert EMPTY_PLAN.is_empty()
         assert not self._full_plan().is_empty()

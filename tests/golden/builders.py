@@ -27,6 +27,9 @@ from typing import Callable, Dict
 
 import numpy as np
 
+from repro.chaos.campaign import CampaignConfig
+from repro.chaos.invariants import run_fingerprint
+from repro.chaos.plan import FaultPlan, builtin_plans
 from repro.experiments import experiment1, experiment2, experiment3
 from repro.experiments.config import (
     Experiment1Config,
@@ -365,7 +368,76 @@ def build_exp4_rotation() -> Dict[str, object]:
     return _normalise(doc)
 
 
+def _chaos_entry(run: SimulationRun) -> Dict[str, object]:
+    """One chaos run's outcome, its radio and chaos tallies, and how far
+    it drew on the ``"channel"`` and ``"chaos"`` streams."""
+    registry = run.registry
+    return {
+        "fingerprint": run_fingerprint(run),
+        "channel": [run.channel.sent, run.channel.delivered,
+                    run.channel.dropped],
+        "counters": {
+            name: registry.get(name).value
+            for name in registry.names()
+            if name.startswith(("radio.", "chaos."))
+        },
+        "streams": {
+            name: run.sim.streams.get(name).bit_generator.state
+            for name in ("channel", "chaos")
+        },
+    }
+
+
+def build_chaos() -> Dict[str, object]:
+    """Chaos runs: every builtin plan through the interceptor.
+
+    The binary half is the 10-node CLI campaign shape (plus the
+    ``random:1`` plan) at two seeds; the location half runs each
+    builtin plan on a lossy 36-node grid, so burst loss, delays,
+    duplicates and partitions meet natural drops and CH broadcasts.
+    """
+    config = CampaignConfig(n_rounds=12, diagnosis_threshold=0.3)
+    plans = list(builtin_plans(config.horizon, config.n_nodes).values())
+    plans.append(FaultPlan.random(1, config.n_nodes, config.horizon))
+    binary: Dict[str, object] = {}
+    for plan in plans:
+        for seed in (0, 1):
+            reset_id_streams()
+            run = SimulationRun(
+                mode=config.mode,
+                n_nodes=config.n_nodes,
+                field_side=config.field_side,
+                sensing_radius=config.sensing_radius,
+                faulty_ids=config.faulty_ids(),
+                t_out=config.t_out,
+                round_interval=config.round_interval,
+                diagnosis_threshold=config.diagnosis_threshold,
+                seed=config.base_seed + seed,
+                chaos_plan=plan,
+                observe=True,
+            ).run(config.n_rounds)
+            binary[f"{plan.name}/{seed}"] = _chaos_entry(run)
+
+    location: Dict[str, object] = {}
+    for name, plan in builtin_plans(config.horizon, 36).items():
+        reset_id_streams()
+        run = SimulationRun(
+            mode="location",
+            n_nodes=36,
+            field_side=60.0,
+            faulty_ids=range(0, 36, 5),
+            channel_loss=0.1,
+            diagnosis_threshold=0.3,
+            seed=17,
+            chaos_plan=plan,
+            observe=True,
+        ).run(config.n_rounds)
+        location[name] = _chaos_entry(run)
+    return _normalise({"binary": binary, "location": location})
+
+
 BUILDERS: Dict[str, Callable[[], Dict[str, object]]] = {
+    "chaos": build_chaos,
     "exp1": build_experiment1,
     "exp2": build_experiment2,
     "exp2_provenance": build_exp2_provenance,
