@@ -26,7 +26,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from repro.experiments.reporting import (
     render_series_table,
     render_table,
 )
+from repro.service.session import TrustSession
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,7 +309,10 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 
 
 def _build_adhoc_run(
-    args: argparse.Namespace, observe: bool = False, spans: bool = False
+    args: argparse.Namespace,
+    observe: bool = False,
+    spans: bool = False,
+    journal: bool = False,
 ) -> SimulationRun:
     """Assemble the ``run``/``trace`` ad-hoc simulation from CLI options."""
     n_faulty = round(args.nodes * args.percent_faulty / 100.0)
@@ -343,6 +347,7 @@ def _build_adhoc_run(
         seed=args.seed,
         observe=observe,
         spans=spans,
+        journal=journal,
     )
 
 
@@ -409,12 +414,30 @@ def _render_registry(snapshot: List[Dict[str, object]]) -> str:
     return render_table(["instrument", "type", "value"], rows)
 
 
+def _ti_history(
+    run: SimulationRun,
+) -> Tuple[List[Dict[int, float]], TrustSession]:
+    """The run's TI maps at t=0, after every decision and at the end.
+
+    Replays the session journal of the run's one head through a fresh
+    session, which also rebuilds the head's diagnoser log.
+    """
+    session = TrustSession(
+        run.ch.deployment, replace(run.ch.session.config, journal=False)
+    )
+    samples = [session.tis()]
+    for record in run.session_journal():
+        for _ in session.replay_window(record):
+            samples.append(session.tis())
+    samples.append(session.tis())
+    return samples, session
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
-    run = _build_adhoc_run(args, observe=True, spans=True)
+    run = _build_adhoc_run(args, observe=True, spans=True, journal=True)
     run.run(args.events)
     metrics = run.metrics()
-    probe = run.probe
-    assert probe is not None
+    samples, replay = _ti_history(run)
 
     system = "Baseline (majority)" if args.baseline else "TIBFIT"
     print(render_table(["metric", "value"], [
@@ -424,13 +447,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         ("% faulty", f"{args.percent_faulty:g} (level {args.level})"),
         ("events", str(metrics.events_total)),
         ("accuracy", f"{metrics.accuracy:.3f}"),
-        ("probe samples", str(probe.n_samples)),
+        ("TI samples", str(len(samples))),
     ]))
 
     faulty = set(run.initial_faulty)
-    diagnosis_times = probe.diagnosis_times()
-    final = probe.final_tis()
-    node_ids = list(probe.node_ids())
+    diagnosis_times = (
+        {} if replay.diagnoser is None
+        else {entry.node_id: entry.time for entry in replay.diagnoser.log}
+    )
+    final = samples[-1]
+    node_ids = sorted({node for sample in samples for node in sample})
     if len(node_ids) > args.max_nodes:
         node_ids.sort(key=lambda n: (final.get(n, 1.0), n))
         shown = node_ids[: args.max_nodes]
@@ -442,7 +468,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         shown = sorted(node_ids)
         print("\nTI trajectories (* = injected-faulty):")
     for node in shown:
-        _, tis = probe.trajectory(node)
+        tis = [sample.get(node, 1.0) for sample in samples]
         flag = "*" if node in faulty else " "
         line = (
             f"  node {node:>4}{flag} {_sparkline(tis, args.width)} "

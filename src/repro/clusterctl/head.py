@@ -78,8 +78,6 @@ class ClusterHeadConfig:
     diagnosis_threshold:
         Isolate nodes whose TI sinks below this; ``None`` disables
         diagnosis (the baseline has no trust to diagnose with).
-    tie_breaks_to_occurred:
-        Verdict on exact CTI / head-count ties.
     announce:
         Broadcast :class:`ChDecisionAnnouncement` after each verdict
         (needed by shadow CHs and by smart adversaries' TI tracking).
@@ -95,7 +93,6 @@ class ClusterHeadConfig:
     trust: TrustParameters = field(default_factory=TrustParameters)
     use_trust: bool = True
     diagnosis_threshold: Optional[float] = None
-    tie_breaks_to_occurred: bool = False
     announce: bool = True
     journal: bool = False
 
@@ -162,7 +159,6 @@ class ClusterHead(NetworkNode):
                 trust=config.trust,
                 use_trust=config.use_trust,
                 diagnosis_threshold=config.diagnosis_threshold,
-                tie_breaks_to_occurred=config.tie_breaks_to_occurred,
                 owner_id=node_id,
                 journal=config.journal,
             ),
@@ -177,9 +173,6 @@ class ClusterHead(NetworkNode):
         self.diagnoser = self.session.diagnoser
         self.decisions: List[DecisionRecord] = self.session.decisions
 
-        # Optional TI time-series probe (repro.obs.probes.TrustProbe);
-        # sampled once per decision when attached.
-        self.probe = None
         self._tracker: Optional[CircleTracker] = None
         self._binary_window: List[EventReportMessage] = []
         self._binary_window_open = False
@@ -382,10 +375,6 @@ class ClusterHead(NetworkNode):
                 )
             if metrics.enabled:
                 metrics.counter("ch.diagnosis").inc()
-        if self.probe is not None:
-            # After vote updates and the diagnosis sweep, so the sample
-            # at a diagnosis time already shows the sub-threshold TI.
-            self.probe.sample(self.sim.now)
         if not self.config.announce:
             return
         announcement = ChDecisionAnnouncement(

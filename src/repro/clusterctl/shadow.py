@@ -16,8 +16,9 @@ broadcast announcements.  A mismatch produces a
 :class:`~repro.network.messages.ScHDisagreement` to the base station,
 which resolves by simple 1-of-3 voting (CH + 2 SCHs).
 
-The mirror records no spans: its verdicts are private recomputations,
-not network decisions.  A dissent is recorded (``sch.disagree``).
+The mirror records no spans and counts no metrics: its verdicts are
+private recomputations, not network decisions.  A dissent is recorded
+(``sch.disagree``).
 """
 
 from __future__ import annotations
@@ -35,14 +36,17 @@ from repro.network.messages import (
 )
 from repro.network.node import NetworkNode
 from repro.network.topology import Deployment
+from repro.obs.registry import NULL_REGISTRY
 from repro.obs.spans import NULL_SPANS
 
 
-class _Unspanned:
-    """The simulator as a shadow's mirror sees it: without spans.  The
-    clock and timers it uses per report are direct attributes."""
+class _Unobserved:
+    """The simulator as a shadow's mirror sees it: without spans or
+    metrics.  The clock and timers it uses per report are direct
+    attributes."""
 
     spans = NULL_SPANS
+    metrics = NULL_REGISTRY
 
     def __init__(self, sim) -> None:
         self._sim = sim
@@ -112,10 +116,11 @@ class ShadowClusterHead(NetworkNode):
     # ------------------------------------------------------------------
     def attach(self, sim, channel) -> None:  # noqa: D102 - see base class
         super().attach(sim, channel)
-        # The mirror shares our simulator's clock but not its spans, and
-        # must not transmit; a null channel guard is unnecessary because
-        # announce=False and base_station_id=None mean it never sends.
-        self._mirror.attach(_Unspanned(sim), channel)
+        # The mirror shares our simulator's clock but not its spans or
+        # metrics, and must not transmit; a null channel guard is
+        # unnecessary because announce=False and base_station_id=None
+        # mean it never sends.
+        self._mirror.attach(_Unobserved(sim), channel)
 
     @property
     def decisions(self) -> List[DecisionRecord]:

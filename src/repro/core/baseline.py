@@ -35,18 +35,11 @@ class MajorityVoter:
     API-compatible with :class:`repro.core.binary.CtiVoter` so the
     experiment harness can swap engines with one flag; the
     ``apply_updates`` argument is accepted and ignored because the
-    baseline keeps no state to update.
-
-    Parameters
-    ----------
-    tie_breaks_to_occurred:
-        Verdict on an exact tie; kept identical to the CTI voter's
-        default (False -- the §5 analysis needs a strict majority) so
-        comparisons isolate the trust mechanism itself.
+    baseline keeps no state to update.  An exact tie fails, as it does
+    for the CTI vote, so comparisons isolate the trust mechanism itself.
     """
 
-    def __init__(self, tie_breaks_to_occurred: bool = False) -> None:
-        self.tie_breaks_to_occurred = tie_breaks_to_occurred
+    def __init__(self) -> None:
         self.votes_taken = 0
 
     def decide(
@@ -64,14 +57,12 @@ class MajorityVoter:
                 f"nodes {sorted(overlap)} appear as both reporter and "
                 "non-reporter"
             )
-        tie = len(r) == len(nr)
-        if tie:
-            occurred = self.tie_breaks_to_occurred
-        else:
-            occurred = len(r) > len(nr)
         self.votes_taken += 1
         return MajorityVoteResult(
-            occurred=occurred, reporters=r, non_reporters=nr, tie=tie
+            occurred=len(r) > len(nr),
+            reporters=r,
+            non_reporters=nr,
+            tie=len(r) == len(nr),
         )
 
     def preview(

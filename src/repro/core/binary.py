@@ -36,8 +36,8 @@ class BinaryVoteResult(NamedTuple):
     cti_reporters / cti_non_reporters:
         Each group's cumulative TI *before* updates were applied.
     tie:
-        True when both CTIs were exactly equal (verdict then follows the
-        tie-break rule; see :class:`CtiVoter`).
+        True when both CTIs were exactly equal (the event then fails;
+        see :meth:`TrustTable.cti_vote`).
     rewarded / penalized:
         Node ids whose trust moved up / down as a consequence.
     """
@@ -64,11 +64,6 @@ class CtiVoter:
     ----------
     trust:
         The trust table to read and (optionally) update.
-    tie_breaks_to_occurred:
-        §3.1 does not define the exact-tie case, but the §5 analysis
-        requires a *strict* majority (``Z >= floor(N/2) + 1``), so the
-        default (False) makes an exact tie fail -- no event.  Flip to
-        study the other convention (cheaper false positives).
     """
 
     #: Span collector (rebound by ``ClusterHead.attach``).  The voter is
@@ -77,11 +72,8 @@ class CtiVoter:
     #: ``TrustTable.cti_vote`` emits no spans of its own.
     spans = NULL_SPANS
 
-    def __init__(
-        self, trust: TrustTable, tie_breaks_to_occurred: bool = False
-    ) -> None:
+    def __init__(self, trust: TrustTable) -> None:
         self.trust = trust
-        self.tie_breaks_to_occurred = tie_breaks_to_occurred
         self.votes_taken = 0
         # Instrumented callers (ClusterHead.attach) swap in a live
         # registry; the disabled default costs one attribute check per
@@ -127,10 +119,7 @@ class CtiVoter:
             start = perf_counter()
             occurred, r, nr, cti_r, cti_nr, tie, winners, losers = (
                 self.trust.cti_vote(
-                    reporters,
-                    non_reporters,
-                    apply_updates=apply_updates,
-                    tie_breaks_to_occurred=self.tie_breaks_to_occurred,
+                    reporters, non_reporters, apply_updates=apply_updates
                 )
             )
             metrics.timer("trust.vote.wall").observe(perf_counter() - start)
@@ -141,10 +130,7 @@ class CtiVoter:
         else:
             occurred, r, nr, cti_r, cti_nr, tie, winners, losers = (
                 self.trust.cti_vote(
-                    reporters,
-                    non_reporters,
-                    apply_updates=apply_updates,
-                    tie_breaks_to_occurred=self.tie_breaks_to_occurred,
+                    reporters, non_reporters, apply_updates=apply_updates
                 )
             )
         self.votes_taken += 1

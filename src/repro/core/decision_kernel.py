@@ -121,12 +121,7 @@ class DecisionKernel:
         The localisation error bound used by the clustering heuristic.
     voter:
         A :class:`CtiVoter` (TIBFIT) or :class:`MajorityVoter`
-        (baseline).
-    min_cluster_fraction:
-        Event clusters holding fewer than this fraction of the window's
-        surviving reports are not voted on; the fraction exists purely
-        as an optional spam guard and defaults to 0 (paper-faithful:
-        every cluster is voted on).
+        (baseline).  Every event cluster is voted on.
     """
 
     #: Span collector (rebound by ``ClusterHead.attach``); the class
@@ -139,7 +134,6 @@ class DecisionKernel:
         sensing_radius: float,
         r_error: float,
         voter: Voter,
-        min_cluster_fraction: float = 0.0,
     ) -> None:
         if sensing_radius <= 0:
             raise ValueError(
@@ -147,13 +141,10 @@ class DecisionKernel:
             )
         if r_error <= 0:
             raise ValueError(f"r_error must be positive, got {r_error}")
-        if not 0.0 <= min_cluster_fraction <= 1.0:
-            raise ValueError("min_cluster_fraction must be in [0, 1]")
         self.deployment = deployment
         self.sensing_radius = sensing_radius
         self.r_error = r_error
         self.voter = voter
-        self.min_cluster_fraction = min_cluster_fraction
         self._limit = sensing_radius + r_error
         self._has_trust = hasattr(voter, "trust")
         # Warm the spatial index with r_s as the grid cell size: every
@@ -232,23 +223,16 @@ class DecisionKernel:
             return []
 
         clusters = cluster_reports_flat(f_xs, f_ys, self.r_error)
-        min_size = self.min_cluster_fraction * len(f_ids)
+        if not spans.enabled:
+            return [self._vote_cluster(c, f_ids, excluded) for c in clusters]
+        # Each cluster parents under the window.filter span, not under
+        # its sibling cluster's vote machinery.
+        window_ctx = spans.current
         decisions: List[LocatedDecision] = []
-        if spans.enabled:
-            # Each cluster parents under the window.filter span, not
-            # under its sibling cluster's vote machinery.
-            window_ctx = spans.current
-            for cluster in clusters:
-                if len(cluster) < min_size:
-                    continue
-                spans.current = window_ctx
-                decisions.append(self._vote_cluster(cluster, f_ids, excluded))
-            spans.current = window_ctx
-            return decisions
         for cluster in clusters:
-            if len(cluster) < min_size:
-                continue
+            spans.current = window_ctx
             decisions.append(self._vote_cluster(cluster, f_ids, excluded))
+        spans.current = window_ctx
         return decisions
 
     def _vote_cluster(

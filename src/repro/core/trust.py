@@ -210,7 +210,6 @@ class TrustTable:
         reporters: Iterable[int],
         non_reporters: Iterable[int],
         apply_updates: bool = True,
-        tie_breaks_to_occurred: bool = False,
     ) -> Tuple[bool, tuple, tuple, float, float, bool, tuple, tuple]:
         """One full §3.1 CTI vote: sum both groups, then update both.
 
@@ -234,8 +233,10 @@ class TrustTable:
         nr = tuple(sorted(nr_set))
         cti_r = self.cti(r)
         cti_nr = self.cti(nr)
+        # §3.1 leaves the exact tie open; the §5 analysis needs a strict
+        # majority (Z >= floor(N/2) + 1), so a tie fails: no event.
+        occurred = cti_r > cti_nr
         tie = cti_r == cti_nr
-        occurred = tie_breaks_to_occurred if tie else cti_r > cti_nr
         winners, losers = (r, nr) if occurred else (nr, r)
         if apply_updates:
             self._reward_all(winners)

@@ -54,7 +54,6 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.provenance import ProvenanceIndex
-from repro.obs.probes import TrustProbe
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.obs.spans import NULL_SPANS, SpanCollector
 from repro.simkernel.simulator import Simulator
@@ -210,14 +209,19 @@ class SimulationRun:
         unspanned one (asserted by
         ``tests/experiments/test_observability.py``).
     observe:
-        Enable the observability layer: a live
+        Enable the metrics registry: a live
         :class:`~repro.obs.registry.MetricsRegistry` shared by every
-        simulation entity plus a :class:`~repro.obs.probes.TrustProbe`
-        sampling the CH's TI map at every decision.  Instrumentation
-        reads state but never mutates it (and never touches an RNG), so
-        an observed run stays bit-identical to an unobserved one.
-        After :meth:`run`, :meth:`export_artifacts` serialises
-        everything to JSONL next to a manifest.
+        simulation entity (a shadow CH's mirror counts nothing: its
+        verdicts are not network decisions).  Instrumentation reads
+        state but never mutates it (and never touches an RNG), so an
+        observed run stays bit-identical to an unobserved one.  After
+        :meth:`run`, :meth:`export_artifacts` serialises everything to
+        JSONL next to a manifest.
+    journal:
+        Record every decided window's raw inputs (see
+        :meth:`session_journal`); replaying them through a fresh
+        :class:`~repro.service.session.TrustSession` yields the run's
+        TI history, decision by decision.
     chaos_plan:
         Optional :class:`~repro.chaos.plan.FaultPlan` of injected
         failures (channel degradation windows, node crash/recover
@@ -232,8 +236,8 @@ class SimulationRun:
         CH.  ``run(n)`` still counts event rounds, and may be called
         again to continue.  Scoring takes the BS's dispute resolutions
         over the heads' verdicts; ``diagnosed_nodes`` is the BS registry
-        below TI 0.3.  Location mode only, without quiet windows,
-        ``observe`` or a ``chaos_plan``.
+        below TI 0.3.  Location mode only, without quiet windows or a
+        ``chaos_plan``.
     """
 
     #: Channel addresses.  Sensing node ``n`` hosts a rotating head at
@@ -272,12 +276,11 @@ class SimulationRun:
         if mode not in ("binary", "location"):
             raise ValueError(f"mode must be 'binary' or 'location', got {mode!r}")
         if rotation is not None and (
-            mode == "binary" or quiet_windows or observe
-            or chaos_plan is not None
+            mode == "binary" or quiet_windows or chaos_plan is not None
         ):
             raise ValueError(
-                "rotation runs location mode without quiet_windows, "
-                "observe or a chaos_plan"
+                "rotation runs location mode without quiet_windows "
+                "or a chaos_plan"
             )
         if deployment_kind not in ("grid", "random"):
             raise ValueError(
@@ -319,7 +322,6 @@ class SimulationRun:
             MetricsRegistry(enabled=True) if observe else NULL_REGISTRY
         )
         self.spans = SpanCollector() if spans else NULL_SPANS
-        self.probe: Optional[TrustProbe] = None
         self.timings: Dict[str, float] = {}
 
         self._compromises: List[CompromiseOrder] = []
@@ -464,12 +466,6 @@ class SimulationRun:
                 rng=self.sim.streams.get("leach"),
                 ti_lookup=lambda n: self.bs.ti_of(0, n),
             )
-        if self.observe:
-            self.probe = TrustProbe(
-                self.ch.trust, self.registry, diagnoser=self.ch.diagnoser
-            )
-            self.ch.probe = self.probe
-            self.probe.sample(self.sim.now)  # t=0 baseline: all TI = 1.0
         if self.chaos_plan is not None:
             # Installing the empty plan is a guaranteed no-op (no
             # interceptor, no lifecycle events), so runs constructed with
@@ -545,14 +541,10 @@ class SimulationRun:
         standby_id = self.CH_ID_OFFSET + len(self._retired)
         # §3.4: a shadow CH mirrors the active head's trust state, so
         # the promoted standby resumes from the TI table at crash time.
-        standby = self.ch = self._install_head(
+        self.ch = self._install_head(
             standby_id, retired.position, self.deployment,
             retired.trust.export_state(), self.nodes,
         )
-        if self.probe is not None:
-            self.probe.table = standby.trust
-            self.probe.diagnoser = standby.diagnoser
-            standby.probe = self.probe
         spans = self.sim.spans
         if spans.enabled:
             spans.point(
@@ -604,8 +596,6 @@ class SimulationRun:
         else:
             self._run_fixed(n_rounds)
         if self.observe:
-            assert self.probe is not None
-            self.probe.sample(self.sim.now)  # end-of-run state
             self.sim.record_kernel_metrics()
         self.timings["run_s"] = perf_counter() - run_start
         return self
@@ -1003,32 +993,33 @@ class SimulationRun:
                 None if self.chaos_plan is None
                 else self.chaos_plan.to_dict()
             ),
+            "rotation": (
+                None if self.rotation is None else asdict(self.rotation)
+            ),
         }
 
     def export_artifacts(self, out_dir) -> Dict[str, Path]:
         """Serialise the run's observability state to ``out_dir``.
 
-        Writes ``manifest.json``, ``metrics.jsonl`` and
-        ``ti_series.jsonl`` (see :mod:`repro.obs.export` for the
-        schemas); runs created with ``spans=True`` additionally write
-        their event log, ``spans.jsonl``, with ``provenance.jsonl`` and
-        ``spans_chrome.json``.
+        Writes ``manifest.json`` and ``metrics.jsonl`` (see
+        :mod:`repro.obs.export` for the schemas); runs created with
+        ``journal=True`` add ``session_journal.jsonl``, and runs created
+        with ``spans=True`` their event log, ``spans.jsonl``, with
+        ``provenance.jsonl`` and ``spans_chrome.json``.
         Only meaningful after :meth:`run`; requires the run to have
         been created with ``observe=True``.
         """
         if not self.observe:
             raise RuntimeError(
-                "export_artifacts requires observe=True (no registry/probe "
+                "export_artifacts requires observe=True (no registry "
                 "was attached to this run)"
             )
-        assert self.sim is not None and self.ch is not None
-        assert self.probe is not None
+        assert self.sim is not None
         out = Path(out_dir)
         counts = {
             "events": len(self.events),
             "decisions": len(self.all_decisions()),
             "events_fired": self.sim.events_fired,
-            "probe_samples": self.probe.n_samples,
         }
         if self.spans.enabled:
             counts["spans_emitted"] = self.spans.emitted
@@ -1044,9 +1035,6 @@ class SimulationRun:
             "manifest": write_json(out / "manifest.json", manifest),
             "metrics": write_jsonl(
                 out / "metrics.jsonl", self.registry.snapshot()
-            ),
-            "ti_series": write_jsonl(
-                out / "ti_series.jsonl", self.probe.to_records()
             ),
         }
         if self.journal:

@@ -16,7 +16,6 @@ sits on top of:
 
 from repro.network.geometry import Point, PolarOffset, Region
 from repro.network.messages import (
-    ChAdvertisement,
     ChDecisionAnnouncement,
     EventReportMessage,
     Message,
@@ -39,7 +38,6 @@ from repro.network.topology import (
 )
 
 __all__ = [
-    "ChAdvertisement",
     "ChDecisionAnnouncement",
     "ChannelConfig",
     "DeliveryOutcome",

@@ -59,23 +59,6 @@ class EventReportMessage(Message):
 
 
 @dataclass(frozen=True)
-class ChAdvertisement(Message):
-    """A self-elected cluster head announcing its leadership bid (LEACH)."""
-
-    round_number: int = 0
-    position: Optional[Point] = None
-    signal_strength: float = 1.0
-
-
-@dataclass(frozen=True)
-class ChAffiliation(Message):
-    """A node affiliating itself with an advertising cluster head."""
-
-    chosen_ch: int = -1
-    round_number: int = 0
-
-
-@dataclass(frozen=True)
 class ChDecisionAnnouncement(Message):
     """Cluster head's verdict on an event window.
 
@@ -126,11 +109,3 @@ class ScHDisagreement(Message):
     occurred: bool = False
     location: Optional[Point] = None
     suspected_ch: int = -1
-
-
-@dataclass(frozen=True)
-class BsChVeto(Message):
-    """Base station cancelling an under-trusted node's CH bid (§2)."""
-
-    vetoed_node: int = -1
-    round_number: int = 0

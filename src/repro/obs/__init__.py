@@ -6,9 +6,6 @@ opt-in and costs about one attribute check while disabled:
 ``repro.obs.registry``
     Named counters / gauges / histograms / timers with a zero-overhead
     disabled path (:data:`NULL_REGISTRY`), mirroring ``NULL_SPANS``.
-``repro.obs.probes``
-    :class:`TrustProbe` -- per-node TI time series sampled at decision
-    boundaries, with threshold-crossing queries.
 ``repro.obs.export``
     JSONL artifact writers, per-run manifests, and schema validators.
 ``repro.obs.spans``
@@ -23,9 +20,10 @@ opt-in and costs about one attribute check while disabled:
     / clustering phase breakdown, :class:`SweepProfile` aggregation.
 
 Entry points: ``SimulationRun(observe=True)`` threads a live registry
-and probe through one run and ``export_artifacts()`` writes the JSONL
-bundle (``spans=True`` adds spans / provenance / a Chrome trace);
-``tibfit-repro trace`` does both from the command line;
+through one run and ``export_artifacts()`` writes the JSONL bundle
+(``spans=True`` adds spans / provenance / a Chrome trace, and
+``journal=True`` the session journal, whose replay is the run's TI
+history); ``tibfit-repro trace`` does all three from the command line;
 ``tibfit-repro explain`` renders one decision's causal chain; and
 ``python -m repro.obs.validate DIR`` checks an artifact directory
 against the schemas.  See ``docs/observability.md``.
@@ -43,11 +41,9 @@ from repro.obs.export import (
     validate_metrics_record,
     validate_provenance_record,
     validate_span_record,
-    validate_ti_record,
     write_json,
     write_jsonl,
 )
-from repro.obs.probes import TrustProbe
 from repro.obs.provenance import ProvenanceIndex
 from repro.obs.spans import NULL_SPANS, Span, SpanCollector
 from repro.obs.profiling import (
@@ -81,7 +77,6 @@ __all__ = [
     "SweepProfile",
     "TaskProfile",
     "Timer",
-    "TrustProbe",
     "build_manifest",
     "chrome_trace",
     "profiling_requested",
@@ -92,7 +87,6 @@ __all__ = [
     "validate_metrics_record",
     "validate_provenance_record",
     "validate_span_record",
-    "validate_ti_record",
     "write_json",
     "write_jsonl",
 ]

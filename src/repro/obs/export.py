@@ -1,10 +1,14 @@
 """Structured export: JSONL artifacts, per-run manifests, schemas.
 
-An instrumented run writes three artifacts side by side::
+An instrumented run writes two artifacts side by side::
 
     manifest.json     what ran: config, seed, code version, timings
     metrics.jsonl     one registry instrument snapshot per line
-    ti_series.jsonl   TI samples + diagnosis crossings (TrustProbe)
+
+a journalled run (``SimulationRun(journal=True)``) adds the record its
+TI history replays from::
+
+    session_journal.jsonl   one closed window's raw inputs per line
 
 and a span-enabled run (``SimulationRun(spans=True)``) adds its event
 log and two views of it::
@@ -13,20 +17,22 @@ log and two views of it::
     provenance.jsonl    one decision evidence chain per line
     spans_chrome.json   Chrome-trace / Perfetto view of the same spans
 
-Every artifact is plain JSON so a sweep point is diffable with nothing
-but a text tool, and the manifest carries everything needed to re-run
-it bit-identically.  Validation is hand-rolled (no third-party schema
-dependency): :func:`validate_manifest`, :func:`validate_metrics_record`
-and :func:`validate_ti_record` raise :class:`SchemaError` naming the
-offending field, and :func:`validate_artifacts` checks a whole
-directory -- the CI observability job runs exactly that via
-``python -m repro.obs.validate``.
+Every artifact is standard JSON, so a sweep point is diffable with
+nothing but a text tool, and the manifest carries everything needed to
+re-run it bit-identically.  ``NaN`` and ``Infinity`` are not JSON: the
+writers refuse them (``ValueError``) and the readers reject them with a
+:class:`SchemaError` naming the file and line.  Validation is
+hand-rolled (no third-party schema dependency): the ``validate_*``
+functions raise :class:`SchemaError` naming the offending field, and
+:func:`validate_artifacts` checks a whole directory -- the CI
+observability job runs exactly that via ``python -m repro.obs.validate``.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import re
 import time
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional
@@ -43,7 +49,6 @@ __all__ = [
     "validate_metrics_record",
     "validate_provenance_record",
     "validate_span_record",
-    "validate_ti_record",
     "write_json",
     "write_jsonl",
 ]
@@ -51,7 +56,6 @@ __all__ = [
 MANIFEST_SCHEMA_VERSION = 1
 
 _METRIC_TYPES = ("counter", "gauge", "histogram", "timer")
-_TI_RECORD_TYPES = ("sample", "diagnosis")
 
 
 class SchemaError(ValueError):
@@ -151,35 +155,6 @@ def validate_metrics_record(record: object) -> None:
                 _require(
                     record, f"metrics record {name!r}", key, (int, float)
                 )
-
-
-# ----------------------------------------------------------------------
-# TI time-series records
-# ----------------------------------------------------------------------
-def validate_ti_record(record: object) -> None:
-    """Raise :class:`SchemaError` unless ``record`` is one TI-series line."""
-    if not isinstance(record, dict):
-        raise SchemaError("ti record must be a JSON object")
-    kind = _require(record, "ti record", "type", str)
-    if kind not in _TI_RECORD_TYPES:
-        raise SchemaError(
-            f"ti record type {kind!r} not in {_TI_RECORD_TYPES}"
-        )
-    _require(record, f"ti {kind} record", "time", (int, float))
-    if kind == "sample":
-        tis = _require(record, "ti sample record", "tis", dict)
-        for node, ti in tis.items():
-            if not isinstance(ti, (int, float)):
-                raise SchemaError(
-                    f"ti sample record tis[{node!r}] must be a number"
-                )
-            if not node.lstrip("-").isdigit():
-                raise SchemaError(
-                    f"ti sample record key {node!r} must be a node id"
-                )
-    else:
-        _require(record, "ti diagnosis record", "node", int)
-        _require(record, "ti diagnosis record", "ti", (int, float))
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +324,9 @@ def write_json(path, doc: Dict[str, object]) -> Path:
     """Write one JSON document (the manifest format)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
     return path
 
 
@@ -359,9 +336,46 @@ def write_jsonl(path, records: Iterable[Dict[str, object]]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
+            handle.write(json.dumps(record, sort_keys=True, allow_nan=False))
             handle.write("\n")
     return path
+
+
+class _NonFinite(ValueError):
+    """A ``NaN`` / ``Infinity`` / ``-Infinity`` literal: not JSON."""
+
+
+def _refuse_constant(token: str) -> None:
+    raise _NonFinite(token)
+
+
+#: A JSON string literal, and the tokens ``json`` accepts beyond JSON.
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+_NON_FINITE = re.compile(r"-?(?:NaN|Infinity)")
+
+
+def _loads(text: str, path, line_no: int = 1) -> object:
+    """Parse one JSON document that starts on line ``line_no`` of ``path``.
+
+    Raises :class:`SchemaError` naming the file and line for invalid
+    JSON, including the ``NaN`` / ``Infinity`` / ``-Infinity`` literals
+    :func:`json.loads` accepts by default.
+    """
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except _NonFinite as exc:
+        # Blank out string literals, so a string "NaN" is not taken for
+        # the literal, and find the line of the first one left.
+        masked = _STRING.sub(lambda m: " " * len(m.group()), text)
+        at = _NON_FINITE.search(masked)
+        line = line_no + masked.count("\n", 0, at.start() if at else 0)
+        raise SchemaError(
+            f"{path}:{line}: {exc} is not a JSON number"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(
+            f"{path}:{line_no + exc.lineno - 1}: not valid JSON ({exc})"
+        ) from None
 
 
 def read_jsonl(path) -> List[Dict[str, object]]:
@@ -370,14 +384,8 @@ def read_jsonl(path) -> List[Dict[str, object]]:
     with Path(path).open() as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise SchemaError(
-                    f"{path}:{line_no}: not valid JSON ({exc})"
-                ) from None
+            if line:
+                out.append(_loads(line, path, line_no))
     return out
 
 
@@ -385,14 +393,14 @@ def validate_artifacts(directory) -> Dict[str, int]:
     """Validate a run's artifact directory; returns per-file line counts.
 
     Requires ``manifest.json`` and ``metrics.jsonl``; validates the
-    TI series, span, journal and provenance files when present.
+    span, journal and provenance files when present.
     Raises :class:`SchemaError` on the first invalid document.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise SchemaError(f"missing {manifest_path}")
-    validate_manifest(json.loads(manifest_path.read_text()))
+    validate_manifest(_loads(manifest_path.read_text(), manifest_path))
     counts = {"manifest.json": 1}
 
     metrics_path = directory / "metrics.jsonl"
@@ -402,13 +410,6 @@ def validate_artifacts(directory) -> Dict[str, int]:
     for record in metrics:
         validate_metrics_record(record)
     counts["metrics.jsonl"] = len(metrics)
-
-    ti_path = directory / "ti_series.jsonl"
-    if ti_path.exists():
-        ti_records = read_jsonl(ti_path)
-        for record in ti_records:
-            validate_ti_record(record)
-        counts["ti_series.jsonl"] = len(ti_records)
 
     spans_path = directory / "spans.jsonl"
     if spans_path.exists():
@@ -433,7 +434,7 @@ def validate_artifacts(directory) -> Dict[str, int]:
 
     chrome_path = directory / "spans_chrome.json"
     if chrome_path.exists():
-        doc = json.loads(chrome_path.read_text())
+        doc = _loads(chrome_path.read_text(), chrome_path)
         if not isinstance(doc, dict) or not isinstance(
             doc.get("traceEvents"), list
         ):

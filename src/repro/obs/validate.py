@@ -5,9 +5,9 @@ Usage::
     python -m repro.obs.validate RUN_DIR [RUN_DIR ...]
 
 Checks each directory's ``manifest.json`` / ``metrics.jsonl`` (required)
-and ``ti_series.jsonl`` / ``spans.jsonl`` / ``session_journal.jsonl`` /
-``provenance.jsonl`` / ``spans_chrome.json`` (optional) against the
-schemas in :mod:`repro.obs.export`.  Exit code 0 when every directory
+and ``session_journal.jsonl`` / ``spans.jsonl`` / ``provenance.jsonl`` /
+``spans_chrome.json`` (optional) against the schemas in
+:mod:`repro.obs.export`.  Exit code 0 when every directory
 validates, 1 otherwise -- the CI observability job gates on this.
 """
 

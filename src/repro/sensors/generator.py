@@ -9,18 +9,20 @@ For the concurrent-event runs (Fig. 7), batches of simultaneous events
 are drawn with a minimum pairwise separation of ``r_error`` -- §3.3's
 standing assumption that "concurrent events cannot occur closer than a
 distance of r_error".
+
+The generator only draws; the simulation harness schedules the rounds
+and informs the event neighbours itself.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from repro.network.geometry import Point, Region
-from repro.simkernel.simulator import Simulator
 
 
 @dataclass(frozen=True)
@@ -117,46 +119,3 @@ class EventGenerator:
             )
             for loc in locations
         ]
-
-    # ------------------------------------------------------------------
-    # DES driving
-    # ------------------------------------------------------------------
-    def drive(
-        self,
-        sim: Simulator,
-        interval: float,
-        count: int,
-        on_event: Callable[[GroundTruthEvent], None],
-        batch_size: int = 1,
-        start: Optional[float] = None,
-    ) -> None:
-        """Schedule ``count`` rounds of events on the simulator.
-
-        Each round at ``start + k * interval`` emits ``batch_size``
-        simultaneous events (separated per ``min_separation``) and calls
-        ``on_event`` for each -- the DES analogue of the paper's event
-        generator "informing the event neighbors".
-        """
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        first = sim.now + interval if start is None else start
-
-        def fire_round() -> None:
-            spans = sim.spans
-            for event in self.next_batch(batch_size, time=sim.now):
-                if spans.enabled:
-                    spans.point(
-                        "events.generated",
-                        parent=spans.current,
-                        event_id=event.event_id,
-                        x=event.location.x,
-                        y=event.location.y,
-                    )
-                on_event(event)
-
-        sim.every(interval, fire_round, start=first, count=count,
-                  label="event-generator")

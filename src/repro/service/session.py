@@ -91,8 +91,6 @@ class SessionConfig:
     diagnosis_threshold:
         Isolate nodes whose TI sinks below this; ``None`` disables
         diagnosis.
-    tie_breaks_to_occurred:
-        Verdict on exact CTI / head-count ties.
     owner_id:
         The node id of the session's owner (the CH is itself a sensor,
         §2) -- excluded from the binary non-reporter partition.  ``None``
@@ -108,7 +106,6 @@ class SessionConfig:
     trust: TrustParameters = field(default_factory=TrustParameters)
     use_trust: bool = True
     diagnosis_threshold: Optional[float] = None
-    tie_breaks_to_occurred: bool = False
     owner_id: Optional[int] = None
     journal: bool = False
 
@@ -151,15 +148,9 @@ class TrustSession:
         self.ids = id_allocator if id_allocator is not None else IdAllocator()
 
         self.trust = TrustTable(config.trust, deployment.node_ids())
-        if config.use_trust:
-            self.voter: Union[CtiVoter, MajorityVoter] = CtiVoter(
-                self.trust,
-                tie_breaks_to_occurred=config.tie_breaks_to_occurred,
-            )
-        else:
-            self.voter = MajorityVoter(
-                tie_breaks_to_occurred=config.tie_breaks_to_occurred
-            )
+        self.voter: Union[CtiVoter, MajorityVoter] = (
+            CtiVoter(self.trust) if config.use_trust else MajorityVoter()
+        )
 
         self.diagnoser: Optional[FaultDiagnoser] = None
         if config.use_trust and config.diagnosis_threshold is not None:

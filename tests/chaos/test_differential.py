@@ -156,8 +156,14 @@ class TestChFailover:
             ("chaos.ch-recover", 75.0, {"ch": head}),
         ]
 
-    def test_observed_failover_rebinds_probe(self):
+    def test_observed_failover_matches_unobserved(self):
         run = self.make_crash_run(observe=True).run(10)
-        assert run.probe.table is run.ch.trust
-        assert run.ch.probe is run.probe
-        assert run.registry.counter("chaos.ch-failover").value == 1
+        plain = self.make_crash_run().run(10)
+        assert run_fingerprint(run) == run_fingerprint(plain)
+        registry = run.registry
+        assert registry.counter("chaos.ch-failover").value == 1
+        # Both heads' verdicts count, each once.
+        assert (
+            registry.counter("ch.decision.occurred").value
+            + registry.counter("ch.decision.rejected").value
+        ) == len(run.all_decisions())

@@ -17,10 +17,6 @@ class TestMajorityVoting:
         assert result.tie
         assert not result.occurred
 
-    def test_tie_break_flag(self):
-        voter = MajorityVoter(tie_breaks_to_occurred=True)
-        assert voter.decide([0], [1]).occurred
-
     def test_statelessness_no_history_effect(self):
         """The same partition always yields the same verdict -- there is
         no trust memory to shift it (contrast with CtiVoter)."""

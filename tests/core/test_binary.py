@@ -6,11 +6,11 @@ from repro.core.binary import CtiVoter
 from repro.core.trust import TrustParameters, TrustTable
 
 
-def fresh_voter(lam=0.1, fr=0.01, n=10, **kwargs):
+def fresh_voter(lam=0.1, fr=0.01, n=10):
     table = TrustTable(
         TrustParameters(lam=lam, fault_rate=fr), node_ids=range(n)
     )
-    return CtiVoter(table, **kwargs), table
+    return CtiVoter(table), table
 
 
 class TestBasicVoting:
@@ -32,12 +32,6 @@ class TestBasicVoting:
         result = voter.decide([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])
         assert result.tie
         assert not result.occurred
-
-    def test_tie_break_flag_flips_convention(self):
-        voter, _ = fresh_voter(tie_breaks_to_occurred=True)
-        result = voter.decide([0, 1], [2, 3])
-        assert result.tie
-        assert result.occurred
 
     def test_overlapping_partitions_rejected(self):
         voter, _ = fresh_voter()

@@ -49,23 +49,12 @@ class RecordingTrustTable(TrustTable):
         self.calls.append(("reward_many", tuple(ids)))
         super().reward_many(ids)
 
-    def cti_vote(
-        self,
-        reporters,
-        non_reporters,
-        apply_updates=True,
-        tie_breaks_to_occurred=False,
-    ):
+    def cti_vote(self, reporters, non_reporters, apply_updates=True):
         r = tuple(reporters)
         nr = tuple(non_reporters)
         assert all(type(i) is int for i in r + nr), (r, nr)
         self.calls.append(("cti_vote", r, nr))
-        return super().cti_vote(
-            r,
-            nr,
-            apply_updates=apply_updates,
-            tie_breaks_to_occurred=tie_breaks_to_occurred,
-        )
+        return super().cti_vote(r, nr, apply_updates=apply_updates)
 
 
 def make_deployment(positions):
@@ -76,7 +65,7 @@ def make_deployment(positions):
 
 
 def make_pair(deployment, node_ids, r_s=20.0, r_error=5.0,
-              use_trust=True, min_cluster_fraction=0.0):
+              use_trust=True):
     """Build (engine, kernel) with independent but identical voters."""
     if use_trust:
         params = TrustParameters(lam=0.25, fault_rate=0.1)
@@ -90,14 +79,12 @@ def make_pair(deployment, node_ids, r_s=20.0, r_error=5.0,
         sensing_radius=r_s,
         r_error=r_error,
         voter=voter_obj,
-        min_cluster_fraction=min_cluster_fraction,
     )
     kernel = DecisionKernel(
         deployment=deployment,
         sensing_radius=r_s,
         r_error=r_error,
         voter=voter_arr,
-        min_cluster_fraction=min_cluster_fraction,
     )
     return engine, kernel
 
@@ -211,22 +198,6 @@ class TestRandomizedDifferential:
             assert (engine.voter.trust.export_state()
                     == kernel.voter.trust.export_state())
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_min_cluster_fraction_filter_matches(self, seed):
-        rng = random.Random(1000 + seed)
-        positions = {
-            i: Point(rng.uniform(0, 100), rng.uniform(0, 100))
-            for i in range(12)
-        }
-        deployment = make_deployment(positions)
-        engine, kernel = make_pair(
-            deployment, positions.keys(), min_cluster_fraction=0.4
-        )
-        reports = random_window(rng, 12, positions)
-        obj = engine.decide(reports)
-        arr = kernel_decide(kernel, reports)
-        assert_identical(obj, arr)
-
 
 class TestEdgeCases:
     def test_empty_window(self):
@@ -333,7 +304,3 @@ class TestKernelValidation:
             DecisionKernel(deployment, 0.0, 5.0, voter)
         with pytest.raises(ValueError, match="r_error"):
             DecisionKernel(deployment, 20.0, -1.0, voter)
-        with pytest.raises(ValueError, match="min_cluster_fraction"):
-            DecisionKernel(
-                deployment, 20.0, 5.0, voter, min_cluster_fraction=1.5
-            )

@@ -222,15 +222,3 @@ class TestValidation:
             DecisionKernel(deployment, 0.0, 5.0, voter)
         with pytest.raises(ValueError):
             DecisionKernel(deployment, 20.0, -1.0, voter)
-
-    def test_min_cluster_fraction_filters_tiny_clusters(self):
-        engine, _ = make_engine(CROWD)
-        engine.min_cluster_fraction = 0.5
-        reports = [
-            LocationReport(node_id=0, location=Point(50.0, 50.0)),
-            LocationReport(node_id=1, location=Point(50.2, 50.1)),
-            LocationReport(node_id=2, location=Point(50.1, 49.9)),
-            LocationReport(node_id=3, location=Point(90.0, 90.0)),
-        ]
-        decisions = kernel_decide(engine, reports)
-        assert len(decisions) == 1  # the singleton cluster was suppressed

@@ -146,7 +146,8 @@ class TestTrace:
 
         counts = validate_artifacts(out_dir)
         assert counts["metrics.jsonl"] > 0
-        assert counts["ti_series.jsonl"] > 0
+        # The TI history's record: the journal the trace replayed.
+        assert counts["session_journal.jsonl"] > 0
         # Spans are always collected, so every bundle can be explained.
         assert counts["spans.jsonl"] > 0
         assert counts["provenance.jsonl"] > 0

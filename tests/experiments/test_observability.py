@@ -3,11 +3,11 @@
 The load-bearing guarantees:
 
 * an instrumented (``observe=True``) run is **bit-identical** to an
-  uninstrumented one -- probes read state, never mutate it;
-* the exported JSONL artifacts reconstruct the run's trust state
+  uninstrumented one -- the registry reads state, never mutates it;
+* the exported session journal replays the run's trust history
   exactly: final TIs match the live :class:`TrustTable` bit for bit,
-  and each diagnosed node's threshold-crossing time in the TI series
-  equals its diagnosis time;
+  the replaying diagnoser logs what the run's did, and each diagnosed
+  node's first below-threshold sample time equals its diagnosis time;
 * span collection (``spans=True``) is equally read-only: the
   ``run_fingerprint`` of a span-collecting run equals the plain run's,
   and the exported span artifacts reconstruct every verdict's causal
@@ -15,6 +15,7 @@ The load-bearing guarantees:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,11 +23,12 @@ from repro.chaos.invariants import run_fingerprint
 from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
 from repro.obs.export import read_jsonl, validate_artifacts
 from repro.obs.provenance import ProvenanceIndex
+from repro.service.session import TrustSession
 
 DIAGNOSIS_THRESHOLD = 0.5
 
 
-def make_run(observe, seed=7, spans=False):
+def make_run(observe, seed=7, spans=False, journal=False):
     """An Experiment-1-style binary run with aggressive faulty nodes."""
     return SimulationRun(
         mode="binary",
@@ -42,16 +44,30 @@ def make_run(observe, seed=7, spans=False):
         seed=seed,
         observe=observe,
         spans=spans,
+        journal=journal,
     )
 
 
 @pytest.fixture(scope="module")
 def observed(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
-    run = make_run(observe=True)
+    run = make_run(observe=True, journal=True)
     run.run(30)
     run.export_artifacts(out)
     return run, out
+
+
+def replay_history(run, journal):
+    """Replay exported journal records through a fresh session: the TI
+    map after every decision as ``(time, tis)``, and the session."""
+    session = TrustSession(
+        run.ch.deployment, replace(run.ch.session.config, journal=False)
+    )
+    samples = [(0.0, session.tis())]
+    for record in journal:
+        for decision in session.replay_window(record):
+            samples.append((decision.time, session.tis()))
+    return samples, session
 
 
 class TestBitIdentity:
@@ -70,53 +86,52 @@ class TestArtifacts:
     def test_directory_validates(self, observed):
         _, out = observed
         counts = validate_artifacts(out)
-        # observe=True alone exports no event log: spans are opt-in.
+        # No event log without spans=True: spans are opt-in.
         assert set(counts) == {
-            "manifest.json", "metrics.jsonl", "ti_series.jsonl",
+            "manifest.json", "metrics.jsonl", "session_journal.jsonl",
         }
 
     def test_manifest_counts_match_artifacts(self, observed):
         run, out = observed
         manifest = json.loads((out / "manifest.json").read_text())
-        samples = [
-            r for r in read_jsonl(out / "ti_series.jsonl")
-            if r["type"] == "sample"
-        ]
-        assert manifest["counts"]["probe_samples"] == len(samples)
+        assert set(manifest["counts"]) == {
+            "events", "decisions", "events_fired",
+        }
         assert manifest["counts"]["events"] == 30
         assert manifest["counts"]["decisions"] == len(run.ch.decisions)
         assert manifest["config"]["diagnosis_threshold"] == (
             DIAGNOSIS_THRESHOLD
         )
+        assert manifest["config"]["rotation"] is None
         assert manifest["seed"] == 7
         assert manifest["timings"]["run_s"] > 0.0
 
     def test_final_tis_reconstruct_bit_identical(self, observed):
         run, out = observed
-        samples = [
-            r for r in read_jsonl(out / "ti_series.jsonl")
-            if r["type"] == "sample"
-        ]
-        final = {int(k): v for k, v in samples[-1]["tis"].items()}
+        samples, _ = replay_history(
+            run, read_jsonl(out / "session_journal.jsonl")
+        )
+        assert len(samples) == len(run.ch.decisions) + 1
         # == on floats: bit-identical, not approximately equal
-        assert final == run.ch.trust.tis()
+        assert samples[-1][1] == run.ch.trust.tis()
 
     def test_crossing_times_match_diagnoses(self, observed):
         run, out = observed
-        records = read_jsonl(out / "ti_series.jsonl")
-        samples = [r for r in records if r["type"] == "sample"]
-        diagnoses = [r for r in records if r["type"] == "diagnosis"]
+        samples, replay = replay_history(
+            run, read_jsonl(out / "session_journal.jsonl")
+        )
+        diagnoses = replay.diagnoser.log
+        assert diagnoses == run.ch.diagnoser.log
         assert diagnoses, "run must diagnose at least one faulty node"
-        assert {d["node"] for d in diagnoses} <= set(run.initial_faulty)
+        assert {d.node_id for d in diagnoses} <= set(run.initial_faulty)
         for diag in diagnoses:
-            node = str(diag["node"])
             crossing = next(
-                s["time"] for s in samples
-                if s["tis"].get(node, 1.0) < DIAGNOSIS_THRESHOLD
+                time for time, tis in samples
+                if tis.get(diag.node_id, 1.0) < DIAGNOSIS_THRESHOLD
             )
-            assert crossing == diag["time"]
-            assert diag["ti"] < DIAGNOSIS_THRESHOLD
-            assert diag["isolated"] is True
+            assert crossing == diag.time
+            assert diag.ti_at_diagnosis < DIAGNOSIS_THRESHOLD
+            assert diag.isolated is True
 
     def test_metrics_jsonl_cross_checks_channel(self, observed):
         run, out = observed
@@ -150,12 +165,11 @@ class TestExportGuards:
         with pytest.raises(RuntimeError, match="observe=True"):
             run.export_artifacts(tmp_path)
 
-    def test_probe_absent_when_not_observing(self):
+    def test_registry_disabled_when_not_observing(self):
         run = make_run(observe=False)
         run.build()
-        assert run.probe is None
         assert not run.registry.enabled
-        assert run.ch.probe is None
+        assert not run.sim.metrics.enabled
 
 
 # ----------------------------------------------------------------------
@@ -327,3 +341,31 @@ class TestRotatingProvenance:
             rendered
         )
         assert "evidence" in rendered
+
+    def test_observed_rotating_run_exports_its_bundle(self, tmp_path):
+        from tests.golden.builders import rotating_document
+
+        run = self.rotating(spans=True, observe=True, journal=True)
+        plain = self.rotating(spans=False)
+        assert rotating_document(run) == rotating_document(plain)
+        run.export_artifacts(tmp_path)
+        counts = validate_artifacts(tmp_path)
+        decisions = len(run.all_decisions())
+        assert counts["provenance.jsonl"] == decisions
+        assert counts["session_journal.jsonl"] == len(run.session_journal())
+        # Only the heads' verdicts count: the shadows' mirrors decide
+        # every window again, unobserved.
+        registry = run.registry
+        assert (
+            registry.counter("ch.decision.occurred").value
+            + registry.counter("ch.decision.rejected").value
+        ) == decisions
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["counts"]["decisions"] == decisions
+        assert manifest["config"]["rotation"] == {
+            "leach": {"ch_fraction": 0.08, "ti_threshold": 0.5,
+                      "energy_floor": 0.05},
+            "events_per_leadership": 6,
+            "transfer_trust": True,
+            "corrupt_elected_faulty": False,
+        }

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.network.messages import (
-    ChAdvertisement,
     ChDecisionAnnouncement,
     EventReportMessage,
     ScHDisagreement,
@@ -34,16 +33,11 @@ class TestOtherMessages:
         msg = TiTableTransfer(sender=100)
         assert msg.table == {}
 
-    def test_advertisement_defaults(self):
-        msg = ChAdvertisement(sender=5)
-        assert msg.round_number == 0
-        assert msg.signal_strength == 1.0
-
     def test_disagreement_identifies_suspect(self):
         msg = ScHDisagreement(sender=7, suspected_ch=100, decision_id=2)
         assert msg.suspected_ch == 100
 
     def test_message_ids_monotonically_increase(self):
-        a = ChAdvertisement(sender=1)
-        b = ChAdvertisement(sender=1)
+        a = EventReportMessage(sender=1)
+        b = EventReportMessage(sender=1)
         assert b.message_id > a.message_id

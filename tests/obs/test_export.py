@@ -1,6 +1,7 @@
 """Unit tests for artifact export, schemas, and validation."""
 
 import json
+import math
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.obs.export import (
     validate_metrics_record,
     validate_provenance_record,
     validate_span_record,
-    validate_ti_record,
     write_json,
     write_jsonl,
 )
@@ -86,33 +86,6 @@ class TestMetricsRecords:
             {"name": "h", "type": "histogram",
              "count": 0, "sum": 0.0, "mean": 0.0}
         )
-
-
-class TestTiRecords:
-    def test_sample_and_diagnosis_validate(self):
-        validate_ti_record(
-            {"type": "sample", "time": 1.0, "tis": {"0": 1.0, "7": 0.25}}
-        )
-        validate_ti_record(
-            {"type": "diagnosis", "time": 2.0, "node": 7, "ti": 0.25,
-             "isolated": True}
-        )
-
-    def test_non_numeric_ti_rejected(self):
-        with pytest.raises(SchemaError, match="tis"):
-            validate_ti_record(
-                {"type": "sample", "time": 1.0, "tis": {"0": "high"}}
-            )
-
-    def test_non_node_key_rejected(self):
-        with pytest.raises(SchemaError, match="node id"):
-            validate_ti_record(
-                {"type": "sample", "time": 1.0, "tis": {"abc": 1.0}}
-            )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SchemaError):
-            validate_ti_record({"type": "snapshot", "time": 0.0})
 
 
 def _span(i, parent, category, time=0.0, **args):
@@ -248,14 +221,14 @@ class TestFileIO:
         reg.counter("radio.sent").inc()
         write_jsonl(tmp_path / "metrics.jsonl", reg.snapshot())
         write_jsonl(
-            tmp_path / "ti_series.jsonl",
-            [{"type": "sample", "time": 0.0, "tis": {"0": 1.0}}],
+            tmp_path / "session_journal.jsonl",
+            [{"mode": "binary", "time": 1.0, "senders": [0]}],
         )
         counts = validate_artifacts(tmp_path)
         assert counts == {
             "manifest.json": 1,
             "metrics.jsonl": 1,
-            "ti_series.jsonl": 1,
+            "session_journal.jsonl": 1,
         }
 
     def test_validate_artifacts_requires_manifest(self, tmp_path):
@@ -269,16 +242,57 @@ class TestFileIO:
         with pytest.raises(SchemaError, match="metrics.jsonl"):
             validate_artifacts(tmp_path)
 
-    def test_validate_artifacts_flags_bad_ti_line(self, tmp_path):
+    def test_validate_artifacts_flags_bad_journal_line(self, tmp_path):
         write_json(
             tmp_path / "manifest.json", build_manifest("x", {}, 0)
         )
         write_jsonl(tmp_path / "metrics.jsonl", [])
         write_jsonl(
-            tmp_path / "ti_series.jsonl", [{"type": "sample", "time": 0.0}]
+            tmp_path / "session_journal.jsonl",
+            [{"mode": "binary", "time": 0.0}],
         )
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="senders"):
             validate_artifacts(tmp_path)
+
+    @pytest.mark.parametrize("name, finite, literal", [
+        ("manifest.json", '"run_s": 1.5', '"run_s": NaN'),
+        ("metrics.jsonl", '"value": 2.5', '"value": -Infinity'),
+        ("spans.jsonl", '"time": 3.5', '"time": Infinity'),
+        ("session_journal.jsonl", '"time": 4.5', '"time": NaN'),
+    ])
+    def test_non_finite_numbers_rejected_with_file_and_line(
+        self, tmp_path, name, finite, literal
+    ):
+        write_json(
+            tmp_path / "manifest.json",
+            build_manifest("x", {}, 0, timings={"run_s": 1.5}),
+        )
+        write_jsonl(
+            tmp_path / "metrics.jsonl",
+            [{"name": "g", "type": "gauge", "value": 2.5}],
+        )
+        write_jsonl(
+            tmp_path / "spans.jsonl",
+            [_span(1, 0, "event", 0.5), _span(2, 1, "report", 3.5)],
+        )
+        write_jsonl(
+            tmp_path / "session_journal.jsonl",
+            [{"mode": "binary", "time": t, "senders": [0]}
+             for t in (0.5, 1.0, 4.5)],
+        )
+        validate_artifacts(tmp_path)
+        path = tmp_path / name
+        text = path.read_text()
+        line = text[: text.index(finite)].count("\n") + 1
+        path.write_text(text.replace(finite, literal))
+        with pytest.raises(SchemaError, match=f"{name}:{line}: "):
+            validate_artifacts(tmp_path)
+
+    def test_writers_refuse_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "manifest.json", {"run_s": math.nan})
+        with pytest.raises(ValueError):
+            write_jsonl(tmp_path / "metrics.jsonl", [{"value": -math.inf}])
 
 
 class TestValidateCli:

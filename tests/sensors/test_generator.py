@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.network.geometry import Point, Region
-from repro.obs.spans import SpanCollector
 from repro.sensors.generator import EventGenerator
-from repro.simkernel.simulator import Simulator
 
 
 class TestDraws:
@@ -72,49 +70,3 @@ class TestBatches:
         with pytest.raises(ValueError):
             EventGenerator(unit_region, rng, min_separation=0.0)
 
-
-class TestDrive:
-    def test_drive_fires_count_rounds_at_interval(self, unit_region):
-        sim = Simulator(seed=1)
-        gen = EventGenerator(unit_region, sim.streams.get("events"))
-        seen = []
-        gen.drive(sim, interval=10.0, count=5,
-                  on_event=lambda e: seen.append((sim.now, e.event_id)))
-        sim.run()
-        assert [t for t, _ in seen] == [10.0, 20.0, 30.0, 40.0, 50.0]
-
-    def test_drive_with_batches(self, unit_region):
-        sim = Simulator(seed=1)
-        gen = EventGenerator(
-            unit_region, sim.streams.get("events"), min_separation=5.0
-        )
-        seen = []
-        gen.drive(sim, interval=10.0, count=3, batch_size=2,
-                  on_event=lambda e: seen.append(e.event_id))
-        sim.run()
-        assert len(seen) == 6
-
-    def test_drive_validates_arguments(self, unit_region):
-        sim = Simulator(seed=1)
-        gen = EventGenerator(unit_region, sim.streams.get("events"))
-        with pytest.raises(ValueError):
-            gen.drive(sim, interval=0.0, count=1, on_event=print)
-        with pytest.raises(ValueError):
-            gen.drive(sim, interval=1.0, count=0, on_event=print)
-        with pytest.raises(ValueError):
-            gen.drive(sim, interval=1.0, count=1, on_event=print,
-                      batch_size=0)
-
-    def test_drive_emits_generated_spans(self, unit_region):
-        spans = SpanCollector()
-        sim = Simulator(seed=1, spans=spans)
-        gen = EventGenerator(unit_region, sim.streams.get("events"))
-        seen = []
-        gen.drive(sim, interval=5.0, count=2, on_event=seen.append)
-        sim.run()
-        generated = spans.spans("events.generated")
-        assert [span.time for span in generated] == [5.0, 10.0]
-        assert [span.args for span in generated] == [
-            {"event_id": e.event_id, "x": e.location.x, "y": e.location.y}
-            for e in seen
-        ]

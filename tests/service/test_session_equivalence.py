@@ -57,7 +57,6 @@ def session_for_head(ch):
             trust=config.trust,
             use_trust=config.use_trust,
             diagnosis_threshold=config.diagnosis_threshold,
-            tie_breaks_to_occurred=config.tie_breaks_to_occurred,
             owner_id=ch.node_id,
         ),
         members=ch.members,
