@@ -2,7 +2,7 @@
 
 Unlike the figure benches (which run once and print data), these use
 pytest-benchmark conventionally -- repeated timed rounds -- to track
-the cost of the inner loops everything else sits on: the event queue,
+the cost of the inner loops everything else sits on: the event heap,
 the CTI vote, the §3.2 clustering heuristic, and the event-neighbour
 query.  They exist so a performance regression in the substrate is
 visible before it silently stretches every experiment.
@@ -315,33 +315,6 @@ def test_kernel_periodic_timers(benchmark):
 
     fired = benchmark(run_timers)
     assert fired == 64 * 160
-
-
-def test_kernel_cancel_heavy(benchmark):
-    """Schedule 20k events, cancel half before they fire.
-
-    Mirrors collection-window churn: a decision cancels the window's
-    pending timeout, and the queue skips the tombstones lazily.
-    """
-
-    def run_cancels():
-        sim = Simulator(seed=0)
-        fired = [0]
-
-        def tick():
-            fired[0] += 1
-
-        handles = [
-            sim.after(0.001 * (i % 997) + 0.0005, tick)
-            for i in range(20_000)
-        ]
-        for handle in handles[::2]:
-            handle.cancel()
-        sim.run()
-        return fired[0]
-
-    fired = benchmark(run_cancels)
-    assert fired == 10_000
 
 
 # Per-window-size deployment density and blob layout: each event site's

@@ -239,11 +239,7 @@ class InvariantChecker:
                 f"({interval})"
             )
         return run.sim.every(
-            interval,
-            self.assert_run,
-            run,
-            count=int(horizon // interval),
-            label="invariant-check",
+            interval, self.assert_run, run, count=int(horizon // interval)
         )
 
 

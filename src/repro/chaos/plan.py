@@ -506,12 +506,12 @@ class ChaosController:
         for outage in self.plan.outages:
             self._sim.at(
                 outage.start, self._kill_node, outage.node_id,
-                priority=LIFECYCLE_PRIORITY, label="chaos-crash",
+                priority=LIFECYCLE_PRIORITY,
             )
             if outage.end is not None:
                 self._sim.at(
                     outage.end, self._revive_node, outage.node_id,
-                    priority=LIFECYCLE_PRIORITY, label="chaos-recover",
+                    priority=LIFECYCLE_PRIORITY,
                 )
         for crash in self.plan.ch_crashes:
             if self._ch_crash is None:
@@ -521,7 +521,7 @@ class ChaosController:
                 )
             self._sim.at(
                 crash.start, self._ch_crash, crash,
-                priority=LIFECYCLE_PRIORITY, label="chaos-ch-crash",
+                priority=LIFECYCLE_PRIORITY,
             )
             if crash.end is not None and not crash.failover:
                 if self._ch_recover is None:
@@ -531,7 +531,7 @@ class ChaosController:
                     )
                 self._sim.at(
                     crash.end, self._ch_recover, crash,
-                    priority=LIFECYCLE_PRIORITY, label="chaos-ch-recover",
+                    priority=LIFECYCLE_PRIORITY,
                 )
         return self
 

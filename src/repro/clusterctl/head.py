@@ -174,8 +174,8 @@ class ClusterHead(NetworkNode):
         self.decisions: List[DecisionRecord] = self.session.decisions
 
         self._tracker: Optional[CircleTracker] = None
+        # The open binary window: open exactly while it holds a report.
         self._binary_window: List[EventReportMessage] = []
-        self._binary_window_open = False
 
     # ------------------------------------------------------------------
     # Wiring
@@ -232,9 +232,8 @@ class ClusterHead(NetworkNode):
 
     def _on_binary_report(self, message: EventReportMessage) -> None:
         spans = self.sim.spans
-        if not self._binary_window_open:
-            self._binary_window_open = True
-            self._binary_window = []
+        window = self._binary_window
+        if not window:
             if spans.enabled:
                 # Binary mode has no circle tracker; circle -1 marks
                 # the single whole-cluster window.  Emitted before the
@@ -245,11 +244,7 @@ class ClusterHead(NetworkNode):
                     circle=-1,
                     expires_at=self.sim.now + self.config.t_out,
                 )
-            self.sim.after(
-                self.config.t_out,
-                self._decide_binary,
-                label="binary-t_out",
-            )
+            self.sim.after(self.config.t_out, self._decide_binary, window)
         if spans.enabled:
             spans.point(
                 "window.report",
@@ -257,7 +252,7 @@ class ClusterHead(NetworkNode):
                 circle=-1,
                 node=message.sender,
             )
-        self._binary_window.append(message)
+        window.append(message)
 
     def _on_location_report(self, message: EventReportMessage) -> None:
         if message.offset is None:
@@ -294,10 +289,12 @@ class ClusterHead(NetworkNode):
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------
-    def _decide_binary(self) -> None:
-        reports = self._binary_window
+    def _decide_binary(self, reports: List[EventReportMessage]) -> None:
+        if reports is not self._binary_window:
+            # A T_out timer whose window was flushed already: the way a
+            # circle's expiry finds its circle gone.
+            return
         self._binary_window = []
-        self._binary_window_open = False
         if not self.alive:
             # A crashed CH decides nothing: T_out timers scheduled before
             # the crash still fire, but must neither vote (trust updates)
@@ -420,5 +417,5 @@ class ClusterHead(NetworkNode):
         """Close any open collection windows immediately (end of run)."""
         if self._tracker is not None:
             self._tracker.flush()
-        if self._binary_window_open:
-            self._decide_binary()
+        if self._binary_window:
+            self._decide_binary(self._binary_window)

@@ -168,7 +168,6 @@ class ShadowClusterHead(NetworkNode):
                 self._check_announcement,
                 announcement,
                 ordinal,
-                label="sch-recheck",
             )
             return
         my_verdict = ours.occurred if not self.corrupt else not ours.occurred

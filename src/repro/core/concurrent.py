@@ -65,7 +65,6 @@ class EventCircle:
     expires_at: float
     circle_id: int = field(default_factory=lambda: next(_circle_ids))
     rows: List[int] = field(default_factory=list)
-    closed: bool = False
 
     def overlaps(self, other: "EventCircle", r_error: float) -> bool:
         """Whether two circles of radius ``r_error`` intersect."""
@@ -162,15 +161,12 @@ class CircleTracker:
 
     def open_circles(self) -> List[EventCircle]:
         """Currently open circles (stable order by id)."""
-        return [
-            c for _cid, c in sorted(self._circles.items()) if not c.closed
-        ]
+        return [self._circles[cid] for cid in sorted(self._circles)]
 
     def flush(self) -> None:
         """Force-close every open circle immediately (end of simulation)."""
-        for circle in list(self._circles.values()):
-            if not circle.closed:
-                circle.expires_at = self._sim.now
+        for circle in self._circles.values():
+            circle.expires_at = self._sim.now
         # Groups are recomputed from scratch; every circle is now expired.
         while self._circles:
             any_id = next(iter(sorted(self._circles)))
@@ -198,17 +194,12 @@ class CircleTracker:
                 y=circle.center.y,
                 expires_at=circle.expires_at,
             )
-        self._sim.at(
-            circle.expires_at,
-            self._on_expiry,
-            circle.circle_id,
-            label=f"circle-{circle.circle_id}-timeout",
-        )
+        self._sim.at(circle.expires_at, self._on_expiry, circle.circle_id)
 
     def _on_expiry(self, circle_id: int) -> None:
         circle = self._circles.get(circle_id)
-        if circle is None or circle.closed:
-            return
+        if circle is None:
+            return  # closed already: flushed, or with its overlap group
         group = self._overlap_component(circle)
         # §3.3 step 4: wait until every overlapping circle has expired.
         if any(c.expires_at > self._sim.now for c in group):
@@ -218,8 +209,8 @@ class CircleTracker:
     def _rebuild_open(self) -> None:
         """Refresh the flat centre lists after circles close.
 
-        ``_circles`` holds only open circles (closed ones are deleted in
-        the same step that marks them), and dict deletion preserves the
+        ``_circles`` holds only open circles (``_close_group`` deletes
+        each circle it closes), and dict deletion preserves the
         insertion order of the survivors, so this recovers exactly the
         scan order ``on_report_row`` needs.
         """
@@ -234,7 +225,7 @@ class CircleTracker:
         while frontier:
             current = frontier.pop()
             for other in self._circles.values():
-                if other.circle_id in component or other.closed:
+                if other.circle_id in component:
                     continue
                 if current.overlaps(other, self.r_error):
                     component[other.circle_id] = other
@@ -252,7 +243,6 @@ class CircleTracker:
         group = self._overlap_component(seed)
         rows: List[int] = []
         for circle in group:
-            circle.closed = True
             rows.extend(circle.rows)
             del self._circles[circle.circle_id]
         self._rebuild_open()

@@ -604,18 +604,11 @@ class SimulationRun:
         """Schedule every round (and quiet window) up front, then run."""
         for round_index in range(n_rounds):
             round_time = (round_index + 1) * self.round_interval
-            self.sim.at(
-                round_time,
-                self._fire_round,
-                round_index,
-                priority=-1,
-                label=f"round-{round_index}",
-            )
+            self.sim.at(round_time, self._fire_round, round_index, priority=-1)
             if self.quiet_windows:
                 self.sim.at(
                     round_time + self.round_interval / 2.0,
                     self._fire_quiet_window,
-                    label=f"quiet-{round_index}",
                 )
         self.sim.run()
         assert self.ch is not None
@@ -637,13 +630,7 @@ class SimulationRun:
             if round_index % per_leadership == 0:
                 self._start_leadership()
             event_time = sim.now + interval
-            sim.at(
-                event_time,
-                self._fire_round,
-                round_index,
-                priority=-1,
-                label=f"round-{round_index}",
-            )
+            sim.at(event_time, self._fire_round, round_index, priority=-1)
             sim.run(until=event_time + interval - 0.001)
             self._rounds_run = round_index + 1
             if self._rounds_run % per_leadership == 0:

@@ -117,8 +117,7 @@ class RandomWaypointMobility:
 
     def start(self, sim: Simulator) -> None:
         """Begin ticking on the simulator."""
-        sim.every(self.config.tick, self._tick, sim,
-                  label="mobility-tick")
+        sim.every(self.config.tick, self._tick, sim)
 
     def _tick(self, sim: Simulator) -> None:
         self.ticks += 1
@@ -205,9 +204,7 @@ class PositionTracker:
     def start(self, sim: Simulator) -> None:
         """Begin periodic refreshes (no-op in live mode)."""
         if self.refresh_interval is not None:
-            sim.every(
-                self.refresh_interval, self.refresh, label="position-refresh"
-            )
+            sim.every(self.refresh_interval, self.refresh)
 
     def refresh(self) -> None:
         """Take a fresh snapshot of every node's position."""

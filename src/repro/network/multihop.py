@@ -287,12 +287,7 @@ class ReliableRelay(NetworkNode):
             return
         state["attempts"] += 1
         self.send(state["next_hop"], state["message"])
-        self.sim.after(
-            self.ack_timeout,
-            self._attempt,
-            relay_id,
-            label=f"relay-retry-{relay_id}",
-        )
+        self.sim.after(self.ack_timeout, self._attempt, relay_id)
 
     # ------------------------------------------------------------------
     # Receiving

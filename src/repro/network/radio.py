@@ -101,22 +101,10 @@ _DEAD_RECEIVER = DeliveryOutcome(False, "dead-receiver")
 _UNKNOWN_DESTINATION = DeliveryOutcome(False, "unknown-destination")
 _CHAOS = DeliveryOutcome(False, "chaos")
 
-#: Per-message-class cache of the ``deliver:<ClassName>`` event labels.
-_DELIVER_LABELS: Dict[type, str] = {}
-_FUSED_LABEL = "deliver:batch"
-
 #: Below this many messages the vector path's numpy round-trip costs
 #: more than it saves; both paths are bit-identical, so the crossover
 #: is purely a wall-time knob.
 _VECTOR_MIN = 4
-
-
-def _deliver_label(message_type: type) -> str:
-    label = _DELIVER_LABELS.get(message_type)
-    if label is None:
-        label = f"deliver:{message_type.__name__}"
-        _DELIVER_LABELS[message_type] = label
-    return label
 
 
 class RadioChannel:
@@ -263,7 +251,6 @@ class RadioChannel:
         if outcome.delivered:
             self.delivered += 1
             delay = self.config.propagation_delay
-            label = _deliver_label(type(message))
             if spans.enabled:
                 # The delivery events scheduled below inherit the
                 # transmit span as their causal context (the scheduler
@@ -278,12 +265,11 @@ class RadioChannel:
                     message_id=message.message_id,
                 )
             if verdict is None:
-                self._sim.after(delay, self._deliver, receiver, message,
-                                label=label)
+                self._sim.after(delay, self._deliver, receiver, message)
             else:
                 for extra in verdict.extra_delays:
                     self._sim.after(delay + extra, self._deliver, receiver,
-                                    message, label=label)
+                                    message)
             if spans.enabled:
                 spans.current = saved
         else:
@@ -423,11 +409,9 @@ class RadioChannel:
             delay = self.config.propagation_delay
             if len(deliveries) == 1:
                 receiver, message = deliveries[0]
-                self._sim.after(delay, self._deliver, receiver, message,
-                                label=_deliver_label(type(message)))
+                self._sim.after(delay, self._deliver, receiver, message)
             elif deliveries:
-                self._sim.after(delay, self._deliver_fused, deliveries,
-                                label=_FUSED_LABEL)
+                self._sim.after(delay, self._deliver_fused, deliveries)
         n_lost = len(lost)
         n_ok = n_live - n_lost
         self.sent += n

@@ -15,8 +15,8 @@ Producers and consumers of a causal edge are usually separated by the
 event queue (a report is scheduled now, delivered later).  The token
 that bridges the gap is :attr:`SpanCollector.current` -- the span id of
 "whatever is causally happening right now".  The radio stamps it on the
-delivery event it schedules (the event queue stores it in the event's
-``ctx`` slot and the run loop restores it when the callback fires), so by the
+delivery event it schedules (the simulator stores it in the heap
+entry's ``ctx`` field and the run loop restores it when the callback fires), so by the
 time a cluster head handles a message, ``spans.current`` is the
 ``radio.deliver`` span of that very message.  Cross-message edges that
 the queue cannot carry (a message produced in one place, transmitted in

@@ -128,7 +128,7 @@ class TargetTracker:
         """Schedule every transmission on the simulator."""
         for t, position in self.trajectory.sample(self.period):
             when = max(t, sim.now)
-            sim.at(when, self._emit, when, position, label="target-tx")
+            sim.at(when, self._emit, when, position)
 
     def _emit(self, t: float, position: Point) -> None:
         event = GroundTruthEvent(

@@ -36,7 +36,16 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -295,9 +304,7 @@ class TrustSession:
         Node ids must already be integers (``bool`` is not one): a
         ``1.7`` or ``true`` is refused, not truncated to node 1.
         """
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"node id must be an integer, got {value!r}")
-        node_id = int(value)
+        node_id = _integer("node id", value)
         if node_id not in self.deployment:
             raise ValueError(f"node {node_id} is not in the deployment")
         return node_id
@@ -533,10 +540,15 @@ class TrustSession:
         window.  The whole document is parsed before anything is
         assigned, so a rejected one (``ValueError``, ``KeyError``,
         ``TypeError`` or ``OverflowError``) leaves the session as it
-        was.  Pending reports must pass :meth:`check_report`, every
-        node id in ``members``, ``trust`` and ``diagnosed`` must be an
-        integer naming a deployed node, and the decision ids must be
-        strictly ascending and all below ``next_decision_id``.
+        was.  Pending reports must pass :meth:`check_report`; every
+        node id in ``members``, ``trust``, ``diagnosed`` and a
+        decision's supporters and dissenters must be an integer naming
+        a deployed node, and ``members`` must be distinct.
+        ``next_decision_id``, ``windows_closed`` and each
+        ``decision_id`` must be integers (not bools, floats or
+        strings), ``occurred`` a boolean and each trust ``v`` a number.
+        The decision ids must be strictly ascending and all below
+        ``next_decision_id``.
         """
         if state.get("schema") != 1:
             raise ValueError(
@@ -548,7 +560,12 @@ class TrustSession:
                 f"mode {self.config.mode!r}"
             )
         members = tuple(self._node_id(m) for m in state["members"])  # type: ignore[union-attr]
-        trust = {self._node_id(n): float(v) for n, v in state["trust"]}  # type: ignore[union-attr]
+        if len(set(members)) != len(members):
+            raise ValueError(f"members must be distinct, got {list(members)}")
+        trust = {
+            self._node_id(n): _number("trust v", v)
+            for n, v in state["trust"]  # type: ignore[union-attr]
+        }
         for node_id, v in trust.items():
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(
@@ -556,18 +573,18 @@ class TrustSession:
                     f"non-negative, got {v!r}"
                 )
         diagnosed = [self._node_id(n) for n in state["diagnosed"]]  # type: ignore[union-attr]
-        next_decision_id = int(state["next_decision_id"])  # type: ignore[arg-type]
+        next_decision_id = _integer("next_decision_id", state["next_decision_id"])
         if next_decision_id < 0:
             raise ValueError(
                 f"next_decision_id must be non-negative, got {next_decision_id}"
             )
-        windows_closed = int(state["windows_closed"])  # type: ignore[arg-type]
+        windows_closed = _integer("windows_closed", state["windows_closed"])
         if windows_closed < 0:
             raise ValueError(
                 f"windows_closed must be non-negative, got {windows_closed}"
             )
         decisions = [
-            _decision_from_dict(d)
+            _decision_from_dict(d, self._node_id)
             for d in state["decisions"]  # type: ignore[union-attr]
         ]
         # The log is in minting order: its ids, then the next id the
@@ -635,6 +652,24 @@ def _decision_to_dict(record: DecisionRecord) -> Dict[str, object]:
     }
 
 
+def _integer(name: str, value: object) -> int:
+    """``value`` if it is a JSON integer, else :class:`ValueError`.
+
+    ``bool`` is not one, and a float or string is refused rather than
+    truncated or parsed.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(name: str, value: object) -> float:
+    """``float(value)`` if it is a JSON number (not a bool or string)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _finite(name: str, value: object) -> float:
     """``float(value)``, or :class:`ValueError` unless it is finite."""
     number = float(value)  # type: ignore[arg-type]
@@ -643,7 +678,12 @@ def _finite(name: str, value: object) -> float:
     return number
 
 
-def _decision_from_dict(doc: Dict[str, object]) -> DecisionRecord:
+def _decision_from_dict(
+    doc: Dict[str, object], node_id: Callable[[object], int]
+) -> DecisionRecord:
+    occurred = doc["occurred"]
+    if not isinstance(occurred, bool):
+        raise ValueError(f"occurred must be a boolean, got {occurred!r}")
     location = doc["location"]
     if location is not None:
         if not (isinstance(location, list) and len(location) == 2):
@@ -652,10 +692,10 @@ def _decision_from_dict(doc: Dict[str, object]) -> DecisionRecord:
             )
         location = Point(_finite("x", location[0]), _finite("y", location[1]))
     return DecisionRecord(
-        decision_id=int(doc["decision_id"]),  # type: ignore[arg-type]
+        decision_id=_integer("decision_id", doc["decision_id"]),
         time=_finite("decision time", doc["time"]),
-        occurred=bool(doc["occurred"]),
+        occurred=occurred,
         location=location,  # type: ignore[arg-type]
-        supporters=tuple(int(n) for n in doc["supporters"]),  # type: ignore[union-attr]
-        dissenters=tuple(int(n) for n in doc["dissenters"]),  # type: ignore[union-attr]
+        supporters=tuple(node_id(n) for n in doc["supporters"]),  # type: ignore[union-attr]
+        dissenters=tuple(node_id(n) for n in doc["dissenters"]),  # type: ignore[union-attr]
     )

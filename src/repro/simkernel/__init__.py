@@ -4,9 +4,8 @@ This package is the substrate that replaces ns-2 in the original TIBFIT
 evaluation.  It provides:
 
 * :class:`~repro.simkernel.simulator.Simulator` -- the event loop, clock,
-  and scheduling primitives (``at``, ``after``, periodic timers).
-* :class:`~repro.simkernel.events.EventQueue` -- a stable ``heapq``
-  priority queue keyed on (time, priority, sequence) so that same-time
+  and scheduling primitives (``at``, ``after``, periodic timers), over
+  one ``heapq`` keyed on (time, priority, sequence) so that same-time
   events fire in a deterministic, insertion-ordered way.
 * :class:`~repro.simkernel.rng.RandomStreams` -- named, independently
   seeded random streams so that, e.g., event placement and channel loss
@@ -18,22 +17,14 @@ protocol logic is easiest to verify when every interleaving is reproducible
 from a seed.
 """
 
-from repro.simkernel.errors import (
-    SimulationError,
-    SchedulingError,
-    SimulationFinished,
-)
-from repro.simkernel.events import EventQueue, ScheduledEvent
+from repro.simkernel.errors import SchedulingError, SimulationError
 from repro.simkernel.rng import RandomStreams
 from repro.simkernel.simulator import Simulator, Timer
 
 __all__ = [
-    "EventQueue",
     "RandomStreams",
-    "ScheduledEvent",
     "SchedulingError",
     "SimulationError",
-    "SimulationFinished",
     "Simulator",
     "Timer",
 ]

@@ -7,12 +7,3 @@ class SimulationError(Exception):
 
 class SchedulingError(SimulationError):
     """Raised when an event is scheduled in the past or with bad arguments."""
-
-
-class SimulationFinished(SimulationError):
-    """Raised internally to signal an orderly stop of the event loop.
-
-    User code normally never sees this; :meth:`Simulator.run` catches it.
-    It is public so that process callbacks may raise it to abort a run
-    from deep inside a callback without unwinding through custom handlers.
-    """

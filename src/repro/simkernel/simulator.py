@@ -1,19 +1,30 @@
 """The simulation event loop, clock, and timer facilities.
 
-:class:`Simulator` is deliberately minimal: a clock, an event queue, named
-random streams, and two observability hooks (a metrics registry and a
-span collector).  Protocol entities (nodes, cluster heads, channels) hold
-a reference to the simulator and schedule callbacks on it.
+:class:`Simulator` is deliberately minimal: a clock, one ``heapq`` of
+scheduled callbacks, named random streams, and two observability hooks
+(a metrics registry and a span collector).  Protocol entities (nodes,
+cluster heads, channels) hold a reference to the simulator and schedule
+callbacks on it.
+
+Determinism contract
+--------------------
+Heap entries are plain ``(time, priority, sequence, callback, args,
+ctx)`` tuples, so events fire in the total order ``(time, priority,
+sequence)``: earlier first, then lower ``priority`` (default 0), then
+insertion order.  ``sequence`` is unique, so ``heapq`` never compares
+past it.  Every run is therefore a pure function of the seed set, which
+the TIBFIT experiments rely on for reproducibility.
 """
 
 from __future__ import annotations
 
+import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_SPANS
-from repro.simkernel.errors import SchedulingError, SimulationFinished
-from repro.simkernel.events import EventQueue, ScheduledEvent
+from repro.simkernel.errors import SchedulingError
 from repro.simkernel.rng import RandomStreams
 
 
@@ -34,18 +45,18 @@ class Simulator:
     spans:
         Optional :class:`~repro.obs.spans.SpanCollector`, the run's event
         log and causal provenance.  Defaults to the disabled
-        ``NULL_SPANS``.  When
-        enabled, the scheduling front-ends stamp the collector's
-        causal-context token onto every scheduled event and the run
-        loop restores it before the callback fires, so cross-queue
-        causality survives the trip through the scheduler.
+        ``NULL_SPANS``.  Every scheduled event carries the collector's
+        causal-context token (``spans.current`` when it was scheduled),
+        and the run loop restores it before the callback fires, so
+        cross-queue causality survives the trip through the scheduler.
 
     Examples
     --------
     >>> sim = Simulator(seed=1)
     >>> fired = []
-    >>> _ = sim.after(5.0, lambda: fired.append(sim.now))
+    >>> sim.after(5.0, lambda: fired.append(sim.now))
     >>> sim.run()
+    5.0
     >>> fired
     [5.0]
     """
@@ -60,11 +71,11 @@ class Simulator:
         self.spans = spans if spans is not None else NULL_SPANS
         if self.spans.enabled:
             self.spans.attach_clock(lambda: self._now)
-        self._queue = EventQueue()
+        self._heap: list = []
+        self._sequence = itertools.count()
         self.streams = RandomStreams(seed)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._running = False
-        self._stopped = False
         self._events_fired = 0
 
     # ------------------------------------------------------------------
@@ -82,8 +93,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live events still queued."""
-        return len(self._queue)
+        """Number of events still queued."""
+        return len(self._heap)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -94,26 +105,25 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-        label: str = "",
-        **kwargs: Any,
-    ) -> ScheduledEvent:
-        """Schedule ``callback`` at absolute simulation ``time``.
+    ) -> None:
+        """Schedule ``callback(*args)`` at absolute simulation ``time``.
 
-        Scheduling strictly in the past raises :class:`SchedulingError`;
-        scheduling at exactly ``now`` is allowed and fires after all
-        currently queued events at ``now`` with lower sequence numbers.
+        Scheduling strictly in the past (or at NaN) raises
+        :class:`SchedulingError`; scheduling at exactly ``now`` is
+        allowed and fires after every event already queued at ``now``
+        with the same priority.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SchedulingError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time}: now is {self._now}"
             )
-        event = self._queue.schedule(
-            time, priority, callback, args, kwargs if kwargs else None, label
+        if not callable(callback):
+            raise SchedulingError(f"callback must be callable, got {callback!r}")
+        heappush(
+            self._heap,
+            (time, priority, next(self._sequence), callback, args,
+             self.spans.current),
         )
-        spans = self.spans
-        if spans.enabled:
-            event.ctx = spans.current
-        return event
 
     def after(
         self,
@@ -121,61 +131,42 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-        label: str = "",
-        **kwargs: Any,
-    ) -> ScheduledEvent:
-        """Schedule ``callback`` after a non-negative ``delay`` from now."""
-        if delay < 0:
+    ) -> None:
+        """Schedule ``callback(*args)`` a non-negative ``delay`` from now."""
+        if not delay >= 0:
             raise SchedulingError(f"delay must be non-negative, got {delay}")
-        event = self._queue.schedule(
-            self._now + delay,
-            priority,
-            callback,
-            args,
-            kwargs if kwargs else None,
-            label,
+        if not callable(callback):
+            raise SchedulingError(f"callback must be callable, got {callback!r}")
+        heappush(
+            self._heap,
+            (self._now + delay, priority, next(self._sequence), callback,
+             args, self.spans.current),
         )
-        spans = self.spans
-        if spans.enabled:
-            event.ctx = spans.current
-        return event
 
     def every(
         self,
         interval: float,
         callback: Callable[..., Any],
         *args: Any,
-        start: Optional[float] = None,
         count: Optional[int] = None,
-        label: str = "",
-        **kwargs: Any,
     ) -> "Timer":
-        """Run ``callback`` periodically.
-
-        Parameters
-        ----------
-        interval:
-            Positive period between invocations.
-        start:
-            Absolute time of the first invocation (default: ``now +
-            interval``).
-        count:
-            Stop after this many invocations (default: unbounded).
-        """
-        if interval <= 0:
+        """Run ``callback(*args)`` every ``interval``, first at ``now +
+        interval``, at most ``count`` times (default: unbounded)."""
+        if not interval > 0:
             raise SchedulingError(f"interval must be positive, got {interval}")
         if count is not None and count <= 0:
             raise SchedulingError(f"count must be positive, got {count}")
-        first = self._now + interval if start is None else start
-        timer = Timer(self, interval, callback, args, kwargs, count, label)
-        timer._schedule(first)
+        if not callable(callback):
+            raise SchedulingError(f"callback must be callable, got {callback!r}")
+        timer = Timer(self, interval, callback, args, count)
+        self.after(interval, timer._tick)
         return timer
 
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
-        """Process events until the queue drains or ``until`` is reached.
+        """Process events until the heap drains or ``until`` is reached.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the last event fires earlier, matching ns-2 semantics for
@@ -184,52 +175,26 @@ class Simulator:
         if self._running:
             raise SchedulingError("Simulator.run is not reentrant")
         self._running = True
-        self._stopped = False
         try:
-            pop_next = self._queue.pop_next
+            heap = self._heap
             spans = self.spans
             spans_on = spans.enabled
-            while True:
-                event = pop_next(until)
-                if event is None:
+            while heap:
+                if until is not None and heap[0][0] > until:
                     break
-                self._now = event.time
+                time, _, _, callback, args, ctx = heappop(heap)
+                self._now = time
                 self._events_fired += 1
                 if spans_on:
                     # Restore the causal-context token stamped at
                     # scheduling time (see repro.obs.spans).
-                    spans.current = event.ctx
-                try:
-                    event.fire()
-                except SimulationFinished:
-                    break
-                if self._stopped:
-                    break
-            if until is not None and self._now < until and not self._stopped:
+                    spans.current = ctx
+                callback(*args)
+            if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False
         return self._now
-
-    def step(self) -> bool:
-        """Execute exactly one event.  Returns False when none remain."""
-        if not self._queue:
-            return False
-        event = self._queue.pop()
-        self._now = event.time
-        self._events_fired += 1
-        spans = self.spans
-        if spans.enabled:
-            spans.current = event.ctx
-        try:
-            event.fire()
-        except SimulationFinished:
-            self._stopped = True
-        return True
-
-    def stop(self) -> None:
-        """Request an orderly stop after the current event completes."""
-        self._stopped = True
 
     def record_kernel_metrics(self) -> None:
         """Sample kernel state into the metrics registry.
@@ -252,7 +217,12 @@ class Simulator:
 
 
 class Timer:
-    """Handle for a periodic callback created via :meth:`Simulator.every`."""
+    """A periodic callback created via :meth:`Simulator.every`.
+
+    ``fired`` counts the invocations so far.  Each tick reschedules the
+    next one after its callback returns, until ``count`` ticks have
+    fired.
+    """
 
     def __init__(
         self,
@@ -260,47 +230,17 @@ class Timer:
         interval: float,
         callback: Callable[..., Any],
         args: tuple,
-        kwargs: dict,
         count: Optional[int],
-        label: str,
     ) -> None:
         self._sim = sim
         self._interval = interval
         self._callback = callback
         self._args = args
-        self._kwargs = kwargs
-        self._remaining = count
-        self._label = label
-        self._handle: Optional[ScheduledEvent] = None
-        self._cancelled = False
+        self._count = count
         self.fired = 0
 
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` was called or the count was exhausted."""
-        return self._cancelled
-
-    def _schedule(self, when: float) -> None:
-        self._handle = self._sim.at(
-            when, self._tick, label=self._label or "timer"
-        )
-
     def _tick(self) -> None:
-        if self._cancelled:
-            return
         self.fired += 1
-        if self._remaining is not None:
-            self._remaining -= 1
-        self._callback(*self._args, **self._kwargs)
-        if self._cancelled:
-            return
-        if self._remaining is not None and self._remaining <= 0:
-            self._cancelled = True
-            return
-        self._schedule(self._sim.now + self._interval)
-
-    def cancel(self) -> None:
-        """Stop future invocations; a tick in progress completes normally."""
-        self._cancelled = True
-        if self._handle is not None:
-            self._handle.cancel()
+        self._callback(*self._args)
+        if self._count is None or self.fired < self._count:
+            self._sim.after(self._interval, self._tick)

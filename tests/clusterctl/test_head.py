@@ -123,6 +123,33 @@ class TestBinaryPipeline:
         assert ch.trust.ti(3) < 1.0  # silent dissenter penalised
         assert ch.trust.ti(0) == 1.0  # winner (already at ceiling)
 
+    def test_flushed_window_timer_decides_nothing(self):
+        """The T_out timer of a flushed window must not decide again:
+        a second, empty window would reward every silent member."""
+        sim, _channel, ch, _l = make_ch(mode="binary", n=9)
+        for sender in range(6):
+            ch.on_message(binary_report(sender))
+        sim.run(until=0.5)
+        ch.flush()
+        sim.run()
+        assert [d.time for d in ch.decisions] == [0.5]
+        assert ch.decisions[0].supporters == tuple(range(6))
+
+    def test_flushed_window_timer_leaves_next_window_open(self):
+        """A window opened after a flush closes on its own T_out timer,
+        not on the flushed window's."""
+        sim, _channel, ch, _l = make_ch(mode="binary", n=9)
+        for sender in range(6):
+            ch.on_message(binary_report(sender))
+        sim.run(until=0.5)
+        ch.flush()
+        sim.run(until=0.6)
+        for sender in range(6):
+            ch.on_message(binary_report(sender))
+        sim.run()
+        assert [d.time for d in ch.decisions] == [0.5, pytest.approx(1.6)]
+        assert [d.supporters for d in ch.decisions] == [tuple(range(6))] * 2
+
     def test_baseline_mode_keeps_trust_frozen(self):
         sim, _channel, ch, _l = make_ch(mode="binary", n=4, use_trust=False)
         for sender in (0, 1, 2):

@@ -7,7 +7,6 @@ from repro.network.geometry import Point
 from repro.network.messages import EventReportMessage
 from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, RadioChannel
-from repro.simkernel.events import EventQueue
 from repro.simkernel.simulator import Simulator
 
 schedule_entries = st.lists(
@@ -22,40 +21,15 @@ schedule_entries = st.lists(
 
 @given(entries=schedule_entries)
 @settings(max_examples=100)
-def test_event_queue_pops_in_total_order(entries):
-    """Pops come out sorted by (time, priority, insertion order)."""
-    q = EventQueue()
+def test_simulator_fires_in_total_order(entries):
+    """Events fire sorted by (time, priority, insertion order)."""
+    sim = Simulator(seed=0)
+    fired = []
     for idx, (t, prio) in enumerate(entries):
-        q.push(t, lambda: None, priority=prio, label=str(idx))
-    popped = []
-    while q:
-        e = q.pop()
-        popped.append((e.time, e.priority, e.sequence))
-    assert popped == sorted(popped)
-    assert len(popped) == len(entries)
-
-
-@given(
-    entries=schedule_entries,
-    cancel_mask=st.lists(st.booleans(), min_size=1, max_size=60),
-)
-@settings(max_examples=100)
-def test_cancellation_removes_exactly_the_cancelled(entries, cancel_mask):
-    q = EventQueue()
-    handles = [
-        q.push(t, lambda: None, priority=p) for t, p in entries
-    ]
-    cancelled = 0
-    for handle, do_cancel in zip(handles, cancel_mask):
-        if do_cancel:
-            handle.cancel()
-            cancelled += 1
-    assert len(q) == len(entries) - cancelled
-    survivors = 0
-    while q:
-        assert not q.pop().cancelled
-        survivors += 1
-    assert survivors == len(entries) - cancelled
+        sim.at(t, fired.append, (t, prio, idx), priority=prio)
+    sim.run()
+    assert fired == sorted(fired)
+    assert len(fired) == len(entries)
 
 
 @given(delays=st.lists(

@@ -328,12 +328,29 @@ class TestErrors:
         # out of order, and ids 1, 2 are in order but 2 is not below it.
         ("decisions", [decision_doc(1), decision_doc(0)]),
         ("decisions", [decision_doc(1), decision_doc(2)]),
+        # Integers, booleans and numbers are taken as they are, never
+        # truncated, parsed or coerced: 4.9 is not 4, "false" is not
+        # True, and true is neither node 1 nor a trust value.
+        ("next_decision_id", 4.9),
+        ("windows_closed", "3"),
+        ("decisions", [dict(decision_doc(1), decision_id=1.5)]),
+        ("decisions", [dict(decision_doc(1), occurred="false")]),
+        ("decisions", [dict(decision_doc(1), supporters=[99999])]),
+        ("decisions", [dict(decision_doc(1), supporters=[True])]),
+        ("decisions", [dict(decision_doc(1), supporters=[1.9])]),
+        ("decisions", [dict(decision_doc(1), dissenters=[99999])]),
+        ("trust", [[0, True]]),
+        ("members", [0, 1, 1]),
     ], ids=[
         "trust", "decisions", "next_decision_id", "infinite-id",
         "short-location", "member-outside", "trust-node-outside",
         "diagnosed-outside", "negative-windows", "member-fraction",
         "diagnosed-bool", "decision-time-nan", "decision-x-inf",
         "decision-ids-descending", "decision-id-not-below-next",
+        "next-id-fraction", "windows-text", "decision-id-fraction",
+        "occurred-text", "supporter-outside", "supporter-bool",
+        "supporter-fraction", "dissenter-outside", "trust-v-bool",
+        "member-duplicate",
     ])
     def test_rejected_state_leaves_session_unchanged(self, server, field,
                                                      value):

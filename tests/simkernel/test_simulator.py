@@ -1,9 +1,14 @@
-"""Unit tests for the simulator loop, clock, and timers."""
+"""Unit tests for the simulator loop, clock, event order, and timers."""
 
 import pytest
 
-from repro.simkernel.errors import SchedulingError, SimulationFinished
+from repro.obs.spans import SpanCollector
+from repro.simkernel.errors import SchedulingError
 from repro.simkernel.simulator import Simulator
+
+
+def _noop():
+    pass
 
 
 class TestScheduling:
@@ -20,14 +25,27 @@ class TestScheduling:
         assert fired == [3.0]
 
     def test_scheduling_in_past_raises(self, sim):
-        sim.at(5.0, sim.stop)
-        sim.run()
+        sim.run(until=5.0)
         with pytest.raises(SchedulingError):
-            sim.at(1.0, lambda: None)
+            sim.at(1.0, _noop)
 
     def test_negative_delay_raises(self, sim):
         with pytest.raises(SchedulingError):
-            sim.after(-1.0, lambda: None)
+            sim.after(-1.0, _noop)
+
+    def test_nan_time_rejected(self, sim):
+        with pytest.raises(SchedulingError):
+            sim.at(float("nan"), _noop)
+        with pytest.raises(SchedulingError):
+            sim.after(float("nan"), _noop)
+        assert sim.pending == 0
+
+    def test_non_callable_rejected(self, sim):
+        with pytest.raises(SchedulingError):
+            sim.at(1.0, "not callable")
+        with pytest.raises(SchedulingError):
+            sim.after(1.0, "not callable")
+        assert sim.pending == 0
 
     def test_scheduling_at_now_is_allowed(self, sim):
         fired = []
@@ -40,16 +58,44 @@ class TestScheduling:
         sim.run()
         assert fired == ["outer", "inner"]
 
-    def test_args_and_kwargs_forwarded(self, sim):
+    def test_args_forwarded(self, sim):
         seen = []
-        sim.after(1.0, lambda a, b: seen.append((a, b)), 1, b=2)
+        sim.after(1.0, lambda a, b: seen.append((a, b)), 1, 2)
+        sim.at(2.0, lambda a: seen.append(a), "x", priority=3)
         sim.run()
-        assert seen == [(1, 2)]
+        assert seen == [(1, 2), "x"]
+
+
+class TestOrdering:
+    """Events fire in the total order (time, priority, insertion)."""
+
+    def test_fires_in_time_order(self, sim):
+        order = []
+        sim.at(3.0, order.append, 3)
+        sim.at(1.0, order.append, 1)
+        sim.at(2.0, order.append, 2)
+        sim.run()
+        assert order == [1, 2, 3]
+
+    def test_same_time_preserves_insertion_order(self, sim):
+        order = []
+        for i in range(10):
+            sim.at(5.0, order.append, i)
+        sim.run()
+        assert order == list(range(10))
+
+    def test_priority_breaks_time_ties(self, sim):
+        order = []
+        sim.at(5.0, order.append, "late", priority=1)
+        sim.at(5.0, order.append, "early", priority=-1)
+        sim.at(5.0, order.append, "mid", priority=0)
+        sim.run()
+        assert order == ["early", "mid", "late"]
 
 
 class TestRun:
     def test_run_until_stops_clock_at_bound(self, sim):
-        sim.after(100.0, lambda: None)
+        sim.after(100.0, _noop)
         end = sim.run(until=10.0)
         assert end == 10.0
         assert sim.now == 10.0
@@ -57,30 +103,6 @@ class TestRun:
 
     def test_run_until_advances_clock_even_with_no_events(self, sim):
         assert sim.run(until=42.0) == 42.0
-
-    def test_stop_halts_processing(self, sim):
-        fired = []
-
-        def first():
-            fired.append(1)
-            sim.stop()
-
-        sim.after(1.0, first)
-        sim.after(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-
-    def test_simulation_finished_exception_stops_loop(self, sim):
-        fired = []
-
-        def abort():
-            fired.append("abort")
-            raise SimulationFinished
-
-        sim.after(1.0, abort)
-        sim.after(2.0, lambda: fired.append("never"))
-        sim.run()
-        assert fired == ["abort"]
 
     def test_run_is_not_reentrant(self, sim):
         def nested():
@@ -90,19 +112,9 @@ class TestRun:
         with pytest.raises(SchedulingError):
             sim.run()
 
-    def test_step_executes_exactly_one_event(self, sim):
-        fired = []
-        sim.after(1.0, lambda: fired.append(1))
-        sim.after(2.0, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-        assert sim.step() is True
-        assert fired == [1, 2]
-        assert sim.step() is False
-
     def test_events_fired_counter(self, sim):
         for i in range(7):
-            sim.after(float(i + 1), lambda: None)
+            sim.after(float(i + 1), _noop)
         sim.run()
         assert sim.events_fired == 7
 
@@ -120,6 +132,50 @@ class TestRun:
         assert build_and_run(7) != build_and_run(8)
 
 
+class TestSpanContext:
+    """Each event fires under the span context current when scheduled."""
+
+    def test_events_fire_under_their_scheduling_context(self):
+        spans = SpanCollector()
+        sim = Simulator(seed=0, spans=spans)
+        seen = []
+
+        def record(tag):
+            seen.append((tag, sim.now, spans.current))
+
+        spans.current = 11
+        sim.at(1.0, record, "at")
+        spans.current = 12
+        sim.after(1.0, record, "after")  # same instant as "at"
+        spans.current = 13
+        sim.every(0.75, record, "every", count=2)
+        spans.current = 0
+        sim.run()
+        assert seen == [
+            ("every", 0.75, 13),
+            ("at", 1.0, 11),
+            ("after", 1.0, 12),
+            ("every", 1.5, 13),
+        ]
+
+    def test_nested_schedule_inherits_the_callbacks_context(self):
+        spans = SpanCollector()
+        sim = Simulator(seed=0, spans=spans)
+        seen = []
+
+        def outer():
+            sim.after(1.0, lambda: seen.append(("inner", spans.current)))
+            seen.append(("outer", spans.current))
+
+        spans.current = 21
+        sim.at(1.0, outer)
+        spans.current = 22
+        sim.at(1.5, lambda: seen.append(("other", spans.current)))
+        spans.current = 0
+        sim.run()
+        assert seen == [("outer", 21), ("other", 22), ("inner", 21)]
+
+
 class TestTimers:
     def test_every_fires_periodically(self, sim):
         times = []
@@ -127,43 +183,17 @@ class TestTimers:
         sim.run()
         assert times == [2.0, 4.0, 6.0]
 
-    def test_every_with_start(self, sim):
-        times = []
-        sim.every(1.0, lambda: times.append(sim.now), start=10.0, count=2)
+    def test_count_exhaustion_stops_ticking(self, sim):
+        timer = sim.every(1.0, _noop, count=2)
         sim.run()
-        assert times == [10.0, 11.0]
-
-    def test_timer_cancel_stops_future_ticks(self, sim):
-        times = []
-        timer = sim.every(1.0, lambda: times.append(sim.now))
-        sim.at(3.5, timer.cancel)
-        sim.run()
-        assert times == [1.0, 2.0, 3.0]
-        assert timer.cancelled
-
-    def test_timer_cancel_from_inside_callback(self, sim):
-        times = []
-        holder = {}
-
-        def tick():
-            times.append(sim.now)
-            if len(times) == 2:
-                holder["t"].cancel()
-
-        holder["t"] = sim.every(1.0, tick)
-        sim.run()
-        assert times == [1.0, 2.0]
-
-    def test_count_exhaustion_marks_cancelled(self, sim):
-        timer = sim.every(1.0, lambda: None, count=2)
-        sim.run()
-        assert timer.cancelled
         assert timer.fired == 2
+        assert sim.pending == 0
+        assert sim.now == 2.0
 
     def test_invalid_interval_raises(self, sim):
         with pytest.raises(SchedulingError):
-            sim.every(0.0, lambda: None)
+            sim.every(0.0, _noop)
 
     def test_invalid_count_raises(self, sim):
         with pytest.raises(SchedulingError):
-            sim.every(1.0, lambda: None, count=0)
+            sim.every(1.0, _noop, count=0)
