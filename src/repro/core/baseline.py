@@ -10,13 +10,15 @@ event neighbourhood -- exactly the behaviour quantified analytically in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class MajorityVoteResult:
-    """Outcome of one unweighted majority vote."""
+class MajorityVoteResult(NamedTuple):
+    """Outcome of one unweighted majority vote.
+
+    A tuple record, as :class:`~repro.core.binary.BinaryVoteResult` is:
+    one is built per vote.
+    """
 
     occurred: bool
     reporters: Tuple[int, ...]

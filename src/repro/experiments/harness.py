@@ -18,7 +18,7 @@ each head ships its trust table to the BS for the next heads to read.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -918,8 +918,8 @@ class SimulationRun:
         assert self.bs is not None
         fixes = {r.decision_id: r for r in self.bs.resolutions}
         return [
-            replace(d, occurred=fix.final_verdict,
-                    location=fix.final_location or d.location)
+            d._replace(occurred=fix.final_verdict,
+                       location=fix.final_location or d.location)
             if (fix := fixes.get(d.decision_id)) is not None else d
             for d in decisions
         ]

@@ -8,17 +8,17 @@ events detected by the CH within r_error of the actual event".
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.clusterctl.head import DecisionRecord
 from repro.network.geometry import Point
 from repro.sensors.generator import GroundTruthEvent
 
 
-@dataclass(frozen=True)
-class EventOutcome:
-    """How one ground-truth event fared.
+class EventOutcome(NamedTuple):
+    """How one ground-truth event fared (a tuple record, one per event).
 
     Attributes
     ----------
@@ -149,7 +149,8 @@ def score_run(
     events:
         Ground truth, with each round's events stamped at the round time.
     decisions:
-        The CH's decision log.
+        The CH's decision log, in any order (a multi-head log need not
+        be sorted by time).
     round_interval:
         Time between event rounds.  A decision belongs to the round
         whose window ``[t, t + round_interval)`` contains it (or
@@ -169,6 +170,26 @@ def score_run(
     (outcomes, false_positives):
         One outcome per ground-truth event, plus the count of
         quiet-window decisions that wrongly upheld an event.
+
+    Events are matched in order, and a decision detects at most one
+    event.  Each event bisects one time-sorted index of the upheld
+    decisions for its window and scans the window in log order: binary
+    mode takes the first unused decision, location mode the nearest
+    within ``r_error`` (the first in log order on a tie).  A quiet-window
+    false positive is found by bisecting the sorted round times.  A run
+    costs O((E + D) log D) for E events and D decisions, and every
+    window edge compares the same sums (``t + deadline``, ``t + offset``,
+    ``t + round_interval``) a scan of every pair would.  Times are
+    numbers, never NaN (the DES clock and the service's input rule
+    guarantee it).
+
+    >>> events = [GroundTruthEvent(1, 0.0, Point(5.0, 5.0)),
+    ...           GroundTruthEvent(2, 10.0, Point(5.0, 5.0))]
+    >>> decisions = [DecisionRecord(1, 0.5, True, None, (0, 1), (2,)),
+    ...              DecisionRecord(2, 10.5, False, None, (0,), (1, 2))]
+    >>> outcomes, false_positives = score_run(events, decisions, 10.0)
+    >>> [outcome.detected for outcome in outcomes], false_positives
+    ([True, False], 0)
     """
     if round_interval <= 0:
         raise ValueError("round_interval must be positive")
@@ -177,26 +198,37 @@ def score_run(
         else round_interval
     )
 
+    # Log positions of the upheld decisions, sorted by (time, position).
+    index = sorted(
+        (d.time, position)
+        for position, d in enumerate(decisions)
+        if d.occurred
+    )
+    times = [time for time, _ in index]
+    positions = [position for _, position in index]
+
     outcomes: List[EventOutcome] = []
     used_decision_ids: set = set()
     for event in events:
-        window_decisions = [
-            d
-            for d in decisions
-            if event.time <= d.time < event.time + event_deadline
-            and d.occurred
-            and d.decision_id not in used_decision_ids
-        ]
+        start = bisect_left(times, event.time)
+        end = bisect_left(times, event.time + event_deadline, start)
+        window = positions[start:end]
+        if len(window) > 1:
+            window.sort()  # log order
         detected = False
         error: Optional[float] = None
         if r_error is None:
-            if window_decisions:
-                detected = True
-                used_decision_ids.add(window_decisions[0].decision_id)
+            for position in window:
+                decision_id = decisions[position].decision_id
+                if decision_id not in used_decision_ids:
+                    detected = True
+                    used_decision_ids.add(decision_id)
+                    break
         else:
             best = None
-            for d in window_decisions:
-                if d.location is None:
+            for position in window:
+                d = decisions[position]
+                if d.location is None or d.decision_id in used_decision_ids:
                     continue
                 dist = d.location.distance_to(event.location)
                 if dist <= r_error and (best is None or dist < best[0]):
@@ -218,13 +250,14 @@ def score_run(
     false_positives = 0
     if quiet_window_offset is not None:
         event_times = sorted({e.time for e in events})
+        quiet_starts = [t + quiet_window_offset for t in event_times]
+        quiet_ends = [t + round_interval for t in event_times]
         for d in decisions:
             if not d.occurred or d.decision_id in used_decision_ids:
                 continue
-            in_quiet = any(
-                t + quiet_window_offset <= d.time < t + round_interval
-                for t in event_times
-            )
-            if in_quiet:
+            # The quiet windows opened by d.time are a prefix of the
+            # round times, and the last of them closes latest.
+            opened = bisect_right(quiet_starts, d.time)
+            if opened and d.time < quiet_ends[opened - 1]:
                 false_positives += 1
     return outcomes, false_positives

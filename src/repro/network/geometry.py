@@ -11,12 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class Point:
-    """An immutable point in the 2-D deployment plane."""
+class Point(NamedTuple):
+    """An immutable point in the 2-D deployment plane.
+
+    A tuple record (see "Records" in ``docs/protocol.md``): one is built
+    per claimed event location and per decided cluster centre.
+
+    >>> Point(0.0, 0.0).distance_to(Point(3.0, 4.0))
+    5.0
+    >>> Point(1.0, 2.0).x = 5.0  # doctest: +IGNORE_EXCEPTION_DETAIL
+    Traceback (most recent call last):
+        ...
+    AttributeError: can't set attribute
+    """
 
     x: float
     y: float
@@ -42,7 +52,7 @@ class Point:
         """Polar offset such that ``self.displace(offset) == other``."""
         dx = other.x - self.x
         dy = other.y - self.y
-        return PolarOffset(r=math.hypot(dx, dy), theta=math.atan2(dy, dx))
+        return PolarOffset(math.hypot(dx, dy), math.atan2(dy, dx))
 
     def displace(self, offset: "PolarOffset") -> "Point":
         """The point reached by moving ``offset`` from here."""
@@ -56,12 +66,8 @@ class Point:
         return Point(self.x + dx, self.y + dy)
 
     def as_tuple(self) -> Tuple[float, float]:
-        """``(x, y)`` tuple form."""
+        """``(x, y)`` as a plain tuple."""
         return (self.x, self.y)
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
 
 
 def displace_xy(
@@ -78,20 +84,30 @@ def displace_xy(
     return (x + r * math.cos(theta), y + r * math.sin(theta))
 
 
-@dataclass(frozen=True)
-class PolarOffset:
+class _PolarOffsetFields(NamedTuple):
+    r: float
+    theta: float
+
+
+class PolarOffset(_PolarOffsetFields):
     """A displacement expressed as range ``r`` and bearing ``theta`` (radians).
 
     This is the representation sensing nodes use in their event reports:
     the event lies at distance ``r``, bearing ``theta`` from the node.
+    A tuple record whose constructor refuses a negative range:
+
+    >>> PolarOffset(r=-1.0, theta=0.0)
+    Traceback (most recent call last):
+        ...
+    ValueError: polar range must be non-negative, got -1.0
     """
 
-    r: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError(f"polar range must be non-negative, got {self.r}")
+    def __new__(cls, r: float, theta: float) -> "PolarOffset":
+        if r < 0:
+            raise ValueError(f"polar range must be non-negative, got {r}")
+        return tuple.__new__(cls, (r, theta))
 
     def normalised(self) -> "PolarOffset":
         """Equivalent offset with theta wrapped into ``(-pi, pi]``."""

@@ -1,15 +1,29 @@
 """Typed message payloads exchanged over the radio channel.
 
-Every message the protocol sends is a small frozen dataclass.  Using
-types (rather than dicts) keeps handler dispatch explicit and lets tests
-assert on exact payloads.
+Every message the protocol sends is a tuple record: a
+``typing.NamedTuple`` whose constructor mints the message id.  A sweep
+builds one per report and one per verdict, and a tuple record costs
+about a third of a frozen dataclass to build (see "Records" in
+``docs/protocol.md``).  Using types (rather than dicts) keeps handler
+dispatch explicit and lets tests assert on exact payloads.
+
+The first two fields of every message are ``sender`` and
+``message_id``, and they are all the radio reads (:class:`Message`).
+
+>>> a = EventReportMessage(sender=3, event_id=7)
+>>> b = EventReportMessage(3, a.message_id + 5)
+>>> b.message_id - a.message_id
+5
+>>> a.sender = 4  # doctest: +IGNORE_EXCEPTION_DETAIL
+Traceback (most recent call last):
+    ...
+AttributeError: can't set attribute
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Protocol, Tuple
 
 from repro.network.geometry import Point, PolarOffset
 
@@ -26,40 +40,68 @@ def reset_message_ids(start: int = 1) -> None:
     _message_ids = itertools.count(start)
 
 
-@dataclass(frozen=True)
-class Message:
-    """Base class for all network messages.
+class Message(Protocol):
+    """What the radio and every endpoint need from a message.
 
     Attributes
     ----------
     sender:
         Node id of the transmitting endpoint.
     message_id:
-        Globally unique id assigned at construction; used for tracing and
-        duplicate suppression.
+        Globally unique id assigned at construction (unless given);
+        used for tracing and duplicate suppression.
     """
 
     sender: int
-    message_id: int = field(default_factory=_next_message_id)
+    message_id: int
 
 
-@dataclass(frozen=True)
-class EventReportMessage(Message):
+class _EventReportFields(NamedTuple):
+    sender: int
+    message_id: int
+    event_id: Optional[int]
+    offset: Optional[PolarOffset]
+    claimed: bool
+
+
+class EventReportMessage(_EventReportFields):
     """A sensing node's report of a detected event (§2, §3.2).
 
-    For binary-event experiments ``offset`` is ``None`` and the report
-    simply asserts "an event happened inside my sensing radius".  For
-    location experiments ``offset`` is the event position as ``(r,
-    theta)`` relative to the reporting node.
+    ``offset`` is the claimed event position as ``(r, theta)`` relative
+    to the reporting node.  DES sensors always encode one; a binary
+    cluster head ignores it (the report then simply asserts "an event
+    happened inside my sensing radius"), and a location cluster head
+    drops a report that carries none.
     """
 
-    event_id: Optional[int] = None
-    offset: Optional[PolarOffset] = None
-    claimed: bool = True
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        sender: int,
+        message_id: Optional[int] = None,
+        event_id: Optional[int] = None,
+        offset: Optional[PolarOffset] = None,
+        claimed: bool = True,
+    ) -> "EventReportMessage":
+        if message_id is None:
+            message_id = next(_message_ids)
+        return tuple.__new__(
+            cls, (sender, message_id, event_id, offset, claimed)
+        )
 
 
-@dataclass(frozen=True)
-class ChDecisionAnnouncement(Message):
+class _AnnouncementFields(NamedTuple):
+    sender: int
+    message_id: int
+    decision_id: int
+    occurred: bool
+    location: Optional[Point]
+    reporters: Tuple[int, ...]
+    non_reporters: Tuple[int, ...]
+
+
+class ChDecisionAnnouncement(_AnnouncementFields):
     """Cluster head's verdict on an event window.
 
     Broadcast so that (a) the base station learns of events, and (b)
@@ -67,45 +109,93 @@ class ChDecisionAnnouncement(Message):
     trust-index estimates.
     """
 
-    decision_id: int = 0
-    occurred: bool = False
-    location: Optional[Point] = None
-    reporters: Tuple[int, ...] = ()
-    non_reporters: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def participant_sets(self) -> Tuple[frozenset, frozenset]:
-        """``(reporters, non_reporters)`` as sets, built once per message.
+    def __new__(
+        cls,
+        sender: int,
+        message_id: Optional[int] = None,
+        decision_id: int = 0,
+        occurred: bool = False,
+        location: Optional[Point] = None,
+        reporters: Tuple[int, ...] = (),
+        non_reporters: Tuple[int, ...] = (),
+    ) -> "ChDecisionAnnouncement":
+        if message_id is None:
+            message_id = next(_message_ids)
+        return tuple.__new__(
+            cls,
+            (
+                sender, message_id, decision_id, occurred, location,
+                reporters, non_reporters,
+            ),
+        )
 
-        A broadcast hands the *same* announcement instance to every
-        node in the cluster, and each receiver asks "am I in R / NR?".
-        Linear tuple scans per receiver turn that into O(cluster^2) per
-        decision; the lazily cached sets make it one hash probe.
-        """
-        sets = getattr(self, "_participant_sets", None)
-        if sets is None:
-            sets = (frozenset(self.reporters), frozenset(self.non_reporters))
-            object.__setattr__(self, "_participant_sets", sets)
-        return sets
+
+class _TransferFields(NamedTuple):
+    sender: int
+    message_id: int
+    table: Dict[int, float]
+    cluster_id: int
+    round_number: int
 
 
-@dataclass(frozen=True)
-class TiTableTransfer(Message):
+class TiTableTransfer(_TransferFields):
     """Trust-index table hand-off (outgoing CH -> base station -> new CH).
 
     The table maps node id to the accumulated fault variable ``v`` (the
-    TI itself is derived, so shipping ``v`` preserves full state).
+    TI itself is derived, so shipping ``v`` preserves full state).  It
+    defaults to a new empty dict.
     """
 
-    table: Dict[int, float] = field(default_factory=dict)
-    cluster_id: int = 0
-    round_number: int = 0
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        sender: int,
+        message_id: Optional[int] = None,
+        table: Optional[Dict[int, float]] = None,
+        cluster_id: int = 0,
+        round_number: int = 0,
+    ) -> "TiTableTransfer":
+        if message_id is None:
+            message_id = next(_message_ids)
+        if table is None:
+            table = {}
+        return tuple.__new__(
+            cls, (sender, message_id, table, cluster_id, round_number)
+        )
 
 
-@dataclass(frozen=True)
-class ScHDisagreement(Message):
+class _DisagreementFields(NamedTuple):
+    sender: int
+    message_id: int
+    decision_id: int
+    occurred: bool
+    location: Optional[Point]
+    suspected_ch: int
+
+
+class ScHDisagreement(_DisagreementFields):
     """Shadow cluster head's dissent escalated to the base station (§3.4)."""
 
-    decision_id: int = 0
-    occurred: bool = False
-    location: Optional[Point] = None
-    suspected_ch: int = -1
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        sender: int,
+        message_id: Optional[int] = None,
+        decision_id: int = 0,
+        occurred: bool = False,
+        location: Optional[Point] = None,
+        suspected_ch: int = -1,
+    ) -> "ScHDisagreement":
+        if message_id is None:
+            message_id = next(_message_ids)
+        return tuple.__new__(
+            cls,
+            (
+                sender, message_id, decision_id, occurred, location,
+                suspected_ch,
+            ),
+        )

@@ -29,11 +29,10 @@ which is exactly the arbitrary-data-fault model of the paper.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set
 
 from repro.network.geometry import Point
-from repro.network.messages import Message
+from repro.network.messages import Message, _next_message_id
 from repro.network.node import NetworkNode
 from repro.network.radio import RadioChannel
 from repro.network.topology import Deployment
@@ -42,22 +41,62 @@ from repro.simkernel.simulator import Simulator
 _relayed_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class RelayedMessage(Message):
-    """A payload wrapped for multi-hop forwarding."""
+class _RelayedFields(NamedTuple):
+    sender: int
+    message_id: int
+    payload: Optional[Message]
+    origin: int
+    destination: int
+    relay_id: int
+    hop: int
 
-    payload: Optional[Message] = None
-    origin: int = -1
-    destination: int = -1
-    relay_id: int = field(default_factory=lambda: next(_relayed_ids))
-    hop: int = 0
+
+class RelayedMessage(_RelayedFields):
+    """A payload wrapped for multi-hop forwarding.
+
+    Unless given, the constructor mints the message id and then the
+    relay id, each from its own stream.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        sender: int,
+        message_id: Optional[int] = None,
+        payload: Optional[Message] = None,
+        origin: int = -1,
+        destination: int = -1,
+        relay_id: Optional[int] = None,
+        hop: int = 0,
+    ) -> "RelayedMessage":
+        if message_id is None:
+            message_id = _next_message_id()
+        if relay_id is None:
+            relay_id = next(_relayed_ids)
+        return tuple.__new__(
+            cls,
+            (sender, message_id, payload, origin, destination, relay_id, hop),
+        )
 
 
-@dataclass(frozen=True)
-class RelayAck(Message):
+class _RelayAckFields(NamedTuple):
+    sender: int
+    message_id: int
+    relay_id: int
+
+
+class RelayAck(_RelayAckFields):
     """Hop-by-hop acknowledgement for a relayed message."""
 
-    relay_id: int = 0
+    __slots__ = ()
+
+    def __new__(
+        cls, sender: int, message_id: Optional[int] = None, relay_id: int = 0
+    ) -> "RelayAck":
+        if message_id is None:
+            message_id = _next_message_id()
+        return tuple.__new__(cls, (sender, message_id, relay_id))
 
 
 class RoutingTable:

@@ -17,16 +17,14 @@ and informs the event neighbours itself.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.network.geometry import Point, Region
 
 
-@dataclass(frozen=True)
-class GroundTruthEvent:
+class GroundTruthEvent(NamedTuple):
     """One real event as known to the generator (and to the metrics)."""
 
     event_id: int

@@ -157,10 +157,9 @@ class SensorNode(NetworkNode):
             return
         if isinstance(message, ChDecisionAnnouncement):
             node_id = self.node_id
-            reporters, non_reporters = message.participant_sets()
-            if node_id in reporters:
+            if node_id in message.reporters:
                 self.behavior.observe_outcome(rewarded=message.occurred)
-            elif node_id in non_reporters:
+            elif node_id in message.non_reporters:
                 self.behavior.observe_outcome(rewarded=not message.occurred)
 
     def _compose(

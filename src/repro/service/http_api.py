@@ -127,18 +127,17 @@ def _parse(kind: Callable[[object], object], value: object, what: str):
 def _parse_report(report: object) -> Tuple[object, ...]:
     """One JSON report as ``TrustSession.ingest`` arguments, or a 400.
 
-    The node id passes through as sent: the session's input rule
-    (``check_report``) decides whether it is an integer id.
+    Every value passes through as sent: the session's input rule
+    (``check_report``) decides whether the node id is an integer and
+    ``x``, ``y`` and ``time`` are finite numbers.
     """
     if not isinstance(report, dict) or "node" not in report:
         raise _ApiError(400, 'each report needs at least a "node" field')
-    x = report.get("x")
-    y = report.get("y")
     return (
         report["node"],
-        None if x is None else _parse(float, x, "x"),
-        None if y is None else _parse(float, y, "y"),
-        _parse(float, report.get("time", 0.0), "time"),
+        report.get("x"),
+        report.get("y"),
+        report.get("time", 0.0),
     )
 
 
@@ -292,7 +291,7 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
             return
         if (method, action) == ("POST", "close"):
             doc = self._read_json()
-            now = _parse(float, doc.get("time", 0.0), "time")
+            now = doc.get("time", 0.0)  # close_window checks it
             with self.manager.locked(key) as session:
                 try:
                     records = session.close_window(now=now)
@@ -325,14 +324,10 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
         if (method, action) == ("GET", "decisions"):
             since = (
                 _parse(int, query["since"][0], "since")
-                if "since" in query else 0
+                if "since" in query else None
             )
             with self.manager.locked(key, create=False) as session:
-                decisions = [
-                    d
-                    for d in session.decision_log()
-                    if d["decision_id"] > since
-                ]
+                decisions = session.decision_log(since)
             self._send_json(200, {"decisions": decisions})
             return
         if (method, action) == ("GET", "state"):

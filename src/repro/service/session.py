@@ -41,6 +41,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -66,9 +67,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One verdict with everything the metrics layer needs."""
+class DecisionRecord(NamedTuple):
+    """One verdict with everything the metrics layer needs.
+
+    A tuple record: one is built per verdict.
+    """
 
     decision_id: int
     time: float
@@ -431,9 +434,26 @@ class TrustSession:
             return ()
         return self.diagnoser.diagnosed
 
-    def decision_log(self) -> List[Dict[str, object]]:
-        """The decision history as JSON-serialisable records."""
-        return [_decision_to_dict(d) for d in self.decisions]
+    def decision_log(
+        self, since: Optional[int] = None
+    ) -> List[Dict[str, object]]:
+        """The decision history as JSON-serialisable records.
+
+        With ``since``, only the decisions whose id is greater: the log
+        is in minting order, so the tail is found by bisecting the
+        strictly ascending ids and only it is serialised.
+        """
+        decisions = self.decisions
+        start = 0
+        if since is not None:
+            end = len(decisions)
+            while start < end:
+                middle = (start + end) // 2
+                if decisions[middle].decision_id > since:
+                    end = middle
+                else:
+                    start = middle + 1
+        return [_decision_to_dict(d) for d in decisions[start:]]
 
     # ------------------------------------------------------------------
     # Journal + differential replay
@@ -605,9 +625,9 @@ class TrustSession:
                 pending.append(self.check_report(item))  # type: ignore[arg-type]
             else:
                 node_id, x, y, time = item  # type: ignore[misc]
-                pending.append(
-                    self.check_report(node_id, float(x), float(y), time)
-                )
+                pending.append(self.check_report(
+                    node_id, _finite("x", x), _finite("y", y), time
+                ))
 
         self.members = members
         self.trust.import_state(trust)
@@ -671,8 +691,15 @@ def _number(name: str, value: object) -> float:
 
 
 def _finite(name: str, value: object) -> float:
-    """``float(value)``, or :class:`ValueError` unless it is finite."""
-    number = float(value)  # type: ignore[arg-type]
+    """``float(value)`` if it is a finite number, else :class:`ValueError`.
+
+    :func:`_number`'s rule first: a bool or a numeric string is refused,
+    not converted.  An integer too large for a float is not finite.
+    """
+    try:
+        number = _number(name, value)
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return number

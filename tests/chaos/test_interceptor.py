@@ -1,5 +1,7 @@
 """Interceptor semantics on the radio transmit path."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.chaos.plan import (
@@ -10,7 +12,6 @@ from repro.chaos.plan import (
     PartitionWindow,
 )
 from repro.network.geometry import Point
-from repro.network.messages import Message
 from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, Intercept, RadioChannel
 from repro.obs.spans import SpanCollector
@@ -26,8 +27,11 @@ class Recorder(NetworkNode):
         self.received.append((self.sim.now, message))
 
 
-class Ping(Message):
-    pass
+class Ping(NamedTuple):
+    """The smallest message: the two fields the radio reads."""
+
+    sender: int
+    message_id: int = 0
 
 
 def make_net(n=3, seed=1, spans=None):

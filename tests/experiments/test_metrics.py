@@ -92,6 +92,22 @@ class TestLocationScoring:
         )
         assert not outcomes[0].detected
 
+    def test_distance_tie_goes_to_the_first_decision_in_log_order(self):
+        # Both decisions lie exactly 5.0 from event 1.  Event 1 takes the
+        # first one logged, which leaves the second (the only one near
+        # event 2) to detect event 2 -- in either time order.
+        for later in (11.0, 10.5):
+            outcomes, _ = score_run(
+                [event(1, 10.0, x=50.0, y=50.0),
+                 event(2, 10.0, x=44.0, y=44.0)],
+                [decision(1, 11.0, x=53.0, y=54.0),
+                 decision(2, later, x=47.0, y=46.0)],
+                round_interval=10.0,
+                r_error=5.0,
+            )
+            assert [o.detected for o in outcomes] == [True, True]
+            assert outcomes[0].localisation_error == 5.0
+
     def test_concurrent_events_matched_separately(self):
         outcomes, _ = score_run(
             [event(1, 10.0, x=20.0), event(2, 10.0, x=80.0)],

@@ -193,6 +193,10 @@ class TestErrors:
         ("POST", "/v1/sessions/t/close", {"time": "nan"}, None),
         ("POST", "/v1/sessions/t/close", {"time": "-inf"}, None),
         ("POST", "/v1/sessions/t/close", {"time": float("nan")}, None),
+        ("POST", "/v1/sessions/t/close", {"time": True}, None),
+        ("POST", "/v1/sessions/t/close", {"time": "2.5"}, None),
+        ("POST", "/v1/sessions/t/reports",
+         {"reports": [{"node": 0, "x": "2.5", "y": 1.0}]}, None),
         ("GET", "/v1/sessions/t/ti?node=seven", None, None),
         ("GET", "/v1/sessions/t/decisions?since=last", None, None),
         ("POST", "/v1/sessions/t/close", {"time": 1.0}, "ten"),
@@ -200,6 +204,7 @@ class TestErrors:
     ], ids=[
         "node", "null-node", "x", "report-time", "close-time",
         "close-time-nan-text", "close-time-inf-text", "close-time-nan",
+        "close-time-bool", "close-time-text", "x-number-text",
         "query-node", "query-since", "content-length",
         "negative-content-length",
     ])
@@ -281,10 +286,13 @@ class TestErrors:
         {"node": 1.7, "x": 1.0, "y": 1.0},
         {"node": True, "x": 1.0, "y": 1.0},
         {"node": "3", "x": 1.0, "y": 1.0},
+        {"node": 2, "x": True, "y": 1.0},
+        {"node": 2, "x": 1.0, "y": "15"},
+        {"node": 2, "x": 1.0, "y": 1.0, "time": False},
     ], ids=[
         "node-text", "no-node", "node-outside", "node-negative", "x-nan",
         "y-nan-text", "time-inf", "node-fraction", "node-bool",
-        "node-digit-text",
+        "node-digit-text", "x-bool", "y-number-text", "time-bool",
     ])
     def test_rejected_batch_ingests_nothing(self, server, bad):
         base, _ = server
@@ -341,6 +349,11 @@ class TestErrors:
         ("decisions", [dict(decision_doc(1), dissenters=[99999])]),
         ("trust", [[0, True]]),
         ("members", [0, 1, 1]),
+        ("decisions", [dict(
+            decision_doc(1), time=True, location=[True, "2.5"]
+        )]),
+        ("decisions", [dict(decision_doc(1), location=[15.0, "2.5"])]),
+        ("pending", [[0, True, 15.0, 1.5]]),
     ], ids=[
         "trust", "decisions", "next_decision_id", "infinite-id",
         "short-location", "member-outside", "trust-node-outside",
@@ -350,7 +363,8 @@ class TestErrors:
         "next-id-fraction", "windows-text", "decision-id-fraction",
         "occurred-text", "supporter-outside", "supporter-bool",
         "supporter-fraction", "dissenter-outside", "trust-v-bool",
-        "member-duplicate",
+        "member-duplicate", "decision-time-bool", "decision-y-text",
+        "pending-x-bool",
     ])
     def test_rejected_state_leaves_session_unchanged(self, server, field,
                                                      value):
@@ -388,3 +402,49 @@ class TestErrors:
         assert status == 404
         status, _ = call(base, "GET", "/v1/sessions/t/unknown")
         assert status == 404
+
+
+class TestDecisionsRoute:
+    def put_log(self, base, key, ids):
+        """Give session ``key`` a decision log with exactly ``ids``."""
+        ingest(base, key, [(0, 15.0, 15.0)])
+        doc = json.loads(state_text(base, key))
+        doc["decisions"] = [decision_doc(i) for i in ids]
+        doc["next_decision_id"] = ids[-1] + 1 if ids else 0
+        assert call(base, "PUT", f"/v1/sessions/{key}/state", doc)[0] == 200
+
+    def test_decision_id_zero_is_listed(self, server):
+        base, _ = server
+        self.put_log(base, "t", [])
+        ingest(base, "t", [(n, 15.0, 15.0) for n in range(1, 5)])
+        status, closed = call(
+            base, "POST", "/v1/sessions/t/close", {"time": 1.0}
+        )
+        assert status == 200
+        assert [d["decision_id"] for d in closed["decisions"]] == [0]
+        _, state = call(base, "GET", "/v1/sessions/t/state")
+        status, doc = call(base, "GET", "/v1/sessions/t/decisions")
+        assert status == 200
+        assert doc["decisions"] == state["decisions"] == closed["decisions"]
+        status, doc = call(base, "GET", "/v1/sessions/t/decisions?since=-1")
+        assert doc["decisions"] == closed["decisions"]
+
+    def test_since_reads_equal_the_filtered_log(self, server):
+        base, _ = server
+        ids = [3 * i + 2 for i in range(50)]  # 2, 5, ..., 149
+        self.put_log(base, "t", ids)
+        status, full = call(base, "GET", "/v1/sessions/t/decisions")
+        assert status == 200
+        assert [d["decision_id"] for d in full["decisions"]] == ids
+        below = [-(10**6), -1, 0, 1]
+        at = [2, 5, 74, 146, 149]
+        between = [3, 4, 75, 76, 147, 148]
+        above = [150, 10**6]
+        for since in below + at + between + above:
+            status, doc = call(
+                base, "GET", f"/v1/sessions/t/decisions?since={since}"
+            )
+            assert status == 200
+            assert doc["decisions"] == [
+                d for d in full["decisions"] if d["decision_id"] > since
+            ], since

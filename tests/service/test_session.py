@@ -158,6 +158,35 @@ class TestInputRule:
             session.ingest(0, **report)
         assert session.pending_reports() == 0
 
+    @pytest.mark.parametrize("mode", ["binary", "location"])
+    @pytest.mark.parametrize("field", ["x", "y", "time"])
+    @pytest.mark.parametrize("value", [True, False, "2.5"])
+    def test_bools_and_strings_are_not_numbers(self, mode, field, value):
+        session = make_session(mode=mode)
+        session.ingest(0, x=15.0, y=15.0, time=0.5)
+        before = state_text(session)
+        report = {"x": 15.0, "y": 15.0, "time": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            session.ingest(1, **report)
+        assert state_text(session) == before
+
+    def test_no_report_value_is_converted(self):
+        session = make_session()
+        with pytest.raises(ValueError, match="must be a number"):
+            session.ingest(0, x=True, y="15", time=False)
+        assert session.pending_reports() == 0
+
+    @pytest.mark.parametrize("mode", ["binary", "location"])
+    @pytest.mark.parametrize("value", [True, "2.5", 10**400],
+                             ids=["bool", "text", "10**400"])
+    def test_close_time_must_be_a_finite_number(self, mode, value):
+        session = make_session(mode=mode)
+        session.ingest(0, x=15.0, y=15.0, time=0.5)
+        before = state_text(session)
+        with pytest.raises(ValueError, match="time must be"):
+            session.close_window(now=value)
+        assert state_text(session) == before
+
     def test_check_report_normalises_without_ingesting(self):
         session = make_session()
         assert session.check_report(3, 1, 2, 0) == (3, 1.0, 2.0, 0.0)
@@ -220,8 +249,20 @@ class TestStateRoundTrip:
         ("next_decision_id", -5),
         ("next_decision_id", math.inf),
         ("pending", [[0, 1.0, 1.0, 0.5], [10**6, 1.0, 1.0, 0.5]]),
+        ("pending", [[0, True, 1.0, 0.5]]),
+        ("pending", [[0, 1.0, "2.5", 0.5]]),
+        ("pending", [[0, 1.0, 1.0, False]]),
+        ("decisions", [{
+            "decision_id": 1, "time": True, "occurred": True,
+            "location": [True, "2.5"], "supporters": [0], "dissenters": [],
+        }]),
+        ("decisions", [{
+            "decision_id": 1, "time": 1.0, "occurred": True,
+            "location": [1.0, "2.5"], "supporters": [0], "dissenters": [],
+        }]),
     ], ids=["trust", "decisions", "next_decision_id", "infinite-id",
-            "pending"])
+            "pending", "pending-x-bool", "pending-y-text",
+            "pending-time-bool", "decision-time-bool", "decision-y-text"])
     def test_rejected_import_leaves_session_unchanged(self, field, value):
         session = make_session(diagnosis_threshold=0.3)
         for node in range(5):
@@ -238,6 +279,16 @@ class TestStateRoundTrip:
             session.import_state(doc)
         assert state_text(session) == before
 
+    def test_location_pending_rows_need_coordinates(self):
+        session = make_session()
+        session.ingest(0, x=15.0, y=15.0, time=0.5)
+        before = state_text(session)
+        doc = session.export_state()
+        doc["pending"] = [[1, 15.0, 15.0, 0.5], [0, None, 15.0, 0.5]]
+        with pytest.raises(ValueError, match="x must be a number"):
+            session.import_state(doc)
+        assert state_text(session) == before
+
     def test_import_rejects_wrong_mode(self):
         binary = make_session(mode="binary")
         location = make_session(mode="location")
@@ -248,6 +299,34 @@ class TestStateRoundTrip:
         session = make_session(mode="binary")
         with pytest.raises(RuntimeError):
             session.journal_records()
+
+
+class TestDecisionLog:
+    def logged_session(self, ids):
+        session = make_session(mode="binary")
+        doc = session.export_state()
+        doc["decisions"] = [
+            {"decision_id": i, "time": float(i), "occurred": i % 2 == 0,
+             "location": None, "supporters": [0], "dissenters": [1]}
+            for i in ids
+        ]
+        doc["next_decision_id"] = ids[-1] + 1 if ids else 0
+        session.import_state(doc)
+        return session
+
+    @pytest.mark.parametrize("ids", [
+        [], [0], [7], [0, 1, 2], list(range(2, 152, 3)),
+    ], ids=["empty", "zero", "one", "dense", "sparse-50"])
+    def test_since_equals_the_filtered_log(self, ids):
+        session = self.logged_session(ids)
+        full = session.decision_log()
+        assert [d["decision_id"] for d in full] == ids
+        lowest = ids[0] if ids else 0
+        highest = ids[-1] if ids else 0
+        for since in range(lowest - 3, highest + 4):
+            assert session.decision_log(since) == [
+                d for d in full if d["decision_id"] > since
+            ], since
 
 
 class TestDecisionIdIsolation:
