@@ -19,7 +19,7 @@ import numpy as np
 from repro.clusterctl.base_station import BaseStation
 from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
 from repro.clusterctl.leach import EnergyModel, LeachConfig, LeachElection
-from repro.clusterctl.shadow import ShadowClusterHead
+from repro.clusterctl.shadow import appoint_shadows
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, Region
 from repro.network.messages import EventReportMessage
@@ -82,19 +82,16 @@ def main() -> None:
     channel.register(ch)
     bs.bind_ch(CH_ID, CLUSTER_ID)
 
-    shadows = []
-    for sch_id in SCH_IDS:
-        sch = ShadowClusterHead(
-            node_id=sch_id,
-            position=region.center.translated(2.0, float(sch_id - 100)),
-            watched_ch_id=CH_ID,
-            deployment=deployment,
-            config=ch_config,
-            base_station_id=BS_ID,
-        )
-        channel.register(sch)
-        channel.add_tap(CH_ID, sch)  # §3.4: SCHs snoop the CH's traffic
-        shadows.append(sch)
+    # §3.4: both SCHs snoop the CH's traffic through one shared mirror
+    # of its computation, and each checks the CH's verdicts against it.
+    shadows = appoint_shadows(
+        ch,
+        [
+            (sch_id, region.center.translated(2.0, float(sch_id - 100)))
+            for sch_id in SCH_IDS
+        ],
+        base_station_id=BS_ID,
+    ).seats
 
     # Plain sensor endpoints that report honestly.
     from repro.network.node import NetworkNode

@@ -157,7 +157,7 @@ class ChCrash:
 
     With ``failover=True`` (§3.4 semantics) a standby head is promoted
     at the crash instant: it inherits the crashed head's trust state --
-    exactly what a shadow CH's mirror would hold -- and the cluster's
+    exactly what a head's shadow mirror would hold -- and the cluster's
     nodes re-home to it.  Without failover the head simply recovers at
     ``end`` (None = never; the cluster is headless from ``start`` on).
     """

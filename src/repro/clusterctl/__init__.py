@@ -10,8 +10,9 @@ to mask a single faulty CH.
   cluster-head election and cluster affiliation.
 * :mod:`repro.clusterctl.head`         -- the cluster-head process: report
   collection windows, decision engines, trust custody, diagnosis.
-* :mod:`repro.clusterctl.shadow`       -- shadow cluster heads mirroring the
-  CH's computation and escalating disagreements.
+* :mod:`repro.clusterctl.shadow`       -- shadow cluster heads: one mirror
+  of the CH's computation per head, and the seats that check the CH's
+  verdicts against it and escalate disagreements.
 * :mod:`repro.clusterctl.base_station` -- the TI registry of record, CH
   candidacy vetoes, and SCH-dispute resolution.
 
@@ -27,15 +28,21 @@ from repro.clusterctl.leach import (
     LeachElection,
     RoundResult,
 )
-from repro.clusterctl.shadow import ShadowClusterHead
+from repro.clusterctl.shadow import (
+    HeadMirror,
+    ShadowClusterHead,
+    appoint_shadows,
+)
 
 __all__ = [
     "BaseStation",
     "ClusterHead",
     "ClusterHeadConfig",
     "EnergyModel",
+    "HeadMirror",
     "LeachConfig",
     "LeachElection",
     "RoundResult",
     "ShadowClusterHead",
+    "appoint_shadows",
 ]

@@ -29,12 +29,18 @@ from repro.network.node import NetworkNode
 
 @dataclass
 class _DisputeState:
-    """Votes collected for one disputed CH decision."""
+    """Votes collected for one disputed CH decision.
+
+    ``sch_votes`` maps each dissenting shadow to its first
+    ``(verdict, location)``, in arrival order: a shadow votes once, however
+    often its dissent is delivered.
+    """
 
     ch_verdict: Optional[bool] = None
     ch_location: Optional[Point] = None
-    sch_verdicts: List[bool] = field(default_factory=list)
-    sch_locations: List[Optional[Point]] = field(default_factory=list)
+    sch_votes: Dict[int, Tuple[bool, Optional[Point]]] = field(
+        default_factory=dict
+    )
     resolved: bool = False
 
 
@@ -170,8 +176,9 @@ class BaseStation(NetworkNode):
                 state.ch_verdict = announcement.occurred
                 state.ch_location = announcement.location
             self._disputes[key] = state
-        state.sch_verdicts.append(message.occurred)
-        state.sch_locations.append(message.location)
+        elif message.sender in state.sch_votes:
+            return  # a repeated dissent: the shadow's first vote counts
+        state.sch_votes[message.sender] = (message.occurred, message.location)
         self._try_resolve(key)
 
     # ------------------------------------------------------------------
@@ -182,7 +189,7 @@ class BaseStation(NetworkNode):
         state = self._disputes[key]
         if state.resolved or state.ch_verdict is None:
             return
-        if not state.sch_verdicts:
+        if not state.sch_votes:
             return
         # Simple voting over {CH, dissenting SCHs}.  With two SCHs a
         # single dissenter leaves 1-1 pending; both dissenting (2-1)
@@ -191,7 +198,7 @@ class BaseStation(NetworkNode):
         # harness can force that via resolve_pending(); in-protocol we
         # resolve when the dissenters reach a majority of the monitors.
         votes_against_ch = sum(
-            1 for v in state.sch_verdicts if v != state.ch_verdict
+            1 for v, _ in state.sch_votes.values() if v != state.ch_verdict
         )
         if votes_against_ch < 2:
             return
@@ -200,7 +207,7 @@ class BaseStation(NetworkNode):
         final_location = next(
             (
                 loc
-                for v, loc in zip(state.sch_verdicts, state.sch_locations)
+                for v, loc in state.sch_votes.values()
                 if v != state.ch_verdict and loc is not None
             ),
             None,

@@ -169,8 +169,8 @@ class CircleTracker:
             circle.expires_at = self._sim.now
         # Groups are recomputed from scratch; every circle is now expired.
         while self._circles:
-            any_id = next(iter(sorted(self._circles)))
-            self._close_group(self._circles[any_id])
+            seed = self._circles[min(self._circles)]
+            self._close_group(self._overlap_component(seed))
 
     # ------------------------------------------------------------------
     # Internals
@@ -204,7 +204,7 @@ class CircleTracker:
         # §3.3 step 4: wait until every overlapping circle has expired.
         if any(c.expires_at > self._sim.now for c in group):
             return
-        self._close_group(circle)
+        self._close_group(group)
 
     def _rebuild_open(self) -> None:
         """Refresh the flat centre lists after circles close.
@@ -232,15 +232,15 @@ class CircleTracker:
                     frontier.append(other)
         return [component[cid] for cid in sorted(component)]
 
-    def _close_group(self, seed: EventCircle) -> None:
-        """Close ``seed``'s overlap group; deliver its sorted buffer rows.
+    def _close_group(self, group: List[EventCircle]) -> None:
+        """Close one overlap group, as :meth:`_overlap_component` returns
+        it; deliver its sorted buffer rows.
 
         ``np.lexsort((ids, times))`` sorts by time with node id as the
         tie-breaker and is stable, so equal ``(time, node_id)`` rows
         keep their concatenation order (circles in id order, rows in
         arrival order).  The buffer resets once no circle remains open.
         """
-        group = self._overlap_component(seed)
         rows: List[int] = []
         for circle in group:
             rows.extend(circle.rows)

@@ -27,7 +27,7 @@ from repro.chaos.plan import ChaosController, ChCrash, FaultPlan
 from repro.clusterctl.base_station import BaseStation
 from repro.clusterctl.head import ClusterHead, ClusterHeadConfig, DecisionRecord
 from repro.clusterctl.leach import EnergyModel, LeachConfig, LeachElection
-from repro.clusterctl.shadow import ShadowClusterHead
+from repro.clusterctl.shadow import HeadMirror, appoint_shadows
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, Region
 from repro.network.radio import ChannelConfig, RadioChannel
@@ -211,7 +211,7 @@ class SimulationRun:
     observe:
         Enable the metrics registry: a live
         :class:`~repro.obs.registry.MetricsRegistry` shared by every
-        simulation entity (a shadow CH's mirror counts nothing: its
+        simulation entity (a head's shadow mirror counts nothing: its
         verdicts are not network decisions).  Instrumentation reads
         state but never mutates it (and never touches an RNG), so an
         observed run stays bit-identical to an unobserved one.  After
@@ -343,7 +343,7 @@ class SimulationRun:
         self.election: Optional[LeachElection] = None
         self.rounds: List[LeadershipRound] = []
         self._heads: Dict[int, ClusterHead] = {}
-        self._shadows: List[ShadowClusterHead] = []
+        self._mirrors: List[HeadMirror] = []
         self._rounds_run = 0
 
     # ------------------------------------------------------------------
@@ -689,28 +689,24 @@ class SimulationRun:
     ) -> Tuple[int, ...]:
         """The ``N_SHADOWS`` highest-registry-TI members shadow ``ch``.
 
-        Each mirror starts from the trust snapshot the head imported --
-        without that, an honest CH and its shadows would vote with
-        different weights and the shadows would dissent spuriously.
+        They sit on one mirror of ``ch``, which starts from the trust
+        snapshot the head imported.
         """
-        assert self.bs is not None and self.channel is not None
+        assert self.bs is not None and self.deployment is not None
         bs = self.bs
         ranked = sorted(members, key=lambda n: (-bs.ti_of(0, n), n))
         hosts = ranked[:N_SHADOWS]
-        for host in hosts:
-            sch = ShadowClusterHead(
-                node_id=self.SHADOW_ID_OFFSET + host,
-                position=self.deployment.position_of(host),
-                watched_ch_id=ch.node_id,
-                deployment=ch.deployment,
-                config=self._ch_config,
-                base_station_id=bs.node_id,
-            )
-            sch.trust.import_state(trust)
-            self.channel.register(sch)
-            self.channel.add_tap(ch.node_id, sch)
-            self._shadows.append(sch)
-        return tuple(self.SHADOW_ID_OFFSET + host for host in hosts)
+        if not hosts:
+            return ()
+        seats = [
+            (self.SHADOW_ID_OFFSET + host, self.deployment.position_of(host))
+            for host in hosts
+        ]
+        mirror = appoint_shadows(
+            ch, seats, trust=trust, base_station_id=bs.node_id
+        )
+        self._mirrors.append(mirror)
+        return tuple(seat.node_id for seat in mirror.seats)
 
     def _end_leadership(self) -> None:
         """Close the heads' windows, ship their tables (§2), retire them."""
@@ -725,12 +721,10 @@ class SimulationRun:
             ch.end_leadership(round_number=self.election.round_number)
             self.channel.unregister(ch.node_id)
         self.sim.run()  # deliver the TI transfers
-        for sch in self._shadows:
-            sch.flush()
-            self.channel.remove_tap(sch.watched_ch_id, sch)
-            self.channel.unregister(sch.node_id)
+        for mirror in self._mirrors:
+            mirror.dismiss()
         heads.clear()
-        self._shadows.clear()
+        self._mirrors.clear()
 
     def _fire_round(self, round_index: int) -> None:
         self._apply_compromises(round_index)

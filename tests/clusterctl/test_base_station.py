@@ -153,3 +153,41 @@ class TestArbitration:
         bs.on_message(dissent(102, decision_id=1))
         assert len(bs.resolutions) == 1
         assert bs.resolutions[0].decision_id == 1
+
+    def test_repeated_dissent_from_one_sch_counts_once(self):
+        """A shadow's dissent delivered twice (a duplicating link) is one
+        vote: 1-1 stays pending, and the second shadow decides."""
+        reelections = []
+        _sim, bs = make_bs(
+            on_reelection=lambda cluster, ch: reelections.append((cluster, ch))
+        )
+        bs.bind_ch(100, cluster_id=0)
+        bs.on_message(announce())
+        bs.on_message(dissent(101))
+        bs.on_message(dissent(101))
+        assert bs.resolutions == []
+        assert bs.ti_of(0, 100) == 1.0
+        assert reelections == []
+        bs.on_message(dissent(102))
+        assert len(bs.resolutions) == 1
+        assert reelections == [(0, 100)]
+
+    def test_final_location_is_the_first_dissenting_location(self):
+        _sim, bs = make_bs()
+        bs.bind_ch(100, cluster_id=0)
+        bs.on_message(announce())
+        first, second = Point(1.0, 2.0), Point(3.0, 4.0)
+        bs.on_message(ScHDisagreement(
+            sender=101, suspected_ch=100, decision_id=1, occurred=False,
+            location=first,
+        ))
+        bs.on_message(ScHDisagreement(
+            sender=101, suspected_ch=100, decision_id=1, occurred=False,
+            location=second,
+        ))
+        bs.on_message(ScHDisagreement(
+            sender=102, suspected_ch=100, decision_id=1, occurred=False,
+            location=second,
+        ))
+        (resolution,) = bs.resolutions
+        assert resolution.final_location == first

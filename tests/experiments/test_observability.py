@@ -320,7 +320,7 @@ class TestRotatingProvenance:
     def test_index_lists_exactly_the_heads_decisions(self, corrupt):
         run = self.rotating(spans=True, corrupt_elected_faulty=corrupt)
         prov = ProvenanceIndex(run.spans.to_records())
-        # The shadows' mirror verdicts are not network decisions.
+        # The shadow mirrors' verdicts are not network decisions.
         assert prov.decision_ids() == sorted(
             d.decision_id for d in run.all_decisions()
         )
@@ -353,8 +353,8 @@ class TestRotatingProvenance:
         decisions = len(run.all_decisions())
         assert counts["provenance.jsonl"] == decisions
         assert counts["session_journal.jsonl"] == len(run.session_journal())
-        # Only the heads' verdicts count: the shadows' mirrors decide
-        # every window again, unobserved.
+        # Only the heads' verdicts count: each head's shadow mirror
+        # decides every window again, unobserved.
         registry = run.registry
         assert (
             registry.counter("ch.decision.occurred").value
