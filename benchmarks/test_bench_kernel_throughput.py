@@ -363,12 +363,12 @@ def _steady_window(deployment, n, sites, sensing_radius=20.0):
 def _decision_setup(n):
     """One steady-state n-report CH window, ingested ahead of time.
 
-    Returns the kernel with a pre-filled :class:`ReportBuffer` and the
-    ``(time, node_id)``-sorted row index, so the timed function measures
-    the decision pipeline alone, the way production runs it (ingest
-    happens at message arrival, decide at circle close).
+    Returns the kernel and the window's ``(node_id, x, y, time)`` rows
+    in ``(time, node_id)`` delivery order, so the timed function
+    measures the decision pipeline alone, the way production runs it
+    (ingest happens at message arrival, decide at circle close).
     """
-    from repro.core.decision_kernel import DecisionKernel, ReportBuffer
+    from repro.core.decision_kernel import DecisionKernel
 
     n_nodes, side, sites = _WINDOW_LAYOUTS[n]
     deployment = grid_deployment(n_nodes, Region.square(side))
@@ -383,27 +383,23 @@ def _decision_setup(n):
             )),
         )
 
-    buf = ReportBuffer()
-    rows = np.asarray(
-        [
-            buf.append(node_id, claim.x, claim.y, 0.001 * i)
-            for i, (node_id, claim) in enumerate(reporters)
-        ],
-        dtype=np.intp,
-    )
-    sorted_rows = rows[np.lexsort((buf.ids[rows], buf.times[rows]))]
+    # Arrival times ascend, so arrival order is delivery order.
+    rows = [
+        (node_id, claim.x, claim.y, 0.001 * i)
+        for i, (node_id, claim) in enumerate(reporters)
+    ]
     # Steady state sanity: every blob's vote must be unanimous, else
     # repeated windows drift trust state and the numbers stop meaning
     # "decision pipeline cost".
-    for decision in make_kernel().decide_rows(buf, sorted_rows):
+    for decision in make_kernel().decide_rows(rows):
         assert decision.occurred and not decision.dissenters
-    return make_kernel(), buf, sorted_rows
+    return make_kernel(), rows
 
 
 def _make_window_bench(n):
     def bench(benchmark):
-        kernel, buf, rows = _decision_setup(n)
-        decisions = benchmark(kernel.decide_rows, buf, rows)
+        kernel, rows = _decision_setup(n)
+        decisions = benchmark(kernel.decide_rows, rows)
         assert decisions
 
     return bench

@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.binary import CtiVoter
 from repro.core.concurrent import CircleTracker
+from repro.core.decision_kernel import Row
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, displace_xy
 from repro.network.messages import (
@@ -194,16 +195,14 @@ class ClusterHead(NetworkNode):
             # way.
             self.trust.spans = spans
         if self.config.mode == "location":
-            # The session built the buffer and kernel.  The tracker is
-            # DES-only -- its circles ride simulator timers -- so it
-            # stays here.
+            # The session built the kernel.  The tracker is DES-only --
+            # its circles ride simulator timers -- so it stays here.
             if spans.enabled:
                 self.session.kernel.spans = spans
             self._tracker = CircleTracker(
                 sim,
                 r_error=self.config.r_error,
                 t_out=self.config.t_out,
-                buffer=self.session.report_buffer,
                 on_group_rows=self._decide_group,
             )
 
@@ -279,7 +278,7 @@ class ClusterHead(NetworkNode):
                 )
             return
         assert self._tracker is not None  # set in attach()
-        # Resolve the offset to plain floats and append one buffer row.
+        # Resolve the offset to plain floats: the tracker's row.
         offset = message.offset
         x, y = displace_xy(
             node_position.x, node_position.y, offset.r, offset.theta
@@ -316,8 +315,8 @@ class ClusterHead(NetworkNode):
         )
         self._record_decision(vote.occurred, None, reporters, non_reporters)
 
-    def _decide_group(self, rows) -> None:
-        """Decide one closed circle group, given as report-buffer rows."""
+    def _decide_group(self, rows: List[Row]) -> None:
+        """Decide one closed circle group, given as its report rows."""
         if not self.alive:
             return  # see _decide_binary: crashed CHs decide nothing
         decisions = self.session.decide_rows(rows, now=self.sim.now)

@@ -24,7 +24,7 @@ from repro.core.baseline import MajorityVoter
 from repro.core.binary import BinaryVoteResult, CtiVoter
 from repro.core.clustering import ReportCluster, cluster_reports_flat
 from repro.core.concurrent import CircleTracker, EventCircle
-from repro.core.decision_kernel import DecisionKernel, ReportBuffer
+from repro.core.decision_kernel import DecisionKernel
 from repro.core.diagnosis import DiagnosisEntry, FaultDiagnoser
 from repro.core.location import LocatedDecision
 from repro.core.trust import TrustParameters, TrustTable
@@ -39,7 +39,6 @@ __all__ = [
     "FaultDiagnoser",
     "LocatedDecision",
     "MajorityVoter",
-    "ReportBuffer",
     "ReportCluster",
     "TrustParameters",
     "TrustTable",

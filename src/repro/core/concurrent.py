@@ -15,11 +15,10 @@ cannot use a single global collection window.  Instead:
 
 Two circles overlap when their centres are closer than ``2 * r_error``.
 
-Reports exist only as rows of a
-:class:`~repro.core.decision_kernel.ReportBuffer`: circles collect row
-indices, and a closed group delivers its rows as one index array sorted
-by ``(time, node_id)`` (stable, so equal keys keep arrival order).  The
-buffer is reset whenever the last open circle closes.
+Each report is one ``(node_id, x, y, time)`` row
+(:data:`~repro.core.decision_kernel.Row`): circles collect their rows in
+arrival order, and a closed group delivers its rows as one list sorted
+by ``(time, node_id)`` (stable, so equal keys keep arrival order).
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
-import numpy as np
-
+from repro.core.decision_kernel import ROW_ORDER, Row
 from repro.network.geometry import Point
 from repro.simkernel.simulator import Simulator
 
@@ -56,15 +54,14 @@ class EventCircle:
     expires_at:
         Absolute simulation time of this circle's ``T_out`` expiry.
     rows:
-        Indices of the reports collected so far into the tracker's
-        :class:`~repro.core.decision_kernel.ReportBuffer`, in arrival
+        The ``(node_id, x, y, time)`` rows collected so far, in arrival
         order.
     """
 
     center: Point
     expires_at: float
     circle_id: int = field(default_factory=lambda: next(_circle_ids))
-    rows: List[int] = field(default_factory=list)
+    rows: List[Row] = field(default_factory=list)
 
     def overlaps(self, other: "EventCircle", r_error: float) -> bool:
         """Whether two circles of radius ``r_error`` intersect."""
@@ -82,14 +79,10 @@ class CircleTracker:
         Circle radius.
     t_out:
         Per-circle collection window ``T_out``.
-    buffer:
-        The :class:`~repro.core.decision_kernel.ReportBuffer` that
-        :meth:`on_report_row` appends each arriving report to.
     on_group_rows:
-        Called as ``on_group_rows(row_indices)`` with each fully expired
-        overlapping circle group, as a ``(time, node_id)``-lexsorted
-        ``np.intp`` index array into ``buffer``.  The caller then
-        clusters and votes (see
+        Called as ``on_group_rows(rows)`` with each fully expired
+        overlapping circle group, as a list of its rows sorted by
+        ``(time, node_id)``.  The caller then clusters and votes (see
         :class:`repro.core.decision_kernel.DecisionKernel`).
     """
 
@@ -98,8 +91,7 @@ class CircleTracker:
         sim: Simulator,
         r_error: float,
         t_out: float,
-        buffer,
-        on_group_rows: Callable[[np.ndarray], None],
+        on_group_rows: Callable[[List[Row]], None],
     ) -> None:
         if r_error <= 0:
             raise ValueError(f"r_error must be positive, got {r_error}")
@@ -110,16 +102,9 @@ class CircleTracker:
         self.r_error = r_error
         self.t_out = t_out
         self._on_group_rows = on_group_rows
-        self._buffer = buffer
+        # Open circles only, in creation order (a closed circle is
+        # deleted, and dict deletion keeps the survivors' order).
         self._circles: Dict[int, EventCircle] = {}
-        # Flat per-open-circle centre coordinates, kept parallel to
-        # ``_open_ids`` in circle-creation order: ``on_report_row`` runs for
-        # every arriving report, so membership is decided on plain
-        # floats instead of chasing ``Point`` attributes through the
-        # circle objects.  Rebuilt whenever a group closes.
-        self._open_ids: List[int] = []
-        self._open_x: List[float] = []
-        self._open_y: List[float] = []
         self.circles_opened = 0
         self.groups_closed = 0
 
@@ -127,19 +112,20 @@ class CircleTracker:
     # Input
     # ------------------------------------------------------------------
     def on_report_row(self, node_id: int, x: float, y: float) -> None:
-        """Append one arriving report to the buffer and route it.
+        """Route one arriving report, stamped with the current time.
 
         Scans open-circle centres in creation order and joins the first
         circle whose centre lies within ``r_error`` of the report; a
         report outside every circle opens a new one.
         """
-        row = self._buffer.append(node_id, x, y, self._sim.now)
+        row = (node_id, x, y, float(self._sim.now))
         r_error = self.r_error
-        for pos, circle_id in enumerate(self._open_ids):
-            dx = self._open_x[pos] - x
-            dy = self._open_y[pos] - y
+        for circle in self._circles.values():
+            cx, cy = circle.center
+            dx = cx - x
+            dy = cy - y
             if math.sqrt(dx * dx + dy * dy) <= r_error:
-                self._circles[circle_id].rows.append(row)
+                circle.rows.append(row)
                 break
         else:
             circle = EventCircle(
@@ -148,15 +134,13 @@ class CircleTracker:
             )
             circle.rows.append(row)
             self._register_circle(circle)
-            circle_id = circle.circle_id
         spans = self._spans
         if spans.enabled:
             spans.point(
                 "window.report",
                 parent=spans.current,
-                circle=circle_id,
+                circle=circle.circle_id,
                 node=node_id,
-                row=row,
             )
 
     def open_circles(self) -> List[EventCircle]:
@@ -176,11 +160,8 @@ class CircleTracker:
     # Internals
     # ------------------------------------------------------------------
     def _register_circle(self, circle: EventCircle) -> None:
-        """Circle bookkeeping: dict, flat lists, timer, span."""
+        """Circle bookkeeping: dict, timer, span."""
         self._circles[circle.circle_id] = circle
-        self._open_ids.append(circle.circle_id)
-        self._open_x.append(circle.center.x)
-        self._open_y.append(circle.center.y)
         self.circles_opened += 1
         spans = self._spans
         if spans.enabled:
@@ -206,18 +187,6 @@ class CircleTracker:
             return
         self._close_group(group)
 
-    def _rebuild_open(self) -> None:
-        """Refresh the flat centre lists after circles close.
-
-        ``_circles`` holds only open circles (``_close_group`` deletes
-        each circle it closes), and dict deletion preserves the
-        insertion order of the survivors, so this recovers exactly the
-        scan order ``on_report_row`` needs.
-        """
-        self._open_ids = list(self._circles)
-        self._open_x = [c.center.x for c in self._circles.values()]
-        self._open_y = [c.center.y for c in self._circles.values()]
-
     def _overlap_component(self, seed: EventCircle) -> List[EventCircle]:
         """Transitive closure of circle overlap containing ``seed``."""
         component = {seed.circle_id: seed}
@@ -234,22 +203,18 @@ class CircleTracker:
 
     def _close_group(self, group: List[EventCircle]) -> None:
         """Close one overlap group, as :meth:`_overlap_component` returns
-        it; deliver its sorted buffer rows.
+        it; deliver its rows in delivery order.
 
-        ``np.lexsort((ids, times))`` sorts by time with node id as the
-        tie-breaker and is stable, so equal ``(time, node_id)`` rows
-        keep their concatenation order (circles in id order, rows in
-        arrival order).  The buffer resets once no circle remains open.
+        The sort is stable, so rows with equal ``(time, node_id)`` keep
+        their concatenation order (circles in id order, rows in arrival
+        order).
         """
-        rows: List[int] = []
+        rows: List[Row] = []
         for circle in group:
             rows.extend(circle.rows)
             del self._circles[circle.circle_id]
-        self._rebuild_open()
+        rows.sort(key=ROW_ORDER)
         self.groups_closed += 1
-        buffer = self._buffer
-        idx = np.asarray(rows, dtype=np.intp)
-        order = np.lexsort((buffer.ids[idx], buffer.times[idx]))
         spans = self._spans
         if spans.enabled:
             saved = spans.current
@@ -260,10 +225,8 @@ class CircleTracker:
                 reports=len(rows),
             )
             try:
-                self._on_group_rows(idx[order])
+                self._on_group_rows(rows)
             finally:
                 spans.current = saved
         else:
-            self._on_group_rows(idx[order])
-        if not self._circles:
-            buffer.reset()
+            self._on_group_rows(rows)

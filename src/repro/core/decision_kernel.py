@@ -1,20 +1,20 @@
-"""Struct-of-arrays cluster-head decision kernel (§2.1, §3.2).
+"""The cluster-head decision kernel over report rows (§2.1, §3.2).
 
-* :class:`ReportBuffer` -- preallocated parallel row arrays (node id,
-  x, y, arrival time).  The cluster head appends one row per arriving
-  report, so a collection window closes already in struct-of-arrays
-  form; no per-report objects exist on the hot path.
-* :class:`DecisionKernel` -- the window pipeline over those rows:
-  dedupe (earliest report per node wins), the §2.1 implausibility gate
-  against the deployment's ``positions``, §3.2 clustering through
-  :func:`~repro.core.clustering.cluster_reports_flat`, and one
-  supporter/dissenter CTI vote per cluster over the event
-  neighbours from
-  :meth:`~repro.network.topology.Deployment.event_neighbors_list`.
+A collection window is a plain list of report rows, each a
+``(node_id, x, y, time)`` tuple of an int and three floats: the sender,
+the resolved event location it claims, and its arrival time.  The
+cluster head builds one row per arriving report, a closed window is
+sorted into delivery order by :data:`ROW_ORDER`, and the session
+journal records the same rows.
 
-Windows hold a few dozen rows at most, where per-call numpy dispatch
-costs more than the arithmetic, so the pipeline runs as plain float
-loops over the rows' ``tolist()`` values.
+:class:`DecisionKernel` runs the window pipeline over those rows:
+dedupe (earliest report per node wins), the §2.1 implausibility gate
+against the deployment's ``positions``, §3.2 clustering through
+:func:`~repro.core.clustering.cluster_reports_flat`, and one
+supporter/dissenter CTI vote per cluster over the event neighbours from
+:meth:`~repro.network.topology.Deployment.event_neighbors_list`.
+Windows hold a few dozen rows at most, so the pipeline is plain float
+loops.
 
 The original object pipeline over per-report objects is the oracle of
 the randomized and property differential suites
@@ -29,17 +29,16 @@ bit-identical to it by construction, not by tolerance:
   ``(time, node_id)`` -- the oracle's earliest-wins rule;
 * liar penalties apply in window order, cluster votes in cluster order,
   through the very same :class:`~repro.core.trust.TrustTable` calls;
-* supporter/dissenter tuples are plain Python ints (``.tolist()``), so
-  trust-table keys, span records, and replay fingerprints hash,
-  serialise and compare identically to the oracle's tuples.
+* node ids are the rows' plain Python ints, so trust-table keys, span
+  records, and replay fingerprints hash, serialise and compare
+  identically to the oracle's tuples.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Union
-
-import numpy as np
+from operator import itemgetter
+from typing import List, Sequence, Tuple, Union
 
 from repro.core.baseline import MajorityVoter
 from repro.core.binary import CtiVoter
@@ -50,59 +49,18 @@ from repro.obs.spans import NULL_SPANS
 
 __all__ = [
     "DecisionKernel",
-    "ReportBuffer",
+    "ROW_ORDER",
+    "Row",
 ]
 
 Voter = Union[CtiVoter, MajorityVoter]
 
+#: One report: ``(node_id, x, y, time)``.
+Row = Tuple[int, float, float, float]
 
-class ReportBuffer:
-    """Growing preallocated row arrays for one CH's report stream.
-
-    One row per accepted report: ``ids`` (int64 node id), ``xs`` /
-    ``ys`` (float64 resolved event location), ``times`` (float64
-    arrival time).  Rows accumulate across overlapping collection
-    circles and the tracker resets the buffer whenever every circle has
-    closed, so capacity tracks the largest burst, not the run length.
-    """
-
-    __slots__ = ("ids", "xs", "ys", "times", "_len")
-
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.ids = np.empty(capacity, dtype=np.int64)
-        self.xs = np.empty(capacity, dtype=np.float64)
-        self.ys = np.empty(capacity, dtype=np.float64)
-        self.times = np.empty(capacity, dtype=np.float64)
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def append(self, node_id: int, x: float, y: float, time: float) -> int:
-        """Store one report row; returns its row index."""
-        row = self._len
-        if row == len(self.ids):
-            self._grow()
-        self.ids[row] = node_id
-        self.xs[row] = x
-        self.ys[row] = y
-        self.times[row] = time
-        self._len = row + 1
-        return row
-
-    def _grow(self) -> None:
-        cap = 2 * len(self.ids)
-        for name in ("ids", "xs", "ys", "times"):
-            old = getattr(self, name)
-            grown = np.empty(cap, dtype=old.dtype)
-            grown[: self._len] = old[: self._len]
-            setattr(self, name, grown)
-
-    def reset(self) -> None:
-        """Forget every row (all referencing circles have closed)."""
-        self._len = 0
+#: Sort key of a window's delivery order: arrival time, then node id.
+#: ``list.sort`` is stable, so rows with equal keys keep arrival order.
+ROW_ORDER = itemgetter(3, 0)
 
 
 class DecisionKernel:
@@ -154,14 +112,13 @@ class DecisionKernel:
 
     def decide_rows(
         self,
-        buffer: ReportBuffer,
-        rows: np.ndarray,
+        rows: Sequence[Row],
         excluded_nodes: Sequence[int] = (),
     ) -> List[LocatedDecision]:
-        """Process one closed window given as buffer row indices.
+        """Process one closed window of report rows.
 
-        ``rows`` must already be sorted by ``(time, node_id)`` -- the
-        circle tracker's close order.  Duplicate reports from one node
+        ``rows`` must already be in delivery order (sorted by
+        :data:`ROW_ORDER`).  Duplicate reports from one node
         keep only the earliest (a faulty node cannot stuff the ballot);
         reports from ``excluded_nodes`` (diagnosed and isolated) are
         ignored, and those nodes are not counted as expected reporters.
@@ -172,11 +129,7 @@ class DecisionKernel:
         event cluster, dominant cluster first; empty when no usable
         reports arrived.
         """
-        ids = buffer.ids[rows].tolist()
-        xs = buffer.xs[rows].tolist()
-        ys = buffer.ys[rows].tolist()
         excluded = set(excluded_nodes)
-        positions = self.deployment.positions
         limit = self._limit
 
         # Seeding the seen-set with the exclusions folds the excluded
@@ -187,17 +140,14 @@ class DecisionKernel:
         f_xs: List[float] = []
         f_ys: List[float] = []
         liars: List[int] = []
-        get = positions.get
-        for idx in range(len(ids)):
-            node_id = ids[idx]
+        get = self.deployment.positions.get
+        for node_id, x, y, _time in rows:
             if node_id in seen:
                 continue
             seen.add(node_id)
             pos = get(node_id)
             if pos is None:
                 continue  # unknown sender: dropped, no penalty
-            x = xs[idx]
-            y = ys[idx]
             dx = pos.x - x
             dy = pos.y - y
             if math.sqrt(dx * dx + dy * dy) <= limit:
@@ -213,7 +163,7 @@ class DecisionKernel:
             spans.current = spans.point(
                 "window.filter",
                 parent=spans.current,
-                window=int(len(rows)),
+                window=len(rows),
                 kept=list(f_ids),
                 gated=list(liars),
             )

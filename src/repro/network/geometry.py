@@ -75,8 +75,8 @@ def displace_xy(
 ) -> Tuple[float, float]:
     """Coordinates of ``Point(x, y).displace(PolarOffset(r, theta))``.
 
-    The struct-of-arrays decision kernel resolves report offsets into
-    plain floats without materialising ``Point`` / ``PolarOffset``
+    The cluster head resolves report offsets into the plain floats of a
+    report row without materialising ``Point`` / ``PolarOffset``
     objects; this helper keeps the arithmetic in one place and written
     as the exact expression :meth:`Point.displace` evaluates, so both
     paths produce bit-identical coordinates.

@@ -157,6 +157,15 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
     def manager(self) -> SessionManager:
         return self.server.manager  # type: ignore[attr-defined]
 
+    def handle(self) -> None:
+        # A client that resets or drops a keep-alive connection has
+        # ended it: that is a connection's normal end, not an error for
+        # the server's ``handle_error`` to print.
+        try:
+            super().handle()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
     # -- plumbing ------------------------------------------------------
     def _send_json(self, status: int, doc: Dict[str, object]) -> None:
         body = json.dumps(doc).encode("utf-8")

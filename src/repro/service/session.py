@@ -3,7 +3,7 @@
 :class:`TrustSession` owns everything the paper's cluster head needs to
 turn report streams into verdicts -- the :class:`~repro.core.trust.
 TrustTable`, the CTI (or majority-baseline) voter, the location
-decision kernel with its report buffer, and the TI-threshold
+decision kernel, and the TI-threshold
 :class:`~repro.core.diagnosis.FaultDiagnoser` -- but none of what the
 DES wraps around it: no simulator, no radio channel, no clock.  Callers
 supply timestamps.
@@ -11,12 +11,15 @@ supply timestamps.
 Two kinds of client drive the same object:
 
 * **The service path** -- ``ingest(node_id, x, y, time)`` accumulates
-  reports into the open collection window; ``close_window(now)`` runs
+  reports into the open collection window (binary senders, or
+  ``(node_id, x, y, time)`` location rows); ``close_window(now)`` runs
   dedupe, the §2.1 implausibility gate, clustering, the CTI vote,
   trust updates, and the diagnosis sweep, appending
-  :class:`DecisionRecord` entries.  ``query_ti`` / ``tis`` /
-  ``diagnosed`` / ``decisions`` read the results.  ``export_state`` /
-  ``import_state`` round-trip a session through JSON mid-stream.
+  :class:`DecisionRecord` entries.  ``replay_window`` loads a
+  journalled window into the empty open window and closes it.
+  ``query_ti`` / ``tis`` / ``diagnosed`` / ``decisions`` read the
+  results.  ``export_state`` / ``import_state`` round-trip a session
+  through JSON mid-stream.
 * **The DES path** -- :class:`~repro.clusterctl.head.ClusterHead`
   embeds a session and calls the finer-grained ops (``decide_binary``,
   ``decide_rows``, ``record``, ``sweep``) so it can
@@ -48,11 +51,9 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.core.baseline import MajorityVoter
 from repro.core.binary import BinaryVoteResult, CtiVoter
-from repro.core.decision_kernel import DecisionKernel, ReportBuffer
+from repro.core.decision_kernel import ROW_ORDER, DecisionKernel, Row
 from repro.core.diagnosis import DiagnosisEntry, FaultDiagnoser
 from repro.core.location import LocatedDecision
 from repro.core.trust import TrustParameters, TrustTable
@@ -176,12 +177,8 @@ class TrustSession:
         )
         self.decisions: List[DecisionRecord] = []
 
-        # Location pipeline: reports live as rows of one buffer, and
-        # the kernel decides closed windows over them.
         self.kernel: Optional[DecisionKernel] = None
-        self.report_buffer: Optional[ReportBuffer] = None
         if config.mode == "location":
-            self.report_buffer = ReportBuffer()
             self.kernel = DecisionKernel(
                 deployment=deployment,
                 sensing_radius=config.sensing_radius,
@@ -192,8 +189,9 @@ class TrustSession:
         self._journal: Optional[List[Dict[str, object]]] = (
             [] if config.journal else None
         )
-        # Open-window accumulation for the ingest/close service path.
-        self._pending_rows: List[int] = []
+        # The open window of the ingest/close service path: senders in
+        # binary mode, report rows in location mode.
+        self._pending_rows: List[Row] = []
         self._pending_senders: List[int] = []
         self.windows_closed = 0
 
@@ -245,32 +243,20 @@ class TrustSession:
         return vote, tuple(reporters), tuple(non_reporters)
 
     def decide_rows(
-        self, rows: np.ndarray, now: float = 0.0
+        self, rows: List[Row], now: float = 0.0
     ) -> List[LocatedDecision]:
-        """Decide one closed window given as report-buffer row indices."""
-        assert self.kernel is not None and self.report_buffer is not None
+        """Decide one closed window of ``(node_id, x, y, time)`` rows,
+        already in delivery order."""
+        assert self.kernel is not None
         if self._journal is not None:
             self._journal.append({
                 "mode": "location",
                 "time": now,
-                "rows": self._rows_doc(rows),
+                "rows": [list(row) for row in rows],
             })
         return self.kernel.decide_rows(
-            self.report_buffer, rows, excluded_nodes=self.excluded_nodes()
+            rows, excluded_nodes=self.excluded_nodes()
         )
-
-    def _rows_doc(self, rows: Iterable[int]) -> List[List[object]]:
-        """Buffer rows as JSON-ready ``[node, x, y, time]`` lists."""
-        buf = self.report_buffer
-        return [
-            [
-                int(buf.ids[r]),
-                float(buf.xs[r]),
-                float(buf.ys[r]),
-                float(buf.times[r]),
-            ]
-            for r in rows
-        ]
 
     def record(
         self,
@@ -358,8 +344,7 @@ class TrustSession:
             return True
         if x is None or y is None:
             return False
-        row = self.report_buffer.append(node_id, x, y, time)
-        self._pending_rows.append(row)
+        self._pending_rows.append((node_id, x, y, time))
         return True
 
     def pending_reports(self) -> int:
@@ -390,10 +375,13 @@ class TrustSession:
             self.record(vote.occurred, None, reporters, non_reporters, now=now)
             self.sweep(now)
         else:
-            decisions = self._close_location_window(now)
-            if decisions is None:
+            rows = self._pending_rows
+            if not rows:
                 return []
-            for decision in decisions:
+            self._pending_rows = []
+            # The DES circle tracker's delivery order.
+            rows.sort(key=ROW_ORDER)
+            for decision in self.decide_rows(rows, now=now):
                 self.record(
                     decision.occurred,
                     decision.location,
@@ -404,21 +392,6 @@ class TrustSession:
                 self.sweep(now)
         self.windows_closed += 1
         return self.decisions[before:]
-
-    def _close_location_window(
-        self, now: float
-    ) -> Optional[List[LocatedDecision]]:
-        if not self._pending_rows:
-            return None
-        buf = self.report_buffer
-        pending = np.asarray(self._pending_rows, dtype=np.intp)
-        self._pending_rows = []
-        # Same delivery order as the DES circle tracker: stable lexsort
-        # by arrival time with node id as the tie-breaker.
-        order = np.lexsort((buf.ids[pending], buf.times[pending]))
-        decisions = self.decide_rows(pending[order], now=now)
-        buf.reset()
-        return decisions
 
     def query_ti(self, node_id: int) -> float:
         """Current trust index of one node."""
@@ -479,39 +452,23 @@ class TrustSession:
 
         The journal captures windows *as delivered to the decision
         core* (post arrival filtering, pre close-time exclusion), so
-        replay skips :meth:`ingest`'s arrival checks and hands the rows
-        straight to the same decide/record/sweep sequence the original
-        run executed.
+        replay skips :meth:`ingest`'s arrival checks: it loads the
+        window into the open window and runs :meth:`close_window`, the
+        same decide/record/sweep sequence the original run executed.
+        Raises :class:`RuntimeError`, and changes nothing, when the
+        open window already holds a report.
         """
-        now = float(record["time"])  # type: ignore[arg-type]
-        before = len(self.decisions)
-        if record["mode"] == "binary":
-            vote, reporters, non_reporters = self.decide_binary(
-                record["senders"], now=now  # type: ignore[arg-type]
-            )
-            self.record(vote.occurred, None, reporters, non_reporters, now=now)
-            self.sweep(now)
+        if self.pending_reports():
+            raise RuntimeError("replay_window requires an empty open window")
+        now = _finite("time", record["time"])
+        if self.config.mode == "binary":
+            self._pending_senders = list(record["senders"])  # type: ignore[call-overload]
         else:
-            assert not self._pending_rows, (
-                "replay_window requires an empty open window"
-            )
-            buf = self.report_buffer
-            for node_id, x, y, time in record["rows"]:  # type: ignore[union-attr]
-                buf.append(int(node_id), float(x), float(y), float(time))
-            indices = np.arange(len(buf), dtype=np.intp)
-            decisions = self.decide_rows(indices, now=now)
-            buf.reset()
-            for decision in decisions:
-                self.record(
-                    decision.occurred,
-                    decision.location,
-                    decision.supporters,
-                    decision.dissenters,
-                    now=now,
-                )
-                self.sweep(now)
-        self.windows_closed += 1
-        return self.decisions[before:]
+            self._pending_rows = [
+                (int(node_id), float(x), float(y), float(time))
+                for node_id, x, y, time in record["rows"]  # type: ignore[union-attr]
+            ]
+        return self.close_window(now)
 
     # ------------------------------------------------------------------
     # State round-trip
@@ -528,7 +485,7 @@ class TrustSession:
         if self.config.mode == "binary":
             pending = list(self._pending_senders)
         else:
-            pending = self._rows_doc(self._pending_rows)
+            pending = [list(row) for row in self._pending_rows]
         return {
             "schema": 1,
             "mode": self.config.mode,
@@ -618,16 +575,20 @@ class TrustSession:
                     f"next_decision_id {next_decision_id}, got {earlier} "
                     f"before {later}"
                 )
-        binary = self.config.mode == "binary"
-        pending = []
-        for item in state["pending"]:  # type: ignore[union-attr]
-            if binary:
-                pending.append(self.check_report(item))  # type: ignore[arg-type]
-            else:
-                node_id, x, y, time = item  # type: ignore[misc]
-                pending.append(self.check_report(
+        senders: List[int] = []
+        rows: List[Row] = []
+        if self.config.mode == "binary":
+            senders = [
+                self._node_id(node_id)
+                for node_id in state["pending"]  # type: ignore[union-attr]
+            ]
+        else:
+            rows = [
+                self.check_report(  # type: ignore[misc]
                     node_id, _finite("x", x), _finite("y", y), time
-                ))
+                )
+                for node_id, x, y, time in state["pending"]  # type: ignore[union-attr]
+            ]
 
         self.members = members
         self.trust.import_state(trust)
@@ -636,17 +597,8 @@ class TrustSession:
         self.ids.reset(next_decision_id)
         self.windows_closed = windows_closed
         self.decisions[:] = decisions
-        self._pending_senders = []
-        self._pending_rows = []
-        if self.report_buffer is not None:
-            self.report_buffer.reset()
-        for node_id, x, y, time in pending:
-            if binary:
-                self._pending_senders.append(node_id)
-            else:
-                self._pending_rows.append(
-                    self.report_buffer.append(node_id, x, y, time)
-                )
+        self._pending_senders = senders
+        self._pending_rows = rows
 
     def __repr__(self) -> str:
         return (

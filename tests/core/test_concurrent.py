@@ -3,21 +3,17 @@
 import pytest
 
 from repro.core.concurrent import CircleTracker
-from repro.core.decision_kernel import ReportBuffer
 from repro.network.geometry import Point
 
 
 def make_tracker(sim, r_error=5.0, t_out=1.0):
     groups = []
-    buffer = ReportBuffer(capacity=2)
     tracker = CircleTracker(
         sim,
         r_error=r_error,
         t_out=t_out,
-        buffer=buffer,
-        # Each group is recorded as its node ids, read at delivery: the
-        # buffer resets once every circle has closed.
-        on_group_rows=lambda rows: groups.append(buffer.ids[rows].tolist()),
+        # Each group is recorded as its node ids, in delivery order.
+        on_group_rows=lambda rows: groups.append([row[0] for row in rows]),
     )
     return tracker, groups
 
@@ -127,13 +123,10 @@ class TestFlush:
 
 class TestValidation:
     def test_bad_parameters_rejected(self, sim):
-        buffer = ReportBuffer()
         with pytest.raises(ValueError):
-            CircleTracker(sim, r_error=0.0, t_out=1.0, buffer=buffer,
-                          on_group_rows=print)
+            CircleTracker(sim, r_error=0.0, t_out=1.0, on_group_rows=print)
         with pytest.raises(ValueError):
-            CircleTracker(sim, r_error=5.0, t_out=0.0, buffer=buffer,
-                          on_group_rows=print)
+            CircleTracker(sim, r_error=5.0, t_out=0.0, on_group_rows=print)
 
     def test_reports_sorted_within_group(self, sim):
         tracker, groups = make_tracker(sim)
@@ -141,3 +134,16 @@ class TestValidation:
         tracker.on_report_row(2, 10.5, 10.0)
         sim.run()
         assert groups[0] == [2, 5]
+
+        # Equal (time, node_id) keys keep arrival order: one node
+        # reports twice at one instant from two locations in one
+        # circle.  The first report is the larger in x and y, so a sort
+        # on any key wider than (time, node_id) would swap them.
+        delivered = []
+        tracker = CircleTracker(
+            sim, r_error=5.0, t_out=1.0, on_group_rows=delivered.append
+        )
+        tracker.on_report_row(3, 10.5, 10.5)
+        tracker.on_report_row(3, 10.0, 10.0)
+        sim.run()
+        assert delivered == [[(3, 10.5, 10.5, 1.0), (3, 10.0, 10.0, 1.0)]]

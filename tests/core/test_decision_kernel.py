@@ -12,12 +12,11 @@ compare everything.
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.baseline import MajorityVoter
 from repro.core.binary import CtiVoter
-from repro.core.decision_kernel import DecisionKernel, ReportBuffer
+from repro.core.decision_kernel import DecisionKernel
 from repro.core.trust import TrustParameters, TrustTable
 from repro.network.geometry import Point, Region
 from repro.network.topology import Deployment
@@ -89,20 +88,15 @@ def make_pair(deployment, node_ids, r_s=20.0, r_error=5.0,
     return engine, kernel
 
 
-def kernel_decide(kernel, reports, excluded=(), buffer=None):
+def kernel_decide(kernel, reports, excluded=()):
     """Feed reports to the kernel the way the circle tracker does.
 
-    Rows are appended in arrival order and the closed window is
-    delivered as a (time, node_id)-lexsorted row-index array.
+    One ``(node_id, x, y, time)`` row per report, in arrival order,
+    then stably sorted by ``(time, node_id)`` for delivery.
     """
-    buf = buffer if buffer is not None else ReportBuffer(capacity=4)
-    rows = [
-        buf.append(r.node_id, r.location.x, r.location.y, r.time)
-        for r in reports
-    ]
-    idx = np.asarray(rows, dtype=np.intp)
-    order = np.lexsort((buf.ids[idx], buf.times[idx]))
-    return kernel.decide_rows(buf, idx[order], excluded_nodes=excluded)
+    rows = [(r.node_id, r.location.x, r.location.y, r.time) for r in reports]
+    rows.sort(key=lambda row: (row[3], row[0]))
+    return kernel.decide_rows(rows, excluded_nodes=excluded)
 
 
 def assert_identical(obj_decisions, arr_decisions):
@@ -185,12 +179,10 @@ class TestRandomizedDifferential:
         excluded = tuple(sorted(rng.sample(
             range(n_nodes), rng.randint(0, min(3, n_nodes))
         )))
-        buf = ReportBuffer(capacity=2)  # force growth along the way
         for _window in range(3):
             reports = random_window(rng, n_nodes, positions)
             obj = engine.decide(reports, excluded_nodes=excluded)
-            arr = kernel_decide(kernel, reports, excluded, buffer=buf)
-            buf.reset()
+            arr = kernel_decide(kernel, reports, excluded)
             assert_identical(obj, arr)
         if use_trust:
             assert (engine.voter.trust.calls
@@ -203,8 +195,7 @@ class TestEdgeCases:
     def test_empty_window(self):
         deployment = make_deployment({0: Point(10.0, 10.0)})
         _engine, kernel = make_pair(deployment, [0])
-        buf = ReportBuffer()
-        assert kernel.decide_rows(buf, np.empty(0, dtype=np.intp)) == []
+        assert kernel.decide_rows([]) == []
 
     def test_all_excluded_window(self):
         positions = {0: Point(10.0, 10.0), 1: Point(12.0, 10.0)}
@@ -266,33 +257,6 @@ class TestEdgeCases:
         assert_identical(obj, arr)
         assert len(arr) == 1
         assert arr[0].supporters == (0, 1, 2, 3, 4, 5)
-
-
-class TestReportBuffer:
-    def test_growth_preserves_rows(self):
-        buf = ReportBuffer(capacity=2)
-        for i in range(17):
-            row = buf.append(i, float(i), -float(i), 0.5 * i)
-            assert row == i
-        assert len(buf) == 17
-        assert buf.ids[:17].tolist() == list(range(17))
-        assert buf.xs[:17].tolist() == [float(i) for i in range(17)]
-        assert buf.ys[:17].tolist() == [-float(i) for i in range(17)]
-        assert buf.times[:17].tolist() == [0.5 * i for i in range(17)]
-
-    def test_reset_reuses_capacity(self):
-        buf = ReportBuffer(capacity=4)
-        for i in range(4):
-            buf.append(i, 0.0, 0.0, 0.0)
-        capacity = len(buf.ids)
-        buf.reset()
-        assert len(buf) == 0
-        assert buf.append(9, 1.0, 2.0, 3.0) == 0
-        assert len(buf.ids) == capacity
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            ReportBuffer(capacity=0)
 
 
 class TestKernelValidation:

@@ -1,8 +1,8 @@
 """Unit tests for the location-determination decision pipeline (§3.2).
 
 Windows are fed to :class:`~repro.core.decision_kernel.DecisionKernel`
-the way the circle tracker delivers them: one buffer row per report in
-arrival order, handed over sorted by ``(time, node_id)``.
+the way the circle tracker delivers them: one ``(node_id, x, y, time)``
+row per report, handed over sorted by ``(time, node_id)``.
 """
 
 import pytest

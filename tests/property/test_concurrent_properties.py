@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.concurrent import CircleTracker
-from repro.core.decision_kernel import ReportBuffer
 from repro.simkernel.simulator import Simulator
 
 coords = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -22,17 +21,12 @@ def drive_tracker(specs, r_error=5.0, t_out=1.0):
     """
     sim = Simulator(seed=0)
     groups = []
-    buffer = ReportBuffer(capacity=2)
 
     def on_group_rows(rows):
-        # Read at delivery: the buffer resets once every circle closed.
-        groups.append(list(zip(
-            buffer.ids[rows].tolist(), buffer.times[rows].tolist()
-        )))
+        groups.append([(node_id, time) for node_id, _x, _y, time in rows])
 
     tracker = CircleTracker(
-        sim, r_error=r_error, t_out=t_out, buffer=buffer,
-        on_group_rows=on_group_rows,
+        sim, r_error=r_error, t_out=t_out, on_group_rows=on_group_rows,
     )
     for node_id, (x, y, t) in enumerate(specs):
         sim.at(t, tracker.on_report_row, node_id, x, y)
@@ -54,7 +48,7 @@ def test_every_report_lands_in_exactly_one_group(specs):
 def test_groups_are_nonempty_and_time_sorted(specs):
     for group in drive_tracker(specs):
         assert group
-        # Handed-over rows are in (time, node_id) lexsort order.
+        # Handed-over rows are in (time, node_id) order.
         assert group == sorted(group, key=lambda r: (r[1], r[0]))
 
 

@@ -29,7 +29,7 @@ _jitter = st.floats(
     min_value=-6.0, max_value=6.0, allow_nan=False, allow_infinity=False
 )
 # Includes 0.0 so consecutive reports can share an arrival time,
-# exercising the (time, node_id) lexsort tie-break.
+# exercising the node-id tie-break of the (time, node_id) sort.
 _dt = st.sampled_from([0.0, 0.0625, 0.125, 0.25])
 
 

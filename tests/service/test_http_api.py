@@ -2,6 +2,8 @@
 
 import http.client
 import json
+import socket
+import struct
 import threading
 import urllib.error
 import urllib.parse
@@ -143,6 +145,35 @@ class TestSmoke:
         assert status == 200
         status, doc = call(base, "GET", "/v1/sessions")
         assert doc["sessions"] == ["b"]
+
+
+class TestKeepAlive:
+    def test_client_reset_between_requests_is_quiet(self, server, capfd):
+        """A keep-alive client that resets its connection has ended it:
+        the server prints no traceback."""
+        base, _ = server
+        url = urllib.parse.urlsplit(base)
+        before = set(threading.enumerate())
+        connection = http.client.HTTPConnection(
+            url.hostname, url.port, timeout=10
+        )
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        assert response.status == 200
+        response.read()
+        # The connection's handler thread now waits for a second
+        # request.
+        handlers = set(threading.enumerate()) - before
+        assert handlers
+        # Linger on with a zero timeout: close() sends a reset.
+        connection.sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        connection.close()
+        for thread in handlers:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert capfd.readouterr().err == ""
 
 
 class TestErrors:

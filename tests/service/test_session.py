@@ -130,9 +130,38 @@ class TestLocationSession:
         ]
         assert one.tis() == dup.tis()
 
+    def test_equal_keys_decide_on_the_first_arrival(self):
+        # One node reports twice at one instant from two locations in
+        # one circle.  The window is sorted by (time, node_id), stably:
+        # the first-arrived report survives dedupe.  It is the larger in
+        # x and y, so a sort on any wider key would keep the other.
+        session = make_session(mode="location")
+        session.ingest(3, x=15.5, y=15.5, time=0.5)
+        session.ingest(3, x=15.0, y=15.0, time=0.5)
+        (record,) = session.close_window(now=1.0)
+        assert record.supporters == (3,)
+        assert record.location == Point(15.5, 15.5)
+
 
 def state_text(session):
     return json.dumps(session.export_state(), sort_keys=True)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("mode", ["binary", "location"])
+    def test_replay_needs_an_empty_open_window(self, mode):
+        source = make_session(mode=mode, journal=True)
+        for node in range(5):
+            source.ingest(node, x=15.0, y=15.0, time=0.5)
+        source.close_window(now=1.0)
+        (record,) = source.journal_records()
+
+        session = make_session(mode=mode)
+        session.ingest(0, x=15.0, y=15.0, time=1.5)
+        before = state_text(session)
+        with pytest.raises(RuntimeError, match="empty open window"):
+            session.replay_window(record)
+        assert state_text(session) == before
 
 
 class TestInputRule:
