@@ -183,7 +183,7 @@ def run_campaign(
     seeds: Sequence[int],
     config: Optional[CampaignConfig] = None,
     *,
-    workers: Optional[int] = None,
+    workers: int = 1,
     progress: Optional[ProgressFn] = None,
 ) -> List[CampaignResult]:
     """Run the full ``plan x seed`` grid, in grid order.

@@ -19,7 +19,7 @@ with a random component is actually active.  Consequently:
 * the **empty plan is bit-identical to no plan at all** -- the
   interceptor is consulted but never draws nor perturbs;
 * a nonzero ``(plan, seed)`` pair replays to identical decisions, TIs
-  and spans, serially or under any ``TIBFIT_WORKERS`` count.
+  and spans, serially or at any ``workers`` count.
 
 The plan is applied through two mechanisms (§ the chaos design in
 ``docs/chaos.md``): a transmit interceptor installed via

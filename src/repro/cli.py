@@ -10,19 +10,23 @@ Subcommands::
                                     with the causal span log
     tibfit-repro explain DIR [...]  render one decision's full causal
                                     chain from an exported run directory
+    tibfit-repro rotate [...]       one rotating multi-cluster (LEACH)
+                                    run, registry TIs printed
     tibfit-repro analyze baseline   eqs. 1-3 success-probability curve
     tibfit-repro analyze decay      Fig.-11 break-even roots and k_max
     tibfit-repro chaos [...]        fault-injection campaign over a
                                     plan x seed grid with invariant checks
+    tibfit-repro serve [...]        multi-tenant trust-session HTTP
+                                    service
 
-Also reachable as ``python -m repro``.  ``TIBFIT_PROFILE=1`` makes
-``fig`` print a per-sweep timing breakdown (see
-:mod:`repro.obs.profiling`).
+Also reachable as ``python -m repro``.  A reader that closes stdout
+early (``... | head``) ends the command quietly with exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,6 +57,28 @@ from repro.experiments.reporting import (
 from repro.service.session import TrustSession
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count options: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _percent(text: str) -> float:
+    """argparse type of ``--percent-faulty``: a number in [0, 100]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 100.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 100], got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tibfit-repro",
@@ -65,18 +91,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("fig", help="regenerate one figure's series")
     p_fig.add_argument("number", type=int, choices=tuple(range(2, 12)))
-    p_fig.add_argument("--trials", type=int, default=2,
+    p_fig.add_argument("--trials", type=_positive_int, default=2,
                        help="simulation trials per sweep point")
-    p_fig.add_argument("--events", type=int, default=None,
+    p_fig.add_argument("--events", type=_positive_int, default=None,
                        help="events per run (default: the paper's)")
     p_fig.add_argument("--seed", type=int, default=2005)
-    p_fig.add_argument("--workers", type=int, default=None,
+    p_fig.add_argument("--workers", type=_positive_int, default=1,
                        help="worker processes for the sweep grid "
-                            "(default: $TIBFIT_WORKERS, else serial); "
-                            "results are identical for any count")
-    p_fig.add_argument("--profile-out", type=str, default=None,
-                       help="with TIBFIT_PROFILE=1: write the sweep "
-                            "timing manifest to this JSON file")
+                            "(default: serial); results are identical "
+                            "for any count")
 
     p_run = sub.add_parser("run", help="one ad-hoc simulation")
     _add_run_options(p_run)
@@ -111,12 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rot = sub.add_parser(
         "rotate", help="rotating multi-cluster network run (§2)"
     )
-    p_rot.add_argument("--nodes", type=int, default=100)
-    p_rot.add_argument("--percent-faulty", type=float, default=30.0)
+    p_rot.add_argument("--nodes", type=_positive_int, default=100)
+    p_rot.add_argument("--percent-faulty", type=_percent, default=30.0)
     p_rot.add_argument("--level", type=int, choices=(0, 1, 2), default=0)
-    p_rot.add_argument("--rounds", type=int, default=6,
+    p_rot.add_argument("--rounds", type=_positive_int, default=6,
                        help="leadership rounds")
-    p_rot.add_argument("--events-per-round", type=int, default=8)
+    p_rot.add_argument("--events-per-round", type=_positive_int, default=8)
     p_rot.add_argument("--baseline", action="store_true")
     p_rot.add_argument("--no-transfer", action="store_true",
                        help="disable the BS trust hand-off (amnesia)")
@@ -132,18 +155,17 @@ def _build_parser() -> argparse.ArgumentParser:
              "paths, or random:<seed> (see --list-plans)")
     p_chaos.add_argument("--list-plans", action="store_true",
                          help="print the builtin plan names and exit")
-    p_chaos.add_argument("--seeds", type=int, default=3,
+    p_chaos.add_argument("--seeds", type=_positive_int, default=3,
                          help="seeds per plan (0..N-1)")
-    p_chaos.add_argument("--nodes", type=int, default=10)
-    p_chaos.add_argument("--rounds", type=int, default=20,
+    p_chaos.add_argument("--nodes", type=_positive_int, default=10)
+    p_chaos.add_argument("--rounds", type=_positive_int, default=20,
                          help="event rounds per run")
-    p_chaos.add_argument("--percent-faulty", type=float, default=20.0)
+    p_chaos.add_argument("--percent-faulty", type=_percent, default=20.0)
     p_chaos.add_argument("--diagnosis-threshold", type=float, default=None)
     p_chaos.add_argument("--base-seed", type=int, default=0)
-    p_chaos.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: $TIBFIT_WORKERS, "
-                              "else serial); results are identical for "
-                              "any count")
+    p_chaos.add_argument("--workers", type=_positive_int, default=1,
+                         help="worker processes (default: serial); "
+                              "results are identical for any count")
     p_chaos.add_argument("--out", type=str, default=None,
                          help="export manifest, results.jsonl and the "
                               "plan files here")
@@ -194,10 +216,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     """The ad-hoc simulation options shared by ``run`` and ``trace``."""
     parser.add_argument("--mode", choices=("binary", "location"),
                         default="location")
-    parser.add_argument("--nodes", type=int, default=100)
-    parser.add_argument("--percent-faulty", type=float, default=30.0)
+    parser.add_argument("--nodes", type=_positive_int, default=100)
+    parser.add_argument("--percent-faulty", type=_percent, default=30.0)
     parser.add_argument("--level", type=int, choices=(0, 1, 2), default=0)
-    parser.add_argument("--events", type=int, default=100)
+    parser.add_argument("--events", type=_positive_int, default=100)
     parser.add_argument("--baseline", action="store_true",
                         help="use majority voting instead of TIBFIT")
     parser.add_argument("--seed", type=int, default=0)
@@ -224,16 +246,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _figure_data(args: argparse.Namespace) -> Dict[str, Series]:
     n = args.number
-    workers = getattr(args, "workers", None)
+    workers = args.workers
     if n in (2, 3):
         config = Experiment1Config(trials=args.trials, seed=args.seed)
-        if args.events:
+        if args.events is not None:
             config = replace(config, events_per_run=args.events)
         return (experiment1.figure2_data if n == 2
                 else experiment1.figure3_data)(config, workers=workers)
     if n in (4, 5, 6, 7):
         config = Experiment2Config(trials=args.trials, seed=args.seed)
-        if args.events:
+        if args.events is not None:
             config = replace(config, events_per_run=args.events)
         if n == 7:
             config = replace(config, concurrent_batch=2)
@@ -275,36 +297,6 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     x_label = {8: "events", 9: "events", 11: "k"}.get(args.number, "% faulty")
     print(f"Figure {args.number}")
     print(render_series_table(data, x_label=x_label))
-
-    from repro.experiments.runner import consume_sweep_profiles
-
-    profiles = consume_sweep_profiles()
-    if profiles:
-        for profile in profiles:
-            print(profile.render())
-        if args.profile_out is not None:
-            from repro.obs.export import build_manifest, write_json
-
-            manifest = build_manifest(
-                kind="sweep",
-                config={"figure": args.number,
-                        "sweeps": [p.summary() for p in profiles]},
-                seed=args.seed,
-                timings={
-                    "total_wall_s": sum(p.total_wall_s for p in profiles)
-                },
-                counts={
-                    "sweeps": len(profiles),
-                    "tasks": sum(len(p.tasks) for p in profiles),
-                },
-            )
-            path = write_json(Path(args.profile_out), manifest)
-            print(f"sweep profile manifest: {path}")
-    elif args.profile_out is not None:
-        print(
-            "no sweep profiles recorded "
-            "(set TIBFIT_PROFILE=1 to enable profiling)"
-        )
     return 0
 
 
@@ -779,8 +771,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 f"ch_crashes={len(plan.ch_crashes)}"
             )
         return 0
-    if args.seeds < 1:
-        raise SystemExit("--seeds must be >= 1")
     plans = resolve_plans(
         [p.strip() for p in args.plans.split(",") if p.strip()], config
     )
@@ -857,7 +847,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    handlers = {
+    handler = {
         "table": _cmd_table,
         "fig": _cmd_fig,
         "run": _cmd_run,
@@ -867,8 +857,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "analyze": _cmd_analyze,
         "chaos": _cmd_chaos,
         "serve": _cmd_serve,
-    }
-    return handlers[args.command](args)
+    }[args.command]
+    try:
+        code = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``... | head``): its normal end, not
+        # an error to report.  Point fd 1 at devnull so the interpreter's
+        # exit-time flush of what is still buffered cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

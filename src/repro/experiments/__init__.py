@@ -31,7 +31,6 @@ from repro.experiments.metrics import EventOutcome, RunMetrics
 from repro.experiments.runner import (
     SweepError,
     SweepTask,
-    resolve_workers,
     run_sweep,
     sweep_series,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "SimulationRun",
     "SweepError",
     "SweepTask",
-    "resolve_workers",
     "run_sweep",
     "sweep_series",
 ]

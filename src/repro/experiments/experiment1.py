@@ -61,7 +61,7 @@ def run_point(
 def sweep(
     config: Experiment1Config,
     *,
-    workers: int = None,
+    workers: int = 1,
     progress: ProgressFn = None,
 ) -> Series:
     """Accuracy vs. percent faulty for one configuration."""
@@ -84,7 +84,7 @@ def sweep(
 def figure2_data(
     base: Experiment1Config = Experiment1Config(),
     ner_values: Sequence[float] = (0.0, 0.01, 0.05),
-    workers: int = None,
+    workers: int = 1,
 ) -> Dict[str, Series]:
     """Fig. 2: missed alarms only, one curve per correct-node NER.
 
@@ -104,7 +104,7 @@ def figure3_data(
     base: Experiment1Config = Experiment1Config(),
     false_alarm_values: Sequence[float] = (0.0, 0.10, 0.75),
     ner: float = 0.01,
-    workers: int = None,
+    workers: int = 1,
 ) -> Dict[str, Series]:
     """Fig. 3: missed + false alarms, one curve per false-alarm rate.
 

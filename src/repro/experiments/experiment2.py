@@ -64,7 +64,7 @@ def sweep(
     config: Experiment2Config,
     label: str = None,
     *,
-    workers: int = None,
+    workers: int = 1,
     progress: ProgressFn = None,
 ) -> Series:
     """Accuracy vs. percent faulty for one configuration."""
@@ -85,7 +85,7 @@ def _level_figure(
     base: Experiment2Config,
     level: int,
     sigma_pairs: Sequence[Tuple[float, float]],
-    workers: int = None,
+    workers: int = 1,
 ) -> Dict[str, Series]:
     out: Dict[str, Series] = {}
     for sigma_c, sigma_f in sigma_pairs:
@@ -105,7 +105,7 @@ def _level_figure(
 def figure4_data(
     base: Experiment2Config = Experiment2Config(),
     sigma_pairs: Sequence[Tuple[float, float]] = ((1.6, 4.25), (2.0, 6.0)),
-    workers: int = None,
+    workers: int = 1,
 ) -> Dict[str, Series]:
     """Fig. 4: level-0 faulty nodes, TIBFIT vs. baseline.
 
@@ -118,7 +118,7 @@ def figure4_data(
 def figure5_data(
     base: Experiment2Config = Experiment2Config(),
     sigma_pairs: Sequence[Tuple[float, float]] = ((1.6, 4.25), (2.0, 6.0)),
-    workers: int = None,
+    workers: int = 1,
 ) -> Dict[str, Series]:
     """Fig. 5: level-1 (smart independent) faulty nodes.
 
@@ -132,7 +132,7 @@ def figure5_data(
 def figure6_data(
     base: Experiment2Config = Experiment2Config(),
     sigma_pairs: Sequence[Tuple[float, float]] = ((1.6, 4.25), (2.0, 6.0)),
-    workers: int = None,
+    workers: int = 1,
 ) -> Dict[str, Series]:
     """Fig. 6: level-2 (colluding) faulty nodes.
 
@@ -145,7 +145,7 @@ def figure6_data(
 def figure7_data(
     base: Experiment2Config = Experiment2Config(),
     sigma_pair: Tuple[float, float] = (1.6, 4.25),
-    workers: int = None,
+    workers: int = 1,
 ) -> Dict[str, Series]:
     """Fig. 7: single vs. concurrent events, level-0 TIBFIT only.
 

@@ -73,7 +73,7 @@ def decay_series(
     config: Experiment3Config,
     label: str = None,
     *,
-    workers: int = None,
+    workers: int = 1,
     progress: ProgressFn = None,
 ) -> Series:
     """Mean accuracy-over-time series across ``config.trials`` runs."""
@@ -98,7 +98,7 @@ def decay_series(
 def _decay_figure(
     base: Experiment3Config,
     sigma_pairs: Sequence[Tuple[float, float]],
-    workers: int = None,
+    workers: int = 1,
 ) -> Dict[str, Series]:
     out: Dict[str, Series] = {}
     for sigma_c, sigma_f in sigma_pairs:
@@ -117,7 +117,7 @@ def _decay_figure(
 def figure8_data(
     base: Experiment3Config = Experiment3Config(),
     sigma_pairs: Sequence[Tuple[float, float]] = ((1.6, 4.25), (2.0, 4.25)),
-    workers: int = None,
+    workers: int = 1,
 ) -> Dict[str, Series]:
     """Fig. 8: decay curves at sigma_faulty 4.25.
 
@@ -131,7 +131,7 @@ def figure8_data(
 def figure9_data(
     base: Experiment3Config = Experiment3Config(),
     sigma_pairs: Sequence[Tuple[float, float]] = ((1.6, 6.0), (2.0, 6.0)),
-    workers: int = None,
+    workers: int = 1,
 ) -> Dict[str, Series]:
     """Fig. 9: decay curves at sigma_faulty 6.0 (same expectations)."""
     return _decay_figure(base, sigma_pairs, workers=workers)

@@ -105,7 +105,7 @@ def run_point(
 def rotating_sweep(
     config: Experiment4Config = Experiment4Config(),
     *,
-    workers: int = None,
+    workers: int = 1,
     progress: ProgressFn = None,
 ) -> Dict[str, Series]:
     """The three-configuration sweep described in the module docstring.

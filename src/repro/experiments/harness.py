@@ -127,7 +127,7 @@ class LeadershipRound:
 
 class HeadLog(NamedTuple):
     """What scoring and replay keep of a CH: its logs, not the whole
-    head with its trust table, circle tracker and report buffer."""
+    head with its trust table and circle tracker."""
 
     decisions: List[DecisionRecord]
     journal: List[Dict[str, object]]

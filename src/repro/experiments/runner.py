@@ -19,43 +19,24 @@ Therefore ``run_sweep(tasks, workers=1)`` and ``run_sweep(tasks,
 workers=N)`` produce identical output for any ``N`` -- asserted by
 ``tests/experiments/test_runner.py``.
 
-Workers default to the ``TIBFIT_WORKERS`` environment variable (falling
-back to serial), so ``TIBFIT_WORKERS=8 tibfit-repro fig 4`` parallelises
-every sweep without touching per-call arguments.  The pool uses the
-``spawn`` start method: workers re-import ``repro`` instead of forking
-interpreter state, which keeps them safe under threads and identical
-across platforms.
-
-Setting ``TIBFIT_PROFILE=1`` additionally wraps every task in a
-wall-clock timer with a DES/trust/clustering phase breakdown (see
-:mod:`repro.obs.profiling`); the aggregated
-:class:`~repro.obs.profiling.SweepProfile` is retrievable via
-:func:`last_sweep_profile` / :func:`consume_sweep_profiles`.  The
-wrappers only time -- profiled results stay bit-identical.
+The worker count is the caller's ``workers`` argument (the CLI's
+``--workers``), serial by default; nothing is read from the
+environment.  The pool uses the ``spawn`` start method: workers
+re-import ``repro`` instead of forking interpreter state, which keeps
+them safe under threads and identical across platforms.  A layer
+profile of a sweep is the benchmark's tracer (``bench/tracer.py``)
+installed around a serial one; see ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.experiments.reporting import Series
-from repro.obs.profiling import (
-    SweepProfile,
-    TaskProfile,
-    install_phase_timers,
-    phase_snapshot,
-    profiling_requested,
-    reset_phases,
-    uninstall_phase_timers,
-)
-
-WORKERS_ENV = "TIBFIT_WORKERS"
 
 #: A progress callback receives ``(done, total)`` after each task (serial)
 #: or each completed chunk (parallel).
@@ -95,89 +76,26 @@ class SweepTask:
         return f"point={self.point:g}, trial={self.trial}"
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Effective worker count: explicit arg, else ``TIBFIT_WORKERS``, else 1.
-
-    A malformed environment value -- non-integer or less than 1 --
-    raises :class:`ValueError` naming ``TIBFIT_WORKERS``, so a typo in a
-    shell profile fails loudly instead of surfacing as a generic bound
-    error deep in a sweep.
-    """
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if workers < 1:
-            raise ValueError(
-                f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}"
-            )
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
-def _profiled_run(task: SweepTask) -> Tuple[Any, TaskProfile]:
-    """Run one task under the phase timers; timers must be installed."""
-    reset_phases()
-    start = perf_counter()
-    result = task.run()
-    wall = perf_counter() - start
-    return result, TaskProfile(
-        point=task.point,
-        trial=task.trial,
-        wall_s=wall,
-        phases=phase_snapshot(),
-    )
-
-
-def _run_chunk(
-    chunk: Sequence[SweepTask],
-) -> Tuple[List[Any], Optional[List[TaskProfile]]]:
-    """Worker-side execution of one contiguous chunk of tasks.
-
-    Workers re-check ``TIBFIT_PROFILE`` themselves (spawn inherits the
-    environment), so a profiled sweep gets per-task phase breakdowns
-    from inside the pool with no extra plumbing.
-    """
-    profile_on = profiling_requested()
+def _run_chunk(chunk: Sequence[SweepTask]) -> List[Any]:
+    """Worker-side execution of one contiguous chunk of tasks."""
     out: List[Any] = []
-    profiles: Optional[List[TaskProfile]] = [] if profile_on else None
-    if profile_on:
-        install_phase_timers()
-    try:
-        for task in chunk:
-            try:
-                if profile_on:
-                    result, task_profile = _profiled_run(task)
-                    assert profiles is not None
-                    profiles.append(task_profile)
-                else:
-                    result = task.run()
-                out.append(result)
-            except Exception:
-                raise SweepError(
-                    f"sweep task failed at {task.identity()} "
-                    f"({getattr(task.fn, '__module__', '?')}."
-                    f"{getattr(task.fn, '__qualname__', '?')})\n"
-                    f"{traceback.format_exc()}"
-                ) from None
-    finally:
-        if profile_on:
-            uninstall_phase_timers()
-    return out, profiles
+    for task in chunk:
+        try:
+            out.append(task.run())
+        except Exception:
+            raise SweepError(
+                f"sweep task failed at {task.identity()} "
+                f"({getattr(task.fn, '__module__', '?')}."
+                f"{getattr(task.fn, '__qualname__', '?')})\n"
+                f"{traceback.format_exc()}"
+            ) from None
+    return out
 
 
 def run_sweep(
     tasks: Sequence[SweepTask],
     *,
-    workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
+    workers: int = 1,
     chunk_align: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
 ) -> List[Any]:
@@ -186,129 +104,74 @@ def run_sweep(
     Parameters
     ----------
     workers:
-        Process count; ``None`` reads ``TIBFIT_WORKERS`` (default 1).
-        ``workers=1`` runs inline with no pool, no pickling.
-    chunksize:
-        Tasks per worker dispatch (default: spread the grid about four
-        chunks per worker to amortise task pickling without starving
-        the pool at the tail).
+        Process count.  ``workers=1`` runs inline with no pool, no
+        pickling; more spread the grid about four chunks per worker, to
+        amortise task pickling without starving the pool at the tail.
     chunk_align:
-        Round the *default* chunksize up to a multiple of this, so a
-        block of that many consecutive tasks always lands in one worker
-        process.  :func:`sweep_series` passes its trial count: all
-        trials of a sweep point then share one worker's per-process
-        topology memo (see ``shared_grid_deployment``) instead of each
-        worker rebuilding the point's geometry.  Results are unaffected
-        -- tasks are pure and reassembled in task order either way.  An
-        explicit ``chunksize`` wins over alignment.
+        Round the chunk size up to a multiple of this, so a block of
+        that many consecutive tasks always lands in one worker process.
+        :func:`sweep_series` passes its trial count: all trials of a
+        sweep point then share one worker's per-process topology memo
+        (see ``shared_grid_deployment``) instead of each worker
+        rebuilding the point's geometry.  Results are unaffected --
+        tasks are pure and reassembled in task order either way.
     progress:
         Optional ``(done, total)`` callback.
 
     Raises
     ------
+    ValueError
+        If ``workers`` is less than 1.
     SweepError
         If any task raises; the failing task's ``(point, trial)`` is in
         the message and, on the serial path, the original exception is
         chained as ``__cause__``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = list(tasks)
     total = len(tasks)
-    n_workers = resolve_workers(workers)
-    profile_on = profiling_requested()
-    sweep_profile = SweepProfile(workers=n_workers) if profile_on else None
-    sweep_start = perf_counter()
 
-    if n_workers == 1 or total <= 1:
+    if workers == 1 or total <= 1:
         results: List[Any] = []
-        if profile_on:
-            install_phase_timers()
-        try:
-            for done, task in enumerate(tasks, start=1):
-                try:
-                    if profile_on:
-                        result, task_profile = _profiled_run(task)
-                        assert sweep_profile is not None
-                        sweep_profile.add(task_profile)
-                    else:
-                        result = task.run()
-                    results.append(result)
-                except SweepError:
-                    raise
-                except Exception as exc:
-                    raise SweepError(
-                        f"sweep task failed at {task.identity()}: {exc!r}"
-                    ) from exc
-                if progress is not None:
-                    progress(done, total)
-        finally:
-            if profile_on:
-                uninstall_phase_timers()
-        _finish_profile(sweep_profile, sweep_start)
+        for done, task in enumerate(tasks, start=1):
+            try:
+                results.append(task.run())
+            except SweepError:
+                raise
+            except Exception as exc:
+                raise SweepError(
+                    f"sweep task failed at {task.identity()}: {exc!r}"
+                ) from exc
+            if progress is not None:
+                progress(done, total)
         return results
 
-    if chunksize is None:
-        chunksize = max(1, total // (n_workers * 4))
-        if chunk_align is not None and chunk_align > 1:
-            chunksize = -(-chunksize // chunk_align) * chunk_align
-    chunks = [
-        (start, tasks[start : start + chunksize])
-        for start in range(0, total, chunksize)
-    ]
+    chunksize = max(1, total // (workers * 4))
+    if chunk_align is not None and chunk_align > 1:
+        chunksize = -(-chunksize // chunk_align) * chunk_align
+    starts = range(0, total, chunksize)
     results = [None] * total
-    chunk_profiles: List[Optional[List[TaskProfile]]] = [None] * len(chunks)
-    chunk_index = {start: i for i, (start, _) in enumerate(chunks)}
     done = 0
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(
-        max_workers=min(n_workers, len(chunks)), mp_context=context
+        max_workers=min(workers, len(starts)), mp_context=context
     ) as pool:
         pending = {
-            pool.submit(_run_chunk, chunk): (start, len(chunk))
-            for start, chunk in chunks
+            pool.submit(_run_chunk, tasks[start : start + chunksize]): start
+            for start in starts
         }
         while pending:
             finished, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
-                start, length = pending.pop(future)
+                start = pending.pop(future)
                 # future.result() raises SweepError on failure
-                chunk_results, profiles = future.result()
-                results[start : start + length] = chunk_results
-                chunk_profiles[chunk_index[start]] = profiles
-                done += length
+                chunk_results = future.result()
+                results[start : start + len(chunk_results)] = chunk_results
+                done += len(chunk_results)
                 if progress is not None:
                     progress(done, total)
-    if sweep_profile is not None:
-        for profiles in chunk_profiles:
-            for task_profile in profiles or ():
-                sweep_profile.add(task_profile)
-    _finish_profile(sweep_profile, sweep_start)
     return results
-
-
-#: Profiles of every profiled run_sweep() call in this process, oldest
-#: first.  The CLI drains this after driving an experiment.
-_sweep_profiles: List[SweepProfile] = []
-
-
-def _finish_profile(
-    profile: Optional[SweepProfile], sweep_start: float
-) -> None:
-    if profile is None:
-        return
-    profile.total_wall_s = perf_counter() - sweep_start
-    _sweep_profiles.append(profile)
-
-
-def last_sweep_profile() -> Optional[SweepProfile]:
-    """The most recent profiled sweep, or None (profiling off / no sweep)."""
-    return _sweep_profiles[-1] if _sweep_profiles else None
-
-
-def consume_sweep_profiles() -> List[SweepProfile]:
-    """Return and clear every accumulated sweep profile, oldest first."""
-    out = list(_sweep_profiles)
-    _sweep_profiles.clear()
-    return out
 
 
 def sweep_series(
@@ -318,7 +181,7 @@ def sweep_series(
     points: Sequence[float],
     trials: int,
     *,
-    workers: Optional[int] = None,
+    workers: int = 1,
     progress: Optional[ProgressFn] = None,
 ) -> Series:
     """Run the ``(point, trial)`` grid of ``fn(config, point, trial)``.

@@ -1,7 +1,7 @@
 """Observability for the TIBFIT reproduction.
 
-``repro.obs`` makes runs and sweeps *inspectable*; each instrument is
-opt-in and costs about one attribute check while disabled:
+``repro.obs`` makes runs *inspectable*; each instrument is opt-in and
+costs about one attribute check while disabled:
 
 ``repro.obs.registry``
     Named counters / gauges / histograms / timers with a zero-overhead
@@ -15,9 +15,6 @@ opt-in and costs about one attribute check while disabled:
 ``repro.obs.provenance``
     :class:`ProvenanceIndex` -- walks span lineage to reconstruct the
     full evidence chain behind any CH verdict.
-``repro.obs.profiling``
-    ``TIBFIT_PROFILE`` sweep profiling: per-task wall time, DES / trust
-    / clustering phase breakdown, :class:`SweepProfile` aggregation.
 
 Entry points: ``SimulationRun(observe=True)`` threads a live registry
 through one run and ``export_artifacts()`` writes the JSONL bundle
@@ -26,7 +23,9 @@ through one run and ``export_artifacts()`` writes the JSONL bundle
 history); ``tibfit-repro trace`` does all three from the command line;
 ``tibfit-repro explain`` renders one decision's causal chain; and
 ``python -m repro.obs.validate DIR`` checks an artifact directory
-against the schemas.  See ``docs/observability.md``.
+against the schemas.  A layer profile is the benchmark's own tracer
+(``bench/tracer.py``), so it reads the same layers as a benchmark
+claim.  See ``docs/observability.md``.
 """
 
 from repro.obs.export import (
@@ -46,12 +45,6 @@ from repro.obs.export import (
 )
 from repro.obs.provenance import ProvenanceIndex
 from repro.obs.spans import NULL_SPANS, Span, SpanCollector
-from repro.obs.profiling import (
-    PROFILE_ENV,
-    SweepProfile,
-    TaskProfile,
-    profiling_requested,
-)
 from repro.obs.registry import (
     NULL_REGISTRY,
     Counter,
@@ -69,17 +62,13 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NULL_SPANS",
-    "PROFILE_ENV",
     "ProvenanceIndex",
     "SchemaError",
     "Span",
     "SpanCollector",
-    "SweepProfile",
-    "TaskProfile",
     "Timer",
     "build_manifest",
     "chrome_trace",
-    "profiling_requested",
     "read_jsonl",
     "span_records",
     "validate_artifacts",

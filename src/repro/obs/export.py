@@ -77,7 +77,8 @@ def build_manifest(
     Parameters
     ----------
     kind:
-        What produced the artifacts (``"simulation-run"``, ``"sweep"``).
+        What produced the artifacts (``"simulation-run"``,
+        ``"chaos-campaign"``).
     config:
         The full, JSON-serialisable configuration of the run -- enough
         to reproduce it (seeds are derived from config + ``seed``).

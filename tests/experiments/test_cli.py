@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -171,42 +177,6 @@ class TestTrace:
         assert "diagnosis disabled" in out
 
 
-class TestFigProfiling:
-    def test_profile_printed_and_written(self, capsys, tmp_path,
-                                         monkeypatch):
-        from repro.experiments.runner import consume_sweep_profiles
-
-        consume_sweep_profiles()
-        monkeypatch.setenv("TIBFIT_PROFILE", "1")
-        out_file = tmp_path / "profile.json"
-        code, out = run_cli(
-            capsys, "fig", "2", "--trials", "1", "--events", "8",
-            "--seed", "3", "--profile-out", str(out_file),
-        )
-        assert code == 0
-        assert "sweep profile:" in out
-        assert out_file.exists()
-
-        import json
-
-        from repro.obs.export import validate_manifest
-
-        doc = json.loads(out_file.read_text())
-        validate_manifest(doc)
-        assert doc["kind"] == "sweep"
-        assert doc["counts"]["tasks"] > 0
-
-    def test_profile_out_without_env_explains(self, capsys, tmp_path,
-                                              monkeypatch):
-        monkeypatch.delenv("TIBFIT_PROFILE", raising=False)
-        code, out = run_cli(
-            capsys, "fig", "10",
-            "--profile-out", str(tmp_path / "p.json"),
-        )
-        assert code == 0
-        assert "TIBFIT_PROFILE" in out
-
-
 class TestRotate:
     def test_rotating_run_prints_registry_summary(self, capsys):
         code, out = run_cli(
@@ -233,3 +203,53 @@ class TestRotate:
         )
         assert code == 0
         assert "Baseline" in out
+
+
+class TestRejectedValues:
+    """A count or percentage the run cannot use is an argparse error."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (("fig", "2", "--events", "0"), "--events"),
+        (("fig", "2", "--trials", "0"), "--trials"),
+        (("fig", "2", "--workers", "0"), "--workers"),
+        (("run", "--events", "0"), "--events"),
+        (("run", "--nodes", "0"), "--nodes"),
+        (("run", "--percent-faulty", "150"), "--percent-faulty"),
+        (("trace", "--events", "-3"), "--events"),
+        (("trace", "--percent-faulty", "nan"), "--percent-faulty"),
+        (("rotate", "--nodes", "0"), "--nodes"),
+        (("rotate", "--rounds", "0"), "--rounds"),
+        (("rotate", "--events-per-round", "0"), "--events-per-round"),
+        (("rotate", "--percent-faulty", "-1"), "--percent-faulty"),
+        (("chaos", "--workers", "0"), "--workers"),
+        (("chaos", "--nodes", "0", "--seeds", "1"), "--nodes"),
+        (("chaos", "--seeds", "0"), "--seeds"),
+        (("chaos", "--rounds", "0"), "--rounds"),
+        (("chaos", "--rounds", "two"), "--rounds"),
+    ])
+    def test_exits_2_naming_the_option(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {option}:" in captured.err
+        assert captured.out == ""
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [("table", "1"), ("fig", "10")])
+    def test_closed_reader_ends_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

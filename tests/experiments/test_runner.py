@@ -16,9 +16,6 @@ from repro.experiments.config import Experiment1Config, Experiment2Config
 from repro.experiments.runner import (
     SweepError,
     SweepTask,
-    consume_sweep_profiles,
-    last_sweep_profile,
-    resolve_workers,
     run_sweep,
     sweep_series,
 )
@@ -36,42 +33,11 @@ def _series_values(series):
     return [(p.x, p.mean, p.std, p.trials) for p in series.points]
 
 
-class TestResolveWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("TIBFIT_WORKERS", "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("TIBFIT_WORKERS", "5")
-        assert resolve_workers(None) == 5
-
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("TIBFIT_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("TIBFIT_WORKERS", "many")
-        with pytest.raises(ValueError, match="TIBFIT_WORKERS"):
-            resolve_workers(None)
-
-    def test_negative_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("TIBFIT_WORKERS", "-2")
-        with pytest.raises(ValueError, match="TIBFIT_WORKERS.*-2"):
-            resolve_workers(None)
-
-    def test_zero_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("TIBFIT_WORKERS", "0")
-        with pytest.raises(ValueError, match="TIBFIT_WORKERS"):
-            resolve_workers(None)
-
-    def test_float_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("TIBFIT_WORKERS", "2.5")
-        with pytest.raises(ValueError, match="TIBFIT_WORKERS"):
-            resolve_workers(None)
-
+class TestWorkerCount:
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_workers(0)
+        tasks = [SweepTask(fn=_square, args=(None, 1.0, 0))]
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_sweep(tasks, workers=0)
 
 
 class TestSerialPath:
@@ -132,68 +98,22 @@ class TestWorkerPool:
             for x in range(3)
         ] + [SweepTask(fn=_boom, args=(None, 80.0, 1), point=80.0, trial=1)]
         with pytest.raises(SweepError, match=r"point=80, trial=1"):
-            run_sweep(tasks, workers=2, chunksize=1)
+            run_sweep(tasks, workers=2)
 
-
-class TestProfiledSweeps:
-    """TIBFIT_PROFILE=1 must add a timing breakdown, nothing else."""
-
-    def test_profiled_serial_sweep_is_bit_identical(self, monkeypatch):
-        config = Experiment1Config(
-            n_nodes=10, events_per_run=8,
-            percent_faulty_values=(40.0,), trials=2, seed=11,
-        )
-        monkeypatch.delenv("TIBFIT_PROFILE", raising=False)
-        plain = experiment1.sweep(config, workers=1)
-        consume_sweep_profiles()  # drain anything earlier tests left
-        monkeypatch.setenv("TIBFIT_PROFILE", "1")
-        profiled = experiment1.sweep(config, workers=1)
-        assert _series_values(plain) == _series_values(profiled)
-
-        profile = last_sweep_profile()
-        assert profile is not None
-        assert len(profile.tasks) == 2
-        assert profile.workers == 1
-        assert profile.total_wall_s > 0.0
-        assert profile.phase_totals()["des"] > 0.0
-        assert all(t.wall_s >= t.phases["des"] for t in profile.tasks)
-        # phase timers must leave no residue behind
-        from repro.simkernel.simulator import Simulator
-
-        assert not hasattr(Simulator.run, "__wrapped__")
-
-    def test_profiled_parallel_sweep_collects_worker_timings(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("TIBFIT_PROFILE", "1")
-        consume_sweep_profiles()
+    def test_progress_callback_counts_up_to_the_total(self):
+        seen = []
         tasks = [
             SweepTask(fn=_square, args=(None, float(x), 0), point=float(x))
-            for x in range(4)
+            for x in range(6)
         ]
-        results = run_sweep(tasks, workers=2, chunksize=1)
-        assert results == [0.0, 1.0, 4.0, 9.0]
-        profiles = consume_sweep_profiles()
-        assert len(profiles) == 1
-        assert len(profiles[0].tasks) == 4
-        assert profiles[0].workers == 2
-        assert sorted(t.point for t in profiles[0].tasks) == [
-            0.0, 1.0, 2.0, 3.0,
-        ]
-
-    def test_unprofiled_sweep_records_nothing(self, monkeypatch):
-        monkeypatch.delenv("TIBFIT_PROFILE", raising=False)
-        consume_sweep_profiles()
-        run_sweep([SweepTask(fn=_square, args=(None, 2.0, 0))], workers=1)
-        assert last_sweep_profile() is None
-
-    def test_consume_clears_the_store(self, monkeypatch):
-        monkeypatch.setenv("TIBFIT_PROFILE", "1")
-        consume_sweep_profiles()
-        run_sweep([SweepTask(fn=_square, args=(None, 2.0, 0))], workers=1)
-        assert len(consume_sweep_profiles()) == 1
-        assert consume_sweep_profiles() == []
-        assert last_sweep_profile() is None
+        results = run_sweep(
+            tasks, workers=2, progress=lambda d, t: seen.append((d, t))
+        )
+        assert results == [0.0, 1.0, 4.0, 9.0, 16.0, 25.0]
+        done = [d for d, _ in seen]
+        assert done == sorted(set(done))
+        assert seen[-1] == (6, 6)
+        assert all(total == 6 for _, total in seen)
 
 
 class TestSweepSeries:
@@ -219,16 +139,6 @@ class TestChunkAlignment:
         serial = run_sweep(tasks, workers=1)
         aligned = run_sweep(tasks, workers=2, chunk_align=3)
         assert aligned == serial
-
-    def test_explicit_chunksize_wins_over_alignment(self):
-        tasks = [
-            SweepTask(fn=_square, args=(None, float(p), t))
-            for p in range(4)
-            for t in range(3)
-        ]
-        serial = run_sweep(tasks, workers=1)
-        result = run_sweep(tasks, workers=2, chunksize=1, chunk_align=3)
-        assert result == serial
 
     def test_alignment_of_one_is_a_noop(self):
         tasks = [SweepTask(fn=_square, args=(None, float(p), 0))

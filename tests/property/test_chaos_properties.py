@@ -97,9 +97,9 @@ def test_every_builtin_plan_passes_invariants():
 
 
 def test_campaign_is_bit_identical_serial_vs_two_workers():
-    """The ISSUE's replay contract at the campaign level: the same grid
-    under TIBFIT_WORKERS=2 semantics (workers=2) equals the serial run,
-    result-for-result including fingerprints."""
+    """The replay contract at the campaign level: the same grid at
+    workers=2 equals the serial run, result-for-result including
+    fingerprints."""
     config = CampaignConfig(n_nodes=N_NODES, n_rounds=N_ROUNDS)
     plans = [
         FaultPlan.random(seed=3, n_nodes=N_NODES, horizon=config.horizon),
