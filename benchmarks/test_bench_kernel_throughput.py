@@ -282,7 +282,8 @@ def test_unicast_loop_throughput(benchmark):
 
 
 def test_broadcast_throughput(benchmark):
-    """100 fanned-out broadcasts over a 100-node channel."""
+    """100 broadcasts over a 100-node channel whose endpoints all read
+    every broadcast, so each keeps its full fan-out."""
     from repro.network.messages import EventReportMessage
 
     sim, channel = _radio_net(100)
@@ -296,6 +297,53 @@ def test_broadcast_throughput(benchmark):
 
     sent = benchmark(run_broadcasts)
     assert sent >= 100 * 99
+
+
+def test_announcement_fanout_n100(benchmark):
+    """100 CH verdicts to 100 sensors, each verdict naming 12 of them.
+
+    A sensor reads only the broadcasts that name it, so each fused
+    delivery runs 12 handlers for 100 receivers.  The endpoints of
+    ``test_broadcast_throughput`` read every broadcast and keep the
+    full fan-out: the contrast case.
+    """
+    from repro.network.messages import ChDecisionAnnouncement
+    from repro.network.node import NetworkNode
+    from repro.network.radio import ChannelConfig, RadioChannel
+    from repro.sensors.faults import CorrectBehavior
+    from repro.sensors.node import SensorNode
+    from repro.sensors.sensing import SensingConfig, SensingModel
+
+    sim = Simulator(seed=3)
+    channel = RadioChannel(
+        sim, ChannelConfig(loss_probability=0.008, propagation_delay=0.01)
+    )
+    sensing = SensingModel(SensingConfig(sensing_radius=20.0))
+    rng = np.random.default_rng(0)
+    for i in range(100):
+        channel.register(SensorNode(
+            i, Point(float(i % 10), float(i // 10)), CorrectBehavior(sensing),
+            sensing, ch_id=100, rng=rng,
+        ))
+    head = NetworkNode(100, Point(5.0, 5.0))
+    channel.register(head)
+    verdicts = [
+        ChDecisionAnnouncement(
+            sender=100, decision_id=k, occurred=k % 2 == 0,
+            reporters=tuple((7 * k + j) % 100 for j in range(8)),
+            non_reporters=tuple((7 * k + 50 + j) % 100 for j in range(4)),
+        )
+        for k in range(100)
+    ]
+
+    def run_announcements():
+        for verdict in verdicts:
+            channel.broadcast(head, verdict)
+        sim.run()
+        return channel.sent
+
+    sent = benchmark(run_announcements)
+    assert sent >= 100 * 100
 
 
 def test_kernel_periodic_timers(benchmark):

@@ -80,6 +80,8 @@ def success_curve(
     m_values: Sequence[int] = None,
 ) -> List[Tuple[int, float]]:
     """``(m, P(success))`` pairs across a sweep of faulty counts."""
+    if n_neighbors <= 0:
+        raise ValueError(f"n_neighbors must be positive, got {n_neighbors}")
     if m_values is None:
         m_values = range(n_neighbors + 1)
     return [

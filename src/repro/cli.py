@@ -26,11 +26,12 @@ early (``... | head``) ends the command quietly with exit status 1.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,26 +58,71 @@ from repro.experiments.reporting import (
 from repro.service.session import TrustSession
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the count options: an integer of at least 1."""
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type of an integer option of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+#: argparse type of the count options: an integer of at least 1.
+_positive_int = _int_at_least(1)
+
+
+def _number(text: str) -> float:
     try:
-        value = int(text)
+        return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
 def _percent(text: str) -> float:
     """argparse type of ``--percent-faulty``: a number in [0, 100]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    value = _number(text)
     if not 0.0 <= value <= 100.0:
         raise argparse.ArgumentTypeError(f"must be in [0, 100], got {text}")
     return value
+
+
+def _probability(text: str) -> float:
+    """argparse type of ``analyze baseline --p``/``--q``: in [0, 1]."""
+    value = _number(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of ``analyze decay --lambdas``: finite and above 0."""
+    value = _number(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}"
+        )
+    return value
+
+
+#: ``fig`` flags a figure cannot use, refused rather than ignored:
+#: Experiment 3 (figures 8-9) counts events per compromise step, which
+#: no flag sets, and figures 10-11 are analytic.
+_FIG_REFUSES: Dict[int, Tuple[str, ...]] = {
+    8: ("--events",),
+    9: ("--events",),
+    10: ("--trials", "--events", "--workers", "--seed"),
+    11: ("--trials", "--events", "--workers", "--seed"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,15 +137,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("fig", help="regenerate one figure's series")
     p_fig.add_argument("number", type=int, choices=tuple(range(2, 12)))
-    p_fig.add_argument("--trials", type=_positive_int, default=2,
-                       help="simulation trials per sweep point")
+    p_fig.add_argument("--trials", type=_positive_int, default=None,
+                       help="simulation trials per sweep point (default "
+                            "2; figures 2-9)")
     p_fig.add_argument("--events", type=_positive_int, default=None,
-                       help="events per run (default: the paper's)")
-    p_fig.add_argument("--seed", type=int, default=2005)
-    p_fig.add_argument("--workers", type=_positive_int, default=1,
+                       help="events per run (default: the paper's; "
+                            "figures 2-7)")
+    p_fig.add_argument("--seed", type=int, default=None,
+                       help="base seed (default 2005; figures 2-9)")
+    p_fig.add_argument("--workers", type=_positive_int, default=None,
                        help="worker processes for the sweep grid "
-                            "(default: serial); results are identical "
-                            "for any count")
+                            "(default: serial; figures 2-9); results are "
+                            "identical for any count")
 
     p_run = sub.add_parser("run", help="one ad-hoc simulation")
     _add_run_options(p_run)
@@ -200,13 +249,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="closed-form analysis (§5)")
     an_sub = p_an.add_subparsers(dest="analysis", required=True)
     p_base = an_sub.add_parser("baseline", help="eqs. 1-3 curve")
-    p_base.add_argument("--n", type=int, default=10)
-    p_base.add_argument("--p", type=float, default=0.95)
-    p_base.add_argument("--q", type=float, default=0.5)
+    p_base.add_argument("--n", type=_positive_int, default=10)
+    p_base.add_argument("--p", type=_probability, default=0.95)
+    p_base.add_argument("--q", type=_probability, default=0.5)
     p_decay = an_sub.add_parser("decay", help="Fig.-11 roots and k_max")
-    p_decay.add_argument("--n", type=int, default=11)
+    p_decay.add_argument("--n", type=_int_at_least(3), default=11)
     p_decay.add_argument(
-        "--lambdas", type=float, nargs="+",
+        "--lambdas", type=_positive_float, nargs="+",
         default=[0.05, 0.1, 0.25, 0.5, 1.0],
     )
     return parser
@@ -246,15 +295,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _figure_data(args: argparse.Namespace) -> Dict[str, Series]:
     n = args.number
-    workers = args.workers
+    trials = 2 if args.trials is None else args.trials
+    seed = 2005 if args.seed is None else args.seed
+    workers = 1 if args.workers is None else args.workers
     if n in (2, 3):
-        config = Experiment1Config(trials=args.trials, seed=args.seed)
+        config = Experiment1Config(trials=trials, seed=seed)
         if args.events is not None:
             config = replace(config, events_per_run=args.events)
         return (experiment1.figure2_data if n == 2
                 else experiment1.figure3_data)(config, workers=workers)
     if n in (4, 5, 6, 7):
-        config = Experiment2Config(trials=args.trials, seed=args.seed)
+        config = Experiment2Config(trials=trials, seed=seed)
         if args.events is not None:
             config = replace(config, events_per_run=args.events)
         if n == 7:
@@ -267,7 +318,7 @@ def _figure_data(args: argparse.Namespace) -> Dict[str, Series]:
         }[n]
         return fn(config, workers=workers)
     if n in (8, 9):
-        config = Experiment3Config(trials=args.trials, seed=args.seed)
+        config = Experiment3Config(trials=trials, seed=seed)
         return (experiment3.figure8_data if n == 8
                 else experiment3.figure9_data)(config, workers=workers)
     if n == 10:
@@ -846,7 +897,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fig":
+        for flag in _FIG_REFUSES.get(args.number, ()):
+            if getattr(args, flag[2:]) is not None:
+                parser.error(
+                    f"argument {flag}: figure {args.number} takes no {flag}"
+                )
     handler = {
         "table": _cmd_table,
         "fig": _cmd_fig,

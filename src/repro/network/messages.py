@@ -8,7 +8,10 @@ about a third of a frozen dataclass to build (see "Records" in
 dispatch explicit and lets tests assert on exact payloads.
 
 The first two fields of every message are ``sender`` and
-``message_id``, and they are all the radio reads (:class:`Message`).
+``message_id`` (:class:`Message`).  Besides them the radio reads only
+``named``, the ids a message names, and a message without it names
+nobody: a wide-open broadcast reaches an endpoint that does not hear
+unnamed messages only when it is named (``RadioChannel.broadcast``).
 
 >>> a = EventReportMessage(sender=3, event_id=7)
 >>> b = EventReportMessage(3, a.message_id + 5)
@@ -106,10 +109,16 @@ class ChDecisionAnnouncement(_AnnouncementFields):
 
     Broadcast so that (a) the base station learns of events, and (b)
     *smart* malicious nodes can observe outcomes to steer their own
-    trust-index estimates.
+    trust-index estimates.  It names its reporters and non-reporters,
+    the only sensors whose trust the verdict moves.
     """
 
     __slots__ = ()
+
+    @property
+    def named(self) -> Tuple[int, ...]:
+        """The reporters, then the non-reporters."""
+        return self.reporters + self.non_reporters
 
     def __new__(
         cls,

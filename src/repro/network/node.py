@@ -29,6 +29,13 @@ class NetworkNode:
         position outside the field.
     """
 
+    #: Whether this class may act on a message that does not name it
+    #: (see ``RadioChannel.broadcast``).  A class that sets it ``False``
+    #: promises that :meth:`on_message` does nothing with a message
+    #: whose ``named`` ids leave it out, so a wide-open broadcast skips
+    #: it unless the message names it or a tap watches it.
+    hears_unnamed = True
+
     def __init__(self, node_id: int, position: Point) -> None:
         if node_id < 0:
             raise ValueError(f"node_id must be non-negative, got {node_id}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     List,
     NamedTuple,
     Optional,
@@ -126,8 +127,12 @@ class RadioChannel:
         self._spans = sim.spans
         self.config = config if config is not None else ChannelConfig()
         self._nodes: Dict[int, NetworkNode] = {}
-        # Broadcast order memo: (node_id, node) in ascending id order.
-        self._sorted_pairs: Optional[List[Tuple[int, NetworkNode]]] = None
+        # Broadcast memo, per sender id: every other endpoint by id, in
+        # ascending id order, and the ids of those among them that read
+        # every message (see :meth:`broadcast`).
+        self._fanout: Dict[
+            int, Tuple[Dict[int, NetworkNode], FrozenSet[int]]
+        ] = {}
         self._taps: Dict[int, list] = {}
         self._interceptor: Optional[Interceptor] = None
         self._rng = sim.streams.get("channel")
@@ -151,13 +156,13 @@ class RadioChannel:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
-        self._sorted_pairs = None
+        self._fanout.clear()
         node.attach(self._sim, self)
 
     def unregister(self, node_id: int) -> None:
         """Remove an endpoint (e.g. a diagnosed-faulty node being isolated)."""
         self._nodes.pop(node_id, None)
-        self._sorted_pairs = None
+        self._fanout.clear()
 
     def node(self, node_id: int) -> NetworkNode:
         """Look up a registered endpoint by id."""
@@ -196,12 +201,19 @@ class RadioChannel:
         taps; output traffic is visible because CH verdicts are broadcast.
         """
         self._taps.setdefault(watched_id, []).append(tap)
+        self._fanout.clear()
 
     def remove_tap(self, watched_id: int, tap: NetworkNode) -> None:
         """Stop mirroring ``watched_id``'s inbound traffic to ``tap``."""
-        taps = self._taps.get(watched_id, [])
-        if tap in taps:
-            taps.remove(tap)
+        taps = self._taps.get(watched_id)
+        if taps is None or tap not in taps:
+            return
+        taps.remove(tap)
+        if not taps:
+            # No empty entry stays behind: an empty tap table lets every
+            # delivery skip the tap lookup.
+            del self._taps[watched_id]
+        self._fanout.clear()
 
     # ------------------------------------------------------------------
     # Traffic
@@ -297,7 +309,7 @@ class RadioChannel:
         Bit-identical to calling :meth:`unicast` once per message in
         order -- same outcomes, same RNG stream consumption, same
         counters.  A batch to a registered, live destination over a
-        wide-open channel (see :meth:`_send_wide_open`) draws its loss
+        wide-open channel (see :meth:`_wide_open`) draws its loss
         trials as one numpy vector and rides one fused delivery event,
         so an N-report round costs one heap push instead of N; every
         other batch is that per-message loop.  Every sender must be a
@@ -321,11 +333,16 @@ class RadioChannel:
                 self.unicast(sender, destination, message)
                 for sender, message in zip(senders, messages)
             ]
+        lost = self._send_wide_open(n, n)
         outcomes = [_OK] * n
-        for i in self._send_wide_open(
-            n, [(receiver, message) for message in messages]
-        ):
+        deliveries = [(receiver, message) for message in messages]
+        for i in reversed(lost):
             outcomes[i] = _DROPPED
+            del deliveries[i]
+        if deliveries:
+            self._sim.after(
+                self.config.propagation_delay, self._deliver_fused, deliveries
+            )
         return outcomes
 
     def broadcast(self, sender: NetworkNode, message: Message) -> int:
@@ -333,34 +350,92 @@ class RadioChannel:
 
         Each receiver suffers an independent loss trial, matching a
         contention-free broadcast over independent fading links.  On a
-        wide-open channel a CH decision announcement to N cluster
-        members costs one fused delivery event, on a lossy channel as
-        on a lossless one; otherwise it is one :meth:`unicast` per
-        receiver, in ascending id order.
+        channel that is not wide open (see :meth:`_wide_open`) this is
+        one :meth:`unicast` per receiver, in ascending id order.
+
+        On a wide-open channel the send is counted and drawn exactly as
+        that loop would count and draw it: one ``"channel"`` draw per
+        live receiver in ascending id order, and every receiver in
+        ``sent``, ``delivered``, ``dropped`` and the per-reason drop
+        counters.  But the one fused delivery event carries only the
+        message's *readers*, the surviving live receivers that are
+
+        * of a class that may act on any message
+          (``NetworkNode.hears_unnamed``),
+        * watched by a tap (:meth:`add_tap`), or
+        * named by the message (its ``named`` ids, if it has any).
+
+        Every other receiver's handler is a no-op for this message, so
+        skipping it changes nothing.  The event fires even when no
+        reader survived, so the event count and a drained run's clock
+        match the per-receiver loop.  The readers are fixed at send
+        time: a tap added while the message is in flight sees it only
+        if its endpoint is a reader.
+
+        >>> from repro.network.geometry import Point
+        >>> from repro.network.messages import ChDecisionAnnouncement
+        >>> from repro.simkernel.simulator import Simulator
+        >>> class Member(NetworkNode):
+        ...     hears_unnamed = False
+        ...     def on_message(self, message):
+        ...         heard.append(self.node_id)
+        >>> heard = []
+        >>> sim = Simulator(seed=1)
+        >>> channel = RadioChannel(sim, ChannelConfig(loss_probability=0.0))
+        >>> for node_id in range(10):
+        ...     channel.register(Member(node_id, Point(0.0, 0.0)))
+        >>> head = NetworkNode(99, Point(0.0, 0.0))
+        >>> channel.register(head)
+        >>> verdict = ChDecisionAnnouncement(
+        ...     sender=99, occurred=True, reporters=(2, 5), non_reporters=(7,)
+        ... )
+        >>> channel.broadcast(head, verdict)
+        10
+        >>> sim.run()
+        0.01
+        >>> channel.sent, channel.delivered, heard
+        (10, 10, [2, 5, 7])
         """
-        pairs = self._sorted_pairs
-        if pairs is None:
-            pairs = self._sorted_pairs = sorted(self._nodes.items())
         sender_id = sender.node_id
-        n = len(pairs) - 1 if sender_id in self._nodes else len(pairs)
+        fanout = self._fanout.get(sender_id)
+        if fanout is None:
+            fanout = self._fanout[sender_id] = self._fanout_of(sender_id)
+        receivers, roster = fanout
+        n = len(receivers)
         if not self._wide_open(n):
             started = 0
-            for node_id, _node in pairs:
-                if (
-                    node_id != sender_id
-                    and self.unicast(sender, node_id, message).delivered
-                ):
+            for node_id in receivers:
+                if self.unicast(sender, node_id, message).delivered:
                     started += 1
             return started
-        # A dead receiver gets no draw; the other n - len(deliveries)
-        # transmissions settle as "dead-receiver" drops.
-        deliveries = [
-            (node, message)
-            for node_id, node in pairs
-            if node_id != sender_id and node.alive
-        ]
-        self._send_wide_open(n, deliveries)
-        return len(deliveries)
+        readers = roster.union(getattr(message, "named", ()))
+        if readers.issuperset(receivers):
+            # Every receiver reads it (a binary verdict names its whole
+            # cluster): fuse the survivors in one pass.  Otherwise look
+            # each reader up, so a verdict naming a few of a hundred
+            # sensors costs those few.
+            deliveries = [
+                (node, message) for node in receivers.values() if node.alive
+            ]
+            lost = self._send_wide_open(n, len(deliveries))
+            for i in reversed(lost):
+                del deliveries[i]
+            started = len(deliveries)
+        else:
+            live = [node for node in receivers.values() if node.alive]
+            lost = self._send_wide_open(n, len(live))
+            started = len(live) - len(lost)
+            gone = {live[i] for i in lost}
+            deliveries = [
+                (node, message) for i in sorted(readers)
+                if (node := receivers.get(i)) is not None and node.alive
+                and node not in gone
+            ]
+        if started:
+            self._sim.after(
+                self.config.propagation_delay, self._deliver_fused, deliveries
+            )
+        return started
 
     # ------------------------------------------------------------------
     # Internals
@@ -379,23 +454,35 @@ class RadioChannel:
             and self.config.range_limit is None
         )
 
-    def _send_wide_open(
-        self, n: int, deliveries: List[Tuple[NetworkNode, Message]]
-    ) -> List[int]:
-        """Send ``n`` transmissions on a wide-open channel.
+    def _fanout_of(
+        self, sender_id: int
+    ) -> Tuple[Dict[int, NetworkNode], FrozenSet[int]]:
+        """``sender_id``'s broadcast memo: the receivers by id, in
+        ascending id order, and the ids of those that read every
+        message."""
+        receivers = {
+            node_id: node for node_id, node in sorted(self._nodes.items())
+            if node_id != sender_id
+        }
+        taps = self._taps
+        roster = frozenset(
+            node_id for node_id, node in receivers.items()
+            if node.hears_unnamed or node_id in taps
+        )
+        return receivers, roster
 
-        ``deliveries`` are the ones to live receivers, in send order;
-        the other ``n - len(deliveries)`` went to dead receivers.  One
-        ``"channel"`` draw per delivery, none for a dead receiver,
-        leaves the stream exactly where the per-message :meth:`unicast`
-        loop leaves it (PCG64 guarantees value- and state-identity
-        between one vector draw and the scalar draws).  The losses are
-        the draws below the loss probability; they are removed from
-        ``deliveries`` in place and their indices returned, and the
-        survivors ride one fused event.
+    def _send_wide_open(self, n: int, n_live: int) -> List[int]:
+        """Draw and count ``n`` transmissions on a wide-open channel.
+
+        ``n_live`` of them go to live receivers; the others settle as
+        "dead-receiver" drops.  One ``"channel"`` draw per live
+        transmission, in send order, none for a dead one, leaves the
+        stream exactly where the per-message :meth:`unicast` loop leaves
+        it (PCG64 guarantees value- and state-identity between one
+        vector draw and the scalar draws).  Returns the indices, among
+        the live transmissions, of those whose draw fell below the loss
+        probability; the caller schedules the survivors.
         """
-        n_live = len(deliveries)
-        n_dead = n - n_live
         lost: List[int] = []
         if n_live:
             draws = self._rng.random(n_live)
@@ -404,14 +491,7 @@ class RadioChannel:
             # lossless channel skips the comparison.
             if loss != 0.0:
                 lost = (draws < loss).nonzero()[0].tolist()
-                for i in reversed(lost):
-                    del deliveries[i]
-            delay = self.config.propagation_delay
-            if len(deliveries) == 1:
-                receiver, message = deliveries[0]
-                self._sim.after(delay, self._deliver, receiver, message)
-            elif deliveries:
-                self._sim.after(delay, self._deliver_fused, deliveries)
+        n_dead = n - n_live
         n_lost = len(lost)
         n_ok = n_live - n_lost
         self.sent += n
@@ -440,7 +520,8 @@ class RadioChannel:
         # event delivering in the same relative order is bit-identical
         # (liveness is still re-checked per message at delivery time,
         # because an earlier delivery in this very batch may kill a
-        # later receiver).  Span collection never reaches this path: it
+        # later receiver).  A broadcast's batch holds only its readers
+        # (see broadcast).  Span collection never reaches this path: it
         # routes every transmission through unicast and _deliver.
         for receiver, message in deliveries:
             if not receiver.alive:

@@ -47,6 +47,9 @@ class SensorNode(NetworkNode):
         This node's private randomness.
     """
 
+    # A sensor acts only on the announcements that name it.
+    hears_unnamed = False
+
     def __init__(
         self,
         node_id: int,
@@ -144,12 +147,13 @@ class SensorNode(NetworkNode):
     # Radio
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
-        # Inlined decision observation: this runs once per node per CH
-        # broadcast, the hottest receiver path in a sweep.  The trust
-        # update rule is deterministic given the verdict and the node's
-        # own role, so the node can replay it exactly: reporters are
-        # rewarded iff the event was upheld, non-reporters iff it was
-        # rejected.
+        # Decision observation.  A wide-open broadcast reaches a sensor
+        # only when it names the sensor or a tap watches it
+        # (hears_unnamed), so this runs about once per reporter and
+        # non-reporter of a CH verdict.  The trust update rule is
+        # deterministic given the verdict and the node's own role, so
+        # the node can replay it exactly: reporters are rewarded iff the
+        # event was upheld, non-reporters iff it was rejected.
         if not (self.feedback_enabled and self.behavior.observes_outcomes):
             # Correct and level-0 nodes -- most receivers -- ignore
             # verdicts.  The flag is read from the current behaviour, so

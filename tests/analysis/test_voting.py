@@ -83,6 +83,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             baseline_success_probability(10, 2, 0.5, -0.1)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_success_curve_needs_a_neighbour(self, n):
+        # A negative count used to give an empty curve, not an error.
+        with pytest.raises(ValueError, match="n_neighbors must be positive"):
+            success_curve(n, 0.95, 0.5)
+
 
 class TestFigure10:
     def test_series_cover_requested_p_values(self):

@@ -81,6 +81,14 @@ class TestFigures:
         assert code == 0
         assert "NER" in out
 
+    def test_fig2_takes_events(self, capsys):
+        code, out = run_cli(
+            capsys, "fig", "2", "--trials", "1", "--events", "8",
+            "--seed", "3",
+        )
+        assert code == 0
+        assert "NER" in out
+
     def test_invalid_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig", "1"])
@@ -206,7 +214,7 @@ class TestRotate:
 
 
 class TestRejectedValues:
-    """A count or percentage the run cannot use is an argparse error."""
+    """A value or flag the command cannot use is an argparse error."""
 
     @pytest.mark.parametrize("argv, option", [
         (("fig", "2", "--events", "0"), "--events"),
@@ -226,6 +234,18 @@ class TestRejectedValues:
         (("chaos", "--seeds", "0"), "--seeds"),
         (("chaos", "--rounds", "0"), "--rounds"),
         (("chaos", "--rounds", "two"), "--rounds"),
+        (("analyze", "baseline", "--n", "0"), "--n"),
+        (("analyze", "baseline", "--n", "-3"), "--n"),
+        (("analyze", "baseline", "--p", "1.5"), "--p"),
+        (("analyze", "baseline", "--p", "nan"), "--p"),
+        (("analyze", "baseline", "--q", "2"), "--q"),
+        (("analyze", "decay", "--n", "2"), "--n"),
+        (("analyze", "decay", "--lambdas", "0"), "--lambdas"),
+        (("analyze", "decay", "--lambdas", "-1"), "--lambdas"),
+        (("fig", "8", "--events", "5"), "--events"),
+        (("fig", "10", "--trials", "3"), "--trials"),
+        (("fig", "11", "--workers", "2"), "--workers"),
+        (("fig", "10", "--seed", "1"), "--seed"),
     ])
     def test_exits_2_naming_the_option(self, capsys, argv, option):
         with pytest.raises(SystemExit) as exc:

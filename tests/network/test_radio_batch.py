@@ -368,6 +368,15 @@ class TestSatellites:
         sim.run()
         assert nodes[3].received != []  # the real tap survived
 
+    def test_removing_the_last_tap_leaves_no_entry(self):
+        sim, channel, nodes = make_net(n=4)
+        channel.add_tap(1, nodes[3])
+        channel.add_tap(1, nodes[2])
+        channel.remove_tap(1, nodes[3])
+        assert channel._taps == {1: [nodes[2]]}
+        channel.remove_tap(1, nodes[2])
+        assert channel._taps == {}
+
     def test_outcomes_are_interned(self):
         sim, channel, nodes = make_net(loss=0.0, n=3)
         first = channel.unicast(nodes[0], 1, EventReportMessage(sender=0))
