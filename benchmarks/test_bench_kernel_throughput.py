@@ -3,12 +3,16 @@
 Unlike the figure benches (which run once and print data), these use
 pytest-benchmark conventionally -- repeated timed rounds -- to track
 the cost of the inner loops everything else sits on: the event heap,
-the CTI vote, the §3.2 clustering heuristic, and the event-neighbour
-query.  They exist so a performance regression in the substrate is
-visible before it silently stretches every experiment.
+the CTI vote, the §3.2 clustering heuristic, the event-neighbour
+query and named random stream creation.  They exist so a performance
+regression in the substrate is visible before it silently stretches
+every experiment.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 
 from repro.core.binary import CtiVoter
 from repro.core.clustering import cluster_reports_flat
@@ -17,6 +21,7 @@ from repro.network.geometry import Point, Region
 from repro.network.topology import grid_deployment, uniform_random_deployment
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.spans import NULL_SPANS
+from repro.simkernel.rng import RandomStreams
 from repro.simkernel.simulator import Simulator
 
 
@@ -498,3 +503,20 @@ def test_shared_topology_setup(benchmark):
 
     total = benchmark(run_setups)
     assert total > 0
+
+
+@pytest.mark.parametrize("seeds", ["repeated", "fresh"])
+def test_stream_creation(benchmark, seeds):
+    """100 ``node-{id}`` streams: a sweep's repeated run seed (every
+    stream's seed words cached) against a fresh seed per round (every
+    stream derived through SHA-256 and ``SeedSequence``)."""
+    names = [f"node-{i}" for i in range(100)]
+    fresh = itertools.count(10**9)
+
+    def create():
+        streams = RandomStreams(2005 if seeds == "repeated" else next(fresh))
+        for name in names:
+            streams.get(name)
+        return streams
+
+    assert len(list(benchmark(create).names())) == 100

@@ -16,15 +16,14 @@ at most ``k_max = ln(3) / lambda`` further rounds.
 
 Note the paper's expression has ``f -> 0+`` as ``k -> infinity`` and a
 sign change only for suitable ``N``/``lambda``; the solver below finds
-the crossing by bracketing + Brent's method (the paper used Matlab).
+the crossing by bisecting a bracket to adjacent floats (the paper used
+Matlab).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, List, Sequence, Tuple
-
-from scipy.optimize import brentq
 
 
 def decay_expression(k: float, lam: float, n_nodes: int) -> float:
@@ -72,8 +71,17 @@ def solve_k(lam: float, n_nodes: int, k_hi: float = 1e6) -> float:
     if g(hi) > 0:
         # No sign change: no finite cadence works.
         return math.inf
-    x_root = brentq(g, lo, hi)
-    k = -math.log(x_root) / lam
+    # g(lo) > 0 >= g(hi), and the root is the only sign change: halve the
+    # bracket until its midpoint equals an end (lo and hi adjacent).
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    k = -math.log(hi) / lam
     return min(k, k_hi)
 
 

@@ -40,10 +40,10 @@ run-average accuracy to within a few points (see the predictor bench).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.analysis.voting import _binomial_pmf
 from repro.core.trust import TrustParameters
 
 
@@ -57,12 +57,6 @@ class PredictorState:
     ti_correct: float
     ti_faulty: float
     p_success: float
-
-
-def _binomial_pmf(n: int, k: int, p: float) -> float:
-    if k < 0 or k > n:
-        return 0.0
-    return math.comb(n, k) * (p**k) * ((1.0 - p) ** (n - k))
 
 
 def weighted_vote_success(

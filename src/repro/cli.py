@@ -80,6 +80,19 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 #: argparse type of the count options: an integer of at least 1.
 _positive_int = _int_at_least(1)
 
+#: argparse type of the seed options: numpy seeds from integers >= 0.
+_seed = _int_at_least(0)
+
+
+def _port(text: str) -> int:
+    """argparse type of ``serve --port``: 0 (ephemeral) to 65535."""
+    value = _int_at_least(0)(text)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be at most 65535, got {value}"
+        )
+    return value
+
 
 def _number(text: str) -> float:
     try:
@@ -105,12 +118,32 @@ def _probability(text: str) -> float:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type of ``analyze decay --lambdas``: finite and above 0."""
+    """argparse type of a rate or length (``--lambda``, ``--lambdas``,
+    ``serve``'s geometry): finite and above 0."""
     value = _number(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(
             f"must be finite and positive, got {text}"
         )
+    return value
+
+
+def _sigma(text: str) -> float:
+    """argparse type of the noise sigmas: finite and at least 0."""
+    value = _number(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and non-negative, got {text}"
+        )
+    return value
+
+
+def _below_one(text: str) -> float:
+    """argparse type of ``--fault-rate`` and ``--diagnosis-threshold``:
+    a number in [0, 1)."""
+    value = _number(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
     return value
 
 
@@ -143,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--events", type=_positive_int, default=None,
                        help="events per run (default: the paper's; "
                             "figures 2-7)")
-    p_fig.add_argument("--seed", type=int, default=None,
+    p_fig.add_argument("--seed", type=_seed, default=None,
                        help="base seed (default 2005; figures 2-9)")
     p_fig.add_argument("--workers", type=_positive_int, default=None,
                        help="worker processes for the sweep grid "
@@ -160,10 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_options(p_trace)
     p_trace.add_argument("--out", type=str, default=None,
                          help="export manifest + JSONL artifacts here")
-    p_trace.add_argument("--max-nodes", type=int, default=12,
+    p_trace.add_argument("--max-nodes", type=_positive_int, default=12,
                          help="TI trajectories shown (lowest final TI "
                               "first when the network is larger)")
-    p_trace.add_argument("--width", type=int, default=60,
+    p_trace.add_argument("--width", type=_positive_int, default=60,
                          help="sparkline width in characters")
 
     p_explain = sub.add_parser(
@@ -192,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rot.add_argument("--baseline", action="store_true")
     p_rot.add_argument("--no-transfer", action="store_true",
                        help="disable the BS trust hand-off (amnesia)")
-    p_rot.add_argument("--seed", type=int, default=0)
+    p_rot.add_argument("--seed", type=_seed, default=0)
 
     p_chaos = sub.add_parser(
         "chaos",
@@ -210,8 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--rounds", type=_positive_int, default=20,
                          help="event rounds per run")
     p_chaos.add_argument("--percent-faulty", type=_percent, default=20.0)
-    p_chaos.add_argument("--diagnosis-threshold", type=float, default=None)
-    p_chaos.add_argument("--base-seed", type=int, default=0)
+    p_chaos.add_argument("--diagnosis-threshold", type=_below_one,
+                         default=None)
+    p_chaos.add_argument("--base-seed", type=_seed, default=0)
     p_chaos.add_argument("--workers", type=_positive_int, default=1,
                          help="worker processes (default: serial); "
                               "results are identical for any count")
@@ -224,23 +258,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="multi-tenant trust-session HTTP service (see docs/service.md)",
     )
     p_serve.add_argument("--host", type=str, default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8337,
+    p_serve.add_argument("--port", type=_port, default=8337,
                          help="0 binds an ephemeral port")
     p_serve.add_argument("--mode", choices=("binary", "location"),
                          default="location",
                          help="session template: decision mode")
-    p_serve.add_argument("--nodes", type=int, default=36,
+    p_serve.add_argument("--nodes", type=_positive_int, default=36,
                          help="session template: nodes per cluster grid")
-    p_serve.add_argument("--field-side", type=float, default=60.0)
-    p_serve.add_argument("--sensing-radius", type=float, default=20.0)
-    p_serve.add_argument("--r-error", type=float, default=5.0)
-    p_serve.add_argument("--lambda", dest="lam", type=float, default=0.25,
-                         help="TI decay rate")
-    p_serve.add_argument("--fault-rate", type=float, default=0.1)
+    p_serve.add_argument("--field-side", type=_positive_float, default=60.0)
+    p_serve.add_argument("--sensing-radius", type=_positive_float,
+                         default=20.0)
+    p_serve.add_argument("--r-error", type=_positive_float, default=5.0)
+    p_serve.add_argument("--lambda", dest="lam", type=_positive_float,
+                         default=0.25, help="TI decay rate")
+    p_serve.add_argument("--fault-rate", type=_below_one, default=0.1)
     p_serve.add_argument("--baseline", action="store_true",
                          help="stateless majority voting instead of TIBFIT")
-    p_serve.add_argument("--diagnosis-threshold", type=float, default=None)
-    p_serve.add_argument("--max-sessions", type=int, default=100_000,
+    p_serve.add_argument("--diagnosis-threshold", type=_below_one,
+                         default=None)
+    p_serve.add_argument("--max-sessions", type=_int_at_least(0),
+                         default=100_000,
                          help="LRU-evict idle sessions beyond this (0 = "
                               "unbounded)")
     p_serve.add_argument("--verbose", action="store_true",
@@ -271,12 +308,14 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--events", type=_positive_int, default=100)
     parser.add_argument("--baseline", action="store_true",
                         help="use majority voting instead of TIBFIT")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sigma-correct", type=float, default=1.6)
-    parser.add_argument("--sigma-faulty", type=float, default=4.25)
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.25)
-    parser.add_argument("--fault-rate", type=float, default=0.1)
-    parser.add_argument("--diagnosis-threshold", type=float, default=None)
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--sigma-correct", type=_sigma, default=1.6)
+    parser.add_argument("--sigma-faulty", type=_sigma, default=4.25)
+    parser.add_argument("--lambda", dest="lam", type=_positive_float,
+                        default=0.25)
+    parser.add_argument("--fault-rate", type=_below_one, default=0.1)
+    parser.add_argument("--diagnosis-threshold", type=_below_one,
+                        default=None)
 
 
 # ----------------------------------------------------------------------

@@ -97,6 +97,9 @@ def default_session_factory(
     def build(key: str) -> TrustSession:
         return TrustSession(deployment, session_config)
 
+    # A template no session can be built from raises here, before any
+    # server binds, not on the first request that creates a tenant.
+    build("")
     return build
 
 

@@ -1,9 +1,14 @@
 """Unit tests for the §5 decay analysis (Fig. 11, k_max)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.decay import (
     decay_expression,
     figure11_series,
@@ -112,3 +117,28 @@ class TestFigure11:
             return math.inf
 
         assert crossing(series[0.5]) < crossing(series[0.1])
+
+
+class TestNumpyOnly:
+    def test_analyze_decay_runs_with_scipy_blocked(self, tmp_path):
+        """numpy is the only runtime dependency: the CLI, and the root
+        solver behind ``analyze decay``, load and run without scipy."""
+        (tmp_path / "scipy.py").write_text(
+            'raise ImportError("scipy is blocked")\n'
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tmp_path), str(Path(repro.__file__).parents[1])]
+        )
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, *argv], capture_output=True, text=True,
+                env=env, timeout=120,
+            )
+
+        assert run("-c", "import scipy").returncode != 0
+        proc = run("-m", "repro", "analyze", "decay")
+        assert proc.returncode == 0, proc.stderr
+        assert "k_max = ln(3)/lambda" in proc.stdout
+        assert "13.843" in proc.stdout  # k* at lambda = 0.05, N = 11

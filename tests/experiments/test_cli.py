@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.service import http_api
 
 
 def run_cli(capsys, *argv):
@@ -246,8 +247,39 @@ class TestRejectedValues:
         (("fig", "10", "--trials", "3"), "--trials"),
         (("fig", "11", "--workers", "2"), "--workers"),
         (("fig", "10", "--seed", "1"), "--seed"),
+        (("run", "--seed", "-5"), "--seed"),
+        (("trace", "--seed", "-5"), "--seed"),
+        (("rotate", "--seed", "-5"), "--seed"),
+        (("fig", "2", "--trials", "1", "--events", "5", "--seed", "-3000"),
+         "--seed"),
+        (("chaos", "--base-seed", "-5"), "--base-seed"),
+        (("run", "--mode", "location", "--sigma-correct", "-1"),
+         "--sigma-correct"),
+        (("run", "--sigma-faulty", "inf"), "--sigma-faulty"),
+        (("run", "--lambda", "-1"), "--lambda"),
+        (("run", "--fault-rate", "2"), "--fault-rate"),
+        (("run", "--diagnosis-threshold", "7"), "--diagnosis-threshold"),
+        (("chaos", "--diagnosis-threshold", "7"), "--diagnosis-threshold"),
+        (("trace", "--width", "-5"), "--width"),
+        (("trace", "--max-nodes", "0"), "--max-nodes"),
+        (("serve", "--r-error", "-1"), "--r-error"),
+        (("serve", "--sensing-radius", "-5"), "--sensing-radius"),
+        (("serve", "--diagnosis-threshold", "7"), "--diagnosis-threshold"),
+        (("serve", "--lambda", "-1"), "--lambda"),
+        (("serve", "--fault-rate", "2"), "--fault-rate"),
+        (("serve", "--field-side", "0"), "--field-side"),
+        (("serve", "--max-sessions", "-1"), "--max-sessions"),
+        (("serve", "--nodes", "0"), "--nodes"),
+        (("serve", "--port", "70000"), "--port"),
+        (("serve", "--port", "-1"), "--port"),
     ])
-    def test_exits_2_naming_the_option(self, capsys, argv, option):
+    def test_exits_2_naming_the_option(self, capsys, monkeypatch, argv,
+                                       option):
+        def bind(*args, **kwargs):
+            raise AssertionError("serve bound a template it cannot serve")
+
+        # A serve template the parser let through would bind and block.
+        monkeypatch.setattr(http_api, "serve", bind)
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2

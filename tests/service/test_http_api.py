@@ -11,6 +11,7 @@ import urllib.request
 
 import pytest
 
+from repro.service import http_api
 from repro.service.http_api import MAX_BODY_BYTES, ServiceConfig, serve
 
 
@@ -174,6 +175,26 @@ class TestKeepAlive:
             thread.join(timeout=5)
             assert not thread.is_alive()
         assert capfd.readouterr().err == ""
+
+
+class TestTemplate:
+    @pytest.mark.parametrize("field, value", [
+        ("r_error", -1.0),
+        ("sensing_radius", -5.0),
+        ("diagnosis_threshold", 7.0),
+    ])
+    def test_unservable_template_raises_before_binding(
+        self, monkeypatch, field, value
+    ):
+        """A template no session can be built from never gets a server:
+        its first session-creating request would drop the connection."""
+
+        def bind(*args, **kwargs):
+            raise AssertionError("bound a server for an unservable template")
+
+        monkeypatch.setattr(http_api, "make_server", bind)
+        with pytest.raises(ValueError):
+            serve(ServiceConfig(**{field: value}), port=0)
 
 
 class TestErrors:

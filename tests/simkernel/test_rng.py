@@ -1,9 +1,17 @@
 """Unit tests for named random streams."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.simkernel.rng import RandomStreams
+import repro
+from repro.simkernel import rng
+from repro.simkernel.rng import RandomStreams, _derive_seed
 
 
 class TestStreams:
@@ -48,6 +56,14 @@ class TestStreams:
         with pytest.raises(TypeError):
             RandomStreams("seed")
 
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RandomStreams(-1)
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(TypeError):
+            RandomStreams(True)
+
     def test_names_lists_created_streams(self):
         streams = RandomStreams(0)
         streams.get("b")
@@ -73,3 +89,113 @@ class TestFork:
         a = parent.fork("a").get("x").random(5)
         b = parent.fork("b").get("x").random(5)
         assert not np.array_equal(a, b)
+
+
+#: Master seeds of the cache differential: small, the benchmark's, past
+#: 64 and 128 bits (SeedSequence splits entropy into 32-bit words), and
+#: a ``fork`` child's XOR-derived seed.
+CACHE_SEEDS = (
+    0, 1, 2005, 2**64 + 3, 2**130 + 1,
+    RandomStreams(7).fork("pf=0.4").master_seed,
+)
+
+#: A run's stream names: every per-node stream of a 100-node run, the
+#: shared subsystem streams, and a name whose UTF-8 encoding is not ASCII.
+CACHE_NAMES = tuple(f"node-{i}" for i in range(100)) + (
+    "channel", "events", "leach", "collusion", "deployment", "nœud-β",
+)
+
+
+def _reference(seed, name):
+    """The stream as numpy builds it from the stream's seed sequence."""
+    return np.random.default_rng(_derive_seed(seed, name))
+
+
+def _same_stream(stream, reference):
+    """Equal PCG64 state, then equal next draws of three kinds."""
+    assert stream.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(stream.random(4), reference.random(4))
+    assert np.array_equal(
+        stream.integers(0, 2**40, size=3), reference.integers(0, 2**40, size=3)
+    )
+    assert stream.normal() == reference.normal()
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """A fresh seed-word cache for one test (the real one is restored)."""
+    cache = {}
+    monkeypatch.setattr(rng, "_SEED_WORDS", cache)
+    return cache
+
+
+class TestSeedWordCache:
+    @pytest.mark.parametrize("seed", CACHE_SEEDS)
+    def test_miss_and_hit_equal_numpy(self, empty_cache, seed):
+        first, second = RandomStreams(seed), RandomStreams(seed)
+        for name in CACHE_NAMES:
+            assert (seed, name) not in empty_cache
+            _same_stream(first.get(name), _reference(seed, name))
+            assert (seed, name) in empty_cache
+        for name in CACHE_NAMES:
+            _same_stream(second.get(name), _reference(seed, name))
+        assert len(empty_cache) == len(CACHE_NAMES)
+
+    def test_registries_sharing_a_key_draw_independently(self, empty_cache):
+        drawn = RandomStreams(2005).get("node-3")
+        other = RandomStreams(2005).get("node-3")  # built before the draws
+        drawn.random(1000)
+        assert other is not drawn
+        _same_stream(other, _reference(2005, "node-3"))
+        later = RandomStreams(2005).get("node-3")  # built after them
+        _same_stream(later, _reference(2005, "node-3"))
+
+    def test_cached_words_are_read_only(self, empty_cache):
+        RandomStreams(11).get("channel")
+        words = empty_cache[(11, "channel")]
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0] = 0
+        expected = _derive_seed(11, "channel").generate_state(4, np.uint64)
+        assert np.array_equal(words, expected)
+
+    def test_cache_never_exceeds_its_bound(self, empty_cache, monkeypatch):
+        monkeypatch.setattr(rng, "_SEED_WORDS_MAX", 8)
+        for seed in range(5):
+            streams = RandomStreams(seed)
+            for name in CACHE_NAMES[:7]:
+                _same_stream(streams.get(name), _reference(seed, name))
+                assert len(empty_cache) <= 8
+
+    def test_cached_stream_pickles(self, empty_cache):
+        RandomStreams(2005).get("node-9")
+        stream = RandomStreams(2005).get("node-9")  # a cache hit
+        stream.random(3)
+        copy = pickle.loads(pickle.dumps(stream))
+        assert np.array_equal(copy.random(6), stream.random(6))
+
+    def test_stream_cannot_spawn(self):
+        with pytest.raises(TypeError):
+            RandomStreams(3).get("x").spawn(1)
+
+    def test_replay_answers_only_pcg64s_request(self, empty_cache):
+        RandomStreams(5).get("x")
+        replay = rng._SeedWords(empty_cache[(5, "x")])
+        with pytest.raises(ValueError):
+            replay.generate_state(8, np.uint32)
+
+
+def test_importing_the_service_leaves_numpy_random_unloaded():
+    """The trust service imports the kernel but builds no stream, so it
+    never loads ``numpy.random``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    code = (
+        "import sys, repro.service.http_api, repro.simkernel.rng; "
+        "assert 'numpy.random' not in sys.modules"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
