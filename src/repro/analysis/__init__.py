@@ -17,7 +17,6 @@ from repro.analysis.decay import (
 from repro.analysis.reliability import (
     PredictorState,
     predict_binary_reliability,
-    predict_decay_tolerance,
     predicted_run_accuracy,
     weighted_vote_success,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "figure10_series",
     "k_max",
     "predict_binary_reliability",
-    "predict_decay_tolerance",
     "predicted_run_accuracy",
     "solve_k",
     "success_curve",

@@ -32,8 +32,8 @@ and symmetrically for ``v_f`` with ``q``; both floored at zero.
 
 The recursion captures the paper's qualitative dynamics exactly: a
 fresh majority-compromised system fails immediately, while a system
-that accumulates state before (or while) being compromised separates
-``TI_f`` from ``TI_c`` and recovers per-round accuracy even past a 50%
+that accumulates state before being compromised separates ``TI_f``
+from ``TI_c`` and recovers per-round accuracy even past a 50%
 compromise.  Against the event-driven simulation it typically tracks
 run-average accuracy to within a few points (see the predictor bench).
 """
@@ -41,7 +41,7 @@ run-average accuracy to within a few points (see the predictor bench).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.analysis.voting import _binomial_pmf
 from repro.core.trust import TrustParameters
@@ -188,53 +188,3 @@ def predicted_run_accuracy(
     for step in history:
         total += step.p_success
     return total / len(history)
-
-
-def predict_decay_tolerance(
-    n_neighbors: int,
-    ner: float,
-    faulty_miss_rate: float,
-    params: TrustParameters,
-    events_per_compromise: int,
-    max_compromised: Optional[int] = None,
-) -> List[PredictorState]:
-    """Predict reliability while nodes fall one-by-one (§5's scenario).
-
-    Starting fully correct, one node moves to the faulty side every
-    ``events_per_compromise`` rounds until ``max_compromised`` (default
-    ``N - 2``).  The defector carries the *correct* population's
-    accumulated ``v`` with it -- it was an honest node until captured --
-    and the faulty mean updates as a size-weighted mixture.
-    """
-    if events_per_compromise <= 0:
-        raise ValueError("events_per_compromise must be positive")
-    if max_compromised is None:
-        max_compromised = n_neighbors - 2
-    if not 0 <= max_compromised < n_neighbors:
-        raise ValueError("max_compromised must be in [0, N)")
-
-    p = 1.0 - ner
-    q = 1.0 - faulty_miss_rate
-    v_c, v_f = 0.0, 0.0
-    m = 0
-    history: List[PredictorState] = []
-    total_rounds = events_per_compromise * (max_compromised + 1)
-    for r in range(total_rounds):
-        if r % events_per_compromise == 0 and m < max_compromised:
-            # A correct node defects, bringing its v along.
-            if m == 0:
-                v_f = v_c
-            else:
-                v_f = (m * v_f + v_c) / (m + 1)
-            m += 1
-        n_correct = n_neighbors - m
-        ti_c = params.ti_of(v_c)
-        ti_f = params.ti_of(v_f)
-        p_success = weighted_vote_success(n_correct, m, p, q, ti_c, ti_f)
-        history.append(
-            PredictorState(r, v_c, v_f, ti_c, ti_f, p_success)
-        )
-        v_c = max(0.0, v_c + _expected_dv(p, p_success, params))
-        if m:
-            v_f = max(0.0, v_f + _expected_dv(q, p_success, params))
-    return history

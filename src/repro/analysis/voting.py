@@ -114,23 +114,3 @@ def figure10_series(
             )
         series[p] = curve
     return series
-
-
-def crossover_m(
-    n_neighbors: int,
-    p_correct: float,
-    q_faulty: float,
-    threshold: float = 0.5,
-) -> int:
-    """Smallest ``m`` at which success probability falls below ``threshold``.
-
-    Returns ``n_neighbors + 1`` when the curve never crosses -- i.e. the
-    baseline survives any number of these (weak) faulty nodes.
-    """
-    for m in range(n_neighbors + 1):
-        if (
-            baseline_success_probability(n_neighbors, m, p_correct, q_faulty)
-            < threshold
-        ):
-            return m
-    return n_neighbors + 1

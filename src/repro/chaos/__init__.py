@@ -6,7 +6,7 @@ The package splits into three layers:
   :class:`~repro.chaos.plan.ChaosController` that applies a plan to a
   live simulation;
 * :mod:`repro.chaos.invariants` -- the runtime invariant checker and
-  replay fingerprints;
+  run fingerprints;
 * :mod:`repro.chaos.campaign` -- the ``plan x seed`` grid runner
   (import it explicitly as ``repro.chaos.campaign``; it is *not*
   re-exported here because it depends on the experiment harness, which
@@ -17,7 +17,6 @@ from repro.chaos.invariants import (
     InvariantChecker,
     InvariantViolationError,
     Violation,
-    replay_fingerprint,
     run_fingerprint,
 )
 from repro.chaos.plan import (
@@ -43,6 +42,5 @@ __all__ = [
     "PartitionWindow",
     "Violation",
     "builtin_plans",
-    "replay_fingerprint",
     "run_fingerprint",
 ]

@@ -15,7 +15,7 @@ invariants that should hold in *every* run, chaos-injected or not:
   non-decreasing time order within the run's horizon.
 * **Diagnosis soundness** -- no node is isolated while its TI is at or
   above the diagnosis threshold (§3.5: only sub-threshold nodes are
-  cut off).
+  cut off), and no node is excluded without a diagnosis log entry.
 
 :class:`InvariantChecker` evaluates all of these post-hoc over a
 completed :class:`~repro.experiments.harness.SimulationRun` (pure
@@ -25,16 +25,15 @@ violation.  Violations are counted into the run's metrics registry
 (``chaos.violation.<invariant>``) when one is enabled.
 
 Replay determinism (CTI verdicts are a pure function of ``(plan,
-seed)``) is exposed as :func:`run_fingerprint` /
-:func:`replay_fingerprint`: two runs with the same construction
-fingerprint identically, byte for byte.
+seed)``) is exposed as :func:`run_fingerprint`: two runs with the same
+construction fingerprint identically, byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 #: Thresholds probed by the below_threshold consistency check, beyond
 #: the run's own diagnosis threshold.
@@ -162,7 +161,8 @@ class InvariantChecker:
         return out
 
     def check_diagnosis(self, ch) -> List[Violation]:
-        """No node isolated while its TI was at/above the threshold."""
+        """No node isolated while its TI was at/above the threshold, and
+        none excluded without a diagnosis log entry."""
         out: List[Violation] = []
         diagnoser = getattr(ch, "diagnoser", None)
         if diagnoser is None:
@@ -176,12 +176,12 @@ class InvariantChecker:
                     f"with TI {entry.ti_at_diagnosis!r} >= threshold "
                     f"{threshold!r}",
                 ))
-        diagnosed = set(diagnoser.diagnosed)
-        for node_id in diagnoser.isolated:
-            if node_id not in diagnosed:
+        logged = {entry.node_id for entry in diagnoser.log}
+        for node_id in diagnoser.diagnosed:  # the excluded set
+            if node_id not in logged:
                 out.append(Violation(
                     "diagnosis-soundness",
-                    f"node {node_id} isolated without a diagnosis entry",
+                    f"node {node_id} excluded without a diagnosis entry",
                 ))
         return out
 
@@ -279,20 +279,3 @@ def run_fingerprint(run) -> str:
         f"c:{channel.sent}:{channel.delivered}:{channel.dropped}\n".encode()
     )
     return hasher.hexdigest()
-
-
-def replay_fingerprint(factory: Callable[[], object]) -> str:
-    """Build, run, and fingerprint a fresh run from ``factory``.
-
-    ``factory`` must return an un-run
-    :class:`~repro.experiments.harness.SimulationRun` (already
-    configured with its plan and seed) with a ``run_rounds`` attribute
-    or be a zero-argument callable returning ``(run, n_rounds)``.
-    """
-    built = factory()
-    if isinstance(built, tuple):
-        run, n_rounds = built
-    else:
-        raise TypeError("factory must return a (run, n_rounds) tuple")
-    run.run(n_rounds)
-    return run_fingerprint(run)

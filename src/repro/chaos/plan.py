@@ -217,13 +217,6 @@ class FaultPlan:
         object.__setattr__(self, "partitions", tuple(self.partitions))
         object.__setattr__(self, "ch_crashes", tuple(self.ch_crashes))
 
-    def is_empty(self) -> bool:
-        """True when applying this plan is a guaranteed no-op."""
-        return not (
-            self.windows or self.outages or self.partitions
-            or self.ch_crashes
-        )
-
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------

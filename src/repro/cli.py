@@ -309,8 +309,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--baseline", action="store_true",
                         help="use majority voting instead of TIBFIT")
     parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--sigma-correct", type=_sigma, default=1.6)
-    parser.add_argument("--sigma-faulty", type=_sigma, default=4.25)
+    parser.add_argument("--sigma-correct", type=_sigma, default=None,
+                        help="location mode only (default 1.6)")
+    parser.add_argument("--sigma-faulty", type=_sigma, default=None,
+                        help="location mode only (default 4.25)")
     parser.add_argument("--lambda", dest="lam", type=_positive_float,
                         default=0.25)
     parser.add_argument("--fault-rate", type=_below_one, default=0.1)
@@ -403,6 +405,11 @@ def _build_adhoc_run(
         int(x) for x in rng.choice(args.nodes, size=n_faulty, replace=False)
     )
     field_side = 10.0 * np.sqrt(args.nodes)
+    # main() refuses the sigmas in binary mode.  Binary liars still get
+    # the location default: their unread location draws advance their
+    # streams.
+    sigma_correct = 1.6 if args.sigma_correct is None else args.sigma_correct
+    sigma_faulty = 4.25 if args.sigma_faulty is None else args.sigma_faulty
     return SimulationRun(
         mode=args.mode,
         n_nodes=args.nodes,
@@ -414,14 +421,14 @@ def _build_adhoc_run(
         fault_rate=args.fault_rate,
         use_trust=not args.baseline,
         correct_spec=CorrectSpec(
-            sigma=args.sigma_correct if args.mode == "location" else 0.0,
+            sigma=sigma_correct if args.mode == "location" else 0.0,
             miss_rate=0.01 if args.mode == "binary" else 0.0,
         ),
         fault_spec=FaultSpec(
             level=args.level,
             drop_rate=0.5 if args.mode == "binary" else 0.25,
             false_alarm_rate=0.1 if args.mode == "binary" else 0.0,
-            sigma=args.sigma_faulty,
+            sigma=sigma_faulty,
         ),
         faulty_ids=faulty,
         channel_loss=0.008 if args.mode == "location" else 0.0,
@@ -571,8 +578,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         for entry in run.ch.diagnoser.log:
             print(
                 f"  t={entry.time:g}: node {entry.node_id} diagnosed "
-                f"(TI={entry.ti_at_diagnosis:.4f}, "
-                f"isolated={entry.isolated})"
+                f"(TI={entry.ti_at_diagnosis:.4f})"
             )
         if not run.ch.diagnoser.log:
             print("  no nodes diagnosed")
@@ -683,7 +689,6 @@ def _render_explanation(prov: Dict[str, object]) -> str:
         lines.append(
             f"  vote: CTI(R)={vote['cti_r']:.4f} vs "
             f"CTI(NR)={vote['cti_nr']:.4f} -> {winner}"
-            + (" (advisory)" if not vote["applied"] else "")
         )
         lines.append(
             "    R : "
@@ -722,7 +727,7 @@ def _render_explanation(prov: Dict[str, object]) -> str:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.obs.export import read_jsonl
+    from repro.obs.export import SchemaError, read_jsonl, validate_span_record
     from repro.obs.provenance import ProvenanceIndex
 
     spans_path = Path(args.run_dir) / "spans.jsonl"
@@ -733,7 +738,18 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    index = ProvenanceIndex(read_jsonl(spans_path))
+    try:
+        records = read_jsonl(spans_path)
+    except SchemaError as exc:  # names the file and line
+        print(exc, file=sys.stderr)
+        return 2
+    for record in records:
+        try:
+            validate_span_record(record)
+        except SchemaError as exc:
+            print(f"{spans_path}: {exc}", file=sys.stderr)
+            return 2
+    index = ProvenanceIndex(records)
 
     if args.node is not None:
         hits = index.node_view(args.node)
@@ -944,6 +960,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parser.error(
                     f"argument {flag}: figure {args.number} takes no {flag}"
                 )
+    if args.command in ("run", "trace") and args.mode == "binary":
+        # A binary verdict never reads a report's location.
+        for flag, value in (("--sigma-correct", args.sigma_correct),
+                            ("--sigma-faulty", args.sigma_faulty)):
+            if value is not None:
+                parser.error(f"argument {flag}: binary mode takes no {flag}")
+    if (
+        args.command in ("run", "trace", "serve")
+        and args.baseline
+        and args.diagnosis_threshold is not None
+    ):
+        parser.error(
+            "argument --diagnosis-threshold: --baseline keeps no trust "
+            "to diagnose from"
+        )
     handler = {
         "table": _cmd_table,
         "fig": _cmd_fig,

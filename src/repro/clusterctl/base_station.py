@@ -194,9 +194,8 @@ class BaseStation(NetworkNode):
         # Simple voting over {CH, dissenting SCHs}.  With two SCHs a
         # single dissenter leaves 1-1 pending; both dissenting (2-1)
         # overrules the CH.  A lone dissent against a silent second SCH
-        # resolves once it is clear no more votes are coming -- the
-        # harness can force that via resolve_pending(); in-protocol we
-        # resolve when the dissenters reach a majority of the monitors.
+        # never resolves: the CH verdict stands, since a dispute settles
+        # only when the dissenters reach a majority of the monitors.
         votes_against_ch = sum(
             1 for v, _ in state.sch_votes.values() if v != state.ch_verdict
         )
@@ -215,17 +214,6 @@ class BaseStation(NetworkNode):
         self._depose(
             cluster_id, ch_id, decision_id, final_verdict, final_location
         )
-
-    def resolve_pending(self) -> None:
-        """Force-resolve disputes stuck at one dissent (end of window).
-
-        A single SCH dissent against an (implicitly agreeing) second SCH
-        is a 2-1 vote *for* the CH, so the CH verdict stands; the
-        dispute is simply closed.
-        """
-        for key, state in self._disputes.items():
-            if not state.resolved and state.ch_verdict is not None:
-                state.resolved = True
 
     def _depose(
         self,

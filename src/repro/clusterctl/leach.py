@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -66,8 +66,8 @@ class EnergyModel:
     """Per-node remaining-energy bookkeeping.
 
     A deliberately simple linear model: serving as CH for a round costs
-    ``ch_round_cost``; ordinary membership costs ``member_round_cost``;
-    each transmitted report costs ``tx_cost``.  LEACH's purpose --
+    ``ch_round_cost`` and ordinary membership costs
+    ``member_round_cost``.  LEACH's purpose --
     spreading the expensive CH duty -- only needs relative drain rates,
     not a radio-accurate energy model.
     """
@@ -78,14 +78,12 @@ class EnergyModel:
         initial_energy: float = 1.0,
         ch_round_cost: float = 0.05,
         member_round_cost: float = 0.005,
-        tx_cost: float = 0.001,
     ) -> None:
         if initial_energy <= 0:
             raise ValueError("initial_energy must be positive")
         self.initial_energy = initial_energy
         self.ch_round_cost = ch_round_cost
         self.member_round_cost = member_round_cost
-        self.tx_cost = tx_cost
         self._energy: Dict[int, float] = {
             node_id: initial_energy for node_id in node_ids
         }
@@ -107,13 +105,6 @@ class EnergyModel:
                 else self.member_round_cost
             )
             self._energy[node_id] = max(0.0, self._energy[node_id] - cost)
-
-    def charge_tx(self, node_id: int, count: int = 1) -> None:
-        """Charge ``count`` transmissions to ``node_id``."""
-        if node_id in self._energy:
-            self._energy[node_id] = max(
-                0.0, self._energy[node_id] - count * self.tx_cost
-            )
 
 
 @dataclass
@@ -137,13 +128,6 @@ class RoundResult:
     cluster_heads: Tuple[int, ...]
     membership: Dict[int, List[int]] = field(default_factory=dict)
     vetoed: Tuple[int, ...] = ()
-
-    def cluster_of(self, node_id: int) -> Optional[int]:
-        """The CH a node affiliated with, or None if it is a CH / unknown."""
-        for ch_id, members in self.membership.items():
-            if node_id in members:
-                return ch_id
-        return None
 
 
 class LeachElection:

@@ -34,11 +34,11 @@ class MajorityVoteResult(NamedTuple):
 class MajorityVoter:
     """Stateless head-count voting over reporters vs. non-reporters.
 
-    API-compatible with :class:`repro.core.binary.CtiVoter` so the
-    experiment harness can swap engines with one flag; the
-    ``apply_updates`` argument is accepted and ignored because the
-    baseline keeps no state to update.  An exact tie fails, as it does
-    for the CTI vote, so comparisons isolate the trust mechanism itself.
+    Its ``decide`` takes the same ``R`` / ``NR`` partition as
+    :meth:`repro.core.binary.CtiVoter.decide`, so a session swaps engines
+    with one flag; the baseline keeps no trust to update.  An exact tie
+    fails, as it does for the CTI vote, so comparisons isolate the
+    trust mechanism itself.
     """
 
     def __init__(self) -> None:
@@ -48,7 +48,6 @@ class MajorityVoter:
         self,
         reporters: Iterable[int],
         non_reporters: Iterable[int],
-        apply_updates: bool = True,  # noqa: ARG002 - interface parity
     ) -> MajorityVoteResult:
         """Run one unweighted vote over an ``R`` / ``NR`` partition."""
         r = tuple(sorted(set(reporters)))
@@ -66,9 +65,3 @@ class MajorityVoter:
             non_reporters=nr,
             tie=len(r) == len(nr),
         )
-
-    def preview(
-        self, reporters: Iterable[int], non_reporters: Iterable[int]
-    ) -> bool:
-        """The verdict (stateless, so identical to :meth:`decide`)."""
-        return self.decide(reporters, non_reporters).occurred

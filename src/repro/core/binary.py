@@ -13,7 +13,7 @@ lets TIBFIT survive a compromised *majority* once enough state exists.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterable, NamedTuple, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from repro.core.trust import TrustTable
 from repro.obs.registry import NULL_REGISTRY
@@ -63,7 +63,7 @@ class CtiVoter:
     Parameters
     ----------
     trust:
-        The trust table to read and (optionally) update.
+        The trust table every vote reads and updates.
     """
 
     #: Span collector (rebound by ``ClusterHead.attach``).  The voter is
@@ -84,9 +84,11 @@ class CtiVoter:
         self,
         reporters: Iterable[int],
         non_reporters: Iterable[int],
-        apply_updates: bool = True,
     ) -> BinaryVoteResult:
         """Run one CTI vote over an ``R`` / ``NR`` partition.
+
+        The winners are rewarded and the losers penalised in the bound
+        table; a shadow cluster head votes on its own mirror's table.
 
         Parameters
         ----------
@@ -94,10 +96,6 @@ class CtiVoter:
             Event neighbours that reported the event within ``T_out``.
         non_reporters:
             Event neighbours that stayed silent.
-        apply_updates:
-            When False the vote is advisory -- trust is read but not
-            written.  Shadow cluster heads keep their own tables, but
-            read-only votes are also useful for what-if analysis.
 
         Raises
         ------
@@ -118,9 +116,7 @@ class CtiVoter:
         if metrics.enabled:
             start = perf_counter()
             occurred, r, nr, cti_r, cti_nr, tie, winners, losers = (
-                self.trust.cti_vote(
-                    reporters, non_reporters, apply_updates=apply_updates
-                )
+                self.trust.cti_vote(reporters, non_reporters)
             )
             metrics.timer("trust.vote.wall").observe(perf_counter() - start)
             metrics.histogram("trust.vote.margin").observe(
@@ -129,9 +125,7 @@ class CtiVoter:
             metrics.counter("trust.votes").inc()
         else:
             occurred, r, nr, cti_r, cti_nr, tie, winners, losers = (
-                self.trust.cti_vote(
-                    reporters, non_reporters, apply_updates=apply_updates
-                )
+                self.trust.cti_vote(reporters, non_reporters)
             )
         self.votes_taken += 1
         if spans.enabled:
@@ -146,32 +140,23 @@ class CtiVoter:
                 non_reporters=list(nr),
                 ti_r=pre_r,
                 ti_nr=pre_nr,
-                applied=apply_updates,
+                applied=True,
             )
-            if apply_updates:
-                ti = self.trust.ti
-                if winners:
-                    spans.point(
-                        "trust.reward",
-                        parent=vote_ctx,
-                        nodes=list(winners),
-                        ti=[ti(n) for n in winners],
-                    )
-                if losers:
-                    spans.point(
-                        "trust.penalize",
-                        parent=vote_ctx,
-                        nodes=list(losers),
-                        ti=[ti(n) for n in losers],
-                    )
+            ti = self.trust.ti
+            if winners:
+                spans.point(
+                    "trust.reward",
+                    parent=vote_ctx,
+                    nodes=list(winners),
+                    ti=[ti(n) for n in winners],
+                )
+            if losers:
+                spans.point(
+                    "trust.penalize",
+                    parent=vote_ctx,
+                    nodes=list(losers),
+                    ti=[ti(n) for n in losers],
+                )
         return BinaryVoteResult(
             occurred, r, nr, cti_r, cti_nr, tie, winners, losers
         )
-
-    def preview(self, reporters: Iterable[int], non_reporters: Iterable[int]) -> bool:
-        """What the verdict *would* be, with no trust mutation."""
-        return self.decide(reporters, non_reporters, apply_updates=False).occurred
-
-    def trust_snapshot(self) -> Dict[int, float]:
-        """Convenience passthrough of the current TI map."""
-        return self.trust.tis()

@@ -143,10 +143,6 @@ class CircleTracker:
                 node=node_id,
             )
 
-    def open_circles(self) -> List[EventCircle]:
-        """Currently open circles (stable order by id)."""
-        return [self._circles[cid] for cid in sorted(self._circles)]
-
     def flush(self) -> None:
         """Force-close every open circle immediately (end of simulation)."""
         for circle in self._circles.values():

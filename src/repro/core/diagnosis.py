@@ -3,15 +3,15 @@
 §3.1: "After time, the system can identify a faulty node when its TI
 falls below a certain threshold.  It can then be removed from the
 network."  :class:`FaultDiagnoser` watches a trust table, records
-threshold crossings, and (optionally) drives isolation -- removing the
-node from voting and, in the full simulation, from the radio channel --
-"thus eliminating them from causing future damage" (§4.2).
+threshold crossings, and isolates every diagnosed node: the decision
+engines drop its reports and its silence, "thus eliminating them from
+causing future damage" (§4.2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.core.trust import TrustTable
 
@@ -23,67 +23,43 @@ class DiagnosisEntry:
     node_id: int
     time: float
     ti_at_diagnosis: float
-    isolated: bool
 
 
 class FaultDiagnoser:
-    """TI-threshold fault diagnosis with optional isolation.
+    """TI-threshold fault diagnosis; a diagnosed node is isolated.
 
     Parameters
     ----------
     trust:
         The trust table to monitor.
     ti_threshold:
-        Nodes whose TI drops strictly below this value are diagnosed.
-    isolate:
-        When True, diagnosed nodes join the excluded set consumed by the
-        decision engines (and the ``on_isolate`` hook fires, letting the
-        harness unregister the node from the channel).
-    on_isolate:
-        Optional callback ``on_isolate(node_id)``.
+        Nodes whose TI drops strictly below this value are diagnosed;
+        :attr:`diagnosed` is the exclusion set the decision engines
+        honour.
     """
 
-    def __init__(
-        self,
-        trust: TrustTable,
-        ti_threshold: float,
-        isolate: bool = True,
-        on_isolate: Optional[Callable[[int], None]] = None,
-    ) -> None:
+    def __init__(self, trust: TrustTable, ti_threshold: float) -> None:
         if not 0.0 <= ti_threshold < 1.0:
             raise ValueError(
                 f"ti_threshold must be in [0, 1), got {ti_threshold}"
             )
         self.trust = trust
         self.ti_threshold = ti_threshold
-        self.isolate = isolate
-        self._on_isolate = on_isolate
         self._diagnosed: Set[int] = set()
         self._diagnosed_sorted: Optional[Tuple[int, ...]] = None
         self.log: List[DiagnosisEntry] = []
 
     @property
     def diagnosed(self) -> Tuple[int, ...]:
-        """Node ids diagnosed so far, sorted."""
+        """Node ids diagnosed (and so isolated) so far, sorted."""
         cached = self._diagnosed_sorted
         if cached is None:
             cached = self._diagnosed_sorted = tuple(sorted(self._diagnosed))
         return cached
 
     def is_excluded(self, node_id: int) -> bool:
-        """Set-membership twin of ``excluded_nodes`` for per-report checks."""
-        return self.isolate and node_id in self._diagnosed
-
-    @property
-    def isolated(self) -> Tuple[int, ...]:
-        """Node ids actually isolated (empty when ``isolate`` is False)."""
-        if not self.isolate:
-            return ()
-        return self.diagnosed
-
-    def excluded_nodes(self) -> Tuple[int, ...]:
-        """The exclusion set decision engines should honour."""
-        return self.isolated
+        """Set-membership twin of :attr:`diagnosed` for per-report checks."""
+        return node_id in self._diagnosed
 
     def sweep(self, now: float = 0.0) -> List[DiagnosisEntry]:
         """Check every tracked node once; returns *new* diagnoses only.
@@ -102,36 +78,18 @@ class FaultDiagnoser:
                 node_id=node_id,
                 time=now,
                 ti_at_diagnosis=self.trust.ti(node_id),
-                isolated=self.isolate,
             )
             self.log.append(entry)
             fresh.append(entry)
-            if self.isolate and self._on_isolate is not None:
-                self._on_isolate(node_id)
         return fresh
 
-    def restore(self, node_ids: "Iterable[int]") -> None:
+    def restore(self, node_ids: Iterable[int]) -> None:
         """Re-mark nodes as already diagnosed (session-state import).
 
-        Unlike :meth:`sweep` this neither appends log entries nor fires
-        the isolation hook -- the diagnoses happened in the exporting
-        session; this just restores the resulting exclusion set.
+        Unlike :meth:`sweep` this appends no log entries -- the
+        diagnoses happened in the exporting session; this just restores
+        the resulting exclusion set.
         """
         for node_id in node_ids:
             self._diagnosed.add(int(node_id))
         self._diagnosed_sorted = None
-
-    def pardon(self, node_id: int) -> None:
-        """Remove a node from the diagnosed set (limited recovery, §1)."""
-        self._diagnosed.discard(node_id)
-        self._diagnosed_sorted = None
-
-    def false_positive_count(self, truly_faulty: Set[int]) -> int:
-        """Diagnosed nodes that are not in the given ground-truth set."""
-        return len(self._diagnosed - truly_faulty)
-
-    def recall(self, truly_faulty: Set[int]) -> float:
-        """Fraction of ground-truth faulty nodes diagnosed (1.0 when none)."""
-        if not truly_faulty:
-            return 1.0
-        return len(self._diagnosed & truly_faulty) / len(truly_faulty)

@@ -82,12 +82,6 @@ class TrustParameters:
         """Trust index corresponding to an accumulator value ``v``."""
         return math.exp(-self.lam * v)
 
-    def v_of(self, ti: float) -> float:
-        """Accumulator value corresponding to a trust index (inverse map)."""
-        if not 0.0 < ti <= 1.0:
-            raise ValueError(f"ti must be in (0, 1], got {ti}")
-        return -math.log(ti) / self.lam
-
 
 # Accumulated rounding from repeated reward subtractions is bounded
 # by ~(recovery horizon) * ulp(1) ~ 1e-11; anything below this snaps
@@ -209,7 +203,6 @@ class TrustTable:
         self,
         reporters: Iterable[int],
         non_reporters: Iterable[int],
-        apply_updates: bool = True,
     ) -> Tuple[bool, tuple, tuple, float, float, bool, tuple, tuple]:
         """One full §3.1 CTI vote: sum both groups, then update both.
 
@@ -238,9 +231,8 @@ class TrustTable:
         occurred = cti_r > cti_nr
         tie = cti_r == cti_nr
         winners, losers = (r, nr) if occurred else (nr, r)
-        if apply_updates:
-            self._reward_all(winners)
-            self._penalize_all(losers)
+        self._reward_all(winners)
+        self._penalize_all(losers)
         return occurred, r, nr, cti_r, cti_nr, tie, winners, losers
 
     # ------------------------------------------------------------------
@@ -310,16 +302,6 @@ class TrustTable:
         if node_ids:
             self._span("trust.penalize", node_ids)
 
-    def reward_many(self, node_ids: Iterable[int]) -> None:
-        """Credit one correct report to each node (batch, no TI returned)."""
-        if not self.spans.enabled:
-            self._reward_all(node_ids)
-            return
-        node_ids = list(node_ids)
-        self._reward_all(node_ids)
-        if node_ids:
-            self._span("trust.reward", node_ids)
-
     def set_v(self, node_id: int, v: float) -> None:
         """Force a node's accumulator (used when restoring transfers).
 
@@ -334,10 +316,6 @@ class TrustTable:
         e = self.entry(node_id)
         e.v = v
         e.ti = _exp(-self.params.lam * v)
-
-    def forget(self, node_id: int) -> None:
-        """Drop a node's entry entirely (isolation from the cluster)."""
-        self._entries.pop(node_id, None)
 
     # ------------------------------------------------------------------
     # Serialisation / hand-off

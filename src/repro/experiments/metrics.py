@@ -107,17 +107,6 @@ class RunMetrics:
         faulty = set(self.truly_faulty_nodes)
         return sum(1 for n in self.diagnosed_nodes if n not in faulty)
 
-    @property
-    def diagnosis_precision(self) -> float:
-        """Fraction of diagnosed nodes that are truly faulty (1.0 when
-        nothing was diagnosed -- no accusation, no false accusation)."""
-        if not self.diagnosed_nodes:
-            return 1.0
-        faulty = set(self.truly_faulty_nodes)
-        return sum(
-            1 for n in self.diagnosed_nodes if n in faulty
-        ) / len(self.diagnosed_nodes)
-
     def accuracy_over_windows(self, window: int) -> List[Tuple[int, float]]:
         """Accuracy series over consecutive event windows of size ``window``.
 

@@ -52,9 +52,6 @@ class Series:
     def xs(self) -> List[float]:
         return [p.x for p in self.points]
 
-    def means(self) -> List[float]:
-        return [p.mean for p in self.points]
-
     def value_at(self, x: float) -> Optional[float]:
         """Mean at an exact x, or None."""
         for p in self.points:
@@ -136,15 +133,3 @@ def render_sparkline(
         idx = min(int(frac * len(_SPARK_LEVELS)), len(_SPARK_LEVELS) - 1)
         out.append(_SPARK_LEVELS[idx])
     return "".join(out)
-
-
-def render_series_sparklines(
-    series_map: Dict[str, Series], lo: float = 0.0, hi: float = 1.0
-) -> str:
-    """One labelled sparkline per series, on a shared scale."""
-    width = max((len(label) for label in series_map), default=0)
-    lines = []
-    for label, series in series_map.items():
-        spark = render_sparkline(series.means(), lo=lo, hi=hi)
-        lines.append(f"{label.ljust(width)}  {spark}")
-    return "\n".join(lines)

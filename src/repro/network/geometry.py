@@ -49,37 +49,24 @@ class Point(NamedTuple):
         return math.sqrt(dx * dx + dy * dy)
 
     def offset_to(self, other: "Point") -> "PolarOffset":
-        """Polar offset such that ``self.displace(offset) == other``."""
+        """Polar offset that :func:`displace_xy` turns back into ``other``."""
         dx = other.x - self.x
         dy = other.y - self.y
         return PolarOffset(math.hypot(dx, dy), math.atan2(dy, dx))
-
-    def displace(self, offset: "PolarOffset") -> "Point":
-        """The point reached by moving ``offset`` from here."""
-        return Point(
-            self.x + offset.r * math.cos(offset.theta),
-            self.y + offset.r * math.sin(offset.theta),
-        )
 
     def translated(self, dx: float, dy: float) -> "Point":
         """Cartesian translation."""
         return Point(self.x + dx, self.y + dy)
 
-    def as_tuple(self) -> Tuple[float, float]:
-        """``(x, y)`` as a plain tuple."""
-        return (self.x, self.y)
-
 
 def displace_xy(
     x: float, y: float, r: float, theta: float
 ) -> Tuple[float, float]:
-    """Coordinates of ``Point(x, y).displace(PolarOffset(r, theta))``.
+    """Coordinates of the point ``r`` from ``(x, y)`` at bearing ``theta``.
 
-    The cluster head resolves report offsets into the plain floats of a
-    report row without materialising ``Point`` / ``PolarOffset``
-    objects; this helper keeps the arithmetic in one place and written
-    as the exact expression :meth:`Point.displace` evaluates, so both
-    paths produce bit-identical coordinates.
+    The inverse of :meth:`Point.offset_to`.  The cluster head resolves
+    report offsets into the plain floats of a report row with it,
+    without materialising ``Point`` / ``PolarOffset`` objects.
     """
     return (x + r * math.cos(theta), y + r * math.sin(theta))
 
@@ -109,13 +96,6 @@ class PolarOffset(_PolarOffsetFields):
             raise ValueError(f"polar range must be non-negative, got {r}")
         return tuple.__new__(cls, (r, theta))
 
-    def normalised(self) -> "PolarOffset":
-        """Equivalent offset with theta wrapped into ``(-pi, pi]``."""
-        theta = math.remainder(self.theta, 2.0 * math.pi)
-        if theta <= -math.pi:
-            theta += 2.0 * math.pi
-        return PolarOffset(self.r, theta)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -137,10 +117,6 @@ class Region:
     @property
     def height(self) -> float:
         return self.y_max - self.y_min
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
     @property
     def center(self) -> Point:

@@ -149,18 +149,6 @@ class RandomWaypointMobility:
         if self._on_move is not None:
             self._on_move(node_id, new_pos)
 
-    def displacement_since_start(
-        self, initial: Dict[int, Point]
-    ) -> Dict[int, float]:
-        """Distance each node has moved from a recorded initial layout."""
-        return {
-            node_id: initial[node_id].distance_to(
-                self.deployment.position_of(node_id)
-            )
-            for node_id in self.deployment.node_ids()
-            if node_id in initial
-        }
-
 
 class PositionTracker:
     """The CH's knowledge of node positions under mobility.

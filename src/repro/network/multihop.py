@@ -210,10 +210,6 @@ class RoutingTable:
             current = nxt
         return None
 
-    def is_connected(self, source: int, destination: int) -> bool:
-        """Whether greedy routing can reach destination from source."""
-        return self.route(source, destination) is not None
-
 
 class ReliableRelay(NetworkNode):
     """A store-and-forward relay with hop-by-hop ACK/retransmit.

@@ -168,10 +168,6 @@ class RadioChannel:
         """Look up a registered endpoint by id."""
         return self._nodes[node_id]
 
-    def known_ids(self) -> Tuple[int, ...]:
-        """All registered node ids, sorted."""
-        return tuple(sorted(self._nodes))
-
     # ------------------------------------------------------------------
     # Transmit interception (chaos fault injection)
     # ------------------------------------------------------------------

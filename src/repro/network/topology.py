@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -246,12 +246,6 @@ class Deployment:
         ranked.sort()
         return [node_id for _distance, node_id in ranked[:k]]
 
-    def density(self) -> float:
-        """Nodes per unit area."""
-        if self.region.area == 0:
-            raise ValueError("region has zero area")
-        return len(self.positions) / self.region.area
-
 
 def uniform_random_deployment(
     n_nodes: int,
@@ -362,34 +356,4 @@ def shared_grid_deployment(
             grids[index_cell] = grid
         deployment._preferred_cell = index_cell
         deployment._grid = grid
-    return deployment
-
-
-def clustered_deployment(
-    cluster_centers: Sequence[Point],
-    nodes_per_cluster: int,
-    spread: float,
-    region: Region,
-    rng: np.random.Generator,
-    first_id: int = 0,
-) -> Deployment:
-    """Gaussian blobs of nodes around given centres, clamped to the region.
-
-    Not used by the headline experiments but exercised by the multi-cluster
-    LEACH integration tests and the cluster-head failover example.
-    """
-    if nodes_per_cluster < 0:
-        raise ValueError("nodes_per_cluster must be non-negative")
-    if spread < 0:
-        raise ValueError("spread must be non-negative")
-    deployment = Deployment(region=region)
-    node_id = first_id
-    for center in cluster_centers:
-        for _ in range(nodes_per_cluster):
-            p = Point(
-                float(rng.normal(center.x, spread)),
-                float(rng.normal(center.y, spread)),
-            )
-            deployment.add(node_id, region.clamp(p))
-            node_id += 1
     return deployment

@@ -34,7 +34,6 @@ from repro.obs.export import (
     build_manifest,
     chrome_trace,
     read_jsonl,
-    span_records,
     validate_artifacts,
     validate_manifest,
     validate_metrics_record,
@@ -70,7 +69,6 @@ __all__ = [
     "build_manifest",
     "chrome_trace",
     "read_jsonl",
-    "span_records",
     "validate_artifacts",
     "validate_manifest",
     "validate_metrics_record",

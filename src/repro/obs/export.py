@@ -35,7 +35,7 @@ import platform
 import re
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -43,7 +43,6 @@ __all__ = [
     "build_manifest",
     "chrome_trace",
     "read_jsonl",
-    "span_records",
     "validate_artifacts",
     "validate_manifest",
     "validate_metrics_record",
@@ -161,11 +160,6 @@ def validate_metrics_record(record: object) -> None:
 # ----------------------------------------------------------------------
 # Span / provenance records
 # ----------------------------------------------------------------------
-def span_records(spans) -> Iterator[Dict[str, object]]:
-    """JSONL records for a :class:`~repro.obs.spans.SpanCollector`."""
-    return spans.to_records()
-
-
 def validate_span_record(record: object) -> None:
     """Raise :class:`SchemaError` unless ``record`` is one span line."""
     if not isinstance(record, dict):

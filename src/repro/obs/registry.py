@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 __all__ = [
     "Counter",
@@ -305,10 +305,6 @@ class MetricsRegistry:
         """Registered instrument names, sorted."""
         return sorted(self._instruments)
 
-    def get(self, name: str) -> Optional[object]:
-        """The instrument named ``name``, or None."""
-        return self._instruments.get(name)
-
     def truncated_names(self) -> List[str]:
         """Names of histograms/timers whose quantile reservoir overflowed."""
         return [
@@ -334,13 +330,6 @@ class MetricsRegistry:
         return [
             self._instruments[name].snapshot() for name in self.names()
         ]
-
-    def merge_counters(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's counters into this one (sweep roll-up)."""
-        for name in other.names():
-            instrument = other.get(name)
-            if isinstance(instrument, Counter):
-                self.counter(name).inc(instrument.value)
 
     def __len__(self) -> int:
         return len(self._instruments)

@@ -381,10 +381,6 @@ class CollusionCoordinator:
         self._members[node_id] = estimator
 
     @property
-    def member_count(self) -> int:
-        return len(self._members)
-
-    @property
     def currently_lying(self) -> bool:
         return self._currently_lying
 

@@ -101,12 +101,6 @@ class SensorNode(NetworkNode):
         if message is not None:
             self.send(self.ch_id, message)
 
-    def quiet_window(self) -> None:
-        """A no-event interval: the behaviour may raise a false alarm."""
-        message = self.compose_false_alarm()
-        if message is not None:
-            self.send(self.ch_id, message)
-
     def compose_report(self, event: GroundTruthEvent) -> Optional[EventReportMessage]:
         """Build (but do not transmit) this node's report on ``event``.
 

@@ -104,9 +104,3 @@ class SensingModel:
     ) -> PolarOffset:
         """The ``(r, theta)`` offset a node transmits (§3.2)."""
         return node_position.offset_to(perceived_location)
-
-    def decode_report(
-        self, node_position: Point, offset: PolarOffset
-    ) -> Point:
-        """CH-side inverse of :meth:`encode_report`."""
-        return node_position.displace(offset)

@@ -114,10 +114,6 @@ class CollusionCellPool:
         ]
         self._next = 0
 
-    @property
-    def coordinators(self):
-        return tuple(self._coordinators)
-
     def assign(self) -> CollusionCoordinator:
         """The coordinator for the next enrolling colluder."""
         coordinator = self._coordinators[self._next % len(self._coordinators)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from repro.network.geometry import Point
 from repro.sensors.generator import GroundTruthEvent
@@ -57,11 +57,6 @@ class Trajectory:
     def end_time(self) -> float:
         """When the target reaches the final waypoint."""
         return self._arrivals[-1]
-
-    @property
-    def duration(self) -> float:
-        """Total travel time."""
-        return self.end_time - self.start_time
 
     def position_at(self, t: float) -> Point:
         """Target position at time ``t`` (clamped to the endpoints)."""
@@ -136,30 +131,3 @@ class TargetTracker:
         )
         self.emitted.append(event)
         self._on_event(event)
-
-    def estimated_track_error(
-        self, decisions, r_error: float
-    ) -> Tuple[int, Optional[float]]:
-        """(samples located, mean error) of a decision log vs the track.
-
-        A sample counts as located when some upheld decision within its
-        period window lies within ``r_error`` of the true position.
-        """
-        located = 0
-        # Summed left to right from 0.0, not with sum() (whose float
-        # association changed in CPython 3.12).
-        total_error = 0.0
-        for event in self.emitted:
-            best = None
-            for d in decisions:
-                if not d.occurred or d.location is None:
-                    continue
-                if not event.time <= d.time < event.time + self.period:
-                    continue
-                err = d.location.distance_to(event.location)
-                if err <= r_error and (best is None or err < best):
-                    best = err
-            if best is not None:
-                located += 1
-                total_error += best
-        return located, (total_error / located if located else None)

@@ -14,8 +14,9 @@ tenant/cluster id string.  It provides the three things the HTTP layer
   a registry lock, so ingests for different tenants run in parallel
   while a single session's window state is never raced.
 
-Evicted sessions can be persisted through the ``on_evict`` hook (their
-``export_state()`` round-trips through JSON; see ``docs/service.md``).
+Eviction drops a session and its state.  A client that must keep a
+session reads ``GET /v1/sessions/<key>/state`` first and ``PUT``s it
+back later (see ``docs/service.md``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional
 
 from repro.service.session import TrustSession
 
@@ -31,8 +32,8 @@ __all__ = ["SessionManager", "SessionSlot"]
 
 
 class SessionSlot:
-    """One managed session, its ingest lock, and whether it was used:
-    a request on it succeeded, or ``get_or_create`` handed it out."""
+    """One managed session, its ingest lock, and whether a request on
+    it has succeeded."""
 
     __slots__ = ("key", "session", "lock", "used")
 
@@ -51,19 +52,14 @@ class SessionManager:
     factory:
         ``factory(key) -> TrustSession`` builder for unknown keys.
     max_sessions:
-        Residency cap; reaching it evicts the least-recently-used idle
-        session.  ``0`` means unbounded.
-    on_evict:
-        Optional hook ``on_evict(key, session)`` called (outside the
-        registry lock) for every evicted session -- the place to
-        persist ``session.export_state()``.
+        Residency cap; reaching it evicts (drops) the least-recently-used
+        idle session.  ``0`` means unbounded.
     """
 
     def __init__(
         self,
         factory: Callable[[str], TrustSession],
         max_sessions: int = 0,
-        on_evict: Optional[Callable[[str, TrustSession], None]] = None,
     ) -> None:
         if max_sessions < 0:
             raise ValueError(
@@ -71,7 +67,6 @@ class SessionManager:
             )
         self._factory = factory
         self.max_sessions = max_sessions
-        self._on_evict = on_evict
         self._slots: "OrderedDict[str, SessionSlot]" = OrderedDict()
         self._lock = threading.Lock()
         self.created = 0
@@ -90,34 +85,19 @@ class SessionManager:
 
     def _get_or_create_slot(self, key: str) -> SessionSlot:
         """The slot for ``key``, building (and possibly evicting) as needed."""
-        evictions: List[Tuple[str, TrustSession]] = []
         with self._lock:
             slot = self._slots.get(key)
             if slot is not None:
                 self._slots.move_to_end(key)
                 return slot
             if self.max_sessions and len(self._slots) >= self.max_sessions:
-                evictions = self._evict_lru_locked(
+                self._evict_lru_locked(
                     len(self._slots) - self.max_sessions + 1
                 )
             slot = SessionSlot(key, self._factory(key))
             self._slots[key] = slot
             self.created += 1
-        for evicted_key, session in evictions:
-            if self._on_evict is not None:
-                self._on_evict(evicted_key, session)
         return slot
-
-    def get(self, key: str) -> Optional[TrustSession]:
-        """The session for ``key`` if resident (touches LRU order)."""
-        slot = self._get_slot(key)
-        return None if slot is None else slot.session
-
-    def get_or_create(self, key: str) -> TrustSession:
-        """The session for ``key``, building (and possibly evicting) one."""
-        slot = self._get_or_create_slot(key)
-        slot.used = True
-        return slot.session
 
     @contextmanager
     def locked(self, key: str, create: bool = True) -> Iterator[TrustSession]:
@@ -155,27 +135,25 @@ class SessionManager:
     # ------------------------------------------------------------------
     # Eviction / removal
     # ------------------------------------------------------------------
-    def _evict_lru_locked(self, count: int) -> List[Tuple[str, TrustSession]]:
+    def _evict_lru_locked(self, count: int) -> None:
         """Drop up to ``count`` idle sessions, oldest-touched first.
 
         Sessions whose lock is currently held (mid-ingest on another
         thread) are skipped -- evicting those would hand the worker a
         dangling session.  Caller holds the registry lock.
         """
-        evicted: List[Tuple[str, TrustSession]] = []
+        evicted = 0
         for key in list(self._slots):
-            if len(evicted) >= count:
+            if evicted >= count:
                 break
-            slot = self._slots[key]
-            if slot.lock.locked():
+            if self._slots[key].lock.locked():
                 continue
             del self._slots[key]
-            evicted.append((key, slot.session))
-        self.evicted += len(evicted)
-        return evicted
+            evicted += 1
+        self.evicted += evicted
 
     def remove(self, key: str) -> bool:
-        """Drop ``key`` outright (no ``on_evict`` call); True if present."""
+        """Drop ``key`` outright; True if it was resident."""
         with self._lock:
             return self._slots.pop(key, None) is not None
 

@@ -103,7 +103,8 @@ class SessionConfig:
         True = TIBFIT (CTI voting), False = stateless majority baseline.
     diagnosis_threshold:
         Isolate nodes whose TI sinks below this; ``None`` disables
-        diagnosis.
+        diagnosis.  A baseline session (``use_trust`` False) keeps no
+        trust to diagnose from, so it never diagnoses.
     owner_id:
         The node id of the session's owner (the CH is itself a sensor,
         §2) -- excluded from the binary non-reporter partition.  ``None``
@@ -140,9 +141,6 @@ class TrustSession:
         never mutate the deployment, so many sessions may share one.
     config:
         See :class:`SessionConfig`.
-    members:
-        Cluster membership for binary non-reporter partitions; defaults
-        to every deployed node.
     id_allocator:
         Decision-id source.  Defaults to a fresh private allocator so
         bare sessions are reproducible in isolation; the DES injects a
@@ -153,7 +151,6 @@ class TrustSession:
         self,
         deployment: Deployment,
         config: SessionConfig = SessionConfig(),
-        members: Optional[Sequence[int]] = None,
         id_allocator: Optional[IdAllocator] = None,
     ) -> None:
         self.deployment = deployment
@@ -168,13 +165,12 @@ class TrustSession:
         self.diagnoser: Optional[FaultDiagnoser] = None
         if config.use_trust and config.diagnosis_threshold is not None:
             self.diagnoser = FaultDiagnoser(
-                self.trust, config.diagnosis_threshold, isolate=True
+                self.trust, config.diagnosis_threshold
             )
 
-        self.members: Tuple[int, ...] = (
-            tuple(sorted(members)) if members is not None
-            else deployment.node_ids()
-        )
+        # Cluster membership for binary non-reporter partitions: every
+        # deployed node, until ``import_state`` sets it.
+        self.members: Tuple[int, ...] = deployment.node_ids()
         self.decisions: List[DecisionRecord] = []
 
         self.kernel: Optional[DecisionKernel] = None
@@ -202,7 +198,7 @@ class TrustSession:
         """The exclusion set the decision engines honour."""
         if self.diagnoser is None:
             return ()
-        return self.diagnoser.excluded_nodes()
+        return self.diagnoser.diagnosed
 
     def is_excluded(self, node_id: int) -> bool:
         """Per-report twin of :meth:`excluded_nodes`."""

@@ -153,16 +153,6 @@ class RandomStreams:
         """Names of all streams created so far (sorted)."""
         return sorted(self._streams)
 
-    def fork(self, suffix: str) -> "RandomStreams":
-        """Return a new registry whose streams are disjoint from this one.
-
-        Useful when a sub-simulation (e.g. one sweep point) needs its own
-        namespace: ``streams.fork("pf=0.4")``.
-        """
-        digest = hashlib.sha256(suffix.encode("utf-8")).digest()
-        child_seed = self._master_seed ^ int.from_bytes(digest[:8], "big")
-        return RandomStreams(child_seed)
-
     def __repr__(self) -> str:
         return (
             f"RandomStreams(master_seed={self._master_seed}, "

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.reliability import (
     predict_binary_reliability,
-    predict_decay_tolerance,
     predicted_run_accuracy,
     weighted_vote_success,
 )
@@ -95,46 +94,3 @@ class TestRecursion:
             predict_binary_reliability(10, 1, 1.0, 0.5, PARAMS, 10)
         with pytest.raises(ValueError):
             predict_binary_reliability(10, 1, 0.0, 0.5, PARAMS, 0)
-
-
-class TestDecayTolerance:
-    def test_gradual_compromise_sustains_accuracy(self):
-        """§5's headline in predictor form: compromising one node every
-        k > k* events keeps reliability high past a 50% compromise."""
-        params = TrustParameters(lam=0.25, fault_rate=0.01)
-        history = predict_decay_tolerance(
-            11, 0.0, 1.0, params, events_per_compromise=12
-        )
-        # By the end, 9 of 11 nodes are faulty...
-        late = [s.p_success for s in history[-12:]]
-        assert min(late) > 0.95
-
-    def test_too_fast_compromise_fails(self):
-        """Compromising faster than the break-even cadence overwhelms
-        the accumulated state."""
-        params = TrustParameters(lam=0.25, fault_rate=0.01)
-        history = predict_decay_tolerance(
-            11, 0.0, 1.0, params, events_per_compromise=1
-        )
-        late = [s.p_success for s in history[-3:]]
-        assert max(late) < 0.5
-
-    def test_defector_carries_its_trust(self):
-        params = TrustParameters(lam=0.25, fault_rate=0.01)
-        history = predict_decay_tolerance(
-            11, 0.05, 1.0, params, events_per_compromise=10,
-            max_compromised=2,
-        )
-        # Right after the second defection the faulty mean equals the
-        # mixture of the first faulty node's v and the defector's v --
-        # in particular it is not reset to zero.
-        after = next(s for s in history if s.round_index == 10)
-        assert after.v_faulty > 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            predict_decay_tolerance(11, 0.0, 1.0, PARAMS, 0)
-        with pytest.raises(ValueError):
-            predict_decay_tolerance(
-                11, 0.0, 1.0, PARAMS, 5, max_compromised=11
-            )

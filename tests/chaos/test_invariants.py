@@ -108,13 +108,26 @@ class TestInjectedBugs:
         from repro.core.diagnosis import DiagnosisEntry
 
         run.ch.diagnoser.log.append(
-            DiagnosisEntry(
-                node_id=7, time=1.0, ti_at_diagnosis=0.9, isolated=False
-            )
+            DiagnosisEntry(node_id=7, time=1.0, ti_at_diagnosis=0.9)
         )
         violations = InvariantChecker().check_run(run)
         assert any(v.invariant == "diagnosis-soundness" for v in violations)
         assert entry is None or entry.ti_at_diagnosis < 0.3
+
+    def test_catches_exclusion_without_a_diagnosis_entry(self):
+        # Forge an exclusion the way a state import restores one: the
+        # node drops out of every vote with no threshold crossing logged.
+        run = make_run(seed=3).run(5)
+        diagnoser = run.ch.diagnoser
+        logged = {entry.node_id for entry in diagnoser.log}
+        victim = next(n for n in range(2, 8) if n not in logged)
+        diagnoser.restore([victim])
+        assert diagnoser.is_excluded(victim)
+        violations = InvariantChecker().check_run(run)
+        assert [v.invariant for v in violations] == ["diagnosis-soundness"]
+        assert f"node {victim} excluded without a diagnosis entry" in (
+            violations[0].detail
+        )
 
     def test_catches_span_stamped_before_its_predecessor(self):
         run = make_run(spans=True).run(5)

@@ -120,7 +120,6 @@ class TestArbitration:
         bs.bind_ch(100, cluster_id=0)
         bs.on_message(announce())
         bs.on_message(dissent(101))
-        bs.resolve_pending()
         assert bs.resolutions == []
         assert bs.ti_of(0, 100) == 1.0
 

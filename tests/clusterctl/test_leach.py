@@ -7,7 +7,6 @@ from repro.clusterctl.leach import (
     EnergyModel,
     LeachConfig,
     LeachElection,
-    RoundResult,
 )
 from repro.network.geometry import Point, Region
 from repro.network.topology import Deployment, grid_deployment
@@ -38,11 +37,6 @@ class TestEnergyModel:
         em = EnergyModel(range(2), ch_round_cost=0.1, member_round_cost=0.01)
         em.charge_round({0})
         assert em.fraction_remaining(0) < em.fraction_remaining(1)
-
-    def test_tx_charges(self):
-        em = EnergyModel(range(1), tx_cost=0.01)
-        em.charge_tx(0, count=5)
-        assert em.fraction_remaining(0) == pytest.approx(0.95)
 
     def test_energy_floors_at_zero(self):
         em = EnergyModel(range(1), ch_round_cost=0.6)
@@ -185,18 +179,6 @@ class TestEnergyIntegration:
         for members in result.membership.values():
             covered.update(members)
         assert 3 not in covered
-
-
-class TestRoundResult:
-    def test_cluster_of_lookup(self):
-        result = RoundResult(
-            round_number=0,
-            cluster_heads=(1,),
-            membership={1: [2, 3]},
-        )
-        assert result.cluster_of(2) == 1
-        assert result.cluster_of(1) is None
-        assert result.cluster_of(99) is None
 
 
 class TestConfigValidation:

@@ -26,11 +26,6 @@ class TestMajorityVoting:
             result = voter.decide([0, 1, 2], [3, 4, 5, 6])
         assert result.occurred == first is False
 
-    def test_apply_updates_flag_is_accepted_and_ignored(self):
-        voter = MajorityVoter()
-        result = voter.decide([0, 1], [2], apply_updates=False)
-        assert result.occurred
-
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             MajorityVoter().decide([0], [0])
@@ -44,10 +39,6 @@ class TestMajorityVoting:
     def test_margin(self):
         result = MajorityVoter().decide([0, 1, 2], [3])
         assert result.margin == 2
-
-    def test_preview_matches_decide(self):
-        voter = MajorityVoter()
-        assert voter.preview([0, 1], [2]) is True
 
     def test_votes_taken_counter(self):
         voter = MajorityVoter()

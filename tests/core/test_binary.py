@@ -59,16 +59,6 @@ class TestTrustUpdates:
         assert table.ti(0) > ti_before_w
         assert table.ti(6) < 1.0
 
-    def test_advisory_vote_leaves_trust_untouched(self):
-        voter, table = fresh_voter()
-        voter.decide([0, 1, 2], [3], apply_updates=False)
-        assert all(table.ti(i) == 1.0 for i in range(4))
-
-    def test_preview_equals_decide_verdict(self):
-        voter, _ = fresh_voter()
-        assert voter.preview([0, 1, 2], [3]) is True
-        assert voter.preview([0], [1, 2, 3]) is False
-
     def test_votes_taken_counts(self):
         voter, _ = fresh_voter()
         voter.decide([0], [1])

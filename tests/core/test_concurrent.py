@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.concurrent import CircleTracker
-from repro.network.geometry import Point
+from repro.obs.spans import SpanCollector
+from repro.simkernel.simulator import Simulator
 
 
 def make_tracker(sim, r_error=5.0, t_out=1.0):
@@ -18,32 +19,44 @@ def make_tracker(sim, r_error=5.0, t_out=1.0):
     return tracker, groups
 
 
-def only_circle(tracker):
-    (circle,) = tracker.open_circles()
-    return circle
+def spanned_sim():
+    """A simulator whose spans show the circle each report joined."""
+    return Simulator(seed=42, spans=SpanCollector())
+
+
+def report_circles(sim):
+    """The circle id of each report, from its ``window.report`` span."""
+    return [span.args["circle"] for span in sim.spans.spans("window.report")]
 
 
 class TestCircleLifecycle:
-    def test_first_report_opens_a_circle(self, sim):
+    def test_first_report_opens_a_circle(self):
+        sim = spanned_sim()
         tracker, _ = make_tracker(sim)
         tracker.on_report_row(0, 10.0, 10.0)
-        assert only_circle(tracker).center == Point(10.0, 10.0)
+        (opened,) = sim.spans.spans("window.open")
+        assert (opened.args["x"], opened.args["y"]) == (10.0, 10.0)
+        assert report_circles(sim) == [opened.args["circle"]]
         assert tracker.circles_opened == 1
 
-    def test_nearby_report_joins_existing_circle(self, sim):
-        tracker, _ = make_tracker(sim)
+    def test_nearby_report_joins_existing_circle(self):
+        sim = spanned_sim()
+        tracker, groups = make_tracker(sim)
         tracker.on_report_row(0, 10.0, 10.0)
-        c1 = only_circle(tracker)
         tracker.on_report_row(1, 12.0, 11.0)
-        assert only_circle(tracker) is c1
-        assert len(c1.rows) == 2
+        first, second = report_circles(sim)
+        assert first == second
+        assert tracker.circles_opened == 1
+        tracker.flush()
+        assert groups == [[0, 1]]
 
-    def test_distant_report_opens_new_circle(self, sim):
+    def test_distant_report_opens_new_circle(self):
+        sim = spanned_sim()
         tracker, _ = make_tracker(sim)
         tracker.on_report_row(0, 10.0, 10.0)
         tracker.on_report_row(1, 40.0, 40.0)
-        c1, c2 = tracker.open_circles()
-        assert c1 is not c2
+        first, second = report_circles(sim)
+        assert first != second
         assert tracker.circles_opened == 2
 
     def test_circle_closes_after_t_out(self, sim):
@@ -113,7 +126,10 @@ class TestFlush:
         tracker.on_report_row(1, 70.0, 70.0)
         tracker.flush()
         assert len(groups) == 2
-        assert tracker.open_circles() == []
+        # Nothing is left open: the pending expiry timers close nothing.
+        sim.run()
+        assert len(groups) == 2
+        assert tracker.groups_closed == 2
 
     def test_flush_on_empty_tracker_is_noop(self, sim):
         tracker, groups = make_tracker(sim)

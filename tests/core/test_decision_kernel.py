@@ -42,18 +42,12 @@ class RecordingTrustTable(TrustTable):
         self.calls.append(("penalize_many", tuple(ids)))
         super().penalize_many(ids)
 
-    def reward_many(self, node_ids):
-        ids = list(node_ids)
-        assert all(type(i) is int for i in ids), ids
-        self.calls.append(("reward_many", tuple(ids)))
-        super().reward_many(ids)
-
-    def cti_vote(self, reporters, non_reporters, apply_updates=True):
+    def cti_vote(self, reporters, non_reporters):
         r = tuple(reporters)
         nr = tuple(non_reporters)
         assert all(type(i) is int for i in r + nr), (r, nr)
         self.calls.append(("cti_vote", r, nr))
-        return super().cti_vote(r, nr, apply_updates=apply_updates)
+        return super().cti_vote(r, nr)
 
 
 def make_deployment(positions):

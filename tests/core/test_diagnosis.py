@@ -21,6 +21,8 @@ class TestDiagnosis:
         fresh = diag.sweep(now=10.0)
         assert [e.node_id for e in fresh] == [0]
         assert diag.diagnosed == (0,)
+        # A diagnosed node is isolated: it leaves every vote.
+        assert diag.is_excluded(0) and not diag.is_excluded(1)
         assert fresh[0].time == 10.0
         assert fresh[0].ti_at_diagnosis < 0.5
 
@@ -36,30 +38,6 @@ class TestDiagnosis:
         diag.sweep()
         assert 1 not in diag.diagnosed
 
-    def test_isolation_callback_fires(self):
-        table = table_with_liar()
-        isolated = []
-        diag = FaultDiagnoser(
-            table, ti_threshold=0.5, on_isolate=isolated.append
-        )
-        diag.sweep()
-        assert isolated == [0]
-
-    def test_isolation_disabled_keeps_exclusion_empty(self):
-        table = table_with_liar()
-        diag = FaultDiagnoser(table, ti_threshold=0.5, isolate=False)
-        diag.sweep()
-        assert diag.diagnosed == (0,)
-        assert diag.excluded_nodes() == ()
-
-    def test_pardon_reopens_diagnosis(self):
-        table = table_with_liar()
-        diag = FaultDiagnoser(table, ti_threshold=0.5)
-        diag.sweep()
-        diag.pardon(0)
-        assert diag.diagnosed == ()
-        assert len(diag.sweep()) == 1  # re-diagnosed on next sweep
-
     def test_threshold_validation(self):
         table = table_with_liar()
         with pytest.raises(ValueError):
@@ -67,23 +45,6 @@ class TestDiagnosis:
 
 
 class TestQualityMetrics:
-    def test_recall_against_ground_truth(self):
-        table = table_with_liar(n=6)
-        table.penalize(1)
-        table.penalize(1)
-        diag = FaultDiagnoser(table, ti_threshold=0.5)
-        diag.sweep()
-        assert diag.recall({0, 1}) == 1.0
-        assert diag.recall({0, 1, 2}) == pytest.approx(2 / 3)
-        assert diag.recall(set()) == 1.0
-
-    def test_false_positive_count(self):
-        table = table_with_liar()
-        diag = FaultDiagnoser(table, ti_threshold=0.5)
-        diag.sweep()
-        assert diag.false_positive_count({0}) == 0
-        assert diag.false_positive_count({9}) == 1
-
     def test_log_accumulates_entries(self):
         table = table_with_liar(n=4)
         table.penalize(3)

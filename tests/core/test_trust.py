@@ -23,11 +23,6 @@ class TestTrustParameters:
         assert params.ti_of(1.0) == pytest.approx(math.exp(-0.1))
         assert params.ti_of(10.0) == pytest.approx(math.exp(-1.0))
 
-    def test_v_of_inverts_ti_of(self):
-        params = TrustParameters(lam=0.25)
-        for v in (0.0, 0.5, 3.7):
-            assert params.v_of(params.ti_of(v)) == pytest.approx(v)
-
     def test_expected_drift_is_zero_at_fault_rate(self):
         """§3: a node erring at exactly f_r has E[delta v] = 0."""
         fr = 0.1
@@ -43,13 +38,6 @@ class TestTrustParameters:
     def test_invalid_fault_rate_rejected(self):
         with pytest.raises(ValueError):
             TrustParameters(fault_rate=1.0)
-
-    def test_v_of_rejects_out_of_range_ti(self):
-        params = TrustParameters()
-        with pytest.raises(ValueError):
-            params.v_of(0.0)
-        with pytest.raises(ValueError):
-            params.v_of(1.5)
 
 
 class TestTrustTable:
@@ -108,12 +96,6 @@ class TestTrustTable:
         table.penalize(1)  # v=0.9 -> TI=e^-0.9 ~ 0.41
         assert table.below_threshold(0.5) == (1,)
         assert table.below_threshold(0.1) == ()
-
-    def test_forget_removes_entry(self, trust_table):
-        trust_table.penalize(0)
-        trust_table.forget(0)
-        assert 0 not in trust_table
-        assert trust_table.ti(0) == 1.0  # back to default
 
     def test_set_v_rejects_negative(self, trust_table):
         with pytest.raises(ValueError):

@@ -272,6 +272,16 @@ class TestRejectedValues:
         (("serve", "--nodes", "0"), "--nodes"),
         (("serve", "--port", "70000"), "--port"),
         (("serve", "--port", "-1"), "--port"),
+        (("run", "--mode", "binary", "--nodes", "10", "--events", "5",
+          "--sigma-correct", "3"), "--sigma-correct"),
+        (("trace", "--mode", "binary", "--nodes", "10", "--events", "5",
+          "--sigma-faulty", "9"), "--sigma-faulty"),
+        (("run", "--baseline", "--nodes", "36", "--events", "5",
+          "--diagnosis-threshold", "0.3"), "--diagnosis-threshold"),
+        (("trace", "--baseline", "--nodes", "16", "--events", "5",
+          "--diagnosis-threshold", "0.3"), "--diagnosis-threshold"),
+        (("serve", "--baseline", "--diagnosis-threshold", "0.3"),
+         "--diagnosis-threshold"),
     ])
     def test_exits_2_naming_the_option(self, capsys, monkeypatch, argv,
                                        option):

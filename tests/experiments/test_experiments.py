@@ -182,14 +182,3 @@ class TestReporting:
         assert render_sparkline([]) == ""
         flat = render_sparkline([0.7, 0.7], lo=0.7, hi=0.7)
         assert len(flat) == 2
-
-    def test_series_sparklines_share_scale(self):
-        from repro.experiments.reporting import render_series_sparklines
-
-        s_hi = Series("high", [SweepPoint(0.0, 0.95), SweepPoint(1.0, 0.9)])
-        s_lo = Series("low", [SweepPoint(0.0, 0.1), SweepPoint(1.0, 0.2)])
-        out = render_series_sparklines({"high": s_hi, "low": s_lo})
-        lines = out.splitlines()
-        assert len(lines) == 2
-        assert "█" in lines[0] or "▇" in lines[0]
-        assert "▁" in lines[1] or "▂" in lines[1]

@@ -69,6 +69,20 @@ def _paired(factory, rounds, monkeypatch):
     """Run the same config batched, then oracle-patched; return both."""
     batched = observables(factory().run(rounds))
 
+    # The oracle broadcast needs each channel's endpoints: record them
+    # as the run registers and unregisters them.
+    endpoints = {}
+    register = RadioChannel.register
+    unregister = RadioChannel.unregister
+
+    def register_recorded(self, node):
+        register(self, node)
+        endpoints.setdefault(self, set()).add(node.node_id)
+
+    def unregister_recorded(self, node_id):
+        unregister(self, node_id)
+        endpoints.get(self, set()).discard(node_id)
+
     def unicast_loop(self, sender_ids, destination, messages):
         return [
             self.unicast(self.node(sender_id), destination, message)
@@ -77,13 +91,15 @@ def _paired(factory, rounds, monkeypatch):
 
     def broadcast_loop(self, sender, message):
         started = 0
-        for node_id in self.known_ids():
+        for node_id in sorted(endpoints.get(self, ())):
             if node_id == sender.node_id:
                 continue
             if self.unicast(sender, node_id, message).delivered:
                 started += 1
         return started
 
+    monkeypatch.setattr(RadioChannel, "register", register_recorded)
+    monkeypatch.setattr(RadioChannel, "unregister", unregister_recorded)
     monkeypatch.setattr(RadioChannel, "unicast_batch", unicast_loop)
     monkeypatch.setattr(RadioChannel, "broadcast", broadcast_loop)
     oracle = observables(factory().run(rounds))

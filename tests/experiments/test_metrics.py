@@ -184,22 +184,10 @@ class TestRunMetrics:
         m = self.make_metrics()
         assert m.diagnosis_recall == pytest.approx(2 / 3)
         assert m.diagnosis_false_positives == 1
-
-    def test_diagnosis_precision_with_wrong_accusation(self):
-        # 3 diagnosed, one of them (node 9) is not truly faulty
-        assert self.make_metrics().diagnosis_precision == pytest.approx(
-            2 / 3
-        )
-
-    def test_diagnosis_precision_perfect_when_nothing_diagnosed(self):
-        m = RunMetrics(truly_faulty_nodes=(1, 2))
-        assert m.diagnosis_precision == 1.0
-        assert m.diagnosis_recall == 0.0
-
-    def test_diagnosis_precision_all_wrong(self):
-        m = RunMetrics(diagnosed_nodes=(5, 6), truly_faulty_nodes=(1,))
-        assert m.diagnosis_precision == 0.0
-        assert m.diagnosis_false_positives == 2
+        nothing_diagnosed = RunMetrics(truly_faulty_nodes=(1, 2))
+        assert nothing_diagnosed.diagnosis_recall == 0.0
+        all_wrong = RunMetrics(diagnosed_nodes=(5, 6), truly_faulty_nodes=(1,))
+        assert all_wrong.diagnosis_false_positives == 2
 
     def test_zero_event_run_defaults(self):
         m = RunMetrics()
@@ -209,7 +197,6 @@ class TestRunMetrics:
         assert m.false_positive_rate == 0.0
         assert m.mean_localisation_error is None
         assert m.diagnosis_recall == 1.0
-        assert m.diagnosis_precision == 1.0
         assert m.accuracy_over_windows(3) == []
 
     def test_false_positive_rate_guards_zero_quiet_windows(self):

@@ -131,7 +131,6 @@ class TestArtifacts:
             )
             assert crossing == diag.time
             assert diag.ti_at_diagnosis < DIAGNOSIS_THRESHOLD
-            assert diag.isolated is True
 
     def test_metrics_jsonl_cross_checks_channel(self, observed):
         run, out = observed
@@ -291,6 +290,22 @@ class TestSpanArtifacts:
 
         assert main(["explain", str(tmp_path)]) == 2
         assert "spans.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        '{"id": 1',  # not JSON
+        '{"id": 1, "parent": 0}',  # JSON, but no category, time or args
+    ])
+    def test_explain_cli_malformed_spans_exits_2(
+        self, tmp_path, capsys, line
+    ):
+        from repro.cli import main
+
+        spans_path = tmp_path / "spans.jsonl"
+        spans_path.write_text(line + "\n")
+        assert main(["explain", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert str(spans_path) in captured.err
+        assert captured.out == ""
 
 
 class TestRotatingProvenance:

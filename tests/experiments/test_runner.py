@@ -123,7 +123,7 @@ class TestSweepSeries:
         )
         assert series.label == "squares"
         assert series.xs() == [2.0, 3.0]
-        assert series.means() == [4.0, 9.0]
+        assert [point.mean for point in series.points] == [4.0, 9.0]
         assert all(p.trials == 3 for p in series.points)
         assert all(math.isclose(p.std, 0.0) for p in series.points)
 

@@ -377,7 +377,7 @@ def _chaos_entry(run: SimulationRun) -> Dict[str, object]:
         "channel": [run.channel.sent, run.channel.delivered,
                     run.channel.dropped],
         "counters": {
-            name: registry.get(name).value
+            name: registry.counter(name).value
             for name in registry.names()
             if name.startswith(("radio.", "chaos."))
         },

@@ -85,13 +85,13 @@ class TestRoutingTable:
         routing = RoutingTable(line_deployment(3), radio_range=12.0)
         routing.add_endpoint(99, Point(30.0, 50.0))
         assert routing.next_hop(2, 99) == 99
-        assert routing.is_connected(0, 99)
+        assert routing.route(0, 99) is not None
 
     def test_disconnected_pair(self):
         deployment = line_deployment(2, spacing=100.0)
         routing = RoutingTable(deployment, radio_range=12.0)
         assert routing.next_hop(0, 1) is None
-        assert not routing.is_connected(0, 1)
+        assert routing.route(0, 1) is None
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):

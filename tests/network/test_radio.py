@@ -176,10 +176,6 @@ class TestRegistration:
         outcome = channel.unicast(nodes[0], 1, EventReportMessage(sender=0))
         assert outcome.reason == "unknown-destination"
 
-    def test_known_ids_sorted(self):
-        _sim, channel, _nodes = make_net(n=3)
-        assert channel.known_ids() == (0, 1, 2)
-
     def test_counters_track_traffic(self):
         sim, channel, nodes = make_net(loss=1.0)
         channel.unicast(nodes[0], 1, EventReportMessage(sender=0))

@@ -63,9 +63,11 @@ def oracle_unicast_batch(channel, sender_ids, destination, messages):
     ]
 
 
-def oracle_broadcast(channel, sender, message):
+def oracle_broadcast(channel, nodes, sender, message):
+    """One ``unicast`` to each of ``nodes`` -- the endpoints the test
+    registered -- but the sender, in ascending id order."""
     started = 0
-    for node_id in channel.known_ids():
+    for node_id in sorted(node.node_id for node in nodes):
         if node_id == sender.node_id:
             continue
         if channel.unicast(sender, node_id, message).delivered:
@@ -170,7 +172,7 @@ class TestBroadcastDifferential:
             batch[2][7], EventReportMessage(sender=7)
         )
         o_started = oracle_broadcast(
-            oracle[1], oracle[2][7], EventReportMessage(sender=7)
+            oracle[1], oracle[2], oracle[2][7], EventReportMessage(sender=7)
         )
         assert b_started == o_started
         batch[0].run()
@@ -184,7 +186,9 @@ class TestBroadcastDifferential:
             nodes[2].kill()
             nodes[5].kill()
         batch[1].broadcast(batch[2][0], EventReportMessage(sender=0))
-        oracle_broadcast(oracle[1], oracle[2][0], EventReportMessage(sender=0))
+        oracle_broadcast(
+            oracle[1], oracle[2], oracle[2][0], EventReportMessage(sender=0)
+        )
         batch[0].run()
         oracle[0].run()
         assert_equivalent(batch, oracle)
@@ -241,7 +245,9 @@ class TestInterceptorDifferential:
         batch[1].set_interceptor(chaos_interceptor(batch[0]))
         oracle[1].set_interceptor(chaos_interceptor(oracle[0]))
         batch[1].broadcast(batch[2][3], EventReportMessage(sender=3))
-        oracle_broadcast(oracle[1], oracle[2][3], EventReportMessage(sender=3))
+        oracle_broadcast(
+            oracle[1], oracle[2], oracle[2][3], EventReportMessage(sender=3)
+        )
         batch[0].run()
         oracle[0].run()
         assert_equivalent(batch, oracle)

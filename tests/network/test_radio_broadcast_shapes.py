@@ -90,6 +90,7 @@ def test_wide_open_broadcast_matches_oracle(shape):
     o_started = [
         oracle_broadcast(
             oracle[1],
+            oracle[2],
             sender_of(oracle, o_outsider, sender_id),
             EventReportMessage(sender=sender_id),
         )
@@ -105,8 +106,8 @@ def test_shapes_take_the_wide_open_path(monkeypatch):
     # The smallest drawn cluster exceeds the crossover even when the
     # sender is not a registered endpoint, so every drawn shape skips
     # the per-message loop.
-    sim, channel, _nodes = make_net(loss=0.3, seed=3, n=5)
-    assert len(channel.known_ids()) > _VECTOR_MIN
+    sim, channel, nodes = make_net(loss=0.3, seed=3, n=5)
+    assert len(nodes) > _VECTOR_MIN
 
     def forbidden(*args, **kwargs):
         raise AssertionError("left the wide-open path")
@@ -334,7 +335,9 @@ def test_readers_only_broadcast_matches_oracle(shape):
         for sender_id, message in zip(senders, messages)
     ]
     o_started = [
-        oracle_broadcast(oracle[1], sender(oracle, sender_id), message)
+        oracle_broadcast(
+            oracle[1], oracle[2], sender(oracle, sender_id), message
+        )
         for sender_id, message in zip(senders, messages)
     ]
     assert b_started == o_started

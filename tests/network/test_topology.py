@@ -6,7 +6,6 @@ import pytest
 from repro.network.geometry import Point, Region
 from repro.network.topology import (
     Deployment,
-    clustered_deployment,
     grid_deployment,
     uniform_random_deployment,
 )
@@ -81,12 +80,6 @@ class TestDeployment:
         d.add(2, Point(5.0, 0.0))
         assert d.nearest(Point(0.0, 0.0), k=2) == [1, 2]
 
-    def test_density(self, unit_region):
-        d = Deployment(region=unit_region)
-        for i in range(10):
-            d.add(i, Point(float(i), float(i)))
-        assert d.density() == pytest.approx(10 / 10000.0)
-
 
 class TestGridDeployment:
     def test_100_nodes_form_10x10_cell_centres(self, unit_region):
@@ -141,26 +134,3 @@ class TestRandomDeployment:
             quadrants[(p.x >= 50.0) * 2 + (p.y >= 50.0)] += 1
         for count in quadrants:
             assert 850 <= count <= 1150  # ~1000 each, generous tolerance
-
-
-class TestClusteredDeployment:
-    def test_nodes_clamp_to_region(self, unit_region, rng):
-        d = clustered_deployment(
-            [Point(0.0, 0.0)], nodes_per_cluster=50, spread=30.0,
-            region=unit_region, rng=rng,
-        )
-        assert len(d) == 50
-        for node_id in d.node_ids():
-            assert unit_region.contains(d.position_of(node_id))
-
-    def test_blobs_center_near_their_seed(self, unit_region, rng):
-        d = clustered_deployment(
-            [Point(20.0, 20.0), Point(80.0, 80.0)],
-            nodes_per_cluster=100,
-            spread=3.0,
-            region=unit_region,
-            rng=rng,
-        )
-        first = [d.position_of(i) for i in range(100)]
-        mean_x = sum(p.x for p in first) / 100
-        assert abs(mean_x - 20.0) < 2.0

@@ -142,17 +142,6 @@ class TestRegistry:
             r["name"] for r in reg.snapshot()
         }
 
-    def test_merge_counters_folds_values(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("hits").inc(2)
-        b.counter("hits").inc(3)
-        b.counter("other").inc()
-        b.gauge("depth").set(9.0)
-        a.merge_counters(b)
-        assert a.counter("hits").value == 5
-        assert a.counter("other").value == 1
-        assert a.get("depth") is None  # gauges are not folded
-
 
 class TestDisabledPath:
     def test_null_registry_is_disabled(self):

@@ -110,7 +110,6 @@ class TrustTableReference:
         self,
         reporters: Iterable[int],
         non_reporters: Iterable[int],
-        apply_updates: bool = True,
         tie_breaks_to_occurred: bool = False,
     ) -> Tuple[bool, tuple, tuple, float, float, bool, tuple, tuple]:
         """One full CTI vote, element by element (the oracle path)."""
@@ -129,11 +128,10 @@ class TrustTableReference:
         tie = cti_r == cti_nr
         occurred = tie_breaks_to_occurred if tie else cti_r > cti_nr
         winners, losers = (r, nr) if occurred else (nr, r)
-        if apply_updates:
-            for node_id in winners:
-                self.reward(node_id)
-            for node_id in losers:
-                self.penalize(node_id)
+        for node_id in winners:
+            self.reward(node_id)
+        for node_id in losers:
+            self.penalize(node_id)
         return occurred, r, nr, cti_r, cti_nr, tie, winners, losers
 
     # ------------------------------------------------------------------
@@ -159,20 +157,11 @@ class TrustTableReference:
         for node_id in node_ids:
             self.penalize(node_id)
 
-    def reward_many(self, node_ids: Iterable[int]) -> None:
-        """Batch reward: one :meth:`reward` per node, TI discarded."""
-        for node_id in node_ids:
-            self.reward(node_id)
-
     def set_v(self, node_id: int, v: float) -> None:
         """Force a node's accumulator (used when restoring transfers)."""
         if v < 0:
             raise ValueError(f"v must be non-negative, got {v}")
         self.entry(node_id).v = v
-
-    def forget(self, node_id: int) -> None:
-        """Drop a node's entry entirely (isolation from the cluster)."""
-        self._entries.pop(node_id, None)
 
     # ------------------------------------------------------------------
     # Serialisation / hand-off

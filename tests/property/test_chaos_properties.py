@@ -22,11 +22,7 @@ from repro.chaos.campaign import (
     run_campaign,
     run_campaign_point,
 )
-from repro.chaos.invariants import (
-    InvariantChecker,
-    replay_fingerprint,
-    run_fingerprint,
-)
+from repro.chaos.invariants import InvariantChecker, run_fingerprint
 from repro.chaos.plan import FaultPlan, builtin_plans
 from repro.experiments.harness import SimulationRun
 
@@ -68,8 +64,8 @@ def test_same_plan_and_seed_replay_identically(plan_seed, run_seed):
     plan = FaultPlan.random(
         seed=plan_seed, n_nodes=N_NODES, horizon=HORIZON
     )
-    first = replay_fingerprint(lambda: (make_run(plan, run_seed), N_ROUNDS))
-    second = replay_fingerprint(lambda: (make_run(plan, run_seed), N_ROUNDS))
+    first = run_fingerprint(make_run(plan, run_seed).run(N_ROUNDS))
+    second = run_fingerprint(make_run(plan, run_seed).run(N_ROUNDS))
     assert first == second
 
 

@@ -5,7 +5,7 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.network.geometry import Point, PolarOffset, Region
+from repro.network.geometry import Point, Region, displace_xy
 
 coords = st.floats(min_value=-1000.0, max_value=1000.0,
                    allow_nan=False, allow_infinity=False)
@@ -31,9 +31,9 @@ def test_triangle_inequality(a, b, c):
 @given(a=points, b=points)
 def test_offset_displace_roundtrip(a, b):
     offset = a.offset_to(b)
-    back = a.displace(offset)
-    assert math.isclose(back.x, b.x, abs_tol=1e-6)
-    assert math.isclose(back.y, b.y, abs_tol=1e-6)
+    x, y = displace_xy(a.x, a.y, offset.r, offset.theta)
+    assert math.isclose(x, b.x, abs_tol=1e-6)
+    assert math.isclose(y, b.y, abs_tol=1e-6)
 
 
 @given(a=points, b=points)
@@ -47,7 +47,7 @@ def test_offset_range_equals_distance(a, b):
     theta=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
 )
 def test_displacement_moves_exactly_r(p, r, theta):
-    moved = p.displace(PolarOffset(r=r, theta=theta))
+    moved = Point(*displace_xy(p.x, p.y, r, theta))
     assert math.isclose(p.distance_to(moved), r, abs_tol=1e-6)
 
 
@@ -70,13 +70,3 @@ def test_clamp_fixes_interior_points(p, side):
     region = Region.square(side)
     if region.contains(p):
         assert region.clamp(p) == p
-
-
-@given(
-    r=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-    theta=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-)
-def test_normalised_theta_in_principal_range(r, theta):
-    norm = PolarOffset(r, theta).normalised()
-    assert -math.pi < norm.theta <= math.pi
-    assert norm.r == r

@@ -30,13 +30,11 @@ operations = st.lists(
         st.tuples(
             st.just("penalize_many"), st.lists(NODE_IDS, max_size=6)
         ),
-        st.tuples(st.just("reward_many"), st.lists(NODE_IDS, max_size=6)),
         st.tuples(
             st.just("set_v"),
             NODE_IDS,
             st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
         ),
-        st.tuples(st.just("forget"), NODE_IDS),
         st.tuples(
             st.just("vote"),
             st.lists(NODE_IDS, min_size=1, max_size=6, unique=True),
@@ -59,14 +57,8 @@ def apply_op(table, op, snapshot):
     if kind == "penalize_many":
         table.penalize_many(op[1])
         return None, table
-    if kind == "reward_many":
-        table.reward_many(op[1])
-        return None, table
     if kind == "set_v":
         table.set_v(op[1], op[2])
-        return None, table
-    if kind == "forget":
-        table.forget(op[1])
         return None, table
     if kind == "vote":
         reporters = [n for n in op[1] if n not in set(op[2])]

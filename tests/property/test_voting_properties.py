@@ -43,9 +43,7 @@ def test_cti_vote_with_fresh_trust_matches_majority_vote(reporters, others):
     """With every TI at 1.0, CTI voting degenerates to head counting."""
     non_reporters = others - reporters
     table = TrustTable(TrustParameters(lam=0.25, fault_rate=0.1))
-    cti = CtiVoter(table).decide(
-        reporters, non_reporters, apply_updates=False
-    )
+    cti = CtiVoter(table).decide(reporters, non_reporters)
     majority = MajorityVoter().decide(reporters, non_reporters)
     assert cti.occurred == majority.occurred
 
@@ -67,9 +65,7 @@ def test_vote_partitions_rewarded_and_penalized(reporters, others):
 def test_winning_side_has_larger_or_equal_cti(reporters, others):
     non_reporters = others - reporters
     table = TrustTable(TrustParameters(lam=0.25, fault_rate=0.1))
-    result = CtiVoter(table).decide(
-        reporters, non_reporters, apply_updates=False
-    )
+    result = CtiVoter(table).decide(reporters, non_reporters)
     if result.occurred:
         assert result.cti_reporters >= result.cti_non_reporters
     else:
@@ -91,7 +87,7 @@ def test_vote_verdict_depends_only_on_cti_order(history):
         else:
             table.penalize(0)
     voter = CtiVoter(table)
-    result = voter.decide([0], [1, 2], apply_updates=False)
+    result = voter.decide([0], [1, 2])
     if not result.tie:
         assert result.occurred == (
             result.cti_reporters > result.cti_non_reporters

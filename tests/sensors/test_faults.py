@@ -271,10 +271,6 @@ class TestLevel2Collusion:
         _coord, members = make_collusion()
         assert members[0].on_quiet_window(NODE, REGION, rng) is None
 
-    def test_member_count_tracks_enrollment(self):
-        coord, _members = make_collusion(n=5)
-        assert coord.member_count == 5
-
     def test_is_level_2(self):
         _coord, members = make_collusion(n=1)
         assert members[0].level == 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.trust import TrustParameters
-from repro.network.geometry import Point, Region
+from repro.network.geometry import Point, Region, displace_xy
 from repro.network.messages import ChDecisionAnnouncement, EventReportMessage
 from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, RadioChannel
@@ -79,7 +79,8 @@ class TestSensing:
         sim, node, sink = make_node()
         node.sense_event(event_at(50.0, 50.0))
         sim.run()
-        resolved = node.position.displace(sink.received[0].offset)
+        offset = sink.received[0].offset
+        resolved = Point(*displace_xy(*node.position, *offset))
         assert resolved.distance_to(Point(50.0, 50.0)) < 10.0
 
     def test_dead_node_does_not_sense(self):
@@ -98,30 +99,25 @@ class TestSensing:
 
 class TestQuietWindow:
     def test_correct_node_is_silent(self):
-        sim, node, sink = make_node()
-        node.quiet_window()
-        sim.run()
-        assert sink.received == []
+        _sim, node, _sink = make_node()
+        assert node.compose_false_alarm() is None
 
     def test_false_alarming_node_reports(self):
         sensing = SensingModel(
             SensingConfig(sensing_radius=20.0, location_sigma=1.6)
         )
         behavior = Level0Behavior(sensing, false_alarm_rate=1.0)
-        sim, node, sink = make_node(behavior=behavior)
-        node.quiet_window()
-        sim.run()
-        assert len(sink.received) == 1
-        assert sink.received[0].event_id is None
+        _sim, node, _sink = make_node(behavior=behavior)
+        alarm = node.compose_false_alarm()
+        assert alarm is not None
+        assert alarm.event_id is None
 
     def test_dead_node_quiet_window_noop(self):
         sensing = SensingModel(SensingConfig(sensing_radius=20.0))
         behavior = Level0Behavior(sensing, false_alarm_rate=1.0)
-        sim, node, sink = make_node(behavior=behavior)
+        _sim, node, _sink = make_node(behavior=behavior)
         node.kill()
-        node.quiet_window()
-        sim.run()
-        assert sink.received == []
+        assert node.compose_false_alarm() is None
 
 
 class TestFeedback:

@@ -14,7 +14,8 @@ class TestTrajectory:
         )
         assert traj.position_at(0.0) == Point(0.0, 0.0)
         assert traj.position_at(traj.end_time) == Point(30.0, 40.0)
-        assert traj.duration == pytest.approx(5.0)  # 50 units at 10/s
+        # 50 units at 10/s
+        assert traj.end_time - traj.start_time == pytest.approx(5.0)
 
     def test_midpoint_interpolation(self):
         traj = Trajectory([Point(0.0, 0.0), Point(10.0, 0.0)], speed=1.0)
@@ -27,7 +28,7 @@ class TestTrajectory:
             [Point(0.0, 0.0), Point(10.0, 0.0), Point(10.0, 10.0)],
             speed=1.0,
         )
-        assert traj.duration == pytest.approx(20.0)
+        assert traj.end_time - traj.start_time == pytest.approx(20.0)
         corner = traj.position_at(10.0)
         assert corner.x == pytest.approx(10.0)
         assert corner.y == pytest.approx(0.0)
@@ -85,32 +86,6 @@ class TestTargetTracker:
         sim.run()
         xs = [e.location.x for e in tracker.emitted]
         assert xs == pytest.approx([0.0, 5.0, 10.0])
-
-    def test_track_error_scoring(self):
-        from repro.clusterctl.head import DecisionRecord
-
-        sim = Simulator(seed=1)
-        traj = Trajectory([Point(0.0, 0.0), Point(10.0, 0.0)], speed=1.0)
-        tracker = TargetTracker(traj, period=5.0, on_event=lambda e: None)
-        tracker.start(sim)
-        sim.run()
-        decisions = [
-            DecisionRecord(
-                decision_id=1, time=0.5, occurred=True,
-                location=Point(1.0, 0.0), supporters=(), dissenters=(),
-            ),
-            DecisionRecord(
-                decision_id=2, time=5.5, occurred=True,
-                location=Point(5.5, 0.2), supporters=(), dissenters=(),
-            ),
-        ]
-        located, mean_err = tracker.estimated_track_error(
-            decisions, r_error=5.0
-        )
-        assert located == 2
-        assert mean_err == pytest.approx(
-            (1.0 + Point(5.5, 0.2).distance_to(Point(5.0, 0.0))) / 2
-        )
 
     def test_invalid_period_rejected(self):
         traj = Trajectory([Point(0.0, 0.0), Point(1.0, 0.0)], speed=1.0)

@@ -118,7 +118,8 @@ class TestSmoke:
         assert doc["diagnosed"] == []
 
         # The HTTP layer drove the same engine the manager holds.
-        assert manager.get("t1").windows_closed == 1
+        with manager.locked("t1", create=False) as session:
+            assert session.windows_closed == 1
 
     def test_state_round_trip_between_sessions(self, server):
         base, _ = server

@@ -89,8 +89,8 @@ def _responses(data):
 
 
 def _state_text(manager):
-    session = manager.get(KEY)
-    return json.dumps(session.export_state())
+    with manager.locked(KEY, create=False) as session:
+        return json.dumps(session.export_state())
 
 
 def exchange(method, target, body):
@@ -116,11 +116,12 @@ def exchange(method, target, body):
     assert 200 <= status < 300 or 400 <= status < 500, replies
     assert health == 200 and json.loads(health_body)["status"] == "ok"
     if 400 <= status < 500:
-        assert manager.get(KEY) is not None
+        assert KEY in manager
         assert _state_text(manager) == before
         assert set(manager.keys()) == keys_before
     for key in manager.keys():
-        state = manager.get(key).export_state()
+        with manager.locked(key, create=False) as session:
+            state = session.export_state()
         json.dumps(state, allow_nan=False)
         ids = [decision["decision_id"] for decision in state["decisions"]]
         assert all(a < b for a, b in zip(ids, ids[1:])), ids

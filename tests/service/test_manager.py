@@ -24,19 +24,34 @@ def make_factory(n=9, side=30.0):
     return factory
 
 
+def touch(manager, key):
+    """One succeeding request on ``key``: its session, built if new."""
+    with manager.locked(key) as session:
+        return session
+
+
+def resident(manager, key):
+    """The resident session for ``key`` (touching it), or None."""
+    try:
+        with manager.locked(key, create=False) as session:
+            return session
+    except KeyError:
+        return None
+
+
 class TestLifecycle:
-    def test_get_or_create_then_get(self):
+    def test_locked_returns_the_resident_session(self):
         manager = SessionManager(make_factory())
-        created = manager.get_or_create("t1")
-        assert manager.get("t1") is created
-        assert manager.get_or_create("t1") is created
+        created = touch(manager, "t1")
+        assert resident(manager, "t1") is created
+        assert touch(manager, "t1") is created
         assert "t1" in manager
         assert len(manager) == 1
-        assert manager.get("missing") is None
+        assert resident(manager, "missing") is None
 
     def test_remove(self):
         manager = SessionManager(make_factory())
-        manager.get_or_create("t1")
+        touch(manager, "t1")
         assert manager.remove("t1")
         assert not manager.remove("t1")
         assert len(manager) == 0
@@ -44,7 +59,7 @@ class TestLifecycle:
     def test_stats(self):
         manager = SessionManager(make_factory(), max_sessions=2)
         for key in ("a", "b", "c"):
-            manager.get_or_create(key)
+            touch(manager, key)
         stats = manager.stats()
         assert stats["sessions"] == 2
         assert stats["max_sessions"] == 2
@@ -56,34 +71,23 @@ class TestEviction:
     def test_cap_evicts_least_recently_used(self):
         manager = SessionManager(make_factory(), max_sessions=3)
         for key in ("a", "b", "c"):
-            manager.get_or_create(key)
-        manager.get("a")  # touch: "b" is now the LRU entry
-        manager.get_or_create("d")
+            touch(manager, key)
+        resident(manager, "a")  # touch: "b" is now the LRU entry
+        touch(manager, "d")
         assert sorted(manager.keys()) == ["a", "c", "d"]
-
-    def test_on_evict_hook(self):
-        evicted = []
-        manager = SessionManager(
-            make_factory(),
-            max_sessions=2,
-            on_evict=lambda key, session: evicted.append(key),
-        )
-        for key in ("a", "b", "c", "d"):
-            manager.get_or_create(key)
-        assert evicted == ["a", "b"]
 
     def test_busy_slot_is_skipped(self):
         manager = SessionManager(make_factory(), max_sessions=2)
-        manager.get_or_create("a")
-        manager.get_or_create("b")
+        touch(manager, "a")
+        touch(manager, "b")
         with manager.locked("a"):  # "a" is LRU but mid-operation
-            manager.get_or_create("c")
+            touch(manager, "c")
         assert sorted(manager.keys()) == ["a", "c"]
 
     def test_unlimited_by_default(self):
         manager = SessionManager(make_factory())
         for i in range(64):
-            manager.get_or_create(f"t{i}")
+            touch(manager, f"t{i}")
         assert len(manager) == 64
         assert manager.stats()["evicted"] == 0
 
@@ -93,7 +97,7 @@ class TestLocked:
         manager = SessionManager(make_factory())
         with manager.locked("t1") as session:
             assert session.ingest(0)
-        assert manager.get("t1") is session
+        assert resident(manager, "t1") is session
 
     def test_locked_without_create_raises(self):
         manager = SessionManager(make_factory())
@@ -117,7 +121,7 @@ class TestLocked:
         with pytest.raises(ValueError):
             with manager.locked("t1"):
                 raise ValueError("rejected")
-        assert manager.get("t1") is session
+        assert resident(manager, "t1") is session
         assert session.pending_reports() == 1
 
 
@@ -145,9 +149,9 @@ class TestConcurrency:
             t.join()
         assert not errors
         # Every session saw exactly its own traffic: identical outcomes.
-        reference = manager.get("t0")
+        reference = resident(manager, "t0")
         for i in range(8):
-            session = manager.get(f"t{i}")
+            session = resident(manager, f"t{i}")
             assert session.windows_closed == windows
             assert session.tis() == reference.tis()
             assert [r.decision_id for r in session.decisions] == [
@@ -175,7 +179,7 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert not errors
-        session = manager.get("shared")
+        session = resident(manager, "shared")
         assert session.windows_closed == 200
         assert len(session.decisions) == 200
 
@@ -223,4 +227,6 @@ def test_failed_first_requests_race_without_losing_updates():
     assert not errors
     assert len(manager) == rounds
     for round_ in range(rounds):
-        assert manager.get(f"r{round_}").pending_reports() == n_threads // 2
+        assert resident(manager, f"r{round_}").pending_reports() == (
+            n_threads // 2
+        )

@@ -59,7 +59,6 @@ def session_for_head(ch):
             diagnosis_threshold=config.diagnosis_threshold,
             owner_id=ch.node_id,
         ),
-        members=ch.members,
     )
 
 

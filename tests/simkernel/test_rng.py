@@ -71,32 +71,12 @@ class TestStreams:
         assert list(streams.names()) == ["a", "b"]
 
 
-class TestFork:
-    def test_fork_is_reproducible(self):
-        a = RandomStreams(7).fork("sub").get("x").random(5)
-        b = RandomStreams(7).fork("sub").get("x").random(5)
-        assert np.array_equal(a, b)
-
-    def test_fork_differs_from_parent(self):
-        parent = RandomStreams(7)
-        child = parent.fork("sub")
-        assert not np.array_equal(
-            parent.get("x").random(5), child.get("x").random(5)
-        )
-
-    def test_distinct_fork_suffixes_differ(self):
-        parent = RandomStreams(7)
-        a = parent.fork("a").get("x").random(5)
-        b = parent.fork("b").get("x").random(5)
-        assert not np.array_equal(a, b)
-
-
 #: Master seeds of the cache differential: small, the benchmark's, past
 #: 64 and 128 bits (SeedSequence splits entropy into 32-bit words), and
-#: a ``fork`` child's XOR-derived seed.
+#: a hash-derived 64-bit seed with its top bit set.
 CACHE_SEEDS = (
     0, 1, 2005, 2**64 + 3, 2**130 + 1,
-    RandomStreams(7).fork("pf=0.4").master_seed,
+    14940637503391082016,
 )
 
 #: A run's stream names: every per-node stream of a 100-node run, the
