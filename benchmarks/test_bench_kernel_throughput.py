@@ -19,7 +19,6 @@ from repro.core.clustering import cluster_reports_flat
 from repro.core.trust import TrustParameters, TrustTable
 from repro.network.geometry import Point, Region
 from repro.network.topology import grid_deployment, uniform_random_deployment
-from repro.obs.registry import NULL_REGISTRY
 from repro.obs.spans import NULL_SPANS
 from repro.simkernel.rng import RandomStreams
 from repro.simkernel.simulator import Simulator
@@ -146,34 +145,11 @@ def test_clustering_throughput_n200(benchmark):
     assert len(clusters) >= 2
 
 
-def test_disabled_metrics_emit_overhead(benchmark):
-    """50k guarded metric emits against the disabled registry.
-
-    The emit-site convention is ``if m.enabled: m.counter(...).inc()``;
-    when disabled that is one attribute read per site, mirroring the
-    disabled span collector.
-    """
-    m = NULL_REGISTRY
-
-    def run_emits():
-        touched = 0
-        for _ in range(50_000):
-            if m.enabled:  # pragma: no cover - disabled path
-                m.counter("radio.sent").inc()
-                touched += 1
-        return touched
-
-    touched = benchmark(run_emits)
-    assert touched == 0
-    assert len(m) == 0
-
-
 def test_disabled_span_emit_overhead(benchmark):
     """50k guarded span emits against the disabled collector.
 
-    Span sites follow the same convention as metrics --
-    ``if s.enabled: s.point(...)`` -- so a disabled run pays one
-    attribute read per site.  The radio and CH paths each cross a span
+    Every span site is written ``if s.enabled: s.point(...)``, so a
+    disabled run pays one attribute read per site.  The radio and CH paths each cross a span
     site per message, so this path regressing to an allocation or a
     dict touch would show up in every sweep.
     """

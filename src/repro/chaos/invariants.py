@@ -21,8 +21,7 @@ invariants that should hold in *every* run, chaos-injected or not:
 completed :class:`~repro.experiments.harness.SimulationRun` (pure
 reads -- checking never mutates the run), or periodically *inside* a
 run via :meth:`InvariantChecker.install`, failing fast at the first
-violation.  Violations are counted into the run's metrics registry
-(``chaos.violation.<invariant>``) when one is enabled.
+violation.
 
 Replay determinism (CTI verdicts are a pure function of ``(plan,
 seed)``) is exposed as :func:`run_fingerprint`: two runs with the same
@@ -196,19 +195,12 @@ class InvariantChecker:
             (run.diagnosis_threshold,)
             if run.diagnosis_threshold is not None else ()
         )
-        violations = [
+        return [
             *self.check_trust(run.ch.trust, extra_thresholds=extra),
             *self.check_clock(run.sim),
             *self.check_decisions(run.all_decisions(), run.sim.now),
             *self.check_diagnosis(run.ch),
         ]
-        metrics = run.sim.metrics
-        if metrics.enabled:
-            for violation in violations:
-                metrics.counter(
-                    f"chaos.violation.{violation.invariant}"
-                ).inc()
-        return violations
 
     def assert_run(self, run) -> None:
         """Raise :class:`InvariantViolationError` on any violation."""

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from collections import Counter
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -446,6 +447,13 @@ class ChaosController:
         Callbacks the harness provides for :class:`ChCrash` elements
         (killing the CH endpoint, promoting a standby, reviving).
         Required only when the plan contains CH crashes.
+
+    Attributes
+    ----------
+    counts:
+        Faults applied so far, by kind: ``crash``, ``recover``,
+        ``ch-crash``, ``ch-failover``, ``delay``, ``duplicate`` and
+        ``drop.<why>``.
     """
 
     def __init__(
@@ -484,6 +492,7 @@ class ChaosController:
             }
             for i, p in enumerate(self._partitions)
         }
+        self.counts: Counter[str] = Counter()
         self.installed = False
 
     # ------------------------------------------------------------------
@@ -513,7 +522,7 @@ class ChaosController:
                     "callback was provided"
                 )
             self._sim.at(
-                crash.start, self._ch_crash, crash,
+                crash.start, self._crash_head, crash,
                 priority=LIFECYCLE_PRIORITY,
             )
             if crash.end is not None and not crash.failover:
@@ -537,9 +546,7 @@ class ChaosController:
         spans = self._sim.spans
         if spans.enabled:
             spans.point("chaos.crash", parent=spans.current, node=node_id)
-        metrics = self._sim.metrics
-        if metrics.enabled:
-            metrics.counter("chaos.crash").inc()
+        self.counts["crash"] += 1
 
     def _revive_node(self, node_id: int) -> None:
         node = self._resolve(node_id)
@@ -547,9 +554,13 @@ class ChaosController:
         spans = self._sim.spans
         if spans.enabled:
             spans.point("chaos.recover", parent=spans.current, node=node_id)
-        metrics = self._sim.metrics
-        if metrics.enabled:
-            metrics.counter("chaos.recover").inc()
+        self.counts["recover"] += 1
+
+    def _crash_head(self, crash: ChCrash) -> None:
+        self.counts["ch-crash"] += 1
+        if crash.failover:
+            self.counts["ch-failover"] += 1
+        self._ch_crash(crash)
 
     # ------------------------------------------------------------------
     # Transmit interception
@@ -593,11 +604,9 @@ class ChaosController:
                 perturbed = True
         if not perturbed:
             return None
-        metrics = self._sim.metrics
         spans = self._sim.spans
         if duplicate:
-            if metrics.enabled:
-                metrics.counter("chaos.duplicate").inc()
+            self.counts["duplicate"] += 1
             if spans.enabled:
                 spans.point(
                     "chaos.intercept",
@@ -610,8 +619,7 @@ class ChaosController:
             # The copy trails the first delivery by the same combined
             # perturbation again (deterministic given the draws above).
             return Intercept(False, (extra, extra + max(extra, 1e-9)))
-        if metrics.enabled:
-            metrics.counter("chaos.delay").inc()
+        self.counts["delay"] += 1
         if spans.enabled:
             spans.point(
                 "chaos.intercept",
@@ -624,9 +632,7 @@ class ChaosController:
         return Intercept(False, (extra,))
 
     def _drop(self, why: str) -> Intercept:
-        metrics = self._sim.metrics
-        if metrics.enabled:
-            metrics.counter(f"chaos.drop.{why}").inc()
+        self.counts[f"drop.{why}"] += 1
         spans = self._sim.spans
         if spans.enabled:
             # Parent: whatever context scheduled the transmit (the

@@ -393,10 +393,7 @@ def _cmd_fig(args: argparse.Namespace) -> int:
 
 
 def _build_adhoc_run(
-    args: argparse.Namespace,
-    observe: bool = False,
-    spans: bool = False,
-    journal: bool = False,
+    args: argparse.Namespace, spans: bool = False, journal: bool = False
 ) -> SimulationRun:
     """Assemble the ``run``/``trace`` ad-hoc simulation from CLI options."""
     n_faulty = round(args.nodes * args.percent_faulty / 100.0)
@@ -434,7 +431,6 @@ def _build_adhoc_run(
         channel_loss=0.008 if args.mode == "location" else 0.0,
         diagnosis_threshold=args.diagnosis_threshold,
         seed=args.seed,
-        observe=observe,
         spans=spans,
         journal=journal,
     )
@@ -523,7 +519,7 @@ def _ti_history(
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    run = _build_adhoc_run(args, observe=True, spans=True, journal=True)
+    run = _build_adhoc_run(args, spans=True, journal=True)
     run.run(args.events)
     metrics = run.metrics()
     samples, replay = _ti_history(run)
@@ -567,9 +563,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             line += f" diagnosed@t={diagnosis_times[node]:g}"
         print(line)
 
+    registry = run.instruments()
     print("\ndecision timeline:")
-    occurred = run.registry.counter("ch.decision.occurred").value
-    rejected = run.registry.counter("ch.decision.rejected").value
+    occurred = registry.counter("ch.decision.occurred").value
+    rejected = registry.counter("ch.decision.rejected").value
     print(
         f"  {len(run.ch.decisions)} decisions "
         f"({occurred:g} occurred, {rejected:g} rejected)"
@@ -586,7 +583,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("  diagnosis disabled (no --diagnosis-threshold)")
 
     print("\nmetrics registry:")
-    print(_render_registry(run.registry.snapshot()))
+    print(_render_registry(registry.snapshot()))
 
     print(
         f"\nspans: {run.spans.emitted} emitted, "

@@ -19,10 +19,10 @@ Two collection modes mirror the paper's two models:
 The decision pipeline itself -- trust table, voter, kernel, diagnosis
 -- lives in an embedded :class:`~repro.service.session.TrustSession`:
 the CH is one client of the service engine, owning only what is
-DES-specific (timers, the circle tracker, span/metrics emission,
-and verdict announcements).  ``self.trust``, ``self.voter``,
-``self.diagnoser`` and ``self.decisions`` alias the session's objects,
-so existing consumers see the exact structures they always did.
+DES-specific (timers, the circle tracker, span emission, and verdict
+announcements).  ``self.trust``, ``self.voter``, ``self.diagnoser`` and
+``self.decisions`` alias the session's objects, so existing consumers
+see the exact structures they always did.
 """
 
 from __future__ import annotations
@@ -184,16 +184,14 @@ class ClusterHead(NetworkNode):
     def attach(self, sim, channel) -> None:  # noqa: D102 - see base class
         super().attach(sim, channel)
         spans = sim.spans
-        if isinstance(self.voter, CtiVoter):
-            self.voter.metrics = sim.metrics
-            if spans.enabled:
-                self.voter.spans = spans
         if spans.enabled:
             # Rebind the collector down the decision stack (instance
             # attributes overriding the NULL_SPANS class defaults).  A
             # promoted standby CH re-runs attach and rebinds the same
             # way.
             self.trust.spans = spans
+            if isinstance(self.voter, CtiVoter):
+                self.voter.spans = spans
         if self.config.mode == "location":
             # The session built the kernel.  The tracker is DES-only --
             # its circles ride simulator timers -- so it stays here.
@@ -356,11 +354,6 @@ class ClusterHead(NetworkNode):
                 supporters=list(supporters),
                 dissenters=list(dissenters),
             )
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "ch.decision.occurred" if occurred else "ch.decision.rejected"
-            ).inc()
         for entry in self.session.sweep(self.sim.now):
             if spans.enabled:
                 spans.point(
@@ -369,8 +362,6 @@ class ClusterHead(NetworkNode):
                     node=entry.node_id,
                     ti=entry.ti_at_diagnosis,
                 )
-            if metrics.enabled:
-                metrics.counter("ch.diagnosis").inc()
         if not self.config.announce:
             return
         announcement = ChDecisionAnnouncement(

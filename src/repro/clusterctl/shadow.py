@@ -24,9 +24,9 @@ A seat whose verdict differs from the CH's announcement sends a
 :class:`~repro.network.messages.ScHDisagreement` to the base station,
 which resolves by simple 2-of-3 voting (CH + 2 SCHs).
 
-The mirror records no spans and counts no metrics: its verdicts are
-private recomputations, not network decisions.  A dissent is recorded
-(``sch.disagree``).
+The mirror records no spans, and the run's counts leave it out: its
+verdicts are private recomputations, not network decisions.  A dissent
+is recorded (``sch.disagree``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.network.messages import (
     ScHDisagreement,
 )
 from repro.network.node import NetworkNode
-from repro.obs.registry import NULL_REGISTRY
 from repro.obs.spans import NULL_SPANS
 from repro.service.ids import IdAllocator
 
@@ -50,11 +49,10 @@ __all__ = ["HeadMirror", "ShadowClusterHead", "appoint_shadows"]
 
 
 class _Unobserved:
-    """The simulator as a mirror sees it: without spans or metrics.
-    The clock and timers it uses per report are direct attributes."""
+    """The simulator as a mirror sees it: without spans.  The clock and
+    timers it uses per report are direct attributes."""
 
     spans = NULL_SPANS
-    metrics = NULL_REGISTRY
 
     def __init__(self, sim) -> None:
         self._sim = sim

@@ -12,11 +12,9 @@ lets TIBFIT survive a compromised *majority* once enough state exists.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable, NamedTuple, Tuple
 
 from repro.core.trust import TrustTable
-from repro.obs.registry import NULL_REGISTRY
 from repro.obs.spans import NULL_SPANS
 
 
@@ -75,10 +73,6 @@ class CtiVoter:
     def __init__(self, trust: TrustTable) -> None:
         self.trust = trust
         self.votes_taken = 0
-        # Instrumented callers (ClusterHead.attach) swap in a live
-        # registry; the disabled default costs one attribute check per
-        # vote, guarded by the kernel throughput bench.
-        self.metrics = NULL_REGISTRY
 
     def decide(
         self,
@@ -102,7 +96,6 @@ class CtiVoter:
         ValueError
             If the two groups overlap (a node cannot be both).
         """
-        metrics = self.metrics
         spans = self.spans
         if spans.enabled:
             # Pre-vote TIs must be read before cti_vote mutates the
@@ -113,20 +106,9 @@ class CtiVoter:
             ti = self.trust.ti
             pre_r = [ti(n) for n in reporters]
             pre_nr = [ti(n) for n in non_reporters]
-        if metrics.enabled:
-            start = perf_counter()
-            occurred, r, nr, cti_r, cti_nr, tie, winners, losers = (
-                self.trust.cti_vote(reporters, non_reporters)
-            )
-            metrics.timer("trust.vote.wall").observe(perf_counter() - start)
-            metrics.histogram("trust.vote.margin").observe(
-                abs(cti_r - cti_nr)
-            )
-            metrics.counter("trust.votes").inc()
-        else:
-            occurred, r, nr, cti_r, cti_nr, tie, winners, losers = (
-                self.trust.cti_vote(reporters, non_reporters)
-            )
+        occurred, r, nr, cti_r, cti_nr, tie, winners, losers = (
+            self.trust.cti_vote(reporters, non_reporters)
+        )
         self.votes_taken += 1
         if spans.enabled:
             vote_ctx = spans.point(

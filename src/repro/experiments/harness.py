@@ -54,7 +54,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.provenance import ProvenanceIndex
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NULL_SPANS, SpanCollector
 from repro.simkernel.simulator import Simulator
 from repro.experiments.metrics import RunMetrics, score_run
@@ -126,12 +126,14 @@ class LeadershipRound:
 
 
 class HeadLog(NamedTuple):
-    """What scoring and replay keep of a CH: its logs, not the whole
-    head with its trust table and circle tracker."""
+    """What scoring, replay and the run's counts keep of a CH: its logs
+    and its CTI vote count, not the whole head with its trust table and
+    circle tracker."""
 
     decisions: List[DecisionRecord]
     journal: List[Dict[str, object]]
     diagnosed: Tuple[int, ...]
+    votes: int
 
 
 class _CorruptClusterHead(ClusterHead):
@@ -208,15 +210,6 @@ class SimulationRun:
         touches an RNG, so a spanned run stays bit-identical to an
         unspanned one (asserted by
         ``tests/experiments/test_observability.py``).
-    observe:
-        Enable the metrics registry: a live
-        :class:`~repro.obs.registry.MetricsRegistry` shared by every
-        simulation entity (a head's shadow mirror counts nothing: its
-        verdicts are not network decisions).  Instrumentation reads
-        state but never mutates it (and never touches an RNG), so an
-        observed run stays bit-identical to an unobserved one.  After
-        :meth:`run`, :meth:`export_artifacts` serialises everything to
-        JSONL next to a manifest.
     journal:
         Record every decided window's raw inputs (see
         :meth:`session_journal`); replaying them through a fresh
@@ -267,7 +260,6 @@ class SimulationRun:
         diagnosis_threshold: Optional[float] = None,
         concurrent_batch: int = 1,
         seed: int = 0,
-        observe: bool = False,
         spans: bool = False,
         journal: bool = False,
         chaos_plan: Optional[FaultPlan] = None,
@@ -312,15 +304,11 @@ class SimulationRun:
         self.diagnosis_threshold = diagnosis_threshold
         self.concurrent_batch = concurrent_batch
         self.seed = seed
-        self.observe = observe
         self.journal = journal
         self.chaos_plan = chaos_plan
         self.rotation = rotation
         self.chaos: Optional[ChaosController] = None
         self._retired: List[HeadLog] = []
-        self.registry = (
-            MetricsRegistry(enabled=True) if observe else NULL_REGISTRY
-        )
         self.spans = SpanCollector() if spans else NULL_SPANS
         self.timings: Dict[str, float] = {}
 
@@ -379,9 +367,7 @@ class SimulationRun:
 
         region = Region.square(self.field_side)
         self.sim = Simulator(
-            seed=self.seed,
-            metrics=self.registry,
-            spans=self.spans if self.spans.enabled else None,
+            seed=self.seed, spans=self.spans if self.spans.enabled else None
         )
         self.channel = RadioChannel(
             self.sim, ChannelConfig(loss_probability=self.channel_loss)
@@ -519,8 +505,6 @@ class SimulationRun:
             spans.point(
                 "chaos.ch-crash", parent=spans.current, ch=self.ch.node_id
             )
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter("chaos.ch-crash").inc()
         if crash.failover:
             self._promote_standby()
 
@@ -553,8 +537,6 @@ class SimulationRun:
                 old=retired.node_id,
                 new=standby_id,
             )
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter("chaos.ch-failover").inc()
 
     def _make_faulty_behavior(
         self, node_id: int, spec: Optional[FaultSpec] = None
@@ -595,8 +577,6 @@ class SimulationRun:
             self._run_leaderships(n_rounds)
         else:
             self._run_fixed(n_rounds)
-        if self.observe:
-            self.sim.record_kernel_metrics()
         self.timings["run_s"] = perf_counter() - run_start
         return self
 
@@ -856,6 +836,8 @@ class SimulationRun:
             ch.decisions,
             ch.session.journal_records() if self.journal else [],
             ch.diagnoser.diagnosed if ch.diagnoser is not None else (),
+            # The baseline's head-count votes are not trust votes.
+            ch.voter.votes_taken if self.use_trust else 0,
         )
 
     def _head_logs(self) -> List[HeadLog]:
@@ -979,22 +961,64 @@ class SimulationRun:
             ),
         }
 
+    def instruments(self) -> MetricsRegistry:
+        """The run's counts as metrics: ``metrics.jsonl`` and the
+        ``trace`` table.
+
+        Each instrument reads one tally the run keeps anyway: the
+        channel's ``sent`` / ``delivered`` / ``drops``, the chaos
+        controller's ``counts``, every head's log (retired heads
+        included; a shadow mirror is no head) and the simulator's
+        ``events_fired`` and ``pending``.  ``trust.vote.margin`` reads
+        the buffered ``trust.vote`` spans, so only a run that collects
+        spans has it.  Per-reason drops, chaos faults, diagnoses and
+        votes are left out while zero.  Only meaningful after
+        :meth:`run`.
+        """
+        assert self.sim is not None and self.channel is not None
+        channel = self.channel
+        heads = self._head_logs()
+        decided = sum(len(head.decisions) for head in heads)
+        occurred = sum(
+            1 for head in heads for d in head.decisions if d.occurred
+        )
+        registry = MetricsRegistry()
+        for name, n in (
+            ("radio.sent", channel.sent),
+            ("radio.delivered", channel.delivered),
+            ("radio.dropped", channel.dropped),
+            ("ch.decision.occurred", occurred),
+            ("ch.decision.rejected", decided - occurred),
+        ):
+            registry.counter(name).inc(n)
+        tallies = {f"radio.drop.{why}": n for why, n in channel.drops.items()}
+        if self.chaos is not None:
+            tallies.update(
+                (f"chaos.{fault}", n) for fault, n in self.chaos.counts.items()
+            )
+        tallies["ch.diagnosis"] = sum(len(head.diagnosed) for head in heads)
+        tallies["trust.votes"] = sum(head.votes for head in heads)
+        for name, n in tallies.items():
+            if n:
+                registry.counter(name).inc(n)
+        registry.gauge("des.events_fired").set(self.sim.events_fired)
+        registry.gauge("des.queue_depth").set(self.sim.pending)
+        for vote in self.spans.spans("trust.vote"):
+            registry.histogram("trust.vote.margin").observe(
+                abs(vote.args["cti_r"] - vote.args["cti_nr"])
+            )
+        return registry
+
     def export_artifacts(self, out_dir) -> Dict[str, Path]:
         """Serialise the run's observability state to ``out_dir``.
 
         Writes ``manifest.json`` and ``metrics.jsonl`` (see
-        :mod:`repro.obs.export` for the schemas); runs created with
-        ``journal=True`` add ``session_journal.jsonl``, and runs created
-        with ``spans=True`` their event log, ``spans.jsonl``, with
-        ``provenance.jsonl`` and ``spans_chrome.json``.
-        Only meaningful after :meth:`run`; requires the run to have
-        been created with ``observe=True``.
+        :mod:`repro.obs.export` for the schemas and :meth:`instruments`
+        for the records); runs created with ``journal=True`` add
+        ``session_journal.jsonl``, and runs created with ``spans=True``
+        their event log, ``spans.jsonl``, with ``provenance.jsonl`` and
+        ``spans_chrome.json``.  Only meaningful after :meth:`run`.
         """
-        if not self.observe:
-            raise RuntimeError(
-                "export_artifacts requires observe=True (no registry "
-                "was attached to this run)"
-            )
         assert self.sim is not None
         out = Path(out_dir)
         counts = {
@@ -1015,7 +1039,7 @@ class SimulationRun:
         paths = {
             "manifest": write_json(out / "manifest.json", manifest),
             "metrics": write_jsonl(
-                out / "metrics.jsonl", self.registry.snapshot()
+                out / "metrics.jsonl", self.instruments().snapshot()
             ),
         }
         if self.journal:

@@ -34,9 +34,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set
 from repro.network.geometry import Point
 from repro.network.messages import Message, _next_message_id
 from repro.network.node import NetworkNode
-from repro.network.radio import RadioChannel
 from repro.network.topology import Deployment
-from repro.simkernel.simulator import Simulator
 
 _relayed_ids = itertools.count(1)
 

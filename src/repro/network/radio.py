@@ -13,6 +13,7 @@ duplicates) go through a transmit interceptor.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -138,15 +139,8 @@ class RadioChannel:
         self._rng = sim.streams.get("channel")
         self.sent = 0
         self.delivered = 0
-        self.dropped = 0
-        # Counter handles, rebound lazily whenever ``sim.metrics`` is a
-        # different registry than last time -- the instrumented path then
-        # skips the registry's per-send string lookups.
-        self._counter_src: Optional[object] = None
-        self._c_sent = None
-        self._c_delivered = None
-        self._c_dropped = None
-        self._c_drop: Dict[str, object] = {}
+        #: Dropped transmissions by :class:`DeliveryOutcome` reason.
+        self.drops: Counter[str] = Counter()
 
     # ------------------------------------------------------------------
     # Registration
@@ -214,6 +208,11 @@ class RadioChannel:
     # ------------------------------------------------------------------
     # Traffic
     # ------------------------------------------------------------------
+    @property
+    def dropped(self) -> int:
+        """Dropped transmissions, whatever the reason."""
+        return sum(self.drops.values())
+
     def unicast(
         self, sender: NetworkNode, destination: int, message: Message
     ) -> DeliveryOutcome:
@@ -245,16 +244,6 @@ class RadioChannel:
             else:
                 outcome = _OK
 
-        metrics = self._sim.metrics
-        if metrics.enabled:
-            if self._counter_src is not metrics:
-                self._rebind_counters(metrics)
-            self._c_sent.inc()
-            if outcome.delivered:
-                self._c_delivered.inc()
-            else:
-                self._c_dropped.inc()
-                self._drop_counter(outcome.reason).inc()
         spans = self._spans
         if outcome.delivered:
             self.delivered += 1
@@ -281,7 +270,7 @@ class RadioChannel:
             if spans.enabled:
                 spans.current = saved
         else:
-            self.dropped += 1
+            self.drops[outcome.reason] += 1
             if spans.enabled:
                 spans.point(
                     "radio.drop",
@@ -352,9 +341,9 @@ class RadioChannel:
         On a wide-open channel the send is counted and drawn exactly as
         that loop would count and draw it: one ``"channel"`` draw per
         live receiver in ascending id order, and every receiver in
-        ``sent``, ``delivered``, ``dropped`` and the per-reason drop
-        counters.  But the one fused delivery event carries only the
-        message's *readers*, the surviving live receivers that are
+        ``sent`` and in ``delivered`` or ``drops``.  But the one fused
+        delivery event carries only the message's *readers*, the
+        surviving live receivers that are
 
         * of a class that may act on any message
           (``NetworkNode.hears_unnamed``),
@@ -487,25 +476,12 @@ class RadioChannel:
             # lossless channel skips the comparison.
             if loss != 0.0:
                 lost = (draws < loss).nonzero()[0].tolist()
-        n_dead = n - n_live
-        n_lost = len(lost)
-        n_ok = n_live - n_lost
         self.sent += n
-        self.delivered += n_ok
-        self.dropped += n_dead + n_lost
-        metrics = self._sim.metrics
-        if metrics.enabled:
-            if self._counter_src is not metrics:
-                self._rebind_counters(metrics)
-            self._c_sent.inc(n)
-            if n_ok:
-                self._c_delivered.inc(n_ok)
-            if n_dead or n_lost:
-                self._c_dropped.inc(n_dead + n_lost)
-            if n_dead:
-                self._drop_counter("dead-receiver").inc(n_dead)
-            if n_lost:
-                self._drop_counter("dropped").inc(n_lost)
+        self.delivered += n_live - len(lost)
+        if n > n_live:
+            self.drops["dead-receiver"] += n - n_live
+        if lost:
+            self.drops["dropped"] += len(lost)
         return lost
 
     def _deliver_fused(
@@ -531,20 +507,6 @@ class RadioChannel:
                 for tap in taps.get(receiver.node_id, ()):
                     if tap.alive and tap.node_id != message.sender:
                         tap.on_message(message)
-
-    def _rebind_counters(self, metrics) -> None:
-        self._counter_src = metrics
-        self._c_sent = metrics.counter("radio.sent")
-        self._c_delivered = metrics.counter("radio.delivered")
-        self._c_dropped = metrics.counter("radio.dropped")
-        self._c_drop = {}
-
-    def _drop_counter(self, reason: str):
-        counter = self._c_drop.get(reason)
-        if counter is None:
-            counter = self._counter_src.counter(f"radio.drop.{reason}")
-            self._c_drop[reason] = counter
-        return counter
 
     def _deliver(self, receiver: NetworkNode, message: Message) -> None:
         spans = self._spans

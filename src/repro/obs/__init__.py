@@ -1,11 +1,10 @@
 """Observability for the TIBFIT reproduction.
 
-``repro.obs`` makes runs *inspectable*; each instrument is opt-in and
-costs about one attribute check while disabled:
+``repro.obs`` makes runs *inspectable*:
 
 ``repro.obs.registry``
-    Named counters / gauges / histograms / timers with a zero-overhead
-    disabled path (:data:`NULL_REGISTRY`), mirroring ``NULL_SPANS``.
+    Named counters / gauges / histograms: the ``metrics.jsonl`` records,
+    read after a run from the tallies it keeps anyway.
 ``repro.obs.export``
     JSONL artifact writers, per-run manifests, and schema validators.
 ``repro.obs.spans``
@@ -16,9 +15,9 @@ costs about one attribute check while disabled:
     :class:`ProvenanceIndex` -- walks span lineage to reconstruct the
     full evidence chain behind any CH verdict.
 
-Entry points: ``SimulationRun(observe=True)`` threads a live registry
-through one run and ``export_artifacts()`` writes the JSONL bundle
-(``spans=True`` adds spans / provenance / a Chrome trace, and
+Entry points: ``SimulationRun.instruments()`` reads a finished run's
+counts into a registry and ``export_artifacts()`` writes the JSONL
+bundle (``spans=True`` adds spans / provenance / a Chrome trace, and
 ``journal=True`` the session journal, whose replay is the run's TI
 history); ``tibfit-repro trace`` does all three from the command line;
 ``tibfit-repro explain`` renders one decision's causal chain; and
@@ -44,14 +43,7 @@ from repro.obs.export import (
 )
 from repro.obs.provenance import ProvenanceIndex
 from repro.obs.spans import NULL_SPANS, Span, SpanCollector
-from repro.obs.registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-)
+from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
     "Counter",
@@ -59,13 +51,11 @@ __all__ = [
     "Histogram",
     "MANIFEST_SCHEMA_VERSION",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "NULL_SPANS",
     "ProvenanceIndex",
     "SchemaError",
     "Span",
     "SpanCollector",
-    "Timer",
     "build_manifest",
     "chrome_trace",
     "read_jsonl",

@@ -1,9 +1,10 @@
 """Structured export: JSONL artifacts, per-run manifests, schemas.
 
-An instrumented run writes two artifacts side by side::
+An exported run writes two artifacts side by side::
 
     manifest.json     what ran: config, seed, code version, timings
-    metrics.jsonl     one registry instrument snapshot per line
+    metrics.jsonl     one instrument snapshot per line, read from the
+                      run's own counts (SimulationRun.instruments)
 
 a journalled run (``SimulationRun(journal=True)``) adds the record its
 TI history replays from::
@@ -54,7 +55,40 @@ __all__ = [
 
 MANIFEST_SCHEMA_VERSION = 1
 
-_METRIC_TYPES = ("counter", "gauge", "histogram", "timer")
+_METRIC_TYPES = ("counter", "gauge", "histogram")
+
+_NUMBER = (int, float)
+
+#: The span args :class:`~repro.obs.provenance.ProvenanceIndex` reads,
+#: by category, with the JSON type it reads each as.
+_SPAN_ARGS: Dict[str, Dict[str, object]] = {
+    "ch.decision": {
+        "decision_id": int,
+        "occurred": bool,
+        "supporters": list,
+        "dissenters": list,
+        "x": (*_NUMBER, type(None)),
+        "y": (*_NUMBER, type(None)),
+    },
+    "window.cluster": {
+        "x": _NUMBER, "y": _NUMBER, "members": list, "dissenters": list,
+    },
+    "window.filter": {"kept": list, "gated": list},
+    "trust.vote": {
+        "occurred": bool,
+        "tie": bool,
+        "cti_r": _NUMBER,
+        "cti_nr": _NUMBER,
+        "reporters": list,
+        "non_reporters": list,
+        "ti_r": list,
+        "ti_nr": list,
+        "applied": bool,
+    },
+    "trust.reward": {"nodes": list, "ti": list},
+    "trust.penalize": {"nodes": list, "ti": list},
+    "ch.diagnosis": {"node": int, "ti": _NUMBER},
+}
 
 
 class SchemaError(ValueError):
@@ -182,7 +216,9 @@ def validate_span_record(record: object) -> None:
     if not category:
         raise SchemaError(f"span record {span_id}: empty category")
     _require(record, f"span record {span_id}", "time", (int, float))
-    _require(record, f"span record {span_id}", "args", dict)
+    args = _require(record, f"span record {span_id}", "args", dict)
+    for key, types in _SPAN_ARGS.get(category, {}).items():
+        _require(args, f"span record {span_id} ({category}) args", key, types)
 
 
 def validate_provenance_record(record: object) -> None:

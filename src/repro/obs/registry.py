@@ -1,39 +1,24 @@
-"""Run-wide metrics registry: counters, gauges, histograms, timers.
+"""Metrics registry: counters, gauges and histograms.
 
 The registry is the numeric side of the observability layer (the
-:mod:`repro.obs.spans` log is the event side).  Hot points across
-the stack -- the radio channel, the CTI voter, the cluster head, the
-sweep runner -- hold a registry reference and record into *named
-instruments*:
+:mod:`repro.obs.spans` log is the event side).  Nothing in a run emits
+into it: a run keeps its own tallies (the channel's ``sent`` /
+``delivered`` / ``drops``, the heads' decision and diagnosis logs,
+``Simulator.events_fired``), and
+:meth:`repro.experiments.harness.SimulationRun.instruments` reads each
+of them once into a registry after the run -- the ``metrics.jsonl``
+records and ``tibfit-repro trace``'s table.  Its *named instruments*:
 
-* :class:`Counter` -- monotonically increasing event tallies
-  (``radio.sent``, ``ch.decision.occurred``).
+* :class:`Counter` -- event tallies (``radio.sent``,
+  ``ch.decision.occurred``).
 * :class:`Gauge` -- last-value measurements (``des.events_fired``).
 * :class:`Histogram` -- distributions with exact count/sum/min/max and
   quantiles over a bounded sample reservoir (``trust.vote.margin``).
-* :class:`Timer` -- a histogram of elapsed seconds with a context
-  manager (``trust.vote.wall``).
-
-Zero-overhead disabled path
----------------------------
-Like the disabled span collector (:data:`repro.obs.spans.NULL_SPANS`),
-a disabled registry (:data:`NULL_REGISTRY`, the sweep-runner default)
-costs callers one attribute check: every emit site is written as::
-
-    m = sim.metrics
-    if m.enabled:
-        m.counter("radio.sent").inc()
-
-so thousands-of-runs sweeps never pay for instruments nobody reads.
-Calling ``counter()`` / ``gauge()`` / ... on a disabled registry is
-also safe -- it returns a shared no-op instrument -- but the guarded
-form above is the hot-path convention.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from typing import Callable, Dict, List
 
 __all__ = [
@@ -41,9 +26,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "TRUNCATED_COUNTER",
-    "Timer",
 ]
 
 
@@ -52,7 +35,7 @@ __all__ = [
 _RESERVOIR_MAX = 8192
 
 #: Counter name under which :meth:`MetricsRegistry.snapshot` reports
-#: how many histogram/timer reservoirs overflowed -- quantiles in those
+#: how many histogram reservoirs overflowed -- quantiles in those
 #: snapshots cover only the first :data:`_RESERVOIR_MAX` samples, and a
 #: metrics reader should not have to scan every record for the
 #: ``truncated`` flag to notice.
@@ -181,99 +164,13 @@ class Histogram:
         return out
 
 
-class Timer(Histogram):
-    """A histogram of elapsed wall-clock seconds.
-
-    Use either ``observe(seconds)`` directly or the ``time()`` context
-    manager::
-
-        with registry.timer("sweep.task.wall").time():
-            task.run()
-    """
-
-    __slots__ = ()
-
-    kind = "timer"
-
-    def time(self) -> "_TimerContext":
-        return _TimerContext(self)
-
-
-class _TimerContext:
-    __slots__ = ("_timer", "_start")
-
-    def __init__(self, timer: Timer) -> None:
-        self._timer = timer
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._timer.observe(time.perf_counter() - self._start)
-
-
-class _NullInstrument:
-    """Shared sink for every instrument request on a disabled registry."""
-
-    __slots__ = ()
-
-    name = "<null>"
-    kind = "null"
-    value = 0
-    count = 0
-    sum = 0.0
-    mean = 0.0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def time(self) -> "_NullTimerContext":
-        return _NULL_TIMER_CONTEXT
-
-
-class _NullTimerContext:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimerContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-_NULL_TIMER_CONTEXT = _NullTimerContext()
-
-
 class MetricsRegistry:
-    """A namespace of named instruments with a no-op disabled state.
+    """A namespace of named instruments."""
 
-    Parameters
-    ----------
-    enabled:
-        When False, every ``counter()`` / ``gauge()`` / ``histogram()``
-        / ``timer()`` call returns a shared no-op instrument and the
-        registry serialises to nothing.  Emit sites should check
-        ``registry.enabled`` first so the disabled path is a single
-        attribute read (the contract the disabled-path micro-bench in
-        ``benchmarks/test_bench_kernel_throughput.py`` guards).
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
 
     def _get(self, name: str, factory: Callable[[str], object]) -> object:
-        if not self.enabled:
-            return _NULL_INSTRUMENT
         found = self._instruments.get(name)
         if found is None:
             found = factory(name)
@@ -297,16 +194,12 @@ class MetricsRegistry:
         """The histogram named ``name`` (created on first request)."""
         return self._get(name, Histogram)  # type: ignore[return-value]
 
-    def timer(self, name: str) -> Timer:
-        """The timer named ``name`` (created on first request)."""
-        return self._get(name, Timer)  # type: ignore[return-value]
-
     def names(self) -> List[str]:
         """Registered instrument names, sorted."""
         return sorted(self._instruments)
 
     def truncated_names(self) -> List[str]:
-        """Names of histograms/timers whose quantile reservoir overflowed."""
+        """Names of histograms whose quantile reservoir overflowed."""
         return [
             name
             for name in self.names()
@@ -335,10 +228,4 @@ class MetricsRegistry:
         return len(self._instruments)
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"MetricsRegistry({state}, instruments={len(self)})"
-
-
-#: The shared disabled registry handed to everything that does not
-#: opt into observability -- the metrics analogue of ``NULL_SPANS``.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
+        return f"MetricsRegistry(instruments={len(self)})"

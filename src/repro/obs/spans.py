@@ -25,8 +25,7 @@ id.
 
 Zero-overhead disabled path
 ---------------------------
-Mirroring :data:`repro.obs.registry.NULL_REGISTRY`, every emit site
-is written as::
+Every emit site is written as::
 
     spans = sim.spans
     if spans.enabled:
@@ -238,5 +237,5 @@ class _NullSpans:
 
 
 #: The shared disabled collector handed to everything that does not opt
-#: into provenance -- the spans analogue of ``NULL_REGISTRY``.
+#: into provenance.
 NULL_SPANS = _NullSpans()

@@ -12,7 +12,6 @@ is the target's transmission at that instant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from repro.network.geometry import Point

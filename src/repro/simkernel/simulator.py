@@ -1,10 +1,9 @@
 """The simulation event loop, clock, and timer facilities.
 
 :class:`Simulator` is deliberately minimal: a clock, one ``heapq`` of
-scheduled callbacks, named random streams, and two observability hooks
-(a metrics registry and a span collector).  Protocol entities (nodes,
-cluster heads, channels) hold a reference to the simulator and schedule
-callbacks on it.
+scheduled callbacks, named random streams, and one observability hook
+(a span collector).  Protocol entities (nodes, cluster heads, channels)
+hold a reference to the simulator and schedule callbacks on it.
 
 Determinism contract
 --------------------
@@ -22,7 +21,6 @@ import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_SPANS
 from repro.simkernel.errors import SchedulingError
 from repro.simkernel.rng import RandomStreams
@@ -35,13 +33,6 @@ class Simulator:
     ----------
     seed:
         Master seed for all random streams (see :class:`RandomStreams`).
-    metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` shared by
-        every entity holding this simulator (radio channel, cluster
-        heads).  Defaults to the disabled ``NULL_REGISTRY``, so
-        uninstrumented runs pay nothing; the event loop itself is never
-        instrumented per event -- ``events_fired`` / queue depth are
-        sampled at run boundaries instead.
     spans:
         Optional :class:`~repro.obs.spans.SpanCollector`, the run's event
         log and causal provenance.  Defaults to the disabled
@@ -61,12 +52,7 @@ class Simulator:
     [5.0]
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
-        spans=None,
-    ) -> None:
+    def __init__(self, seed: int = 0, spans=None) -> None:
         self._now = 0.0
         self.spans = spans if spans is not None else NULL_SPANS
         if self.spans.enabled:
@@ -74,7 +60,6 @@ class Simulator:
         self._heap: list = []
         self._sequence = itertools.count()
         self.streams = RandomStreams(seed)
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._running = False
         self._events_fired = 0
 
@@ -195,19 +180,6 @@ class Simulator:
         finally:
             self._running = False
         return self._now
-
-    def record_kernel_metrics(self) -> None:
-        """Sample kernel state into the metrics registry.
-
-        A boundary hook, not a per-event one: callers (the harness, at
-        round boundaries and run end) decide the cadence, so the run
-        loop stays untouched.  Records the ``des.events_fired`` gauge
-        and one ``des.queue_depth`` observation.
-        """
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.gauge("des.events_fired").set(float(self._events_fired))
-            metrics.histogram("des.queue_depth").observe(float(self.pending))
 
     def __repr__(self) -> str:
         return (

@@ -157,13 +157,15 @@ class TestChFailover:
         ]
 
     def test_observed_failover_matches_unobserved(self):
-        run = self.make_crash_run(observe=True).run(10)
+        run = self.make_crash_run(spans=True).run(10)
         plain = self.make_crash_run().run(10)
         assert run_fingerprint(run) == run_fingerprint(plain)
-        registry = run.registry
-        assert registry.counter("chaos.ch-failover").value == 1
-        # Both heads' verdicts count, each once.
-        assert (
-            registry.counter("ch.decision.occurred").value
-            + registry.counter("ch.decision.rejected").value
-        ) == len(run.all_decisions())
+        for counted in (run, plain):
+            registry = counted.instruments()
+            assert registry.counter("chaos.ch-crash").value == 1
+            assert registry.counter("chaos.ch-failover").value == 1
+            # Both heads' verdicts count, each once.
+            assert (
+                registry.counter("ch.decision.occurred").value
+                + registry.counter("ch.decision.rejected").value
+            ) == len(counted.all_decisions())

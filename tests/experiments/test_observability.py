@@ -2,8 +2,10 @@
 
 The load-bearing guarantees:
 
-* an instrumented (``observe=True``) run is **bit-identical** to an
-  uninstrumented one -- the registry reads state, never mutates it;
+* ``metrics.jsonl`` holds the counts the run keeps anyway, and they
+  agree with the event log: every chaos fault, verdict, diagnosis and
+  CTI vote the spans record is counted once, and two runs of one
+  config and seed write the same bytes;
 * the exported session journal replays the run's trust history
   exactly: final TIs match the live :class:`TrustTable` bit for bit,
   the replaying diagnoser logs what the run's did, and each diagnosed
@@ -15,11 +17,13 @@ The load-bearing guarantees:
 """
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro.chaos.invariants import run_fingerprint
+from repro.chaos.plan import builtin_plans
 from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
 from repro.obs.export import read_jsonl, validate_artifacts
 from repro.obs.provenance import ProvenanceIndex
@@ -28,7 +32,7 @@ from repro.service.session import TrustSession
 DIAGNOSIS_THRESHOLD = 0.5
 
 
-def make_run(observe, seed=7, spans=False, journal=False):
+def make_run(seed=7, spans=False, journal=False, **overrides):
     """An Experiment-1-style binary run with aggressive faulty nodes."""
     return SimulationRun(
         mode="binary",
@@ -42,16 +46,16 @@ def make_run(observe, seed=7, spans=False, journal=False):
         channel_loss=0.0,
         diagnosis_threshold=DIAGNOSIS_THRESHOLD,
         seed=seed,
-        observe=observe,
         spans=spans,
         journal=journal,
+        **overrides,
     )
 
 
 @pytest.fixture(scope="module")
 def observed(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
-    run = make_run(observe=True, journal=True)
+    run = make_run(journal=True)
     run.run(30)
     run.export_artifacts(out)
     return run, out
@@ -73,7 +77,7 @@ def replay_history(run, journal):
 class TestBitIdentity:
     def test_observed_run_matches_unobserved(self, observed):
         run, _ = observed
-        plain = make_run(observe=False)
+        plain = make_run()
         plain.run(30)
         assert plain.trust_snapshot() == run.trust_snapshot()
         assert [d.occurred for d in plain.ch.decisions] == [
@@ -132,49 +136,100 @@ class TestArtifacts:
             assert crossing == diag.time
             assert diag.ti_at_diagnosis < DIAGNOSIS_THRESHOLD
 
-    def test_metrics_jsonl_cross_checks_channel(self, observed):
-        run, out = observed
-        by_name = {
-            r["name"]: r for r in read_jsonl(out / "metrics.jsonl")
+
+def chaos_tally(spans):
+    """``chaos.*`` record values as the chaos spans tell them."""
+    tally = Counter()
+    for span in spans.spans("chaos"):
+        fault = span.category[len("chaos."):]
+        if fault == "intercept":
+            action = span.args["action"]
+            fault = f"drop.{span.args['why']}" if action == "drop" else action
+        tally[f"chaos.{fault}"] += 1
+    return dict(tally)
+
+
+class TestCountsMatchSpans:
+    """Each ``metrics.jsonl`` record read from the run's own tallies
+    equals what the event log records, on a CH failover and on a
+    rotating network whose compromised heads invert their verdicts."""
+
+    @pytest.fixture(scope="class", params=["ch-crash", "corrupt-rotating"])
+    def runs(self, request):
+        """The span-collecting run and its spanless twin."""
+        from tests.golden.builders import reset_id_streams, rotating_run
+
+        def build(spans):
+            reset_id_streams()
+            if request.param == "ch-crash":
+                plan = builtin_plans(300.0, 25)["ch-crash"]
+                return make_location_run(
+                    spans, chaos_plan=plan, channel_loss=0.05,
+                ).run(30)
+            return rotating_run(
+                level=1, faulty_count=15, spans=spans,
+                corrupt_elected_faulty=True, diagnosis_threshold=0.3,
+            ).run(24)
+
+        return build(True), build(False)
+
+    def test_records_match_spans(self, runs):
+        run, _ = runs
+        values = {
+            record["name"]: record.get("value", record.get("count"))
+            for record in run.instruments().snapshot()
         }
-        assert by_name["radio.sent"]["value"] == run.channel.sent
-        assert by_name["radio.delivered"]["value"] == run.channel.delivered
-        assert by_name["trust.votes"]["value"] == run.ch.voter.votes_taken
-        decisions = (
-            by_name["ch.decision.occurred"]["value"]
-            + by_name["ch.decision.rejected"]["value"]
-        )
-        assert decisions == len(run.ch.decisions)
-        assert by_name["ch.diagnosis"]["value"] == len(
-            run.ch.diagnoser.diagnosed
-        )
-        assert by_name["trust.vote.wall"]["type"] == "timer"
-        assert by_name["trust.vote.margin"]["count"] == (
-            run.ch.voter.votes_taken
-        )
-        assert by_name["des.events_fired"]["value"] == float(
-            run.sim.events_fired
-        )
+        assert {
+            name: n for name, n in values.items() if name.startswith("chaos.")
+        } == chaos_tally(run.spans)
+        verdicts = [
+            span.args["occurred"] for span in run.spans.spans("ch.decision")
+        ]
+        assert values["ch.decision.occurred"] == verdicts.count(True)
+        assert values["ch.decision.rejected"] == verdicts.count(False)
+        assert values["ch.diagnosis"] == len(run.spans.spans("ch.diagnosis"))
+        votes = len(run.spans.spans("trust.vote"))
+        assert values["trust.votes"] == votes
+        assert values["trust.vote.margin"] == votes
+        # Not vacuous: each run votes, rejects and diagnoses, and the
+        # failover run loses its head once.
+        assert votes and values["ch.decision.rejected"]
+        assert values["ch.diagnosis"]
+        if run.chaos is not None:
+            assert values["chaos.ch-failover"] == 1
+
+    def test_counts_do_not_depend_on_spans(self, runs):
+        # Except the kernel's event count: span collection gives each
+        # transmission its own delivery event.
+        spanned, plain = runs
+        unspanned = {"trust.vote.margin", "des.events_fired"}
+        assert [
+            record for record in spanned.instruments().snapshot()
+            if record["name"] not in unspanned
+        ] == [
+            record for record in plain.instruments().snapshot()
+            if record["name"] not in unspanned
+        ]
 
 
-class TestExportGuards:
-    def test_export_requires_observe(self, tmp_path):
-        run = make_run(observe=False)
-        run.run(2)
-        with pytest.raises(RuntimeError, match="observe=True"):
-            run.export_artifacts(tmp_path)
+def test_metrics_jsonl_depends_only_on_config_and_seed(tmp_path, capsys):
+    from repro.cli import main
 
-    def test_registry_disabled_when_not_observing(self):
-        run = make_run(observe=False)
-        run.build()
-        assert not run.registry.enabled
-        assert not run.sim.metrics.enabled
+    argv = ["trace", "--mode", "binary", "--nodes", "10", "--events", "40",
+            "--seed", "7", "--percent-faulty", "30",
+            "--diagnosis-threshold", "0.5"]
+    for out in ("a", "b"):
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    first = (tmp_path / "a" / "metrics.jsonl").read_bytes()
+    assert b"trust.vote.margin" in first
+    assert first == (tmp_path / "b" / "metrics.jsonl").read_bytes()
 
 
 # ----------------------------------------------------------------------
 # Span collection
 # ----------------------------------------------------------------------
-def make_location_run(spans, seed=77, observe=False):
+def make_location_run(spans, seed=77, **overrides):
     return SimulationRun(
         mode="location",
         n_nodes=25,
@@ -183,8 +238,8 @@ def make_location_run(spans, seed=77, observe=False):
         faulty_ids=(0, 1, 2),
         diagnosis_threshold=0.3,
         seed=seed,
-        observe=observe,
         spans=spans,
+        **overrides,
     )
 
 
@@ -200,9 +255,9 @@ class TestSpanBitIdentity:
         assert spanned.spans.emitted > 0
 
     def test_binary_fingerprint_unchanged(self):
-        plain = make_run(observe=False)
+        plain = make_run()
         plain.run(20)
-        spanned = make_run(observe=False, spans=True)
+        spanned = make_run(spans=True)
         spanned.run(20)
         assert run_fingerprint(spanned) == run_fingerprint(plain)
         assert spanned.spans.emitted > 0
@@ -212,7 +267,7 @@ class TestSpanArtifacts:
     @pytest.fixture(scope="class")
     def span_run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("span_artifacts")
-        run = make_location_run(spans=True, observe=True)
+        run = make_location_run(spans=True)
         run.run(10)
         run.export_artifacts(out)
         return run, out
@@ -307,6 +362,22 @@ class TestSpanArtifacts:
         assert str(spans_path) in captured.err
         assert captured.out == ""
 
+    def test_explain_cli_span_missing_a_read_arg_exits_2(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        spans_path = tmp_path / "spans.jsonl"
+        spans_path.write_text(
+            '{"id": 1, "parent": 0, "category": "ch.decision", '
+            '"time": 0.0, "args": {}}\n'
+        )
+        assert main(["explain", str(tmp_path), "--decision", "1"]) == 2
+        captured = capsys.readouterr()
+        assert str(spans_path) in captured.err
+        assert "decision_id" in captured.err
+        assert captured.out == ""
+
 
 class TestRotatingProvenance:
     """Exp 4's rotating network on the shared span path: LEACH heads,
@@ -360,7 +431,7 @@ class TestRotatingProvenance:
     def test_observed_rotating_run_exports_its_bundle(self, tmp_path):
         from tests.golden.builders import rotating_document
 
-        run = self.rotating(spans=True, observe=True, journal=True)
+        run = self.rotating(spans=True, journal=True)
         plain = self.rotating(spans=False)
         assert rotating_document(run) == rotating_document(plain)
         run.export_artifacts(tmp_path)
@@ -370,7 +441,7 @@ class TestRotatingProvenance:
         assert counts["session_journal.jsonl"] == len(run.session_journal())
         # Only the heads' verdicts count: each head's shadow mirror
         # decides every window again, unobserved.
-        registry = run.registry
+        registry = run.instruments()
         assert (
             registry.counter("ch.decision.occurred").value
             + registry.counter("ch.decision.rejected").value

@@ -371,7 +371,7 @@ def build_exp4_rotation() -> Dict[str, object]:
 def _chaos_entry(run: SimulationRun) -> Dict[str, object]:
     """One chaos run's outcome, its radio and chaos tallies, and how far
     it drew on the ``"channel"`` and ``"chaos"`` streams."""
-    registry = run.registry
+    registry = run.instruments()
     return {
         "fingerprint": run_fingerprint(run),
         "channel": [run.channel.sent, run.channel.delivered,
@@ -414,7 +414,6 @@ def build_chaos() -> Dict[str, object]:
                 diagnosis_threshold=config.diagnosis_threshold,
                 seed=config.base_seed + seed,
                 chaos_plan=plan,
-                observe=True,
             ).run(config.n_rounds)
             binary[f"{plan.name}/{seed}"] = _chaos_entry(run)
 
@@ -430,7 +429,6 @@ def build_chaos() -> Dict[str, object]:
             diagnosis_threshold=0.3,
             seed=17,
             chaos_plan=plan,
-            observe=True,
         ).run(config.n_rounds)
         location[name] = _chaos_entry(run)
     return _normalise({"binary": binary, "location": location})

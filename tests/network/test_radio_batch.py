@@ -21,7 +21,6 @@ from repro.network.radio import (
     RadioChannel,
     _VECTOR_MIN,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.simkernel.simulator import Simulator
 
 
@@ -34,13 +33,8 @@ class Recorder(NetworkNode):
         self.received.append(message)
 
 
-def make_net(loss=0.0, delay=0.01, range_limit=None, seed=1, n=10,
-             metrics=None):
-    # A live registry by default: its per-reason drop counters are how
-    # the differential tests compare drop reasons.
-    if metrics is None:
-        metrics = MetricsRegistry(enabled=True)
-    sim = Simulator(seed=seed, metrics=metrics)
+def make_net(loss=0.0, delay=0.01, range_limit=None, seed=1, n=10):
+    sim = Simulator(seed=seed)
     channel = RadioChannel(
         sim,
         ChannelConfig(
@@ -81,7 +75,8 @@ def received_log(nodes):
 
 
 def channel_state(channel):
-    return (channel.sent, channel.delivered, channel.dropped)
+    """The channel's tallies, drops by reason."""
+    return (channel.sent, channel.delivered, dict(channel.drops))
 
 
 def assert_equivalent(batch, oracle):
@@ -89,7 +84,6 @@ def assert_equivalent(batch, oracle):
     b_sim, b_chan, b_nodes = batch
     o_sim, o_chan, o_nodes = oracle
     assert received_log(b_nodes) == received_log(o_nodes)
-    assert b_sim.metrics.snapshot() == o_sim.metrics.snapshot()
     assert channel_state(b_chan) == channel_state(o_chan)
     for name in ("channel", "chaos"):
         assert (
@@ -338,21 +332,17 @@ class TestBatchShape:
 
 class TestSatellites:
     def test_broadcast_drop_reason_metrics(self):
-        registry = MetricsRegistry(enabled=True)
-        sim, channel, nodes = make_net(loss=1.0, n=8, metrics=registry)
+        sim, channel, nodes = make_net(loss=1.0, n=8)
         nodes[3].kill()
         channel.broadcast(nodes[0], EventReportMessage(sender=0))
-        assert registry.counter("radio.sent").value == 7
-        assert registry.counter("radio.dropped").value == 7
-        assert registry.counter("radio.drop.dropped").value == 6
-        assert registry.counter("radio.drop.dead-receiver").value == 1
-        assert registry.counter("radio.delivered").value == 0
+        assert channel.sent == 7
+        assert channel.dropped == 7
+        assert channel.drops == {"dropped": 6, "dead-receiver": 1}
+        assert channel.delivered == 0
 
     def test_unicast_drop_reason_metrics_match_batch(self):
-        reg_a = MetricsRegistry(enabled=True)
-        reg_b = MetricsRegistry(enabled=True)
-        batch = make_net(loss=1.0, seed=14, n=8, metrics=reg_a)
-        oracle = make_net(loss=1.0, seed=14, n=8, metrics=reg_b)
+        batch = make_net(loss=1.0, seed=14, n=8)
+        oracle = make_net(loss=1.0, seed=14, n=8)
         sender_ids = list(range(1, 8))
         batch[1].unicast_batch(
             sender_ids, 0, [EventReportMessage(sender=i) for i in sender_ids]
@@ -361,7 +351,8 @@ class TestSatellites:
             oracle[1], sender_ids, 0,
             [EventReportMessage(sender=i) for i in sender_ids],
         )
-        assert reg_a.snapshot() == reg_b.snapshot()
+        assert channel_state(batch[1]) == channel_state(oracle[1])
+        assert batch[1].drops == {"dropped": 7}
 
     def test_remove_tap_on_unknown_watched_id_is_a_noop(self):
         sim, channel, nodes = make_net(n=4)
@@ -397,22 +388,6 @@ class TestSatellites:
             dead_net[2][0], 1, EventReportMessage(sender=0)
         )
         assert a is b
-
-    def test_counter_handles_rebind_when_registry_swapped(self):
-        sim, channel, nodes = make_net(loss=0.0, n=3)
-        channel.unicast(nodes[0], 1, EventReportMessage(sender=0))
-        registry = MetricsRegistry(enabled=True)
-        sim.metrics = registry
-        channel.unicast(nodes[0], 1, EventReportMessage(sender=0))
-        assert registry.counter("radio.sent").value == 1
-        replacement = MetricsRegistry(enabled=True)
-        sim.metrics = replacement
-        channel.unicast_batch(
-            [1, 2, 0, 1, 2], 0,
-            [EventReportMessage(sender=i) for i in (1, 2, 0, 1, 2)],
-        )
-        assert replacement.counter("radio.sent").value == 5
-        assert registry.counter("radio.sent").value == 1
 
     def test_taps_mirror_batched_traffic(self):
         sim, channel, nodes = make_net(n=6)

@@ -9,9 +9,8 @@ across cluster sizes, loss probabilities, dead receivers, registered or
 unregistered senders and destinations, and taps, and compare everything
 observable with ``oracle_broadcast`` / ``oracle_unicast_batch`` (one
 ``unicast`` per transmission): the started counts or outcomes, each
-node's received order, the metrics snapshot, the
-``sent``/``delivered``/``dropped`` counters and the ``"channel"`` stream
-state.
+node's received order, the ``sent``/``delivered`` counters and the
+per-reason ``drops``, and the ``"channel"`` stream state.
 
 A wide-open broadcast's fused event reaches only the message's readers
 (``RadioChannel.broadcast``): a sensor hears a broadcast only when the
@@ -28,7 +27,6 @@ from repro.network.geometry import Point
 from repro.network.messages import ChDecisionAnnouncement, EventReportMessage
 from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, RadioChannel, _VECTOR_MIN
-from repro.obs.registry import MetricsRegistry
 from repro.sensors.faults import CorrectBehavior, NodeBehavior
 from repro.sensors.node import SensorNode
 from repro.sensors.sensing import SensingConfig, SensingModel
@@ -256,7 +254,7 @@ def reader_shapes(draw):
 
 
 def build_readers(shape):
-    sim = Simulator(seed=shape["seed"], metrics=MetricsRegistry(enabled=True))
+    sim = Simulator(seed=shape["seed"])
     channel = RadioChannel(
         sim, ChannelConfig(loss_probability=shape["loss"],
                            propagation_delay=0.01),
@@ -312,8 +310,7 @@ def observables(net):
             for node in nodes if isinstance(node, Recorder)
         },
         "tap": [m.message_id for m in tapper.received],
-        "counters": (channel.sent, channel.delivered, channel.dropped),
-        "metrics": sim.metrics.snapshot(),
+        "counters": (channel.sent, channel.delivered, dict(channel.drops)),
         "channel": sim.streams.get("channel").bit_generator.state,
         "clock": sim.now,
     }

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -64,12 +65,10 @@ class TestManifest:
 
 class TestMetricsRecords:
     def test_registry_snapshot_records_validate(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         reg.counter("radio.sent").inc(3)
         reg.gauge("des.events_fired").set(10.0)
         reg.histogram("trust.vote.margin").observe(0.5)
-        with reg.timer("trust.vote.wall").time():
-            pass
         for record in reg.snapshot():
             validate_metrics_record(record)
 
@@ -93,6 +92,25 @@ def _span(i, parent, category, time=0.0, **args):
         "id": i, "parent": parent, "category": category,
         "time": time, "args": args,
     }
+
+
+#: One well-formed args object for each category whose args
+#: ``ProvenanceIndex`` reads.
+INDEXED_ARGS = {
+    "ch.decision": dict(
+        decision_id=4, occurred=True, supporters=[1, 2], dissenters=[3],
+        x=None, y=None,
+    ),
+    "window.cluster": dict(x=1.0, y=2, members=[1, 2], dissenters=[3]),
+    "window.filter": dict(kept=[1, 2], gated=[]),
+    "trust.vote": dict(
+        occurred=False, tie=True, cti_r=1.0, cti_nr=1.0, reporters=[1],
+        non_reporters=[2], ti_r=[1.0], ti_nr=[1.0], applied=True,
+    ),
+    "trust.reward": dict(nodes=[1], ti=[0.9]),
+    "trust.penalize": dict(nodes=[2], ti=[0.7]),
+    "ch.diagnosis": dict(node=2, ti=0.2),
+}
 
 
 class TestSpanRecords:
@@ -122,6 +140,29 @@ class TestSpanRecords:
         record["args"] = [1, 2]
         with pytest.raises(SchemaError, match="args"):
             validate_span_record(record)
+
+    @pytest.mark.parametrize("category", sorted(INDEXED_ARGS))
+    def test_args_the_index_reads_are_checked(self, category):
+        args = INDEXED_ARGS[category]
+        validate_span_record(_span(1, 0, category, **args))
+        for key in args:
+            field = re.escape(repr(key))
+            missing = {k: v for k, v in args.items() if k != key}
+            with pytest.raises(SchemaError, match=f"missing.*{field}"):
+                validate_span_record(_span(1, 0, category, **missing))
+            with pytest.raises(SchemaError, match=f"{field}.*wrong type"):
+                validate_span_record(
+                    _span(1, 0, category, **{**args, key: "text"})
+                )
+
+    def test_decision_location_may_be_a_number(self):
+        args = {**INDEXED_ARGS["ch.decision"], "x": 1.5, "y": 2}
+        validate_span_record(_span(1, 0, "ch.decision", **args))
+
+    def test_boolean_decision_id_rejected(self):
+        args = {**INDEXED_ARGS["ch.decision"], "decision_id": True}
+        with pytest.raises(SchemaError, match="boolean"):
+            validate_span_record(_span(1, 0, "ch.decision", **args))
 
 
 class TestProvenanceRecords:
@@ -217,7 +258,7 @@ class TestFileIO:
             tmp_path / "manifest.json",
             build_manifest("simulation-run", {"mode": "binary"}, 3),
         )
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         reg.counter("radio.sent").inc()
         write_jsonl(tmp_path / "metrics.jsonl", reg.snapshot())
         write_jsonl(

@@ -1,4 +1,5 @@
-"""Guard: every definition in ``src`` is read by the program itself.
+"""Guards: every definition in ``src`` is read by the program itself,
+and every name a module of ``src`` imports is read by that module.
 
 A top-level function or class of ``src/repro``, or a non-dunder method
 of one of its top-level classes, must be read somewhere in ``src``,
@@ -10,6 +11,11 @@ A read is a name or attribute load anywhere in those trees.  Imports,
 ``__all__`` strings and the definition itself do not count.  The check
 goes by bare name, so a method that shares its name with any call in
 those trees (``get``, ``keys``) passes unseen.
+
+An import is read when its module loads the name it binds, in code or
+in an annotation, quoted or not.  Package ``__init__`` modules import
+to re-export and ``__future__`` imports set compiler flags, so neither
+is checked.
 """
 
 from __future__ import annotations
@@ -77,6 +83,50 @@ def _reads() -> Set[str]:
                 ):
                     names.add(node.attr)
     return names
+
+
+def _loads(tree: ast.AST) -> Set[str]:
+    """Names loaded in ``tree``, quoted annotations included."""
+    names = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                try:
+                    names |= _loads(ast.parse(part.value, mode="eval"))
+                except SyntaxError:  # a Literal string, not a name
+                    pass
+    return names
+
+
+def test_every_src_import_is_read_by_its_module():
+    unused = []
+    for path in _python_files("src"):
+        if path.name == "__init__.py":
+            continue
+        module = ".".join(
+            path.relative_to(ROOT / "src").with_suffix("").parts
+        )
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = _loads(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound != "*" and bound not in loaded:
+                    unused.append(f"{module}:{node.lineno}: {bound}")
+    assert not unused, "imported but never read:\n  " + "\n  ".join(unused)
 
 
 def test_every_src_definition_is_read_by_the_program():
