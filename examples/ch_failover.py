@@ -31,7 +31,6 @@ N_SENSORS = 9
 CH_ID = 100
 SCH_IDS = (101, 102)
 BS_ID = 999
-CLUSTER_ID = 0
 
 
 class CorruptClusterHead(ClusterHead):
@@ -67,7 +66,7 @@ def main() -> None:
         position=Point(-10.0, -10.0),
         trust_params=trust_params,
         ch_ti_threshold=0.8,
-        on_reelection=lambda cluster, ch: reelections.append((cluster, ch)),
+        on_reelection=reelections.append,
     )
     channel.register(bs)
 
@@ -77,10 +76,9 @@ def main() -> None:
         deployment=deployment,
         config=ch_config,
         base_station_id=BS_ID,
-        cluster_id=CLUSTER_ID,
     )
     channel.register(ch)
-    bs.bind_ch(CH_ID, CLUSTER_ID)
+    bs.bind_ch(CH_ID)
 
     # §3.4: both SCHs snoop the CH's traffic through one shared mirror
     # of its computation, and each checks the CH's verdicts against it.
@@ -112,7 +110,9 @@ def main() -> None:
     # "no event" each time; the SCHs disagree and escalate.
     for round_index in range(5):
         for sensor in sensors:
-            sensor.send(CH_ID, EventReportMessage(sender=sensor.node_id))
+            sensor.send(CH_ID, EventReportMessage(
+                sender=sensor.node_id, message_id=next(sim.message_ids)
+            ))
         sim.run()
 
     dissents = sum(len(s.disagreements) for s in shadows)
@@ -122,7 +122,7 @@ def main() -> None:
           f"(CH overruled {sum(r.ch_was_wrong for r in bs.resolutions)} "
           "times)")
     print(f"Re-elections triggered:   {len(reelections)}")
-    ch_trust = bs.ti_of(CLUSTER_ID, CH_ID)
+    ch_trust = bs.ti_of(CH_ID)
     print(f"Deposed CH trust at BS:   {ch_trust:.3f}")
 
     # The LEACH election the BS would now run: the deposed CH cannot
@@ -132,12 +132,12 @@ def main() -> None:
         config=LeachConfig(ch_fraction=0.2, ti_threshold=0.8),
         energy=EnergyModel(deployment.node_ids()),
         rng=np.random.default_rng(3),
-        ti_lookup=lambda n: bs.ti_of(CLUSTER_ID, n),
+        ti_lookup=bs.ti_of,
     )
     result = election.run_round()
     print(f"\nLEACH re-election result: new CH(s) {result.cluster_heads}")
-    assert bs.approves_candidate(CLUSTER_ID, result.cluster_heads[0])
-    assert not bs.approves_candidate(CLUSTER_ID, CH_ID)
+    assert bs.approves_candidate(result.cluster_heads[0])
+    assert not bs.approves_candidate(CH_ID)
     print("The corrupt CH is barred from leadership by its trust "
           "deficit; a trusted node takes over the cluster.")
 

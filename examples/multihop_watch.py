@@ -146,6 +146,7 @@ def main() -> None:
                 continue
             report = EventReportMessage(
                 sender=node_id,
+                message_id=next(sim.message_ids),
                 event_id=event.event_id,
                 offset=sensing.encode_report(position, claim),
             )

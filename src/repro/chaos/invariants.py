@@ -243,9 +243,9 @@ def run_fingerprint(run) -> str:
 
     Covers the final TI of every node, the full decision timeline
     (times, verdicts, locations, supporter/dissenter sets -- decision
-    *ids* are excluded: they come from a process-global counter), the
-    channel's sent/delivered/dropped totals, and the ground-truth event
-    stream.  Two runs of the same ``(config, plan, seed)`` must return
+    *ids* stay out, so the digests ``tests/golden/chaos.json`` and the
+    CI campaign pin keep their value), the channel's
+    sent/delivered/dropped totals, and the ground-truth event stream.  Two runs of the same ``(config, plan, seed)`` must return
     equal fingerprints regardless of process, worker count, or what ran
     before them.
     """

@@ -53,7 +53,6 @@ class DisputeResolution:
     system-level answer after the 2-of-3 vote.
     """
 
-    cluster_id: int
     decision_id: int
     ch_id: int
     final_verdict: bool
@@ -70,13 +69,14 @@ class BaseStation(NetworkNode):
         Network identity; conventionally placed outside the sensing
         field.
     trust_params:
-        Parameters used for the registry copies of cluster TI tables
-        (and for penalising deposed CHs).
+        Parameters of the registry, the BS's copy of the TI tables its
+        CHs hand off (and of the penalty for deposed CHs).
     ch_ti_threshold:
         Candidates below this registry TI are vetoed (§2).
     on_reelection:
-        Callback ``on_reelection(cluster_id, deposed_ch_id)`` fired when
-        arbitration finds the CH faulty; the harness hooks LEACH here.
+        Callback ``on_reelection(deposed_ch_id)`` fired when arbitration
+        finds the CH faulty, for a caller that re-elects at once; a
+        rotating run re-elects at the next leadership instead.
     """
 
     def __init__(
@@ -85,7 +85,7 @@ class BaseStation(NetworkNode):
         position: Point,
         trust_params: Optional[TrustParameters] = None,
         ch_ti_threshold: float = 0.8,
-        on_reelection: Optional[Callable[[int, int], None]] = None,
+        on_reelection: Optional[Callable[[int], None]] = None,
     ) -> None:
         super().__init__(node_id, position)
         self.trust_params = (
@@ -97,46 +97,35 @@ class BaseStation(NetworkNode):
             )
         self.ch_ti_threshold = ch_ti_threshold
         self._on_reelection = on_reelection
-        self._registry: Dict[int, TrustTable] = {}
-        self._disputes: Dict[Tuple[int, int, int], _DisputeState] = {}
+        #: The registry: one trust table for every node a CH handed off.
+        self.registry = TrustTable(self.trust_params)
+        self._disputes: Dict[Tuple[int, int], _DisputeState] = {}
         self._announcements: Dict[Tuple[int, int], ChDecisionAnnouncement] = {}
         self.resolutions: List[DisputeResolution] = []
-        self._cluster_of_ch: Dict[int, int] = {}
         self._host_of_ch: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Registry
     # ------------------------------------------------------------------
-    def registry_for(self, cluster_id: int) -> TrustTable:
-        """The BS's copy of a cluster's trust table (created on demand)."""
-        table = self._registry.get(cluster_id)
-        if table is None:
-            table = TrustTable(self.trust_params)
-            self._registry[cluster_id] = table
-        return table
-
-    def ti_of(self, cluster_id: int, node_id: int) -> float:
+    def ti_of(self, node_id: int) -> float:
         """Registry TI of a node (1.0 if the node is unknown)."""
-        return self.registry_for(cluster_id).ti(node_id)
+        return self.registry.ti(node_id)
 
-    def approves_candidate(self, cluster_id: int, node_id: int) -> bool:
+    def approves_candidate(self, node_id: int) -> bool:
         """The §2 admission gate for CH candidacy."""
-        return self.ti_of(cluster_id, node_id) >= self.ch_ti_threshold
+        return self.ti_of(node_id) >= self.ch_ti_threshold
 
-    def table_for_new_ch(self, cluster_id: int) -> Dict[int, float]:
+    def table_for_new_ch(self) -> Dict[int, float]:
         """State a newly elected CH requests at the start of leadership."""
-        return self.registry_for(cluster_id).export_state()
+        return self.registry.export_state()
 
-    def bind_ch(
-        self, ch_id: int, cluster_id: int, host_node_id: Optional[int] = None
-    ) -> None:
-        """Record which cluster a CH currently leads (for arbitration).
+    def bind_ch(self, ch_id: int, host_node_id: Optional[int] = None) -> None:
+        """Record the sensing node hosting CH ``ch_id`` (for arbitration).
 
-        ``host_node_id`` names the sensing node hosting the CH role
-        when the two use distinct addresses; deposition penalties land
-        on the host's registry entry so later elections see them.
+        ``host_node_id`` names it when the two use distinct addresses;
+        deposition penalties land on the host's registry entry so later
+        elections see them.
         """
-        self._cluster_of_ch[ch_id] = cluster_id
         self._host_of_ch[ch_id] = (
             host_node_id if host_node_id is not None else ch_id
         )
@@ -146,17 +135,16 @@ class BaseStation(NetworkNode):
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
         if isinstance(message, TiTableTransfer):
-            self.registry_for(message.cluster_id).import_state(message.table)
+            self.registry.import_state(message.table)
         elif isinstance(message, ChDecisionAnnouncement):
             self._on_announcement(message)
         elif isinstance(message, ScHDisagreement):
             self._on_disagreement(message)
 
     def _on_announcement(self, message: ChDecisionAnnouncement) -> None:
-        self._announcements[(message.sender, message.decision_id)] = message
+        key = (message.sender, message.decision_id)
+        self._announcements[key] = message
         # If SCH dissent arrived before the announcement, try resolving.
-        cluster_id = self._cluster_of_ch.get(message.sender, 0)
-        key = (cluster_id, message.sender, message.decision_id)
         state = self._disputes.get(key)
         if state is not None:
             state.ch_verdict = message.occurred
@@ -164,14 +152,11 @@ class BaseStation(NetworkNode):
             self._try_resolve(key)
 
     def _on_disagreement(self, message: ScHDisagreement) -> None:
-        cluster_id = self._cluster_of_ch.get(message.suspected_ch, 0)
-        key = (cluster_id, message.suspected_ch, message.decision_id)
+        key = (message.suspected_ch, message.decision_id)
         state = self._disputes.get(key)
         if state is None:
             state = _DisputeState()
-            announcement = self._announcements.get(
-                (message.suspected_ch, message.decision_id)
-            )
+            announcement = self._announcements.get(key)
             if announcement is not None:
                 state.ch_verdict = announcement.occurred
                 state.ch_location = announcement.location
@@ -184,8 +169,8 @@ class BaseStation(NetworkNode):
     # ------------------------------------------------------------------
     # Arbitration (§3.4)
     # ------------------------------------------------------------------
-    def _try_resolve(self, key: Tuple[int, int, int]) -> None:
-        cluster_id, ch_id, decision_id = key
+    def _try_resolve(self, key: Tuple[int, int]) -> None:
+        ch_id, decision_id = key
         state = self._disputes[key]
         if state.resolved or state.ch_verdict is None:
             return
@@ -211,20 +196,16 @@ class BaseStation(NetworkNode):
             ),
             None,
         )
-        self._depose(
-            cluster_id, ch_id, decision_id, final_verdict, final_location
-        )
+        self._depose(ch_id, decision_id, final_verdict, final_location)
 
     def _depose(
         self,
-        cluster_id: int,
         ch_id: int,
         decision_id: int,
         final_verdict: bool,
         final_location: Optional[Point] = None,
     ) -> None:
         resolution = DisputeResolution(
-            cluster_id=cluster_id,
             decision_id=decision_id,
             ch_id=ch_id,
             final_verdict=final_verdict,
@@ -233,17 +214,14 @@ class BaseStation(NetworkNode):
         )
         self.resolutions.append(resolution)
         # "reduces the TI of the previous faulty CH"
-        self.registry_for(cluster_id).penalize(
-            self._host_of_ch.get(ch_id, ch_id)
-        )
+        self.registry.penalize(self._host_of_ch.get(ch_id, ch_id))
         spans = self.sim.spans
         if spans.enabled:
             spans.point(
                 "bs.depose",
                 parent=spans.current,
-                cluster=cluster_id,
                 ch=ch_id,
                 decision_id=decision_id,
             )
         if self._on_reelection is not None:
-            self._on_reelection(cluster_id, ch_id)
+            self._on_reelection(ch_id)

@@ -50,12 +50,7 @@ from repro.service.session import (
     TrustSession,
 )
 
-__all__ = [
-    "ClusterHead",
-    "ClusterHeadConfig",
-    "DecisionRecord",
-    "reset_decision_ids",
-]
+__all__ = ["ClusterHead", "ClusterHeadConfig", "DecisionRecord"]
 
 
 @dataclass(frozen=True)
@@ -104,18 +99,6 @@ class ClusterHeadConfig:
             raise ValueError(f"t_out must be positive, got {self.t_out}")
 
 
-#: Global decision-id source: ids stay unique across every cluster head
-#: in a process, so multi-cluster scoring can key on them safely.  Bare
-#: service sessions default to private allocators instead; reset this
-#: one through :func:`reset_decision_ids`, never by rebinding.
-_decision_ids = IdAllocator()
-
-
-def reset_decision_ids(start: int = 1) -> None:
-    """Rewind the shared DES decision-id stream (test isolation)."""
-    _decision_ids.reset(start)
-
-
 class ClusterHead(NetworkNode):
     """The active cluster head of one cluster.
 
@@ -131,8 +114,9 @@ class ClusterHead(NetworkNode):
     base_station_id:
         Destination for TI hand-off; ``None`` when running standalone.
     id_allocator:
-        Decision-id source for the embedded session; defaults to the
-        process-shared DES allocator so ids stay unique across heads.
+        Decision-id source for the embedded session; defaults to a
+        private one.  A run passes its own to every head it installs,
+        so ids stay unique across the run's heads.
     """
 
     def __init__(
@@ -142,14 +126,12 @@ class ClusterHead(NetworkNode):
         deployment: Deployment,
         config: ClusterHeadConfig,
         base_station_id: Optional[int] = None,
-        cluster_id: int = 0,
         id_allocator: Optional[IdAllocator] = None,
     ) -> None:
         super().__init__(node_id, position)
         self.deployment = deployment
         self.config = config
         self.base_station_id = base_station_id
-        self.cluster_id = cluster_id
 
         self.session = TrustSession(
             deployment,
@@ -160,12 +142,9 @@ class ClusterHead(NetworkNode):
                 trust=config.trust,
                 use_trust=config.use_trust,
                 diagnosis_threshold=config.diagnosis_threshold,
-                owner_id=node_id,
                 journal=config.journal,
             ),
-            id_allocator=(
-                id_allocator if id_allocator is not None else _decision_ids
-            ),
+            id_allocator=id_allocator,
         )
         # Aliases into the session: same objects, the names every
         # consumer (harness, shadows, base station, tests) relies on.
@@ -366,6 +345,7 @@ class ClusterHead(NetworkNode):
             return
         announcement = ChDecisionAnnouncement(
             sender=self.node_id,
+            message_id=next(self._message_ids),
             decision_id=record.decision_id,
             occurred=occurred,
             location=location,
@@ -386,7 +366,7 @@ class ClusterHead(NetworkNode):
     # ------------------------------------------------------------------
     # Leadership hand-off
     # ------------------------------------------------------------------
-    def end_leadership(self, round_number: int = 0) -> None:
+    def end_leadership(self) -> None:
         """Ship the aggregate TI table to the base station (§2)."""
         if self.base_station_id is None:
             return
@@ -394,9 +374,8 @@ class ClusterHead(NetworkNode):
             self.base_station_id,
             TiTableTransfer(
                 sender=self.node_id,
+                message_id=next(self._message_ids),
                 table=self.trust.export_state(),
-                cluster_id=self.cluster_id,
-                round_number=round_number,
             ),
         )
 

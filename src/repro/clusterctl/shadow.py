@@ -15,8 +15,8 @@ configuration.  So the computation runs once per watched head, in a
 :class:`HeadMirror` -- a :class:`ClusterHead` that never announces,
 tapped on the head once -- and each :class:`ShadowClusterHead` is a seat
 on it that keeps only what belongs to one node: its channel address,
-its ``corrupt`` flag, its checks of the CH's broadcast announcements
-(agreements and dissents) and its own decision log.
+its checks of the CH's broadcast announcements (agreements and dissents)
+and its own decision log.
 :func:`appoint_shadows` builds a mirror and its seats; see
 ``docs/protocol.md`` §3.4 for when one mirror would stop serving both.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.clusterctl.head import ClusterHead, DecisionRecord, _decision_ids
+from repro.clusterctl.head import ClusterHead, DecisionRecord
 from repro.network.geometry import Point
 from repro.network.messages import (
     ChDecisionAnnouncement,
@@ -43,7 +43,6 @@ from repro.network.messages import (
 )
 from repro.network.node import NetworkNode
 from repro.obs.spans import NULL_SPANS
-from repro.service.ids import IdAllocator
 
 __all__ = ["HeadMirror", "ShadowClusterHead", "appoint_shadows"]
 
@@ -76,8 +75,9 @@ class HeadMirror(ClusterHead):
     never registered on the channel; it hears the head's input through
     its tap.  Its own log numbers verdicts from a private allocator.
     After each closed window it hands that window's verdicts to its
-    seats in seat order, and each seat mints its own ids from the shared
-    DES allocator: the ids a private mirror per seat would mint, since
+    seats in seat order, and each seat mints its own ids from the
+    watched head's allocator (``watched_ids``, in a run the run's): the
+    ids a private mirror per seat on that allocator would mint, since
     each such mirror closed the same window right after the previous
     one.
     """
@@ -88,9 +88,9 @@ class HeadMirror(ClusterHead):
             position=ch.position,
             deployment=ch.deployment,
             config=replace(ch.config, announce=False, journal=False),
-            id_allocator=IdAllocator(),
         )
         self.watched_ch_id = ch.node_id
+        self.watched_ids = ch.session.ids
         self.seats: List[ShadowClusterHead] = []
         self._handed = 0
 
@@ -136,10 +136,6 @@ class ShadowClusterHead(NetworkNode):
         the head's other SCH.
     base_station_id:
         Where disagreements are escalated.
-
-    Setting ``corrupt`` makes the seat invert its own verdicts, a test
-    hook showing that the base station's vote masks a single bad
-    monitor too.
     """
 
     def __init__(
@@ -153,7 +149,6 @@ class ShadowClusterHead(NetworkNode):
         self.mirror = mirror
         self.watched_ch_id = mirror.watched_ch_id
         self.base_station_id = base_station_id
-        self.corrupt = False
         self.decisions: List[DecisionRecord] = []
         self.disagreements: List[ScHDisagreement] = []
         self.agreements = 0
@@ -166,7 +161,7 @@ class ShadowClusterHead(NetworkNode):
 
     def adopt(self, verdicts: Sequence[DecisionRecord]) -> None:
         """Log one closed window's verdicts under ids of this seat's own."""
-        ids = _decision_ids
+        ids = self.mirror.watched_ids
         self.decisions.extend(
             verdict._replace(decision_id=next(ids)) for verdict in verdicts
         )
@@ -189,8 +184,8 @@ class ShadowClusterHead(NetworkNode):
         """Compare the CH's announced verdict with our own computation.
 
         Matching is by decision order: the k-th CH announcement is
-        compared against our k-th decision (decision ids are globally
-        unique, not per-CH ordinals).  Timing skew between the CH and
+        compared against our k-th decision (decision ids number the
+        run's decisions, not one head's).  Timing skew between the CH and
         the mirror is bounded by the propagation delay, which is far
         below ``T_out``, so the order is stable.
         """
@@ -208,20 +203,17 @@ class ShadowClusterHead(NetworkNode):
             )
             return
         ours = self.decisions[ordinal]
-        my_verdict = ours.occurred if not self.corrupt else not ours.occurred
-        my_location = ours.location
-        verdict_matches = my_verdict == announcement.occurred
-        location_matches = self._locations_agree(
-            my_location, announcement.location
-        )
-        if verdict_matches and location_matches:
+        if ours.occurred == announcement.occurred and self._locations_agree(
+            ours.location, announcement.location
+        ):
             self.agreements += 1
             return
         dissent = ScHDisagreement(
             sender=self.node_id,
+            message_id=next(self._message_ids),
             decision_id=announcement.decision_id,
-            occurred=my_verdict,
-            location=my_location,
+            occurred=ours.occurred,
+            location=ours.location,
             suspected_ch=self.watched_ch_id,
         )
         self.disagreements.append(dissent)
@@ -258,8 +250,8 @@ def appoint_shadows(
     it an honest CH and its shadows would vote with different weights --
     and is tapped on ``ch``.  The seats are registered on ``ch``'s
     channel in the order given, which is also the order in which they
-    mint decision ids.  :meth:`HeadMirror.dismiss` undoes the
-    appointment.
+    mint decision ids from ``ch``'s allocator.
+    :meth:`HeadMirror.dismiss` undoes the appointment.
     """
     channel = ch.channel
     mirror = HeadMirror(ch)

@@ -41,9 +41,6 @@ class MajorityVoter:
     trust mechanism itself.
     """
 
-    def __init__(self) -> None:
-        self.votes_taken = 0
-
     def decide(
         self,
         reporters: Iterable[int],
@@ -58,7 +55,6 @@ class MajorityVoter:
                 f"nodes {sorted(overlap)} appear as both reporter and "
                 "non-reporter"
             )
-        self.votes_taken += 1
         return MajorityVoteResult(
             occurred=len(r) > len(nr),
             reporters=r,

@@ -23,7 +23,6 @@ by ``(time, node_id)`` (stable, so equal keys keep arrival order).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
@@ -32,14 +31,6 @@ from repro.core.decision_kernel import ROW_ORDER, Row
 from repro.network.geometry import Point
 from repro.simkernel.simulator import Simulator
 
-_circle_ids = itertools.count(1)
-
-
-def reset_circle_ids(start: int = 1) -> None:
-    """Rewind the process-global circle-id stream (test isolation)."""
-    global _circle_ids
-    _circle_ids = itertools.count(start)
-
 
 @dataclass
 class EventCircle:
@@ -47,12 +38,13 @@ class EventCircle:
 
     Attributes
     ----------
-    circle_id:
-        Unique id for tracing.
     center:
         The first report's location -- fixed for the circle's lifetime.
     expires_at:
         Absolute simulation time of this circle's ``T_out`` expiry.
+    circle_id:
+        The circle's id in its run (``Simulator.circle_ids``), for
+        tracing and group order.
     rows:
         The ``(node_id, x, y, time)`` rows collected so far, in arrival
         order.
@@ -60,7 +52,7 @@ class EventCircle:
 
     center: Point
     expires_at: float
-    circle_id: int = field(default_factory=lambda: next(_circle_ids))
+    circle_id: int
     rows: List[Row] = field(default_factory=list)
 
     def overlaps(self, other: "EventCircle", r_error: float) -> bool:
@@ -74,7 +66,7 @@ class CircleTracker:
     Parameters
     ----------
     sim:
-        Simulator used for per-circle timers.
+        Simulator used for per-circle timers and circle ids.
     r_error:
         Circle radius.
     t_out:
@@ -99,6 +91,7 @@ class CircleTracker:
             raise ValueError(f"t_out must be positive, got {t_out}")
         self._sim = sim
         self._spans = sim.spans
+        self._circle_ids = sim.circle_ids
         self.r_error = r_error
         self.t_out = t_out
         self._on_group_rows = on_group_rows
@@ -131,6 +124,7 @@ class CircleTracker:
             circle = EventCircle(
                 center=Point(x, y),
                 expires_at=self._sim.now + self.t_out,
+                circle_id=next(self._circle_ids),
             )
             circle.rows.append(row)
             self._register_circle(circle)

@@ -56,6 +56,7 @@ from repro.obs.export import (
 from repro.obs.provenance import ProvenanceIndex
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NULL_SPANS, SpanCollector
+from repro.service.ids import IdAllocator
 from repro.simkernel.simulator import Simulator
 from repro.experiments.metrics import RunMetrics, score_run
 
@@ -308,6 +309,8 @@ class SimulationRun:
         self.chaos_plan = chaos_plan
         self.rotation = rotation
         self.chaos: Optional[ChaosController] = None
+        # Every head the run installs numbers its decisions from here.
+        self._decision_ids = IdAllocator()
         self._retired: List[HeadLog] = []
         self.spans = SpanCollector() if spans else NULL_SPANS
         self.timings: Dict[str, float] = {}
@@ -450,7 +453,7 @@ class SimulationRun:
                 config=self.rotation.leach,
                 energy=EnergyModel(self.deployment.node_ids()),
                 rng=self.sim.streams.get("leach"),
-                ti_lookup=lambda n: self.bs.ti_of(0, n),
+                ti_lookup=self.bs.ti_of,
             )
         if self.chaos_plan is not None:
             # Installing the empty plan is a guaranteed no-op (no
@@ -484,6 +487,7 @@ class SimulationRun:
             deployment=deployment,
             config=self._ch_config,
             base_station_id=None if self.bs is None else self.bs.node_id,
+            id_allocator=self._decision_ids,
         )
         self.channel.register(ch)
         ch.trust.import_state(trust)
@@ -624,7 +628,7 @@ class SimulationRun:
         result = self.election.run_round()
         # §2: each new CH requests its members' registry state.
         registry = (
-            self.bs.table_for_new_ch(0) if rotation.transfer_trust else {}
+            self.bs.table_for_new_ch() if rotation.transfer_trust else {}
         )
         corrupt_heads = tuple(
             host
@@ -652,7 +656,7 @@ class SimulationRun:
                     else ClusterHead
                 ),
             )
-            self.bs.bind_ch(ch.node_id, 0, host_node_id=host)
+            self.bs.bind_ch(ch.node_id, host_node_id=host)
             self._heads[host] = ch
             shadows[host] = self._appoint_shadows(ch, members, trust)
         membership = {ch: list(m) for ch, m in result.membership.items()}
@@ -674,7 +678,7 @@ class SimulationRun:
         """
         assert self.bs is not None and self.deployment is not None
         bs = self.bs
-        ranked = sorted(members, key=lambda n: (-bs.ti_of(0, n), n))
+        ranked = sorted(members, key=lambda n: (-bs.ti_of(n), n))
         hosts = ranked[:N_SHADOWS]
         if not hosts:
             return ()
@@ -691,14 +695,13 @@ class SimulationRun:
     def _end_leadership(self) -> None:
         """Close the heads' windows, ship their tables (§2), retire them."""
         assert self.sim is not None and self.channel is not None
-        assert self.election is not None
         heads = self._heads
         for ch in heads.values():
             ch.flush()
         self.sim.run()
         for ch in heads.values():
             self._retired.append(self._head_log(ch))
-            ch.end_leadership(round_number=self.election.round_number)
+            ch.end_leadership()
             self.channel.unregister(ch.node_id)
         self.sim.run()  # deliver the TI transfers
         for mirror in self._mirrors:
@@ -869,7 +872,7 @@ class SimulationRun:
             quiet_window_offset=quiet_offset,
         )
         if self.bs is not None:
-            diagnosed = self.bs.registry_for(0).below_threshold(
+            diagnosed = self.bs.registry.below_threshold(
                 REGISTRY_DIAGNOSIS_TI
             )
         else:
@@ -903,7 +906,7 @@ class SimulationRun:
     def trust_snapshot(self) -> Dict[int, float]:
         """Current TI of every node: the CH's table, or the BS registry."""
         if self.bs is not None:
-            return self.bs.registry_for(0).tis()
+            return self.bs.registry.tis()
         assert self.ch is not None
         return self.ch.trust.tis()
 

@@ -1,23 +1,27 @@
 """Typed message payloads exchanged over the radio channel.
 
-Every message the protocol sends is a tuple record: a
-``typing.NamedTuple`` whose constructor mints the message id.  A sweep
-builds one per report and one per verdict, and a tuple record costs
-about a third of a frozen dataclass to build (see "Records" in
-``docs/protocol.md``).  Using types (rather than dicts) keeps handler
-dispatch explicit and lets tests assert on exact payloads.
+Every message the protocol sends is a tuple record, a plain
+``typing.NamedTuple``.  A sweep builds one per report and one per
+verdict, and a tuple record costs about a third of a frozen dataclass to
+build (see "Records" in ``docs/protocol.md``).  Using types (rather
+than dicts) keeps handler dispatch explicit and lets tests assert on
+exact payloads.
 
 The first two fields of every message are ``sender`` and
-``message_id`` (:class:`Message`).  Besides them the radio reads only
-``named``, the ids a message names, and a message without it names
-nobody: a wide-open broadcast reaches an endpoint that does not hear
-unnamed messages only when it is named (``RadioChannel.broadcast``).
+``message_id`` (:class:`Message`).  A record mints nothing: a sender in
+a run passes ``message_id=next(sim.message_ids)`` from its simulator,
+and a message built outside a run keeps the default id 0.  Besides
+those two fields the radio reads only ``named``, the ids a message
+names, and a message without it names nobody: a wide-open broadcast
+reaches an endpoint that does not hear unnamed messages only when it is
+named (``RadioChannel.broadcast``).
 
->>> a = EventReportMessage(sender=3, event_id=7)
->>> b = EventReportMessage(3, a.message_id + 5)
->>> b.message_id - a.message_id
-5
->>> a.sender = 4  # doctest: +IGNORE_EXCEPTION_DETAIL
+>>> report = EventReportMessage(sender=3, message_id=12, event_id=7)
+>>> report.message_id, report.claimed
+(12, True)
+>>> EventReportMessage(sender=3).message_id
+0
+>>> report.sender = 4  # doctest: +IGNORE_EXCEPTION_DETAIL
 Traceback (most recent call last):
     ...
 AttributeError: can't set attribute
@@ -25,22 +29,10 @@ AttributeError: can't set attribute
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, NamedTuple, Optional, Protocol, Tuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Protocol, Tuple
 
 from repro.network.geometry import Point, PolarOffset
-
-_message_ids = itertools.count(1)
-
-
-def _next_message_id() -> int:
-    return next(_message_ids)
-
-
-def reset_message_ids(start: int = 1) -> None:
-    """Rewind the process-global message-id stream (test isolation)."""
-    global _message_ids
-    _message_ids = itertools.count(start)
 
 
 class Message(Protocol):
@@ -51,23 +43,15 @@ class Message(Protocol):
     sender:
         Node id of the transmitting endpoint.
     message_id:
-        Globally unique id assigned at construction (unless given);
-        used for tracing and duplicate suppression.
+        The id its run gave it (``Simulator.message_ids``), unique
+        within the run; used for tracing.
     """
 
     sender: int
     message_id: int
 
 
-class _EventReportFields(NamedTuple):
-    sender: int
-    message_id: int
-    event_id: Optional[int]
-    offset: Optional[PolarOffset]
-    claimed: bool
-
-
-class EventReportMessage(_EventReportFields):
+class EventReportMessage(NamedTuple):
     """A sensing node's report of a detected event (§2, §3.2).
 
     ``offset`` is the claimed event position as ``(r, theta)`` relative
@@ -77,34 +61,14 @@ class EventReportMessage(_EventReportFields):
     drops a report that carries none.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        sender: int,
-        message_id: Optional[int] = None,
-        event_id: Optional[int] = None,
-        offset: Optional[PolarOffset] = None,
-        claimed: bool = True,
-    ) -> "EventReportMessage":
-        if message_id is None:
-            message_id = next(_message_ids)
-        return tuple.__new__(
-            cls, (sender, message_id, event_id, offset, claimed)
-        )
-
-
-class _AnnouncementFields(NamedTuple):
     sender: int
-    message_id: int
-    decision_id: int
-    occurred: bool
-    location: Optional[Point]
-    reporters: Tuple[int, ...]
-    non_reporters: Tuple[int, ...]
+    message_id: int = 0
+    event_id: Optional[int] = None
+    offset: Optional[PolarOffset] = None
+    claimed: bool = True
 
 
-class ChDecisionAnnouncement(_AnnouncementFields):
+class ChDecisionAnnouncement(NamedTuple):
     """Cluster head's verdict on an event window.
 
     Broadcast so that (a) the base station learns of events, and (b)
@@ -113,98 +77,39 @@ class ChDecisionAnnouncement(_AnnouncementFields):
     the only sensors whose trust the verdict moves.
     """
 
-    __slots__ = ()
+    sender: int
+    message_id: int = 0
+    decision_id: int = 0
+    occurred: bool = False
+    location: Optional[Point] = None
+    reporters: Tuple[int, ...] = ()
+    non_reporters: Tuple[int, ...] = ()
 
     @property
     def named(self) -> Tuple[int, ...]:
         """The reporters, then the non-reporters."""
         return self.reporters + self.non_reporters
 
-    def __new__(
-        cls,
-        sender: int,
-        message_id: Optional[int] = None,
-        decision_id: int = 0,
-        occurred: bool = False,
-        location: Optional[Point] = None,
-        reporters: Tuple[int, ...] = (),
-        non_reporters: Tuple[int, ...] = (),
-    ) -> "ChDecisionAnnouncement":
-        if message_id is None:
-            message_id = next(_message_ids)
-        return tuple.__new__(
-            cls,
-            (
-                sender, message_id, decision_id, occurred, location,
-                reporters, non_reporters,
-            ),
-        )
 
-
-class _TransferFields(NamedTuple):
-    sender: int
-    message_id: int
-    table: Dict[int, float]
-    cluster_id: int
-    round_number: int
-
-
-class TiTableTransfer(_TransferFields):
+class TiTableTransfer(NamedTuple):
     """Trust-index table hand-off (outgoing CH -> base station -> new CH).
 
     The table maps node id to the accumulated fault variable ``v`` (the
     TI itself is derived, so shipping ``v`` preserves full state).  It
-    defaults to a new empty dict.
+    defaults to an empty read-only mapping.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        sender: int,
-        message_id: Optional[int] = None,
-        table: Optional[Dict[int, float]] = None,
-        cluster_id: int = 0,
-        round_number: int = 0,
-    ) -> "TiTableTransfer":
-        if message_id is None:
-            message_id = next(_message_ids)
-        if table is None:
-            table = {}
-        return tuple.__new__(
-            cls, (sender, message_id, table, cluster_id, round_number)
-        )
-
-
-class _DisagreementFields(NamedTuple):
     sender: int
-    message_id: int
-    decision_id: int
-    occurred: bool
-    location: Optional[Point]
-    suspected_ch: int
+    message_id: int = 0
+    table: Mapping[int, float] = MappingProxyType({})
 
 
-class ScHDisagreement(_DisagreementFields):
+class ScHDisagreement(NamedTuple):
     """Shadow cluster head's dissent escalated to the base station (§3.4)."""
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        sender: int,
-        message_id: Optional[int] = None,
-        decision_id: int = 0,
-        occurred: bool = False,
-        location: Optional[Point] = None,
-        suspected_ch: int = -1,
-    ) -> "ScHDisagreement":
-        if message_id is None:
-            message_id = next(_message_ids)
-        return tuple.__new__(
-            cls,
-            (
-                sender, message_id, decision_id, occurred, location,
-                suspected_ch,
-            ),
-        )
+    sender: int
+    message_id: int = 0
+    decision_id: int = 0
+    occurred: bool = False
+    location: Optional[Point] = None
+    suspected_ch: int = -1

@@ -28,73 +28,36 @@ which is exactly the arbitrary-data-fault model of the paper.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set
 
 from repro.network.geometry import Point
-from repro.network.messages import Message, _next_message_id
+from repro.network.messages import Message
 from repro.network.node import NetworkNode
 from repro.network.topology import Deployment
 
-_relayed_ids = itertools.count(1)
 
-
-class _RelayedFields(NamedTuple):
-    sender: int
-    message_id: int
-    payload: Optional[Message]
-    origin: int
-    destination: int
-    relay_id: int
-    hop: int
-
-
-class RelayedMessage(_RelayedFields):
+class RelayedMessage(NamedTuple):
     """A payload wrapped for multi-hop forwarding.
 
-    Unless given, the constructor mints the message id and then the
-    relay id, each from its own stream.
+    The originating relay numbers it from its run's relay-id stream
+    (``Simulator.relay_ids``); every hop keeps that relay id.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        sender: int,
-        message_id: Optional[int] = None,
-        payload: Optional[Message] = None,
-        origin: int = -1,
-        destination: int = -1,
-        relay_id: Optional[int] = None,
-        hop: int = 0,
-    ) -> "RelayedMessage":
-        if message_id is None:
-            message_id = _next_message_id()
-        if relay_id is None:
-            relay_id = next(_relayed_ids)
-        return tuple.__new__(
-            cls,
-            (sender, message_id, payload, origin, destination, relay_id, hop),
-        )
-
-
-class _RelayAckFields(NamedTuple):
     sender: int
-    message_id: int
-    relay_id: int
+    message_id: int = 0
+    payload: Optional[Message] = None
+    origin: int = -1
+    destination: int = -1
+    relay_id: int = 0
+    hop: int = 0
 
 
-class RelayAck(_RelayAckFields):
+class RelayAck(NamedTuple):
     """Hop-by-hop acknowledgement for a relayed message."""
 
-    __slots__ = ()
-
-    def __new__(
-        cls, sender: int, message_id: Optional[int] = None, relay_id: int = 0
-    ) -> "RelayAck":
-        if message_id is None:
-            message_id = _next_message_id()
-        return tuple.__new__(cls, (sender, message_id, relay_id))
+    sender: int
+    message_id: int = 0
+    relay_id: int = 0
 
 
 class RoutingTable:
@@ -264,9 +227,11 @@ class ReliableRelay(NetworkNode):
         """Inject ``payload`` toward ``destination``; returns relay id."""
         wrapped = RelayedMessage(
             sender=self.node_id,
+            message_id=next(self._message_ids),
             payload=payload,
             origin=self.node_id,
             destination=destination,
+            relay_id=next(self.sim.relay_ids),
         )
         return self._forward(wrapped)
 
@@ -287,6 +252,7 @@ class ReliableRelay(NetworkNode):
             return None
         outgoing = RelayedMessage(
             sender=self.node_id,
+            message_id=next(self._message_ids),
             payload=message.payload,
             origin=message.origin,
             destination=message.destination,
@@ -332,8 +298,11 @@ class ReliableRelay(NetworkNode):
         if not isinstance(message, RelayedMessage):
             return
         # Hop-by-hop ACK even for duplicates (the ACK may have been lost).
-        self.send(message.sender, RelayAck(sender=self.node_id,
-                                           relay_id=message.relay_id))
+        self.send(message.sender, RelayAck(
+            sender=self.node_id,
+            message_id=next(self._message_ids),
+            relay_id=message.relay_id,
+        ))
         if message.relay_id in self._seen_relay_ids:
             return
         self._seen_relay_ids.add(message.relay_id)

@@ -52,10 +52,13 @@ class NetworkNode:
         """Connect this node to a simulator and a radio channel.
 
         Registration with the channel is the caller's (or channel's)
-        responsibility; attach only wires the references.
+        responsibility; attach only wires the references, and binds the
+        run's message-id stream that this node's messages take their ids
+        from.
         """
         self._sim = sim
         self._channel = channel
+        self._message_ids = sim.message_ids
 
     @property
     def sim(self) -> "Simulator":

@@ -167,6 +167,7 @@ class SensorNode(NetworkNode):
         self.reports_sent += 1
         return EventReportMessage(
             sender=self.node_id,
+            message_id=next(self._message_ids),
             event_id=event_id,
             offset=offset,
             claimed=True,

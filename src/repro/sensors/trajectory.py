@@ -101,9 +101,10 @@ class TargetTracker:
         ``r_error`` apart (speed * period >= r_error).
     on_event:
         Callback receiving each :class:`GroundTruthEvent`.
-    """
 
-    _ids: Iterator[int] = itertools.count(100_000)
+    Each tracker numbers its events from 100,000, clear of an event
+    generator's.
+    """
 
     def __init__(
         self,
@@ -116,6 +117,7 @@ class TargetTracker:
         self.trajectory = trajectory
         self.period = period
         self._on_event = on_event
+        self._ids: Iterator[int] = itertools.count(100_000)
         self.emitted: List[GroundTruthEvent] = []
 
     def start(self, sim: Simulator) -> None:

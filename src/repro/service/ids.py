@@ -1,17 +1,11 @@
 """Explicit id allocation for reproducible sessions.
 
-The DES layer historically drew decision ids from a process-global
-``itertools.count`` -- convenient for cross-cluster uniqueness, but it
-made runs reproducible only if every test remembered to reset the
-stream by hand (the golden-provenance builder did exactly that).
-:class:`IdAllocator` is the explicit replacement: a tiny resettable
-counter that can be *owned*.  Each bare :class:`~repro.service.session.
-TrustSession` defaults to its own allocator, so two sessions fed the
-same report stream mint the same decision ids with no global state
-involved; the DES cluster heads share one module-level allocator
-(``repro.clusterctl.head._decision_ids``) to keep ids unique across
-heads, and reset it through :func:`repro.clusterctl.head.
-reset_decision_ids` instead of rebinding module globals.
+:class:`IdAllocator` is a tiny resettable counter that can be *owned*.
+Each bare :class:`~repro.service.session.TrustSession` defaults to its
+own allocator, so two sessions fed the same report stream mint the same
+decision ids; a DES run owns one that every cluster head it installs
+shares, so ids stay unique across the run's heads and number each run
+alike whatever ran before it in the process.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ class IdAllocator:
     Drop-in for ``itertools.count`` on the allocation side -- the same
     ``next()`` protocol -- plus the two operations a count cannot do:
     :meth:`peek` (what id comes next, for state export) and
-    :meth:`reset` (rewind, for state import and test isolation).
+    :meth:`reset` (rewind, for state import).
     """
 
     __slots__ = ("_next_id",)

@@ -29,9 +29,9 @@ Two kinds of client drive the same object:
   DES fixtures bit-for-bit.
 
 Decision ids come from the session's own :class:`~repro.service.ids.
-IdAllocator` (unless a shared one is injected, as the DES does for
-cross-head uniqueness), so bare sessions are reproducible with no
-process-global resets.
+IdAllocator` unless one is injected: a DES run injects its own into
+every head it installs, so ids stay unique across the run's heads.
+Either way a session's ids are local to it, or to its run.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ class SessionConfig:
         Isolate nodes whose TI sinks below this; ``None`` disables
         diagnosis.  A baseline session (``use_trust`` False) keeps no
         trust to diagnose from, so it never diagnoses.
-    owner_id:
-        The node id of the session's owner (the CH is itself a sensor,
-        §2) -- excluded from the binary non-reporter partition.  ``None``
-        for pure service sessions with no embedded owner.
     journal:
         Record every closed window's raw inputs (see
         :meth:`TrustSession.journal_records`) for differential replay.
@@ -120,7 +116,6 @@ class SessionConfig:
     trust: TrustParameters = field(default_factory=TrustParameters)
     use_trust: bool = True
     diagnosis_threshold: Optional[float] = None
-    owner_id: Optional[int] = None
     journal: bool = False
 
     def __post_init__(self) -> None:
@@ -143,8 +138,8 @@ class TrustSession:
         See :class:`SessionConfig`.
     id_allocator:
         Decision-id source.  Defaults to a fresh private allocator so
-        bare sessions are reproducible in isolation; the DES injects a
-        shared one to keep ids unique across concurrent cluster heads.
+        bare sessions are reproducible in isolation; a DES run injects
+        its own to keep ids unique across its cluster heads.
     """
 
     def __init__(
@@ -212,16 +207,15 @@ class TrustSession:
         """Split one binary window into (reporters, non-reporters).
 
         All cluster members are event neighbours (§3.1); diagnosed
-        nodes and the session owner drop out of the silent partition.
+        nodes drop out of the silent partition.
         """
         excluded = set(self.excluded_nodes())
         reporter_set = set(senders) - excluded
         reporters = sorted(reporter_set)
-        owner = self.config.owner_id
         non_reporters = [
             m
             for m in self.members
-            if m not in excluded and m != owner and m not in reporter_set
+            if m not in excluded and m not in reporter_set
         ]
         return reporters, non_reporters
 

@@ -1,9 +1,10 @@
 """The simulation event loop, clock, and timer facilities.
 
 :class:`Simulator` is deliberately minimal: a clock, one ``heapq`` of
-scheduled callbacks, named random streams, and one observability hook
-(a span collector).  Protocol entities (nodes, cluster heads, channels)
-hold a reference to the simulator and schedule callbacks on it.
+scheduled callbacks, named random streams, the run's id streams, and one
+observability hook (a span collector).  Protocol entities (nodes,
+cluster heads, channels) hold a reference to the simulator and schedule
+callbacks on it.
 
 Determinism contract
 --------------------
@@ -12,7 +13,9 @@ ctx)`` tuples, so events fire in the total order ``(time, priority,
 sequence)``: earlier first, then lower ``priority`` (default 0), then
 insertion order.  ``sequence`` is unique, so ``heapq`` never compares
 past it.  Every run is therefore a pure function of the seed set, which
-the TIBFIT experiments rely on for reproducibility.
+the TIBFIT experiments rely on for reproducibility.  The ids a run
+stamps on what it emits come from the simulator too, so they do not
+depend on what ran before it in the process.
 """
 
 from __future__ import annotations
@@ -41,6 +44,13 @@ class Simulator:
         and the run loop restores it before the callback fires, so
         cross-queue causality survives the trip through the scheduler.
 
+    Attributes
+    ----------
+    message_ids / circle_ids / relay_ids:
+        The run's id streams, each counting from 1: every message a
+        sender builds takes ``next(sim.message_ids)``, every collection
+        circle a circle id and every multi-hop relay a relay id.
+
     Examples
     --------
     >>> sim = Simulator(seed=1)
@@ -60,6 +70,9 @@ class Simulator:
         self._heap: list = []
         self._sequence = itertools.count()
         self.streams = RandomStreams(seed)
+        self.message_ids = itertools.count(1)
+        self.circle_ids = itertools.count(1)
+        self.relay_ids = itertools.count(1)
         self._running = False
         self._events_fired = 0
 

@@ -29,38 +29,26 @@ def make_bs(spans=None, **kwargs):
 class TestRegistry:
     def test_transfer_populates_registry(self):
         _sim, bs = make_bs()
-        bs.on_message(
-            TiTableTransfer(sender=100, table={0: 0.0, 1: 2.0}, cluster_id=3)
-        )
-        assert bs.ti_of(3, 0) == 1.0
-        assert bs.ti_of(3, 1) < 1.0
+        bs.on_message(TiTableTransfer(sender=100, table={0: 0.0, 1: 2.0}))
+        assert bs.ti_of(0) == 1.0
+        assert bs.ti_of(1) < 1.0
+        assert bs.registry.ti(1) == bs.ti_of(1)
 
     def test_unknown_node_defaults_to_full_trust(self):
         _sim, bs = make_bs()
-        assert bs.ti_of(0, 42) == 1.0
+        assert bs.ti_of(42) == 1.0
 
     def test_candidate_approval_uses_threshold(self):
         _sim, bs = make_bs(ch_ti_threshold=0.8)
-        bs.on_message(
-            TiTableTransfer(sender=100, table={1: 2.0}, cluster_id=0)
-        )
-        assert not bs.approves_candidate(0, 1)
-        assert bs.approves_candidate(0, 2)
+        bs.on_message(TiTableTransfer(sender=100, table={1: 2.0}))
+        assert not bs.approves_candidate(1)
+        assert bs.approves_candidate(2)
 
     def test_table_for_new_ch_round_trips(self):
         _sim, bs = make_bs()
-        bs.on_message(
-            TiTableTransfer(sender=100, table={5: 1.5}, cluster_id=2)
-        )
-        exported = bs.table_for_new_ch(2)
+        bs.on_message(TiTableTransfer(sender=100, table={5: 1.5}))
+        exported = bs.table_for_new_ch()
         assert exported[5] == pytest.approx(1.5)
-
-    def test_registries_are_per_cluster(self):
-        _sim, bs = make_bs()
-        bs.on_message(
-            TiTableTransfer(sender=100, table={1: 3.0}, cluster_id=0)
-        )
-        assert bs.ti_of(1, 1) == 1.0  # other cluster unaffected
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -84,9 +72,9 @@ class TestArbitration:
     def test_two_dissenting_schs_depose_the_ch(self):
         reelections = []
         _sim, bs = make_bs(
-            on_reelection=lambda cluster, ch: reelections.append((cluster, ch))
+            on_reelection=reelections.append
         )
-        bs.bind_ch(100, cluster_id=4)
+        bs.bind_ch(100)
         bs.on_message(announce())
         bs.on_message(dissent(101))
         assert bs.resolutions == []  # one dissent: vote still 1-1 pending
@@ -95,37 +83,37 @@ class TestArbitration:
         resolution = bs.resolutions[0]
         assert resolution.ch_was_wrong
         assert resolution.final_verdict is False
-        assert reelections == [(4, 100)]
+        assert reelections == [100]
 
     def test_deposition_emits_a_span(self):
         spans = SpanCollector()
         _sim, bs = make_bs(spans=spans)
-        bs.bind_ch(100, cluster_id=4)
+        bs.bind_ch(100)
         bs.on_message(announce(decision_id=7))
         bs.on_message(dissent(101, decision_id=7))
         bs.on_message(dissent(102, decision_id=7))
         (depose,) = spans.spans("bs.depose")
-        assert depose.args == {"cluster": 4, "ch": 100, "decision_id": 7}
+        assert depose.args == {"ch": 100, "decision_id": 7}
 
     def test_deposed_ch_loses_trust(self):
         _sim, bs = make_bs()
-        bs.bind_ch(100, cluster_id=0)
+        bs.bind_ch(100)
         bs.on_message(announce())
         bs.on_message(dissent(101))
         bs.on_message(dissent(102))
-        assert bs.ti_of(0, 100) < 1.0
+        assert bs.ti_of(100) < 1.0
 
     def test_single_dissent_never_deposes(self):
         _sim, bs = make_bs()
-        bs.bind_ch(100, cluster_id=0)
+        bs.bind_ch(100)
         bs.on_message(announce())
         bs.on_message(dissent(101))
         assert bs.resolutions == []
-        assert bs.ti_of(0, 100) == 1.0
+        assert bs.ti_of(100) == 1.0
 
     def test_dissent_arriving_before_announcement_still_resolves(self):
         _sim, bs = make_bs()
-        bs.bind_ch(100, cluster_id=0)
+        bs.bind_ch(100)
         bs.on_message(dissent(101))
         bs.on_message(dissent(102))
         assert bs.resolutions == []  # CH verdict unknown yet
@@ -134,7 +122,7 @@ class TestArbitration:
 
     def test_agreeing_schs_never_trigger_dispute(self):
         _sim, bs = make_bs()
-        bs.bind_ch(100, cluster_id=0)
+        bs.bind_ch(100)
         bs.on_message(announce())
         # SCH "dissents" that actually agree with the CH verdict.
         bs.on_message(dissent(101, occurred=True))
@@ -143,7 +131,7 @@ class TestArbitration:
 
     def test_disputes_tracked_per_decision(self):
         _sim, bs = make_bs()
-        bs.bind_ch(100, cluster_id=0)
+        bs.bind_ch(100)
         bs.on_message(announce(decision_id=1))
         bs.on_message(announce(decision_id=2))
         bs.on_message(dissent(101, decision_id=1))
@@ -158,22 +146,22 @@ class TestArbitration:
         vote: 1-1 stays pending, and the second shadow decides."""
         reelections = []
         _sim, bs = make_bs(
-            on_reelection=lambda cluster, ch: reelections.append((cluster, ch))
+            on_reelection=reelections.append
         )
-        bs.bind_ch(100, cluster_id=0)
+        bs.bind_ch(100)
         bs.on_message(announce())
         bs.on_message(dissent(101))
         bs.on_message(dissent(101))
         assert bs.resolutions == []
-        assert bs.ti_of(0, 100) == 1.0
+        assert bs.ti_of(100) == 1.0
         assert reelections == []
         bs.on_message(dissent(102))
         assert len(bs.resolutions) == 1
-        assert reelections == [(0, 100)]
+        assert reelections == [100]
 
     def test_final_location_is_the_first_dissenting_location(self):
         _sim, bs = make_bs()
-        bs.bind_ch(100, cluster_id=0)
+        bs.bind_ch(100)
         bs.on_message(announce())
         first, second = Point(1.0, 2.0), Point(3.0, 4.0)
         bs.on_message(ScHDisagreement(

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.clusterctl.head import (
-    ClusterHead,
-    ClusterHeadConfig,
-    reset_decision_ids,
+from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
+from repro.clusterctl.shadow import (
+    HeadMirror,
+    ShadowClusterHead,
+    appoint_shadows,
 )
-from repro.clusterctl.shadow import HeadMirror, appoint_shadows
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, Region
 from repro.network.messages import EventReportMessage, ScHDisagreement
@@ -21,7 +21,6 @@ from repro.obs.spans import SpanCollector
 from repro.simkernel.simulator import Simulator
 from tests.golden.builders import (
     ROTATING_RUNS,
-    reset_id_streams,
     rotating_document,
     rotating_run,
 )
@@ -39,6 +38,14 @@ class Collector(NetworkNode):
 
     def on_message(self, message):
         self.received.append(message)
+
+
+class InvertingSeat(ShadowClusterHead):
+    """A bad monitor: a seat that inverts every verdict it adopts.  The
+    base station's vote masks it as it masks a corrupt CH."""
+
+    def adopt(self, verdicts):
+        super().adopt([v._replace(occurred=not v.occurred) for v in verdicts])
 
 
 def build(corrupt_sch=False, spans=None):
@@ -68,10 +75,15 @@ def build(corrupt_sch=False, spans=None):
     )
     channel.register(ch)
     # The SCH snoops the CH's inbound traffic through its mirror's tap.
-    (sch,) = appoint_shadows(
-        ch, [(101, Point(50.0, 52.0))], base_station_id=999
-    ).seats
-    sch.corrupt = corrupt_sch
+    seat = (101, Point(50.0, 52.0))
+    mirror = appoint_shadows(
+        ch, [] if corrupt_sch else [seat], base_station_id=999
+    )
+    if corrupt_sch:
+        inverting = InvertingSeat(*seat, mirror, base_station_id=999)
+        channel.register(inverting)
+        mirror.seats.append(inverting)
+    (sch,) = mirror.seats
     # Register dummy sensor endpoints so broadcasts have receivers.
     for i in range(4):
         channel.register(Collector(i))
@@ -179,7 +191,6 @@ class TestOneMirrorPerHead:
         # Two events 8 apart: their r_error circles overlap, so one
         # window closes both and decides each.
         events = (Point(46.0, 50.0), Point(54.0, 50.0))
-        reset_decision_ids(1)
         for i, position in enumerate(positions):
             channel.unicast(channel.node(i), 100, EventReportMessage(
                 sender=i, offset=position.offset_to(events[i % 2]),
@@ -209,7 +220,6 @@ class TestOneMirrorPerHead:
     @pytest.mark.parametrize("name", sorted(ROTATING_RUNS))
     def test_each_head_has_one_tap_and_one_mirror(self, name):
         calls, overrides = ROTATING_RUNS[name]
-        reset_id_streams()
         run = rotating_run(**overrides)
         end_leadership = run._end_leadership
         leaderships = []
@@ -247,7 +257,6 @@ class TestOneMirrorPerHead:
         leadership, and each seat's verdicts and its mirror's trust table
         must equal the oracle's, bit for bit."""
         calls, overrides = ROTATING_RUNS[name]
-        reset_id_streams()
         run = rotating_run(**overrides)
         appoint, end_leadership = run._appoint_shadows, run._end_leadership
         pairs = []

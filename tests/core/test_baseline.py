@@ -39,8 +39,3 @@ class TestMajorityVoting:
     def test_margin(self):
         result = MajorityVoter().decide([0, 1, 2], [3])
         assert result.margin == 2
-
-    def test_votes_taken_counter(self):
-        voter = MajorityVoter()
-        voter.decide([0], [1, 2])
-        assert voter.votes_taken == 1

@@ -157,10 +157,9 @@ class TestCountsMatchSpans:
     @pytest.fixture(scope="class", params=["ch-crash", "corrupt-rotating"])
     def runs(self, request):
         """The span-collecting run and its spanless twin."""
-        from tests.golden.builders import reset_id_streams, rotating_run
+        from tests.golden.builders import rotating_run
 
         def build(spans):
-            reset_id_streams()
             if request.param == "ch-crash":
                 plan = builtin_plans(300.0, 25)["ch-crash"]
                 return make_location_run(
@@ -385,9 +384,8 @@ class TestRotatingProvenance:
 
     @staticmethod
     def rotating(spans, **overrides):
-        from tests.golden.builders import reset_id_streams, rotating_run
+        from tests.golden.builders import rotating_run
 
-        reset_id_streams()
         run = rotating_run(level=1, faulty_count=15, spans=spans, **overrides)
         return run.run(24)
 
@@ -455,3 +453,52 @@ class TestRotatingProvenance:
             "transfer_trust": True,
             "corrupt_elected_faulty": False,
         }
+
+
+# ----------------------------------------------------------------------
+# Ids are numbered by the run
+# ----------------------------------------------------------------------
+class TestIdsAreNumberedByTheRun:
+    """Two runs of one config and seed, built one after the other in one
+    process, export the same bytes: every id a run stamps (message,
+    decision, circle) comes from the run's own streams, so nothing that
+    ran before it in the process shows in its artifacts."""
+
+    EXPORTS = ("spans.jsonl", "provenance.jsonl", "spans_chrome.json",
+               "session_journal.jsonl", "metrics.jsonl")
+
+    @staticmethod
+    def failover():
+        """A fixed location run whose head crashes: the promoted standby
+        numbers its decisions from the same stream as the head."""
+        plan = builtin_plans(300.0, 25)["ch-crash"]
+        run = make_location_run(
+            True, journal=True, chaos_plan=plan, channel_loss=0.05
+        ).run(30)
+        assert len(run._retired) == 1
+        return run
+
+    @staticmethod
+    def rotating():
+        """A rotating run: heads, their mirrors and the mirrors' seats."""
+        from tests.golden.builders import rotating_run
+
+        run = rotating_run(
+            level=1, faulty_count=15, spans=True, journal=True,
+            corrupt_elected_faulty=True,
+        ).run(24)
+        assert all(round_.shadows for round_ in run.rounds)
+        return run
+
+    @pytest.mark.parametrize("build", ["failover", "rotating"])
+    def test_back_to_back_runs_export_identical_bytes(self, build, tmp_path):
+        for out in ("first", "second"):
+            run = getattr(self, build)()
+            decision_ids = [d.decision_id for d in run.all_decisions()]
+            assert decision_ids[0] == 1
+            assert sorted(decision_ids) == sorted(set(decision_ids))
+            run.export_artifacts(tmp_path / out)
+        for name in self.EXPORTS:
+            first = (tmp_path / "first" / name).read_bytes()
+            assert first, name
+            assert first == (tmp_path / "second" / name).read_bytes(), name

@@ -45,27 +45,12 @@ from repro.experiments.harness import (
     Rotation,
     SimulationRun,
 )
-from repro.network import messages
 from repro.obs.provenance import ProvenanceIndex
 
 
 def _normalise(doc: Dict[str, object]) -> Dict[str, object]:
     """JSON round-trip: tuples become lists, floats stay bit-exact."""
     return json.loads(json.dumps(doc))
-
-
-def reset_id_streams() -> None:
-    """Rewind the process-global message, decision and circle ids.
-
-    They land in span args and decision records; resetting them keeps a
-    fixture independent of what earlier tests in the same process made.
-    """
-    from repro.clusterctl.head import reset_decision_ids
-    from repro.core.concurrent import reset_circle_ids
-
-    messages.reset_message_ids()
-    reset_decision_ids()
-    reset_circle_ids()
 
 
 def build_experiment1() -> Dict[str, object]:
@@ -127,7 +112,6 @@ def build_exp2_provenance() -> Dict[str, object]:
     faulty_ids = rng.choice(
         config.n_nodes, size=config.n_faulty(point), replace=False
     )
-    reset_id_streams()
     run = SimulationRun(
         mode="location",
         n_nodes=config.n_nodes,
@@ -287,7 +271,7 @@ def _xy(point) -> object:
 
 
 def _registry_bits(run: SimulationRun) -> list:
-    registry = run.bs.registry_for(0)
+    registry = run.bs.registry
     return [
         [node, v, registry.ti(node)]
         for node, v in sorted(registry.export_state().items())
@@ -349,7 +333,6 @@ def build_exp4_rotation() -> Dict[str, object]:
     """
     doc: Dict[str, object] = {}
     for name, (calls, overrides) in ROTATING_RUNS.items():
-        reset_id_streams()
         run = rotating_run(**overrides)
         between = []
         for n_rounds in calls:
@@ -402,7 +385,6 @@ def build_chaos() -> Dict[str, object]:
     binary: Dict[str, object] = {}
     for plan in plans:
         for seed in (0, 1):
-            reset_id_streams()
             run = SimulationRun(
                 mode=config.mode,
                 n_nodes=config.n_nodes,
@@ -419,7 +401,6 @@ def build_chaos() -> Dict[str, object]:
 
     location: Dict[str, object] = {}
     for name, plan in builtin_plans(config.horizon, 36).items():
-        reset_id_streams()
         run = SimulationRun(
             mode="location",
             n_nodes=36,

@@ -196,6 +196,11 @@ class TestNodeWiring:
         assert nodes[0].channel is channel
 
     def test_message_ids_are_unique(self):
-        a = EventReportMessage(sender=0)
-        b = EventReportMessage(sender=0)
-        assert a.message_id != b.message_id
+        """Attaching binds the run's one message-id stream, so the ids
+        every endpoint of a run takes are unique, and a second run
+        numbers its own from 1."""
+        for _ in range(2):
+            sim, _channel, nodes = make_net(n=3)
+            assert all(node._message_ids is sim.message_ids for node in nodes)
+            minted = [next(node._message_ids) for node in nodes * 2]
+            assert minted == [1, 2, 3, 4, 5, 6]

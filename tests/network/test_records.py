@@ -4,8 +4,8 @@ Points, polar offsets, every radio message, ground-truth events,
 decision records, majority votes and event outcomes are
 ``typing.NamedTuple`` records.  They must stay what their frozen
 dataclass predecessors were to every caller: immutable, picklable (spawn
-workers pickle them), built by keyword or position, printed the same,
-and -- for messages -- minting one id per construction, in order.
+workers pickle them), built by keyword or position, and printed the
+same.  A message mints no id: its sender takes one from its run.
 """
 
 import pickle
@@ -20,11 +20,11 @@ from repro.network.messages import (
     EventReportMessage,
     ScHDisagreement,
     TiTableTransfer,
-    reset_message_ids,
 )
 from repro.network.multihop import RelayAck, RelayedMessage
 from repro.sensors.generator import GroundTruthEvent
 from repro.service.session import DecisionRecord
+from tests.network.test_multihop import build_chain
 
 OFFSET = PolarOffset(r=1.0, theta=0.5)
 
@@ -37,7 +37,7 @@ RECORDS = [
         sender=100, decision_id=4, occurred=True, location=Point(1.0, 2.0),
         reporters=(0, 1), non_reporters=(2,),
     ),
-    TiTableTransfer(sender=100, table={0: 0.5}, cluster_id=1),
+    TiTableTransfer(sender=100, table={0: 0.5}),
     ScHDisagreement(sender=7, decision_id=4, suspected_ch=100),
     RelayedMessage(sender=1, payload=EventReportMessage(sender=1),
                    origin=1, destination=5),
@@ -109,40 +109,73 @@ def test_equal_values_hash_equal():
     assert RECORDS[9]._replace(occurred=False) != RECORDS[9]
 
 
+def sent_messages(channel):
+    """Record every message ``channel`` transmits, in send order."""
+    sent = []
+    unicast = channel.unicast
+
+    def recording_unicast(sender, destination, message):
+        sent.append(message)
+        return unicast(sender, destination, message)
+
+    channel.unicast = recording_unicast
+    return sent
+
+
 def test_message_ids_are_minted_once_per_construction_in_order():
-    reset_message_ids(50)
-    try:
-        minted = [
-            EventReportMessage(sender=1).message_id,
-            ChDecisionAnnouncement(sender=1).message_id,
-            TiTableTransfer(sender=1).message_id,
-            ScHDisagreement(sender=1).message_id,
-            RelayedMessage(sender=1).message_id,
-            RelayAck(sender=1).message_id,
-        ]
-        assert minted == [50, 51, 52, 53, 54, 55]
-        # A given id is kept and mints nothing; copies mint nothing.
-        given = EventReportMessage(sender=1, message_id=7)
-        assert given.message_id == 7
-        pickle.loads(pickle.dumps(given))
-        given._replace(sender=2)
-        assert EventReportMessage(sender=1).message_id == 56
-    finally:
-        reset_message_ids()
+    """A record mints nothing: built outside a run it keeps id 0, and
+    copies keep the id they were given.  In a run each sender takes one
+    id from its run's stream per message it builds, in the order it
+    builds them, and the next run numbers its messages from 1 again."""
+    messages = [
+        EventReportMessage(sender=1),
+        ChDecisionAnnouncement(sender=1),
+        TiTableTransfer(sender=1),
+        ScHDisagreement(sender=1),
+        RelayedMessage(sender=1),
+        RelayAck(sender=1),
+    ]
+    assert [m.message_id for m in messages] == [0] * 6
+    given = EventReportMessage(sender=1, message_id=7)
+    assert pickle.loads(pickle.dumps(given)).message_id == 7
+    assert given._replace(sender=2).message_id == 7
+
+    for _ in range(2):
+        sim, channel, relays, delivered = build_chain(n=3)
+        sent = sent_messages(channel)
+        for _ in range(2):
+            relays[0].originate(EventReportMessage(sender=0), destination=2)
+            sim.run()
+        # Per relay: send (0 -> 1), ack (1 -> 0), forward (1 -> 2),
+        # ack (2 -> 1).  The origin builds its wrapper (ids 1 and 6)
+        # and sends a copy of it for the first hop.
+        assert [type(m).__name__ for m in sent] == [
+            "RelayedMessage", "RelayAck", "RelayedMessage", "RelayAck",
+        ] * 2
+        assert [m.message_id for m in sent] == [2, 3, 4, 5, 7, 8, 9, 10]
+        assert len(delivered) == 2
 
 
 def test_relay_ids_follow_their_own_stream():
-    first = RelayedMessage(sender=1)
-    second = RelayedMessage(sender=1)
-    assert second.relay_id == first.relay_id + 1
-    assert second.message_id == first.message_id + 1
-    forwarded = RelayedMessage(sender=2, relay_id=first.relay_id, hop=1)
-    assert forwarded.relay_id == first.relay_id
-    assert RelayedMessage(sender=1).relay_id == second.relay_id + 1
+    """Relay ids come from the run's relay stream, not its message
+    stream: every hop of one relay keeps the id the origin took."""
+    sim, channel, relays, _delivered = build_chain(n=3)
+    sent = sent_messages(channel)
+    first = relays[0].originate(EventReportMessage(sender=0), destination=2)
+    second = relays[0].originate(EventReportMessage(sender=0), destination=2)
+    sim.run()
+    assert (first, second) == (1, 2)
+    assert sorted({m.relay_id for m in sent}) == [1, 2]
+    assert len({m.message_id for m in sent}) == len(sent) == 8
+    assert next(sim.relay_ids) == 3
 
 
 def test_ti_transfers_default_to_fresh_tables():
+    """The default table is empty and read-only: no transfer can fill a
+    table another transfer shares."""
     a = TiTableTransfer(sender=1)
     b = TiTableTransfer(sender=1)
     assert a.table == {} and b.table == {}
-    assert a.table is not b.table
+    with pytest.raises(TypeError):
+        a.table[0] = 1.0
+    assert b.table == {}

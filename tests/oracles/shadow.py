@@ -5,8 +5,8 @@ private copy of the head's computation: a plain
 :class:`~repro.clusterctl.head.ClusterHead` that never announces, on a
 tap of its own, starting from the trust snapshot the head imported.
 :func:`tap_seat_mirror` builds exactly that, numbering its verdicts from
-a private :class:`~repro.service.ids.IdAllocator` so it leaves the run's
-shared decision-id stream alone.  The differential suite in
+a standalone head's private allocator, so it leaves the run's
+decision-id stream alone.  The differential suite in
 ``tests/clusterctl/test_shadow.py`` taps one beside every seat of a
 rotating run and proves each seat's verdict sequence, and its mirror's
 trust table, equal to its oracle's.
@@ -20,7 +20,6 @@ from typing import Mapping
 from repro.clusterctl.head import ClusterHead
 from repro.clusterctl.shadow import _Unobserved
 from repro.network.geometry import Point
-from repro.service.ids import IdAllocator
 
 
 def tap_seat_mirror(
@@ -35,7 +34,6 @@ def tap_seat_mirror(
         position=position,
         deployment=ch.deployment,
         config=replace(ch.config, announce=False, journal=False),
-        id_allocator=IdAllocator(),
     )
     mirror.trust.import_state(trust)
     mirror.attach(_Unobserved(ch.sim), ch.channel)

@@ -6,16 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.clusterctl.head import (
-    ClusterHead,
-    ClusterHeadConfig,
-    reset_decision_ids,
-)
+from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, Region
 from repro.network.topology import grid_deployment
 from repro.service.ids import IdAllocator
 from repro.service.session import SessionConfig, TrustSession
+from tests.golden.builders import rotating_run
 
 
 def make_deployment(n=9, side=30.0):
@@ -75,15 +72,6 @@ class TestBinarySession:
         assert session.close_window(now=1.0) == []
         assert session.windows_closed == 0
         assert session.decisions == []
-
-    def test_owner_excluded_from_non_reporters(self):
-        deployment = make_deployment()
-        session = TrustSession(
-            deployment, SessionConfig(mode="binary", owner_id=4)
-        )
-        session.ingest(0)
-        (record,) = session.close_window(now=1.0)
-        assert 4 not in record.dissenters
 
     def test_diagnosed_sender_dropped_on_ingest(self):
         session = make_session(mode="binary", diagnosis_threshold=0.6)
@@ -386,12 +374,24 @@ class TestDecisionIdIsolation:
         )
         assert ch.session.ids.peek() == 500
 
-    def test_cluster_heads_share_global_stream_by_default(self):
+    def test_cluster_heads_share_their_runs_stream(self):
+        """A run's heads, and their shadow seats, number decisions from
+        the run's one allocator; two standalone heads each start at 1."""
         deployment = make_deployment()
         config = ClusterHeadConfig(mode="binary")
-        reset_decision_ids(1000)
         a = ClusterHead(1, Point(0, 0), deployment, config)
         b = ClusterHead(2, Point(0, 0), deployment, config)
-        assert next(a.session.ids) == 1000
-        assert next(b.session.ids) == 1001
-        reset_decision_ids()
+        assert next(a.session.ids) == next(b.session.ids) == 1
+
+        run = rotating_run(level=1, faulty_count=15).run(5)
+        heads = list(run._heads.values())
+        assert len(heads) > 1
+        assert all(ch.session.ids is heads[0].session.ids for ch in heads)
+        seats = [seat for mirror in run._mirrors for seat in mirror.seats]
+        minted = [
+            d.decision_id
+            for logger in heads + seats
+            for d in logger.decisions
+        ]
+        assert len(seats) > 1 and len(minted) > len(heads)
+        assert sorted(minted) == list(range(1, len(minted) + 1))

@@ -9,8 +9,8 @@ timeline, same diagnosed set.  That is the proof the cluster head and
 the service expose one decision engine.
 
 Decision *ids* are compared only within the replay (dense from 1): the
-DES draws from the process-shared allocator, the bare session from its
-own -- that independence is the point of the id-allocator fix.
+DES numbers decisions across all of its run's heads, the bare session
+only its own.
 """
 
 import json
@@ -21,11 +21,7 @@ from repro.chaos.invariants import run_fingerprint
 from repro.core.trust import TrustTable
 from repro.experiments.harness import SimulationRun
 from repro.service.session import SessionConfig, TrustSession
-from tests.golden.builders import (
-    reset_id_streams,
-    rotating_document,
-    rotating_run,
-)
+from tests.golden.builders import rotating_document, rotating_run
 
 
 def des_run(mode, journal, **overrides):
@@ -57,7 +53,6 @@ def session_for_head(ch):
             trust=config.trust,
             use_trust=config.use_trust,
             diagnosis_threshold=config.diagnosis_threshold,
-            owner_id=ch.node_id,
         ),
     )
 
@@ -179,12 +174,10 @@ class TestRotatingReplay:
             # §2: each outgoing head ships its table to the BS.
             for session in replayed:
                 registry.import_state(session.trust.export_state())
-        assert bits(registry) == bits(run.bs.registry_for(0))
+        assert bits(registry) == bits(run.bs.registry)
 
     def test_journaled_rotating_run_bit_identical_to_plain(self):
-        reset_id_streams()
         plain = rotating_document(rotating_run(level=1, faulty_count=15).run(24))
-        reset_id_streams()
         journaled = rotating_run(level=1, faulty_count=15, journal=True).run(24)
         assert rotating_document(journaled) == plain
         assert journaled.session_journal()

@@ -35,11 +35,6 @@ EXEMPT = {
     "repro.service.http_api:TrustServiceHandler.do_DELETE",
     # RadioChannel.broadcast reads it as getattr(message, "named", ()).
     "repro.network.messages:ChDecisionAnnouncement.named",
-    # Rewind the process-global id streams so fixtures that build many
-    # runs in one process (tests/golden/builders.py) number each alike.
-    "repro.network.messages:reset_message_ids",
-    "repro.clusterctl.head:reset_decision_ids",
-    "repro.core.concurrent:reset_circle_ids",
 }
 
 
