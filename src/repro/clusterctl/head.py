@@ -207,7 +207,11 @@ class ClusterHead(NetworkNode):
             self._on_location_report(message)
 
     def _on_binary_report(self, message: EventReportMessage) -> None:
-        spans = self.sim.spans
+        # A delivered report proves the head is attached, so the
+        # simulator is read directly, once, not through the checked
+        # ``sim`` property.
+        sim = self._sim
+        spans = sim.spans
         window = self._binary_window
         if not window:
             if spans.enabled:
@@ -218,9 +222,9 @@ class ClusterHead(NetworkNode):
                     "window.open",
                     parent=spans.current,
                     circle=-1,
-                    expires_at=self.sim.now + self.config.t_out,
+                    expires_at=sim.now + self.config.t_out,
                 )
-            self.sim.after(self.config.t_out, self._decide_binary, window)
+            sim.after(self.config.t_out, self._decide_binary, window)
         if spans.enabled:
             spans.point(
                 "window.report",

@@ -421,6 +421,8 @@ class SimulationRun:
                 ch_id=-1,  # set when a head is installed
                 rng=self.sim.streams.get(f"node-{node_id}"),
                 region=region,
+                # A binary head reads only who reported (§3.1).
+                encodes_offset=self.mode == "location",
             )
             # Smart adversaries track their own TI from CH broadcasts;
             # under the baseline there is no TI to track (§4.2 context).
@@ -721,14 +723,14 @@ class SimulationRun:
         leading = self._heads
         spans = self.sim.spans
         for event in batch:
-            # Only event neighbours can report (compose_report's detects
-            # gate uses the same radius and the same correctly-rounded
-            # distance expression as the spatial index), so the disk
-            # query prunes the all-nodes sweep without touching any
-            # node's private RNG stream.  Neighbour ids come back sorted
-            # ascending, matching self.nodes insertion order, so report
-            # order -- and hence channel-stream consumption -- is
-            # unchanged.
+            # The disk query is the physics gate: it keeps exactly the
+            # nodes SensingModel.detects accepts (same radius, same
+            # correctly-rounded sqrt(dx*dx + dy*dy) <= r_s test), so
+            # compose_report does not test it again, and nodes outside
+            # it are never asked, so no private RNG stream moves.
+            # Neighbour ids come back sorted ascending, matching
+            # self.nodes insertion order, so report order -- and hence
+            # channel-stream consumption -- follows node order.
             pending = [
                 (node, message)
                 for node_id in self.deployment.event_neighbors(

@@ -55,10 +55,11 @@ class EventReportMessage(NamedTuple):
     """A sensing node's report of a detected event (§2, §3.2).
 
     ``offset`` is the claimed event position as ``(r, theta)`` relative
-    to the reporting node.  DES sensors always encode one; a binary
-    cluster head ignores it (the report then simply asserts "an event
-    happened inside my sensing radius"), and a location cluster head
-    drops a report that carries none.
+    to the reporting node.  Sensors in a location run encode one, and a
+    location cluster head drops a report that carries none.  A binary
+    cluster head reads only who reported, so sensors in a binary run
+    send ``offset=None``: the report simply asserts "an event happened
+    inside my sensing radius".
     """
 
     sender: int

@@ -39,8 +39,10 @@ from repro.network.topology import Deployment
 class RelayedMessage(NamedTuple):
     """A payload wrapped for multi-hop forwarding.
 
-    The originating relay numbers it from its run's relay-id stream
-    (``Simulator.relay_ids``); every hop keeps that relay id.
+    The originating relay numbers the relay from its run's relay-id
+    stream (``Simulator.relay_ids``); every hop keeps that relay id.
+    Each hop builds one, numbered ``hop``, for the transmission it makes
+    (the origin's is hop 1).
     """
 
     sender: int
@@ -224,22 +226,27 @@ class ReliableRelay(NetworkNode):
     # Sending
     # ------------------------------------------------------------------
     def originate(self, payload: Message, destination: int) -> Optional[int]:
-        """Inject ``payload`` toward ``destination``; returns relay id."""
-        wrapped = RelayedMessage(
-            sender=self.node_id,
-            message_id=next(self._message_ids),
-            payload=payload,
-            origin=self.node_id,
-            destination=destination,
-            relay_id=next(self.sim.relay_ids),
-        )
-        return self._forward(wrapped)
+        """Inject ``payload`` toward ``destination``; returns relay id.
 
-    def _forward(self, message: RelayedMessage) -> Optional[int]:
-        if message.destination == self.node_id:
-            self._deliver(message)
-            return message.relay_id
-        nxt = self.routing.next_hop(self.node_id, message.destination)
+        An origin that is its own destination delivers at once, over
+        zero hops, and transmits nothing.
+        """
+        relay_id = next(self.sim.relay_ids)
+        if destination == self.node_id:
+            self._deliver(payload, self.node_id, 0)
+            return relay_id
+        return self._forward(payload, self.node_id, destination, relay_id, 1)
+
+    def _forward(
+        self,
+        payload: Optional[Message],
+        origin: int,
+        destination: int,
+        relay_id: int,
+        hop: int,
+    ) -> Optional[int]:
+        """Send the relay's ``hop``-th transmission toward ``destination``."""
+        nxt = self.routing.next_hop(self.node_id, destination)
         if nxt is None:
             spans = self.sim.spans
             if spans.enabled:
@@ -247,25 +254,25 @@ class ReliableRelay(NetworkNode):
                     "relay.unroutable",
                     parent=spans.current,
                     node=self.node_id,
-                    destination=message.destination,
+                    destination=destination,
                 )
             return None
         outgoing = RelayedMessage(
             sender=self.node_id,
             message_id=next(self._message_ids),
-            payload=message.payload,
-            origin=message.origin,
-            destination=message.destination,
-            relay_id=message.relay_id,
-            hop=message.hop + 1,
+            payload=payload,
+            origin=origin,
+            destination=destination,
+            relay_id=relay_id,
+            hop=hop,
         )
-        self._pending[message.relay_id] = {
+        self._pending[relay_id] = {
             "message": outgoing,
             "next_hop": nxt,
             "attempts": 0,
         }
-        self._attempt(message.relay_id)
-        return message.relay_id
+        self._attempt(relay_id)
+        return relay_id
 
     def _attempt(self, relay_id: int) -> None:
         state = self._pending.get(relay_id)
@@ -317,12 +324,17 @@ class ReliableRelay(NetworkNode):
                 )
             return
         if message.destination == self.node_id:
-            self._deliver(message)
+            self._deliver(message.payload, message.origin, message.hop)
         else:
             self.forwarded += 1
-            self._forward(message)
+            self._forward(
+                message.payload, message.origin, message.destination,
+                message.relay_id, message.hop + 1,
+            )
 
-    def _deliver(self, message: RelayedMessage) -> None:
+    def _deliver(
+        self, payload: Optional[Message], origin: int, hops: int
+    ) -> None:
         self.delivered_local += 1
         spans = self.sim.spans
         if spans.enabled:
@@ -330,8 +342,8 @@ class ReliableRelay(NetworkNode):
                 "relay.delivered",
                 parent=spans.current,
                 node=self.node_id,
-                origin=message.origin,
-                hops=message.hop,
+                origin=origin,
+                hops=hops,
             )
-        if self._deliver_local is not None and message.payload is not None:
-            self._deliver_local(message.payload)
+        if self._deliver_local is not None and payload is not None:
+            self._deliver_local(payload)

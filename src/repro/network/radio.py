@@ -129,10 +129,12 @@ class RadioChannel:
         self.config = config if config is not None else ChannelConfig()
         self._nodes: Dict[int, NetworkNode] = {}
         # Broadcast memo, per sender id: every other endpoint by id, in
-        # ascending id order, and the ids of those among them that read
-        # every message (see :meth:`broadcast`).
+        # ascending id order, the ids of those among them that read
+        # every message, and the ids of the rest, which read a message
+        # only when it names them (see :meth:`broadcast`).
         self._fanout: Dict[
-            int, Tuple[Dict[int, NetworkNode], FrozenSet[int]]
+            int,
+            Tuple[Dict[int, NetworkNode], FrozenSet[int], FrozenSet[int]],
         ] = {}
         self._taps: Dict[int, list] = {}
         self._interceptor: Optional[Interceptor] = None
@@ -385,7 +387,7 @@ class RadioChannel:
         fanout = self._fanout.get(sender_id)
         if fanout is None:
             fanout = self._fanout[sender_id] = self._fanout_of(sender_id)
-        receivers, roster = fanout
+        receivers, roster, unread = fanout
         n = len(receivers)
         if not self._wide_open(n):
             started = 0
@@ -393,8 +395,8 @@ class RadioChannel:
                 if self.unicast(sender, node_id, message).delivered:
                     started += 1
             return started
-        readers = roster.union(getattr(message, "named", ()))
-        if readers.issuperset(receivers):
+        named = getattr(message, "named", ())
+        if unread.issubset(named):
             # Every receiver reads it (a binary verdict names its whole
             # cluster): fuse the survivors in one pass.  Otherwise look
             # each reader up, so a verdict naming a few of a hundred
@@ -412,7 +414,7 @@ class RadioChannel:
             started = len(live) - len(lost)
             gone = {live[i] for i in lost}
             deliveries = [
-                (node, message) for i in sorted(readers)
+                (node, message) for i in sorted(roster.union(named))
                 if (node := receivers.get(i)) is not None and node.alive
                 and node not in gone
             ]
@@ -441,10 +443,10 @@ class RadioChannel:
 
     def _fanout_of(
         self, sender_id: int
-    ) -> Tuple[Dict[int, NetworkNode], FrozenSet[int]]:
+    ) -> Tuple[Dict[int, NetworkNode], FrozenSet[int], FrozenSet[int]]:
         """``sender_id``'s broadcast memo: the receivers by id, in
-        ascending id order, and the ids of those that read every
-        message."""
+        ascending id order, the ids of those that read every message,
+        and the ids of those that read only a message naming them."""
         receivers = {
             node_id: node for node_id, node in sorted(self._nodes.items())
             if node_id != sender_id
@@ -454,7 +456,7 @@ class RadioChannel:
             node_id for node_id, node in receivers.items()
             if node.hears_unnamed or node_id in taps
         )
-        return receivers, roster
+        return receivers, roster, frozenset(receivers).difference(roster)
 
     def _send_wide_open(self, n: int, n_live: int) -> List[int]:
         """Draw and count ``n`` transmissions on a wide-open channel.

@@ -16,8 +16,9 @@ correct; code that mutates ``positions`` directly must call
 :meth:`Deployment.invalidate_index`.  Every query is bit-identical to
 a ``distance_to`` scan over ``positions`` (the oracle in
 ``tests/oracles/topology.py``): the same correctly-rounded
-``sqrt(dx*dx + dy*dy) <= r`` test decides membership, ids come back
-ascending, and :meth:`Deployment.nearest` ranks by ``(distance, id)``.
+``sqrt(dx*dx + dy*dy) <= r`` test decides membership over the cells of
+a bounding box padded against rounding, ids come back ascending, and
+:meth:`Deployment.nearest` ranks by ``(distance, id)``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,17 @@ import numpy as np
 from repro.network.geometry import Point, Region
 
 _Rows = Tuple[List[int], List[float], List[float]]
+
+#: Relative pad (8 units in the last place) on a disk query's bounding
+#: box.  The filter accepts a node whose *rounded* offset ``nx - x`` is
+#: within ``r``, which a node a few ulps beyond ``x - r`` can have (for
+#: ``x = 1.0``, ``r = 0.5`` the node at ``0.5 - 2**-54`` is 0.5 away
+#: after rounding, yet lies in the cell below ``x - r``), and ``x - r``
+#: itself rounds.  A box padded by ``8u (|x| + |y| + r)`` covers every
+#: such node; the extra candidates it can add are rejected by the
+#: filter, so results are unchanged wherever the box was already wide
+#: enough.
+_BOX_PAD = 2.0 ** -50
 
 
 class _SpatialGrid:
@@ -60,13 +72,14 @@ class _SpatialGrid:
 
     def rows(self, x: float, y: float, radius: float) -> _Rows:
         """``(ids, xs, ys)`` of every node in the cells that overlap the
-        disk's bounding box, ascending by id."""
+        disk's bounding box (padded by ``_BOX_PAD``), ascending by id."""
         cell = self.cell
+        reach = radius + _BOX_PAD * (abs(x) + abs(y) + radius)
         key = (
-            math.floor((x - radius) / cell),
-            math.floor((x + radius) / cell),
-            math.floor((y - radius) / cell),
-            math.floor((y + radius) / cell),
+            math.floor((x - reach) / cell),
+            math.floor((x + reach) / cell),
+            math.floor((y - reach) / cell),
+            math.floor((y + reach) / cell),
         )
         rows = self._ranges.get(key)
         if rows is None:

@@ -4,10 +4,12 @@ A :class:`SensorNode` is a network endpoint wrapping one
 :class:`~repro.sensors.faults.NodeBehavior`.  The ground-truth event
 generator "informs" it of events within its sensing radius (physics,
 not radio); the behaviour decides what, if anything, to claim; the node
-encodes the claim as an ``(r, theta)`` offset and transmits it to its
-cluster head.  CH decision announcements received over the radio feed
-the behaviour's outcome observer, which is how smart adversaries track
-their own trust index.
+transmits the claim to its cluster head, encoded as an ``(r, theta)``
+offset when the head places reports (location mode).  A binary head
+reads only who reported, so a binary run's reports carry no offset.
+CH decision announcements received over the radio feed the behaviour's
+outcome observer, which is how smart adversaries track their own trust
+index.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ class SensorNode(NetworkNode):
         Current cluster head to report to.
     rng:
         This node's private randomness.
+    encodes_offset:
+        Whether a report carries the claim as an ``(r, theta)`` offset.
+        A binary run's head ignores the offset, so its nodes send
+        ``offset=None``; the behaviour still perceives (and draws) the
+        claimed location either way.
     """
 
     # A sensor acts only on the announcements that name it.
@@ -59,6 +66,7 @@ class SensorNode(NetworkNode):
         ch_id: int,
         rng: np.random.Generator,
         region: Optional[Region] = None,
+        encodes_offset: bool = True,
     ) -> None:
         super().__init__(node_id, position)
         self.behavior = behavior
@@ -66,8 +74,7 @@ class SensorNode(NetworkNode):
         self.ch_id = ch_id
         self._rng = rng
         self.region = region
-        self.reports_sent = 0
-        self.events_sensed = 0
+        self.encodes_offset = encodes_offset
         #: Whether CH announcements feed the behaviour's outcome observer.
         #: Under the stateless baseline there is no trust index for a
         #: smart adversary to manage, so the harness disables feedback
@@ -95,8 +102,12 @@ class SensorNode(NetworkNode):
 
         Events outside the sensing radius are imperceptible -- even a
         malicious node cannot report what it cannot coordinate on, and
-        the paper's event generator only informs event neighbours.
+        the paper's event generator only informs event neighbours.  This
+        is the physics gate for a caller that has not already found the
+        event's neighbours.
         """
+        if not self.sensing.detects(self.position, event.location):
+            return
         message = self.compose_report(event)
         if message is not None:
             self.send(self.ch_id, message)
@@ -104,18 +115,20 @@ class SensorNode(NetworkNode):
     def compose_report(self, event: GroundTruthEvent) -> Optional[EventReportMessage]:
         """Build (but do not transmit) this node's report on ``event``.
 
-        Everything :meth:`sense_event` does up to the radio -- the
-        physics gate, behaviour consultation (including any draws on
-        this node's private stream), and report encoding -- so a caller
+        The caller has already decided that the node neighbours the
+        event: the harness asks only the ids its
+        ``Deployment.event_neighbors`` disk query returns, which applies
+        the same radius and the same correctly-rounded distance test as
+        ``SensingModel.detects``, and :meth:`sense_event` checks
+        ``detects`` itself.  This is everything after that gate up to
+        the radio -- behaviour consultation (including any draws on
+        this node's private stream) and report encoding -- so a caller
         can collect one round's reports and hand them to
         ``RadioChannel.unicast_batch`` in a single call.  Returns
         ``None`` when the node stays silent.
         """
         if not self.alive:
             return None
-        if not self.sensing.detects(self.position, event.location):
-            return None
-        self.events_sensed += 1
         if isinstance(self.behavior, Level2Behavior):
             self.behavior.set_event_token(event.event_id)
         claim = self.behavior.on_event(
@@ -163,12 +176,13 @@ class SensorNode(NetworkNode):
     def _compose(
         self, claimed_location: Point, event_id: Optional[int]
     ) -> EventReportMessage:
-        offset = self.sensing.encode_report(self.position, claimed_location)
-        self.reports_sent += 1
         return EventReportMessage(
             sender=self.node_id,
             message_id=next(self._message_ids),
             event_id=event_id,
-            offset=offset,
-            claimed=True,
+            offset=(
+                self.sensing.encode_report(self.position, claimed_location)
+                if self.encodes_offset
+                else None
+            ),
         )

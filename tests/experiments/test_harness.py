@@ -8,6 +8,8 @@ from repro.experiments.harness import (
     FaultSpec,
     SimulationRun,
 )
+from repro.network.geometry import PolarOffset
+from repro.network.messages import EventReportMessage
 
 
 def small_binary_run(**kwargs):
@@ -88,6 +90,49 @@ class TestBinaryRuns:
         assert metrics.false_positive_decisions == 0
         # ...and accuracy on real events is unharmed.
         assert metrics.accuracy == 1.0
+
+
+def reports_reaching_the_head(run, n_rounds):
+    """Every report ``run``'s fixed head receives, in delivery order."""
+    run.build()
+    received = []
+    deliver = run.ch.on_message
+
+    def recording(message):
+        if isinstance(message, EventReportMessage):
+            received.append(message)
+        deliver(message)
+
+    run.ch.on_message = recording
+    run.run(n_rounds)
+    return received
+
+
+class TestReportEncoding:
+    """A report carries an offset exactly when its head places reports."""
+
+    def test_binary_head_receives_no_offsets(self):
+        run = small_binary_run(
+            faulty_ids=(0, 1, 2),
+            fault_spec=FaultSpec(
+                level=0, drop_rate=0.5, false_alarm_rate=0.5
+            ),
+        )
+        reports = reports_reaching_the_head(run, 10)
+        # Event reports and quiet-window false alarms alike.
+        assert {r.event_id is None for r in reports} == {True, False}
+        assert all(r.offset is None for r in reports)
+
+    def test_location_head_receives_polar_offsets(self):
+        run = small_location_run(
+            faulty_ids=(1, 5, 9),
+            fault_spec=FaultSpec(
+                level=0, drop_rate=0.25, sigma=4.25, false_alarm_rate=0.5
+            ),
+        )
+        reports = reports_reaching_the_head(run, 10)
+        assert {r.event_id is None for r in reports} == {True, False}
+        assert all(type(r.offset) is PolarOffset for r in reports)
 
 
 class TestLocationRuns:

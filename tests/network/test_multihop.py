@@ -107,6 +107,20 @@ class TestReliableDelivery:
         assert delivered == [payload]
         assert relays[4].delivered_local == 1
 
+    def test_origin_that_is_its_destination_delivers_without_sending(self):
+        sim, channel, relays, delivered = build_chain(n=3)
+        payload = EventReportMessage(sender=2)
+        relay_id = relays[2].originate(payload, destination=2)
+        sim.run()
+        assert relay_id == 1
+        assert delivered == [payload]
+        assert channel.sent == 0
+        (record,) = sim.spans.spans("relay.delivered")
+        assert record.args == {"node": 2, "origin": 2, "hops": 0}
+        # Nothing was built for the zero-hop relay, so the run's first
+        # message id is still unused.
+        assert next(sim.message_ids) == 1
+
     def test_hop_count_recorded(self):
         sim, _channel, relays, _delivered = build_chain(n=4)
         relays[0].originate(EventReportMessage(sender=0), destination=3)

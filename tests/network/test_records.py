@@ -147,12 +147,12 @@ def test_message_ids_are_minted_once_per_construction_in_order():
             relays[0].originate(EventReportMessage(sender=0), destination=2)
             sim.run()
         # Per relay: send (0 -> 1), ack (1 -> 0), forward (1 -> 2),
-        # ack (2 -> 1).  The origin builds its wrapper (ids 1 and 6)
-        # and sends a copy of it for the first hop.
+        # ack (2 -> 1).  Each hop builds only what it transmits, so the
+        # ids sent are the run's ids, with no gap.
         assert [type(m).__name__ for m in sent] == [
             "RelayedMessage", "RelayAck", "RelayedMessage", "RelayAck",
         ] * 2
-        assert [m.message_id for m in sent] == [2, 3, 4, 5, 7, 8, 9, 10]
+        assert [m.message_id for m in sent] == [1, 2, 3, 4, 5, 6, 7, 8]
         assert len(delivered) == 2
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the sensing-node process."""
 
+import math
+
 import pytest
 
 from repro.core.trust import TrustParameters
@@ -28,7 +30,8 @@ class Sink(NetworkNode):
         self.received.append(message)
 
 
-def make_node(behavior=None, position=Point(45.0, 45.0), seed=1):
+def make_node(behavior=None, position=Point(45.0, 45.0), seed=1,
+              encodes_offset=True):
     sim = Simulator(seed=seed)
     channel = RadioChannel(
         sim, ChannelConfig(loss_probability=0.0, propagation_delay=0.001)
@@ -48,6 +51,7 @@ def make_node(behavior=None, position=Point(45.0, 45.0), seed=1):
         ch_id=100,
         rng=sim.streams.get("node-0"),
         region=Region.square(100.0),
+        encodes_offset=encodes_offset,
     )
     channel.register(node)
     return sim, node, sink
@@ -73,7 +77,21 @@ class TestSensing:
         node.sense_event(event_at(90.0, 90.0))
         sim.run()
         assert sink.received == []
-        assert node.events_sensed == 0
+        assert node.channel.sent == 0
+
+    def test_sense_event_gates_at_the_sensing_radius(self):
+        """sense_event is the physics gate when no disk query ran: an
+        event one ulp beyond r_s is dropped without a draw on the node's
+        stream, and one exactly r_s away is sensed."""
+        edge = 45.0 + 20.0
+        sim, node, sink = make_node()
+        before = node._rng.bit_generator.state
+        node.sense_event(event_at(math.nextafter(edge, math.inf), 45.0))
+        assert node._rng.bit_generator.state == before
+        assert node.channel.sent == 0
+        node.sense_event(event_at(edge, 45.0, event_id=2))
+        sim.run()
+        assert [m.event_id for m in sink.received] == [2]
 
     def test_report_offset_resolves_near_event(self):
         sim, node, sink = make_node()
@@ -91,10 +109,29 @@ class TestSensing:
         assert sink.received == []
 
     def test_counters(self):
-        sim, node, _sink = make_node()
+        """One sensed event is one report on the radio, nothing more."""
+        sim, node, sink = make_node()
         node.sense_event(event_at(50.0, 50.0))
-        assert node.events_sensed == 1
-        assert node.reports_sent == 1
+        assert node.channel.sent == 1
+        sim.run()
+        assert [m.event_id for m in sink.received] == [1]
+
+    def test_binary_node_sends_no_offset(self):
+        """A node that does not encode offsets still reports, and draws
+        its perceived location, exactly as an encoding node does."""
+        sent = {}
+        for encodes in (True, False):
+            sim, node, sink = make_node(encodes_offset=encodes)
+            node.sense_event(event_at(50.0, 50.0))
+            node.sense_event(event_at(52.0, 48.0, event_id=2))
+            sim.run()
+            sent[encodes] = (sink.received, node._rng.bit_generator.state)
+        located, located_state = sent[True]
+        binary, binary_state = sent[False]
+        assert binary_state == located_state
+        assert [m.offset for m in binary] == [None, None]
+        assert all(m.offset is not None for m in located)
+        assert [m._replace(offset=None) for m in located] == binary
 
 
 class TestQuietWindow:
