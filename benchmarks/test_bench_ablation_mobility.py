@@ -17,7 +17,7 @@ because decoded report positions inherit the CH's position error.
 
 import numpy as np
 
-from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
+from repro.clusterctl.head import ClusterHead
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Region
 from repro.network.mobility import (
@@ -33,6 +33,7 @@ from repro.sensors.sensing import SensingConfig, SensingModel
 from repro.sensors.specs import CorrectSpec, make_correct_behavior
 from repro.experiments.metrics import score_run
 from repro.experiments.reporting import render_table
+from repro.service.session import SessionConfig
 from repro.simkernel.simulator import Simulator
 from benchmarks._shared import run_once
 
@@ -57,13 +58,13 @@ def run_mobile(refresh_interval):
         node_id=CH_ID,
         position=region.center,
         deployment=tracker.view,  # the CH's (possibly stale) knowledge
-        config=ClusterHeadConfig(
+        config=SessionConfig(
             mode="location",
-            t_out=1.0,
             sensing_radius=20.0,
             r_error=5.0,
             trust=trust_params,
         ),
+        t_out=1.0,
     )
     channel.register(ch)
 

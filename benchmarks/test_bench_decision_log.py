@@ -10,6 +10,7 @@ log read is there for scale.
 
 import pytest
 
+from repro.core.decision_kernel import Verdict
 from repro.network.geometry import Point, Region
 from repro.network.topology import grid_deployment
 from repro.service.session import SessionConfig, TrustSession
@@ -20,8 +21,9 @@ def _logged_session(n_decisions):
         grid_deployment(9, Region.square(30.0)),
         SessionConfig(mode="location"),
     )
+    verdict = Verdict(True, Point(15.0, 15.0), (0, 1, 2), (3,))
     for i in range(n_decisions):
-        session.record(True, Point(15.0, 15.0), (0, 1, 2), (3,), now=float(i))
+        session.record(verdict, now=float(i))
     return session
 
 

@@ -17,7 +17,7 @@ Run:
 import numpy as np
 
 from repro.clusterctl.base_station import BaseStation
-from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
+from repro.clusterctl.head import CorruptClusterHead
 from repro.clusterctl.leach import EnergyModel, LeachConfig, LeachElection
 from repro.clusterctl.shadow import appoint_shadows
 from repro.core.trust import TrustParameters
@@ -25,23 +25,13 @@ from repro.network.geometry import Point, Region
 from repro.network.messages import EventReportMessage
 from repro.network.radio import ChannelConfig, RadioChannel
 from repro.network.topology import grid_deployment
+from repro.service.session import SessionConfig
 from repro.simkernel.simulator import Simulator
 
 N_SENSORS = 9
 CH_ID = 100
 SCH_IDS = (101, 102)
 BS_ID = 999
-
-
-class CorruptClusterHead(ClusterHead):
-    """A compromised data sink: inverts every verdict it announces."""
-
-    def _record_decision(
-        self, occurred, location, supporters, dissenters, span_id=0
-    ):
-        super()._record_decision(
-            not occurred, location, supporters, dissenters, span_id=span_id
-        )
 
 
 def main() -> None:
@@ -53,11 +43,8 @@ def main() -> None:
     deployment = grid_deployment(N_SENSORS, region)
 
     trust_params = TrustParameters(lam=0.25, fault_rate=0.05)
-    ch_config = ClusterHeadConfig(
-        mode="binary",
-        t_out=1.0,
-        sensing_radius=100.0,
-        trust=trust_params,
+    ch_config = SessionConfig(
+        mode="binary", sensing_radius=100.0, trust=trust_params
     )
 
     reelections = []
@@ -75,6 +62,7 @@ def main() -> None:
         position=region.center,
         deployment=deployment,
         config=ch_config,
+        t_out=1.0,
         base_station_id=BS_ID,
     )
     channel.register(ch)

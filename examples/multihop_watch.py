@@ -23,7 +23,7 @@ Run:
 
 import numpy as np
 
-from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
+from repro.clusterctl.head import ClusterHead
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, Region
 from repro.network.messages import EventReportMessage
@@ -36,6 +36,7 @@ from repro.sensors.specs import CorrectSpec, FaultSpec, make_correct_behavior, m
 from repro.experiments.metrics import score_run
 from repro.experiments.reporting import render_table
 from repro.obs.spans import SpanCollector
+from repro.service.session import SessionConfig
 from repro.simkernel.simulator import Simulator
 
 N_NODES = 49
@@ -71,14 +72,14 @@ def main() -> None:
         node_id=SINK_ID + 1,  # decision logic lives behind the sink relay
         position=sink_position,
         deployment=deployment,
-        config=ClusterHeadConfig(
+        config=SessionConfig(
             mode="location",
-            t_out=1.5,
             sensing_radius=20.0,
             r_error=5.0,
             trust=trust_params,
-            announce=False,
         ),
+        t_out=1.5,
+        announce=False,
     )
     channel.register(ch)
 
@@ -147,7 +148,6 @@ def main() -> None:
             report = EventReportMessage(
                 sender=node_id,
                 message_id=next(sim.message_ids),
-                event_id=event.event_id,
                 offset=sensing.encode_report(position, claim),
             )
             relays[node_id].originate(report, destination=SINK_ID)

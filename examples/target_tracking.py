@@ -17,7 +17,7 @@ Run:
 
 import numpy as np
 
-from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
+from repro.clusterctl.head import ClusterHead
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, Region
 from repro.network.radio import ChannelConfig, RadioChannel
@@ -32,6 +32,7 @@ from repro.sensors.specs import (
 )
 from repro.sensors.trajectory import TargetTracker, Trajectory
 from repro.experiments.reporting import render_table
+from repro.service.session import SessionConfig
 from repro.simkernel.simulator import Simulator
 
 N_NODES = 100
@@ -56,13 +57,13 @@ def main() -> None:
         node_id=CH_ID,
         position=region.center,
         deployment=deployment,
-        config=ClusterHeadConfig(
+        config=SessionConfig(
             mode="location",
-            t_out=1.0,
             sensing_radius=20.0,
             r_error=5.0,
             trust=trust_params,
         ),
+        t_out=1.0,
     )
     channel.register(ch)
 

@@ -9,7 +9,9 @@ to mask a single faulty CH.
 * :mod:`repro.clusterctl.leach`        -- rotating, energy- and TI-aware
   cluster-head election and cluster affiliation.
 * :mod:`repro.clusterctl.head`         -- the cluster-head process: report
-  collection windows, decision engines, trust custody, diagnosis.
+  collection windows, an embedded trust session that turns each closed
+  window into verdicts, trust custody, diagnosis; and the corrupt head
+  that inverts its verdicts (§3.4's failing data sink).
 * :mod:`repro.clusterctl.shadow`       -- shadow cluster heads: one mirror
   of the CH's computation per head, and the seats that check the CH's
   verdicts against it and escalate disagreements.
@@ -21,7 +23,7 @@ rotating network when given a ``rotation`` policy.
 """
 
 from repro.clusterctl.base_station import BaseStation
-from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
+from repro.clusterctl.head import ClusterHead, CorruptClusterHead
 from repro.clusterctl.leach import (
     EnergyModel,
     LeachConfig,
@@ -37,7 +39,7 @@ from repro.clusterctl.shadow import (
 __all__ = [
     "BaseStation",
     "ClusterHead",
-    "ClusterHeadConfig",
+    "CorruptClusterHead",
     "EnergyModel",
     "HeadMirror",
     "LeachConfig",

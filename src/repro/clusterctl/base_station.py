@@ -37,7 +37,6 @@ class _DisputeState:
     """
 
     ch_verdict: Optional[bool] = None
-    ch_location: Optional[Point] = None
     sch_votes: Dict[int, Tuple[bool, Optional[Point]]] = field(
         default_factory=dict
     )
@@ -148,7 +147,6 @@ class BaseStation(NetworkNode):
         state = self._disputes.get(key)
         if state is not None:
             state.ch_verdict = message.occurred
-            state.ch_location = message.location
             self._try_resolve(key)
 
     def _on_disagreement(self, message: ScHDisagreement) -> None:
@@ -159,7 +157,6 @@ class BaseStation(NetworkNode):
             announcement = self._announcements.get(key)
             if announcement is not None:
                 state.ch_verdict = announcement.occurred
-                state.ch_location = announcement.location
             self._disputes[key] = state
         elif message.sender in state.sch_votes:
             return  # a repeated dissent: the shadow's first vote counts

@@ -17,23 +17,24 @@ Two collection modes mirror the paper's two models:
   voted by the decision kernel (§3.2).
 
 The decision pipeline itself -- trust table, voter, kernel, diagnosis
--- lives in an embedded :class:`~repro.service.session.TrustSession`:
+-- lives in an embedded :class:`~repro.service.session.TrustSession`
+built from the head's :class:`~repro.service.session.SessionConfig`:
 the CH is one client of the service engine, owning only what is
-DES-specific (timers, the circle tracker, span emission, and verdict
-announcements).  ``self.trust``, ``self.voter``, ``self.diagnoser`` and
-``self.decisions`` alias the session's objects, so existing consumers
-see the exact structures they always did.
+DES-specific (the ``t_out`` timers, the circle tracker, span emission,
+and verdict announcements): it logs, spans and announces each
+:class:`~repro.core.decision_kernel.Verdict` a closed window yields.
+``self.trust``, ``self.voter``, ``self.diagnoser`` and
+``self.decisions`` alias the session's objects.
+:class:`CorruptClusterHead` inverts every verdict it logs (§3.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core.binary import CtiVoter
 from repro.core.concurrent import CircleTracker
-from repro.core.decision_kernel import Row
-from repro.core.trust import TrustParameters
+from repro.core.decision_kernel import Row, Verdict
 from repro.network.geometry import Point, displace_xy
 from repro.network.messages import (
     ChDecisionAnnouncement,
@@ -50,53 +51,7 @@ from repro.service.session import (
     TrustSession,
 )
 
-__all__ = ["ClusterHead", "ClusterHeadConfig", "DecisionRecord"]
-
-
-@dataclass(frozen=True)
-class ClusterHeadConfig:
-    """Behavioural knobs of a cluster head.
-
-    Attributes
-    ----------
-    mode:
-        ``"binary"`` or ``"location"``.
-    t_out:
-        Report collection window.
-    sensing_radius:
-        ``r_s`` for event-neighbour determination.
-    r_error:
-        Localisation bound (location mode only).
-    trust:
-        TI update parameters; ignored when ``use_trust`` is False.
-    use_trust:
-        True = TIBFIT (CTI voting), False = stateless majority baseline.
-    diagnosis_threshold:
-        Isolate nodes whose TI sinks below this; ``None`` disables
-        diagnosis (the baseline has no trust to diagnose with).
-    announce:
-        Broadcast :class:`ChDecisionAnnouncement` after each verdict
-        (needed by shadow CHs and by smart adversaries' TI tracking).
-    journal:
-        Record every closed window's raw inputs in the embedded
-        session (differential replay; see ``docs/service.md``).
-    """
-
-    mode: str = "location"
-    t_out: float = 1.0
-    sensing_radius: float = 20.0
-    r_error: float = 5.0
-    trust: TrustParameters = field(default_factory=TrustParameters)
-    use_trust: bool = True
-    diagnosis_threshold: Optional[float] = None
-    announce: bool = True
-    journal: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("binary", "location"):
-            raise ValueError(f"mode must be 'binary' or 'location', got {self.mode!r}")
-        if self.t_out <= 0:
-            raise ValueError(f"t_out must be positive, got {self.t_out}")
+__all__ = ["ClusterHead", "CorruptClusterHead"]
 
 
 class ClusterHead(NetworkNode):
@@ -110,7 +65,12 @@ class ClusterHead(NetworkNode):
         Positions of the cluster's nodes ("the node that is chosen to be
         the CH knows the topology of the cluster", §2).
     config:
-        See :class:`ClusterHeadConfig`.
+        The embedded session's :class:`SessionConfig`.
+    t_out:
+        Report collection window (> 0).
+    announce:
+        Broadcast :class:`ChDecisionAnnouncement` after each verdict
+        (needed by shadow CHs and by smart adversaries' TI tracking).
     base_station_id:
         Destination for TI hand-off; ``None`` when running standalone.
     id_allocator:
@@ -124,28 +84,22 @@ class ClusterHead(NetworkNode):
         node_id: int,
         position: Point,
         deployment: Deployment,
-        config: ClusterHeadConfig,
+        config: SessionConfig,
+        t_out: float = 1.0,
+        announce: bool = True,
         base_station_id: Optional[int] = None,
         id_allocator: Optional[IdAllocator] = None,
     ) -> None:
+        if t_out <= 0:
+            raise ValueError(f"t_out must be positive, got {t_out}")
         super().__init__(node_id, position)
         self.deployment = deployment
         self.config = config
+        self.t_out = t_out
+        self.announce = announce
         self.base_station_id = base_station_id
 
-        self.session = TrustSession(
-            deployment,
-            SessionConfig(
-                mode=config.mode,
-                sensing_radius=config.sensing_radius,
-                r_error=config.r_error,
-                trust=config.trust,
-                use_trust=config.use_trust,
-                diagnosis_threshold=config.diagnosis_threshold,
-                journal=config.journal,
-            ),
-            id_allocator=id_allocator,
-        )
+        self.session = TrustSession(deployment, config, id_allocator)
         # Aliases into the session: same objects, the names every
         # consumer (harness, shadows, base station, tests) relies on.
         self.trust = self.session.trust
@@ -179,7 +133,7 @@ class ClusterHead(NetworkNode):
             self._tracker = CircleTracker(
                 sim,
                 r_error=self.config.r_error,
-                t_out=self.config.t_out,
+                t_out=self.t_out,
                 on_group_rows=self._decide_group,
             )
 
@@ -222,9 +176,9 @@ class ClusterHead(NetworkNode):
                     "window.open",
                     parent=spans.current,
                     circle=-1,
-                    expires_at=sim.now + self.config.t_out,
+                    expires_at=sim.now + self.t_out,
                 )
-            sim.after(self.config.t_out, self._decide_binary, window)
+            sim.after(self.t_out, self._decide_binary, window)
         if spans.enabled:
             spans.point(
                 "window.report",
@@ -291,51 +245,36 @@ class ClusterHead(NetworkNode):
                 circles=[-1],
                 reports=len(reports),
             )
-        vote, reporters, non_reporters = self.session.decide_binary(
-            [m.sender for m in reports], now=self.sim.now
-        )
-        self._record_decision(vote.occurred, None, reporters, non_reporters)
+        senders = [m.sender for m in reports]
+        for verdict in self.session.decide_binary(senders, self.sim.now):
+            self._record_decision(verdict)
 
     def _decide_group(self, rows: List[Row]) -> None:
         """Decide one closed circle group, given as its report rows."""
         if not self.alive:
             return  # see _decide_binary: crashed CHs decide nothing
-        decisions = self.session.decide_rows(rows, now=self.sim.now)
-        for decision in decisions:
-            self._record_decision(
-                decision.occurred,
-                decision.location,
-                decision.supporters,
-                decision.dissenters,
-                span_id=decision.span_id,
-            )
+        for verdict in self.session.decide_rows(rows, self.sim.now):
+            self._record_decision(verdict)
 
-    def _record_decision(
-        self,
-        occurred: bool,
-        location: Optional[Point],
-        supporters: Tuple[int, ...],
-        dissenters: Tuple[int, ...],
-        span_id: int = 0,
-    ) -> None:
-        record = self.session.record(
-            occurred, location, supporters, dissenters, now=self.sim.now
-        )
+    def _record_decision(self, verdict: Verdict) -> None:
+        """Log one verdict, span it, sweep diagnosis, and announce it."""
+        record = self.session.record(verdict, self.sim.now)
+        location = record.location
         spans = self.sim.spans
         decision_ctx = 0
         if spans.enabled:
             # span_id carries the window.cluster span for location-mode
-            # decisions; binary decisions parent under the window.close
+            # verdicts; binary verdicts parent under the window.close
             # span left on spans.current by _decide_binary.
             decision_ctx = spans.point(
                 "ch.decision",
-                parent=span_id or spans.current,
+                parent=verdict.span_id or spans.current,
                 decision_id=record.decision_id,
-                occurred=occurred,
+                occurred=record.occurred,
                 x=location.x if location is not None else None,
                 y=location.y if location is not None else None,
-                supporters=list(supporters),
-                dissenters=list(dissenters),
+                supporters=list(record.supporters),
+                dissenters=list(record.dissenters),
             )
         for entry in self.session.sweep(self.sim.now):
             if spans.enabled:
@@ -345,16 +284,16 @@ class ClusterHead(NetworkNode):
                     node=entry.node_id,
                     ti=entry.ti_at_diagnosis,
                 )
-        if not self.config.announce:
+        if not self.announce:
             return
         announcement = ChDecisionAnnouncement(
             sender=self.node_id,
             message_id=next(self._message_ids),
             decision_id=record.decision_id,
-            occurred=occurred,
+            occurred=record.occurred,
             location=location,
-            reporters=supporters,
-            non_reporters=dissenters,
+            reporters=record.supporters,
+            non_reporters=record.dissenters,
         )
         if spans.enabled:
             # The announcement's radio.transmit spans parent under the
@@ -392,3 +331,18 @@ class ClusterHead(NetworkNode):
             self._tracker.flush()
         if self._binary_window:
             self._decide_binary(self._binary_window)
+
+
+class CorruptClusterHead(ClusterHead):
+    """A compromised node serving as CH: §3.4's failing data sink.
+
+    It inverts every verdict it logs and announces -- the worst
+    arbitrary fault for a decision maker, and the one the shadow CHs
+    recompute and dissent from.  Its votes, and so its trust updates,
+    are an honest head's.
+    """
+
+    def _record_decision(self, verdict: Verdict) -> None:
+        super()._record_decision(
+            verdict._replace(occurred=not verdict.occurred)
+        )

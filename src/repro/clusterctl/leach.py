@@ -163,7 +163,6 @@ class LeachElection:
         self._ti_lookup = ti_lookup if ti_lookup is not None else lambda _n: 1.0
         self.round_number = 0
         self._last_served: Dict[int, int] = {}
-        self.history: List[RoundResult] = []
 
     # ------------------------------------------------------------------
     # Election
@@ -237,7 +236,6 @@ class LeachElection:
         for ch in candidates:
             self._last_served[ch] = self.round_number
         self.energy.charge_round(set(candidates))
-        self.history.append(result)
         self.round_number += 1
         return result
 

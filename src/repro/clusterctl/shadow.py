@@ -15,8 +15,8 @@ configuration.  So the computation runs once per watched head, in a
 :class:`HeadMirror` -- a :class:`ClusterHead` that never announces,
 tapped on the head once -- and each :class:`ShadowClusterHead` is a seat
 on it that keeps only what belongs to one node: its channel address,
-its checks of the CH's broadcast announcements (agreements and dissents)
-and its own decision log.
+its checks of the CH's broadcast announcements (and the dissents they
+raise) and its own decision log.
 :func:`appoint_shadows` builds a mirror and its seats; see
 ``docs/protocol.md`` §3.4 for when one mirror would stop serving both.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.clusterctl.head import ClusterHead, DecisionRecord
+from repro.clusterctl.head import ClusterHead
 from repro.network.geometry import Point
 from repro.network.messages import (
     ChDecisionAnnouncement,
@@ -43,6 +43,7 @@ from repro.network.messages import (
 )
 from repro.network.node import NetworkNode
 from repro.obs.spans import NULL_SPANS
+from repro.service.session import DecisionRecord
 
 __all__ = ["HeadMirror", "ShadowClusterHead", "appoint_shadows"]
 
@@ -70,10 +71,11 @@ class HeadMirror(ClusterHead):
     """One watched head's recomputation, shared by its shadow seats.
 
     §3.4's "all the functions as the CH except transmitting": a
-    :class:`ClusterHead` with the watched head's address, deployment and
-    configuration that never announces and keeps no journal.  It is
-    never registered on the channel; it hears the head's input through
-    its tap.  Its own log numbers verdicts from a private allocator.
+    :class:`ClusterHead` with the watched head's address, deployment,
+    session configuration and ``t_out`` that never announces and keeps
+    no journal.  It is never registered on the channel; it hears the
+    head's input through its tap.  Its own log numbers verdicts from a
+    private allocator.
     After each closed window it hands that window's verdicts to its
     seats in seat order, and each seat mints its own ids from the
     watched head's allocator (``watched_ids``, in a run the run's): the
@@ -87,7 +89,9 @@ class HeadMirror(ClusterHead):
             node_id=ch.node_id,
             position=ch.position,
             deployment=ch.deployment,
-            config=replace(ch.config, announce=False, journal=False),
+            config=replace(ch.config, journal=False),
+            t_out=ch.t_out,
+            announce=False,
         )
         self.watched_ch_id = ch.node_id
         self.watched_ids = ch.session.ids
@@ -151,7 +155,6 @@ class ShadowClusterHead(NetworkNode):
         self.base_station_id = base_station_id
         self.decisions: List[DecisionRecord] = []
         self.disagreements: List[ScHDisagreement] = []
-        self.agreements = 0
         self._announcements_seen = 0
 
     @property
@@ -196,7 +199,7 @@ class ShadowClusterHead(NetworkNode):
             # We have not decided yet (e.g. the mirror's timer fires
             # within the next delivery slot); re-check shortly.
             self.sim.after(
-                self.mirror.config.t_out / 10.0,
+                self.mirror.t_out / 10.0,
                 self._check_announcement,
                 announcement,
                 ordinal,
@@ -206,7 +209,6 @@ class ShadowClusterHead(NetworkNode):
         if ours.occurred == announcement.occurred and self._locations_agree(
             ours.location, announcement.location
         ):
-            self.agreements += 1
             return
         dissent = ScHDisagreement(
             sender=self.node_id,

@@ -11,7 +11,8 @@ This package is the paper's primary contribution:
   location reports into event clusters (§3.2).
 * :mod:`repro.core.decision_kernel` -- the location-determination
   decision pipeline built from clustering + CTI voting over report
-  rows (§3.2); :mod:`repro.core.location` holds its verdict type.
+  rows (§3.2), and :class:`~repro.core.decision_kernel.Verdict`, the
+  one verdict record of a binary window or an event cluster.
 * :mod:`repro.core.concurrent` -- ``r_error`` circles with per-circle
   timeouts separating concurrent events (§3.3).
 * :mod:`repro.core.baseline` -- the stateless majority-voting comparator
@@ -21,26 +22,24 @@ This package is the paper's primary contribution:
 """
 
 from repro.core.baseline import MajorityVoter
-from repro.core.binary import BinaryVoteResult, CtiVoter
+from repro.core.binary import CtiVoter
 from repro.core.clustering import ReportCluster, cluster_reports_flat
 from repro.core.concurrent import CircleTracker, EventCircle
-from repro.core.decision_kernel import DecisionKernel
+from repro.core.decision_kernel import DecisionKernel, Verdict
 from repro.core.diagnosis import DiagnosisEntry, FaultDiagnoser
-from repro.core.location import LocatedDecision
 from repro.core.trust import TrustParameters, TrustTable
 
 __all__ = [
-    "BinaryVoteResult",
     "CircleTracker",
     "CtiVoter",
     "DecisionKernel",
     "DiagnosisEntry",
     "EventCircle",
     "FaultDiagnoser",
-    "LocatedDecision",
     "MajorityVoter",
     "ReportCluster",
     "TrustParameters",
     "TrustTable",
+    "Verdict",
     "cluster_reports_flat",
 ]

@@ -6,29 +6,18 @@ baseline treats every event neighbour's voice as weight 1 regardless of
 history, so it collapses as soon as faulty nodes are a majority of the
 event neighbourhood -- exactly the behaviour quantified analytically in
 §5 (Fig. 10).
+
+The verdict is a head count, and an exact tie fails:
+
+>>> MajorityVoter().decide([0, 1, 2], [3, 4])
+True
+>>> MajorityVoter().decide([0, 1], [2, 3])
+False
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Tuple
-
-
-class MajorityVoteResult(NamedTuple):
-    """Outcome of one unweighted majority vote.
-
-    A tuple record, as :class:`~repro.core.binary.BinaryVoteResult` is:
-    one is built per vote.
-    """
-
-    occurred: bool
-    reporters: Tuple[int, ...]
-    non_reporters: Tuple[int, ...]
-    tie: bool
-
-    @property
-    def margin(self) -> int:
-        """Winning head-count minus losing head-count (0 on a tie)."""
-        return abs(len(self.reporters) - len(self.non_reporters))
+from typing import Iterable
 
 
 class MajorityVoter:
@@ -45,19 +34,15 @@ class MajorityVoter:
         self,
         reporters: Iterable[int],
         non_reporters: Iterable[int],
-    ) -> MajorityVoteResult:
-        """Run one unweighted vote over an ``R`` / ``NR`` partition."""
-        r = tuple(sorted(set(reporters)))
-        nr = tuple(sorted(set(non_reporters)))
-        overlap = set(r) & set(nr)
+    ) -> bool:
+        """Run one unweighted vote over an ``R`` / ``NR`` partition and
+        return the verdict."""
+        r = set(reporters)
+        nr = set(non_reporters)
+        overlap = r & nr
         if overlap:
             raise ValueError(
                 f"nodes {sorted(overlap)} appear as both reporter and "
                 "non-reporter"
             )
-        return MajorityVoteResult(
-            occurred=len(r) > len(nr),
-            reporters=r,
-            non_reporters=nr,
-            tie=len(r) == len(nr),
-        )
+        return len(r) > len(nr)

@@ -8,51 +8,25 @@ winners is raised, trust of the losers lowered, providing detection,
 diagnosis, and masking in one step.  A small group of reliable nodes can
 outvote a larger group of distrusted ones -- this is the mechanism that
 lets TIBFIT survive a compromised *majority* once enough state exists.
+
+A vote returns only its verdict (the CTIs are in the ``trust.vote``
+span).  A trusted minority out-votes a distrusted majority; a tie fails:
+
+>>> from repro.core.trust import TrustParameters, TrustTable
+>>> trust = TrustTable(TrustParameters(lam=1.0, fault_rate=0.1), range(5))
+>>> trust.penalize_many([2, 3, 4])
+>>> CtiVoter(trust).decide([0, 1], [2, 3, 4])  # CTI 2.0 against 3 x 0.41
+True
+>>> CtiVoter(TrustTable(TrustParameters())).decide([0], [1])  # 1.0 each
+False
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Tuple
+from typing import Iterable
 
 from repro.core.trust import TrustTable
 from repro.obs.spans import NULL_SPANS
-
-
-class BinaryVoteResult(NamedTuple):
-    """Outcome of one CTI vote.
-
-    A NamedTuple (rather than a dataclass) because one is constructed
-    per vote and C-level tuple construction keeps it off the hot path's
-    profile.
-
-    Attributes
-    ----------
-    occurred:
-        The CH's verdict: did the event happen?
-    reporters / non_reporters:
-        The two partitions as sorted tuples.
-    cti_reporters / cti_non_reporters:
-        Each group's cumulative TI *before* updates were applied.
-    tie:
-        True when both CTIs were exactly equal (the event then fails;
-        see :meth:`TrustTable.cti_vote`).
-    rewarded / penalized:
-        Node ids whose trust moved up / down as a consequence.
-    """
-
-    occurred: bool
-    reporters: Tuple[int, ...]
-    non_reporters: Tuple[int, ...]
-    cti_reporters: float
-    cti_non_reporters: float
-    tie: bool
-    rewarded: Tuple[int, ...]
-    penalized: Tuple[int, ...]
-
-    @property
-    def margin(self) -> float:
-        """Winning CTI minus losing CTI (0 on a tie)."""
-        return abs(self.cti_reporters - self.cti_non_reporters)
 
 
 class CtiVoter:
@@ -78,11 +52,12 @@ class CtiVoter:
         self,
         reporters: Iterable[int],
         non_reporters: Iterable[int],
-    ) -> BinaryVoteResult:
+    ) -> bool:
         """Run one CTI vote over an ``R`` / ``NR`` partition.
 
-        The winners are rewarded and the losers penalised in the bound
-        table; a shadow cluster head votes on its own mirror's table.
+        Returns the verdict: did the event happen?  The winners are
+        rewarded and the losers penalised in the bound table; a shadow
+        cluster head votes on its own mirror's table.
 
         Parameters
         ----------
@@ -139,6 +114,4 @@ class CtiVoter:
                     nodes=list(losers),
                     ti=[ti(n) for n in losers],
                 )
-        return BinaryVoteResult(
-            occurred, r, nr, cti_r, cti_nr, tie, winners, losers
-        )
+        return occurred

@@ -98,8 +98,6 @@ class CircleTracker:
         # Open circles only, in creation order (a closed circle is
         # deleted, and dict deletion keeps the survivors' order).
         self._circles: Dict[int, EventCircle] = {}
-        self.circles_opened = 0
-        self.groups_closed = 0
 
     # ------------------------------------------------------------------
     # Input
@@ -152,7 +150,6 @@ class CircleTracker:
     def _register_circle(self, circle: EventCircle) -> None:
         """Circle bookkeeping: dict, timer, span."""
         self._circles[circle.circle_id] = circle
-        self.circles_opened += 1
         spans = self._spans
         if spans.enabled:
             # The expiry timer below inherits this context, so the
@@ -204,7 +201,6 @@ class CircleTracker:
             rows.extend(circle.rows)
             del self._circles[circle.circle_id]
         rows.sort(key=ROW_ORDER)
-        self.groups_closed += 1
         spans = self._spans
         if spans.enabled:
             saved = spans.current

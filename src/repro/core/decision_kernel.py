@@ -16,6 +16,27 @@ supporter/dissenter CTI vote per cluster over the event neighbours from
 Windows hold a few dozen rows at most, so the pipeline is plain float
 loops.
 
+A cluster's members are the reporters ``R`` supporting "an event
+happened at this cluster's centre of gravity", the centre's other event
+neighbours form ``NR``, and the vote's outcome is one :class:`Verdict`;
+stray or malicious clusters are out-voted by trusted silent neighbours.
+Nodes 0 and 1 report an event at (11, 11); node 2, also within ``r_s``
+of it, stays silent:
+
+>>> from repro.core.binary import CtiVoter
+>>> from repro.core.trust import TrustParameters, TrustTable
+>>> from repro.network.geometry import Point, Region
+>>> from repro.network.topology import Deployment
+>>> deployment = Deployment(Region.square(40.0))
+>>> for node_id, (x, y) in enumerate([(10, 10), (12, 10), (10, 12), (30, 30)]):
+...     deployment.add(node_id, Point(x, y))
+>>> voter = CtiVoter(TrustTable(TrustParameters(), deployment.node_ids()))
+>>> kernel = DecisionKernel(deployment, 5.0, 2.0, voter)
+>>> rows = [(0, 11.0, 11.0, 0.1), (1, 11.0, 11.0, 0.2)]
+>>> kernel.decide_rows(rows)  # doctest: +NORMALIZE_WHITESPACE
+[Verdict(occurred=True, location=Point(x=11.0, y=11.0), supporters=(0, 1),
+         dissenters=(2,), span_id=0)]
+
 The original object pipeline over per-report objects is the oracle of
 the randomized and property differential suites
 (``tests/oracles/location.py``, driven by
@@ -38,12 +59,12 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.baseline import MajorityVoter
 from repro.core.binary import CtiVoter
 from repro.core.clustering import ReportCluster, cluster_reports_flat
-from repro.core.location import LocatedDecision
+from repro.network.geometry import Point
 from repro.network.topology import Deployment
 from repro.obs.spans import NULL_SPANS
 
@@ -51,6 +72,7 @@ __all__ = [
     "DecisionKernel",
     "ROW_ORDER",
     "Row",
+    "Verdict",
 ]
 
 Voter = Union[CtiVoter, MajorityVoter]
@@ -63,8 +85,21 @@ Row = Tuple[int, float, float, float]
 ROW_ORDER = itemgetter(3, 0)
 
 
+class Verdict(NamedTuple):
+    """The verdict on one event cluster, or on a binary window
+    (``location`` None).  ``location`` is the cluster's centre of
+    gravity; ``supporters`` / ``dissenters`` are ``R`` / ``NR``, sorted;
+    ``span_id`` is the ``window.cluster`` span, 0 without one."""
+
+    occurred: bool
+    location: Optional[Point]
+    supporters: Tuple[int, ...]
+    dissenters: Tuple[int, ...]
+    span_id: int = 0
+
+
 class DecisionKernel:
-    """Turns a closed window of report rows into located decisions.
+    """Turns a closed window of report rows into located verdicts.
 
     Parameters
     ----------
@@ -114,7 +149,7 @@ class DecisionKernel:
         self,
         rows: Sequence[Row],
         excluded_nodes: Sequence[int] = (),
-    ) -> List[LocatedDecision]:
+    ) -> List[Verdict]:
         """Process one closed window of report rows.
 
         ``rows`` must already be in delivery order (sorted by
@@ -125,9 +160,8 @@ class DecisionKernel:
 
         Dedupe is a seen-set pass over the sorted rows, the §2.1 gate a
         dict position lookup plus one scalar ``sqrt`` per report.
-        Returns one :class:`~repro.core.location.LocatedDecision` per
-        event cluster, dominant cluster first; empty when no usable
-        reports arrived.
+        Returns one :class:`Verdict` per event cluster, dominant cluster
+        first; empty when no usable reports arrived.
         """
         excluded = set(excluded_nodes)
         limit = self._limit
@@ -178,19 +212,19 @@ class DecisionKernel:
         # Each cluster parents under the window.filter span, not under
         # its sibling cluster's vote machinery.
         window_ctx = spans.current
-        decisions: List[LocatedDecision] = []
+        verdicts: List[Verdict] = []
         for cluster in clusters:
             spans.current = window_ctx
-            decisions.append(self._vote_cluster(cluster, f_ids, excluded))
+            verdicts.append(self._vote_cluster(cluster, f_ids, excluded))
         spans.current = window_ctx
-        return decisions
+        return verdicts
 
     def _vote_cluster(
         self,
         cluster: ReportCluster,
         ids: List[int],
         excluded: set,
-    ) -> LocatedDecision:
+    ) -> Verdict:
         """Supporter/dissenter split and CTI vote for one cluster."""
         supporters = tuple(sorted([ids[i] for i in cluster.indices]))
         supporter_set = set(supporters)
@@ -226,20 +260,11 @@ class DecisionKernel:
             # Claimants are penalised; nobody is rewarded.
             if self._has_trust:
                 self.voter.trust.penalize_many(supporters)
-            return LocatedDecision(
-                occurred=False,
-                location=center,
-                supporters=supporters,
-                dissenters=dissenters,
-                vote=None,
-                span_id=cluster_ctx,
-            )
-        vote = self.voter.decide(supporters, dissenters)
-        return LocatedDecision(
-            occurred=vote.occurred,
-            location=center,
-            supporters=supporters,
-            dissenters=dissenters,
-            vote=vote,
-            span_id=cluster_ctx,
+            return Verdict(False, center, supporters, dissenters, cluster_ctx)
+        return Verdict(
+            self.voter.decide(supporters, dissenters),
+            center,
+            supporters,
+            dissenters,
+            cluster_ctx,
         )

@@ -21,15 +21,14 @@ binary experiments (Table 1) and 0.25 for the location experiments
 be absorbed (Fig. 11).
 
 :class:`TrustTable` maps each node id to a :class:`TrustEntry` holding
-``v``, its TI and the node's report counters.  Every update stores the
-TI as ``math.exp(-lambda * v)``, the expression
-:meth:`TrustParameters.ti_of` evaluates, so reads are attribute loads
-and a stored TI always has exactly the bits ``ti_of(v)`` gives.  CTI
-sums run left to right from 0.0 in explicit loops -- never ``sum()``,
-whose float association changed in CPython 3.12 -- so a vote's verdict
-does not depend on the interpreter.  The randomized equivalence suites
-hold the table bit-identical to the derive-on-read oracle in
-``tests/oracles/trust.py``.
+``v`` and its TI.  Every update stores the TI as
+``math.exp(-lambda * v)``, the expression :meth:`TrustParameters.ti_of`
+evaluates, so reads are attribute loads and a stored TI always has
+exactly the bits ``ti_of(v)`` gives.  CTI sums run left to right from
+0.0 in explicit loops -- never ``sum()``, whose float association
+changed in CPython 3.12 -- so a vote's verdict does not depend on the
+interpreter.  The randomized equivalence suites hold the table
+bit-identical to the derive-on-read oracle in ``tests/oracles/trust.py``.
 """
 
 from __future__ import annotations
@@ -93,24 +92,17 @@ class TrustEntry:
     """One node's trust state at the cluster head.
 
     ``v`` is the fault accumulator and ``ti`` its trust index, which the
-    table refreshes on every update; the counters tally the reports
-    judged correct and faulty.
+    table refreshes on every update.
     """
 
-    __slots__ = ("v", "ti", "correct_reports", "faulty_reports")
+    __slots__ = ("v", "ti")
 
     def __init__(self) -> None:
         self.v = 0.0
         self.ti = 1.0
-        self.correct_reports = 0
-        self.faulty_reports = 0
 
     def __repr__(self) -> str:
-        return (
-            f"TrustEntry(v={self.v}, ti={self.ti}, "
-            f"correct_reports={self.correct_reports}, "
-            f"faulty_reports={self.faulty_reports})"
-        )
+        return f"TrustEntry(v={self.v}, ti={self.ti})"
 
 
 class TrustTable:
@@ -208,9 +200,9 @@ class TrustTable:
 
         Returns ``(occurred, r, nr, cti_r, cti_nr, tie, winners,
         losers)`` with ``r`` / ``nr`` the sorted groups and the CTIs read
-        before any update; :class:`~repro.core.binary.CtiVoter` wraps
-        this in a ``BinaryVoteResult`` and emits the vote's spans, so the
-        vote itself emits none.
+        before any update; :class:`~repro.core.binary.CtiVoter` returns
+        ``occurred`` and emits the vote's spans, so the vote itself emits
+        none.
 
         Raises ``ValueError`` if a node is in both groups.
         """
@@ -239,7 +231,7 @@ class TrustTable:
     # Updates
     # ------------------------------------------------------------------
     def _penalize_all(self, node_ids: Iterable[int]) -> None:
-        """``v += 1 - f_r`` and one faulty report, node by node."""
+        """``v += 1 - f_r``, node by node."""
         entries = self._entries
         step = self.params.penalty_step
         neg_lam = -self.params.lam
@@ -250,10 +242,9 @@ class TrustTable:
             v = e.v + step
             e.v = v
             e.ti = _exp(neg_lam * v)
-            e.faulty_reports += 1
 
     def _reward_all(self, node_ids: Iterable[int]) -> None:
-        """``v = max(0, v - f_r)`` and one correct report, node by node."""
+        """``v = max(0, v - f_r)``, node by node."""
         entries = self._entries
         step = self.params.reward_step
         neg_lam = -self.params.lam
@@ -266,7 +257,6 @@ class TrustTable:
                 v = 0.0
             e.v = v
             e.ti = _exp(neg_lam * v)
-            e.correct_reports += 1
 
     def _span(self, category: str, node_ids: Iterable[int]) -> None:
         """One transition span listing the nodes and their new TIs."""

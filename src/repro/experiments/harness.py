@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.chaos.plan import ChaosController, ChCrash, FaultPlan
 from repro.clusterctl.base_station import BaseStation
-from repro.clusterctl.head import ClusterHead, ClusterHeadConfig, DecisionRecord
+from repro.clusterctl.head import ClusterHead, CorruptClusterHead
 from repro.clusterctl.leach import EnergyModel, LeachConfig, LeachElection
 from repro.clusterctl.shadow import HeadMirror, appoint_shadows
 from repro.core.trust import TrustParameters
@@ -57,6 +57,7 @@ from repro.obs.provenance import ProvenanceIndex
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NULL_SPANS, SpanCollector
 from repro.service.ids import IdAllocator
+from repro.service.session import DecisionRecord, SessionConfig
 from repro.simkernel.simulator import Simulator
 from repro.experiments.metrics import RunMetrics, score_run
 
@@ -135,21 +136,6 @@ class HeadLog(NamedTuple):
     journal: List[Dict[str, object]]
     diagnosed: Tuple[int, ...]
     votes: int
-
-
-class _CorruptClusterHead(ClusterHead):
-    """A compromised node serving as CH: §3.4's failing data sink.
-
-    It inverts its verdicts -- the worst arbitrary fault for a decision
-    maker, and the one the shadow CHs recompute and dissent from.
-    """
-
-    def _record_decision(
-        self, occurred, location, supporters, dissenters, span_id=0
-    ):
-        super()._record_decision(
-            not occurred, location, supporters, dissenters, span_id=span_id
-        )
 
 
 def _merged_decisions(heads: List[HeadLog]) -> List[DecisionRecord]:
@@ -389,9 +375,8 @@ class SimulationRun:
                 self.n_nodes, region, self.sim.streams.get("deployment")
             )
 
-        self._ch_config = ClusterHeadConfig(
+        self._ch_config = SessionConfig(
             mode=self.mode,
-            t_out=self.t_out,
             sensing_radius=self.sensing_radius,
             r_error=self.r_error,
             trust=self.trust_params,
@@ -488,6 +473,7 @@ class SimulationRun:
             position=position,
             deployment=deployment,
             config=self._ch_config,
+            t_out=self.t_out,
             base_station_id=None if self.bs is None else self.bs.node_id,
             id_allocator=self._decision_ids,
         )
@@ -654,7 +640,7 @@ class SimulationRun:
                 trust,
                 (*members, host),
                 head_class=(
-                    _CorruptClusterHead if host in corrupt_heads
+                    CorruptClusterHead if host in corrupt_heads
                     else ClusterHead
                 ),
             )

@@ -12,9 +12,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.clusterctl.head import DecisionRecord
 from repro.network.geometry import Point
 from repro.sensors.generator import GroundTruthEvent
+from repro.service.session import DecisionRecord
 
 
 class EventOutcome(NamedTuple):

@@ -16,9 +16,9 @@ names, and a message without it names nobody: a wide-open broadcast
 reaches an endpoint that does not hear unnamed messages only when it is
 named (``RadioChannel.broadcast``).
 
->>> report = EventReportMessage(sender=3, message_id=12, event_id=7)
->>> report.message_id, report.claimed
-(12, True)
+>>> report = EventReportMessage(sender=3, message_id=12)
+>>> report.message_id, report.offset
+(12, None)
 >>> EventReportMessage(sender=3).message_id
 0
 >>> report.sender = 4  # doctest: +IGNORE_EXCEPTION_DETAIL
@@ -64,9 +64,7 @@ class EventReportMessage(NamedTuple):
 
     sender: int
     message_id: int = 0
-    event_id: Optional[int] = None
     offset: Optional[PolarOffset] = None
-    claimed: bool = True
 
 
 class ChDecisionAnnouncement(NamedTuple):

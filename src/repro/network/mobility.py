@@ -101,7 +101,6 @@ class RandomWaypointMobility:
         self._rng = rng
         self._on_move = on_move
         self._motion: Dict[int, _NodeMotion] = {}
-        self.ticks = 0
         for node_id in deployment.node_ids():
             self._motion[node_id] = self._new_motion()
 
@@ -120,7 +119,6 @@ class RandomWaypointMobility:
         sim.every(self.config.tick, self._tick, sim)
 
     def _tick(self, sim: Simulator) -> None:
-        self.ticks += 1
         for node_id in list(self.deployment.node_ids()):
             self._advance(node_id, sim.now)
 
@@ -178,7 +176,6 @@ class PositionTracker:
         # can hold a stable reference for the whole run.
         self._snapshot = Deployment(region=truth.region)
         self._copy_truth_into_snapshot()
-        self.refreshes = 0
 
     def _copy_truth_into_snapshot(self) -> None:
         self._snapshot.positions.clear()
@@ -197,7 +194,6 @@ class PositionTracker:
     def refresh(self) -> None:
         """Take a fresh snapshot of every node's position."""
         self._copy_truth_into_snapshot()
-        self.refreshes += 1
 
     @property
     def view(self) -> Deployment:

@@ -218,8 +218,6 @@ class ReliableRelay(NetworkNode):
         self.drop_everything = drop_everything
         self._seen_relay_ids: Set[int] = set()
         self._pending: Dict[int, dict] = {}
-        self.forwarded = 0
-        self.delivered_local = 0
         self.dropped_after_retries = 0
 
     # ------------------------------------------------------------------
@@ -326,7 +324,6 @@ class ReliableRelay(NetworkNode):
         if message.destination == self.node_id:
             self._deliver(message.payload, message.origin, message.hop)
         else:
-            self.forwarded += 1
             self._forward(
                 message.payload, message.origin, message.destination,
                 message.relay_id, message.hop + 1,
@@ -335,7 +332,6 @@ class ReliableRelay(NetworkNode):
     def _deliver(
         self, payload: Optional[Message], origin: int, hops: int
     ) -> None:
-        self.delivered_local += 1
         spans = self.sim.spans
         if spans.enabled:
             spans.point(

@@ -374,7 +374,6 @@ class CollusionCoordinator:
         # event token so all members of one event share one draw.
         self._decision_token: Optional[object] = None
         self._decision: Optional[Point] = None
-        self._decision_is_silence = False
 
     def enroll(self, node_id: int, estimator: TrustEstimator) -> None:
         """Add a member's estimator to the shared hysteresis input."""
@@ -416,15 +415,12 @@ class CollusionCoordinator:
             self._update_phase()
             if not self._currently_lying:
                 self._decision = None
-                self._decision_is_silence = False
             elif self._rng.random() < self.silence_rate:
-                self._decision = None
-                self._decision_is_silence = True
+                self._decision = None  # the whole group stays silent
             else:
                 self._decision = self.sensing.perceive_location(
                     event_location, self._rng, sigma=self.location_sigma
                 )
-                self._decision_is_silence = False
         return self._decision
 
     def is_lying_for(self, event_token: object) -> bool:

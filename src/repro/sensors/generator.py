@@ -65,7 +65,6 @@ class EventGenerator:
         self.min_separation = min_separation
         self.max_rejections = max_rejections
         self._ids: Iterator[int] = itertools.count(1)
-        self.generated = 0
 
     # ------------------------------------------------------------------
     # Draws
@@ -79,7 +78,6 @@ class EventGenerator:
 
     def next_event(self, time: float = 0.0) -> GroundTruthEvent:
         """One event at ``time`` with a fresh id."""
-        self.generated += 1
         return GroundTruthEvent(
             event_id=next(self._ids), time=time, location=self.draw_location()
         )
@@ -110,7 +108,6 @@ class EventGenerator:
                     )
                 continue
             locations.append(candidate)
-        self.generated += size
         return [
             GroundTruthEvent(
                 event_id=next(self._ids), time=time, location=loc

@@ -136,7 +136,7 @@ class SensorNode(NetworkNode):
         )
         if claim is None:
             return None
-        return self._compose(claim, event_id=event.event_id)
+        return self._compose(claim)
 
     def compose_false_alarm(self) -> Optional[EventReportMessage]:
         """Build (but do not transmit) a quiet-window false alarm, if any."""
@@ -148,7 +148,7 @@ class SensorNode(NetworkNode):
         claim = self.behavior.on_quiet_window(self.position, region, self._rng)
         if claim is None:
             return None
-        return self._compose(claim, event_id=None)
+        return self._compose(claim)
 
     # ------------------------------------------------------------------
     # Radio
@@ -173,13 +173,10 @@ class SensorNode(NetworkNode):
             elif node_id in message.non_reporters:
                 self.behavior.observe_outcome(rewarded=not message.occurred)
 
-    def _compose(
-        self, claimed_location: Point, event_id: Optional[int]
-    ) -> EventReportMessage:
+    def _compose(self, claimed_location: Point) -> EventReportMessage:
         return EventReportMessage(
             sender=self.node_id,
             message_id=next(self._message_ids),
-            event_id=event_id,
             offset=(
                 self.sensing.encode_report(self.position, claimed_location)
                 if self.encodes_offset

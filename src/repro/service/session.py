@@ -52,10 +52,9 @@ from typing import (
 )
 
 from repro.core.baseline import MajorityVoter
-from repro.core.binary import BinaryVoteResult, CtiVoter
-from repro.core.decision_kernel import ROW_ORDER, DecisionKernel, Row
+from repro.core.binary import CtiVoter
+from repro.core.decision_kernel import ROW_ORDER, DecisionKernel, Row, Verdict
 from repro.core.diagnosis import DiagnosisEntry, FaultDiagnoser
-from repro.core.location import LocatedDecision
 from repro.core.trust import TrustParameters, TrustTable
 from repro.network.geometry import Point
 from repro.network.topology import Deployment
@@ -84,11 +83,12 @@ class DecisionRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Behavioural knobs of one trust session.
+    """Behavioural knobs of one trust session, and of the cluster head
+    that embeds one.
 
-    Mirrors :class:`~repro.clusterctl.head.ClusterHeadConfig` minus the
-    DES-only fields (``t_out`` timers and announcements live with the
-    cluster head; a service session closes windows when told to).
+    The DES-only knobs, the ``t_out`` timer and announcements, are
+    :class:`~repro.clusterctl.head.ClusterHead` arguments: a service
+    session closes windows when told to.
 
     Attributes
     ----------
@@ -203,7 +203,7 @@ class TrustSession:
 
     def binary_partition(
         self, senders: Iterable[int]
-    ) -> Tuple[List[int], List[int]]:
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Split one binary window into (reporters, non-reporters).
 
         All cluster members are event neighbours (§3.1); diagnosed
@@ -211,30 +211,31 @@ class TrustSession:
         """
         excluded = set(self.excluded_nodes())
         reporter_set = set(senders) - excluded
-        reporters = sorted(reporter_set)
-        non_reporters = [
+        reporters = tuple(sorted(reporter_set))
+        non_reporters = tuple([
             m
             for m in self.members
             if m not in excluded and m not in reporter_set
-        ]
+        ])
         return reporters, non_reporters
 
     def decide_binary(
         self, senders: Sequence[int], now: float = 0.0
-    ) -> Tuple[BinaryVoteResult, Tuple[int, ...], Tuple[int, ...]]:
-        """Partition and CTI-vote one closed binary window."""
+    ) -> List[Verdict]:
+        """Partition and CTI-vote one closed binary window: its one
+        verdict, in a list as :meth:`decide_rows` returns them."""
         senders = [int(s) for s in senders]
         if self._journal is not None:
             self._journal.append(
                 {"mode": "binary", "time": now, "senders": senders}
             )
         reporters, non_reporters = self.binary_partition(senders)
-        vote = self.voter.decide(reporters, non_reporters)
-        return vote, tuple(reporters), tuple(non_reporters)
+        occurred = self.voter.decide(reporters, non_reporters)
+        return [Verdict(occurred, None, reporters, non_reporters)]
 
     def decide_rows(
         self, rows: List[Row], now: float = 0.0
-    ) -> List[LocatedDecision]:
+    ) -> List[Verdict]:
         """Decide one closed window of ``(node_id, x, y, time)`` rows,
         already in delivery order."""
         assert self.kernel is not None
@@ -248,22 +249,15 @@ class TrustSession:
             rows, excluded_nodes=self.excluded_nodes()
         )
 
-    def record(
-        self,
-        occurred: bool,
-        location: Optional[Point],
-        supporters: Tuple[int, ...],
-        dissenters: Tuple[int, ...],
-        now: float = 0.0,
-    ) -> DecisionRecord:
+    def record(self, verdict: Verdict, now: float = 0.0) -> DecisionRecord:
         """Mint the next decision id and append one verdict to the log."""
         record = DecisionRecord(
             decision_id=next(self.ids),
             time=now,
-            occurred=occurred,
-            location=location,
-            supporters=tuple(supporters),
-            dissenters=tuple(dissenters),
+            occurred=verdict.occurred,
+            location=verdict.location,
+            supporters=verdict.supporters,
+            dissenters=verdict.dissenters,
         )
         self.decisions.append(record)
         return record
@@ -359,11 +353,7 @@ class TrustSession:
             if not senders:
                 return []
             self._pending_senders = []
-            vote, reporters, non_reporters = self.decide_binary(
-                senders, now=now
-            )
-            self.record(vote.occurred, None, reporters, non_reporters, now=now)
-            self.sweep(now)
+            verdicts = self.decide_binary(senders, now)
         else:
             rows = self._pending_rows
             if not rows:
@@ -371,15 +361,10 @@ class TrustSession:
             self._pending_rows = []
             # The DES circle tracker's delivery order.
             rows.sort(key=ROW_ORDER)
-            for decision in self.decide_rows(rows, now=now):
-                self.record(
-                    decision.occurred,
-                    decision.location,
-                    decision.supporters,
-                    decision.dissenters,
-                    now=now,
-                )
-                self.sweep(now)
+            verdicts = self.decide_rows(rows, now)
+        for verdict in verdicts:
+            self.record(verdict, now)
+            self.sweep(now)
         self.windows_closed += 1
         return self.decisions[before:]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
+from repro.clusterctl.head import ClusterHead, CorruptClusterHead
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, PolarOffset, Region
 from repro.network.messages import (
@@ -14,6 +14,7 @@ from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, RadioChannel
 from repro.network.topology import Deployment
 from repro.obs.spans import SpanCollector
+from repro.service.session import SessionConfig
 from repro.simkernel.simulator import Simulator
 
 
@@ -27,7 +28,7 @@ class Listener(NetworkNode):
 
 
 def make_ch(mode="binary", n=4, use_trust=True, spans=None,
-            **config_kwargs):
+            announce=True, head_class=ClusterHead, **config_kwargs):
     sim = Simulator(seed=1, spans=spans)
     channel = RadioChannel(
         sim, ChannelConfig(loss_probability=0.0, propagation_delay=0.001)
@@ -44,19 +45,20 @@ def make_ch(mode="binary", n=4, use_trust=True, spans=None,
         listener = Listener(i, positions[i % len(positions)])
         channel.register(listener)
         listeners.append(listener)
-    ch = ClusterHead(
+    ch = head_class(
         node_id=100,
         position=Point(50.0, 50.0),
         deployment=deployment,
-        config=ClusterHeadConfig(
+        config=SessionConfig(
             mode=mode,
-            t_out=1.0,
             sensing_radius=20.0,
             r_error=5.0,
             trust=TrustParameters(lam=0.25, fault_rate=0.1),
             use_trust=use_trust,
             **config_kwargs,
         ),
+        t_out=1.0,
+        announce=announce,
         base_station_id=None,
     )
     channel.register(ch)
@@ -222,6 +224,49 @@ class TestAnnouncements:
         assert all(not l.received for l in listeners)
 
 
+class TestCorruptClusterHead:
+    """§3.4's failing data sink votes, and so updates trust, as an honest
+    head does, but logs and announces the opposite verdict."""
+
+    @staticmethod
+    def run_head(head_class, mode):
+        sim, _channel, ch, listeners = make_ch(
+            mode=mode, n=4, head_class=head_class
+        )
+        event = Point(50.0, 50.0)
+        # A unanimous window, a lone reporter out-voted, a majority.
+        for senders in ((0, 1, 2, 3), (0,), (0, 1, 2)):
+            for sender in senders:
+                ch.on_message(
+                    binary_report(sender) if mode == "binary"
+                    else location_report(
+                        sender, ch.deployment.position_of(sender), event
+                    )
+                )
+            sim.run()
+            ch.flush()
+        announced = {
+            message.decision_id: message.occurred
+            for listener in listeners
+            for message in listener.received
+            if isinstance(message, ChDecisionAnnouncement)
+        }
+        return ch, announced
+
+    @pytest.mark.parametrize("mode", ["binary", "location"])
+    def test_inverts_every_verdict_and_keeps_honest_trust(self, mode):
+        honest, _ = self.run_head(ClusterHead, mode)
+        corrupt, announced = self.run_head(CorruptClusterHead, mode)
+        assert [d.occurred for d in honest.decisions] == [True, False, True]
+        assert corrupt.trust.export_state() == honest.trust.export_state()
+        assert [
+            d._replace(occurred=not d.occurred) for d in corrupt.decisions
+        ] == honest.decisions
+        assert announced == {
+            d.decision_id: not d.occurred for d in honest.decisions
+        }
+
+
 class TestDiagnosisIntegration:
     def test_persistent_liar_gets_isolated(self):
         sim, _channel, ch, _l = make_ch(
@@ -272,8 +317,11 @@ class TestTiHandOff:
 class TestConfigValidation:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            ClusterHeadConfig(mode="hybrid")
+            SessionConfig(mode="hybrid")
 
     def test_invalid_t_out_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterHeadConfig(t_out=0.0)
+        deployment = Deployment(region=Region.square(10.0))
+        with pytest.raises(ValueError, match="t_out"):
+            ClusterHead(
+                100, Point(5.0, 5.0), deployment, SessionConfig(), t_out=0.0
+            )

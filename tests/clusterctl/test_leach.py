@@ -126,7 +126,7 @@ class TestElectionRounds:
         r0 = election.run_round()
         r1 = election.run_round()
         assert (r0.round_number, r1.round_number) == (0, 1)
-        assert len(election.history) == 2
+        assert election.round_number == 2  # the next round's number
 
 
 class TestTrustGate:

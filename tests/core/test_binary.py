@@ -1,4 +1,9 @@
-"""Unit tests for CTI voting over binary events (§3.1)."""
+"""Unit tests for CTI voting over binary events (§3.1).
+
+``CtiVoter.decide`` returns the verdict alone; the CTIs, the tie and the
+reward / penalty sets are read from ``TrustTable.cti_vote``'s
+``(occurred, r, nr, cti_r, cti_nr, tie, winners, losers)``.
+"""
 
 import pytest
 
@@ -15,23 +20,32 @@ def fresh_voter(lam=0.1, fr=0.01, n=10):
 
 class TestBasicVoting:
     def test_majority_of_equal_trust_wins(self):
-        voter, _ = fresh_voter()
-        result = voter.decide([0, 1, 2, 3, 4, 5], [6, 7, 8, 9])
-        assert result.occurred
-        assert result.cti_reporters == pytest.approx(6.0)
-        assert result.cti_non_reporters == pytest.approx(4.0)
+        _, table = fresh_voter()
+        occurred, _r, _nr, cti_r, cti_nr, tie, _w, _l = table.cti_vote(
+            [0, 1, 2, 3, 4, 5], [6, 7, 8, 9]
+        )
+        assert occurred and not tie
+        assert cti_r == pytest.approx(6.0)
+        assert cti_nr == pytest.approx(4.0)
 
     def test_silent_majority_rejects_event(self):
         voter, _ = fresh_voter()
-        result = voter.decide([0, 1], [2, 3, 4, 5])
-        assert not result.occurred
+        assert voter.decide([0, 1], [2, 3, 4, 5]) is False
 
     def test_exact_tie_defaults_to_no_event(self):
         """Strict majority per the §5 analysis: a tie fails."""
+        _, table = fresh_voter()
+        occurred, *_, tie, _winners, _losers = table.cti_vote(
+            [0, 1, 2, 3, 4], [5, 6, 7, 8, 9]
+        )
+        assert tie
+        assert not occurred
+
+    def test_verdict_is_exactly_a_bool(self):
         voter, _ = fresh_voter()
-        result = voter.decide([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])
-        assert result.tie
-        assert not result.occurred
+        assert type(voter.decide([0, 1, 2], [3])) is bool
+        # An exact CTI tie (5.0 against 5.0) returns False.
+        assert voter.decide([4, 5, 6, 7, 8], [9, 10, 11, 12, 13]) is False
 
     def test_overlapping_partitions_rejected(self):
         voter, _ = fresh_voter()
@@ -40,22 +54,19 @@ class TestBasicVoting:
 
     def test_empty_reporters_loses_to_anyone(self):
         voter, _ = fresh_voter()
-        assert not voter.decide([], [0]).occurred
-
-    def test_margin_property(self):
-        voter, _ = fresh_voter()
-        result = voter.decide([0, 1, 2], [3])
-        assert result.margin == pytest.approx(2.0)
+        assert voter.decide([], [0]) is False
 
 
 class TestTrustUpdates:
     def test_winners_rewarded_losers_penalized(self):
-        voter, table = fresh_voter()
+        _, table = fresh_voter()
         table.penalize(0)  # give node 0 headroom to be rewarded
         ti_before_w = table.ti(0)
-        result = voter.decide([0, 1, 2, 3, 4, 5], [6, 7, 8, 9])
-        assert result.rewarded == (0, 1, 2, 3, 4, 5)
-        assert result.penalized == (6, 7, 8, 9)
+        *_, winners, losers = table.cti_vote(
+            [0, 1, 2, 3, 4, 5], [6, 7, 8, 9]
+        )
+        assert winners == (0, 1, 2, 3, 4, 5)
+        assert losers == (6, 7, 8, 9)
         assert table.ti(0) > ti_before_w
         assert table.ti(6) < 1.0
 
@@ -69,16 +80,18 @@ class TestTrustUpdates:
 class TestStatefulMasking:
     def test_trusted_minority_beats_distrusted_majority(self):
         """The core TIBFIT claim (§3.1): earned trust outweighs headcount."""
-        voter, table = fresh_voter(lam=0.25, fr=0.1)
+        _, table = fresh_voter(lam=0.25, fr=0.1)
         liars = [0, 1, 2, 3, 4, 5]  # 6 of 10: a faulty majority
         honest = [6, 7, 8, 9]
         # History: liars lose a string of past votes.
         for _ in range(10):
             for liar in liars:
                 table.penalize(liar)
-        result = voter.decide(reporters=honest, non_reporters=liars)
-        assert result.occurred
-        assert result.cti_reporters > result.cti_non_reporters
+        occurred, _r, _nr, cti_r, cti_nr, *_ = table.cti_vote(
+            reporters=honest, non_reporters=liars
+        )
+        assert occurred
+        assert cti_r > cti_nr
 
     def test_fresh_system_cannot_mask_majority(self):
         """Without accumulated state, a faulty majority wins -- §3.1's
@@ -87,8 +100,8 @@ class TestStatefulMasking:
         voter, _ = fresh_voter()
         liars = [0, 1, 2, 3, 4, 5]
         honest = [6, 7, 8, 9]
-        result = voter.decide(reporters=liars, non_reporters=honest)
-        assert result.occurred  # the lie is accepted
+        # The lie is accepted.
+        assert voter.decide(reporters=liars, non_reporters=honest)
 
     def test_gradual_compromise_is_tolerated(self):
         """§5's scenario: nodes fall one at a time every k events; with
@@ -105,8 +118,9 @@ class TestStatefulMasking:
                 node = correct.pop()
                 faulty.append(node)
             # Correct nodes always report the (real) event; faulty never.
-            result = voter.decide(reporters=correct, non_reporters=faulty)
-            detections.append(result.occurred)
+            detections.append(
+                voter.decide(reporters=correct, non_reporters=faulty)
+            )
         # Faulty nodes are 8 of 11 (a >70% majority) by the end, yet
         # detection never failed.
         assert all(detections)

@@ -32,12 +32,13 @@ def report_circles(sim):
 class TestCircleLifecycle:
     def test_first_report_opens_a_circle(self):
         sim = spanned_sim()
-        tracker, _ = make_tracker(sim)
+        tracker, groups = make_tracker(sim)
         tracker.on_report_row(0, 10.0, 10.0)
         (opened,) = sim.spans.spans("window.open")
         assert (opened.args["x"], opened.args["y"]) == (10.0, 10.0)
         assert report_circles(sim) == [opened.args["circle"]]
-        assert tracker.circles_opened == 1
+        tracker.flush()
+        assert groups == [[0]]
 
     def test_nearby_report_joins_existing_circle(self):
         sim = spanned_sim()
@@ -46,27 +47,25 @@ class TestCircleLifecycle:
         tracker.on_report_row(1, 12.0, 11.0)
         first, second = report_circles(sim)
         assert first == second
-        assert tracker.circles_opened == 1
         tracker.flush()
         assert groups == [[0, 1]]
 
     def test_distant_report_opens_new_circle(self):
         sim = spanned_sim()
-        tracker, _ = make_tracker(sim)
+        tracker, groups = make_tracker(sim)
         tracker.on_report_row(0, 10.0, 10.0)
         tracker.on_report_row(1, 40.0, 40.0)
         first, second = report_circles(sim)
         assert first != second
-        assert tracker.circles_opened == 2
+        tracker.flush()
+        assert groups == [[0], [1]]
 
     def test_circle_closes_after_t_out(self, sim):
         tracker, groups = make_tracker(sim, t_out=1.0)
         tracker.on_report_row(0, 10.0, 10.0)
         tracker.on_report_row(1, 11.0, 10.0)
         sim.run()
-        assert len(groups) == 1
-        assert groups[0] == [0, 1]
-        assert tracker.groups_closed == 1
+        assert groups == [[0, 1]]
 
     def test_late_report_misses_closed_circle(self, sim):
         tracker, groups = make_tracker(sim, t_out=1.0)
@@ -128,8 +127,7 @@ class TestFlush:
         assert len(groups) == 2
         # Nothing is left open: the pending expiry timers close nothing.
         sim.run()
-        assert len(groups) == 2
-        assert tracker.groups_closed == 2
+        assert groups == [[0], [1]]
 
     def test_flush_on_empty_tracker_is_noop(self, sim):
         tracker, groups = make_tracker(sim)

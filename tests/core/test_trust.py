@@ -82,12 +82,14 @@ class TestTrustTable:
         assert trust_table.cti([]) == 0.0
 
     def test_report_counters(self, trust_table):
+        """Two faulty reports and a correct one leave ``v`` at
+        ``2 (1 - f_r) - f_r``; the TI follows it."""
         trust_table.penalize(3)
         trust_table.penalize(3)
         trust_table.reward(3)
         entry = trust_table.entry(3)
-        assert entry.faulty_reports == 2
-        assert entry.correct_reports == 1
+        assert entry.v == pytest.approx(2 * 0.99 - 0.01)
+        assert entry.ti == trust_table.params.ti_of(entry.v)
 
     def test_below_threshold_lists_distrusted(self):
         table = TrustTable(

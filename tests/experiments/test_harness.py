@@ -93,8 +93,21 @@ class TestBinaryRuns:
 
 
 def reports_reaching_the_head(run, n_rounds):
-    """Every report ``run``'s fixed head receives, in delivery order."""
+    """Every report ``run``'s fixed head receives, in delivery order,
+    and the message ids of the quiet-window false alarms among them."""
     run.build()
+    alarm_ids = set()
+
+    def recording_alarms(compose):
+        def compose_false_alarm():
+            alarm = compose()
+            if alarm is not None:
+                alarm_ids.add(alarm.message_id)
+            return alarm
+        return compose_false_alarm
+
+    for node in run.nodes.values():
+        node.compose_false_alarm = recording_alarms(node.compose_false_alarm)
     received = []
     deliver = run.ch.on_message
 
@@ -105,7 +118,7 @@ def reports_reaching_the_head(run, n_rounds):
 
     run.ch.on_message = recording
     run.run(n_rounds)
-    return received
+    return received, alarm_ids
 
 
 class TestReportEncoding:
@@ -118,9 +131,9 @@ class TestReportEncoding:
                 level=0, drop_rate=0.5, false_alarm_rate=0.5
             ),
         )
-        reports = reports_reaching_the_head(run, 10)
+        reports, alarm_ids = reports_reaching_the_head(run, 10)
         # Event reports and quiet-window false alarms alike.
-        assert {r.event_id is None for r in reports} == {True, False}
+        assert {r.message_id in alarm_ids for r in reports} == {True, False}
         assert all(r.offset is None for r in reports)
 
     def test_location_head_receives_polar_offsets(self):
@@ -130,8 +143,8 @@ class TestReportEncoding:
                 level=0, drop_rate=0.25, sigma=4.25, false_alarm_rate=0.5
             ),
         )
-        reports = reports_reaching_the_head(run, 10)
-        assert {r.event_id is None for r in reports} == {True, False}
+        reports, alarm_ids = reports_reaching_the_head(run, 10)
+        assert {r.message_id in alarm_ids for r in reports} == {True, False}
         assert all(type(r.offset) is PolarOffset for r in reports)
 
 

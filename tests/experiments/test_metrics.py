@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.clusterctl.head import DecisionRecord
 from repro.experiments.metrics import EventOutcome, RunMetrics, score_run
 from repro.network.geometry import Point
 from repro.sensors.generator import GroundTruthEvent
+from repro.service.session import DecisionRecord
 
 
 def event(event_id, t, x=50.0, y=50.0):

@@ -7,9 +7,10 @@ end-to-end witness.
 
 import numpy as np
 
-from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
+from repro.clusterctl.head import ClusterHead
 from repro.core.trust import TrustParameters
 from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.service.session import SessionConfig
 
 
 class TestContribution1:
@@ -68,9 +69,7 @@ class TestContribution2:
             node_id=1,
             position=Point(5.0, 5.0),
             deployment=deployment,
-            config=ClusterHeadConfig(
-                mode="binary", trust=TrustParameters()
-            ),
+            config=SessionConfig(mode="binary", trust=TrustParameters()),
         )
         assert ch.alive
         ch.kill()

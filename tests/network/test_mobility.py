@@ -134,7 +134,7 @@ class TestPositionTracker:
         sim.run(until=30.0)
         tracker.refresh()
         assert max(tracker.staleness().values()) == 0.0
-        assert tracker.refreshes == 1
+        assert tracker.view.positions == deployment.positions
 
     def test_periodic_refresh_bounds_staleness(self):
         sim, _region, deployment, mobility = build(

@@ -105,7 +105,8 @@ class TestReliableDelivery:
         relays[0].originate(payload, destination=4)
         sim.run()
         assert delivered == [payload]
-        assert relays[4].delivered_local == 1
+        (record,) = sim.spans.spans("relay.delivered")
+        assert record.args == {"node": 4, "origin": 0, "hops": 4}
 
     def test_origin_that_is_its_destination_delivers_without_sending(self):
         sim, channel, relays, delivered = build_chain(n=3)
@@ -193,5 +194,12 @@ class TestReliableDelivery:
         sim, _channel, relays, _delivered = build_chain(n=4)
         relays[0].originate(EventReportMessage(sender=0), destination=3)
         sim.run()
-        assert relays[1].forwarded == 1
-        assert relays[2].forwarded == 1
+        # The origin's transmission, then one forward by each of the
+        # two relays between it and the destination.
+        assert [
+            span.args["sender"]
+            for span in sim.spans.spans("radio.transmit")
+            if span.args["message"] == "RelayedMessage"
+        ] == [0, 1, 2]
+        (record,) = sim.spans.spans("relay.delivered")
+        assert record.args["hops"] == 3

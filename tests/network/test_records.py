@@ -1,7 +1,7 @@
 """The contract of the tuple records built per report, event and verdict.
 
 Points, polar offsets, every radio message, ground-truth events,
-decision records, majority votes and event outcomes are
+verdicts, decision records and event outcomes are
 ``typing.NamedTuple`` records.  They must stay what their frozen
 dataclass predecessors were to every caller: immutable, picklable (spawn
 workers pickle them), built by keyword or position, and printed the
@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.core.baseline import MajorityVoteResult
+from repro.core.decision_kernel import Verdict
 from repro.experiments.metrics import EventOutcome
 from repro.network.geometry import Point, PolarOffset
 from repro.network.messages import (
@@ -32,7 +32,7 @@ OFFSET = PolarOffset(r=1.0, theta=0.5)
 RECORDS = [
     Point(x=1.5, y=-2.0),
     OFFSET,
-    EventReportMessage(sender=3, event_id=2, offset=OFFSET),
+    EventReportMessage(sender=3, offset=OFFSET),
     ChDecisionAnnouncement(
         sender=100, decision_id=4, occurred=True, location=Point(1.0, 2.0),
         reporters=(0, 1), non_reporters=(2,),
@@ -47,8 +47,9 @@ RECORDS = [
         decision_id=4, time=2.5, occurred=True, location=Point(1.0, 2.0),
         supporters=(0, 1), dissenters=(2,),
     ),
-    MajorityVoteResult(
-        occurred=True, reporters=(0, 1), non_reporters=(2,), tie=False
+    Verdict(
+        occurred=True, location=Point(1.0, 2.0), supporters=(0, 1),
+        dissenters=(2,), span_id=5,
     ),
     EventOutcome(
         event_id=1, time=10.0, location=Point(5.0, 5.0), detected=True,
@@ -85,10 +86,10 @@ def test_positional_and_keyword_construction_agree(record):
 def test_reprs_are_the_dataclass_reprs():
     assert repr(Point(1.5, -2.0)) == "Point(x=1.5, y=-2.0)"
     assert repr(
-        EventReportMessage(sender=3, message_id=7, event_id=2, offset=OFFSET)
+        EventReportMessage(sender=3, message_id=7, offset=OFFSET)
     ) == (
-        "EventReportMessage(sender=3, message_id=7, event_id=2, "
-        "offset=PolarOffset(r=1.0, theta=0.5), claimed=True)"
+        "EventReportMessage(sender=3, message_id=7, "
+        "offset=PolarOffset(r=1.0, theta=0.5))"
     )
     assert repr(RECORDS[9]) == (
         "DecisionRecord(decision_id=4, time=2.5, occurred=True, "

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Union
 from repro.core.baseline import MajorityVoter
 from repro.core.binary import CtiVoter
 from repro.core.clustering import ReportCluster
-from repro.core.location import LocatedDecision
+from repro.core.decision_kernel import Verdict
 from repro.network.geometry import Point
 from repro.network.topology import Deployment
 from repro.obs.spans import NULL_SPANS
@@ -107,7 +107,7 @@ class LocationDecisionEngine:
         self,
         reports: Sequence[LocationReport],
         excluded_nodes: Sequence[int] = (),
-    ) -> List[LocatedDecision]:
+    ) -> List[Verdict]:
         """Process one collection window of reports.
 
         Parameters
@@ -122,8 +122,8 @@ class LocationDecisionEngine:
 
         Returns
         -------
-        One :class:`LocatedDecision` per event cluster, dominant cluster
-        first.  Empty when no usable reports arrived.
+        One :class:`Verdict` per event cluster, dominant cluster first.
+        Empty when no usable reports arrived.
         """
         excluded = set(excluded_nodes)
         unique = self._dedupe(reports, excluded)
@@ -230,7 +230,7 @@ class LocationDecisionEngine:
         cluster: ReportCluster,
         reports: Sequence[LocationReport],
         excluded: set,
-    ) -> LocatedDecision:
+    ) -> Verdict:
         supporters = tuple(
             sorted(reports[i].node_id for i in cluster.indices)
         )
@@ -264,20 +264,17 @@ class LocationDecisionEngine:
             # clustering).  Claimants are penalised; nobody is rewarded.
             if hasattr(self.voter, "trust"):
                 self.voter.trust.penalize_many(supporters)
-            return LocatedDecision(
+            return Verdict(
                 occurred=False,
                 location=cluster.center,
                 supporters=supporters,
                 dissenters=dissenters,
-                vote=None,
                 span_id=cluster_ctx,
             )
-        vote = self.voter.decide(supporters, dissenters)
-        return LocatedDecision(
-            occurred=vote.occurred,
+        return Verdict(
+            occurred=self.voter.decide(supporters, dissenters),
             location=cluster.center,
             supporters=supporters,
             dissenters=dissenters,
-            vote=vote,
             span_id=cluster_ctx,
         )

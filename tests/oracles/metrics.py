@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.clusterctl.head import DecisionRecord
 from repro.experiments.metrics import EventOutcome
 from repro.sensors.generator import GroundTruthEvent
+from repro.service.session import DecisionRecord
 
 
 def score_run(

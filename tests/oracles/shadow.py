@@ -33,7 +33,9 @@ def tap_seat_mirror(
         node_id=node_id,
         position=position,
         deployment=ch.deployment,
-        config=replace(ch.config, announce=False, journal=False),
+        config=replace(ch.config, journal=False),
+        t_out=ch.t_out,
+        announce=False,
     )
     mirror.trust.import_state(trust)
     mirror.attach(_Unobserved(ch.sim), ch.channel)

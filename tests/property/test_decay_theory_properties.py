@@ -37,7 +37,7 @@ def replay_decay(lam: float, n: int, k: int, compromises: int) -> bool:
     for round_index in range(k * compromises + k):
         if round_index % k == 0 and len(faulty) < compromises:
             faulty.append(correct.pop())
-        if not voter.decide(correct, faulty).occurred:
+        if not voter.decide(correct, faulty):
             return False
     return True
 
@@ -66,7 +66,7 @@ def test_everything_at_once_fails(n):
     majority = list(range(n // 2 + 1))
     minority = list(range(n // 2 + 1, n))
     # The compromised majority stays silent on a real event.
-    assert not voter.decide(minority, majority).occurred
+    assert voter.decide(minority, majority) is False
 
 
 @given(lam=lams)

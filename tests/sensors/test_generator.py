@@ -25,9 +25,8 @@ class TestDraws:
 
     def test_generated_counter(self, unit_region, rng):
         gen = EventGenerator(unit_region, rng)
-        gen.next_event()
-        gen.next_batch(3)
-        assert gen.generated == 4
+        events = [gen.next_event(), *gen.next_batch(3)]
+        assert [event.event_id for event in events] == [1, 2, 3, 4]
 
     def test_uniformity_over_quadrants(self, unit_region):
         gen = EventGenerator(unit_region, np.random.default_rng(3))

@@ -70,7 +70,7 @@ class TestSensing:
         report = sink.received[0]
         assert isinstance(report, EventReportMessage)
         assert report.sender == 0
-        assert report.event_id == 1
+        assert report.offset is not None  # this node encodes offsets
 
     def test_out_of_range_event_is_imperceptible(self):
         sim, node, sink = make_node()
@@ -91,7 +91,7 @@ class TestSensing:
         assert node.channel.sent == 0
         node.sense_event(event_at(edge, 45.0, event_id=2))
         sim.run()
-        assert [m.event_id for m in sink.received] == [2]
+        assert [m.sender for m in sink.received] == [0]
 
     def test_report_offset_resolves_near_event(self):
         sim, node, sink = make_node()
@@ -114,7 +114,7 @@ class TestSensing:
         node.sense_event(event_at(50.0, 50.0))
         assert node.channel.sent == 1
         sim.run()
-        assert [m.event_id for m in sink.received] == [1]
+        assert [m.sender for m in sink.received] == [0]
 
     def test_binary_node_sends_no_offset(self):
         """A node that does not encode offsets still reports, and draws
@@ -147,7 +147,7 @@ class TestQuietWindow:
         _sim, node, _sink = make_node(behavior=behavior)
         alarm = node.compose_false_alarm()
         assert alarm is not None
-        assert alarm.event_id is None
+        assert alarm.sender == 0 and alarm.offset is not None
 
     def test_dead_node_quiet_window_noop(self):
         sensing = SensingModel(SensingConfig(sensing_radius=20.0))

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.clusterctl.head import ClusterHead, ClusterHeadConfig
+from repro.clusterctl.head import ClusterHead
+from repro.core.decision_kernel import Verdict
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, Region
 from repro.network.topology import grid_deployment
@@ -66,6 +67,20 @@ class TestBinarySession:
         # silent nodes were penalized below 1.0.
         assert session.query_ti(0) == 1.0
         assert session.query_ti(5) < 1.0
+
+    def test_decide_binary_returns_one_verdict(self):
+        """One unlocated verdict over the sorted partition, logged by
+        nobody until ``record``."""
+        session = make_session(mode="binary")
+        verdicts = session.decide_binary([6, 2, 2, 0, 7, 4], 3.0)
+        assert verdicts == [
+            Verdict(True, None, (0, 2, 4, 6, 7), (1, 3, 5, 8), 0)
+        ]
+        assert type(verdicts[0]) is Verdict
+        assert session.decisions == []
+        record = session.record(verdicts[0], 3.0)
+        assert record[2:] == verdicts[0][:4]
+        assert session.decisions == [record]
 
     def test_close_without_reports_is_noop(self):
         session = make_session(mode="binary")
@@ -364,7 +379,7 @@ class TestDecisionIdIsolation:
 
     def test_cluster_head_accepts_explicit_allocator(self):
         deployment = make_deployment()
-        config = ClusterHeadConfig(mode="binary")
+        config = SessionConfig(mode="binary")
         ch = ClusterHead(
             node_id=100,
             position=Point(15.0, 15.0),
@@ -378,7 +393,7 @@ class TestDecisionIdIsolation:
         """A run's heads, and their shadow seats, number decisions from
         the run's one allocator; two standalone heads each start at 1."""
         deployment = make_deployment()
-        config = ClusterHeadConfig(mode="binary")
+        config = SessionConfig(mode="binary")
         a = ClusterHead(1, Point(0, 0), deployment, config)
         b = ClusterHead(2, Point(0, 0), deployment, config)
         assert next(a.session.ids) == next(b.session.ids) == 1

@@ -16,6 +16,12 @@ An import is read when its module loads the name it binds, in code or
 in an annotation, quoted or not.  Package ``__init__`` modules import
 to re-export and ``__future__`` imports set compiler flags, so neither
 is checked.
+
+A public attribute that a top-level class of ``src/repro`` stores on
+``self`` (``self.x = ...``, ``self.x += ...``, ``self.x: T = ...``)
+must be loaded somewhere in the same four trees, again by bare name.
+An augmented assignment stores; it is not a read.  A counter that only
+tests read is state the program keeps for nobody.
 """
 
 from __future__ import annotations
@@ -42,11 +48,16 @@ def _python_files(top: str) -> List[Path]:
     return sorted((ROOT / top).rglob("*.py"))
 
 
-def _definitions(path: Path) -> Iterator[Tuple[str, str]]:
-    """``(qualified name, bare name)`` of each checked definition."""
+def _module(path: Path) -> str:
     module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
     if module.endswith(".__init__"):
         module = module[: -len(".__init__")]
+    return module
+
+
+def _definitions(path: Path) -> Iterator[Tuple[str, str]]:
+    """``(qualified name, bare name)`` of each checked definition."""
+    module = _module(path)
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -60,6 +71,46 @@ def _definitions(path: Path) -> Iterator[Tuple[str, str]]:
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
                     yield f"{module}:{node.name}.{item.name}", item.name
+
+
+def _assigned(target: ast.expr) -> Iterator[ast.expr]:
+    """The targets an assignment stores to, tuple unpacking flattened."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assigned(element)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned(target.value)
+    else:
+        yield target
+
+
+def _stored_attributes(path: Path) -> Iterator[Tuple[str, str]]:
+    """``(module:Class.name, name)`` of each public attribute a
+    top-level class stores on ``self``."""
+    module = _module(path)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        stored: Set[str] = set()
+        for item in ast.walk(node):
+            if isinstance(item, ast.Assign):
+                targets = item.targets
+            elif isinstance(item, (ast.AugAssign, ast.AnnAssign)):
+                targets = [item.target]
+            else:
+                continue
+            for target in targets:
+                for part in _assigned(target):
+                    if (
+                        isinstance(part, ast.Attribute)
+                        and isinstance(part.value, ast.Name)
+                        and part.value.id == "self"
+                        and not part.attr.startswith("_")
+                    ):
+                        stored.add(part.attr)
+        for name in sorted(stored):
+            yield f"{module}:{node.name}.{name}", name
 
 
 def _reads() -> Set[str]:
@@ -107,9 +158,7 @@ def test_every_src_import_is_read_by_its_module():
     for path in _python_files("src"):
         if path.name == "__init__.py":
             continue
-        module = ".".join(
-            path.relative_to(ROOT / "src").with_suffix("").parts
-        )
+        module = _module(path)
         tree = ast.parse(path.read_text(), filename=str(path))
         loaded = _loads(tree)
         for node in ast.walk(tree):
@@ -140,4 +189,18 @@ def test_every_src_definition_is_read_by_the_program():
     assert not unread, (
         "defined in src but read only by tests (move an oracle to "
         "tests/oracles/, delete the rest):\n  " + "\n  ".join(unread)
+    )
+
+
+def test_every_stored_public_attribute_is_read_by_the_program():
+    reads = _reads()
+    unread = sorted(
+        qualified
+        for path in _python_files("src")
+        for qualified, name in _stored_attributes(path)
+        if name not in reads
+    )
+    assert not unread, (
+        "stored on self in src but loaded nowhere by the program (delete "
+        "it, or read it):\n  " + "\n  ".join(unread)
     )
