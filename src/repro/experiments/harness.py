@@ -389,7 +389,9 @@ class SimulationRun:
             SensingConfig(
                 sensing_radius=self.sensing_radius,
                 location_sigma=self.correct_spec.sigma,
-            )
+            ),
+            # A binary head reads only who reported (§3.1).
+            places=self.mode == "location",
         )
         faulty = set(self.initial_faulty)
         for node_id in self.deployment.node_ids():
@@ -406,8 +408,6 @@ class SimulationRun:
                 ch_id=-1,  # set when a head is installed
                 rng=self.sim.streams.get(f"node-{node_id}"),
                 region=region,
-                # A binary head reads only who reported (§3.1).
-                encodes_offset=self.mode == "location",
             )
             # Smart adversaries track their own TI from CH broadcasts;
             # under the baseline there is no TI to track (§4.2 context).

@@ -107,6 +107,14 @@ class Region:
     y_max: float
 
     def __post_init__(self) -> None:
+        # A uniform draw over the region is lo + (hi - lo) * u, which
+        # checks nothing, so a side that is not finite (a NaN or
+        # infinite bound, or one that overflows) is refused here.
+        if not (
+            math.isfinite(self.x_max - self.x_min)
+            and math.isfinite(self.y_max - self.y_min)
+        ):
+            raise ValueError(f"region sides must be finite: {self}")
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError(f"degenerate region: {self}")
 

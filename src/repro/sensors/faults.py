@@ -251,8 +251,13 @@ class Level0Behavior(NodeBehavior):
     ) -> Optional[Point]:
         if self.false_alarm_rate > 0 and rng.random() < self.false_alarm_rate:
             # A fabricated event anywhere in the node's sensing range.
-            bearing = rng.uniform(0.0, 2.0 * np.pi)
-            radius = rng.uniform(0.0, self.sensing.config.sensing_radius)
+            # hi * rng.random() is rng.uniform(0.0, hi) bit for bit
+            # (docs/protocol.md, "Random streams").
+            bearing = 2.0 * np.pi * rng.random()
+            radius = self.sensing.config.sensing_radius * rng.random()
+            if not self.sensing.places:
+                # Drawn, but not placed: a binary claim is the node's own.
+                return node_position
             fake = Point(
                 node_position.x + radius * float(np.cos(bearing)),
                 node_position.y + radius * float(np.sin(bearing)),

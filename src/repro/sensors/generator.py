@@ -17,6 +17,7 @@ and informs the event neighbours itself.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -56,8 +57,11 @@ class EventGenerator:
         min_separation: Optional[float] = None,
         max_rejections: int = 10_000,
     ) -> None:
-        if min_separation is not None and min_separation <= 0:
-            raise ValueError("min_separation must be positive when set")
+        if min_separation is not None and not 0 < min_separation < math.inf:
+            raise ValueError(
+                f"min_separation must be positive and finite when set, "
+                f"got {min_separation}"
+            )
         if max_rejections <= 0:
             raise ValueError("max_rejections must be positive")
         self.region = region
@@ -70,10 +74,24 @@ class EventGenerator:
     # Draws
     # ------------------------------------------------------------------
     def draw_location(self) -> Point:
-        """One uniform location in the region."""
+        """One uniform location in the region.
+
+        Each axis draws ``lo + (hi - lo) * rng.random()``, numpy's own
+        formula for ``rng.uniform(lo, hi)`` without the call's argument
+        handling (docs/protocol.md, "Random streams").
+
+        >>> import numpy as np
+        >>> region = Region.square(100.0)
+        >>> rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        >>> EventGenerator(region, rng).draw_location() == Point(
+        ...     twin.uniform(0.0, 100.0), twin.uniform(0.0, 100.0))
+        True
+        """
+        region = self.region
+        rng = self._rng
         return Point(
-            float(self._rng.uniform(self.region.x_min, self.region.x_max)),
-            float(self._rng.uniform(self.region.y_min, self.region.y_max)),
+            region.x_min + (region.x_max - region.x_min) * rng.random(),
+            region.y_min + (region.y_max - region.y_min) * rng.random(),
         )
 
     def next_event(self, time: float = 0.0) -> GroundTruthEvent:

@@ -5,8 +5,9 @@ A :class:`SensorNode` is a network endpoint wrapping one
 generator "informs" it of events within its sensing radius (physics,
 not radio); the behaviour decides what, if anything, to claim; the node
 transmits the claim to its cluster head, encoded as an ``(r, theta)``
-offset when the head places reports (location mode).  A binary head
-reads only who reported, so a binary run's reports carry no offset.
+offset when its sensing model places claims (location mode).  A binary
+head reads only who reported, so a binary run's sensing model is built
+with ``places=False`` and its reports carry no offset.
 CH decision announcements received over the radio feed the behaviour's
 outcome observer, which is how smart adversaries track their own trust
 index.
@@ -42,16 +43,15 @@ class SensorNode(NetworkNode):
         (Experiment 3 compromises correct nodes mid-run by replacing
         their behaviour).
     sensing:
-        Perception model (detection radius; used for the physics gate).
+        Perception model: the detection radius of the physics gate, and
+        the run's ``places`` flag.  A report carries the claim as an
+        ``(r, theta)`` offset only when ``sensing.places`` is set; an
+        unplaced claim is still drawn on the node's stream, so both
+        modes leave the stream in the same state.
     ch_id:
         Current cluster head to report to.
     rng:
         This node's private randomness.
-    encodes_offset:
-        Whether a report carries the claim as an ``(r, theta)`` offset.
-        A binary run's head ignores the offset, so its nodes send
-        ``offset=None``; the behaviour still perceives (and draws) the
-        claimed location either way.
     """
 
     # A sensor acts only on the announcements that name it.
@@ -66,7 +66,6 @@ class SensorNode(NetworkNode):
         ch_id: int,
         rng: np.random.Generator,
         region: Optional[Region] = None,
-        encodes_offset: bool = True,
     ) -> None:
         super().__init__(node_id, position)
         self.behavior = behavior
@@ -74,7 +73,6 @@ class SensorNode(NetworkNode):
         self.ch_id = ch_id
         self._rng = rng
         self.region = region
-        self.encodes_offset = encodes_offset
         #: Whether CH announcements feed the behaviour's outcome observer.
         #: Under the stateless baseline there is no trust index for a
         #: smart adversary to manage, so the harness disables feedback
@@ -179,7 +177,7 @@ class SensorNode(NetworkNode):
             message_id=next(self._message_ids),
             offset=(
                 self.sensing.encode_report(self.position, claimed_location)
-                if self.encodes_offset
+                if self.sensing.places
                 else None
             ),
         )

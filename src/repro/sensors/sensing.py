@@ -7,6 +7,21 @@ both the X and Y directions as dictated by a Gaussian random variable
 with standard deviation sigma".  :class:`SensingModel` implements both:
 binary detectability and noisy location perception, including the
 ``(r, theta)`` encoding nodes actually transmit.
+
+A binary run's head reads only who reported, so its model does not
+place claims: a claim still makes its two draws, which advance the
+node's stream exactly as a placed claim does, and then returns the
+location it was given.
+
+>>> import numpy as np
+>>> model = SensingModel(SensingConfig(location_sigma=4.25), places=False)
+>>> rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+>>> event = Point(30.0, 40.0)
+>>> model.perceive_location(event, rng) is event
+True
+>>> _ = twin.normal(0.0, 4.25), twin.normal(0.0, 4.25)
+>>> rng.bit_generator.state == twin.bit_generator.state
+True
 """
 
 from __future__ import annotations
@@ -40,13 +55,15 @@ class SensingConfig:
     location_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sensing_radius <= 0:
+        if not 0 < self.sensing_radius < math.inf:
             raise ValueError(
-                f"sensing_radius must be positive, got {self.sensing_radius}"
+                f"sensing_radius must be positive and finite, "
+                f"got {self.sensing_radius}"
             )
-        if self.location_sigma < 0:
+        if not 0 <= self.location_sigma < math.inf:
             raise ValueError(
-                f"location_sigma must be non-negative, got {self.location_sigma}"
+                f"location_sigma must be non-negative and finite, "
+                f"got {self.location_sigma}"
             )
 
     def error_probability_beyond(self, r_error: float) -> float:
@@ -66,10 +83,26 @@ class SensingConfig:
 
 
 class SensingModel:
-    """Stateless perception functions parameterised by a config."""
+    """Stateless perception functions parameterised by a config.
 
-    def __init__(self, config: SensingConfig) -> None:
+    Parameters
+    ----------
+    config:
+        Detection radius and correct-node location noise.
+    places:
+        Whether a claim carries a place.  A location run's head places
+        each report, so its nodes perceive a noisy location and send it
+        as an ``(r, theta)`` offset.  A binary run's head reads only who
+        reported: its model is built with ``places=False``, a claim
+        makes the same draws on the same stream and returns the
+        location it was given, and a report carries ``offset=None``.
+        This is the run's one mode flag on the sensing side; the
+        behaviours and ``SensorNode`` read it here.
+    """
+
+    def __init__(self, config: SensingConfig, places: bool = True) -> None:
         self.config = config
+        self.places = places
 
     def detects(self, node_position: Point, event_location: Point) -> bool:
         """Perfect binary detection within ``r_s`` (§2)."""
@@ -87,16 +120,24 @@ class SensingModel:
         """The noisy location a node believes the event occurred at.
 
         ``sigma`` overrides the config's noise level (faulty nodes reuse
-        a correct node's model with a larger sigma).
+        a correct node's model with a larger sigma).  Each axis draws
+        ``0.0 + s * rng.standard_normal()``, which is numpy's own
+        ``rng.normal(0.0, s)`` (``loc + scale * g``) without the call's
+        argument handling.  An unplaced model makes both draws and
+        returns ``event_location``.
         """
         s = self.config.location_sigma if sigma is None else sigma
         if s < 0:
             raise ValueError(f"sigma must be non-negative, got {s}")
         if s == 0:
             return event_location
+        if not self.places:
+            rng.standard_normal()
+            rng.standard_normal()
+            return event_location
         return Point(
-            event_location.x + float(rng.normal(0.0, s)),
-            event_location.y + float(rng.normal(0.0, s)),
+            event_location.x + (0.0 + s * rng.standard_normal()),
+            event_location.y + (0.0 + s * rng.standard_normal()),
         )
 
     def encode_report(

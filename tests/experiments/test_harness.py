@@ -1,5 +1,7 @@
 """Unit tests for the simulation harness (small, fast runs)."""
 
+import math
+
 import pytest
 
 from repro.experiments.harness import (
@@ -218,6 +220,13 @@ class TestValidation:
     def test_unknown_faulty_ids_rejected(self):
         with pytest.raises(ValueError):
             small_binary_run(faulty_ids=(99,))
+
+    @pytest.mark.parametrize("side", [math.nan, math.inf])
+    def test_non_finite_field_side_rejected_at_build(self, side):
+        """The field is refused as it is built, not when the first node
+        lands outside it."""
+        with pytest.raises(ValueError, match="finite"):
+            small_binary_run(field_side=side).build()
 
     def test_double_build_rejected(self):
         run = small_binary_run()

@@ -1,5 +1,7 @@
 """Unit tests for planar geometry primitives."""
 
+import math
+
 import pytest
 
 from repro.network.geometry import Point, PolarOffset, Region, displace_xy
@@ -67,3 +69,22 @@ class TestRegion:
     def test_nonpositive_square_rejected(self):
         with pytest.raises(ValueError):
             Region.square(0.0)
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, 0.0, math.nan, 10.0),
+        (0.0, math.nan, 10.0, 10.0),
+        (0.0, 0.0, math.inf, 10.0),
+        (-math.inf, 0.0, 10.0, 10.0),
+        (0.0, 0.0, 10.0, math.inf),
+        (-1e308, 0.0, 1e308, 10.0),  # finite bounds, infinite side
+    ])
+    def test_non_finite_side_rejected(self, bounds):
+        """A uniform draw over the region checks nothing, so the region
+        refuses what rng.uniform used to."""
+        with pytest.raises(ValueError, match="finite"):
+            Region(*bounds)
+
+    @pytest.mark.parametrize("side", [math.inf, math.nan])
+    def test_non_finite_square_rejected(self, side):
+        with pytest.raises(ValueError, match="finite"):
+            Region.square(side)

@@ -1,5 +1,7 @@
 """Unit tests for ground-truth event generation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,21 @@ class TestDraws:
         gen = EventGenerator(unit_region, rng)
         events = [gen.next_event(), *gen.next_batch(3)]
         assert [event.event_id for event in events] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("region", [
+        Region.square(100.0), Region(-30.5, 12.25, 70.0, 99.5),
+    ])
+    def test_draws_equal_numpy_uniform(self, region):
+        """Each axis is rng.uniform(lo, hi), from the same stream
+        position."""
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        gen = EventGenerator(region, rng)
+        for _ in range(200):
+            assert gen.draw_location() == Point(
+                twin.uniform(region.x_min, region.x_max),
+                twin.uniform(region.y_min, region.y_max),
+            )
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_uniformity_over_quadrants(self, unit_region):
         gen = EventGenerator(unit_region, np.random.default_rng(3))
@@ -68,4 +85,13 @@ class TestBatches:
     def test_invalid_min_separation_rejected(self, unit_region, rng):
         with pytest.raises(ValueError):
             EventGenerator(unit_region, rng, min_separation=0.0)
+
+    @pytest.mark.parametrize("separation", [math.nan, math.inf])
+    def test_non_finite_min_separation_rejected(
+        self, unit_region, rng, separation
+    ):
+        """NaN compares false, so it would place a batch with no
+        separation at all."""
+        with pytest.raises(ValueError, match="finite"):
+            EventGenerator(unit_region, rng, min_separation=separation)
 

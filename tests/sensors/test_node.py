@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.trust import TrustParameters
@@ -10,9 +11,11 @@ from repro.network.messages import ChDecisionAnnouncement, EventReportMessage
 from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, RadioChannel
 from repro.sensors.faults import (
+    CollusionCoordinator,
     CorrectBehavior,
     Level0Behavior,
     Level1Behavior,
+    Level2Behavior,
     TrustEstimator,
 )
 from repro.sensors.generator import GroundTruthEvent
@@ -31,7 +34,9 @@ class Sink(NetworkNode):
 
 
 def make_node(behavior=None, position=Point(45.0, 45.0), seed=1,
-              encodes_offset=True):
+              places=True, make_behavior=None):
+    """A node reporting to a sink; ``make_behavior(sensing)`` builds its
+    behaviour on the node's own sensing model."""
     sim = Simulator(seed=seed)
     channel = RadioChannel(
         sim, ChannelConfig(loss_probability=0.0, propagation_delay=0.001)
@@ -39,9 +44,11 @@ def make_node(behavior=None, position=Point(45.0, 45.0), seed=1,
     sink = Sink()
     channel.register(sink)
     sensing = SensingModel(
-        SensingConfig(sensing_radius=20.0, location_sigma=1.6)
+        SensingConfig(sensing_radius=20.0, location_sigma=1.6), places=places
     )
-    if behavior is None:
+    if make_behavior is not None:
+        behavior = make_behavior(sensing)
+    elif behavior is None:
         behavior = CorrectBehavior(sensing, miss_rate=0.0)
     node = SensorNode(
         node_id=0,
@@ -51,7 +58,6 @@ def make_node(behavior=None, position=Point(45.0, 45.0), seed=1,
         ch_id=100,
         rng=sim.streams.get("node-0"),
         region=Region.square(100.0),
-        encodes_offset=encodes_offset,
     )
     channel.register(node)
     return sim, node, sink
@@ -59,6 +65,32 @@ def make_node(behavior=None, position=Point(45.0, 45.0), seed=1,
 
 def event_at(x, y, event_id=1, t=0.0):
     return GroundTruthEvent(event_id=event_id, time=t, location=Point(x, y))
+
+
+def assert_unplaced_claims_match(make_behavior, claim, chances=24):
+    """A placing node and an unplaced one of one seed, each given the
+    same ``chances`` to claim, compose the same reports save the offset,
+    and leave every stream they draw on in the same state."""
+    runs = {}
+    for places in (True, False):
+        _sim, node, _sink = make_node(make_behavior=make_behavior,
+                                      places=places)
+        reports = [claim(node, i) for i in range(1, chances + 1)]
+        streams = [node._rng]
+        coordinator = getattr(node.behavior, "coordinator", None)
+        if coordinator is not None:
+            streams.append(coordinator._rng)
+        runs[places] = (reports, [s.bit_generator.state for s in streams])
+    placed, placed_states = runs[True]
+    unplaced, unplaced_states = runs[False]
+    assert unplaced_states == placed_states
+    assert [m is None for m in unplaced] == [m is None for m in placed]
+    sent = [m for m in placed if m is not None]
+    assert 0 < len(sent) < chances  # both choices were made
+    assert all(m.offset is not None for m in sent)
+    assert [m for m in unplaced if m is not None] == [
+        m._replace(offset=None) for m in sent
+    ]
 
 
 class TestSensing:
@@ -117,21 +149,54 @@ class TestSensing:
         assert [m.sender for m in sink.received] == [0]
 
     def test_binary_node_sends_no_offset(self):
-        """A node that does not encode offsets still reports, and draws
-        its perceived location, exactly as an encoding node does."""
-        sent = {}
-        for encodes in (True, False):
-            sim, node, sink = make_node(encodes_offset=encodes)
-            node.sense_event(event_at(50.0, 50.0))
-            node.sense_event(event_at(52.0, 48.0, event_id=2))
-            sim.run()
-            sent[encodes] = (sink.received, node._rng.bit_generator.state)
-        located, located_state = sent[True]
-        binary, binary_state = sent[False]
-        assert binary_state == located_state
-        assert [m.offset for m in binary] == [None, None]
-        assert all(m.offset is not None for m in located)
-        assert [m._replace(offset=None) for m in located] == binary
+        """A node whose sensing model does not place claims still
+        reports, and draws its perceived location, exactly as a placing
+        node does."""
+        assert_unplaced_claims_match(
+            lambda sensing: CorrectBehavior(sensing, miss_rate=0.3),
+            lambda node, i: node.compose_report(
+                event_at(50.0 + i % 3, 48.0, event_id=i)
+            ),
+        )
+
+    def test_unplaced_fabricated_false_alarm(self):
+        """A level-0 false alarm draws its bearing and radius, then
+        claims no place."""
+        assert_unplaced_claims_match(
+            lambda sensing: Level0Behavior(sensing, false_alarm_rate=0.5),
+            lambda node, _i: node.compose_false_alarm(),
+        )
+
+    def test_unplaced_natural_false_alarm(self):
+        """A correct node's natural false alarm makes its two location
+        draws, then claims no place."""
+        assert_unplaced_claims_match(
+            lambda sensing: CorrectBehavior(sensing, false_alarm_rate=0.5),
+            lambda node, _i: node.compose_false_alarm(),
+        )
+
+    def test_unplaced_colluder(self):
+        """A level-2 colluder's shared draws come from its coordinator's
+        stream; an unplaced cell leaves that stream where a placing one
+        does."""
+        def colluder(sensing):
+            return Level2Behavior(
+                node_id=0,
+                coordinator=CollusionCoordinator(
+                    sensing, np.random.default_rng(3), silence_rate=0.25
+                ),
+                honest=CorrectBehavior(sensing),
+                estimator=TrustEstimator(
+                    TrustParameters(lam=0.25, fault_rate=0.1)
+                ),
+            )
+
+        assert_unplaced_claims_match(
+            colluder,
+            lambda node, i: node.compose_report(
+                event_at(50.0, 50.0, event_id=i)
+            ),
+        )
 
 
 class TestQuietWindow:

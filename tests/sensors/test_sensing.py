@@ -27,6 +27,14 @@ class TestDetection:
         with pytest.raises(ValueError):
             SensingConfig(location_sigma=-1.0)
 
+    @pytest.mark.parametrize("field", ["sensing_radius", "location_sigma"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, field, value):
+        """A level-0 false alarm draws radius * rng.random(), which
+        checks nothing, so the config refuses what rng.uniform used to."""
+        with pytest.raises(ValueError, match="finite"):
+            SensingConfig(**{field: value})
+
 
 class TestPerception:
     def test_zero_sigma_is_exact(self, rng):
@@ -54,6 +62,32 @@ class TestPerception:
         model = SensingModel(SensingConfig())
         with pytest.raises(ValueError):
             model.perceive_location(Point(0, 0), rng, sigma=-1.0)
+
+    @pytest.mark.parametrize("sigma", [None, 4.25])
+    def test_placed_draws_equal_numpy_normal(self, sigma):
+        """Each axis is rng.normal(0.0, s), from the same stream
+        position."""
+        model = SensingModel(SensingConfig(location_sigma=1.6))
+        s = 1.6 if sigma is None else sigma
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        event = Point(30.0, 40.0)
+        for _ in range(200):
+            assert model.perceive_location(event, rng, sigma=sigma) == Point(
+                event.x + float(twin.normal(0.0, s)),
+                event.y + float(twin.normal(0.0, s)),
+            )
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_unplaced_claim_is_its_input_after_both_draws(self):
+        placed = SensingModel(SensingConfig(location_sigma=1.6))
+        unplaced = SensingModel(SensingConfig(location_sigma=1.6),
+                                places=False)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        event = Point(30.0, 40.0)
+        for _ in range(20):
+            assert unplaced.perceive_location(event, rng) is event
+            assert placed.perceive_location(event, twin) != event
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestEncoding:

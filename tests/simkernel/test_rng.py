@@ -1,5 +1,6 @@
 """Unit tests for named random streams."""
 
+import math
 import os
 import pickle
 import subprocess
@@ -163,6 +164,60 @@ class TestSeedWordCache:
         replay = rng._SeedWords(empty_cache[(5, "x")])
         with pytest.raises(ValueError):
             replay.generate_state(8, np.uint32)
+
+
+#: (lo, hi) of the uniform identity: the origin-anchored ranges a run
+#: draws over (a bearing, a sensing radius, a field side), ranges with a
+#: non-zero low, one whose bounds are far apart, and empty ranges at
+#: both signs of zero.
+UNIFORM_RANGES = (
+    (0.0, 2.0 * np.pi), (0.0, 20.0), (0.0, 100.0),
+    (-30.5, 70.0), (12.25, 99.5), (-1e300, 1e300),
+    (0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0),
+)
+
+#: Scales of the normal identity: the paper's sigmas, and scales whose
+#: products underflow to a signed zero.
+NORMAL_SCALES = (1.6, 4.25, 6.0, 1e-310, 5e-324, 0.0)
+
+
+def _pcg64_pair(seed=2005):
+    return (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+
+
+def _same_bits(got, expected):
+    """Equal values with equal signs of zero."""
+    assert got == expected
+    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+class TestDrawIdentities:
+    """``repro.sensors`` draws its per-event floats with the formulas
+    numpy's C applies inside ``uniform`` and ``normal``, without the
+    calls' argument handling; a numpy that changes either formula fails
+    here by name."""
+
+    @pytest.mark.parametrize("lo, hi", UNIFORM_RANGES)
+    def test_uniform_is_lo_plus_range_times_random(self, lo, hi):
+        numpy_side, formula = _pcg64_pair()
+        for _ in range(2000):
+            expected = numpy_side.uniform(lo, hi)
+            u = formula.random()
+            _same_bits(lo + (hi - lo) * u, expected)
+            if lo == 0.0 and hi > 0.0:
+                # The form a draw from zero takes: hi * u is never
+                # negative, so adding the zero low changes no bit.
+                _same_bits(hi * u, expected)
+        assert formula.bit_generator.state == numpy_side.bit_generator.state
+
+    @pytest.mark.parametrize("s", NORMAL_SCALES)
+    def test_normal_is_zero_plus_scale_times_standard_normal(self, s):
+        numpy_side, formula = _pcg64_pair()
+        for _ in range(2000):
+            _same_bits(
+                0.0 + s * formula.standard_normal(), numpy_side.normal(0.0, s)
+            )
+        assert formula.bit_generator.state == numpy_side.bit_generator.state
 
 
 def test_importing_the_service_leaves_numpy_random_unloaded():
