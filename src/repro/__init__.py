@@ -20,13 +20,22 @@ Package map
     clustering, concurrent-event tracking, diagnosis, the majority
     baseline.
 ``repro.clusterctl``
-    LEACH election with the TI gate, cluster heads, shadow cluster
-    heads, the base station, and the rotating multi-cluster simulation.
+    LEACH election with the TI gate, cluster heads and the corrupt head
+    of §3.4, shadow cluster heads, and the base station.
 ``repro.analysis``
     Closed forms from §5 (figs. 10-11) and the reliability predictor.
 ``repro.experiments``
-    Tables 1-2 as configs, the simulation harness, Experiments 1-3,
-    metrics, and terminal reporting.
+    Tables 1-2 as configs, the simulation harness (fixed-head and
+    rotating multi-cluster networks alike), Experiments 1-4, the sweep
+    runner, metrics, and terminal reporting.
+``repro.obs``
+    Causal spans, decision provenance, metrics records, and the JSONL
+    artifact bundle with its schema checks.
+``repro.service``
+    DES-free trust sessions, a multi-tenant session manager, and the
+    HTTP/JSON front end behind ``tibfit-repro serve``.
+``repro.chaos``
+    Fault plans, runtime invariants and ``plan x seed`` campaigns.
 
 Quick start
 -----------

@@ -482,19 +482,18 @@ def _sparkline(values: np.ndarray, width: int) -> str:
     return "".join(_SPARK_CHARS[level] for level in levels)
 
 
-def _render_registry(snapshot: List[Dict[str, object]]) -> str:
-    """Terminal table of a metrics-registry snapshot."""
+def _render_metrics(records: List[Dict[str, object]]) -> str:
+    """Terminal table of metrics records."""
     rows = []
-    for record in snapshot:
+    for record in records:
         kind = record["type"]
         if kind in ("counter", "gauge"):
             detail = f"{record['value']:g}"
         else:
-            detail = f"n={record['count']} mean={record['mean']:.6g}"
-            if record["count"]:
-                detail += (
-                    f" p50={record['p50']:.6g} p90={record['p90']:.6g}"
-                )
+            detail = (
+                f"n={record['count']} mean={record['mean']:.6g} "
+                f"p50={record['p50']:.6g} p90={record['p90']:.6g}"
+            )
         rows.append((str(record["name"]), str(kind), detail))
     return render_table(["instrument", "type", "value"], rows)
 
@@ -563,10 +562,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             line += f" diagnosed@t={diagnosis_times[node]:g}"
         print(line)
 
-    registry = run.instruments()
+    records = run.instruments()
+    values = {record["name"]: record.get("value") for record in records}
     print("\ndecision timeline:")
-    occurred = registry.counter("ch.decision.occurred").value
-    rejected = registry.counter("ch.decision.rejected").value
+    occurred = values["ch.decision.occurred"]
+    rejected = values["ch.decision.rejected"]
     print(
         f"  {len(run.ch.decisions)} decisions "
         f"({occurred:g} occurred, {rejected:g} rejected)"
@@ -582,8 +582,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         print("  diagnosis disabled (no --diagnosis-threshold)")
 
-    print("\nmetrics registry:")
-    print(_render_registry(registry.snapshot()))
+    print("\nmetrics:")
+    print(_render_metrics(records))
 
     print(
         f"\nspans: {run.spans.emitted} emitted, "

@@ -78,8 +78,10 @@ def cluster_reports_flat(
         Clusters sorted by descending size then ascending first index,
         so the dominant candidate event comes first.
     """
-    if r_error <= 0:
-        raise ValueError(f"r_error must be positive, got {r_error}")
+    if not 0 < r_error < math.inf:
+        raise ValueError(
+            f"r_error must be positive and finite, got {r_error}"
+        )
     n = len(xs)
     if n == 0:
         return []

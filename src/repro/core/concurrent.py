@@ -85,8 +85,10 @@ class CircleTracker:
         t_out: float,
         on_group_rows: Callable[[List[Row]], None],
     ) -> None:
-        if r_error <= 0:
-            raise ValueError(f"r_error must be positive, got {r_error}")
+        if not 0 < r_error < math.inf:
+            raise ValueError(
+                f"r_error must be positive and finite, got {r_error}"
+            )
         if t_out <= 0:
             raise ValueError(f"t_out must be positive, got {t_out}")
         self._sim = sim

@@ -132,8 +132,10 @@ class DecisionKernel:
             raise ValueError(
                 f"sensing_radius must be positive, got {sensing_radius}"
             )
-        if r_error <= 0:
-            raise ValueError(f"r_error must be positive, got {r_error}")
+        if not 0 < r_error < math.inf:
+            raise ValueError(
+                f"r_error must be positive and finite, got {r_error}"
+            )
         self.deployment = deployment
         self.sensing_radius = sensing_radius
         self.r_error = r_error

@@ -60,8 +60,10 @@ class TrustParameters:
     fault_rate: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(
+                f"lambda must be positive and finite, got {self.lam}"
+            )
         if not 0.0 <= self.fault_rate < 1.0:
             raise ValueError(
                 f"fault_rate must be in [0, 1), got {self.fault_rate}"

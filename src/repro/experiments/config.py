@@ -8,6 +8,7 @@ the parameter sheets in the papers' row format for the bench harness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -137,8 +138,11 @@ class Experiment2Config:
             raise ValueError(f"fault_level must be 0, 1 or 2, got {self.fault_level}")
         if self.n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
-        if self.sensing_radius <= 0 or self.r_error <= 0:
-            raise ValueError("radii must be positive")
+        if not (
+            0 < self.sensing_radius < math.inf
+            and 0 < self.r_error < math.inf
+        ):
+            raise ValueError("radii must be positive and finite")
         if not 0.0 <= self.channel_loss < 1.0:
             raise ValueError("channel_loss must be in [0, 1)")
         if self.concurrent_batch < 1:

@@ -50,11 +50,11 @@ from repro.sensors.sensing import SensingConfig, SensingModel
 from repro.obs.export import (
     build_manifest,
     chrome_trace,
+    metrics_records,
     write_json,
     write_jsonl,
 )
 from repro.obs.provenance import ProvenanceIndex
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import NULL_SPANS, SpanCollector
 from repro.service.ids import IdAllocator
 from repro.service.session import DecisionRecord, SessionConfig
@@ -952,19 +952,20 @@ class SimulationRun:
             ),
         }
 
-    def instruments(self) -> MetricsRegistry:
-        """The run's counts as metrics: ``metrics.jsonl`` and the
-        ``trace`` table.
+    def instruments(self) -> List[Dict[str, object]]:
+        """The run's counts as metrics records, sorted by name: the
+        ``metrics.jsonl`` lines and the ``trace`` table.
 
-        Each instrument reads one tally the run keeps anyway: the
+        Each record reads one tally the run keeps anyway: the
         channel's ``sent`` / ``delivered`` / ``drops``, the chaos
         controller's ``counts``, every head's log (retired heads
         included; a shadow mirror is no head) and the simulator's
         ``events_fired`` and ``pending``.  ``trust.vote.margin`` reads
         the buffered ``trust.vote`` spans, so only a run that collects
-        spans has it.  Per-reason drops, chaos faults, diagnoses and
-        votes are left out while zero.  Only meaningful after
-        :meth:`run`.
+        spans has it, and it counts fewer votes than ``trust.votes``
+        once the collector has evicted some.  Per-reason drops, chaos
+        faults, diagnoses and votes are left out while zero.  Only
+        meaningful after :meth:`run`.
         """
         assert self.sim is not None and self.channel is not None
         channel = self.channel
@@ -973,15 +974,13 @@ class SimulationRun:
         occurred = sum(
             1 for head in heads for d in head.decisions if d.occurred
         )
-        registry = MetricsRegistry()
-        for name, n in (
-            ("radio.sent", channel.sent),
-            ("radio.delivered", channel.delivered),
-            ("radio.dropped", channel.dropped),
-            ("ch.decision.occurred", occurred),
-            ("ch.decision.rejected", decided - occurred),
-        ):
-            registry.counter(name).inc(n)
+        counters = {
+            "radio.sent": channel.sent,
+            "radio.delivered": channel.delivered,
+            "radio.dropped": channel.dropped,
+            "ch.decision.occurred": occurred,
+            "ch.decision.rejected": decided - occurred,
+        }
         tallies = {f"radio.drop.{why}": n for why, n in channel.drops.items()}
         if self.chaos is not None:
             tallies.update(
@@ -989,16 +988,20 @@ class SimulationRun:
             )
         tallies["ch.diagnosis"] = sum(len(head.diagnosed) for head in heads)
         tallies["trust.votes"] = sum(head.votes for head in heads)
-        for name, n in tallies.items():
-            if n:
-                registry.counter(name).inc(n)
-        registry.gauge("des.events_fired").set(self.sim.events_fired)
-        registry.gauge("des.queue_depth").set(self.sim.pending)
-        for vote in self.spans.spans("trust.vote"):
-            registry.histogram("trust.vote.margin").observe(
-                abs(vote.args["cti_r"] - vote.args["cti_nr"])
-            )
-        return registry
+        counters.update((name, n) for name, n in tallies.items() if n)
+        return metrics_records(
+            counters,
+            {
+                "des.events_fired": self.sim.events_fired,
+                "des.queue_depth": self.sim.pending,
+            },
+            {
+                "trust.vote.margin": [
+                    abs(vote.args["cti_r"] - vote.args["cti_nr"])
+                    for vote in self.spans.spans("trust.vote")
+                ],
+            },
+        )
 
     def export_artifacts(self, out_dir) -> Dict[str, Path]:
         """Serialise the run's observability state to ``out_dir``.
@@ -1029,9 +1032,7 @@ class SimulationRun:
         )
         paths = {
             "manifest": write_json(out / "manifest.json", manifest),
-            "metrics": write_jsonl(
-                out / "metrics.jsonl", self.instruments().snapshot()
-            ),
+            "metrics": write_jsonl(out / "metrics.jsonl", self.instruments()),
         }
         if self.journal:
             paths["session_journal"] = write_jsonl(

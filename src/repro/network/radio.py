@@ -13,6 +13,7 @@ duplicates) go through a transmit interceptor.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
@@ -78,9 +79,10 @@ class ChannelConfig:
             raise ValueError(
                 f"loss_probability must be in [0, 1], got {self.loss_probability}"
             )
-        if self.propagation_delay < 0:
-            raise ValueError("propagation_delay must be non-negative")
-        if self.range_limit is not None and self.range_limit <= 0:
+        if not 0 <= self.propagation_delay < math.inf:
+            raise ValueError("propagation_delay must be non-negative and finite")
+        # Negated, so NaN fails it too; an infinite limit is no limit.
+        if self.range_limit is not None and not self.range_limit > 0:
             raise ValueError("range_limit must be positive when set")
 
 

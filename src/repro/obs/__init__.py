@@ -2,11 +2,11 @@
 
 ``repro.obs`` makes runs *inspectable*:
 
-``repro.obs.registry``
-    Named counters / gauges / histograms: the ``metrics.jsonl`` records,
-    read after a run from the tallies it keeps anyway.
 ``repro.obs.export``
-    JSONL artifact writers, per-run manifests, and schema validators.
+    JSONL artifact writers, per-run manifests, schema validators, and
+    :func:`metrics_records`, the one writer of the ``metrics.jsonl``
+    records (counters, gauges, histograms) from tallies a run keeps
+    anyway.
 ``repro.obs.spans``
     Causal point spans with parent links (:class:`SpanCollector`) --
     the run's one event log -- and the zero-overhead disabled
@@ -16,7 +16,7 @@
     full evidence chain behind any CH verdict.
 
 Entry points: ``SimulationRun.instruments()`` reads a finished run's
-counts into a registry and ``export_artifacts()`` writes the JSONL
+counts into metrics records and ``export_artifacts()`` writes the JSONL
 bundle (``spans=True`` adds spans / provenance / a Chrome trace, and
 ``journal=True`` the session journal, whose replay is the run's TI
 history); ``tibfit-repro trace`` does all three from the command line;
@@ -32,6 +32,7 @@ from repro.obs.export import (
     SchemaError,
     build_manifest,
     chrome_trace,
+    metrics_records,
     read_jsonl,
     validate_artifacts,
     validate_manifest,
@@ -43,14 +44,9 @@ from repro.obs.export import (
 )
 from repro.obs.provenance import ProvenanceIndex
 from repro.obs.spans import NULL_SPANS, Span, SpanCollector
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MANIFEST_SCHEMA_VERSION",
-    "MetricsRegistry",
     "NULL_SPANS",
     "ProvenanceIndex",
     "SchemaError",
@@ -58,6 +54,7 @@ __all__ = [
     "SpanCollector",
     "build_manifest",
     "chrome_trace",
+    "metrics_records",
     "read_jsonl",
     "validate_artifacts",
     "validate_manifest",

@@ -3,8 +3,8 @@
 An exported run writes two artifacts side by side::
 
     manifest.json     what ran: config, seed, code version, timings
-    metrics.jsonl     one instrument snapshot per line, read from the
-                      run's own counts (SimulationRun.instruments)
+    metrics.jsonl     one record per named count, read from the run's
+                      own tallies (metrics_records, SimulationRun.instruments)
 
 a journalled run (``SimulationRun(journal=True)``) adds the record its
 TI history replays from::
@@ -32,17 +32,19 @@ observability job runs exactly that via ``python -m repro.obs.validate``.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import re
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
     "SchemaError",
     "build_manifest",
     "chrome_trace",
+    "metrics_records",
     "read_jsonl",
     "validate_artifacts",
     "validate_manifest",
@@ -166,6 +168,57 @@ def validate_manifest(doc: object) -> None:
 # ----------------------------------------------------------------------
 # Metrics records
 # ----------------------------------------------------------------------
+def metrics_records(
+    counters: Mapping[str, int],
+    gauges: Mapping[str, float],
+    histograms: Mapping[str, Sequence[float]],
+) -> List[Dict[str, object]]:
+    """The ``metrics.jsonl`` records of named tallies, sorted by name.
+
+    A counter is ``{name, type, value}`` and a gauge the same with a
+    ``float`` value.  A histogram carries ``count``, ``sum`` (added left
+    to right from 0.0), ``mean``, ``min``, ``max`` and the nearest-rank
+    ``p50``, ``p90`` and ``p99`` over every value; an empty one is left
+    out, as it has no mean and NaN is not JSON.
+
+    >>> records = metrics_records(
+    ...     {"radio.sent": 3}, {"des.queue_depth": 0},
+    ...     {"trust.vote.margin": [0.5, 0.25]},
+    ... )
+    >>> for record in records:  # doctest: +NORMALIZE_WHITESPACE
+    ...     print(record)
+    {'name': 'des.queue_depth', 'type': 'gauge', 'value': 0.0}
+    {'name': 'radio.sent', 'type': 'counter', 'value': 3}
+    {'name': 'trust.vote.margin', 'type': 'histogram', 'count': 2,
+     'sum': 0.75, 'mean': 0.375, 'min': 0.25, 'max': 0.5,
+     'p50': 0.25, 'p90': 0.5, 'p99': 0.5}
+    """
+    records: List[Dict[str, object]] = [
+        {"name": name, "type": "counter", "value": value}
+        for name, value in counters.items()
+    ]
+    records += [
+        {"name": name, "type": "gauge", "value": float(value)}
+        for name, value in gauges.items()
+    ]
+    for name, values in histograms.items():
+        if not values:
+            continue
+        total = 0.0
+        for value in values:
+            total += value
+        ordered = sorted(values)
+        n = len(ordered)
+        record: Dict[str, object] = {
+            "name": name, "type": "histogram", "count": n, "sum": total,
+            "mean": total / n, "min": ordered[0], "max": ordered[-1],
+        }
+        for key, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+            record[key] = ordered[max(0, min(n - 1, math.ceil(q * n) - 1))]
+        records.append(record)
+    return sorted(records, key=lambda record: record["name"])
+
+
 def validate_metrics_record(record: object) -> None:
     """Raise :class:`SchemaError` unless ``record`` is one metrics line."""
     if not isinstance(record, dict):

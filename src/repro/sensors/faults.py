@@ -25,6 +25,7 @@ behaviour is reproducible from the stream seeds.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 import numpy as np
@@ -32,6 +33,15 @@ import numpy as np
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, Region
 from repro.sensors.sensing import SensingModel
+
+
+def _check_sigma(location_sigma: float) -> None:
+    """Refuse a lying sigma that ``SensingConfig`` would refuse."""
+    if not 0 <= location_sigma < math.inf:
+        raise ValueError(
+            f"location_sigma must be non-negative and finite, "
+            f"got {location_sigma}"
+        )
 
 
 class TrustEstimator:
@@ -221,8 +231,7 @@ class Level0Behavior(NodeBehavior):
             raise ValueError(
                 f"false_alarm_rate must be in [0, 1], got {false_alarm_rate}"
             )
-        if location_sigma < 0:
-            raise ValueError("location_sigma must be non-negative")
+        _check_sigma(location_sigma)
         self.sensing = sensing
         self.drop_rate = drop_rate
         self.false_alarm_rate = false_alarm_rate
@@ -367,6 +376,7 @@ class CollusionCoordinator:
                 f"need 0 <= lower_ti < upper_ti <= 1, got "
                 f"{lower_ti}, {upper_ti}"
             )
+        _check_sigma(location_sigma)
         self.sensing = sensing
         self._rng = rng
         self.location_sigma = location_sigma

@@ -3,9 +3,9 @@
 A :class:`CorrectSpec` / :class:`FaultSpec` pair describes the two node
 populations of an experiment (§2.1's categories with Table 1/2
 parameters); the factory functions turn a spec into a concrete
-:class:`~repro.sensors.faults.NodeBehavior` for one node.  Both the
-single-CH experiment harness and the rotating multi-cluster simulation
-build their populations through these.
+:class:`~repro.sensors.faults.NodeBehavior` for one node.  The
+experiment harness builds every population through these, on a fixed
+head and on the rotating multi-cluster network alike.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Unit tests for the event-report clustering heuristic (§3.2)."""
 
+import math
+
 import pytest
 
 from repro.core.clustering import cluster_reports_flat
@@ -26,6 +28,11 @@ class TestBasics:
     def test_invalid_r_error_rejected(self):
         with pytest.raises(ValueError):
             cluster_points([Point(0, 0)], 0.0)
+
+    @pytest.mark.parametrize("r_error", [math.nan, math.inf])
+    def test_non_finite_r_error_rejected(self, r_error):
+        with pytest.raises(ValueError, match="r_error"):
+            cluster_reports_flat([0.0], [0.0], r_error)
 
     def test_tight_blob_forms_one_cluster(self):
         pts = [

@@ -1,5 +1,7 @@
 """Unit tests for concurrent-event circle tracking (§3.3)."""
 
+import math
+
 import pytest
 
 from repro.core.concurrent import CircleTracker
@@ -141,6 +143,11 @@ class TestValidation:
             CircleTracker(sim, r_error=0.0, t_out=1.0, on_group_rows=print)
         with pytest.raises(ValueError):
             CircleTracker(sim, r_error=5.0, t_out=0.0, on_group_rows=print)
+
+    @pytest.mark.parametrize("r_error", [math.nan, math.inf])
+    def test_non_finite_r_error_rejected(self, sim, r_error):
+        with pytest.raises(ValueError, match="r_error"):
+            CircleTracker(sim, r_error=r_error, t_out=1.0, on_group_rows=print)
 
     def test_reports_sorted_within_group(self, sim):
         tracker, groups = make_tracker(sim)

@@ -10,6 +10,7 @@ nodes, implausible claims, unknown senders; up to about 70 rows) and
 compare everything.
 """
 
+import math
 import random
 
 import pytest
@@ -263,3 +264,10 @@ class TestKernelValidation:
             DecisionKernel(deployment, 0.0, 5.0, voter)
         with pytest.raises(ValueError, match="r_error"):
             DecisionKernel(deployment, 20.0, -1.0, voter)
+
+    @pytest.mark.parametrize("r_error", [math.nan, math.inf])
+    def test_rejects_non_finite_r_error(self, r_error):
+        deployment = make_deployment({0: Point(1.0, 1.0)})
+        voter = CtiVoter(TrustTable(TrustParameters(), [0]))
+        with pytest.raises(ValueError, match="r_error"):
+            DecisionKernel(deployment, 20.0, r_error, voter)

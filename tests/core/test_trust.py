@@ -35,6 +35,11 @@ class TestTrustParameters:
         with pytest.raises(ValueError):
             TrustParameters(lam=0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            TrustParameters(lam=lam)
+
     def test_invalid_fault_rate_rejected(self):
         with pytest.raises(ValueError):
             TrustParameters(fault_rate=1.0)

@@ -148,7 +148,7 @@ class TestTrace:
         assert code == 0
         assert "TI trajectories" in out
         assert "decision timeline:" in out
-        assert "metrics registry:" in out
+        assert "\nmetrics:\n" in out
         assert "radio.sent" in out
         assert "trust.vote.margin" in out
 

@@ -1,5 +1,7 @@
 """Unit tests for the experiment parameter sheets (Tables 1-2, Exp. 3)."""
 
+import math
+
 import pytest
 
 from repro.experiments.config import (
@@ -79,6 +81,11 @@ class TestExperiment2Config:
             Experiment2Config(channel_loss=1.0)
         with pytest.raises(ValueError):
             Experiment2Config(concurrent_batch=0)
+
+    @pytest.mark.parametrize("r_error", [math.nan, math.inf])
+    def test_non_finite_r_error_rejected(self, r_error):
+        with pytest.raises(ValueError, match="radii"):
+            Experiment2Config(r_error=r_error)
 
 
 class TestExperiment3Config:

@@ -228,6 +228,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             small_binary_run(field_side=side).build()
 
+    @pytest.mark.parametrize("level", [0, 2])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_faulty_sigma_rejected_at_build(self, sigma, level):
+        """The liars' sigma is refused as the correct side's is, not
+        run with NaN or infinite claims that the vote discards."""
+        run = small_location_run(
+            faulty_ids=(1, 5, 9),
+            fault_spec=FaultSpec(level=level, drop_rate=0.25, sigma=sigma),
+        )
+        with pytest.raises(ValueError, match="location_sigma"):
+            run.build()
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            small_location_run(faulty_ids=(1, 5, 9), lam=lam).build()
+
+    @pytest.mark.parametrize("r_error", [math.nan, math.inf])
+    def test_non_finite_r_error_rejected_at_build(self, r_error):
+        run = small_location_run(faulty_ids=(1, 5, 9), r_error=r_error)
+        with pytest.raises(ValueError, match="r_error"):
+            run.build()
+
     def test_double_build_rejected(self):
         run = small_binary_run()
         run.build()

@@ -27,6 +27,7 @@ from repro.chaos.plan import builtin_plans
 from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
 from repro.obs.export import read_jsonl, validate_artifacts
 from repro.obs.provenance import ProvenanceIndex
+from repro.obs.spans import SpanCollector
 from repro.service.session import TrustSession
 
 DIAGNOSIS_THRESHOLD = 0.5
@@ -176,7 +177,7 @@ class TestCountsMatchSpans:
         run, _ = runs
         values = {
             record["name"]: record.get("value", record.get("count"))
-            for record in run.instruments().snapshot()
+            for record in run.instruments()
         }
         assert {
             name: n for name, n in values.items() if name.startswith("chaos.")
@@ -203,12 +204,42 @@ class TestCountsMatchSpans:
         spanned, plain = runs
         unspanned = {"trust.vote.margin", "des.events_fired"}
         assert [
-            record for record in spanned.instruments().snapshot()
+            record for record in spanned.instruments()
             if record["name"] not in unspanned
         ] == [
-            record for record in plain.instruments().snapshot()
+            record for record in plain.instruments()
             if record["name"] not in unspanned
         ]
+
+
+class TestVoteMargin:
+    """``trust.vote.margin`` covers exactly the ``trust.vote`` spans the
+    collector still buffers, so it counts every CTI vote only while no
+    span was evicted."""
+
+    @staticmethod
+    def records(run):
+        return {record["name"]: record for record in run.instruments()}
+
+    def test_counts_every_vote_when_nothing_is_evicted(self):
+        run = make_run(spans=True).run(30)
+        assert run.spans.evicted == 0
+        records = self.records(run)
+        assert records["trust.votes"]["value"] > 0
+        assert (
+            records["trust.vote.margin"]["count"]
+            == records["trust.votes"]["value"]
+        )
+
+    def test_counts_only_buffered_votes_after_eviction(self):
+        run = make_run(spans=True)
+        run.spans = SpanCollector(max_spans=200)
+        run.run(30)
+        assert run.spans.evicted > 0
+        records = self.records(run)
+        buffered = len(run.spans.spans("trust.vote"))
+        assert records["trust.vote.margin"]["count"] == buffered
+        assert 0 < buffered < records["trust.votes"]["value"]
 
 
 def test_metrics_jsonl_depends_only_on_config_and_seed(tmp_path, capsys):
@@ -439,10 +470,12 @@ class TestRotatingProvenance:
         assert counts["session_journal.jsonl"] == len(run.session_journal())
         # Only the heads' verdicts count: each head's shadow mirror
         # decides every window again, unobserved.
-        registry = run.instruments()
+        values = {
+            record["name"]: record.get("value")
+            for record in run.instruments()
+        }
         assert (
-            registry.counter("ch.decision.occurred").value
-            + registry.counter("ch.decision.rejected").value
+            values["ch.decision.occurred"] + values["ch.decision.rejected"]
         ) == decisions
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["counts"]["decisions"] == decisions

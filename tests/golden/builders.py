@@ -354,15 +354,14 @@ def build_exp4_rotation() -> Dict[str, object]:
 def _chaos_entry(run: SimulationRun) -> Dict[str, object]:
     """One chaos run's outcome, its radio and chaos tallies, and how far
     it drew on the ``"channel"`` and ``"chaos"`` streams."""
-    registry = run.instruments()
     return {
         "fingerprint": run_fingerprint(run),
         "channel": [run.channel.sent, run.channel.delivered,
                     run.channel.dropped],
         "counters": {
-            name: registry.counter(name).value
-            for name in registry.names()
-            if name.startswith(("radio.", "chaos."))
+            record["name"]: record["value"]
+            for record in run.instruments()
+            if record["name"].startswith(("radio.", "chaos."))
         },
         "streams": {
             name: run.sim.streams.get(name).bit_generator.state

@@ -1,5 +1,7 @@
 """Unit tests for the lossy radio channel."""
 
+import math
+
 import pytest
 
 from repro.network.geometry import Point
@@ -113,6 +115,15 @@ class TestLoss:
     def test_invalid_loss_probability_rejected(self):
         with pytest.raises(ValueError, match="loss_probability"):
             ChannelConfig(loss_probability=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("range_limit", math.nan),
+        ("propagation_delay", math.nan),
+        ("propagation_delay", math.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChannelConfig(**{field: value})
 
 
 class TestRange:

@@ -1,5 +1,7 @@
 """Unit tests for the four node categories and the adversary model (§2.1)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,11 @@ class TestLevel0Behavior:
         assert Level0Behavior(SENSING).level == 0
         assert Level0Behavior(SENSING).is_faulty
 
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_sigma_must_be_non_negative_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="location_sigma"):
+            Level0Behavior(SENSING, location_sigma=sigma)
+
 
 def make_level1(lower=0.5, upper=0.8, drop=1.0):
     lying = Level0Behavior(SENSING, drop_rate=drop, location_sigma=6.0)
@@ -231,6 +238,11 @@ def make_collusion(n=3, silence_rate=0.0, seed=1):
 
 
 class TestLevel2Collusion:
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_sigma_must_be_non_negative_and_finite(self, sigma, rng):
+        with pytest.raises(ValueError, match="location_sigma"):
+            CollusionCoordinator(SENSING, rng, location_sigma=sigma)
+
     def test_all_members_report_identical_location(self, rng):
         _coord, members = make_collusion(n=4)
         for m in members:

@@ -1,5 +1,6 @@
 """Guards: every definition in ``src`` is read by the program itself,
-and every name a module of ``src`` imports is read by that module.
+every name a module of ``src`` imports is read by that module, and
+every name an annotation in ``src`` loads is bound.
 
 A top-level function or class of ``src/repro``, or a non-dunder method
 of one of its top-level classes, must be read somewhere in ``src``,
@@ -22,11 +23,18 @@ A public attribute that a top-level class of ``src/repro`` stores on
 must be loaded somewhere in the same four trees, again by bare name.
 An augmented assignment stores; it is not a read.  A counter that only
 tests read is state the program keeps for nobody.
+
+A name an annotation loads, quoted or not, must be bound somewhere in
+its module (imported, defined or assigned) or be a builtin: under
+``from __future__ import annotations`` nothing evaluates an annotation
+until ``typing.get_type_hints`` does, and then an unbound name raises
+``NameError``.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 from pathlib import Path
 from typing import Iterator, List, Set, Tuple
 
@@ -131,12 +139,21 @@ def _reads() -> Set[str]:
     return names
 
 
-def _loads(tree: ast.AST) -> Set[str]:
-    """Names loaded in ``tree``, quoted annotations included."""
-    names = {
-        node.id for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
+def _names(expression: ast.AST) -> Iterator[str]:
+    """Names an annotation expression loads, inside quotes included."""
+    for part in ast.walk(expression):
+        if isinstance(part, ast.Name):
+            yield part.id
+        elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+            try:
+                yield from _names(ast.parse(part.value, mode="eval"))
+            except SyntaxError:  # a Literal string, not a name
+                pass
+
+
+def _annotation_names(tree: ast.AST) -> Set[str]:
+    """Names the annotations in ``tree`` load, quoted or not."""
+    names: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             annotation = node.returns
@@ -144,12 +161,34 @@ def _loads(tree: ast.AST) -> Set[str]:
             annotation = node.annotation
         else:
             continue
-        for part in ast.walk(annotation) if annotation is not None else ():
-            if isinstance(part, ast.Constant) and isinstance(part.value, str):
-                try:
-                    names |= _loads(ast.parse(part.value, mode="eval"))
-                except SyntaxError:  # a Literal string, not a name
-                    pass
+        if annotation is not None:
+            names.update(_names(annotation))
+    return names
+
+
+def _loads(tree: ast.AST) -> Set[str]:
+    """Names loaded in ``tree``, quoted annotations included."""
+    return _annotation_names(tree) | {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _bound(tree: ast.AST) -> Set[str]:
+    """Names a module binds anywhere: imports, definitions, stores."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+            )
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
     return names
 
 
@@ -171,6 +210,19 @@ def test_every_src_import_is_read_by_its_module():
                 if bound != "*" and bound not in loaded:
                     unused.append(f"{module}:{node.lineno}: {bound}")
     assert not unused, "imported but never read:\n  " + "\n  ".join(unused)
+
+
+def test_every_annotation_name_is_bound():
+    builtin = set(dir(builtins))
+    unbound = []
+    for path in _python_files("src"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name in sorted(_annotation_names(tree) - _bound(tree) - builtin):
+            unbound.append(f"{_module(path)}: {name}")
+    assert not unbound, (
+        "annotated with a name the module never binds (typing.get_type_hints "
+        "raises NameError):\n  " + "\n  ".join(unbound)
+    )
 
 
 def test_every_src_definition_is_read_by_the_program():
