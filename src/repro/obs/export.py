@@ -179,7 +179,8 @@ def metrics_records(
     ``float`` value.  A histogram carries ``count``, ``sum`` (added left
     to right from 0.0), ``mean``, ``min``, ``max`` and the nearest-rank
     ``p50``, ``p90`` and ``p99`` over every value; an empty one is left
-    out, as it has no mean and NaN is not JSON.
+    out, as it has no mean and NaN is not JSON.  A name given for two
+    kinds raises ``ValueError``: a reader keys the records by name.
 
     >>> records = metrics_records(
     ...     {"radio.sent": 3}, {"des.queue_depth": 0},
@@ -193,6 +194,10 @@ def metrics_records(
      'sum': 0.75, 'mean': 0.375, 'min': 0.25, 'max': 0.5,
      'p50': 0.25, 'p90': 0.5, 'p99': 0.5}
     """
+    names = [*counters, *gauges, *histograms]
+    if len(set(names)) < len(names):
+        twice = sorted({name for name in names if names.count(name) > 1})
+        raise ValueError(f"metric names given for two kinds: {twice}")
     records: List[Dict[str, object]] = [
         {"name": name, "type": "counter", "value": value}
         for name, value in counters.items()

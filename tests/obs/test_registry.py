@@ -1,119 +1,70 @@
-"""Unit tests for the metrics registry."""
+"""Unit tests for the metrics records: one kind of tally at a time, then a
+set of names.
+
+``repro.obs.export.metrics_records`` writes every ``metrics.jsonl``
+record straight from the tallies it is given; these tests keep the
+names they had when an in-memory registry stood between the two.
+"""
 
 import pytest
 
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.export import metrics_records, validate_metrics_record
 
 
 class TestInstruments:
     def test_counter_increments(self):
-        c = Counter("hits")
-        c.inc()
-        c.inc(3)
-        assert c.value == 4
-        assert c.snapshot() == {"name": "hits", "type": "counter", "value": 4}
+        (record,) = metrics_records({"hits": 4}, {}, {})
+        assert record == {"name": "hits", "type": "counter", "value": 4}
+        assert type(record["value"]) is int
 
     def test_gauge_keeps_last_value(self):
-        g = Gauge("depth")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
-        assert g.snapshot()["value"] == 1.5
+        (record,) = metrics_records({}, {"depth": 3}, {})
+        assert record == {"name": "depth", "type": "gauge", "value": 3.0}
+        assert type(record["value"]) is float
 
     def test_histogram_exact_aggregates(self):
-        h = Histogram("margin")
-        for v in (2.0, 8.0, 5.0):
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["count"] == 3
-        assert snap["sum"] == pytest.approx(15.0)
-        assert snap["mean"] == pytest.approx(5.0)
-        assert snap["min"] == 2.0
-        assert snap["max"] == 8.0
-        assert snap["p50"] == 5.0
+        (record,) = metrics_records({}, {}, {"margin": [2.0, 8.0, 5.0]})
+        assert record["count"] == 3
+        assert record["sum"] == 15.0
+        assert record["mean"] == 5.0
+        assert record["min"] == 2.0
+        assert record["max"] == 8.0
+        assert record["p50"] == 5.0
 
     def test_empty_histogram_snapshot_has_no_quantiles(self):
-        snap = Histogram("empty").snapshot()
-        assert snap["count"] == 0
-        assert "mean" not in snap  # NaN is not strict JSON
-        assert "p50" not in snap and "min" not in snap
-
-    def test_empty_histogram_mean_is_nan(self):
-        import math
-
-        assert math.isnan(Histogram("empty").mean)
-
-    def test_empty_histogram_quantile_raises(self):
-        with pytest.raises(ValueError, match="empty histogram 'empty'"):
-            Histogram("empty").quantile(0.5)
+        # An empty histogram has no mean, and NaN is not strict JSON.
+        assert metrics_records({}, {}, {"empty": []}) == []
 
     def test_histogram_quantiles_nearest_rank(self):
-        h = Histogram("q")
-        for v in range(1, 11):
-            h.observe(float(v))
-        assert h.quantile(0.5) == 5.0
-        assert h.quantile(0.9) == 9.0
-        assert h.quantile(0.0) == 1.0
-        assert h.quantile(1.0) == 10.0
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_histogram_reservoir_truncates_quantiles_not_aggregates(self):
-        from repro.obs import registry as mod
-
-        h = Histogram("big")
-        n = mod._RESERVOIR_MAX + 100
-        for v in range(n):
-            h.observe(float(v))
-        assert h.count == n  # exact past the reservoir
-        assert h.max == float(n - 1)
-        assert h.truncated
-        assert h.snapshot()["truncated"] is True
+        values = [float(v) for v in range(10, 0, -1)]
+        (record,) = metrics_records({}, {}, {"q": values})
+        assert (record["p50"], record["p90"], record["p99"]) == (5.0, 9.0, 10.0)
+        assert (record["min"], record["max"]) == (1.0, 10.0)
 
 
 class TestRegistry:
-    def test_same_name_returns_same_instrument(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert len(reg) == 1
-
     def test_type_conflict_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("x")
+        with pytest.raises(ValueError, match=r"two kinds: \['x'\]"):
+            metrics_records({"x": 1}, {"x": 1.0}, {})
+        with pytest.raises(ValueError, match=r"two kinds: \['y'\]"):
+            metrics_records({}, {"y": 1.0}, {"y": [1.0]})
 
     def test_snapshot_sorted_by_name(self):
-        reg = MetricsRegistry()
-        reg.counter("z").inc()
-        reg.gauge("a").set(1.0)
-        assert [r["name"] for r in reg.snapshot()] == ["a", "z"]
-
-    def test_truncated_reservoirs_surface_as_counter(self):
-        from repro.obs import registry as mod
-        from repro.obs.registry import TRUNCATED_COUNTER
-
-        reg = MetricsRegistry()
-        small = reg.histogram("small")
-        small.observe(1.0)
-        big = reg.histogram("big")
-        for v in range(mod._RESERVOIR_MAX + 1):
-            big.observe(float(v))
-        assert reg.truncated_names() == ["big"]
-        records = {r["name"]: r for r in reg.snapshot()}
-        assert records[TRUNCATED_COUNTER]["type"] == "counter"
-        assert records[TRUNCATED_COUNTER]["value"] == 1
-        # Repeat snapshots recompute rather than double-count.
-        records = {r["name"]: r for r in reg.snapshot()}
-        assert records[TRUNCATED_COUNTER]["value"] == 1
+        records = metrics_records({"z": 1, "b": 2}, {"a": 1.0}, {"c": [1.0]})
+        assert [record["name"] for record in records] == ["a", "b", "c", "z"]
 
     def test_no_truncation_means_no_truncated_counter(self):
-        from repro.obs.registry import TRUNCATED_COUNTER
-
-        reg = MetricsRegistry()
-        reg.histogram("h").observe(1.0)
-        assert reg.truncated_names() == []
-        assert TRUNCATED_COUNTER not in {
-            r["name"] for r in reg.snapshot()
-        }
-
+        # Past 8,192 values (the size of the sample the quantiles were
+        # once read from) every aggregate and quantile is still exact.
+        n = 8_192 + 100
+        records = metrics_records({}, {}, {"big": [float(v) for v in range(n)]})
+        assert [record["name"] for record in records] == ["big"]
+        (record,) = records
+        validate_metrics_record(record)
+        assert "truncated" not in record
+        assert (record["count"], record["min"], record["max"]) == (
+            n, 0.0, float(n - 1),
+        )
+        assert (record["p50"], record["p90"], record["p99"]) == (
+            4145.0, 7462.0, 8209.0,
+        )
