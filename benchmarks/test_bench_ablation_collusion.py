@@ -16,8 +16,9 @@ damage.
 
 import numpy as np
 
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.experiments.reporting import render_table
+from repro.sensors.specs import CorrectSpec, FaultSpec
 from benchmarks._shared import run_once
 
 N_NODES = 100
@@ -35,7 +36,6 @@ def accuracy_for(cells: int, seed: int = SEED) -> float:
         mode="location",
         n_nodes=N_NODES,
         field_side=100.0,
-        deployment_kind="grid",
         sensing_radius=20.0,
         r_error=5.0,
         lam=0.25,

@@ -14,8 +14,9 @@ under compromise at every stage, and even the baseline suffers less.
 
 import numpy as np
 
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.experiments.reporting import render_table
+from repro.sensors.specs import CorrectSpec, FaultSpec
 from benchmarks._shared import run_once
 
 N_NODES = 100
@@ -31,7 +32,6 @@ def run_decay(spec: FaultSpec, use_trust: bool):
         mode="location",
         n_nodes=N_NODES,
         field_side=100.0,
-        deployment_kind="grid",
         sensing_radius=20.0,
         r_error=5.0,
         lam=0.25,

@@ -9,8 +9,9 @@ with the paper's compensated f_r, and compares honest-node trust and
 detection accuracy.
 """
 
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.experiments.reporting import render_table
+from repro.sensors.specs import CorrectSpec, FaultSpec
 from benchmarks._shared import run_once
 
 
@@ -19,7 +20,6 @@ def run_with_fr(fault_rate):
         mode="location",
         n_nodes=49,
         field_side=70.0,
-        deployment_kind="grid",
         sensing_radius=20.0,
         r_error=5.0,
         lam=0.25,

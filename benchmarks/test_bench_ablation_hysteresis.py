@@ -12,8 +12,9 @@ malicious nodes to lie less frequently" -- should appear as damage
 
 import numpy as np
 
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.experiments.reporting import render_table
+from repro.sensors.specs import CorrectSpec, FaultSpec
 from benchmarks._shared import run_once
 
 
@@ -24,7 +25,6 @@ def accuracy_for(spec, seed=55, pf=45):
         mode="location",
         n_nodes=100,
         field_side=100.0,
-        deployment_kind="grid",
         sensing_radius=20.0,
         r_error=5.0,
         lam=0.25,

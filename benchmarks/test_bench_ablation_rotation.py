@@ -16,13 +16,9 @@ accordingly.
 import numpy as np
 
 from repro.clusterctl.leach import LeachConfig
-from repro.experiments.harness import (
-    CorrectSpec,
-    FaultSpec,
-    Rotation,
-    SimulationRun,
-)
+from repro.experiments.harness import Rotation, SimulationRun
 from repro.experiments.reporting import render_table
+from repro.sensors.specs import CorrectSpec, FaultSpec
 from benchmarks._shared import run_once
 
 N_NODES = 100

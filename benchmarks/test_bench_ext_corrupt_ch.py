@@ -10,14 +10,10 @@ at work: dissents, depositions, and registry penalties.
 import numpy as np
 
 from repro.clusterctl.leach import LeachConfig
-from repro.experiments.harness import (
-    CorrectSpec,
-    FaultSpec,
-    Rotation,
-    SimulationRun,
-)
+from repro.experiments.harness import Rotation, SimulationRun
 from repro.experiments.metrics import score_run
 from repro.experiments.reporting import render_table
+from repro.sensors.specs import CorrectSpec, FaultSpec
 from benchmarks._shared import run_once
 
 SEED = 11

@@ -19,9 +19,10 @@ Run:
 
 import numpy as np
 
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.experiments.reporting import render_table
 from repro.sensors.faults import Level1Behavior
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 FIELD = 100.0
 N_NODES = 100
@@ -39,7 +40,6 @@ def build_run(use_trust: bool) -> SimulationRun:
         mode="location",
         n_nodes=N_NODES,
         field_side=FIELD,
-        deployment_kind="grid",
         sensing_radius=20.0,
         r_error=5.0,
         lam=0.25,

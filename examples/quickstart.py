@@ -10,8 +10,9 @@ Run:
     python examples/quickstart.py
 """
 
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.experiments.reporting import render_table
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 
 def run_system(use_trust: bool) -> SimulationRun:
@@ -19,7 +20,6 @@ def run_system(use_trust: bool) -> SimulationRun:
         mode="binary",
         n_nodes=10,
         field_side=30.0,
-        deployment_kind="grid",
         sensing_radius=100.0,     # every node neighbours every event
         lam=0.1,                  # Table 1's trust decay constant
         fault_rate=0.01,          # f_r = correct nodes' NER

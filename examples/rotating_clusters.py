@@ -24,13 +24,9 @@ Run:
 import numpy as np
 
 from repro.clusterctl.leach import LeachConfig
-from repro.experiments.harness import (
-    CorrectSpec,
-    FaultSpec,
-    Rotation,
-    SimulationRun,
-)
+from repro.experiments.harness import Rotation, SimulationRun
 from repro.experiments.reporting import render_table
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 N_NODES = 100
 COMPROMISED = 40

@@ -39,7 +39,8 @@ Package map
 
 Quick start
 -----------
->>> from repro.experiments.harness import SimulationRun, CorrectSpec, FaultSpec
+>>> from repro.experiments.harness import SimulationRun
+>>> from repro.sensors.specs import FaultSpec
 >>> run = SimulationRun(mode="binary", n_nodes=10, sensing_radius=100.0,
 ...                     lam=0.1, fault_rate=0.01,
 ...                     fault_spec=FaultSpec(level=0, drop_rate=0.5),

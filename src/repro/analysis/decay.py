@@ -26,6 +26,12 @@ import math
 from typing import Dict, List, Sequence, Tuple
 
 
+def _check_lambda(lam: float) -> None:
+    """Refuse a decay constant ``TrustParameters`` would refuse."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+
+
 def decay_expression(k: float, lam: float, n_nodes: int) -> float:
     """``f(k) = e^{-k*lambda*(N-1)} - 2 e^{-k*lambda} + 1`` (§5).
 
@@ -35,8 +41,7 @@ def decay_expression(k: float, lam: float, n_nodes: int) -> float:
     """
     if n_nodes < 3:
         raise ValueError(f"analysis needs N >= 3, got {n_nodes}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     return math.exp(-k * lam * (n_nodes - 1)) - 2.0 * math.exp(-k * lam) + 1.0
 
 
@@ -51,8 +56,7 @@ def solve_k(lam: float, n_nodes: int, k_hi: float = 1e6) -> float:
     """
     if n_nodes < 3:
         raise ValueError(f"analysis needs N >= 3, got {n_nodes}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
 
     def g(x: float) -> float:
         return x ** (n_nodes - 1) - 2.0 * x + 1.0
@@ -91,9 +95,15 @@ def k_max(lam: float) -> float:
     With three correct nodes left (CTI = 3) and the faulty side at
     ``3 - epsilon``, waiting until ``3 e^{-k*lambda} = 1`` lets one more
     node flip; solving gives ``k_max = ln(3)/lambda`` as ``epsilon -> 0``.
+
+    >>> round(k_max(0.1), 6)
+    10.986123
+    >>> k_max(float("nan"))
+    Traceback (most recent call last):
+        ...
+    ValueError: lambda must be positive and finite, got nan
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     return math.log(3.0) / lam
 
 

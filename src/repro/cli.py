@@ -43,18 +43,14 @@ from repro.experiments.config import (
     Experiment2Config,
     Experiment3Config,
 )
-from repro.experiments.harness import (
-    CorrectSpec,
-    FaultSpec,
-    Rotation,
-    SimulationRun,
-)
+from repro.experiments.harness import Rotation, SimulationRun
 from repro.experiments.reporting import (
     Series,
     render_parameter_sheet,
     render_series_table,
     render_table,
 )
+from repro.sensors.specs import CorrectSpec, FaultSpec
 from repro.service.session import TrustSession
 
 
@@ -411,7 +407,6 @@ def _build_adhoc_run(
         mode=args.mode,
         n_nodes=args.nodes,
         field_side=float(field_side),
-        deployment_kind="grid",
         sensing_radius=(field_side * 2 if args.mode == "binary" else 20.0),
         r_error=5.0,
         lam=args.lam,

@@ -21,30 +21,3 @@ to mask a single faulty CH.
 :class:`repro.experiments.harness.SimulationRun` wires them into the
 rotating network when given a ``rotation`` policy.
 """
-
-from repro.clusterctl.base_station import BaseStation
-from repro.clusterctl.head import ClusterHead, CorruptClusterHead
-from repro.clusterctl.leach import (
-    EnergyModel,
-    LeachConfig,
-    LeachElection,
-    RoundResult,
-)
-from repro.clusterctl.shadow import (
-    HeadMirror,
-    ShadowClusterHead,
-    appoint_shadows,
-)
-
-__all__ = [
-    "BaseStation",
-    "ClusterHead",
-    "CorruptClusterHead",
-    "EnergyModel",
-    "HeadMirror",
-    "LeachConfig",
-    "LeachElection",
-    "RoundResult",
-    "ShadowClusterHead",
-    "appoint_shadows",
-]

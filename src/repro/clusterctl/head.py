@@ -30,6 +30,7 @@ and verdict announcements): it logs, spans and announces each
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from repro.core.binary import CtiVoter
@@ -90,8 +91,8 @@ class ClusterHead(NetworkNode):
         base_station_id: Optional[int] = None,
         id_allocator: Optional[IdAllocator] = None,
     ) -> None:
-        if t_out <= 0:
-            raise ValueError(f"t_out must be positive, got {t_out}")
+        if not 0 < t_out < math.inf:
+            raise ValueError(f"t_out must be positive and finite, got {t_out}")
         super().__init__(node_id, position)
         self.deployment = deployment
         self.config = config

@@ -20,26 +20,3 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.diagnosis` -- TI-threshold diagnosis and isolation of
   faulty nodes.
 """
-
-from repro.core.baseline import MajorityVoter
-from repro.core.binary import CtiVoter
-from repro.core.clustering import ReportCluster, cluster_reports_flat
-from repro.core.concurrent import CircleTracker, EventCircle
-from repro.core.decision_kernel import DecisionKernel, Verdict
-from repro.core.diagnosis import DiagnosisEntry, FaultDiagnoser
-from repro.core.trust import TrustParameters, TrustTable
-
-__all__ = [
-    "CircleTracker",
-    "CtiVoter",
-    "DecisionKernel",
-    "DiagnosisEntry",
-    "EventCircle",
-    "FaultDiagnoser",
-    "MajorityVoter",
-    "ReportCluster",
-    "TrustParameters",
-    "TrustTable",
-    "Verdict",
-    "cluster_reports_flat",
-]

@@ -89,8 +89,8 @@ class CircleTracker:
             raise ValueError(
                 f"r_error must be positive and finite, got {r_error}"
             )
-        if t_out <= 0:
-            raise ValueError(f"t_out must be positive, got {t_out}")
+        if not 0 < t_out < math.inf:
+            raise ValueError(f"t_out must be positive and finite, got {t_out}")
         self._sim = sim
         self._spans = sim.spans
         self._circle_ids = sim.circle_ids

@@ -14,9 +14,10 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.experiments.config import Experiment1Config
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.experiments.reporting import Series
 from repro.experiments.runner import ProgressFn, sweep_series
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 
 def run_point(
@@ -36,7 +37,6 @@ def run_point(
         mode="binary",
         n_nodes=config.n_nodes,
         field_side=30.0,
-        deployment_kind="grid",
         # All nodes are event neighbours for every event (Table 1):
         # a sensing radius covering the whole field guarantees it.
         sensing_radius=100.0,

@@ -17,9 +17,10 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.config import Experiment2Config
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.experiments.reporting import Series
 from repro.experiments.runner import ProgressFn, sweep_series
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 
 def run_point(
@@ -35,7 +36,6 @@ def run_point(
         mode="location",
         n_nodes=config.n_nodes,
         field_side=config.field_side,
-        deployment_kind="grid",
         sensing_radius=config.sensing_radius,
         r_error=config.r_error,
         lam=config.lam,

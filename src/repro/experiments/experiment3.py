@@ -15,9 +15,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.config import Experiment3Config
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.experiments.reporting import Series
 from repro.experiments.runner import ProgressFn, SweepTask, run_sweep
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 
 def run_decay(
@@ -38,7 +39,6 @@ def run_decay(
         mode="location",
         n_nodes=config.n_nodes,
         field_side=config.field_side,
-        deployment_kind="grid",
         sensing_radius=config.sensing_radius,
         r_error=config.r_error,
         lam=config.lam,

@@ -18,6 +18,7 @@ each head ships its trust table to the BS for the next heads to read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from time import perf_counter
@@ -31,11 +32,7 @@ from repro.clusterctl.shadow import HeadMirror, appoint_shadows
 from repro.core.trust import TrustParameters
 from repro.network.geometry import Point, Region
 from repro.network.radio import ChannelConfig, RadioChannel
-from repro.network.topology import (
-    Deployment,
-    shared_grid_deployment,
-    uniform_random_deployment,
-)
+from repro.network.topology import Deployment, shared_grid_deployment
 from repro.sensors.faults import NodeBehavior
 from repro.sensors.generator import EventGenerator, GroundTruthEvent
 from repro.sensors.specs import (
@@ -49,8 +46,8 @@ from repro.sensors.node import SensorNode
 from repro.sensors.sensing import SensingConfig, SensingModel
 from repro.obs.export import (
     build_manifest,
-    chrome_trace,
     metrics_records,
+    write_chrome_trace,
     write_json,
     write_jsonl,
 )
@@ -61,12 +58,7 @@ from repro.service.session import DecisionRecord, SessionConfig
 from repro.simkernel.simulator import Simulator
 from repro.experiments.metrics import RunMetrics, score_run
 
-
-# CorrectSpec and FaultSpec are re-exported for callers that configure
-# runs through the harness; their canonical definitions live with the
-# sensors package.
-__all__ = ["CompromiseOrder", "CorrectSpec", "FaultSpec", "LeadershipRound",
-           "Rotation", "SimulationRun"]
+__all__ = ["CompromiseOrder", "LeadershipRound", "Rotation", "SimulationRun"]
 
 #: Shadow CHs watching each rotating head: §3.4's "two additional
 #: shadow cluster heads (SCH) to each cluster".
@@ -158,9 +150,8 @@ class SimulationRun:
         Sensing nodes (the CH is an additional entity, per Table 1's
         "10 sensing nodes, 1 CH").
     field_side:
-        Side of the square deployment region.
-    deployment_kind:
-        ``"grid"`` (Experiment 2's 100-on-100x100) or ``"random"``.
+        Side of the square deployment region; the nodes sit on a
+        cell-centred grid over it (Experiment 2's 100 on 100x100).
     sensing_radius / r_error:
         ``r_s`` and the localisation bound.  Binary runs that want every
         node to neighbour every event should pass a radius covering the
@@ -231,7 +222,6 @@ class SimulationRun:
         mode: str = "location",
         n_nodes: int = 100,
         field_side: float = 100.0,
-        deployment_kind: str = "grid",
         sensing_radius: float = 20.0,
         r_error: float = 5.0,
         lam: float = 0.25,
@@ -261,13 +251,12 @@ class SimulationRun:
                 "rotation runs location mode without quiet_windows "
                 "or a chaos_plan"
             )
-        if deployment_kind not in ("grid", "random"):
+        if not 0 < t_out < math.inf:
+            raise ValueError(f"t_out must be positive and finite, got {t_out}")
+        if not 2 * t_out < round_interval < math.inf:
             raise ValueError(
-                f"deployment_kind must be 'grid' or 'random', got {deployment_kind!r}"
-            )
-        if round_interval <= 2 * t_out:
-            raise ValueError(
-                "round_interval must exceed 2*t_out so windows never span rounds"
+                "round_interval must be finite and exceed 2*t_out so "
+                "windows never span rounds"
             )
         unknown_faulty = set(faulty_ids) - set(range(n_nodes))
         if unknown_faulty:
@@ -276,7 +265,6 @@ class SimulationRun:
         self.mode = mode
         self.n_nodes = n_nodes
         self.field_side = field_side
-        self.deployment_kind = deployment_kind
         self.sensing_radius = sensing_radius
         self.r_error = r_error
         self.trust_params = TrustParameters(lam=lam, fault_rate=fault_rate)
@@ -361,19 +349,14 @@ class SimulationRun:
         self.channel = RadioChannel(
             self.sim, ChannelConfig(loss_probability=self.channel_loss)
         )
-        if self.deployment_kind == "grid":
-            # Grid geometry is RNG-free, so all trials of a sweep point
-            # share one memoised template (positions copied, spatial
-            # index snapshot shared) instead of rebuilding per trial.
-            # r_s is the cell size the location engine's ensure_index
-            # call asks for, so the shared snapshot is a direct hit.
-            self.deployment = shared_grid_deployment(
-                self.n_nodes, region, index_cell=self.sensing_radius
-            )
-        else:
-            self.deployment = uniform_random_deployment(
-                self.n_nodes, region, self.sim.streams.get("deployment")
-            )
+        # Grid geometry is RNG-free, so all trials of a sweep point
+        # share one memoised template (positions copied, spatial index
+        # snapshot shared) instead of rebuilding per trial.  r_s is the
+        # cell size the location engine's ensure_index call asks for,
+        # so the shared snapshot is a direct hit.
+        self.deployment = shared_grid_deployment(
+            self.n_nodes, region, index_cell=self.sensing_radius
+        )
 
         self._ch_config = SessionConfig(
             mode=self.mode,
@@ -927,7 +910,6 @@ class SimulationRun:
             "mode": self.mode,
             "n_nodes": self.n_nodes,
             "field_side": self.field_side,
-            "deployment_kind": self.deployment_kind,
             "sensing_radius": self.sensing_radius,
             "r_error": self.r_error,
             "lam": self.trust_params.lam,
@@ -1039,13 +1021,16 @@ class SimulationRun:
                 out / "session_journal.jsonl", self.session_journal()
             )
         if self.spans.enabled:
-            span_dump = list(self.spans.to_records())
-            paths["spans"] = write_jsonl(out / "spans.jsonl", span_dump)
-            index = ProvenanceIndex(span_dump)
-            paths["provenance"] = write_jsonl(
-                out / "provenance.jsonl", index.to_records()
+            # Each file reads the records afresh, so no two of the
+            # dump, the index and the Chrome document live at once.
+            paths["spans"] = write_jsonl(
+                out / "spans.jsonl", self.spans.to_records()
             )
-            paths["spans_chrome"] = write_json(
-                out / "spans_chrome.json", chrome_trace(span_dump)
+            paths["provenance"] = write_jsonl(
+                out / "provenance.jsonl",
+                ProvenanceIndex(self.spans.to_records()).to_records(),
+            )
+            paths["spans_chrome"] = write_chrome_trace(
+                out / "spans_chrome.json", self.spans
             )
         return paths

@@ -26,41 +26,3 @@ against the schemas.  A layer profile is the benchmark's own tracer
 (``bench/tracer.py``), so it reads the same layers as a benchmark
 claim.  See ``docs/observability.md``.
 """
-
-from repro.obs.export import (
-    MANIFEST_SCHEMA_VERSION,
-    SchemaError,
-    build_manifest,
-    chrome_trace,
-    metrics_records,
-    read_jsonl,
-    validate_artifacts,
-    validate_manifest,
-    validate_metrics_record,
-    validate_provenance_record,
-    validate_span_record,
-    write_json,
-    write_jsonl,
-)
-from repro.obs.provenance import ProvenanceIndex
-from repro.obs.spans import NULL_SPANS, Span, SpanCollector
-
-__all__ = [
-    "MANIFEST_SCHEMA_VERSION",
-    "NULL_SPANS",
-    "ProvenanceIndex",
-    "SchemaError",
-    "Span",
-    "SpanCollector",
-    "build_manifest",
-    "chrome_trace",
-    "metrics_records",
-    "read_jsonl",
-    "validate_artifacts",
-    "validate_manifest",
-    "validate_metrics_record",
-    "validate_provenance_record",
-    "validate_span_record",
-    "write_json",
-    "write_jsonl",
-]

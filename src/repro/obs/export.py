@@ -51,6 +51,7 @@ __all__ = [
     "validate_metrics_record",
     "validate_provenance_record",
     "validate_span_record",
+    "write_chrome_trace",
     "write_json",
     "write_jsonl",
 ]
@@ -411,11 +412,27 @@ def chrome_trace(spans) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 def write_json(path, doc: Dict[str, object]) -> Path:
     """Write one JSON document (the manifest format)."""
+    return _write_text(
+        path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    )
+
+
+def write_chrome_trace(path, spans) -> Path:
+    """Write the :func:`chrome_trace` document of ``spans``, unindented.
+
+    Without an indent ``json`` encodes in C; an indented trace of a
+    long run goes through its pure-Python encoder, several times slower
+    and with the text's every piece held in memory before the join.
+    """
+    return _write_text(
+        path, json.dumps(chrome_trace(spans), sort_keys=True, allow_nan=False)
+    )
+
+
+def _write_text(path, text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    path.write_text(text + "\n")
     return path
 
 

@@ -25,7 +25,8 @@ no simulation state.  ``tibfit-repro explain`` renders its output.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["ProvenanceIndex"]
 
@@ -82,6 +83,25 @@ class ProvenanceIndex:
         for span_id in self._by_category.get("ch.decision", ()):
             args = self.by_id[span_id]["args"]
             self.decisions[args["decision_id"]] = span_id
+        # ``window.report`` spans by circle id, each with its position
+        # in the records so a window's reports keep record order.
+        self._circle_reports: Dict[
+            object, List[Tuple[int, Dict[str, object]]]
+        ] = {}
+        for position, span_id in enumerate(
+            self._by_category.get("window.report", ())
+        ):
+            record = self.by_id[span_id]
+            self._circle_reports.setdefault(
+                record["args"].get("circle"), []
+            ).append((position, record))
+        # Every binary window reports on circle -1: sorted by time, one
+        # window's reports are the slice its open/close interval bisects.
+        self._binary_reports = sorted(
+            self._circle_reports.get(-1, ()),
+            key=lambda row: (row[1]["time"], row[0]),
+        )
+        self._binary_times = [row[1]["time"] for row in self._binary_reports]
 
     # ------------------------------------------------------------------
     # Generic walks
@@ -318,7 +338,8 @@ class ProvenanceIndex:
         }
 
     def _window_reports(self, close, cluster) -> List[Dict[str, object]]:
-        """The ``window.report`` spans of one closed collection window.
+        """The ``window.report`` spans of one closed collection window,
+        in record order.
 
         Location mode: the close span lists its merged circle ids and
         every report span carries its circle id (unique per run), so
@@ -329,20 +350,21 @@ class ProvenanceIndex:
         if close is None:
             return []
         circles = set(close["args"].get("circles", ()))
-        reports = [
-            self.by_id[i]
-            for i in self._by_category.get("window.report", ())
-        ]
         if circles == {-1}:
             open_span = self._ancestor_of(close["id"], "window.open")
             start = open_span["time"] if open_span is not None else 0.0
-            return [
-                r
-                for r in reports
-                if r["args"].get("circle") == -1
-                and start <= r["time"] <= close["time"]
+            rows = self._binary_reports[
+                bisect_left(self._binary_times, start):
+                bisect_right(self._binary_times, close["time"])
             ]
-        return [r for r in reports if r["args"].get("circle") in circles]
+        else:
+            rows = [
+                row
+                for circle in circles
+                for row in self._circle_reports.get(circle, ())
+            ]
+        # Positions are unique, so the sort never compares two records.
+        return [record for _, record in sorted(rows)]
 
     def _report_evidence(self, window_report) -> Dict[str, object]:
         """One window row traced back to its origin event."""

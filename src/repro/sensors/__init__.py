@@ -9,31 +9,3 @@
   correct (NER), level 0 naive liars, level 1 smart independent liars
   with TI hysteresis, and level 2 colluding liars (§2.1).
 """
-
-from repro.sensors.faults import (
-    CollusionCoordinator,
-    CorrectBehavior,
-    Level0Behavior,
-    Level1Behavior,
-    Level2Behavior,
-    NodeBehavior,
-    TrustEstimator,
-)
-from repro.sensors.generator import EventGenerator, GroundTruthEvent
-from repro.sensors.node import SensorNode
-from repro.sensors.sensing import SensingConfig, SensingModel
-
-__all__ = [
-    "CollusionCoordinator",
-    "CorrectBehavior",
-    "EventGenerator",
-    "GroundTruthEvent",
-    "Level0Behavior",
-    "Level1Behavior",
-    "Level2Behavior",
-    "NodeBehavior",
-    "SensingConfig",
-    "SensingModel",
-    "SensorNode",
-    "TrustEstimator",
-]

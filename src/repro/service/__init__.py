@@ -19,19 +19,3 @@ decision to its embedded session, so the golden fixtures, chaos
 campaigns and provenance chains all pin the service code path
 bit-for-bit (see ``docs/service.md``).
 """
-
-from repro.service.ids import IdAllocator
-from repro.service.manager import SessionManager
-from repro.service.session import (
-    DecisionRecord,
-    SessionConfig,
-    TrustSession,
-)
-
-__all__ = [
-    "DecisionRecord",
-    "IdAllocator",
-    "SessionConfig",
-    "SessionManager",
-    "TrustSession",
-]

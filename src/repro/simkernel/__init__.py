@@ -16,15 +16,3 @@ The kernel is intentionally synchronous and single-threaded: sensor-network
 protocol logic is easiest to verify when every interleaving is reproducible
 from a seed.
 """
-
-from repro.simkernel.errors import SchedulingError, SimulationError
-from repro.simkernel.rng import RandomStreams
-from repro.simkernel.simulator import Simulator, Timer
-
-__all__ = [
-    "RandomStreams",
-    "SchedulingError",
-    "SimulationError",
-    "Simulator",
-    "Timer",
-]

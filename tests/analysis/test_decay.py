@@ -43,6 +43,11 @@ class TestDecayExpression:
         with pytest.raises(ValueError):
             decay_expression(1.0, 0.25, 2)
 
+    def test_refuses_non_finite_lambda(self):
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                decay_expression(5.0, lam, 10)
+
 
 class TestRootSolving:
     def test_root_zeroes_the_expression(self):
@@ -76,6 +81,11 @@ class TestRootSolving:
         with pytest.raises(ValueError):
             solve_k(0.25, 2)
 
+    def test_refuses_non_finite_lambda(self):
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_k(lam, 10)
+
 
 class TestKMax:
     def test_formula(self):
@@ -91,6 +101,11 @@ class TestKMax:
     def test_validation(self):
         with pytest.raises(ValueError):
             k_max(0.0)
+
+    def test_refuses_non_finite_lambda(self):
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                k_max(lam)
 
 
 class TestFigure11:

@@ -1,5 +1,7 @@
 """Unit tests for the cluster-head process."""
 
+import math
+
 import pytest
 
 from repro.clusterctl.head import ClusterHead, CorruptClusterHead
@@ -324,4 +326,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="t_out"):
             ClusterHead(
                 100, Point(5.0, 5.0), deployment, SessionConfig(), t_out=0.0
+            )
+
+    @pytest.mark.parametrize("t_out", [math.nan, math.inf])
+    def test_non_finite_t_out_rejected(self, t_out):
+        deployment = Deployment(region=Region.square(10.0))
+        with pytest.raises(ValueError, match="t_out"):
+            ClusterHead(
+                100, Point(5.0, 5.0), deployment, SessionConfig(), t_out=t_out
             )

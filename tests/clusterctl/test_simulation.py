@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from repro.clusterctl.leach import LeachConfig
-from repro.experiments.harness import (
-    CorrectSpec,
-    FaultSpec,
-    Rotation,
-    SimulationRun,
-)
+from repro.experiments.harness import Rotation, SimulationRun
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 
 def build(n_nodes=49, faulty_count=0, seed=5, events_per_leadership=8,

@@ -149,6 +149,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="r_error"):
             CircleTracker(sim, r_error=r_error, t_out=1.0, on_group_rows=print)
 
+    @pytest.mark.parametrize("t_out", [math.nan, math.inf])
+    def test_non_finite_t_out_rejected(self, sim, t_out):
+        with pytest.raises(ValueError, match="t_out"):
+            CircleTracker(sim, r_error=5.0, t_out=t_out, on_group_rows=print)
+
     def test_reports_sorted_within_group(self, sim):
         tracker, groups = make_tracker(sim)
         tracker.on_report_row(5, 10.0, 10.0)

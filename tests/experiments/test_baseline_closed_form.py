@@ -15,7 +15,8 @@ import math
 import pytest
 
 from repro.analysis.voting import baseline_success_probability
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 N = 10
 DROP_RATE = 0.5

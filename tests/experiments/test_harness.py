@@ -4,14 +4,10 @@ import math
 
 import pytest
 
-from repro.experiments.harness import (
-    CompromiseOrder,
-    CorrectSpec,
-    FaultSpec,
-    SimulationRun,
-)
+from repro.experiments.harness import CompromiseOrder, SimulationRun
 from repro.network.geometry import PolarOffset
 from repro.network.messages import EventReportMessage
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 
 def small_binary_run(**kwargs):
@@ -19,7 +15,6 @@ def small_binary_run(**kwargs):
         mode="binary",
         n_nodes=6,
         field_side=30.0,
-        deployment_kind="grid",
         sensing_radius=100.0,
         r_error=5.0,
         lam=0.1,
@@ -38,7 +33,6 @@ def small_location_run(**kwargs):
         mode="location",
         n_nodes=25,
         field_side=50.0,
-        deployment_kind="grid",
         sensing_radius=20.0,
         r_error=5.0,
         lam=0.25,
@@ -216,6 +210,17 @@ class TestValidation:
     def test_round_interval_must_cover_windows(self):
         with pytest.raises(ValueError):
             small_binary_run(round_interval=1.5, t_out=1.0)
+
+    @pytest.mark.parametrize("timing", [
+        {"round_interval": math.nan},
+        {"round_interval": math.inf},
+        {"t_out": math.nan},
+    ], ids=["round_interval-nan", "round_interval-inf", "t_out-nan"])
+    def test_non_finite_timing_rejected(self, timing):
+        """A NaN or infinite window or round spacing is refused as the
+        run is made, not run into a SchedulingError or scored 0."""
+        with pytest.raises(ValueError, match="finite"):
+            small_binary_run(**timing)
 
     def test_unknown_faulty_ids_rejected(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,9 @@ bit-identical.
 import pytest
 
 from repro.chaos.invariants import run_fingerprint
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.network.radio import RadioChannel
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 
 def location_run(**kwargs):
@@ -19,7 +20,6 @@ def location_run(**kwargs):
         mode="location",
         n_nodes=36,
         field_side=60.0,
-        deployment_kind="grid",
         sensing_radius=25.0,
         r_error=5.0,
         lam=0.25,
@@ -39,7 +39,6 @@ def binary_run(**kwargs):
         mode="binary",
         n_nodes=8,
         field_side=30.0,
-        deployment_kind="grid",
         sensing_radius=100.0,
         r_error=5.0,
         lam=0.1,

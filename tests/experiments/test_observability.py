@@ -24,10 +24,11 @@ import pytest
 
 from repro.chaos.invariants import run_fingerprint
 from repro.chaos.plan import builtin_plans
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
 from repro.obs.export import read_jsonl, validate_artifacts
 from repro.obs.provenance import ProvenanceIndex
 from repro.obs.spans import SpanCollector
+from repro.sensors.specs import CorrectSpec, FaultSpec
 from repro.service.session import TrustSession
 
 DIAGNOSIS_THRESHOLD = 0.5
@@ -39,7 +40,6 @@ def make_run(seed=7, spans=False, journal=False, **overrides):
         mode="binary",
         n_nodes=10,
         field_side=32.0,
-        deployment_kind="grid",
         sensing_radius=64.0,  # everyone neighbours every event
         faulty_ids=(2, 3, 7),
         correct_spec=CorrectSpec(sigma=0.0, miss_rate=0.01),

@@ -39,12 +39,8 @@ from repro.experiments.config import (
 from repro.clusterctl.leach import LeachConfig
 from repro.experiments.experiment4 import Experiment4Config
 from repro.experiments import experiment4
-from repro.experiments.harness import (
-    CorrectSpec,
-    FaultSpec,
-    Rotation,
-    SimulationRun,
-)
+from repro.experiments.harness import Rotation, SimulationRun
+from repro.sensors.specs import CorrectSpec, FaultSpec
 from repro.obs.provenance import ProvenanceIndex
 
 
@@ -116,7 +112,6 @@ def build_exp2_provenance() -> Dict[str, object]:
         mode="location",
         n_nodes=config.n_nodes,
         field_side=config.field_side,
-        deployment_kind="grid",
         sensing_radius=config.sensing_radius,
         r_error=config.r_error,
         lam=config.lam,

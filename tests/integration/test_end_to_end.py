@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 
 class TestStatefulMaskingEndToEnd:
@@ -16,7 +17,6 @@ class TestStatefulMaskingEndToEnd:
             mode="binary",
             n_nodes=10,
             field_side=30.0,
-            deployment_kind="grid",
             sensing_radius=100.0,
             lam=0.25,
             fault_rate=0.01,
@@ -40,7 +40,6 @@ class TestStatefulMaskingEndToEnd:
             mode="binary",
             n_nodes=10,
             field_side=30.0,
-            deployment_kind="grid",
             sensing_radius=100.0,
             lam=0.25,
             fault_rate=0.01,
@@ -64,7 +63,6 @@ class TestLocationPipelineEndToEnd:
             mode="location",
             n_nodes=49,
             field_side=70.0,
-            deployment_kind="grid",
             sensing_radius=20.0,
             r_error=5.0,
             correct_spec=CorrectSpec(sigma=1.6),
@@ -87,7 +85,6 @@ class TestLocationPipelineEndToEnd:
             mode="location",
             n_nodes=49,
             field_side=70.0,
-            deployment_kind="grid",
             sensing_radius=20.0,
             r_error=5.0,
             correct_spec=CorrectSpec(sigma=1.6),
@@ -110,7 +107,6 @@ class TestLocationPipelineEndToEnd:
             mode="location",
             n_nodes=100,
             field_side=100.0,
-            deployment_kind="grid",
             sensing_radius=20.0,
             r_error=5.0,
             correct_spec=CorrectSpec(sigma=1.0),
@@ -136,7 +132,6 @@ class TestSmartAdversaryEndToEnd:
             mode="location",
             n_nodes=49,
             field_side=70.0,
-            deployment_kind="grid",
             sensing_radius=20.0,
             r_error=5.0,
             correct_spec=CorrectSpec(sigma=1.6),
@@ -167,7 +162,6 @@ class TestSmartAdversaryEndToEnd:
                 mode="location",
                 n_nodes=100,
                 field_side=100.0,
-                deployment_kind="grid",
                 sensing_radius=20.0,
                 r_error=5.0,
                 correct_spec=CorrectSpec(sigma=1.6),
@@ -190,7 +184,6 @@ class TestChannelRealism:
             mode="location",
             n_nodes=49,
             field_side=70.0,
-            deployment_kind="grid",
             sensing_radius=20.0,
             r_error=5.0,
             fault_rate=0.1,

@@ -6,7 +6,8 @@ data sinks, mid-run node deaths, and extreme channel conditions.
 
 import pytest
 
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 
 def small_run(**kwargs):
@@ -14,7 +15,6 @@ def small_run(**kwargs):
         mode="location",
         n_nodes=25,
         field_side=50.0,
-        deployment_kind="grid",
         sensing_radius=20.0,
         r_error=5.0,
         correct_spec=CorrectSpec(sigma=1.0),

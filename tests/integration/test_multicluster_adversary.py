@@ -8,12 +8,8 @@ import numpy as np
 import pytest
 
 from repro.clusterctl.leach import LeachConfig
-from repro.experiments.harness import (
-    CorrectSpec,
-    FaultSpec,
-    Rotation,
-    SimulationRun,
-)
+from repro.experiments.harness import Rotation, SimulationRun
+from repro.sensors.specs import CorrectSpec, FaultSpec
 
 
 def build(level, faulty_count=15, seed=31, events_per_leadership=6,

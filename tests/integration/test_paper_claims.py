@@ -9,7 +9,8 @@ import numpy as np
 
 from repro.clusterctl.head import ClusterHead
 from repro.core.trust import TrustParameters
-from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
+from repro.experiments.harness import SimulationRun
+from repro.sensors.specs import CorrectSpec, FaultSpec
 from repro.service.session import SessionConfig
 
 
@@ -30,7 +31,6 @@ class TestContribution1:
             mode="location",
             n_nodes=100,
             field_side=100.0,
-            deployment_kind="grid",
             sensing_radius=20.0,
             r_error=5.0,
             lam=0.25,
@@ -91,7 +91,6 @@ class TestContribution3:
                 mode="location",
                 n_nodes=100,
                 field_side=100.0,
-                deployment_kind="grid",
                 sensing_radius=20.0,
                 r_error=5.0,
                 lam=0.25,

@@ -18,6 +18,7 @@ from repro.obs.export import (
     validate_metrics_record,
     validate_provenance_record,
     validate_span_record,
+    write_chrome_trace,
     write_json,
     write_jsonl,
 )
@@ -249,6 +250,14 @@ class TestChromeTrace:
     def test_document_shape(self):
         doc = chrome_trace([])
         assert doc == {"traceEvents": [], "displayTimeUnit": "ms"}
+
+    def test_written_on_one_unindented_line(self, tmp_path):
+        path = write_chrome_trace(
+            tmp_path / "spans_chrome.json", self.make_spans()
+        )
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert json.loads(text) == chrome_trace(self.make_spans())
 
 
 class TestFileIO:

@@ -168,6 +168,37 @@ class TestBinaryWindowScoping:
         reports = prov._window_reports(close, None)
         assert [r["id"] for r in reports] == [6]
 
+    def test_each_window_gets_its_reports_in_record_order(self):
+        """A binary window takes the circle -1 reports from its open to
+        its close, both ends included; a merged location window takes
+        every report on any of its circles, interleaved as recorded."""
+        forest = [
+            span(1, 0, "event", 0.0, event_id=1),
+            span(2, 1, "window.open", 0.0, circle=-1),
+            span(3, 1, "window.report", 0.0, circle=-1, node=1),
+            span(4, 1, "window.report", 0.5, circle=-1, node=2),
+            span(5, 2, "window.close", 0.5, circles=[-1]),
+            span(6, 0, "window.report", 0.7, circle=-1, node=3),
+            span(7, 0, "event", 1.0, event_id=2),
+            span(8, 7, "window.open", 1.0, circle=-1),
+            span(9, 7, "window.report", 1.0, circle=-1, node=4),
+            span(10, 8, "window.close", 1.5, circles=[-1]),
+            span(11, 0, "window.open", 2.0, circle=7),
+            span(12, 0, "window.report", 2.0, circle=8, node=5),
+            span(13, 0, "window.report", 2.1, circle=7, node=6),
+            span(14, 0, "window.report", 2.2, circle=8, node=7),
+            span(15, 11, "window.close", 2.5, circles=[8, 7]),
+        ]
+        prov = ProvenanceIndex(forest)
+
+        def reports(close):
+            window = prov._window_reports(prov.span(close), None)
+            return [r["id"] for r in window]
+
+        assert reports(5) == [3, 4]
+        assert reports(10) == [9]
+        assert reports(15) == [12, 13, 14]
+
 
 class TestWalks:
     def test_lineage_nearest_first_and_stops_at_root(self):

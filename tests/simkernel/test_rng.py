@@ -220,17 +220,39 @@ class TestDrawIdentities:
         assert formula.bit_generator.state == numpy_side.bit_generator.state
 
 
-def test_importing_the_service_leaves_numpy_random_unloaded():
-    """The trust service imports the kernel but builds no stream, so it
-    never loads ``numpy.random``."""
+def _loads_none_of(module: str, unloaded) -> None:
+    """Import ``module`` in a fresh interpreter; none of ``unloaded``
+    may be in ``sys.modules`` after it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
     code = (
-        "import sys, repro.service.http_api, repro.simkernel.rng; "
-        "assert 'numpy.random' not in sys.modules"
+        f"import sys, {module}; "
+        f"loaded = [m for m in {list(unloaded)!r} if m in sys.modules]; "
+        "assert not loaded, loaded"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_service_leaves_numpy_random_unloaded():
+    """Neither the trust service nor the stream module builds a stream
+    on import, so neither loads ``numpy.random``."""
+    _loads_none_of(
+        "repro.service.http_api, repro.simkernel.rng", ["numpy.random"]
+    )
+
+
+@pytest.mark.parametrize("module, unloaded", [
+    ("repro.service.http_api",
+     ["repro.simkernel", "repro.network.radio", "repro.obs.export"]),
+    ("repro.experiments.harness",
+     ["multiprocessing", "repro.service.manager"]),
+], ids=["service", "harness"])
+def test_a_module_loads_only_what_it_imports(module, unloaded):
+    """No package ``__init__`` imports for its modules: the DES-free
+    service loads no kernel, radio or exporter, and one simulation run
+    no process pool or session manager."""
+    _loads_none_of(module, unloaded)

@@ -1,6 +1,7 @@
 """Guards: every definition in ``src`` is read by the program itself,
-every name a module of ``src`` imports is read by that module, and
-every name an annotation in ``src`` loads is bound.
+every name a module of ``src`` imports is read by that module, every
+name an annotation in ``src`` loads is bound, and every package
+``__init__`` below ``repro`` is its docstring alone.
 
 A top-level function or class of ``src/repro``, or a non-dunder method
 of one of its top-level classes, must be read somewhere in ``src``,
@@ -14,9 +15,8 @@ goes by bare name, so a method that shares its name with any call in
 those trees (``get``, ``keys``) passes unseen.
 
 An import is read when its module loads the name it binds, in code or
-in an annotation, quoted or not.  Package ``__init__`` modules import
-to re-export and ``__future__`` imports set compiler flags, so neither
-is checked.
+in an annotation, quoted or not.  ``__future__`` imports set compiler
+flags, so they are not checked.
 
 A public attribute that a top-level class of ``src/repro`` stores on
 ``self`` (``self.x = ...``, ``self.x += ...``, ``self.x: T = ...``)
@@ -29,6 +29,11 @@ its module (imported, defined or assigned) or be a builtin: under
 ``from __future__ import annotations`` nothing evaluates an annotation
 until ``typing.get_type_hints`` does, and then an unbound name raises
 ``NameError``.
+
+A package ``__init__`` below ``src/repro`` holds its docstring and
+nothing else: a re-export gives a name a second import path, and
+importing any module of the package would load everything the
+``__init__`` imports.
 """
 
 from __future__ import annotations
@@ -195,8 +200,6 @@ def _bound(tree: ast.AST) -> Set[str]:
 def test_every_src_import_is_read_by_its_module():
     unused = []
     for path in _python_files("src"):
-        if path.name == "__init__.py":
-            continue
         module = _module(path)
         tree = ast.parse(path.read_text(), filename=str(path))
         loaded = _loads(tree)
@@ -255,4 +258,20 @@ def test_every_stored_public_attribute_is_read_by_the_program():
     assert not unread, (
         "stored on self in src but loaded nowhere by the program (delete "
         "it, or read it):\n  " + "\n  ".join(unread)
+    )
+
+
+def test_every_package_init_is_only_its_docstring():
+    packages = ROOT / "src" / "repro"
+    holding = []
+    for path in sorted(packages.glob("*/**/__init__.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        body = tree.body
+        if ast.get_docstring(tree) is not None:
+            body = body[1:]
+        if body:
+            holding.append(str(path.relative_to(ROOT)))
+    assert not holding, (
+        "package __init__ holding more than its docstring (import each "
+        "name from its defining module):\n  " + "\n  ".join(holding)
     )
